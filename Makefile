@@ -17,13 +17,12 @@ lint:
 	go run ./cmd/splitlint ./...
 
 # Benchstat-compatible output: run with COUNT=10 and feed two bench.out
-# files from different commits to `benchstat old.out new.out`. Each run is
-# also recorded as the next BENCH_<n>.json (name -> ns/op, B/op,
-# allocs/op, stamped with commit/date) — the repo's bench trajectory;
-# `benchjson -gate` compares the committed baseline against the latest.
+# files from different commits to `benchstat old.out new.out`. Then the
+# repository's benchmark (cmd/splitperf, declared in BENCHMARK.json): five
+# workloads, each reporting its end-to-end metrics.
 bench:
 	go test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) . ./internal/... | tee bench.out
-	go run ./cmd/benchjson -in bench.out -next
+	go run ./cmd/splitperf
 
 fmt:
 	gofmt -w .

@@ -434,57 +434,6 @@ func BenchmarkREEFComparison(b *testing.B) {
 	b.ReportMetric(reefJ, "REEF-short-jitter-ms")
 }
 
-// BenchmarkParallelSweep compares serial vs parallel candidate sweeps on the
-// 2534-op GPT-2 graph (the heaviest profile target).
-func BenchmarkParallelSweep(b *testing.B) {
-	g := zoo.MustLoad("gpt2")
-	p := profiler.New(g, model.DefaultCostModel())
-	for _, workers := range []int{1, 4, 0} {
-		name := "serial"
-		switch workers {
-		case 4:
-			name = "workers-4"
-		case 0:
-			name = "workers-max"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(int64(i + 1)))
-				if workers == 1 {
-					p.RandomSample(4, 2000, rng)
-				} else {
-					p.RandomSampleParallel(4, 2000, workers, rng)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGAParallelism compares GA wall time at different evaluation
-// parallelism levels on GPT-2 (identical results by construction). Note:
-// because the profiler precomputes prefix sums and boundary costs, a single
-// candidate evaluation is O(m) and sub-microsecond, so the GA is expected
-// to see little or no speedup — the measurement documents that the
-// precomputation, not parallel evaluation, is what makes the GA fast.
-func BenchmarkGAParallelism(b *testing.B) {
-	g := zoo.MustLoad("gpt2")
-	p := profiler.New(g, model.DefaultCostModel())
-	for _, workers := range []int{1, 4} {
-		b.Run(map[int]string{1: "serial", 4: "workers-4"}[workers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ga.DefaultConfig(4)
-				cfg.Parallelism = workers
-				cfg.Seed = int64(i + 1)
-				cfg.Generations = 10
-				cfg.StallLimit = 10
-				if _, err := ga.Run(p, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkServeRPC measures the serving path's per-request overhead: RPC
 // round trip + Algorithm 1 insertion + executor wakeup, with near-zero
 // simulated execution time so scheduling cost dominates.

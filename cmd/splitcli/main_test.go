@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"split/internal/core"
+	"split/internal/engine"
 	"split/internal/onnxlite"
 	"split/internal/sched"
 	"split/internal/serve"
@@ -22,9 +23,8 @@ func startTestServer(t *testing.T) string {
 		t.Fatal(err)
 	}
 	srv, err := serve.NewServer(serve.Config{
+		Knobs:     engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic()},
 		Catalog:   dep.Catalog,
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
 		TimeScale: 0.01,
 	})
 	if err != nil {

@@ -69,6 +69,7 @@ import (
 	"syscall"
 
 	"split/internal/core"
+	"split/internal/engine"
 	"split/internal/fleet"
 	"split/internal/gpusim"
 	"split/internal/model"
@@ -233,22 +234,24 @@ func run(args []string, out io.Writer, ready, adminReady chan<- string, stop <-c
 		elastic.Enabled = false
 	}
 	cfg := serve.Config{
-		Catalog:          catalog,
-		Alpha:            *alpha,
-		Elastic:          elastic,
-		TimeScale:        *timescale,
-		MaxQueue:         *maxQueue,
-		QoSWindow:        *qosWindow,
-		EnforceDeadlines: *deadlines,
-		PredictiveShed:   *predictive,
-		Devices:          *devices,
-		Placement:        *placement,
-		BatchMax:         *batchMax,
-		Partitions:       *partitions,
-		PartitionCost:    gpusim.PartitionCost{Beta: *partBeta},
-		PartitionWidth:   *partWidth,
-		Fleet:            autoscale,
-		Admission:        admission,
+		Knobs: engine.Knobs{
+			Alpha:            *alpha,
+			Elastic:          elastic,
+			EnforceDeadlines: *deadlines,
+			PredictiveShed:   *predictive,
+			Devices:          *devices,
+			Placement:        *placement,
+			BatchMax:         *batchMax,
+			Partitions:       *partitions,
+			PartitionCost:    gpusim.PartitionCost{Beta: *partBeta},
+			PartitionWidth:   *partWidth,
+			Fleet:            autoscale,
+			Admission:        admission,
+		},
+		Catalog:   catalog,
+		TimeScale: *timescale,
+		MaxQueue:  *maxQueue,
+		QoSWindow: *qosWindow,
 	}
 	if *batchMax > 1 {
 		fmt.Fprintf(out, "micro-batching on: up to %d same-model requests per block\n", *batchMax)

@@ -46,7 +46,6 @@ func run(args []string, out io.Writer) error {
 		outDir    = fs.String("out", "", "directory to write *.plan.json (and block) artifacts")
 		saveBlks  = fs.Bool("save-blocks", false, "also write per-block sub-graphs with -model -out")
 		dotPath   = fs.String("dot", "", "write a Graphviz DOT of the split model here (-model only)")
-		workers   = fs.Int("workers", 0, "parallel GA evaluation workers (0 = serial)")
 		seed      = fs.Int64("seed", 1, "GA seed")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -100,7 +99,6 @@ func run(args []string, out io.Writer) error {
 		p := profiler.New(g, cm)
 		cfg := ga.DefaultConfig(*blocks)
 		cfg.Seed = *seed
-		cfg.Parallelism = *workers
 		res, err := ga.Run(p, cfg)
 		if err != nil {
 			return err

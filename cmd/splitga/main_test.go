@@ -39,7 +39,7 @@ func TestFig5Output(t *testing.T) {
 
 func TestSplitSingleModelWithArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	out := runOK(t, "-model", "resnet50", "-blocks", "2", "-out", dir, "-save-blocks", "-workers", "2")
+	out := runOK(t, "-model", "resnet50", "-blocks", "2", "-out", dir, "-save-blocks")
 	if !strings.Contains(out, "resnet50 into 2 blocks") {
 		t.Errorf("missing plan summary:\n%s", out)
 	}

@@ -8,7 +8,7 @@
 //	splitprof -fig2 -model resnet50 -stride 2
 //	splitprof -eq1
 //	splitprof -candidates
-//	splitprof -sweep -model vgg19 -blocks 3 -count 20000 -workers 4
+//	splitprof -sweep -model vgg19 -blocks 3 -count 20000
 package main
 
 import (
@@ -46,7 +46,6 @@ func run(args []string, out io.Writer) error {
 		stride     = fs.Int("stride", 1, "grid stride for -fig2")
 		blocks     = fs.Int("blocks", 3, "block count for -sweep")
 		count      = fs.Int("count", 20000, "candidate count for -sweep")
-		workers    = fs.Int("workers", 0, "parallel workers for -sweep (0 = all cores)")
 		seed       = fs.Int64("seed", 1, "RNG seed")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -89,7 +88,7 @@ func run(args []string, out io.Writer) error {
 		}
 		p := profiler.New(g, cm)
 		rng := rand.New(rand.NewSource(*seed))
-		cands := p.RandomSampleParallel(*blocks, *count, *workers, rng)
+		cands := p.RandomSample(*blocks, *count, rng)
 		stds := make([]float64, len(cands))
 		overs := make([]float64, len(cands))
 		for i, c := range cands {

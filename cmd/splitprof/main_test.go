@@ -48,7 +48,7 @@ func TestCandidatesOutput(t *testing.T) {
 }
 
 func TestSweepOutput(t *testing.T) {
-	out := runOK(t, "-sweep", "-model", "yolov2", "-blocks", "2", "-count", "200", "-workers", "2")
+	out := runOK(t, "-sweep", "-model", "yolov2", "-blocks", "2", "-count", "200")
 	if !strings.Contains(out, "profiled 200 random 2-block candidates") {
 		t.Errorf("sweep header wrong:\n%s", out)
 	}

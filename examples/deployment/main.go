@@ -64,9 +64,8 @@ func main() {
 		graphs[name] = g
 	}
 	srv, err := serve.NewServer(serve.Config{
+		Knobs:     split.Knobs{Alpha: 4, Elastic: sched.DefaultElastic()},
 		Catalog:   policy.NewCatalog(graphs, loaded),
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
 		TimeScale: 0.05,
 	})
 	if err != nil {

@@ -23,19 +23,21 @@ func main() {
 		log.Fatal(err)
 	}
 	srv, err := split.NewServer(split.ServerConfig{
-		Catalog:          dep.Catalog,
-		Alpha:            4,
-		Elastic:          sched.DefaultElastic(),
-		TimeScale:        0.05, // 20x faster than the simulated device
-		EnforceDeadlines: true, // every request gets deadline = arrive + α·t_ext
-		PredictiveShed:   true, // shed work that cannot finish in time, even early
-		Faults: &gpusim.FaultInjector{
-			Seed:        7,
-			SpikeProb:   0.05,
-			SpikeFactor: 3,
-			FailProb:    0.02,
-			MaxRetries:  2,
+		Knobs: split.Knobs{
+			Alpha:            4,
+			Elastic:          sched.DefaultElastic(),
+			EnforceDeadlines: true, // every request gets deadline = arrive + α·t_ext
+			PredictiveShed:   true, // shed work that cannot finish in time, even early
+			Faults: &gpusim.FaultInjector{
+				Seed:        7,
+				SpikeProb:   0.05,
+				SpikeFactor: 3,
+				FailProb:    0.02,
+				MaxRetries:  2,
+			},
 		},
+		Catalog:   dep.Catalog,
+		TimeScale: 0.05, // 20x faster than the simulated device
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -22,9 +22,8 @@ func main() {
 		log.Fatal(err)
 	}
 	srv, err := split.NewServer(split.ServerConfig{
+		Knobs:     split.Knobs{Alpha: 4, Elastic: sched.DefaultElastic()},
 		Catalog:   dep.Catalog,
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
 		TimeScale: 0.05, // 20x faster than the simulated device
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"split/internal/analytic"
 	"split/internal/profiler"
@@ -47,11 +46,6 @@ type Config struct {
 	// implementing the "splitting at early operators incurs a larger
 	// overhead" observation. Applied only when GuidedInit is true.
 	FrontGuardFrac float64
-	// Parallelism fans candidate evaluation across this many goroutines
-	// per generation. Candidate *generation* (selection, crossover,
-	// mutation) stays sequential on the run's RNG, so results are
-	// identical for every Parallelism value. <=1 evaluates serially.
-	Parallelism int
 	// Seed seeds the run's private RNG, making results reproducible.
 	Seed int64
 }
@@ -150,40 +144,14 @@ func Run(p *profiler.Profiler, cfg Config) (*Result, error) {
 			fitness: analytic.Fitness(c.StdDevMs, total, c.Overhead, cfg.NumBlocks),
 		}
 	}
-	// evaluateAll scores a batch of cut vectors, fanning across workers
-	// when Parallelism > 1. Evaluation is pure, so order and results are
-	// deterministic either way.
+	// evaluateAll scores a batch of cut vectors. A single evaluation is
+	// O(m) over precomputed prefix sums — sub-microsecond — so fanning a
+	// generation across goroutines measured no speed-up and is not done.
 	evaluateAll := func(cutSets [][]int) []individual {
 		out := make([]individual, len(cutSets))
-		if cfg.Parallelism <= 1 || len(cutSets) < 2 {
-			for i, cuts := range cutSets {
-				out[i] = evaluate(cuts)
-			}
-			return out
+		for i, cuts := range cutSets {
+			out[i] = evaluate(cuts)
 		}
-		// Contiguous chunks per worker: evaluations are cheap, so per-item
-		// dispatch overhead would swamp the win.
-		var wg sync.WaitGroup
-		count := len(cutSets)
-		chunk := (count + cfg.Parallelism - 1) / cfg.Parallelism
-		for w := 0; w < cfg.Parallelism; w++ {
-			lo := w * chunk
-			if lo >= count {
-				break
-			}
-			hi := lo + chunk
-			if hi > count {
-				hi = count
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					out[i] = evaluate(cutSets[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
 		return out
 	}
 

@@ -346,34 +346,3 @@ func TestFig5ShapeGAConvergesWithin15Generations(t *testing.T) {
 		}
 	}
 }
-
-func TestParallelEvaluationIdenticalResults(t *testing.T) {
-	p := profiler.New(zoo.MustLoad("resnet50"), model.DefaultCostModel())
-	base := DefaultConfig(3)
-	base.StallLimit = base.Generations
-	serial, err := Run(p, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		cfg := base
-		cfg.Parallelism = workers
-		par, err := Run(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Fitness != serial.Fitness || par.Evaluations != serial.Evaluations {
-			t.Fatalf("workers %d: fitness %v/%d vs serial %v/%d",
-				workers, par.Fitness, par.Evaluations, serial.Fitness, serial.Evaluations)
-		}
-		if len(par.PerGeneration) != len(serial.PerGeneration) {
-			t.Fatalf("workers %d: %d generations vs %d",
-				workers, len(par.PerGeneration), len(serial.PerGeneration))
-		}
-		for i := range serial.PerGeneration {
-			if par.PerGeneration[i].MeanFitness != serial.PerGeneration[i].MeanFitness {
-				t.Fatalf("workers %d: generation %d diverged", workers, i)
-			}
-		}
-	}
-}

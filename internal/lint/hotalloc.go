@@ -86,7 +86,7 @@ func runHotalloc(pkgs []*Package, report ModuleReportFunc) {
 					continue
 				}
 				ff := &funcFacts{p: p, name: shortFuncKey(fn)}
-				_, _, ff.hot = directiveArg(fd.Doc, "hotpath")
+				ff.hot = hasDirective(fd.Doc, "hotpath")
 				collectAllocs(p, fd, ff)
 				key := funcKey(fn)
 				facts[key] = ff

@@ -307,12 +307,11 @@ func recvTypeName(fn *types.Func) string {
 	return ""
 }
 
-// directiveArg scans a comment group for a //lint:<name> directive and
-// returns the rest of its line. found distinguishes a bare directive from
-// an absent one.
-func directiveArg(cg *ast.CommentGroup, name string) (arg string, pos token.Pos, found bool) {
+// hasDirective reports whether a comment group carries a //lint:<name>
+// directive; anything after the name on its line is free-form rationale.
+func hasDirective(cg *ast.CommentGroup, name string) bool {
 	if cg == nil {
-		return "", token.NoPos, false
+		return false
 	}
 	for _, c := range cg.List {
 		text, ok := strings.CutPrefix(c.Text, "//")
@@ -320,13 +319,9 @@ func directiveArg(cg *ast.CommentGroup, name string) (arg string, pos token.Pos,
 			continue
 		}
 		rest, ok := strings.CutPrefix(strings.TrimSpace(text), "lint:"+name)
-		if !ok {
-			continue
+		if ok && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+			return true
 		}
-		if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-			continue // a longer directive name, e.g. lint:mirror-exempt vs lint:mirror
-		}
-		return strings.TrimSpace(rest), c.Pos(), true
 	}
-	return "", token.NoPos, false
+	return false
 }

@@ -1,5 +1,5 @@
-// Package policy is the sim side of the fixture: it declares the mirrored
-// knob struct and seeds one drift of each kind the vocab rule reports.
+// Package policy is the sim side of the fixture: it seeds one drift of each
+// kind the vocab rule reports outside the serving path.
 package policy
 
 import (
@@ -7,24 +7,7 @@ import (
 	"vocabmod/internal/trace"
 )
 
-// Split is the sim-side knob surface, mirrored against serve.Config.
-//
-//lint:mirror vocabmod/internal/serve.Config
-type Split struct {
-	// Alpha mirrors cleanly.
-	Alpha float64
-	// MaxQueue exists only here: flagged as a one-sided knob.
-	MaxQueue int
-	// PartialPreemption is exempt: no report.
-	//lint:mirror-exempt fixture: sim-only ablation knob
-	PartialPreemption bool
-	// TimeScale drifts in type (float64 here, int on the serve side).
-	TimeScale float64
-	// Partitions mirrors cleanly: the spatial-sharing knob pair.
-	Partitions int
-}
-
-// Outcomes references both reasons, so the sim side is fully spoken.
+// Outcomes references both reasons by their constants: clean.
 func Outcomes() []string {
 	return []string{trace.ReasonDeadline, trace.ReasonCanceled}
 }

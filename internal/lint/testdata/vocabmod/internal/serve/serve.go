@@ -1,5 +1,5 @@
-// Package serve is the serving side of the fixture: the mirror target plus
-// serve-side vocabulary drift.
+// Package serve is the serving side of the fixture: serve-side vocabulary
+// drift.
 package serve
 
 import (
@@ -7,28 +7,8 @@ import (
 	"vocabmod/internal/trace"
 )
 
-// Config is the mirror target of policy.Split.
-type Config struct {
-	// Alpha mirrors cleanly.
-	Alpha float64
-	// TimeScale is int here but float64 on the sim side: type drift.
-	TimeScale int
-	// Devices exists only here: flagged as a one-sided knob.
-	Devices int
-	// Partitions mirrors cleanly: the spatial-sharing knob pair.
-	Partitions int
-	// Reg is exempt: no report.
-	//lint:mirror-exempt fixture: serve-only wiring
-	Reg *obs.Registry
-	// Sink carries a malformed exempt directive (no reason): the directive
-	// is reported; the field still counts as exempt.
-	//lint:mirror-exempt
-	Sink func(string)
-}
-
 // Drop references ReasonDeadline properly but spells "canceled" as a bare
-// literal: the literal is flagged, and because a literal is not a
-// reference, trace.ReasonCanceled is also flagged as unspoken here.
+// literal: the literal is flagged.
 func Drop() string {
 	_ = trace.ReasonDeadline
 	return "canceled"

@@ -1,5 +1,5 @@
 // Package trace declares the shared vocabulary the vocab rule pins: event
-// kinds and drop reasons both layers must reference.
+// kinds and drop reasons every layer must reference.
 package trace
 
 // EventKind names one scheduling event type.
@@ -8,9 +8,8 @@ type EventKind string
 // KindGrant is the canonical grant event.
 const KindGrant EventKind = "grant"
 
-// Shared drop reasons. ReasonDeadline is spoken by both layers (clean);
-// ReasonCanceled is referenced only from the sim side, so the rule flags
-// the missing serve-side reference at this declaration.
+// Shared drop reasons: every layer references these constants, never the
+// bare strings.
 const (
 	ReasonDeadline = "deadline"
 	ReasonCanceled = "canceled"

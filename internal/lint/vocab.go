@@ -5,42 +5,35 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// Vocab detects cross-layer vocabulary drift. The sim (internal/policy) and
-// the serving path (internal/serve) must keep making identical decisions
-// and describing them with identical words; runtime parity tests catch the
-// decisions, this rule pins the words:
+// Vocab detects cross-layer vocabulary drift. The decision core
+// (internal/engine) and its two drivers — the sim (internal/policy) and the
+// serving path (internal/serve) — must describe the decisions they share
+// with identical words; this rule pins the words:
 //
 //   - trace event kinds are named constants: a string literal typed as
 //     trace.EventKind outside internal/trace is a misspelling waiting to
 //     diverge from the canonical kind;
-//   - drop reasons shared by both layers live in internal/trace as
-//     Reason* constants. Redeclaring one of their values as an independent
-//     string constant (or using the bare literal) in policy or serve is
-//     drift; each Reason* constant must be referenced from *both* layers,
-//     so a reason added for one side is flagged until the other side
-//     speaks it too;
+//   - drop reasons shared by the layers live in internal/trace as Reason*
+//     constants. Redeclaring one of their values as an independent string
+//     constant (or using the bare literal) in engine, policy or serve is
+//     drift;
 //   - metric family names ("split_*") passed to obs.Registry
 //     Counter/Gauge/Histogram outside internal/obs must reference the
 //     obs.Metric* constants, so dashboards and tests cannot disagree with
-//     the server about a family's spelling;
-//   - mirrored configuration surfaces stay mirrored: a struct marked
-//     `//lint:mirror <import-path>.<Type>` must have the same field names
-//     and types as its target, in both directions, except fields marked
-//     `//lint:mirror-exempt <reason>` on either side. This is what keeps
-//     policy.Split and serve.Config from silently growing one-sided knobs.
+//     the server about a family's spelling.
 var Vocab = &Analyzer{
 	Name:      "vocab",
-	Doc:       "sim/serve vocabulary drift: event kinds, drop reasons, metric families, and mirrored config structs",
+	Doc:       "sim/serve vocabulary drift: event kinds, drop reasons, and metric families",
 	RunModule: runVocab,
 }
 
 const (
 	relTrace  = "internal/trace"
 	relObs    = "internal/obs"
+	relEngine = "internal/engine"
 	relPolicy = "internal/policy"
 	relServe  = "internal/serve"
 )
@@ -51,7 +44,6 @@ func runVocab(pkgs []*Package, report ModuleReportFunc) {
 	checkEventKindLiterals(pkgs, tracePkg, report)
 	checkReasonConstants(pkgs, tracePkg, report)
 	checkMetricFamilies(pkgs, obsPkg, report)
-	checkMirrors(pkgs, report)
 }
 
 // pkgByRel returns the (non-external-test) package at the module-relative
@@ -121,8 +113,8 @@ func reasonConsts(tracePkg *Package) map[string]string {
 }
 
 // checkReasonConstants enforces the shared drop-reason vocabulary: no
-// redeclaration of a trace.Reason* value in policy/serve, no bare reason
-// literals there, and every Reason* constant referenced from both layers.
+// redeclaration of a trace.Reason* value in engine, policy or serve, and no
+// bare reason literals there.
 func checkReasonConstants(pkgs []*Package, tracePkg *Package, report ModuleReportFunc) {
 	if tracePkg == nil {
 		return
@@ -131,10 +123,8 @@ func checkReasonConstants(pkgs []*Package, tracePkg *Package, report ModuleRepor
 	if len(reasons) == 0 {
 		return
 	}
-	policyPkg := pkgByRel(pkgs, relPolicy)
-	servePkg := pkgByRel(pkgs, relServe)
-	usedBy := map[string]map[string]bool{} // reason name -> rel -> referenced
-	for _, p := range []*Package{policyPkg, servePkg} {
+	for _, rel := range []string{relEngine, relPolicy, relServe} {
+		p := pkgByRel(pkgs, rel)
 		if p == nil {
 			continue
 		}
@@ -143,63 +133,23 @@ func checkReasonConstants(pkgs []*Package, tracePkg *Package, report ModuleRepor
 				continue
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.Ident:
-					c, ok := p.Info.Uses[n].(*types.Const)
-					if ok && c.Pkg() != nil && c.Pkg().Path() == tracePkg.Path &&
-						strings.HasPrefix(c.Name(), "Reason") {
-						if usedBy[c.Name()] == nil {
-							usedBy[c.Name()] = map[string]bool{}
-						}
-						usedBy[c.Name()][p.Rel] = true
-					}
-				case *ast.BasicLit:
-					if n.Kind != token.STRING {
-						return true
-					}
-					tv, ok := p.Info.Types[n]
-					if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-						return true
-					}
-					if name, isReason := reasons[constant.StringVal(tv.Value)]; isReason {
-						report(p, n.Pos(),
-							"drop reason %s spelled as a literal; reference trace.%s so the sim and serve vocabularies cannot drift",
-							n.Value, name)
-					}
+				lit, ok := n.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return true
+				}
+				tv, ok := p.Info.Types[lit]
+				if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+					return true
+				}
+				if name, isReason := reasons[constant.StringVal(tv.Value)]; isReason {
+					report(p, lit.Pos(),
+						"drop reason %s spelled as a literal; reference trace.%s so the sim and serve vocabularies cannot drift",
+						lit.Value, name)
 				}
 				return true
 			})
 		}
 	}
-	if policyPkg == nil || servePkg == nil {
-		return
-	}
-	// Anchor missing-reference reports at the constant declarations.
-	names := make([]string, 0, len(reasons))
-	for _, name := range reasons {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, side := range []*Package{policyPkg, servePkg} {
-			if usedBy[name][side.Rel] {
-				continue
-			}
-			if pos := constDeclPos(tracePkg, name); pos.IsValid() {
-				report(tracePkg, pos,
-					"trace.%s is not referenced from %s: shared drop-reason vocabulary must be spoken by both the sim and serve paths",
-					name, side.Rel)
-			}
-		}
-	}
-}
-
-// constDeclPos finds the declaration position of a package-level constant.
-func constDeclPos(p *Package, name string) token.Pos {
-	if obj := p.Types.Scope().Lookup(name); obj != nil {
-		return obj.Pos()
-	}
-	return token.NoPos
 }
 
 // checkMetricFamilies flags "split_*" string literals passed as the family
@@ -244,158 +194,4 @@ func checkMetricFamilies(pkgs []*Package, obsPkg *Package, report ModuleReportFu
 			})
 		}
 	}
-}
-
-// mirrorSide is one struct in a mirror relationship.
-type mirrorSide struct {
-	p      *Package
-	name   string
-	fields map[string]mirrorField
-	order  []string
-}
-
-type mirrorField struct {
-	pos    token.Pos
-	typ    string
-	exempt bool
-}
-
-// checkMirrors compares every //lint:mirror-marked struct against its
-// target, both directions, honoring //lint:mirror-exempt fields.
-func checkMirrors(pkgs []*Package, report ModuleReportFunc) {
-	for _, p := range pkgs {
-		if isTestPackage(p) {
-			continue
-		}
-		for _, f := range p.Files {
-			if isTestFile(p, f) {
-				continue
-			}
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					doc := ts.Doc
-					if doc == nil {
-						doc = gd.Doc
-					}
-					arg, dpos, found := directiveArg(doc, "mirror")
-					if !found {
-						continue
-					}
-					checkOneMirror(pkgs, p, ts, arg, dpos, report)
-				}
-			}
-		}
-	}
-}
-
-func checkOneMirror(pkgs []*Package, p *Package, ts *ast.TypeSpec, arg string, dpos token.Pos, report ModuleReportFunc) {
-	dot := strings.LastIndex(arg, ".")
-	if arg == "" || dot <= 0 || dot == len(arg)-1 {
-		report(p, dpos, "malformed directive: want //lint:mirror <import-path>.<Type>")
-		return
-	}
-	targetPath, targetName := arg[:dot], arg[dot+1:]
-	var targetPkg *Package
-	for _, tp := range pkgs {
-		if tp.Path == targetPath && !isTestPackage(tp) {
-			targetPkg = tp
-			break
-		}
-	}
-	if targetPkg == nil {
-		report(p, dpos, "//lint:mirror target package %q is not in this module", targetPath)
-		return
-	}
-	targetTS := findTypeSpec(targetPkg, targetName)
-	if targetTS == nil {
-		report(p, dpos, "//lint:mirror target %s has no struct type %s", targetPath, targetName)
-		return
-	}
-	src := structSide(p, ts, report)
-	dst := structSide(targetPkg, targetTS, report)
-	if src == nil || dst == nil {
-		if src == nil {
-			report(p, ts.Pos(), "//lint:mirror applies to struct types only")
-		}
-		return
-	}
-	for _, name := range src.order {
-		sf := src.fields[name]
-		df, inDst := dst.fields[name]
-		switch {
-		case !inDst && !sf.exempt:
-			report(p, sf.pos,
-				"field %s has no mirror in %s.%s; add it there or mark it //lint:mirror-exempt <reason>",
-				name, targetPkg.Types.Name(), targetName)
-		case inDst && sf.typ != df.typ:
-			report(p, sf.pos,
-				"field %s is %s here but %s in %s.%s; mirrored knobs must keep identical types",
-				name, sf.typ, df.typ, targetPkg.Types.Name(), targetName)
-		}
-	}
-	for _, name := range dst.order {
-		df := dst.fields[name]
-		if _, inSrc := src.fields[name]; !inSrc && !df.exempt {
-			report(targetPkg, df.pos,
-				"field %s has no mirror in %s.%s; add it there or mark it //lint:mirror-exempt <reason>",
-				name, p.Types.Name(), ts.Name.Name)
-		}
-	}
-}
-
-// findTypeSpec locates the AST TypeSpec of a named type in a package
-// (non-test files).
-func findTypeSpec(p *Package, name string) *ast.TypeSpec {
-	for _, f := range p.Files {
-		if isTestFile(p, f) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == name {
-					return ts
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// structSide extracts the field set of a struct TypeSpec, with exemptions.
-// Malformed exempt directives (no reason) are reported here. Returns nil
-// when the spec is not a struct.
-func structSide(p *Package, ts *ast.TypeSpec, report ModuleReportFunc) *mirrorSide {
-	st, ok := ts.Type.(*ast.StructType)
-	if !ok {
-		return nil
-	}
-	side := &mirrorSide{p: p, name: ts.Name.Name, fields: map[string]mirrorField{}}
-	qual := func(other *types.Package) string { return other.Name() }
-	for _, field := range st.Fields.List {
-		reason, dpos, exempt := directiveArg(field.Doc, "mirror-exempt")
-		if exempt && reason == "" {
-			report(p, dpos, "malformed directive: want //lint:mirror-exempt <reason>")
-		}
-		var typ string
-		if tv, ok := p.Info.Types[field.Type]; ok {
-			typ = types.TypeString(tv.Type, qual)
-		}
-		for _, id := range field.Names {
-			side.fields[id.Name] = mirrorField{pos: id.Pos(), typ: typ, exempt: exempt}
-			side.order = append(side.order, id.Name)
-		}
-	}
-	return side
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"split/internal/engine"
 	"split/internal/fleet"
 	"split/internal/sched"
 	"split/internal/trace"
@@ -43,7 +44,7 @@ func burstThenIdle() []workload.Arrival {
 func TestElasticScalesOutDrainsAndRejoins(t *testing.T) {
 	catalog := synthCatalog()
 	arrivals := burstThenIdle()
-	s := &Split{
+	s := &Split{Knobs: engine.Knobs{
 		Alpha:   4,
 		Elastic: sched.DefaultElastic(),
 		Fleet: fleet.AutoscaleConfig{
@@ -59,7 +60,7 @@ func TestElasticScalesOutDrainsAndRejoins(t *testing.T) {
 			ScaleInCooldownMs:  400,
 			IdleReleaseMs:      800,
 		},
-	}
+	}}
 	tr := trace.New()
 	recs, stats := s.RunWithStats(arrivals, catalog, tr)
 	if len(recs) != len(arrivals) {
@@ -123,11 +124,11 @@ func TestElasticScalesOutDrainsAndRejoins(t *testing.T) {
 func TestPinnedFleetMatchesFixedDevices(t *testing.T) {
 	catalog := synthCatalog()
 	arrivals := fleetArrivals()
-	fixed := &Split{Alpha: 4, Elastic: sched.DefaultElastic(), EnforceDeadlines: true,
-		Devices: 3, Placement: "round-robin"}
-	pinned := &Split{Alpha: 4, Elastic: sched.DefaultElastic(), EnforceDeadlines: true,
+	fixed := &Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), EnforceDeadlines: true,
+		Devices: 3, Placement: "round-robin"}}
+	pinned := &Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), EnforceDeadlines: true,
 		Placement: "round-robin",
-		Fleet:     fleet.AutoscaleConfig{Min: 3, Max: 3}}
+		Fleet:     fleet.AutoscaleConfig{Min: 3, Max: 3}}}
 	trFixed, trPinned := trace.New(), trace.New()
 	recsFixed := fixed.Run(arrivals, catalog, trFixed)
 	recsPinned, stats := pinned.RunWithStats(arrivals, catalog, trPinned)
@@ -162,11 +163,11 @@ func TestAdmissionRejectsAtTheDoor(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		arrivals = append(arrivals, workload.Arrival{ID: i, Model: "short", AtMs: float64(i)})
 	}
-	s := &Split{
+	s := &Split{Knobs: engine.Knobs{
 		Alpha:     4,
 		Elastic:   sched.DefaultElastic(),
 		Admission: fleet.AdmissionConfig{Mode: fleet.AdmitTokenBucket, RatePerSec: 1, Burst: 2},
-	}
+	}}
 	tr := trace.New()
 	recs, stats := s.RunWithStats(arrivals, catalog, tr)
 	if len(recs) != len(arrivals) {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"split/internal/engine"
 	"split/internal/gpusim"
 	"split/internal/place"
 	"split/internal/sched"
@@ -40,7 +41,7 @@ func TestFleetSingleDeviceIdentity(t *testing.T) {
 	catalog := synthCatalog()
 	arrivals := fleetArrivals()
 	build := func(devices int, placement string) *Split {
-		return &Split{
+		return &Split{Knobs: engine.Knobs{
 			Alpha:            4,
 			Elastic:          sched.DefaultElastic(),
 			EnforceDeadlines: true,
@@ -48,7 +49,7 @@ func TestFleetSingleDeviceIdentity(t *testing.T) {
 			Faults:           fleetFaults(),
 			Devices:          devices,
 			Placement:        placement,
-		}
+		}}
 	}
 	baseTr := trace.New()
 	baseRecs := build(0, "").Run(arrivals, catalog, baseTr)
@@ -84,7 +85,7 @@ func TestFleetRoundRobinCycles(t *testing.T) {
 		arrivals = append(arrivals, workload.Arrival{ID: i, Model: "short", AtMs: float64(i)})
 	}
 	tr := trace.New()
-	s := &Split{Alpha: 4, Elastic: sched.DefaultElastic(), Devices: 3, Placement: place.RoundRobin}
+	s := &Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), Devices: 3, Placement: place.RoundRobin}}
 	recs := s.Run(arrivals, catalog, tr)
 	for _, r := range recs {
 		if r.Device != r.ID%3 {
@@ -117,7 +118,7 @@ func TestFleetDevicesAreSequentialTimelines(t *testing.T) {
 	})
 	for _, placement := range place.Names() {
 		tr := trace.New()
-		s := &Split{Alpha: 4, Elastic: sched.DefaultElastic(), Devices: 4, Placement: placement, Faults: fleetFaults()}
+		s := &Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), Devices: 4, Placement: placement, Faults: fleetFaults()}}
 		recs := s.Run(arrivals, catalog, tr)
 		assertFleetInvariants(t, placement, arrivals, recs, tr, 4)
 	}
@@ -132,7 +133,7 @@ func TestFleetSpeedsUpMakespan(t *testing.T) {
 		arrivals = append(arrivals, workload.Arrival{ID: i, Model: "long", AtMs: float64(i)})
 	}
 	makespan := func(devices int) float64 {
-		s := &Split{Alpha: 4, Elastic: sched.DefaultElastic(), Devices: devices, Placement: place.LeastLoaded}
+		s := &Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), Devices: devices, Placement: place.LeastLoaded}}
 		last := 0.0
 		for _, r := range s.Run(arrivals, catalog, nil) {
 			if r.DoneMs > last {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"split/internal/engine"
 	"split/internal/trace"
 )
 
@@ -16,10 +17,10 @@ import (
 func TestSplitRunFoldsToCleanSpans(t *testing.T) {
 	catalog := synthCatalog()
 	variants := map[string]*Split{
-		"single":    {Alpha: 4},
-		"deadlines": {Alpha: 4, EnforceDeadlines: true, PredictiveShed: true},
-		"fleet":     {Alpha: 4, Devices: 3},
-		"batching":  {Alpha: 4, Devices: 2, BatchMax: 4},
+		"single":    {Knobs: engine.Knobs{Alpha: 4}},
+		"deadlines": {Knobs: engine.Knobs{Alpha: 4, EnforceDeadlines: true, PredictiveShed: true}},
+		"fleet":     {Knobs: engine.Knobs{Alpha: 4, Devices: 3}},
+		"batching":  {Knobs: engine.Knobs{Alpha: 4, Devices: 2, BatchMax: 4}},
 	}
 	for name, sys := range variants {
 		t.Run(name, func(t *testing.T) {

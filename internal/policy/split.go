@@ -2,12 +2,10 @@ package policy
 
 import (
 	"fmt"
-	"math"
 
+	"split/internal/engine"
 	"split/internal/fleet"
 	"split/internal/gpusim"
-	"split/internal/model"
-	"split/internal/place"
 	"split/internal/sched"
 	"split/internal/trace"
 	"split/internal/workload"
@@ -15,99 +13,27 @@ import (
 
 // Split is the paper's system: evenly-sized offline split plans, block-level
 // full preemption via the greedy response-ratio queue (Algorithm 1), and the
-// elastic splitting mechanism.
-//
-//lint:mirror split/internal/serve.Config
+// elastic splitting mechanism. It is the virtual-clock driver of
+// internal/engine: every scheduling decision is the engine's, and this type
+// turns each one into a gpusim timer, a Record and a trace event.
 type Split struct {
-	// Alpha is the latency-target multiplier used in scheduling decisions.
-	Alpha float64
-	// Elastic configures §3.3 elastic splitting.
-	Elastic sched.Elastic
+	// Knobs are the scheduling knobs shared field for field with the
+	// serving path (serve.Config embeds the same struct); s.Devices = 4
+	// reads and writes through the embedding.
+	engine.Knobs
 	// PartialPreemption, when true, degrades full preemption to the
 	// straggler-prone partial scheme of Figure 3(a): a preempted request's
 	// remaining blocks re-enter the queue at the *back* instead of at their
 	// greedy position, so later blocks straggle behind newly arrived work.
-	// It exists only for the Figure 3 ablation.
-	//
-	//lint:mirror-exempt figure-3 ablation knob; the serving path only ships full preemption
+	// It exists only for the Figure 3 ablation; the serving path only ships
+	// full preemption.
 	PartialPreemption bool
-	// StarveGuardRR, when > 0, enables the starvation-guard extension: a
-	// waiting request whose predicted response ratio already reaches this
-	// value cannot be passed by later arrivals. See sched.Queue.
-	StarveGuardRR float64
-	// AlphaByClass optionally assigns class-specific latency-target
-	// multipliers (§2.2: "the latency target for short requests are usually
-	// stricter than for long requests"). Classes not present fall back to
-	// Alpha. A stricter (smaller) short-class α shrinks short targets,
-	// which both tightens their violation accounting and raises their
-	// scheduling priority through Algorithm 1's E·T ordering.
-	AlphaByClass map[model.RequestClass]float64
-	// EnforceDeadlines derives an absolute deadline ArriveMs + α·t_ext for
-	// every request (unless the arrival supplies its own) and sheds expired
-	// requests at block boundaries — the discrete-event mirror of the
-	// serving path's deadline shedding.
-	EnforceDeadlines bool
-	// PredictiveShed additionally sheds requests that can no longer finish
-	// by their deadline even if granted the device immediately.
-	PredictiveShed bool
-	// Faults, when non-nil, injects the same deterministic block-latency
-	// spikes and transient failures as the serving path, with bounded
-	// per-block retry; draws are a pure hash of (seed, request, block,
-	// attempt), so sim and serve replay identical fault schedules. On a
-	// fleet the schedule is split per device exactly as the serving path
-	// splits it (FaultInjector.ForDevice).
-	Faults *gpusim.FaultInjector
-	// Devices is the fleet size: each device is an independent timeline
-	// with its own queue, elastic state, and fault schedule, fed by the
-	// placement policy. 0 or 1 reproduces the paper's single shared GPU
-	// bit-for-bit.
-	Devices int
-	// Placement names the fleet placement policy (see internal/place):
-	// "round-robin", "least-loaded" or "affinity". Empty selects
-	// place.Default. Ignored on a single device beyond validation.
-	Placement string
-	// BatchMax enables same-type micro-batching when > 1: at a block
-	// boundary the granted request may coalesce up to BatchMax same-model,
-	// same-boundary queue-front neighbors into one batched device grant
-	// (sched.BatchPlanner), executed under the BatchCost model. <= 1 — the
-	// default — keeps the scalar path and reproduces prior records and
-	// traces bit-for-bit.
-	BatchMax int
-	// BatchCost prices batched block execution; the zero value means
-	// gpusim.DefaultBatchCost(). Ignored unless BatchMax > 1.
-	BatchCost gpusim.BatchCost
-	// Partitions enables spatial sharing when > 1: every device is split
-	// into that many concurrent partition slots (gpusim
-	// ConfigurePartitions), each with its own scheduling lane — queue,
-	// elastic state, executor — fed by lane-level placement. <= 1 — the
-	// default — keeps the temporal-only path and reproduces prior records
-	// and traces bit-for-bit.
-	Partitions int
-	// PartitionCost prices fractional-width block execution; the zero value
-	// means gpusim.DefaultPartitionCost(). Ignored unless Partitions > 1.
-	PartitionCost gpusim.PartitionCost
-	// PartitionWidth names the hold-width policy under spatial sharing:
-	// place.WidthFixed ("fixed", every hold takes one slot) or
-	// place.WidthAdaptive ("adaptive", holds take the contiguous free span
-	// at their anchor — full device width when idle). Empty selects
-	// place.DefaultWidth. Ignored unless Partitions > 1.
-	PartitionWidth string
-	// Fleet configures the elastic autoscaler: when enabled (Max > 0) the
-	// pool holds Fleet.Max devices of which [Min, Max] are active, scaled
-	// on queue-depth and rolling-QoS signals with drain-then-release
-	// semantics. The zero value keeps the fixed fleet of Devices — and the
-	// decision stream bit-identical to the pre-elastic scheduler.
-	Fleet fleet.AutoscaleConfig
-	// Admission configures the front-door gate; the zero value admits
-	// everything. A rejected arrival is recorded with OutcomeAdmission and
-	// never touches a queue.
-	Admission fleet.AdmissionConfig
 }
 
 // NewSplit returns the default SPLIT configuration (α=4 for decision
 // making, elastic enabled).
 func NewSplit() *Split {
-	return &Split{Alpha: 4, Elastic: sched.DefaultElastic()}
+	return &Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic()}}
 }
 
 // Name implements System.
@@ -118,133 +44,31 @@ func (s *Split) Name() string {
 	return "SPLIT"
 }
 
-// device is one fleet member's scheduling state: the gpusim timeline plus
-// the per-device queue, token holder, and the reusable grant state that
-// keeps the steady-state grant loop allocation-free.
-// With spatial sharing every physical device contributes Partitions lanes
-// (all sharing one *gpusim.Device but anchored at distinct partition
-// slots); rn.devs is then the flat lane array indexed dev*parts + part.
-// Unpartitioned runs have one lane per device at part 0, so the lane array
-// IS the device array and every legacy index holds.
-type device struct {
-	d        *gpusim.Device
-	queue    *sched.Queue
-	inflight *sched.Request
-	// part is the lane's anchor partition slot; want is the hold width the
-	// lane requests at every grant (1 fixed, Partitions adaptive — the
-	// device clamps to the contiguous free span). Both 0 on unpartitioned
-	// runs.
-	part int
-	want int
-	// batch is the full membership of the current device grant when it is a
-	// micro-batch (inflight is then the leader); nil for scalar grants.
-	batch []*sched.Request
-	// scratch is the batch-formation buffer FormInto reuses across grants.
-	scratch []*sched.Request
-	// g is the device's single in-flight grant. One device holds at most
-	// one grant at a time (Acquire panics otherwise), so its state —
-	// including the timer callback bound once at setup — is reused for
-	// every hold instead of allocating closures per block.
-	g grant
-}
+// FleetStats summarizes the control plane's activity over one Run.
+type FleetStats = engine.Stats
 
-// executing reports whether r currently holds (or shares) the device grant.
-func (dv *device) executing(r *sched.Request) bool {
-	if dv.inflight == r {
-		return true
-	}
-	for _, m := range dv.batch {
-		if m == r {
-			return true
-		}
-	}
-	return false
-}
-
-// splitRun is the per-Run state shared by the grant path. Hoisting it out
-// of Run-scoped closures is what lets the block-boundary loop run without
-// touching the allocator: the closures the previous implementation rebuilt
-// per grant (endBlock, attemptRun, the sim.After thunk) are methods here
-// and on grant.
+// splitRun is the per-Run driver state. The engine holds every queue,
+// ledger and controller; what is left here is the clock, the tracer, the
+// records, and one reusable hold per lane.
 type splitRun struct {
-	cfg *Split
 	sim *gpusim.Sim
+	eng *engine.Engine
 	tr  *trace.Tracer
 	// tracing gates every event-formatting call on the grant path; the
 	// Tracer is nil-safe, but the format arguments would box and allocate
 	// even for a nil tracer if built unconditionally.
-	tracing   bool
-	placer    place.Placer
-	devs      []*device
-	live      map[int]*sched.Request
-	records   []Record
-	planner   sched.BatchPlanner
-	batchCost gpusim.BatchCost
-	batchSeq  int // batch ids start at 1; 0 marks unbatched trace events
-	// Spatial-sharing state. parts is the per-device partition count (1
-	// when unpartitioned — every index formula degenerates to the device
-	// index); spatial is the lane-level placement wrapper, nil when
-	// unpartitioned (placer is then device-level, exactly as before).
-	parts    int
-	partCost gpusim.PartitionCost
-	spatial  *place.Spatial
-	// view is the fleet-load scratch fleetView refills per placement
-	// decision.
-	view []place.Load
-	// Elastic-fleet state. active is the size of the active device prefix
-	// rn.devs[:active]; devices at or past active are draining (finishing
-	// queued work, then detaching) or detached. With the autoscaler
-	// disabled active == len(devs) forever and none of this runs.
-	pool      *gpusim.DevicePool
-	active    int
-	scaler    *fleet.Autoscaler
-	admit     *fleet.Admission
-	window    *fleet.Window
-	activeIDs []int
-	stats     FleetStats
+	tracing bool
+	holds   []hold
+	records []Record
 }
 
-// FleetStats summarizes the control plane's activity over one Run.
-type FleetStats struct {
-	// DeviceHoursMs is the summed attached device-time, the elastic
-	// fleet's cost denominator. A fixed fleet reports Devices x horizon.
-	DeviceHoursMs float64
-	// ScaleOuts / ScaleIns count autoscaler actuations.
-	ScaleOuts int
-	ScaleIns  int
-	// MaxActive is the largest active fleet size reached.
-	MaxActive int
-	// Admitted / Rejected count front-door admission decisions; both stay
-	// 0 when the gate is disabled.
-	Admitted int
-	Rejected int
-}
-
-// grant is one boundary-delimited device hold: the leader request, the
-// optional batch membership, the block being executed, and the fault-retry
-// state. It is embedded in device and reused across holds; timer is the
-// sim.After callback, bound once at setup.
-type grant struct {
-	rn *splitRun
-	dv *device
-	// r is the granted request — the batch leader when batch is non-nil.
-	r     *sched.Request
-	batch []*sched.Request
-	// id is the batch id (0 for scalar grants).
-	id      int
-	block   int
-	baseDur float64
-	// runDur is the per-attempt device time: baseDur for scalar grants,
-	// batchCost.BlockMs(baseDur, n) for batched ones, and either stretched
-	// by partCost.BlockMs(·, frac) when the hold was granted a fractional
-	// device width.
-	runDur float64
-	// frac is the device fraction the current hold was granted (1 for
-	// whole-device holds).
-	frac    float64
-	attempt int
-	fault   gpusim.BlockFault
-	timer   func(now float64)
+// hold is one lane's in-flight grant. A lane holds at most one grant at a
+// time, so its state — including the timer callback bound once at setup —
+// is reused for every hold instead of allocating closures per block.
+type hold struct {
+	rn    *splitRun
+	g     engine.Grant
+	timer func(now float64)
 }
 
 // Run implements System. With Devices > 1 it runs the full fleet pipeline —
@@ -263,100 +87,27 @@ func (s *Split) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 // report the fixed fleet's cost.
 func (s *Split) RunWithStats(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) ([]Record, FleetStats) {
 	validateArrivals(arrivals, catalog)
-	n := s.Devices
-	if n < 1 {
-		n = 1
-	}
-	active := n
-	if s.Fleet.Enabled() {
-		if err := s.Fleet.Validate(); err != nil {
-			panic(fmt.Sprintf("policy: %v", err))
-		}
-		// The pool holds Max timelines; the autoscaler moves the active
-		// prefix between Min and Max. A fixed Devices setting is
-		// superseded by the controller's bounds.
-		n = s.Fleet.Max
-		active = s.Fleet.Min
-		if active < 1 {
-			active = 1
-		}
-	}
-	parts := s.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	// Placement is lane-level under spatial sharing: the inner policy picks
-	// among n*parts lanes and the Spatial wrapper maps the pick to a
-	// (device, partition, width) decision. Unpartitioned, lanes == devices
-	// and the placer is exactly the device-level policy it always was.
-	placer, err := place.New(s.Placement, n*parts)
+	eng, err := engine.New(s.Knobs)
 	if err != nil {
 		panic(fmt.Sprintf("policy: %v", err))
 	}
-	var spatial *place.Spatial
-	if parts > 1 {
-		spatial, err = place.NewSpatial(placer, parts, s.PartitionWidth)
-		if err != nil {
-			panic(fmt.Sprintf("policy: %v", err))
-		}
-		placer = spatial
-	}
-	scaler, err := fleet.NewAutoscaler(s.Fleet)
-	if err != nil {
-		panic(fmt.Sprintf("policy: %v", err))
-	}
-	admit, err := fleet.NewAdmission(s.Admission)
-	if err != nil {
-		panic(fmt.Sprintf("policy: %v", err))
-	}
+	eng.PartialPreemption = s.PartialPreemption
 	sim := gpusim.New()
-	pool := gpusim.NewElasticPool(sim, n, active, s.Faults)
-	if parts > 1 {
-		pool.ConfigurePartitions(parts)
-	}
 	rn := &splitRun{
-		cfg:     s,
 		sim:     sim,
+		eng:     eng,
 		tr:      tr,
 		tracing: tr != nil,
-		placer:  placer,
-		devs:    make([]*device, n*parts),
-		// live tracks undecided requests (queued or in flight) for the
-		// cancellation hook, which routes by the request's placed device.
-		live:      make(map[int]*sched.Request, 8),
-		planner:   sched.BatchPlanner{Max: s.BatchMax},
-		batchCost: s.BatchCost.OrDefault(),
-		parts:     parts,
-		partCost:  s.PartitionCost.OrDefault(),
-		spatial:   spatial,
-		view:      make([]place.Load, n*parts),
-		pool:      pool,
-		active:    active,
-		scaler:    scaler,
-		admit:     admit,
+		holds:   make([]hold, eng.Lanes()),
 		// One record per arrival; preallocating keeps million-request
 		// sweeps out of the append-regrowth copy path.
 		records: make([]Record, 0, len(arrivals)),
 	}
-	if scaler != nil {
-		rn.window = fleet.NewWindow(0)
-		rn.activeIDs = make([]int, 0, n)
+	for i := range rn.holds {
+		h := &rn.holds[i]
+		h.rn = rn
+		h.timer = h.onTimer
 	}
-	rn.stats.MaxActive = active
-	laneWant := 1
-	if parts > 1 && s.PartitionWidth != place.WidthFixed {
-		laneWant = parts
-	}
-	for i := range rn.devs {
-		q := sched.NewQueue(s.Alpha)
-		q.StarveGuardRR = s.StarveGuardRR
-		dv := &device{d: pool.Device(i / parts), queue: q, part: i % parts, want: laneWant}
-		dv.g.rn = rn
-		dv.g.dv = dv
-		dv.g.timer = dv.g.onTimer
-		rn.devs[i] = dv
-	}
-
 	for _, a := range arrivals {
 		a := a
 		sim.At(a.AtMs, func(now float64) { rn.arrive(a, catalog, now) })
@@ -366,29 +117,11 @@ func (s *Split) RunWithStats(arrivals []workload.Arrival, catalog Catalog, tr *t
 		}
 	}
 	sim.Run()
-	rn.stats.DeviceHoursMs = pool.DeviceHoursMs(sim.Now())
-	if admit != nil {
-		st := admit.Stats()
-		rn.stats.Admitted, rn.stats.Rejected = st.Admitted, st.Rejected
-	}
-	if scaler != nil {
-		rn.stats.ScaleOuts, rn.stats.ScaleIns = scaler.Events()
-	}
-	return sortRecords(rn.records), rn.stats
+	return sortRecords(rn.records), eng.Stats(sim.Now())
 }
 
 // record finalizes a request's outcome.
 func (rn *splitRun) record(r *sched.Request, doneMs float64, outcome string) {
-	delete(rn.live, r.ID)
-	if rn.window != nil {
-		// Feed the autoscaler's rolling violation window with the same
-		// per-record violation predicate as metrics.ViolationRate.
-		alpha := rn.cfg.Alpha
-		if r.AlphaOverride > 0 {
-			alpha = r.AlphaOverride
-		}
-		rn.window.Observe(outcome != OutcomeServed || r.ResponseRatio() > alpha)
-	}
 	rn.records = append(rn.records, Record{
 		ID:          r.ID,
 		Model:       r.Model,
@@ -414,555 +147,165 @@ func (rn *splitRun) shed(now float64, r *sched.Request, outcome string) {
 	rn.record(r, now, outcome)
 }
 
-// startNext grants the device to the next runnable request, forming a
-// micro-batch when the planner allows one.
-//
-//lint:hotpath the grant decision runs at every block boundary
-func (rn *splitRun) startNext(dv *device, now float64) {
-	// Under spatial sharing a lane can be asked to start while its anchor
-	// slot is still covered by a sibling lane's wider hold; it simply waits
-	// for the next release. Unpartitioned, callers guarantee the device is
-	// free (the legacy invariant), so this never fires.
-	if rn.parts > 1 && dv.d.PartitionBusy(dv.part) {
-		return
-	}
-	// Shed doomed queued work before granting the token — an expired
-	// request must never occupy the device for another block. This
-	// mirrors serve.(*Server).pickLocked.
-	//lint:ignore hotalloc SweepExpired allocates only when something actually expired — the shed path, not the steady grant loop
-	for _, ex := range dv.queue.SweepExpired(now, rn.cfg.PredictiveShed) {
-		rn.shed(now, ex, OutcomeDeadline)
-	}
-	r := dv.queue.PopFront()
-	if r == nil {
-		dv.inflight = nil
-		// A draining device (scaled in while loaded) detaches the moment
-		// its backlog empties — drain-then-release's release half. Under
-		// spatial sharing every lane of the device must be drained and the
-		// device idle (a sibling lane may still hold its partition).
-		if rn.scaler != nil && dv.d.ID >= rn.active && dv.d.Attached() &&
-			!dv.d.Busy() && rn.deviceDrained(dv.d.ID) {
-			dv.d.Detach(now)
-		}
-		return
-	}
-	if rn.planner.Enabled() {
-		batch := rn.planner.FormInto(dv.scratch[:0], dv.queue, r, now)
-		dv.scratch = batch
-		if len(batch) > 1 {
-			rn.runBatch(dv, now, batch)
-			return
-		}
-	}
-	g := &dv.g
-	g.frac = 1
-	if rn.parts > 1 {
-		g.frac = dv.d.AcquirePartition(now, dv.part, dv.want)
-	} else {
-		dv.d.Acquire(now)
-	}
-	dv.inflight = r
-	if r.StartMs < 0 {
-		r.StartMs = now
-	}
-	g.r = r
-	g.batch = nil
-	g.id = 0
-	g.block = r.Next
-	g.baseDur = r.BlockTimes[g.block]
-	g.runDur = g.baseDur
-	g.attempt = 0
-	r.Next++
-	if rn.parts > 1 {
-		g.runDur = rn.partCost.BlockMs(g.baseDur, g.frac)
-		if rn.tracing {
-			rn.tr.PartRecordf(now, trace.StartBlock, r.Device, dv.part, r.ID, r.Model, g.block,
-				"dur=%.3f frac=%.2f", g.runDur, g.frac)
-		}
-	} else if rn.tracing {
-		rn.tr.DeviceRecordf(now, trace.StartBlock, r.Device, r.ID, r.Model, g.block, "dur=%.3f", g.baseDur)
-	}
-	g.begin(now)
-}
-
-// deviceDrained reports whether every lane of the given device has an
-// empty queue and no in-flight request — the release condition for
-// drain-then-release under spatial sharing.
-func (rn *splitRun) deviceDrained(devID int) bool {
-	base := devID * rn.parts
-	for i := 0; i < rn.parts; i++ {
-		lane := rn.devs[base+i]
-		if lane.inflight != nil || lane.queue.Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// startLanes restarts the settled lane and, under spatial sharing, any
-// sibling lane whose anchor slot the finished hold uncovered: a wide
-// adaptive hold can span sibling anchors, so its release is their wake-up
-// signal. Siblings start first — they were waiting — which is what makes
-// the adaptive width shrink under contention: the settled lane's next
-// grant clamps at the slots the siblings just took.
-//
-//lint:hotpath runs at every block boundary
-func (rn *splitRun) startLanes(dv *device, now float64) {
-	if rn.parts > 1 {
-		base := dv.d.ID * rn.parts
-		for i := 0; i < rn.parts; i++ {
-			sib := rn.devs[base+i]
-			if sib != dv && sib.inflight == nil && sib.queue.Len() > 0 &&
-				!sib.d.PartitionBusy(sib.part) {
-				rn.startNext(sib, now)
-			}
-		}
-	}
-	rn.startNext(dv, now)
-}
-
-// runBatch executes one batched device grant: every member advances the
-// same block index in one boundary-delimited hold that costs
-// batchCost.BlockMs(base, n) instead of n serial blocks. Faults draw on
-// the leader's identity so a batch-of-one replays the scalar schedule; a
-// terminal fault takes the whole batch down, matching the serving path.
-//
-//lint:hotpath batched grants run at block boundaries when batching is on
-func (rn *splitRun) runBatch(dv *device, now float64, batch []*sched.Request) {
-	n := len(batch)
-	rn.batchSeq++
-	lead := batch[0]
-	g := &dv.g
-	g.r = lead
-	g.batch = batch
-	g.id = rn.batchSeq
-	g.block = lead.Next
-	g.baseDur = lead.BlockTimes[g.block]
-	g.runDur = rn.batchCost.BlockMs(g.baseDur, n)
-	g.frac = 1
-	g.attempt = 0
-	if rn.parts > 1 {
-		g.frac = dv.d.AcquirePartitionBatch(now, dv.part, dv.want, n)
-		g.runDur = rn.partCost.BlockMs(g.runDur, g.frac)
-	} else {
-		dv.d.AcquireBatch(now, n)
-	}
-	dv.inflight = lead
-	dv.batch = batch
-	for _, m := range batch {
-		if m.StartMs < 0 {
-			m.StartMs = now
-		}
-		m.Next++
-		if rn.tracing {
-			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID,
-				Model: m.Model, Block: g.block, Device: m.Device, Part: dv.part, Batch: g.id,
-				Detail: fmt.Sprintf("dur=%.3f n=%d", g.runDur, n)})
-		}
-	}
-	g.begin(now)
-}
-
-// begin starts one execution attempt of the granted block: it draws the
-// attempt's fault and schedules the boundary timer for the (possibly
-// spiked) block duration.
-//
-//lint:hotpath every device hold schedules its boundary timer here
-func (g *grant) begin(now float64) {
-	rn := g.rn
-	g.fault = g.dv.d.Faults.Draw(g.r.ID, g.block, g.attempt)
-	if g.fault.SpikeFactor > 1 && rn.tracing {
-		rn.tr.DeviceRecordf(now, trace.Fault, g.r.Device, g.r.ID, g.r.Model, g.block,
-			"spike x%.2f attempt=%d", g.fault.SpikeFactor, g.attempt)
-	}
-	rn.sim.After(g.runDur*g.fault.SpikeFactor, g.timer)
-}
-
-// onTimer is the boundary callback for every device hold; it dispatches to
-// the scalar or batched settlement.
-//
-//lint:hotpath block-boundary settlement for every device hold
-func (g *grant) onTimer(now float64) {
-	if g.batch == nil {
-		g.settleScalar(now)
-	} else {
-		g.settleBatch(now)
-	}
-}
-
-// endBlock closes a scalar device hold at a boundary, whatever the block's
-// fate; every settlement path runs it exactly once.
-//
-//lint:hotpath closes the device hold at every scalar boundary
-func (g *grant) endBlock(now float64) {
-	if g.rn.tracing {
-		g.rn.tr.PartRecordf(now, trace.EndBlock, g.r.Device, g.dv.part, g.r.ID, g.r.Model, g.block, "")
-	}
-	if g.rn.parts > 1 {
-		g.dv.d.ReleasePartition(now, g.dv.part)
-	} else {
-		g.dv.d.Release(now)
-	}
-	g.dv.inflight = nil
-}
-
-// settleScalar decides a scalar block's fate at its boundary: retry a
-// transient fault, shed a terminal/canceled/expired request, deliver a
-// finished one, or re-insert the remainder (full preemption).
-//
-//lint:hotpath scalar settlement runs at every block boundary
-func (g *grant) settleScalar(now float64) {
-	rn, dv, r := g.rn, g.dv, g.r
-	if g.fault.Fail {
-		if dv.d.Faults.Exhausted(g.attempt) {
-			if rn.tracing {
-				rn.tr.DeviceRecordf(now, trace.Fault, r.Device, r.ID, r.Model, g.block, "terminal after %d attempts", g.attempt+1)
-			}
-			g.endBlock(now)
-			rn.shed(now, r, OutcomeDeviceFault)
-			rn.startLanes(dv, now)
-			return
-		}
-		// An attempt boundary is a block boundary for lifecycle
-		// purposes: re-check the request's fate before spending
-		// more device time on it.
-		if r.Canceled || r.Expired(now) {
-			g.endBlock(now)
-			outcome := OutcomeDeadline
-			if r.Canceled {
-				outcome = OutcomeCanceled
-			}
-			rn.shed(now, r, outcome)
-			rn.startLanes(dv, now)
-			return
-		}
-		if rn.tracing {
-			rn.tr.DeviceRecordf(now, trace.Fault, r.Device, r.ID, r.Model, g.block, "transient attempt=%d, retrying", g.attempt)
-		}
-		g.attempt++
-		g.begin(now)
-		return
-	}
-	g.endBlock(now)
-	switch {
-	case r.Finished():
-		// Work is done — deliver even if canceled meanwhile.
-		r.DoneMs = now
-		if rn.tracing {
-			rn.tr.DeviceRecordf(now, trace.Complete, r.Device, r.ID, r.Model, g.block, "rr=%.2f", r.ResponseRatio())
-		}
-		rn.record(r, now, OutcomeServed)
-	case r.Canceled:
-		rn.shed(now, r, OutcomeCanceled)
-	case r.Expired(now):
-		rn.shed(now, r, OutcomeDeadline)
-	default:
-		var pos int
-		if rn.cfg.PartialPreemption {
-			dv.queue.PushBack(r)
-			pos = dv.queue.Len() - 1
-		} else {
-			pos = dv.queue.InsertGreedy(now, r)
-		}
-		if pos > 0 {
-			r.Preemptions++
-			if rn.tracing {
-				rn.tr.DeviceRecordf(now, trace.Preempt, r.Device, r.ID, r.Model, r.Next, "requeued at %d", pos)
-			}
-		}
-	}
-	rn.startLanes(dv, now)
-}
-
-// endBatch closes a batched device hold at a boundary.
-//
-//lint:hotpath closes the device hold at every batched boundary
-func (g *grant) endBatch(now float64) {
-	if g.rn.tracing {
-		for _, m := range g.batch {
-			g.rn.tr.Record(trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID,
-				Model: m.Model, Block: g.block, Device: m.Device, Part: g.dv.part, Batch: g.id})
-		}
-	}
-	if g.rn.parts > 1 {
-		g.dv.d.ReleasePartition(now, g.dv.part)
-	} else {
-		g.dv.d.Release(now)
-	}
-	g.dv.inflight = nil
-	g.dv.batch = nil
-}
-
-// settleBatch decides a batched block's fate at its boundary. Unlike the
-// scalar path there is no mid-retry abandon: one member's cancellation or
-// expiry must not discard the batch-mates' attempt. Their fates settle at
-// the boundary.
-//
-//lint:hotpath batched settlement runs at every batched block boundary
-func (g *grant) settleBatch(now float64) {
-	rn, dv, lead := g.rn, g.dv, g.r
-	if g.fault.Fail {
-		if dv.d.Faults.Exhausted(g.attempt) {
-			if rn.tracing {
-				rn.tr.DeviceRecordf(now, trace.Fault, lead.Device, lead.ID, lead.Model, g.block,
-					"terminal after %d attempts", g.attempt+1)
-			}
-			g.endBatch(now)
-			for _, m := range g.batch {
-				rn.shed(now, m, OutcomeDeviceFault)
-			}
-			rn.startLanes(dv, now)
-			return
-		}
-		if rn.tracing {
-			rn.tr.DeviceRecordf(now, trace.Fault, lead.Device, lead.ID, lead.Model, g.block,
-				"transient attempt=%d, retrying", g.attempt)
-		}
-		g.attempt++
-		g.begin(now)
-		return
-	}
-	g.endBatch(now)
-	for _, m := range g.batch {
-		switch {
-		case m.Finished():
-			m.DoneMs = now
-			if rn.tracing {
-				rn.tr.DeviceRecordf(now, trace.Complete, m.Device, m.ID, m.Model, g.block, "rr=%.2f", m.ResponseRatio())
-			}
-			rn.record(m, now, OutcomeServed)
-		case m.Canceled:
-			rn.shed(now, m, OutcomeCanceled)
-		case m.Expired(now):
-			rn.shed(now, m, OutcomeDeadline)
-		default:
-			var pos int
-			if rn.cfg.PartialPreemption {
-				dv.queue.PushBack(m)
-				pos = dv.queue.Len() - 1
-			} else {
-				pos = dv.queue.InsertGreedy(now, m)
-			}
-			if pos > 0 {
-				m.Preemptions++
-				if rn.tracing {
-					rn.tr.DeviceRecordf(now, trace.Preempt, m.Device, m.ID, m.Model, m.Next, "requeued at %d", pos)
-				}
-			}
-		}
-	}
-	rn.startLanes(dv, now)
-}
-
-// fleetView snapshots the active lanes' placement-relevant load into the
-// reusable view buffer. Both sides of the parity guarantee compute the
-// in-flight remainder the same way: the executing request's uncommitted
-// blocks. Draining and detached devices are excluded — placement must
-// never target them. Unpartitioned, lanes == devices and the view is
-// exactly the per-device one it always was; under spatial sharing Busy is
-// the lane's anchor-slot occupancy.
-func (rn *splitRun) fleetView() []place.Load {
-	lanes := rn.active * rn.parts
-	for i := 0; i < lanes; i++ {
-		dv := rn.devs[i]
-		busy := dv.d.Busy()
-		if rn.parts > 1 {
-			busy = dv.d.PartitionBusy(dv.part)
-		}
-		rn.view[i] = place.Load{
-			Device:   i,
-			Queued:   dv.queue.Len(),
-			QueuedMs: dv.queue.TotalRemainingMs(),
-			Busy:     busy,
-		}
-		if dv.inflight != nil {
-			rn.view[i].InflightMs = dv.inflight.RemainingMs()
-		}
-	}
-	return rn.view[:lanes]
-}
-
-// admitView assembles the admission gate's fleet view from the active
-// prefix; the serving path computes the identical quantities under its
-// mutex, which is what makes admission decisions parity-comparable.
-func (rn *splitRun) admitView() fleet.View {
-	v := fleet.View{ActiveDevices: rn.active, ShortestBacklogMs: math.MaxFloat64}
-	for i := 0; i < rn.active*rn.parts; i++ {
-		dv := rn.devs[i]
-		v.QueueDepth += dv.queue.Len()
-		backlog := dv.queue.TotalRemainingMs()
-		if dv.inflight != nil {
-			backlog += dv.inflight.RemainingMs()
-		}
-		if backlog < v.ShortestBacklogMs {
-			v.ShortestBacklogMs = backlog
-		}
-	}
-	return v
-}
-
-// autoscale runs one throttled controller evaluation and actuates its
-// decision. It is piggybacked on arrivals — the simulator must not plant
-// self-perpetuating timers, or the event heap never drains — which is
-// sufficient: an idle stretch with no arrivals has nothing to scale out
-// for, and the evaluation at the next arrival observes the idle period via
-// the controller's persistence clocks.
-func (rn *splitRun) autoscale(now float64) {
-	if rn.scaler == nil || !rn.scaler.Due(now) {
-		return
-	}
-	depth, inflight := 0, 0
-	for i := 0; i < rn.active*rn.parts; i++ {
-		depth += rn.devs[i].queue.Len()
-		if rn.devs[i].inflight != nil {
-			inflight++
-		}
-	}
-	switch rn.scaler.Evaluate(fleet.Signals{
-		NowMs: now, Active: rn.active, QueueDepth: depth,
-		Inflight: inflight, ViolRate: rn.window.Rate(),
-	}) {
-	case fleet.ScaleOut:
-		dv := rn.devs[rn.active*rn.parts] // first lane of the joining device
-		if !dv.d.Attached() {
-			// Re-including a device that never finished draining skips
-			// the attach: its timeline never left the fleet.
-			dv.d.Attach(now)
-		}
-		rn.active++
-		if rn.active > rn.stats.MaxActive {
-			rn.stats.MaxActive = rn.active
-		}
-		rn.resizePlacer()
-		rn.tr.Record(trace.Event{AtMs: now, Kind: trace.ScaleOut, ReqID: -1,
-			Device: dv.d.ID, Detail: fmt.Sprintf("active=%d depth=%d", rn.active, depth)})
-	case fleet.ScaleIn:
-		rn.active--
-		rn.resizePlacer()
-		dv := rn.devs[rn.active*rn.parts] // first lane of the draining device
-		drain := 0
-		for p := 0; p < rn.parts; p++ {
-			drain += rn.devs[rn.active*rn.parts+p].queue.Len()
-		}
-		rn.tr.Record(trace.Event{AtMs: now, Kind: trace.ScaleIn, ReqID: -1,
-			Device: dv.d.ID, Detail: fmt.Sprintf("active=%d drain=%d", rn.active, drain)})
-		// Drain-then-release: an idle empty device detaches now; a busy
-		// one keeps running and detaches when startNext finds every lane
-		// drained.
-		if dv.d.Attached() && !dv.d.Busy() && rn.deviceDrained(dv.d.ID) {
-			dv.d.Detach(now)
-		}
-	}
-}
-
-// resizePlacer rebuilds the active-ID list and notifies the placement
-// policy so stateful placers (affinity homes) cannot reference a draining
-// device.
-func (rn *splitRun) resizePlacer() {
-	rn.activeIDs = rn.activeIDs[:0]
-	for i := 0; i < rn.active; i++ {
-		rn.activeIDs = append(rn.activeIDs, i)
-	}
-	rn.placer.Resize(rn.activeIDs)
-}
-
-// arrive admits one arrival: placement, elastic split decision, deadline
-// derivation, and the Algorithm 1 insertion.
+// arrive hands one arrival to the engine's front door and reports what it
+// decided.
 func (rn *splitRun) arrive(a workload.Arrival, catalog Catalog, now float64) {
-	s := rn.cfg
 	info := catalog[a.Model]
-	plan := catalog.BlocksFor(a.Model)
-	planned := 0.0
-	for _, b := range plan {
-		planned += b
+	d := rn.eng.Arrive(now, engine.Job{
+		ID: a.ID, Model: a.Model, Class: info.Class, ExtMs: info.ExtMs,
+		Plan: catalog.BlocksFor(a.Model), DeadlineMs: a.DeadlineMs,
+	})
+	if d.Rejected {
+		if rn.tracing {
+			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.Drop, ReqID: a.ID,
+				Model: a.Model, Detail: trace.ReasonAdmission + ": " + d.Detail})
+		}
+		// The record keeps per-arrival accounting complete; QoS rates are
+		// computed over admitted records (metrics.Admitted).
+		rn.records = append(rn.records, Record{
+			ID: a.ID, Model: a.Model, Class: info.Class, ArriveMs: now,
+			StartMs: -1, DoneMs: now, ExtMs: info.ExtMs, Outcome: OutcomeAdmission,
+		})
 	}
-	if rn.admit != nil {
-		if ok, detail := rn.admit.Admit(now, info.ExtMs, s.Alpha, rn.admitView()); !ok {
-			if rn.tracing {
-				rn.tr.Record(trace.Event{AtMs: now, Kind: trace.Drop, ReqID: a.ID,
-					Model: a.Model, Detail: trace.ReasonAdmission + ": " + detail})
-			}
-			// Rejected at the door: never enqueued, never started. The
-			// record keeps per-arrival accounting complete; QoS rates are
-			// computed over admitted records (metrics.Admitted).
-			rn.records = append(rn.records, Record{
-				ID: a.ID, Model: a.Model, Class: info.Class, ArriveMs: now,
-				StartMs: -1, DoneMs: now, ExtMs: info.ExtMs, Outcome: OutcomeAdmission,
-			})
-			rn.autoscale(now)
-			return
+	if rn.tracing {
+		switch d.Scale.Dir {
+		case fleet.ScaleOut:
+			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.ScaleOut, ReqID: -1, Device: d.Scale.Device,
+				Detail: fmt.Sprintf("active=%d depth=%d", d.Scale.Active, d.Scale.Depth)})
+		case fleet.ScaleIn:
+			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.ScaleIn, ReqID: -1, Device: d.Scale.Device,
+				Detail: fmt.Sprintf("active=%d drain=%d", d.Scale.Active, d.Scale.Depth)})
 		}
 	}
-	rn.autoscale(now)
-	view := rn.fleetView()
-	preq := place.Request{ID: a.ID, Model: a.Model, ExtMs: info.ExtMs, PlannedMs: planned}
-	var devID, lane int
-	if rn.spatial != nil {
-		dec := rn.spatial.Decide(preq, view)
-		devID, lane = dec.Device, place.LaneOf(dec.Device, dec.Partition, rn.parts)
-	} else {
-		devID = rn.placer.Place(preq, view)
-		lane = devID
+	if d.Rejected {
+		return
 	}
-	if lane < 0 || lane >= len(view) {
-		panic(fmt.Sprintf("policy: placer %q chose lane %d of %d", rn.placer.Name(), lane, len(view)))
-	}
-	dv := rn.devs[lane]
-	if rn.pool.Len() > 1 || rn.parts > 1 {
-		rn.tr.Record(trace.Event{AtMs: now, Kind: trace.Place, ReqID: a.ID, Model: a.Model,
-			Device: devID, Part: dv.part, Detail: fmt.Sprintf("policy=%s depth=%d", rn.placer.Name(), view[lane].Queued)})
-	}
-	blocks := plan
-	if len(blocks) > 1 && !s.Elastic.ShouldSplitWith(dv.queue, a.Model, dv.inflight) {
-		blocks = []float64{info.ExtMs}
-	}
-	r := sched.NewRequest(a.ID, a.Model, info.Class, now, info.ExtMs, blocks)
-	r.Device = devID
-	r.Partition = dv.part
-	if alpha, ok := s.AlphaByClass[info.Class]; ok {
-		r.AlphaOverride = alpha
-	}
-	if a.DeadlineMs > 0 {
-		r.DeadlineMs = now + a.DeadlineMs
-	} else if s.EnforceDeadlines {
-		r.SetDeadline(s.Alpha)
-	}
-	rn.live[r.ID] = r
-	var pos int
-	if rn.tracing { // tracer active: record Algorithm 1's scan length
-		var decisions []sched.Decision
-		pos, decisions = dv.queue.InsertGreedyExplain(now, r)
-		rn.tr.PartRecordf(now, trace.Arrive, devID, dv.part, r.ID, r.Model, 0,
-			"pos=%d blocks=%d scanned=%d qlen=%d", pos, len(blocks), len(decisions), dv.queue.Len()-1)
-	} else {
-		pos = dv.queue.InsertGreedy(now, r)
-		rn.tr.PartRecordf(now, trace.Arrive, devID, dv.part, r.ID, r.Model, 0, "pos=%d blocks=%d", pos, len(blocks))
-	}
-	if rn.parts > 1 {
-		if !dv.d.PartitionBusy(dv.part) {
-			rn.startNext(dv, now)
+	if r := d.Req; rn.tracing {
+		if rn.eng.Lanes() > 1 {
+			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.Place, ReqID: r.ID, Model: r.Model,
+				Device: r.Device, Part: r.Partition,
+				Detail: fmt.Sprintf("policy=%s depth=%d", rn.eng.PlacerName(), d.QueueLen)})
 		}
-	} else if !dv.d.Busy() {
-		rn.startNext(dv, now)
+		rn.tr.PartRecordf(now, trace.Arrive, r.Device, r.Partition, r.ID, r.Model, 0,
+			"pos=%d blocks=%d scanned=%d qlen=%d", d.Pos, len(r.BlockTimes), d.Scanned, d.QueueLen)
+	}
+	if d.Idle {
+		rn.grant(d.Lane, now)
 	}
 }
 
 // cancel handles a cancellation hook firing at its scheduled time.
 func (rn *splitRun) cancel(id int, now float64) {
-	r := rn.live[id]
-	if r == nil {
-		return // already completed or shed
-	}
-	dv := rn.devs[r.Device*rn.parts+r.Partition]
-	if removed := dv.queue.Remove(id); removed != nil {
-		r.Canceled = true
+	c := rn.eng.Cancel(now, id)
+	r := c.Req
+	switch c.State {
+	case engine.CancelQueued:
 		rn.tr.PartRecordf(now, trace.Cancel, r.Device, r.Partition, id, r.Model, r.Next, "queued")
 		rn.shed(now, r, OutcomeCanceled)
+	case engine.CancelInflight:
+		// Scalar or batch member: shed at the next block boundary.
+		if c.Marked {
+			rn.tr.PartRecordf(now, trace.Cancel, r.Device, r.Partition, id, r.Model, r.Next, "inflight")
+		}
+	}
+}
+
+// grant asks the engine for the lane's next hold and turns it into a
+// boundary timer. A scalar grant is a batch of one; the two differ only in
+// how their events read.
+//
+//lint:hotpath the grant runs at every block boundary
+func (rn *splitRun) grant(lane int, now float64) {
+	g := rn.eng.Grant(lane, now)
+	for _, ex := range g.Shed {
+		rn.shed(now, ex, OutcomeDeadline)
+	}
+	if !g.OK {
 		return
 	}
-	// In flight (scalar or batch member): shed at the next block boundary.
-	if dv.executing(r) && !r.Canceled {
-		r.Canceled = true
-		rn.tr.PartRecordf(now, trace.Cancel, r.Device, r.Partition, id, r.Model, r.Next, "inflight")
+	h := &rn.holds[lane]
+	h.g = g
+	if rn.tracing {
+		var detail string
+		switch {
+		case g.BatchID != 0:
+			detail = fmt.Sprintf("dur=%.3f n=%d", g.RunMs, len(g.Batch))
+		case rn.eng.Parts() > 1:
+			detail = fmt.Sprintf("dur=%.3f frac=%.2f", g.RunMs, g.Frac)
+		default:
+			detail = fmt.Sprintf("dur=%.3f", g.BaseMs)
+		}
+		for _, m := range g.Batch {
+			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID, Model: m.Model,
+				Block: g.Block, Device: m.Device, Part: m.Partition, Batch: g.BatchID, Detail: detail})
+		}
 	}
+	h.begin(now)
+}
+
+// begin starts one execution attempt of the granted block: it schedules the
+// boundary timer for the (possibly spiked) block duration.
+//
+//lint:hotpath every device hold schedules its boundary timer here
+func (h *hold) begin(now float64) {
+	rn, g := h.rn, &h.g
+	if g.Spike > 1 && rn.tracing {
+		lead := g.Batch[0]
+		rn.tr.DeviceRecordf(now, trace.Fault, lead.Device, lead.ID, lead.Model, g.Block,
+			"spike x%.2f attempt=%d", g.Spike, g.Attempt)
+	}
+	rn.sim.After(g.HoldMs, h.timer)
+}
+
+// onTimer is the boundary callback for every device hold: the engine
+// settles it, and this driver reports each member's fate and restarts the
+// lanes the release woke.
+//
+//lint:hotpath block-boundary settlement for every device hold
+func (h *hold) onTimer(now float64) {
+	rn, g := h.rn, &h.g
+	lead := g.Batch[0]
+	st := rn.eng.Settle(g.Lane, now, false)
+	if st.Retry {
+		if rn.tracing {
+			rn.tr.DeviceRecordf(now, trace.Fault, lead.Device, lead.ID, lead.Model, g.Block,
+				"transient attempt=%d, retrying", g.Attempt)
+		}
+		g.Attempt, g.HoldMs, g.Spike = st.Attempt, st.HoldMs, st.Spike
+		h.begin(now)
+		return
+	}
+	if rn.tracing {
+		if st.Terminal {
+			rn.tr.DeviceRecordf(now, trace.Fault, lead.Device, lead.ID, lead.Model, g.Block,
+				"terminal after %d attempts", st.Attempt+1)
+		}
+		for _, m := range g.Batch {
+			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID, Model: m.Model,
+				Block: g.Block, Device: m.Device, Part: m.Partition, Batch: g.BatchID})
+		}
+	}
+	for _, f := range st.Fates {
+		r := f.Req
+		switch f.Kind {
+		case engine.Served:
+			if rn.tracing {
+				rn.tr.DeviceRecordf(now, trace.Complete, r.Device, r.ID, r.Model, g.Block, "rr=%.2f", r.ResponseRatio())
+			}
+			rn.record(r, now, OutcomeServed)
+		case engine.Shed:
+			rn.shed(now, r, f.Reason)
+		case engine.Requeued:
+			if f.Pos > 0 && rn.tracing {
+				rn.tr.DeviceRecordf(now, trace.Preempt, r.Device, r.ID, r.Model, r.Next, "requeued at %d", f.Pos)
+			}
+		}
+	}
+	// Siblings start first — they were waiting — which is what makes the
+	// adaptive width shrink under contention: the settled lane's next
+	// grant clamps at the slots the siblings just took.
+	for _, sib := range st.Wake {
+		rn.grant(sib, now)
+	}
+	rn.grant(g.Lane, now)
 }

@@ -256,45 +256,3 @@ func TestOverheadMonotoneInCuts(t *testing.T) {
 		}
 	}
 }
-
-func TestCutGridParallelMatchesSerial(t *testing.T) {
-	for _, name := range []string{"vgg19", "resnet50"} {
-		p := New(zoo.MustLoad(name), model.DefaultCostModel())
-		for _, stride := range []int{1, 3} {
-			serial := p.CutGrid(stride)
-			for _, workers := range []int{0, 1, 4} {
-				par := p.CutGridParallel(stride, workers)
-				if len(par.Overhead) != len(serial.Overhead) {
-					t.Fatalf("%s stride %d workers %d: row count %d vs %d",
-						name, stride, workers, len(par.Overhead), len(serial.Overhead))
-				}
-				for i := range serial.Overhead {
-					for j := range serial.Overhead[i] {
-						if par.Overhead[i][j] != serial.Overhead[i][j] ||
-							par.StdDev[i][j] != serial.StdDev[i][j] ||
-							par.Valid[i][j] != serial.Valid[i][j] {
-							t.Fatalf("%s stride %d workers %d: cell (%d,%d) differs",
-								name, stride, workers, i, j)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestRandomSampleParallelDeterministic(t *testing.T) {
-	p := newTestProfiler()
-	serial := p.RandomSample(3, 200, rand.New(rand.NewSource(5)))
-	for _, workers := range []int{1, 4, 16} {
-		par := p.RandomSampleParallel(3, 200, workers, rand.New(rand.NewSource(5)))
-		if len(par) != len(serial) {
-			t.Fatalf("workers %d: %d candidates", workers, len(par))
-		}
-		for i := range serial {
-			if par[i].StdDevMs != serial[i].StdDevMs || par[i].Overhead != serial[i].Overhead {
-				t.Fatalf("workers %d: candidate %d differs", workers, i)
-			}
-		}
-	}
-}

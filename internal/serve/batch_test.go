@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"split/internal/engine"
 	"split/internal/obs"
 	"split/internal/policy"
 	"split/internal/sched"
@@ -147,7 +148,7 @@ func TestSimServeBatchingParity(t *testing.T) {
 	}
 	for _, batchMax := range []int{1, 2, 3} {
 		tr := trace.New()
-		sim := &policy.Split{Alpha: 4, Elastic: sched.DefaultElastic(), BatchMax: batchMax}
+		sim := &policy.Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), BatchMax: batchMax}}
 		recs := sim.Run(arrivals, catalog, tr)
 		for _, r := range recs {
 			if !r.Served() {

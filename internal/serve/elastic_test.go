@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"split/internal/engine"
 	"split/internal/fleet"
 	"split/internal/obs"
 	"split/internal/place"
@@ -32,7 +33,7 @@ func TestServeAdmissionParityWithSim(t *testing.T) {
 	for i := range arrivals {
 		arrivals[i] = workload.Arrival{ID: i, Model: "quick", AtMs: float64(i)}
 	}
-	sys := &policy.Split{Alpha: 4, Elastic: sched.DefaultElastic(), Admission: gate}
+	sys := &policy.Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), Admission: gate}}
 	recs := sys.Run(arrivals, lifecycleCatalog(), nil)
 	simAdmitted := make([]bool, n)
 	for _, r := range recs {
@@ -117,8 +118,8 @@ func TestServeAutoscaleScalesOutAndBackIn(t *testing.T) {
 			IdleReleaseMs:      40,
 		}
 	})
-	if len(srv.devs) != 2 {
-		t.Fatalf("fleet holds %d executors, want Fleet.Max=2", len(srv.devs))
+	if srv.eng.Lanes() != 2 {
+		t.Fatalf("fleet holds %d executors, want Fleet.Max=2", srv.eng.Lanes())
 	}
 	if snap := srv.QueueSnapshot(); snap.ActiveDevices != 1 {
 		t.Fatalf("fleet started with %d active devices, want Min=1", snap.ActiveDevices)

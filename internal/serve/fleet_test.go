@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"split/internal/engine"
 	"split/internal/obs"
 	"split/internal/place"
 	"split/internal/policy"
@@ -101,7 +102,7 @@ func TestFleetSimServeParity(t *testing.T) {
 				arrivals[i] = workload.Arrival{ID: i, Model: "work", AtMs: float64(i), DeadlineMs: d}
 			}
 			tr := trace.New()
-			sys := &policy.Split{Alpha: 4, Devices: n, Placement: place.RoundRobin}
+			sys := &policy.Split{Knobs: engine.Knobs{Alpha: 4, Devices: n, Placement: place.RoundRobin}}
 			recs := sys.Run(arrivals, lifecycleCatalog(), tr)
 			simBlocks := map[int]int{}
 			for _, e := range tr.Events() {

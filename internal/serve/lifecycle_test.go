@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"split/internal/engine"
 	"split/internal/gpusim"
 	"split/internal/model"
 	"split/internal/obs"
@@ -47,8 +48,8 @@ func startLifecycle(t *testing.T, mut func(*Config)) (*Server, *obs.Registry, *t
 	reg := obs.NewRegistry()
 	ring := trace.NewRing(1024)
 	cfg := Config{
+		Knobs:     engine.Knobs{Alpha: 4},
 		Catalog:   lifecycleCatalog(),
-		Alpha:     4,
 		TimeScale: 1,
 		Obs:       reg,
 		Sink:      ring,
@@ -501,7 +502,7 @@ func TestSimServeParity(t *testing.T) {
 		arrivals[i] = workload.Arrival{ID: i, Model: "work", AtMs: float64(i), DeadlineMs: d}
 	}
 	tr := trace.New()
-	sys := &policy.Split{Alpha: 4}
+	sys := &policy.Split{Knobs: engine.Knobs{Alpha: 4}}
 	recs := sys.Run(arrivals, lifecycleCatalog(), tr)
 	if len(recs) != len(deadlines) {
 		t.Fatalf("sim reported %d records", len(recs))
@@ -549,6 +550,55 @@ func TestSimServeParity(t *testing.T) {
 		if n := startBlocks(ring, id); n != wantBlocks[i] {
 			t.Errorf("serve blocks[%d] = %d, want %d (sim parity broken)", i, n, wantBlocks[i])
 		}
+	}
+}
+
+// TestFaultCancelFateParity is the seam regression for the one fate order:
+// a request canceled while its block is failing terminally is a
+// device_fault in BOTH drivers. Before the engine the server's settle
+// checked Canceled first and reported it canceled, while the simulator
+// reported the fault.
+func TestFaultCancelFateParity(t *testing.T) {
+	// Every attempt of request 0's first block fails; MaxRetries 0 makes
+	// the first failure terminal. The cancel lands mid-block.
+	faults := &gpusim.FaultInjector{Seed: 11, FailProb: 1}
+	knobs := engine.Knobs{Alpha: 4, Faults: faults}
+	wantOutcome := policy.OutcomeDeviceFault
+
+	arrivals := []workload.Arrival{{ID: 0, Model: "work", AtMs: 0, CancelAtMs: 10}}
+	tr := trace.New()
+	recs := (&policy.Split{Knobs: knobs}).Run(arrivals, lifecycleCatalog(), tr)
+	if len(recs) != 1 || recs[0].Outcome != wantOutcome {
+		t.Fatalf("sim records %+v, want one %q", recs, wantOutcome)
+	}
+	simCancels := 0
+	for _, e := range tr.Events() {
+		if e.Kind == trace.Cancel {
+			simCancels++
+		}
+	}
+	if simCancels != 1 {
+		t.Fatalf("sim recorded %d cancel events, want the in-flight cancel to have landed", simCancels)
+	}
+
+	srv, reg, _ := startLifecycle(t, func(c *Config) { c.Faults = faults })
+	id, ch, err := srv.enqueue("work", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitBusy(t, srv)
+	if state := srv.Cancel(id); state != CancelInflight {
+		t.Fatalf("cancel found the request %s, want in flight", state)
+	}
+	out := await(t, ch)
+	if !errors.Is(out.err, ErrDeviceFault) {
+		t.Fatalf("serve outcome %v, want ErrDeviceFault (sim says %q)", out.err, wantOutcome)
+	}
+	if got := reg.Counter(obs.MetricDropsTotal, dropsHelp, "reason", DropDeviceFault).Value(); got != 1 {
+		t.Errorf("split_drops_total{reason=device_fault} = %v, want 1", got)
+	}
+	if got := reg.Counter(obs.MetricDropsTotal, dropsHelp, "reason", DropCanceled).Value(); got != 0 {
+		t.Errorf("split_drops_total{reason=canceled} = %v, want 0", got)
 	}
 }
 

@@ -11,21 +11,6 @@ import (
 	"split/internal/workload"
 )
 
-// OptionsVersion is the current server-options schema revision. Version 1
-// was the flat single-device Config struct; version 2 added the fleet
-// fields (Devices, Placement) and the functional-option constructor;
-// version 3 added the sim-mirrored scheduling knobs (StarveGuardRR,
-// AlphaByClass) so a tuned policy.Split carries over verbatim; version 4
-// added arrival record/replay (ArrivalRecorder); version 5 added the
-// elastic control plane as nested sub-structs (FleetOptions via WithFleet,
-// AdmissionOptions via WithAdmission); version 6 added spatial sharing
-// (Partitions, PartitionCost, PartitionWidth via WithPartitions /
-// WithPartitionCost / WithPartitionWidth), mirroring the simulator's
-// partition knobs. The version is recorded on the built Options so
-// deployment tooling can assert which schema a server was configured
-// under.
-const OptionsVersion = 6
-
 // FleetOptions is the nested autoscaler option block WithFleet installs —
 // the same watermark/hysteresis configuration the simulator takes as
 // policy.Split.Fleet, so a tuned controller carries between layers
@@ -37,25 +22,22 @@ type FleetOptions = fleet.AutoscaleConfig
 // policy.Split.Admission.
 type AdmissionOptions = fleet.AdmissionConfig
 
-// Options is the versioned server configuration New assembles from
-// functional options. It embeds the legacy flat Config so every knob has
-// exactly one storage location; Config itself remains usable through the
-// deprecated NewServer shim.
+// Options is the server configuration New assembles from functional
+// options. It embeds Config — and through it engine.Knobs, the scheduling
+// knobs policy.Split embeds too — so every knob has exactly one storage
+// location; NewServer takes a filled-in Config directly.
 type Options struct {
-	// Version is the options schema revision the constructor stamped.
-	Version int
 	Config
 }
 
 // Option mutates one server option; pass a sequence to New.
 type Option func(*Options)
 
-// New builds a server for catalog with the given options — the versioned
-// replacement for NewServer(Config). Zero options yield the paper's
-// defaults: α=4, real-time scale, one device, unbounded queue, no
-// deadlines, no fault injection.
+// New builds a server for catalog with the given options. Zero options
+// yield the paper's defaults: α=4, real-time scale, one device, unbounded
+// queue, no deadlines, no fault injection.
 func New(catalog policy.Catalog, opts ...Option) (*Server, error) {
-	o := Options{Version: OptionsVersion}
+	var o Options
 	o.Catalog = catalog
 	for _, opt := range opts {
 		if opt != nil {
@@ -162,23 +144,21 @@ func WithBatchCost(c gpusim.BatchCost) Option {
 // WithPartitions enables spatial sharing: every device is split into m
 // concurrent partition slots, each a scheduling lane with its own queue
 // and executor goroutine. m <= 1 keeps the temporal-only path (the
-// default) and reproduces unpartitioned behavior exactly. Mirrors
-// policy.Split.Partitions.
+// default) and reproduces unpartitioned behavior exactly.
 func WithPartitions(m int) Option {
 	return func(o *Options) { o.Partitions = m }
 }
 
 // WithPartitionCost sets the fractional-width efficiency curve (the zero
 // value means gpusim.DefaultPartitionCost()). It has no effect unless
-// WithPartitions enables spatial sharing. Mirrors
-// policy.Split.PartitionCost.
+// WithPartitions enables spatial sharing.
 func WithPartitionCost(c gpusim.PartitionCost) Option {
 	return func(o *Options) { o.PartitionCost = c }
 }
 
 // WithPartitionWidth selects the hold-width policy under spatial sharing:
 // place.WidthFixed or place.WidthAdaptive; empty selects
-// place.DefaultWidth. Mirrors policy.Split.PartitionWidth.
+// place.DefaultWidth.
 func WithPartitionWidth(width string) Option {
 	return func(o *Options) { o.PartitionWidth = width }
 }
@@ -186,15 +166,14 @@ func WithPartitionWidth(width string) Option {
 // WithStarveGuard enables the starvation-guard extension: a waiting
 // request whose response ratio exceeds rr is pinned to the queue front so
 // greedy insertion cannot starve long requests indefinitely. rr <= 0
-// disables the guard (the paper's baseline). Mirrors
-// policy.Split.StarveGuardRR.
+// disables the guard (the paper's baseline).
 func WithStarveGuard(rr float64) Option {
 	return func(o *Options) { o.StarveGuardRR = rr }
 }
 
 // WithAlphaByClass assigns class-specific latency-target multipliers;
 // classes absent from the map use the global α. The map is captured, not
-// copied. Mirrors policy.Split.AlphaByClass.
+// copied.
 func WithAlphaByClass(byClass map[model.RequestClass]float64) Option {
 	return func(o *Options) { o.AlphaByClass = byClass }
 }
@@ -210,14 +189,14 @@ func WithArrivalRecorder(rec *workload.Recorder) Option {
 // WithFleet enables the elastic autoscaler: the server runs f.Max
 // executors, keeps [Min, Max] of them actively placed on queue-depth and
 // rolling-QoS signals, and drains-then-releases on sustained idle. The
-// zero value keeps the fixed WithDevices fleet. Mirrors policy.Split.Fleet.
+// zero value keeps the fixed WithDevices fleet.
 func WithFleet(f FleetOptions) Option {
 	return func(o *Options) { o.Fleet = f }
 }
 
 // WithAdmission enables the front-door admission gate; rejected requests
 // receive ErrAdmissionRejected and count under the shared
-// trace.ReasonAdmission drop reason. Mirrors policy.Split.Admission.
+// trace.ReasonAdmission drop reason.
 func WithAdmission(a AdmissionOptions) Option {
 	return func(o *Options) { o.Admission = a }
 }

@@ -5,18 +5,14 @@ import (
 	"reflect"
 	"testing"
 
-	"split/internal/fleet"
 	"split/internal/gpusim"
-	"split/internal/model"
-	"split/internal/obs"
 	"split/internal/place"
 	"split/internal/sched"
 	"split/internal/trace"
-	"split/internal/workload"
 )
 
 // TestOptionsAssembleConfig: every functional option must land on the
-// corresponding config field, and New must stamp the schema version.
+// corresponding config field.
 func TestOptionsAssembleConfig(t *testing.T) {
 	faults := &gpusim.FaultInjector{Seed: 3, FailProb: 0.1, MaxRetries: 1}
 	ring := trace.NewRing(16)
@@ -48,69 +44,16 @@ func TestOptionsAssembleConfig(t *testing.T) {
 	if cfg.Elastic != elastic || cfg.Faults != faults || cfg.Sink != trace.Sink(ring) {
 		t.Error("struct options lost")
 	}
-	if cfg.Devices != 3 || cfg.Placement != place.Affinity || len(srv.devs) != 3 {
+	if cfg.Devices != 3 || cfg.Placement != place.Affinity || srv.eng.Lanes() != 3 {
 		t.Errorf("fleet options lost: devices=%d placement=%q", cfg.Devices, cfg.Placement)
 	}
-	if srv.placer.Name() != place.Affinity {
-		t.Errorf("placer is %q", srv.placer.Name())
+	if srv.eng.PlacerName() != place.Affinity {
+		t.Errorf("placer is %q", srv.eng.PlacerName())
 	}
 }
 
-// TestShimMapsEveryConfigField is the options-v5 regression gate: the
-// deprecated NewServer shim must map EVERY Config field onto the
-// functional-option surface. The fixture sets each field non-zero, runs it
-// through Config.options, and reflects over the struct so that a future
-// Config field either appears in options() or fails here by name — a
-// silently dropped knob is the exact bug class the v1→v2 migration hit.
-func TestShimMapsEveryConfigField(t *testing.T) {
-	cfg := Config{
-		Catalog:          lifecycleCatalog(),
-		Alpha:            6,
-		Elastic:          sched.Elastic{Enabled: true, HighLoadQueueLen: 7},
-		StarveGuardRR:    9,
-		AlphaByClass:     map[model.RequestClass]float64{model.Short: 2},
-		TimeScale:        0.5,
-		MaxQueue:         12,
-		EnforceDeadlines: true,
-		PredictiveShed:   true,
-		Faults:           &gpusim.FaultInjector{Seed: 3, FailProb: 0.1, MaxRetries: 1},
-		Obs:              obs.NewRegistry(),
-		Sink:             trace.NewRing(4),
-		QoSWindow:        32,
-		ArrivalRecorder:  workload.NewRecorder(),
-		Devices:          3,
-		Placement:        place.Affinity,
-		BatchMax:         4,
-		BatchCost:        gpusim.BatchCost{SetupFrac: 0.2, EffGain: 0.3},
-		Partitions:       2,
-		PartitionCost:    gpusim.PartitionCost{Beta: 0.7},
-		PartitionWidth:   place.WidthFixed,
-		Fleet:            fleet.AutoscaleConfig{Min: 1, Max: 3, EvalEveryMs: 50},
-		Admission:        fleet.AdmissionConfig{Mode: fleet.AdmitTokenBucket, RatePerSec: 5, Burst: 2},
-	}
-	cv := reflect.ValueOf(cfg)
-	for i := 0; i < cv.NumField(); i++ {
-		if cv.Field(i).IsZero() {
-			t.Fatalf("fixture leaves Config.%s zero — set it so a dropped option cannot hide",
-				cv.Type().Field(i).Name)
-		}
-	}
-	var o Options
-	o.Catalog = cfg.Catalog // New's positional argument, not an option
-	for _, opt := range cfg.options() {
-		opt(&o)
-	}
-	got := reflect.ValueOf(o.Config)
-	for i := 0; i < cv.NumField(); i++ {
-		if !reflect.DeepEqual(got.Field(i).Interface(), cv.Field(i).Interface()) {
-			t.Errorf("NewServer shim loses Config.%s: got %+v, want %+v",
-				cv.Type().Field(i).Name, got.Field(i).Interface(), cv.Field(i).Interface())
-		}
-	}
-}
-
-// TestOptionsDefaultsMatchLegacyConfig: the deprecated NewServer shim and
-// the option constructor must normalize to the same effective config.
+// TestOptionsDefaultsMatchLegacyConfig: NewServer(Config) and the option
+// constructor must normalize to the same effective config.
 func TestOptionsDefaultsMatchLegacyConfig(t *testing.T) {
 	viaShim, err := NewServer(Config{Catalog: lifecycleCatalog()})
 	if err != nil {
@@ -123,7 +66,7 @@ func TestOptionsDefaultsMatchLegacyConfig(t *testing.T) {
 	if !reflect.DeepEqual(viaShim.cfg, viaOpts.cfg) {
 		t.Errorf("shim config %+v != options config %+v", viaShim.cfg, viaOpts.cfg)
 	}
-	if len(viaShim.devs) != 1 || len(viaOpts.devs) != 1 {
+	if viaShim.eng.Lanes() != 1 || viaOpts.eng.Lanes() != 1 {
 		t.Error("defaults are not single-device")
 	}
 }

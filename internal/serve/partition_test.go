@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"split/internal/engine"
 	"split/internal/obs"
 	"split/internal/place"
 	"split/internal/policy"
@@ -98,8 +99,8 @@ func TestSimServePartitionParity(t *testing.T) {
 		arrivals[i] = workload.Arrival{ID: i, Model: "solo", AtMs: float64(i)}
 	}
 	simTr := trace.New()
-	(&policy.Split{Alpha: 4, Devices: 1, Placement: place.RoundRobin,
-		Partitions: 2, PartitionWidth: place.WidthFixed}).Run(arrivals, lifecycleCatalog(), simTr)
+	(&policy.Split{Knobs: engine.Knobs{Alpha: 4, Devices: 1, Placement: place.RoundRobin,
+		Partitions: 2, PartitionWidth: place.WidthFixed}}).Run(arrivals, lifecycleCatalog(), simTr)
 	simTree := trace.BuildSpans(simTr.Events())
 	if len(simTree.Problems) != 0 {
 		t.Fatalf("sim span problems: %v", simTree.Problems)
@@ -192,8 +193,7 @@ func TestServeScaleInThenBurst(t *testing.T) {
 	}
 	// Scale device 2 out of the active set: its home ("quick") is evicted.
 	srv.mu.Lock()
-	srv.active = 2
-	srv.resizePlacerLocked()
+	srv.eng.SetActive(2)
 	srv.mu.Unlock()
 	// Pile backlog onto device 0 so the survivors' loads diverge.
 	var chans []chan outcome

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"split/internal/engine"
 	"split/internal/policy"
 	"split/internal/workload"
 )
@@ -99,7 +100,7 @@ func TestRecordReplayParity(t *testing.T) {
 	}
 
 	// ...and re-simulating it reproduces the live run's outcomes.
-	sys := &policy.Split{Alpha: 4}
+	sys := &policy.Split{Knobs: engine.Knobs{Alpha: 4}}
 	for _, r := range sys.Run(replayed, lifecycleCatalog(), nil) {
 		if r.Outcome != serveOutcome[r.ID] {
 			t.Errorf("replay outcome[%d] = %q, live run saw %q", r.ID, r.Outcome, serveOutcome[r.ID])

@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/rpc"
 	"runtime"
@@ -35,8 +34,8 @@ import (
 	"sync"
 	"time"
 
+	"split/internal/engine"
 	"split/internal/fleet"
-	"split/internal/gpusim"
 	"split/internal/model"
 	"split/internal/obs"
 	"split/internal/place"
@@ -111,127 +110,43 @@ const (
 	DropAdmission    = trace.ReasonAdmission
 )
 
-// Config parameterizes a server.
-//
-// Deprecated: Config is the flat version-1 configuration kept for
-// compatibility; NewServer maps it onto the versioned Options. New code
-// should use New with functional options (WithDevices, WithPlacement,
-// WithDeadlines, ...).
+// Config parameterizes a server: the scheduling knobs it shares with the
+// simulator, plus what only a live server has — a catalog, a wall clock,
+// and observability sinks.
 type Config struct {
+	// Knobs are the scheduling knobs, shared field for field with
+	// policy.Split (which embeds the same struct), so a configuration tuned
+	// in the simulator carries over verbatim; cfg.Devices = 4 reads and
+	// writes through the embedding. Alpha <= 0 falls back to the paper's 4.
+	engine.Knobs
 	// Catalog holds the deployed models and split plans.
-	//
-	//lint:mirror-exempt the sim takes its catalog as a Run argument, not a knob
 	Catalog policy.Catalog
-	// Alpha is the latency-target multiplier for scheduling decisions.
-	Alpha float64
-	// Elastic configures elastic splitting.
-	Elastic sched.Elastic
-	// StarveGuardRR, when > 0, enables the starvation-guard extension: a
-	// waiting request whose predicted response ratio already reaches this
-	// value cannot be passed by later arrivals. See sched.Queue. Mirrors
-	// policy.Split.StarveGuardRR so sim experiments carry over.
-	StarveGuardRR float64
-	// AlphaByClass optionally assigns class-specific latency-target
-	// multipliers; classes not present fall back to Alpha. Mirrors
-	// policy.Split.AlphaByClass so sim experiments carry over.
-	AlphaByClass map[model.RequestClass]float64
 	// TimeScale converts simulated block milliseconds to wall-clock
 	// milliseconds (1.0 = real time; 0.01 = 100× accelerated).
-	//
-	//lint:mirror-exempt the sim runs on virtual time; there is no wall clock to scale
 	TimeScale float64
 	// MaxQueue caps the number of waiting requests; arrivals beyond it are
-	// rejected with ErrQueueFull. 0 means unbounded (the paper's setting).
-	// For the gate both layers share — with typed drop reasons and parity-
-	// comparable decisions — use Admission instead.
-	//
-	//lint:mirror-exempt serve-local legacy queue cap; the shared gate is Admission (queue-length mode)
+	// rejected with ErrQueueFull before they reach the front door. 0 means
+	// unbounded (the paper's setting). For the gate both drivers share —
+	// with typed drop reasons and parity-comparable decisions — use
+	// Admission instead.
 	MaxQueue int
-	// EnforceDeadlines derives an absolute deadline ArriveMs + α·t_ext for
-	// every request (unless the RPC supplies its own) and sheds expired
-	// requests at block boundaries instead of letting them keep occupying
-	// the device. RPC-supplied deadlines are honored even when this is off.
-	EnforceDeadlines bool
-	// PredictiveShed additionally sheds requests that can no longer finish
-	// by their deadline even if granted the device immediately
-	// (EdgeServing-style), rather than waiting for the deadline to pass.
-	PredictiveShed bool
-	// Faults, when non-nil, injects deterministic block-latency spikes and
-	// transient block failures with bounded per-block retry — the chaos
-	// harness the shedding and drain paths are tested under.
-	Faults *gpusim.FaultInjector
 	// Obs, when non-nil, receives live metrics (request/completion/drop
 	// counters, queue-depth and elastic gauges, wait/e2e/RR histograms)
 	// under the split_* names documented in the README.
-	//
-	//lint:mirror-exempt the sim reports through returned Records, not a live registry
 	Obs *obs.Registry
 	// Sink, when non-nil, receives the live scheduling event stream
 	// (arrive, enqueue, block start/end, preempt, elastic transitions,
 	// complete, drop, shed, cancel, fault, drain) — typically a trace.Ring
 	// flight recorder, a Tracer, or a Fanout of both.
-	//
-	//lint:mirror-exempt the sim takes its Tracer as a Run argument, not a knob
 	Sink trace.Sink
 	// QoSWindow sizes the rolling online QoS window (completions);
 	// <= 0 selects obs.DefaultQoSWindow.
-	//
-	//lint:mirror-exempt rolling QoS is online-serving observability; the sim computes QoS offline
 	QoSWindow int
 	// ArrivalRecorder, when non-nil, records every admitted arrival (and
 	// any later cancellation) in workload trace form, so the live run can
 	// be written with workload.WriteTrace and re-simulated deterministically
 	// through policy.Split.
-	//
-	//lint:mirror-exempt record/replay is an online-serving concern; the sim consumes a workload trace directly
 	ArrivalRecorder *workload.Recorder
-	// Devices is the fleet size: the server runs one executor goroutine per
-	// device, each draining its own scheduler queue, with arrivals routed by
-	// the Placement policy. 0 or 1 serves on a single device exactly as the
-	// paper describes.
-	Devices int
-	// Placement names the fleet placement policy (see internal/place):
-	// "round-robin", "least-loaded" or "affinity". Empty selects
-	// place.Default. Ignored on a single device beyond validation.
-	Placement string
-	// BatchMax enables same-type micro-batching when > 1: at a block
-	// boundary the granted request may coalesce up to BatchMax same-model,
-	// same-boundary queue-front neighbors into one batched device grant
-	// (sched.BatchPlanner), executed under the BatchCost model. <= 1 — the
-	// default — keeps the scalar path and today's exact behavior.
-	BatchMax int
-	// BatchCost prices batched block execution; the zero value means
-	// gpusim.DefaultBatchCost(). Ignored unless BatchMax > 1.
-	BatchCost gpusim.BatchCost
-	// Partitions enables spatial sharing when > 1: every device is split
-	// into that many concurrent partition slots, each with its own
-	// scheduling lane — queue, elastic state, executor goroutine — fed by
-	// lane-level placement. <= 1 — the default — keeps the temporal-only
-	// path and today's exact behavior. Mirrors policy.Split.Partitions so
-	// sim experiments carry over.
-	Partitions int
-	// PartitionCost prices fractional-width block execution; the zero value
-	// means gpusim.DefaultPartitionCost(). Ignored unless Partitions > 1.
-	// Mirrors policy.Split.PartitionCost.
-	PartitionCost gpusim.PartitionCost
-	// PartitionWidth names the hold-width policy under spatial sharing:
-	// place.WidthFixed or place.WidthAdaptive; empty selects
-	// place.DefaultWidth. Ignored unless Partitions > 1. Mirrors
-	// policy.Split.PartitionWidth.
-	PartitionWidth string
-	// Fleet configures the elastic autoscaler: when enabled (Max > 0) the
-	// server runs Fleet.Max executors of which [Min, Max] are actively
-	// placed, scaled on queue-depth and rolling-QoS signals with
-	// drain-then-release semantics; Devices is superseded by the bounds.
-	// The zero value keeps the fixed fleet of Devices — and the decision
-	// stream identical to the pre-elastic server. Mirrors
-	// policy.Split.Fleet so tuned sim experiments carry over.
-	Fleet fleet.AutoscaleConfig
-	// Admission configures the front-door gate; the zero value admits
-	// everything. A rejected request receives ErrAdmissionRejected and is
-	// counted under the shared trace.ReasonAdmission drop reason. Mirrors
-	// policy.Split.Admission so sim and serve reject identically.
-	Admission fleet.AdmissionConfig
 }
 
 // outcome is what a waiter receives: the completed request, or a typed
@@ -250,55 +165,12 @@ type delivery struct {
 	out outcome
 }
 
-// srvDevice is one scheduling lane of the serving path — one (device,
-// partition) pair with its own scheduler queue, fault schedule, and
-// executor goroutine, all sharing the server mutex. Unpartitioned
-// (Partitions <= 1) a lane IS a device and the server degenerates to the
-// paper's single shared GPU; under spatial sharing the sibling lanes of a
-// device coordinate through the shared slot ledger.
-type srvDevice struct {
-	// id is the physical device ID; part is the partition anchor slot on
-	// it (always 0 unpartitioned); lane is the flat index id*parts+part.
-	id   int
-	part int
-	lane int
-	// want is the requested hold width in slots (1 fixed, parts adaptive);
-	// the ledger clamps it to the contiguous free span at grant time.
-	want int
-	// ledger is the physical device's partition slot ledger, shared by its
-	// sibling lanes and mutated only with s.mu held; nil unpartitioned.
-	ledger *gpusim.Device
-	queue  *sched.Queue
-	faults *gpusim.FaultInjector
-	busy   bool
-	// inflight is the request currently occupying this device (nil while
-	// idle). It is not in the queue; Cancel marks it cancel-at-next-
-	// boundary instead of removing it.
-	inflight *sched.Request
-	// batch is the full membership of the current device grant when it is a
-	// micro-batch (inflight is then the leader); nil during scalar grants.
-	batch []*sched.Request
-	// busyMsTotal accumulates virtual-ms device occupancy.
-	busyMsTotal float64
-	// scratch is the batch-formation buffer FormInto reuses across grants.
-	scratch []*sched.Request
-}
-
-// executing returns the request with the given id if it holds (or shares)
-// this device's current grant, else nil.
-func (dv *srvDevice) executing(id int) *sched.Request {
-	if dv.inflight != nil && dv.inflight.ID == id {
-		return dv.inflight
-	}
-	for _, m := range dv.batch {
-		if m.ID == id {
-			return m
-		}
-	}
-	return nil
-}
-
-// Server owns the per-device request queues and executor goroutines.
+// Server is the wall-clock driver of internal/engine. The engine makes
+// every scheduling decision; the server adds what only a live process has:
+// the mutex and condition variable the decisions are serialized under, one
+// executor goroutine per lane that sleeps out each granted hold, the
+// waiters RPC replies are delivered through, and the metrics, time series,
+// recorder and trace events that describe it all.
 type Server struct {
 	cfg Config
 	// tracing caches cfg.Sink != nil: hot-path event emissions are gated
@@ -308,35 +180,17 @@ type Server struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// devs are the fleet members; len(devs) >= 1. placer routes arrivals to
-	// them and is only called with mu held (placers are not concurrency-safe).
-	devs   []*srvDevice
-	placer place.Placer
-	// parts is the per-device partition slot count (1 unpartitioned);
-	// len(devs) is then Devices*parts lanes. spatial is the width-aware
-	// placement wrapper and partCost the efficiency curve, both nil/zero
-	// unless parts > 1.
-	parts    int
-	partCost gpusim.PartitionCost
-	spatial  *place.Spatial
-	// active is the size of the actively placed device prefix devs[:active].
-	// Executors at or past active keep draining their queues (drain-then-
-	// release) but receive no new placements. Without the autoscaler it is
-	// len(devs) forever.
-	active int
-	// scaler and admit are the elastic control plane (both nil when their
-	// Config blocks are disabled); fwin feeds the autoscaler's rolling
-	// violation window with the same per-record predicate the simulator
-	// uses, so the two layers' scaling signals cannot diverge. activeIDs is
-	// the reusable Resize argument buffer.
-	scaler    *fleet.Autoscaler
-	admit     *fleet.Admission
-	fwin      *fleet.Window
-	activeIDs []int
-	nextID    int
-	closed    bool
-	served    int
-	dropped   int
+	// eng is the decision core: queues, placer, planner, ledgers, autoscaler
+	// and admission gate. It is not concurrency-safe and is only called with
+	// mu held.
+	eng *engine.Engine
+	// busyMs accumulates virtual-ms occupancy per lane, pro-rated by the
+	// granted device fraction.
+	busyMs  []float64
+	nextID  int
+	closed  bool
+	served  int
+	dropped int
 	// running counts live executor goroutines; the last one to exit under a
 	// drain owns the clean DrainEnd event.
 	running int
@@ -358,19 +212,10 @@ type Server struct {
 	// pending buffers trace events recorded while s.mu is held. The sink is
 	// caller-supplied code that may take its own locks or call back into the
 	// server, so events are flushed to Config.Sink only after s.mu is
-	// released (the queue's own emissions are routed here via queueSink).
+	// released.
 	pending []trace.Event
 	// pendingOut buffers waiter deliveries the same way.
 	pendingOut []delivery
-
-	// planner forms same-type micro-batches at block boundaries; batchCost
-	// prices them. The identical planner drives the fleet simulator, which
-	// is what makes sim-vs-serve batching parity testable. nextBatchID
-	// numbers batched grants for the trace stream (ids from 1; 0 on events
-	// means unbatched).
-	planner     sched.BatchPlanner
-	batchCost   gpusim.BatchCost
-	nextBatchID int
 
 	// met holds cached metric handles (nil when Config.Obs is nil); qos is
 	// the rolling online estimator and always exists, as does series, the
@@ -384,47 +229,8 @@ type Server struct {
 }
 
 // NewServer validates cfg and builds a stopped server.
-//
-// Deprecated: Config is the flat version-1 configuration surface, kept as
-// a shim for existing callers; it maps field-for-field onto the versioned
-// functional options. New code should call New with options:
-//
-//	srv, err := serve.New(catalog, serve.WithDevices(2), serve.WithDeadlines(4))
 func NewServer(cfg Config) (*Server, error) {
-	return New(cfg.Catalog, cfg.options()...)
-}
-
-// options expands the flat Config into the equivalent functional-option
-// list — every Config field except Catalog (which New takes positionally)
-// must be carried by exactly one entry. The shim regression test walks the
-// struct by reflection, so adding a Config field without extending this
-// list fails the build's tests by field name rather than silently dropping
-// the knob.
-func (cfg Config) options() []Option {
-	return []Option{
-		WithAlpha(cfg.Alpha),
-		WithElastic(cfg.Elastic),
-		WithTimeScale(cfg.TimeScale),
-		WithMaxQueue(cfg.MaxQueue),
-		WithQoSWindow(cfg.QoSWindow),
-		func(o *Options) { o.EnforceDeadlines = cfg.EnforceDeadlines },
-		WithPredictiveShed(cfg.PredictiveShed),
-		WithFaults(cfg.Faults),
-		WithObs(cfg.Obs),
-		WithSink(cfg.Sink),
-		WithDevices(cfg.Devices),
-		WithPlacement(cfg.Placement),
-		WithBatching(cfg.BatchMax),
-		WithBatchCost(cfg.BatchCost),
-		WithPartitions(cfg.Partitions),
-		WithPartitionCost(cfg.PartitionCost),
-		WithPartitionWidth(cfg.PartitionWidth),
-		WithStarveGuard(cfg.StarveGuardRR),
-		WithAlphaByClass(cfg.AlphaByClass),
-		WithArrivalRecorder(cfg.ArrivalRecorder),
-		WithFleet(cfg.Fleet),
-		WithAdmission(cfg.Admission),
-	}
+	return newServer(Options{Config: cfg})
 }
 
 // newServer validates assembled options and builds a stopped server.
@@ -439,238 +245,81 @@ func newServer(o Options) (*Server, error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	if cfg.Devices < 1 {
-		cfg.Devices = 1
-	}
-	active := cfg.Devices
-	if cfg.Fleet.Enabled() {
-		// The fleet holds Max executors; the autoscaler moves the active
-		// prefix between Min and Max. A fixed Devices setting is superseded
-		// by the controller's bounds, mirroring policy.Split.RunWithStats.
-		if err := cfg.Fleet.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		cfg.Devices = cfg.Fleet.Max
-		active = cfg.Fleet.Min
-		if active < 1 {
-			active = 1
-		}
-	}
-	parts := cfg.Partitions
-	if parts < 1 {
-		parts = 1
-	}
-	placer, err := place.New(cfg.Placement, cfg.Devices*parts)
+	eng, err := engine.New(cfg.Knobs)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	var spatial *place.Spatial
-	if parts > 1 {
-		spatial, err = place.NewSpatial(placer, parts, cfg.PartitionWidth)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		placer = spatial
-	}
-	scaler, err := fleet.NewAutoscaler(cfg.Fleet)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	admit, err := fleet.NewAdmission(cfg.Admission)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
+	// The effective fleet size: at least one device, Fleet.Max under the
+	// autoscaler.
+	cfg.Devices = eng.Devices()
 	s := &Server{
 		cfg:        cfg,
 		tracing:    cfg.Sink != nil,
-		placer:     placer,
-		parts:      parts,
-		partCost:   cfg.PartitionCost.OrDefault(),
-		spatial:    spatial,
-		planner:    sched.BatchPlanner{Max: cfg.BatchMax},
-		batchCost:  cfg.BatchCost.OrDefault(),
+		eng:        eng,
+		busyMs:     make([]float64, eng.Lanes()),
 		waiters:    make(map[int]chan outcome),
 		perModel:   make(map[string]*modelAgg),
 		qos:        obs.NewRollingQoS(cfg.Alpha, cfg.QoSWindow),
-		series:     obs.NewTimeSeries(cfg.Alpha, 0, 0, cfg.Devices),
+		series:     obs.NewTimeSeries(cfg.Alpha, 0, 0, eng.Devices()),
 		stopReason: DropStopped,
 		stopCause:  ErrStopped,
-		active:     active,
-		scaler:     scaler,
-		admit:      admit,
-	}
-	if scaler != nil {
-		s.fwin = fleet.NewWindow(0)
-		s.activeIDs = make([]int, 0, cfg.Devices)
-	}
-	// One slot ledger per physical device, shared by its sibling lanes:
-	// the same gpusim bookkeeping the simulator uses, so grant widths
-	// clamp identically in both layers. Unpartitioned the ledgers stay
-	// nil and the serving path is exactly the pre-partition one.
-	var ledgers []*gpusim.Device
-	if parts > 1 {
-		ledgers = make([]*gpusim.Device, cfg.Devices)
-		for i := range ledgers {
-			d := &gpusim.Device{ID: i}
-			d.Attach(0)
-			d.ConfigurePartitions(parts)
-			ledgers[i] = d
-		}
-	}
-	laneWant := 1
-	if parts > 1 && spatial.Width() != place.WidthFixed {
-		laneWant = parts
-	}
-	s.devs = make([]*srvDevice, cfg.Devices*parts)
-	for i := range s.devs {
-		dev, part := i/parts, i%parts
-		dv := &srvDevice{id: dev, part: part, lane: i, want: laneWant,
-			queue: sched.NewQueue(cfg.Alpha), faults: cfg.Faults.ForDevice(dev)}
-		if parts > 1 {
-			dv.ledger = ledgers[dev]
-		}
-		dv.queue.StarveGuardRR = cfg.StarveGuardRR
-		if cfg.Sink != nil {
-			dv.queue.Sink = queueSink{s, dev, part}
-		}
-		s.devs[i] = dv
 	}
 	if cfg.Obs != nil {
-		s.met = newServeMetrics(cfg.Obs, cfg.Catalog, cfg.Devices, parts, s.planner.Enabled(),
-			scaler != nil, admit != nil)
+		s.met = newServeMetrics(cfg.Obs, cfg.Catalog, eng)
 		if s.met.fleetActive != nil {
-			s.met.fleetActive.SetInt(s.active)
+			s.met.fleetActive.SetInt(eng.Active())
 		}
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
 
-// depthLocked is the total number of waiting requests across the fleet.
-// Caller holds s.mu.
-func (s *Server) depthLocked() int {
-	depth := 0
-	for _, dv := range s.devs {
-		depth += dv.queue.Len()
-	}
-	return depth
-}
+// stoppingLocked reports whether the server is past granting work: stopped,
+// or a drain that timed out. Caller holds s.mu.
+func (s *Server) stoppingLocked() bool { return s.closed && !s.draining }
 
-// anyBusyLocked reports whether any device is executing a block. Caller
+// anyBusyLocked reports whether any lane is executing a block. Caller
 // holds s.mu.
 func (s *Server) anyBusyLocked() bool {
-	for _, dv := range s.devs {
-		if dv.busy {
+	for lane := 0; lane < s.eng.Lanes(); lane++ {
+		if s.eng.Inflight(lane) != nil {
 			return true
 		}
 	}
 	return false
 }
 
-// fleetViewLocked snapshots per-lane load for the placer, computed with
-// the exact formula the fleet simulator uses (queued remaining ms plus the
-// in-flight request's uncommitted blocks) so sim and serve make identical
-// placement decisions. Only the active device prefix is visible —
-// placement must never target a draining device. Under spatial sharing
-// Busy is the lane's anchor-slot occupancy, mirroring splitRun.fleetView.
-// Caller holds s.mu.
-func (s *Server) fleetViewLocked() []place.Load {
-	view := make([]place.Load, s.active*s.parts)
-	for i := range view {
-		dv := s.devs[i]
-		busy := dv.busy
-		if s.parts > 1 {
-			busy = dv.ledger.PartitionBusy(dv.part)
-		}
-		view[i] = place.Load{
-			Device:   i,
-			Queued:   dv.queue.Len(),
-			QueuedMs: dv.queue.TotalRemainingMs(),
-			Busy:     busy,
-		}
-		if dv.inflight != nil {
-			view[i].InflightMs = dv.inflight.RemainingMs()
+// shedBacklogLocked sheds every queued request on every lane for the given
+// reason and returns how many it shed. Caller holds s.mu.
+func (s *Server) shedBacklogLocked(now float64, reason string, cause error) int {
+	shed := 0
+	for lane := 0; lane < s.eng.Lanes(); lane++ {
+		for r := s.eng.Unqueue(lane); r != nil; r = s.eng.Unqueue(lane) {
+			s.shedLocked(now, r, reason, cause)
+			shed++
 		}
 	}
-	return view
-}
-
-// admitViewLocked assembles the admission gate's fleet view from the active
-// prefix — the identical quantities splitRun.admitView computes, which is
-// what makes admission decisions parity-comparable. Caller holds s.mu.
-func (s *Server) admitViewLocked() fleet.View {
-	v := fleet.View{ActiveDevices: s.active, ShortestBacklogMs: math.MaxFloat64}
-	for i := 0; i < s.active*s.parts; i++ {
-		dv := s.devs[i]
-		v.QueueDepth += dv.queue.Len()
-		backlog := dv.queue.TotalRemainingMs()
-		if dv.inflight != nil {
-			backlog += dv.inflight.RemainingMs()
-		}
-		if backlog < v.ShortestBacklogMs {
-			v.ShortestBacklogMs = backlog
+	if s.met != nil {
+		s.met.queueDepth.SetInt(0)
+		for _, g := range s.met.deviceDepth {
+			g.SetInt(0)
 		}
 	}
-	return v
+	return shed
 }
 
-// autoscaleLocked runs one throttled controller evaluation and actuates its
-// decision. Like the simulator it piggybacks on arrivals — the enqueue path
-// is the only caller — so a fleet with no traffic holds its size, and the
-// evaluation at the next arrival observes the idle stretch through the
-// controller's persistence clocks. Caller holds s.mu.
-func (s *Server) autoscaleLocked(now float64) {
-	if s.scaler == nil || !s.scaler.Due(now) {
+// depthChangedLocked refreshes the queue-depth gauges after one of dev's
+// queues changed: the fleet-wide gauge, and on fleets the per-device one
+// (summing the device's partition lanes when spatially shared). Caller
+// holds s.mu.
+func (s *Server) depthChangedLocked(dev int) {
+	if s.met == nil {
 		return
 	}
-	depth, inflight := 0, 0
-	for i := 0; i < s.active*s.parts; i++ {
-		depth += s.devs[i].queue.Len()
-		if s.devs[i].inflight != nil {
-			inflight++
-		}
+	s.met.queueDepth.SetInt(s.eng.Depth())
+	if len(s.met.deviceDepth) > 0 {
+		s.met.deviceDepth[dev].SetInt(s.eng.DeviceDepth(dev))
 	}
-	switch s.scaler.Evaluate(fleet.Signals{
-		NowMs: now, Active: s.active, QueueDepth: depth,
-		Inflight: inflight, ViolRate: s.fwin.Rate(),
-	}) {
-	case fleet.ScaleOut:
-		s.active++
-		s.resizePlacerLocked()
-		if s.met != nil && s.met.fleetActive != nil {
-			s.met.fleetActive.SetInt(s.active)
-			s.met.scaleOuts.Inc()
-		}
-		s.emit(trace.Event{AtMs: now, Kind: trace.ScaleOut, ReqID: -1,
-			Device: s.active - 1, Detail: fmt.Sprintf("active=%d depth=%d", s.active, depth)})
-	case fleet.ScaleIn:
-		s.active--
-		s.resizePlacerLocked()
-		dv := s.devs[s.active*s.parts] // first lane of the draining device
-		drain := 0
-		for p := 0; p < s.parts; p++ {
-			drain += s.devs[s.active*s.parts+p].queue.Len()
-		}
-		if s.met != nil && s.met.fleetActive != nil {
-			s.met.fleetActive.SetInt(s.active)
-			s.met.scaleIns.Inc()
-		}
-		// Drain-then-release: the device's executors keep draining their
-		// queues and then idle; placement simply never targets them again.
-		s.emit(trace.Event{AtMs: now, Kind: trace.ScaleIn, ReqID: -1,
-			Device: dv.id, Detail: fmt.Sprintf("active=%d drain=%d", s.active, drain)})
-	}
-}
-
-// resizePlacerLocked rebuilds the active-ID list and notifies the placement
-// policy so stateful placers (affinity homes) cannot reference a draining
-// device. Caller holds s.mu.
-func (s *Server) resizePlacerLocked() {
-	s.activeIDs = s.activeIDs[:0]
-	for i := 0; i < s.active; i++ {
-		s.activeIDs = append(s.activeIDs, i)
-	}
-	s.placer.Resize(s.activeIDs)
 }
 
 // dropsHelp is the split_drops_total help text; the family covers both
@@ -724,7 +373,8 @@ type serveMetrics struct {
 	partWidth  []*obs.Gauge
 }
 
-func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, devices, parts int, batching, elastic, admission bool) *serveMetrics {
+func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engine) *serveMetrics {
+	devices, parts := eng.Devices(), eng.Parts()
 	m := &serveMetrics{
 		reg:         reg,
 		requests:    make(map[string]*obs.Counter, len(catalog)),
@@ -763,17 +413,17 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, devices, parts i
 				reg.Counter(obs.MetricDeviceDrops, "post-enqueue sheds per fleet device", "device", d))
 		}
 	}
-	if batching {
+	if eng.Batching() {
 		m.batchedBlocks = reg.Counter(obs.MetricBatchedBlocks, "device grants that executed a same-type micro-batch (size > 1)")
 		m.batchSize = reg.Histogram(obs.MetricBatchSize, "members per batched device grant",
 			[]float64{1, 2, 3, 4, 6, 8, 12, 16})
 	}
-	if elastic {
+	if eng.Elastic() {
 		m.fleetActive = reg.Gauge(obs.MetricFleetActive, "devices in the actively placed fleet prefix")
 		m.scaleOuts = reg.Counter(obs.MetricAutoscaleEvents, "autoscaler actuations, by direction", "direction", "out")
 		m.scaleIns = reg.Counter(obs.MetricAutoscaleEvents, "autoscaler actuations, by direction", "direction", "in")
 	}
-	if admission {
+	if eng.Gated() {
 		m.admitted = reg.Counter(obs.MetricAdmittedTotal, "requests admitted through the front-door gate")
 		m.drops[DropAdmission] = reg.Counter(obs.MetricDropsTotal, dropsHelp, "reason", DropAdmission)
 	}
@@ -791,22 +441,6 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, devices, parts i
 		}
 	}
 	return m
-}
-
-// setDeviceDepth refreshes the per-device depth gauge on fleets, summing
-// the device's partition lanes when spatially shared. Caller holds s.mu.
-func (s *Server) setDeviceDepth(dv *srvDevice) {
-	if s.met == nil || len(s.met.deviceDepth) == 0 {
-		return
-	}
-	depth := dv.queue.Len()
-	if s.parts > 1 {
-		depth = 0
-		for p := 0; p < s.parts; p++ {
-			depth += s.devs[dv.id*s.parts+p].queue.Len()
-		}
-	}
-	s.met.deviceDepth[dv.id].SetInt(depth)
 }
 
 // dropCounter returns the drops counter for reason, registering reasons
@@ -828,22 +462,6 @@ func (s *Server) emit(e trace.Event) {
 	if s.cfg.Sink != nil {
 		s.pending = append(s.pending, e)
 	}
-}
-
-// queueSink adapts a device queue's event stream (enqueue positions,
-// explain details) into the server's pending buffer, stamping the owning
-// device: the queues are only ever mutated with s.mu held, so their
-// emissions must be buffered too.
-type queueSink struct {
-	s    *Server
-	dev  int
-	part int
-}
-
-func (qs queueSink) Emit(e trace.Event) {
-	e.Device = qs.dev
-	e.Part = qs.part
-	qs.s.pending = append(qs.s.pending, e)
 }
 
 // takeOut hands the buffered events and waiter deliveries to the caller
@@ -898,11 +516,6 @@ func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string, caus
 	}
 	s.qos.Observe(rec)
 	s.series.ObserveOutcome(rec)
-	if s.fwin != nil {
-		// A shed request violated its target by definition — the same
-		// predicate splitRun.record feeds the sim-side window.
-		s.fwin.Observe(true)
-	}
 	if s.met != nil {
 		//lint:ignore hotalloc steady-state reasons hit the cached map; Registry.Counter runs once per never-seen reason
 		s.met.dropCounter(reason).Inc()
@@ -960,11 +573,11 @@ func (s *Server) Start(l net.Listener) error {
 	}
 	s.start = time.Now()
 	s.listener = l
-	s.running = len(s.devs)
-	s.wg.Add(1 + len(s.devs))
+	s.running = s.eng.Lanes()
+	s.wg.Add(1 + s.running)
 	go s.acceptLoop()
-	for _, dv := range s.devs {
-		go s.executor(dv)
+	for lane := 0; lane < s.running; lane++ {
+		go s.executor(lane)
 	}
 	return nil
 }
@@ -995,20 +608,7 @@ func (s *Server) Stop() {
 	if s.listener != nil {
 		s.listener.Close()
 	}
-	now := s.nowMs()
-	for _, dv := range s.devs {
-		for {
-			r := dv.queue.PopFront()
-			if r == nil {
-				break
-			}
-			s.shedLocked(now, r, DropStopped, ErrStopped)
-		}
-		s.setDeviceDepth(dv)
-	}
-	if s.met != nil {
-		s.met.queueDepth.SetInt(0)
-	}
+	s.shedBacklogLocked(s.nowMs(), DropStopped, ErrStopped)
 	s.cond.Broadcast()
 	evs, dels := s.takeOut()
 	s.mu.Unlock()
@@ -1035,7 +635,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 		s.listener.Close()
 	}
 	s.emit(trace.Event{AtMs: s.nowMs(), Kind: trace.DrainStart, ReqID: -1,
-		Detail: fmt.Sprintf("depth=%d timeout=%s", s.depthLocked(), timeout)})
+		Detail: fmt.Sprintf("depth=%d timeout=%s", s.eng.Depth(), timeout)})
 	s.cond.Broadcast()
 	evs, dels := s.takeOut()
 	s.mu.Unlock()
@@ -1060,20 +660,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 		s.draining = false
 		s.stopReason, s.stopCause = DropDrained, ErrDrained
 		now := s.nowMs()
-		for _, dv := range s.devs {
-			for {
-				r := dv.queue.PopFront()
-				if r == nil {
-					break
-				}
-				s.shedLocked(now, r, DropDrained, ErrDrained)
-				shed++
-			}
-			s.setDeviceDepth(dv)
-		}
-		if s.met != nil {
-			s.met.queueDepth.SetInt(0)
-		}
+		shed = s.shedBacklogLocked(now, DropDrained, ErrDrained)
 		s.emit(trace.Event{AtMs: now, Kind: trace.DrainEnd, ReqID: -1,
 			Detail: fmt.Sprintf("timeout, shed=%d", shed)})
 		s.cond.Broadcast()
@@ -1116,42 +703,38 @@ func (s *Server) cancel(id int, why string) CancelState {
 	return state
 }
 
-// cancelLocked is the body of cancel: it searches every device's queue,
-// then every device's in-flight slot. Caller holds s.mu.
+// cancelStates maps the engine's cancellation verdicts onto the RPC
+// surface's strings.
+var cancelStates = [...]CancelState{
+	engine.CancelUnknown:  CancelUnknown,
+	engine.CancelQueued:   CancelQueued,
+	engine.CancelInflight: CancelInflight,
+}
+
+// cancelLocked is the body of cancel. Caller holds s.mu.
 func (s *Server) cancelLocked(id int, why string) CancelState {
 	now := s.nowMs()
-	for _, dv := range s.devs {
-		if r := dv.queue.Remove(id); r != nil {
-			r.Canceled = true
-			s.emit(trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: id, Model: r.Model,
-				Block: r.Next, Device: r.Device, Part: r.Partition, Detail: "queued: " + why})
-			s.shedLocked(now, r, DropCanceled, ErrCanceled)
-			if s.met != nil {
-				s.met.queueDepth.SetInt(s.depthLocked())
-			}
-			s.setDeviceDepth(dv)
-			if s.cfg.ArrivalRecorder != nil {
-				s.cfg.ArrivalRecorder.ObserveCancel(id, now)
-			}
-			return CancelQueued
-		}
+	c := s.eng.Cancel(now, id)
+	if !c.Marked {
+		// Unknown, or an in-flight request that was already canceled.
+		return cancelStates[c.State]
 	}
-	for _, dv := range s.devs {
+	r := c.Req
+	if c.State == engine.CancelQueued {
+		s.emit(trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: id, Model: r.Model,
+			Block: r.Next, Device: r.Device, Part: r.Partition, Detail: "queued: " + why})
+		s.shedLocked(now, r, DropCanceled, ErrCanceled)
+		s.depthChangedLocked(r.Device)
+	} else {
 		// The grant holder may be a scalar in-flight request or any member
 		// of the current micro-batch; either way it sheds at the boundary.
-		if m := dv.executing(id); m != nil {
-			if !m.Canceled {
-				m.Canceled = true
-				s.emit(trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: id, Model: m.Model,
-					Block: m.Next, Device: dv.id, Part: dv.part, Detail: "inflight: " + why})
-				if s.cfg.ArrivalRecorder != nil {
-					s.cfg.ArrivalRecorder.ObserveCancel(id, now)
-				}
-			}
-			return CancelInflight
-		}
+		s.emit(trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: id, Model: r.Model,
+			Block: r.Next, Device: r.Device, Part: r.Partition, Detail: "inflight: " + why})
 	}
-	return CancelUnknown
+	if s.cfg.ArrivalRecorder != nil {
+		s.cfg.ArrivalRecorder.ObserveCancel(id, now)
+	}
+	return cancelStates[c.State]
 }
 
 func (s *Server) acceptLoop() {
@@ -1179,32 +762,43 @@ func (s *Server) serveConn(conn net.Conn) {
 	resp.cancelOrphans()
 }
 
-// executor is one device's token scheduler + assigner: it repeatedly
-// grants the device token to its queue head and executes that request's
-// next block, shedding doomed work at every block boundary. A fleet runs
-// one executor per device, all sharing s.mu and the condition variable.
-// All lock transitions stay in this function so the buffered events and
-// outcomes are always flushed with s.mu released.
+// executor is one lane's wall clock: it asks the engine for the lane's next
+// grant, sleeps out the hold with s.mu released, and hands the boundary
+// back to the engine to settle. A fleet runs one executor per lane, all
+// sharing s.mu and the condition variable. All lock transitions stay in
+// this function so the buffered events and outcomes are always flushed
+// with s.mu released.
 //
 //lint:hotpath the executor loop is the serving-path grant loop: one iteration per device hold
-func (s *Server) executor(dv *srvDevice) {
+func (s *Server) executor(lane int) {
 	defer s.wg.Done()
+	dev, part := place.LaneDevice(lane, s.eng.Parts())
 	// Label the executor goroutine so CPU/goroutine profiles from
 	// /debug/pprof split by device; per-block model/phase labels are applied
 	// around the device hold below.
 	idleCtx := pprof.WithLabels(context.Background(),
-		pprof.Labels("subsystem", "executor", "device", strconv.Itoa(dv.id)))
+		pprof.Labels("subsystem", "executor", "device", strconv.Itoa(dev)))
 	pprof.SetGoroutineLabels(idleCtx)
 	defer pprof.SetGoroutineLabels(context.Background())
 	s.mu.Lock()
 	for {
-		r := s.pickLocked(dv)
-		if r == nil {
-			// pickLocked returns nil for an empty queue OR a covered anchor
-			// slot; a draining lane that still holds work is the latter and
-			// must wait for the sibling's release, not exit.
-			if s.closed && (!s.draining || dv.queue.Len() == 0) {
-				// Stopped, or draining with this device's backlog empty:
+		now := s.nowMs()
+		var g engine.Grant
+		if !s.stoppingLocked() {
+			g = s.eng.Grant(lane, now)
+			if len(g.Shed) > 0 {
+				for _, r := range g.Shed {
+					s.shedLocked(now, r, DropDeadline, ErrDeadlineExceeded)
+				}
+				s.depthChangedLocked(dev)
+			}
+		}
+		if !g.OK {
+			// No grant means an empty queue OR a covered anchor slot; a
+			// draining lane that still holds work is the latter and must
+			// wait for the sibling's release, not exit.
+			if s.closed && (!s.draining || s.eng.Queue(lane).Len() == 0) {
+				// Stopped, or draining with this lane's backlog empty:
 				// exit. The last executor out of a drain owns the clean
 				// DrainEnd — earlier exits would end the drain while other
 				// devices still hold work.
@@ -1232,73 +826,25 @@ func (s *Server) executor(dv *srvDevice) {
 			continue
 		}
 
-		// Execute r's next block on the (simulated) device, retrying
-		// injected transient failures within the fault budget. When
-		// micro-batching is on and r leads a same-type run at this block
-		// boundary, the grant coalesces up to BatchMax members that all
-		// advance the same block in one hold (batchCost prices it); with
-		// batching off the loop below is exactly the scalar path.
-		now := s.nowMs()
-		batch := s.planner.FormInto(dv.scratch[:0], dv.queue, r, now)
-		dv.scratch = batch
-		n := len(batch)
-		batchID := 0
-		if n > 1 {
-			s.nextBatchID++
-			batchID = s.nextBatchID
-		}
-		block := r.Next
-		dur := r.BlockTimes[block]
-		runBase := dur
-		if n > 1 {
-			runBase = s.batchCost.BlockMs(dur, n)
-		}
-		// Under spatial sharing the hold takes a slot span from the shared
-		// ledger — the identical clamping the simulator applies — and the
-		// block stretches by the efficiency curve at the granted fraction.
-		// frac stays exactly 1 unpartitioned, leaving runBase untouched.
-		frac := 1.0
-		if s.parts > 1 {
-			if n > 1 {
-				frac = dv.ledger.AcquirePartitionBatch(now, dv.part, dv.want, n)
-			} else {
-				frac = dv.ledger.AcquirePartition(now, dv.part, dv.want)
-			}
-			runBase = s.partCost.BlockMs(runBase, frac)
-		}
-		for _, m := range batch {
-			if m.StartMs < 0 {
-				m.StartMs = now
-			}
-			m.Next++
-		}
-		dv.busy = true
-		dv.inflight = r
-		if n > 1 {
-			dv.batch = batch
-		}
+		// The engine granted block g.Block to g.Batch — a batch of one
+		// unless micro-batching coalesced same-type neighbors — for
+		// g.HoldMs of device time.
+		lead := g.Batch[0]
 		blockStartMs := now
-		if s.met != nil {
-			s.met.queueDepth.SetInt(s.depthLocked())
-			if n > 1 && s.met.batchedBlocks != nil {
-				s.met.batchedBlocks.Inc()
-				s.met.batchSize.Observe(float64(n))
-			}
+		if s.met != nil && g.BatchID != 0 && s.met.batchedBlocks != nil {
+			s.met.batchedBlocks.Inc()
+			s.met.batchSize.Observe(float64(len(g.Batch)))
 		}
-		s.setDeviceDepth(dv)
-		for _, m := range batch {
-			s.emit(trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID, Model: m.Model, Block: block,
-				Device: dv.id, Part: dv.part, Batch: batchID})
+		s.depthChangedLocked(dev)
+		for _, m := range g.Batch {
+			s.emit(trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID, Model: m.Model, Block: g.Block,
+				Device: dev, Part: part, Batch: g.BatchID})
 		}
-		blockOK := false
-		for attempt := 0; ; {
-			// Fault draws key on the leader, matching the fleet simulator:
-			// a batch of one replays the scalar fault schedule exactly.
-			fault := dv.faults.Draw(r.ID, block, attempt)
-			runMs := runBase * fault.SpikeFactor
-			if fault.SpikeFactor > 1 && s.tracing {
-				s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: r.ID, Model: r.Model, Block: block,
-					Device: dv.id, Detail: fmt.Sprintf("spike x%.2f attempt=%d", fault.SpikeFactor, attempt)})
+		var st engine.Settlement
+		for {
+			if g.Spike > 1 && s.tracing {
+				s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.Model, Block: g.Block,
+					Device: dev, Detail: fmt.Sprintf("spike x%.2f attempt=%d", g.Spike, g.Attempt)})
 			}
 			evs, dels := s.takeOut()
 			s.mu.Unlock()
@@ -1306,70 +852,53 @@ func (s *Server) executor(dv *srvDevice) {
 			// The device hold is the executor's hot phase: label it with the
 			// model and block so profiles attribute occupancy causally.
 			pprof.SetGoroutineLabels(pprof.WithLabels(idleCtx,
-				pprof.Labels("phase", "exec", "model", r.Model, "block", strconv.Itoa(block))))
-			time.Sleep(time.Duration(runMs * s.cfg.TimeScale * float64(time.Millisecond)))
+				pprof.Labels("phase", "exec", "model", lead.Model, "block", strconv.Itoa(g.Block))))
+			time.Sleep(time.Duration(g.HoldMs * s.cfg.TimeScale * float64(time.Millisecond)))
 			pprof.SetGoroutineLabels(idleCtx)
 			s.mu.Lock()
 			now = s.nowMs()
-			if !fault.Fail {
-				blockOK = true
-				break
-			}
-			if dv.faults.Exhausted(attempt) {
-				if s.tracing {
-					s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: r.ID, Model: r.Model, Block: block,
-						Device: dv.id, Detail: fmt.Sprintf("terminal after %d attempts", attempt+1)})
-				}
-				break
-			}
-			// Re-check the request's fate before spending more device time
-			// on it: an attempt boundary is a block boundary for lifecycle
-			// purposes, and settleLocked sheds for the right reason. Batched
-			// grants don't abandon mid-retry — one member's cancellation or
-			// expiry must not discard its batch-mates' attempt; their fates
-			// settle individually at the boundary.
-			if n == 1 && (r.Canceled || (s.closed && !s.draining) || r.Expired(now)) {
+			if st = s.eng.Settle(lane, now, s.stoppingLocked()); !st.Retry {
 				break
 			}
 			if s.met != nil {
 				s.met.retries.Inc()
 			}
 			if s.tracing {
-				s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: r.ID, Model: r.Model, Block: block,
-					Device: dv.id, Detail: fmt.Sprintf("transient attempt=%d, retrying", attempt)})
+				s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.Model, Block: g.Block,
+					Device: dev, Detail: fmt.Sprintf("transient attempt=%d, retrying", g.Attempt)})
 			}
-			attempt++
+			g.Attempt, g.HoldMs, g.Spike = st.Attempt, st.HoldMs, st.Spike
 		}
-		dv.busy = false
-		dv.inflight = nil
-		dv.batch = nil
-		if s.parts > 1 {
-			dv.ledger.ReleasePartition(now, dv.part)
-			// Sibling lanes may have been waiting for covered anchor slots.
+		if st.Terminal && s.tracing {
+			s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.Model, Block: g.Block,
+				Device: dev, Detail: fmt.Sprintf("terminal after %d attempts", st.Attempt+1)})
+		}
+		if len(st.Wake) > 0 {
+			// Sibling lanes were waiting for anchor slots this release
+			// uncovered.
 			s.cond.Broadcast()
 		}
 		// Busy-ms pro-rates by the occupied fraction so per-device sums stay
-		// comparable between temporal and spatial runs (frac is 1 unpartitioned).
-		dv.busyMsTotal += (now - blockStartMs) * frac
+		// comparable between temporal and spatial runs (Frac is 1 unpartitioned).
+		busyMs := (now - blockStartMs) * g.Frac
+		s.busyMs[lane] += busyMs
 		//lint:ignore hotalloc lazy per-window busy buckets: one make per elapsed time window, not per hold
-		s.series.ObserveBusyFrac(dv.id, blockStartMs, now, frac)
+		s.series.ObserveBusyFrac(dev, blockStartMs, now, g.Frac)
 		if s.met != nil && len(s.met.deviceBusyMs) > 0 {
-			s.met.deviceBusyMs[dv.id].Add((now - blockStartMs) * frac)
-			s.met.deviceBlocks[dv.id].Inc()
+			s.met.deviceBusyMs[dev].Add(busyMs)
+			s.met.deviceBlocks[dev].Inc()
 		}
 		if s.met != nil && len(s.met.partBusyMs) > 0 {
-			s.met.partBusyMs[dv.lane].Add((now - blockStartMs) * frac)
-			s.met.partBlocks[dv.lane].Inc()
-			s.met.partWidth[dv.lane].SetInt(int(frac*float64(s.parts) + 0.5))
+			s.met.partBusyMs[lane].Add(busyMs)
+			s.met.partBlocks[lane].Inc()
+			s.met.partWidth[lane].SetInt(int(g.Frac*float64(s.eng.Parts()) + 0.5))
 		}
-		for _, m := range batch {
-			s.emit(trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID, Model: m.Model, Block: block,
-				Device: dv.id, Part: dv.part, Batch: batchID})
+		for _, m := range g.Batch {
+			s.emit(trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID, Model: m.Model, Block: g.Block,
+				Device: dev, Part: part, Batch: g.BatchID})
 		}
-		// Settle in grant (FIFO) order so completions and re-inserts keep
-		// the arrival order the batch was formed under.
-		for _, m := range batch {
-			s.settleLocked(now, dv, m, blockOK)
+		for _, f := range st.Fates {
+			s.fateLocked(now, f)
 		}
 		evs, dels := s.takeOut()
 		s.mu.Unlock()
@@ -1378,48 +907,17 @@ func (s *Server) executor(dv *srvDevice) {
 	}
 }
 
-// pickLocked sweeps doomed queued requests on one device — so an expired
-// request never takes its token — and pops the device's next runnable one.
-// It returns nil when the device's queue is empty or the server is past
-// accepting work; the executor decides between idling and exiting. Caller
-// holds s.mu.
+// fateLocked reports one grant member's boundary outcome, as the engine
+// decided it: deliver the completion, shed with the typed cause, or account
+// the re-insertion. Caller holds s.mu.
 //
-//lint:hotpath every device grant starts with the boundary sweep and pop
-func (s *Server) pickLocked(dv *srvDevice) *sched.Request {
-	// A lane whose anchor slot is covered by a sibling's wide hold must
-	// wait for that hold's release (which broadcasts) — popping now would
-	// panic the ledger's exclusivity invariant.
-	if s.parts > 1 && dv.ledger.PartitionBusy(dv.part) {
-		return nil
-	}
-	now := s.nowMs()
-	//lint:ignore hotalloc SweepExpired allocates only when something actually expired — the shed path, not the steady grant loop
-	if shed := dv.queue.SweepExpired(now, s.cfg.PredictiveShed); len(shed) > 0 {
-		for _, r := range shed {
-			s.shedLocked(now, r, DropDeadline, ErrDeadlineExceeded)
-		}
-		if s.met != nil {
-			s.met.queueDepth.SetInt(s.depthLocked())
-		}
-		s.setDeviceDepth(dv)
-	}
-	if s.closed && !s.draining {
-		return nil
-	}
-	return dv.queue.PopFront()
-}
-
-// settleLocked decides a request's fate at its block boundary: deliver the
-// completion, shed it (cancel, shutdown, deadline, device fault), or
-// re-insert it into its device's queue. Caller holds s.mu.
-//
-//lint:hotpath every granted block settles here at its boundary
-func (s *Server) settleLocked(nowMs float64, dv *srvDevice, r *sched.Request, blockOK bool) {
-	switch {
-	case blockOK && r.Finished():
+//lint:hotpath every granted block's members are reported here at the boundary
+func (s *Server) fateLocked(nowMs float64, f engine.Fate) {
+	r := f.Req
+	switch f.Kind {
+	case engine.Served:
 		// Work is done — deliver even if the request was canceled or the
 		// server is stopping: the client paid for the answer.
-		r.DoneMs = nowMs
 		s.served++
 		agg := s.perModel[r.Model]
 		if agg == nil {
@@ -1444,29 +942,27 @@ func (s *Server) settleLocked(nowMs float64, dv *srvDevice, r *sched.Request, bl
 				Device: r.Device, Detail: fmt.Sprintf("rr=%.3f preempts=%d", rr, r.Preemptions)})
 		}
 		s.resolveLocked(r.ID, outcome{req: r})
-	case r.Canceled:
-		s.shedLocked(nowMs, r, DropCanceled, ErrCanceled)
-	case s.closed && !s.draining:
+	case engine.Shed:
+		// The engine speaks the shared trace.Reason* vocabulary, which is
+		// also the wire-code vocabulary.
+		s.shedLocked(nowMs, r, f.Reason, codeToErr[f.Reason])
+	case engine.Stopped:
 		s.shedLocked(nowMs, r, s.stopReason, s.stopCause)
-	case r.Expired(nowMs):
-		s.shedLocked(nowMs, r, DropDeadline, ErrDeadlineExceeded)
-	case !blockOK:
-		s.shedLocked(nowMs, r, DropDeviceFault, ErrDeviceFault)
-	default:
-		if pos := dv.queue.InsertGreedy(nowMs, r); pos > 0 {
-			r.Preemptions++
+	case engine.Requeued:
+		if s.tracing {
+			s.emit(trace.Event{AtMs: nowMs, Kind: trace.Enqueue, ReqID: r.ID, Model: r.Model, Block: r.Next,
+				Device: r.Device, Part: r.Partition, Detail: fmt.Sprintf("pos=%d depth=%d", f.Pos, f.Depth)})
+		}
+		if f.Pos > 0 {
 			if s.met != nil {
 				s.met.preemptions.Inc()
 			}
 			if s.tracing {
 				s.emit(trace.Event{AtMs: nowMs, Kind: trace.Preempt, ReqID: r.ID, Model: r.Model,
-					Block: r.Next, Device: r.Device, Detail: fmt.Sprintf("pos=%d", pos)})
+					Block: r.Next, Device: r.Device, Detail: fmt.Sprintf("pos=%d", f.Pos)})
 			}
 		}
-		if s.met != nil {
-			s.met.queueDepth.SetInt(s.depthLocked())
-		}
-		s.setDeviceDepth(dv)
+		s.depthChangedLocked(r.Device)
 	}
 }
 
@@ -1481,13 +977,6 @@ func (s *Server) observeCompletion(r *sched.Request, rr float64) {
 	}
 	s.qos.Observe(rec)
 	s.series.ObserveOutcome(rec)
-	if s.fwin != nil {
-		alpha := s.cfg.Alpha
-		if r.AlphaOverride > 0 {
-			alpha = r.AlphaOverride
-		}
-		s.fwin.Observe(rr > alpha)
-	}
 	if s.met == nil {
 		return
 	}
@@ -1514,7 +1003,9 @@ func (s *Server) enqueue(modelName string, deadlineMs float64) (int, chan outcom
 	return id, ch, err
 }
 
-// enqueueLocked is the body of enqueue. Caller holds s.mu.
+// enqueueLocked is the body of enqueue: the serve-only rejections, then the
+// engine's front door, then the metrics, events and waiter that describe
+// what the engine decided. Caller holds s.mu.
 func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan outcome, error) {
 	now := s.nowMs()
 	if s.start.IsZero() {
@@ -1530,103 +1021,90 @@ func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan 
 		s.drop(now, modelName, DropUnknownModel)
 		return 0, nil, fmt.Errorf("%w: %q", ErrUnknownModel, modelName)
 	}
-	// Front door, in the simulator's exact decision order: admission gate,
-	// then the throttled autoscale evaluation, then placement — any other
-	// interleaving would let the two layers' decisions diverge under the
-	// same schedule (splitRun.arrive is the mirror).
-	if s.admit != nil {
-		if ok, detail := s.admit.Admit(now, info.ExtMs, s.cfg.Alpha, s.admitViewLocked()); !ok {
-			s.dropped++
-			if s.met != nil {
-				s.met.dropCounter(DropAdmission).Inc()
-			}
-			s.emit(trace.Event{AtMs: now, Kind: trace.Drop, ReqID: -1, Model: modelName,
-				Detail: DropAdmission + ": " + detail})
-			s.autoscaleLocked(now)
-			return 0, nil, fmt.Errorf("%w (%s: %s)", ErrAdmissionRejected, modelName, detail)
-		}
-		if s.met != nil && s.met.admitted != nil {
-			s.met.admitted.Inc()
+	if s.cfg.MaxQueue > 0 {
+		if depth := s.eng.Depth(); depth >= s.cfg.MaxQueue {
+			s.drop(now, modelName, DropQueueFull)
+			return 0, nil, fmt.Errorf("%w: %d waiting", ErrQueueFull, depth)
 		}
 	}
-	s.autoscaleLocked(now)
-	if depth := s.depthLocked(); s.cfg.MaxQueue > 0 && depth >= s.cfg.MaxQueue {
-		s.drop(now, modelName, DropQueueFull)
-		return 0, nil, fmt.Errorf("%w: %d waiting", ErrQueueFull, depth)
-	}
-	id := s.nextID
-	s.nextID++
 	plan := s.cfg.Catalog.BlocksFor(modelName)
-	planned := 0.0
-	for _, b := range plan {
-		planned += b
-	}
-	view := s.fleetViewLocked()
-	preq := place.Request{ID: id, Model: modelName, ExtMs: info.ExtMs, PlannedMs: planned}
-	var devID, lane int
-	if s.spatial != nil {
-		dec := s.spatial.Decide(preq, view)
-		devID, lane = dec.Device, place.LaneOf(dec.Device, dec.Partition, s.parts)
-	} else {
-		devID = s.placer.Place(preq, view)
-		lane = devID
-	}
-	if lane < 0 || lane >= len(view) {
-		devID, lane = 0, 0
-	}
-	dv := s.devs[lane]
-	if len(s.devs) > 1 && s.tracing {
-		s.emit(trace.Event{AtMs: now, Kind: trace.Place, ReqID: id, Model: modelName,
-			Device: devID, Part: dv.part, Detail: fmt.Sprintf("policy=%s depth=%d", s.placer.Name(), view[lane].Queued)})
-	}
-	blocks := plan
-	if len(blocks) > 1 {
-		// The §3.3 same-type run the arrival would join includes the
-		// request occupying the placed device, not just its queued
-		// neighbors (sched.Elastic.ShouldSplitWith).
-		split := s.cfg.Elastic.ShouldSplitWith(dv.queue, modelName, dv.inflight)
-		if !split {
-			blocks = []float64{info.ExtMs}
+	d := s.eng.Arrive(now, engine.Job{ID: s.nextID, Model: modelName, Class: info.Class,
+		ExtMs: info.ExtMs, Plan: plan, DeadlineMs: deadlineMs})
+	if d.Rejected {
+		s.dropped++
+		if s.met != nil {
+			s.met.dropCounter(DropAdmission).Inc()
 		}
-		s.setElastic(now, !split)
+		s.emit(trace.Event{AtMs: now, Kind: trace.Drop, ReqID: -1, Model: modelName,
+			Detail: DropAdmission + ": " + d.Detail})
+	} else if s.met != nil && s.met.admitted != nil {
+		s.met.admitted.Inc()
 	}
-	r := sched.NewRequest(id, modelName, info.Class, now, info.ExtMs, blocks)
-	r.Device = devID
-	r.Partition = dv.part
-	if alpha, ok := s.cfg.AlphaByClass[info.Class]; ok {
-		r.AlphaOverride = alpha
+	if d.Scale.Dir != fleet.Hold {
+		s.scaledLocked(now, d.Scale)
 	}
-	if deadlineMs > 0 {
-		r.DeadlineMs = now + deadlineMs
-	} else if s.cfg.EnforceDeadlines {
-		r.SetDeadline(s.cfg.Alpha)
+	if d.Rejected {
+		return 0, nil, fmt.Errorf("%w (%s: %s)", ErrAdmissionRejected, modelName, d.Detail)
+	}
+	r := d.Req
+	id := r.ID
+	s.nextID++
+	depth := s.eng.Depth()
+	if s.tracing && s.eng.Lanes() > 1 {
+		s.emit(trace.Event{AtMs: now, Kind: trace.Place, ReqID: id, Model: modelName, Device: r.Device, Part: r.Partition,
+			Detail: fmt.Sprintf("policy=%s depth=%d", s.eng.PlacerName(), d.QueueLen)})
+	}
+	if len(plan) > 1 {
+		s.setElastic(now, len(r.BlockTimes) == 1, depth-1)
 	}
 	if s.met != nil {
 		s.met.requests[modelName].Inc()
 	}
-	s.emit(trace.Event{AtMs: now, Kind: trace.Arrive, ReqID: id, Model: modelName,
-		Device: devID, Part: dv.part, Detail: fmt.Sprintf("blocks=%d", len(blocks))})
-	dv.queue.InsertGreedy(now, r)
-	s.series.ObserveArrival(now)
-	s.series.ObserveDepth(now, s.depthLocked())
-	if s.met != nil {
-		s.met.queueDepth.SetInt(s.depthLocked())
+	if s.tracing {
+		s.emit(trace.Event{AtMs: now, Kind: trace.Arrive, ReqID: id, Model: modelName,
+			Device: r.Device, Part: r.Partition, Detail: fmt.Sprintf("blocks=%d", len(r.BlockTimes))})
+		s.emit(trace.Event{AtMs: now, Kind: trace.Enqueue, ReqID: id, Model: modelName,
+			Device: r.Device, Part: r.Partition, Detail: fmt.Sprintf("pos=%d depth=%d", d.Pos, d.QueueLen+1)})
 	}
-	s.setDeviceDepth(dv)
+	s.series.ObserveArrival(now)
+	s.series.ObserveDepth(now, depth)
+	s.depthChangedLocked(r.Device)
 	ch := make(chan outcome, 1)
 	s.waiters[id] = ch
 	if s.cfg.ArrivalRecorder != nil {
 		s.cfg.ArrivalRecorder.Observe(id, modelName, now, deadlineMs)
 	}
-	// Broadcast, not Signal: only the placed device's executor can run this
+	// Broadcast, not Signal: only the placed lane's executor can run this
 	// request, and Signal could wake a different one.
 	s.cond.Broadcast()
 	return id, ch, nil
 }
 
+// scaledLocked reports one autoscaler actuation: the gauge, the direction
+// counter, and the ScaleOut/ScaleIn event. Caller holds s.mu.
+func (s *Server) scaledLocked(now float64, sc engine.Scale) {
+	kind, signal := trace.ScaleOut, "depth"
+	if sc.Dir == fleet.ScaleIn {
+		// Drain-then-release: the device's executors keep draining their
+		// queues and then idle; placement simply never targets them again.
+		kind, signal = trace.ScaleIn, "drain"
+	}
+	if s.met != nil && s.met.fleetActive != nil {
+		s.met.fleetActive.SetInt(sc.Active)
+		if sc.Dir == fleet.ScaleIn {
+			s.met.scaleIns.Inc()
+		} else {
+			s.met.scaleOuts.Inc()
+		}
+	}
+	s.emit(trace.Event{AtMs: now, Kind: kind, ReqID: -1, Device: sc.Device,
+		Detail: fmt.Sprintf("active=%d %s=%d", sc.Active, signal, sc.Depth)})
+}
+
 // setElastic tracks §3.3 elastic-mode transitions for the gauge and the
-// event stream. Caller holds s.mu.
-func (s *Server) setElastic(nowMs float64, suppressed bool) {
+// event stream; depth is the fleet-wide queue depth the decision was made
+// at. Caller holds s.mu.
+func (s *Server) setElastic(nowMs float64, suppressed bool, depth int) {
 	if s.met != nil {
 		if suppressed {
 			s.met.elastic.Set(1)
@@ -1643,7 +1121,7 @@ func (s *Server) setElastic(nowMs float64, suppressed bool) {
 		kind = trace.ElasticOn
 	}
 	s.emit(trace.Event{AtMs: nowMs, Kind: kind, ReqID: -1,
-		Detail: fmt.Sprintf("depth=%d", s.depthLocked())})
+		Detail: fmt.Sprintf("depth=%d", depth)})
 }
 
 // QueuedRequest is one waiting request in a QueueSnapshot.
@@ -1711,19 +1189,20 @@ type QueueSnapshot struct {
 func (s *Server) QueueSnapshot() QueueSnapshot {
 	s.mu.Lock()
 	now := s.nowMs()
+	depth := s.eng.Depth()
 	snap := QueueSnapshot{
 		NowMs:             now,
 		Alpha:             s.cfg.Alpha,
-		Depth:             s.depthLocked(),
+		Depth:             depth,
 		Busy:              s.anyBusyLocked(),
 		Draining:          s.draining,
 		Served:            s.served,
 		Dropped:           s.dropped,
 		ElasticSuppressed: s.elasticSuppressed,
-		Requests:          make([]QueuedRequest, 0, s.depthLocked()),
+		Requests:          make([]QueuedRequest, 0, depth),
 	}
-	for _, dv := range s.devs {
-		for i, r := range dv.queue.Requests() {
+	for lane := 0; lane < s.eng.Lanes(); lane++ {
+		for i, r := range s.eng.Queue(lane).Requests() {
 			snap.Requests = append(snap.Requests, QueuedRequest{
 				ID:          r.ID,
 				Model:       r.Model,
@@ -1740,16 +1219,17 @@ func (s *Server) QueueSnapshot() QueueSnapshot {
 			})
 		}
 	}
-	if s.scaler != nil {
-		snap.ActiveDevices = s.active
+	if s.eng.Elastic() {
+		snap.ActiveDevices = s.eng.Active()
 	}
-	if len(s.devs) > 1 {
-		snap.Placement = s.placer.Name()
-		for _, dv := range s.devs {
-			ds := DeviceSnapshot{Device: dv.id, Part: dv.part, Depth: dv.queue.Len(), Busy: dv.busy,
-				InflightID: -1, BusyMsTotal: dv.busyMsTotal}
-			if dv.inflight != nil {
-				ds.InflightID = dv.inflight.ID
+	if s.eng.Lanes() > 1 {
+		snap.Placement = s.eng.PlacerName()
+		for lane := 0; lane < s.eng.Lanes(); lane++ {
+			dev, part := place.LaneDevice(lane, s.eng.Parts())
+			ds := DeviceSnapshot{Device: dev, Part: part, Depth: s.eng.Queue(lane).Len(),
+				InflightID: -1, BusyMsTotal: s.busyMs[lane]}
+			if r := s.eng.Inflight(lane); r != nil {
+				ds.Busy, ds.InflightID = true, r.ID
 			}
 			snap.Devices = append(snap.Devices, ds)
 		}
@@ -1792,7 +1272,7 @@ func (s *Server) Health() Health {
 		Models:     len(s.cfg.Catalog),
 		Served:     s.served,
 		Dropped:    s.dropped,
-		QueueDepth: s.depthLocked(),
+		QueueDepth: s.eng.Depth(),
 		Version:    obs.BuildVersion(),
 		GoVersion:  runtime.Version(),
 	}
@@ -1989,7 +1469,7 @@ func (r *Responder) Stats(_ struct{}, reply *StatsReply) error {
 	defer r.srv.mu.Unlock()
 	*reply = StatsReply{
 		Served: r.srv.served,
-		Queued: r.srv.depthLocked(),
+		Queued: r.srv.eng.Depth(),
 		Models: len(r.srv.cfg.Catalog),
 	}
 	if !r.srv.start.IsZero() {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"split/internal/engine"
 	"split/internal/metrics"
 	"split/internal/model"
 	"split/internal/obs"
@@ -40,9 +41,8 @@ func testCatalog() policy.Catalog {
 func startServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	srv, err := NewServer(Config{
+		Knobs:     engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic()},
 		Catalog:   testCatalog(),
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
 		TimeScale: 1,
 	})
 	if err != nil {
@@ -301,7 +301,7 @@ func TestModelStats(t *testing.T) {
 // is not, so queue contents are deterministic for enqueue/snapshot tests.
 func unstartedServer(t *testing.T, mut func(*Config)) *Server {
 	t.Helper()
-	cfg := Config{Catalog: testCatalog(), Alpha: 4, TimeScale: 1}
+	cfg := Config{Knobs: engine.Knobs{Alpha: 4}, Catalog: testCatalog(), TimeScale: 1}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -445,9 +445,8 @@ func TestLiveMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := trace.NewRing(1024)
 	srv, err := NewServer(Config{
+		Knobs:     engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic()},
 		Catalog:   testCatalog(),
-		Alpha:     4,
-		Elastic:   sched.DefaultElastic(),
 		TimeScale: 0.05,
 		Obs:       reg,
 		Sink:      ring,

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"split/internal/engine"
 	"split/internal/policy"
 	"split/internal/trace"
 	"split/internal/workload"
@@ -28,7 +29,7 @@ func TestSimServeSpanParity(t *testing.T) {
 		arrivals[i] = workload.Arrival{ID: i, Model: "work", AtMs: float64(i), DeadlineMs: d}
 	}
 	simTr := trace.New()
-	(&policy.Split{Alpha: 4}).Run(arrivals, lifecycleCatalog(), simTr)
+	(&policy.Split{Knobs: engine.Knobs{Alpha: 4}}).Run(arrivals, lifecycleCatalog(), simTr)
 	simTree := trace.BuildSpans(simTr.Events())
 	if len(simTree.Problems) != 0 {
 		t.Fatalf("sim span problems: %v", simTree.Problems)

@@ -74,11 +74,10 @@ func (r *Responder) Hello(args HelloArgs, reply *HelloReply) error {
 	reply.Version = v
 	reply.Capabilities = []string{CapPlacement, CapAsync, CapCancel, CapErrCodes}
 	r.srv.mu.Lock()
-	reply.Devices = len(r.srv.devs) / r.srv.parts
-	reply.Placement = r.srv.placer.Name()
-	if r.srv.spatial != nil {
-		reply.Placement = r.srv.spatial.Inner().Name()
-		reply.Partitions = r.srv.parts
+	reply.Devices = r.srv.eng.Devices()
+	reply.Placement = r.srv.eng.Placement()
+	if parts := r.srv.eng.Parts(); parts > 1 {
+		reply.Partitions = parts
 	}
 	r.srv.mu.Unlock()
 	return nil

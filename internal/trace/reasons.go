@@ -1,11 +1,12 @@
 package trace
 
-// Drop reasons shared by the simulator (internal/policy) and the serving
-// path (internal/serve). Both layers must describe the same fate with the
-// same word — the evaluation pipeline joins sim Records against serve
-// Records label-for-label, and a one-sided respelling silently empties the
-// join. The vocab lint rule enforces that each constant here is referenced
-// from both layers and that neither redeclares the literal.
+// Drop reasons decided by the scheduling core (internal/engine) and
+// reported by both of its drivers, the simulator (internal/policy) and the
+// serving path (internal/serve). Every layer must describe the same fate
+// with the same word — the evaluation pipeline joins sim Records against
+// serve Records label-for-label, and a one-sided respelling silently
+// empties the join. The vocab lint rule enforces that none of the three
+// packages redeclares a literal.
 const (
 	// ReasonDeadline marks a request shed because its deadline passed (or,
 	// under predictive shedding, became unmeetable).

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Interval phases inside a request span. Exec intervals come from
@@ -428,12 +429,14 @@ func BuildSpans(events []Event) *SpanTree {
 // Summary renders one line per request: the wait/exec/preempted
 // decomposition behind the paper's per-request latency stories.
 func (t *SpanTree) Summary() string {
-	out := ""
+	// One builder for the whole tree: appending each line to a string
+	// copied everything rendered so far, quadratic in the request count.
+	var out strings.Builder
 	for i := range t.Requests {
 		sp := &t.Requests[i]
-		out += fmt.Sprintf("req%-4d %-10s %-12s arrive=%.1f done=%.1f wait=%.1f exec=%.1f preempted=%.1f blocks=%d preempts=%d\n",
+		fmt.Fprintf(&out, "req%-4d %-10s %-12s arrive=%.1f done=%.1f wait=%.1f exec=%.1f preempted=%.1f blocks=%d preempts=%d\n",
 			sp.ReqID, sp.Model, sp.Outcome, sp.ArriveMs, sp.DoneMs,
 			sp.WaitMs, sp.ExecMs, sp.PreemptedMs, sp.Blocks, sp.Preemptions)
 	}
-	return out
+	return out.String()
 }

@@ -221,3 +221,23 @@ func TestSpanBuilderDeviceHops(t *testing.T) {
 		t.Errorf("preempted = %v, want 2", sp.PreemptedMs)
 	}
 }
+
+// TestSpanTreeSummaryBytes pins Summary's rendering. The expected text was
+// produced by the implementation that concatenated lines with += (quadratic
+// in the request count); the strings.Builder one must render the same bytes.
+func TestSpanTreeSummaryBytes(t *testing.T) {
+	tree := &SpanTree{Requests: []RequestSpan{
+		{ReqID: 0, Model: "vgg19", Outcome: SpanOutcomeServed, ArriveMs: 0, DoneMs: 93.25, WaitMs: 12.5, ExecMs: 77.11, PreemptedMs: 3.64, Blocks: 3, Preemptions: 1},
+		{ReqID: 7, Model: "yolov2", Outcome: ReasonDeadline, ArriveMs: 40.04, DoneMs: 83.26, WaitMs: 43.22},
+		{ReqID: 12345, Model: "a-long-model-name", Outcome: "open", ArriveMs: 1e6, DoneMs: 1e6},
+	}}
+	const want = "req0    vgg19      served       arrive=0.0 done=93.2 wait=12.5 exec=77.1 preempted=3.6 blocks=3 preempts=1\n" +
+		"req7    yolov2     deadline     arrive=40.0 done=83.3 wait=43.2 exec=0.0 preempted=0.0 blocks=0 preempts=0\n" +
+		"req12345 a-long-model-name open         arrive=1000000.0 done=1000000.0 wait=0.0 exec=0.0 preempted=0.0 blocks=0 preempts=0\n"
+	if got := tree.Summary(); got != want {
+		t.Errorf("Summary rendered\n%q\nwant\n%q", got, want)
+	}
+	if got := (&SpanTree{}).Summary(); got != "" {
+		t.Errorf("empty tree rendered %q", got)
+	}
+}

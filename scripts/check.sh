@@ -26,10 +26,4 @@ go test ./internal/trace -run '^$' -fuzz FuzzSpanBuilder -fuzztime "${FUZZTIME:-
 go test ./internal/workload -run '^$' -fuzz FuzzWorkloadTrace -fuzztime "${FUZZTIME:-2s}"
 go test ./internal/fleet -run '^$' -fuzz FuzzAdmission -fuzztime "${FUZZTIME:-2s}"
 go test ./internal/gpusim -run '^$' -fuzz FuzzPartitionTimeline -fuzztime "${FUZZTIME:-2s}"
-
-# Bench trajectory gate: compares the committed BENCH_1.json baseline
-# against the latest recorded BENCH_<n>.json (from `make bench`). With only
-# the baseline present there is nothing to compare and the gate passes —
-# no benchmarks run here, so the tier-1 gate stays fast and hermetic.
-go run ./cmd/benchjson -gate
 echo "check: ok"

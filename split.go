@@ -26,6 +26,7 @@ package split
 import (
 	"split/internal/analytic"
 	"split/internal/core"
+	"split/internal/engine"
 	"split/internal/ga"
 	"split/internal/metrics"
 	"split/internal/model"
@@ -87,24 +88,23 @@ type (
 type (
 	// Server is the real-time RPC serving path.
 	Server = serve.Server
-	// ServerConfig parameterizes a Server.
-	//
-	// Deprecated: the flat version-1 configuration, kept as a shim; use
-	// NewServerWith with ServerOption values instead.
+	// ServerConfig parameterizes a Server: Knobs plus what only a live
+	// server has (catalog, time scale, observability).
 	ServerConfig = serve.Config
+	// Knobs are the scheduling knobs the simulator's SPLIT system and
+	// ServerConfig both embed, so a tuned configuration carries between
+	// them field for field.
+	Knobs = engine.Knobs
 	// ServerOption is one functional server option (WithDevices,
 	// WithPlacement, WithDeadlines, ...).
 	ServerOption = serve.Option
-	// ServerOptions is the versioned option set NewServerWith assembles.
+	// ServerOptions is the option set NewServerWith assembles.
 	ServerOptions = serve.Options
 	// Client talks to a Server.
 	Client = serve.Client
 	// InferReply is a completed request's QoS outcome.
 	InferReply = serve.InferReply
 )
-
-// ServerOptionsVersion is the current server-options schema revision.
-const ServerOptionsVersion = serve.OptionsVersion
 
 // Functional server options for NewServerWith.
 var (
@@ -245,13 +245,10 @@ func SaveGraph(path string, g *Graph) error { return onnxlite.SaveGraph(path, g)
 // LoadGraph reads a persisted model graph.
 func LoadGraph(path string) (*Graph, error) { return onnxlite.LoadGraph(path) }
 
-// NewServer builds the real-time RPC server from the flat config.
-//
-// Deprecated: use NewServerWith with functional options.
+// NewServer builds the real-time RPC server from a filled-in config.
 func NewServer(cfg ServerConfig) (*Server, error) { return serve.NewServer(cfg) }
 
-// NewServerWith builds the real-time RPC server from functional options —
-// the versioned replacement for NewServer:
+// NewServerWith builds the real-time RPC server from functional options:
 //
 //	srv, err := split.NewServerWith(catalog,
 //	    split.WithDevices(2), split.WithPlacement("least-loaded"),
