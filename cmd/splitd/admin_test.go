@@ -150,7 +150,7 @@ func TestDaemonAdminEndpoint(t *testing.T) {
 		kinds = append(kinds, ev.Kind)
 	}
 	all := strings.Join(kinds, " ")
-	for _, want := range []string{"arrive", "enqueue", "start_block", "end_block", "complete"} {
+	for _, want := range []string{"arrive", "start_block", "end_block", "complete"} {
 		if !strings.Contains(all, want) {
 			t.Errorf("/tracez missing %q events", want)
 		}

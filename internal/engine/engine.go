@@ -12,16 +12,17 @@
 //	Cancel(now, id)              queued work leaves now, in-flight work at
 //	                             its next boundary
 //	Grant(lane, now)             sweep → pop → batch → acquire → cost → draw
-//	Settle(lane, now, stopping)  retry or release, one fate per member, the
+//	Settle(lane, now, stop)      retry or release, one fate per member, the
 //	                             sibling lanes to wake
 //
 // Two drivers turn decisions into time. policy.Split is the virtual-clock
 // driver: a Grant becomes a gpusim timer, a fate becomes a Record.
 // serve.Server is the wall-clock driver: a Grant becomes an executor sleep
-// under the server mutex, a fate becomes an RPC reply and a metric. Each
-// driver formats its own trace events from the returned decisions; neither
-// makes a scheduling decision of its own, which is what "the serving path
-// exercises the same code path as the simulator" means.
+// under the server mutex, a fate becomes an RPC reply and a metric. Neither
+// makes a scheduling decision of its own, and neither describes one: the
+// Append* functions of narrate.go turn each decision value into its trace
+// events, once, for both. That is what "the serving path exercises the same
+// code path as the simulator" means.
 //
 // Slices inside a returned decision (Grant.Batch, Settlement.Fates,
 // Settlement.Wake) alias engine scratch buffers: they stay valid until the
@@ -142,8 +143,8 @@ type Job struct {
 	DeadlineMs float64
 }
 
-// Scale is one autoscaler actuation, reported so drivers can trace and
-// count it. Dir is fleet.Hold when nothing happened.
+// Scale is one autoscaler actuation, reported so AppendArrival can narrate
+// it and drivers can count it. Dir is fleet.Hold when nothing happened.
 type Scale struct {
 	Dir fleet.Decision
 	// Device is the device that joined (scale-out) or began
@@ -180,6 +181,9 @@ type Arrival struct {
 	// Idle reports that the lane's anchor slot is free, so the driver
 	// should Grant the lane now.
 	Idle bool
+	// placer names the placement policy on engines with more than one lane,
+	// where an arrival narrates its Place event; empty on a single lane.
+	placer string
 }
 
 // Grant is one boundary-delimited device hold: Batch (a scalar grant is a
@@ -212,6 +216,9 @@ type Grant struct {
 	Spike   float64
 	// fail is the current attempt's drawn outcome.
 	fail bool
+	// spatial marks a hold on a partitioned device, whose narration names
+	// the granted fraction.
+	spatial bool
 }
 
 // FateKind is what became of one grant member at its boundary.
@@ -222,11 +229,9 @@ const (
 	Served FateKind = iota
 	// Requeued: blocks remain; the request re-entered its queue at Pos.
 	Requeued
-	// Shed: the request is dropped for Reason (a trace.Reason* constant).
+	// Shed: the request is dropped for Reason — a trace.Reason* constant, or
+	// the shutdown reason the driver passed to Settle.
 	Shed
-	// Stopped: the driver is shutting down and the request is dropped; the
-	// driver names the reason.
-	Stopped
 )
 
 // Fate is one member's outcome of a settled grant.
@@ -234,10 +239,8 @@ type Fate struct {
 	Req    *sched.Request
 	Kind   FateKind
 	Reason string
-	// Pos and Depth describe a requeue: the chosen position and the queue
-	// length after the insertion. Pos > 0 counted as a preemption.
-	Pos   int
-	Depth int
+	// Pos is a requeue's chosen position; Pos > 0 counted as a preemption.
+	Pos int
 }
 
 // Settlement is the boundary decision for one hold. Retry means the block
@@ -276,6 +279,11 @@ const (
 	// the grant's boundary unless that boundary completes it.
 	CancelInflight
 )
+
+// String is the state as trace details and the RPC surface spell it.
+func (s CancelState) String() string {
+	return [...]string{"unknown", "queued", "inflight"}[s]
+}
 
 // Cancellation is Cancel's decision. Marked is false when an in-flight
 // request had already been canceled, so drivers do not report it twice.
@@ -334,10 +342,14 @@ type Engine struct {
 	// ships full preemption, so it is not a Knob.
 	PartialPreemption bool
 
-	k         Knobs
-	lanes     []lane
-	devices   []*gpusim.Device
-	placer    place.Placer
+	k       Knobs
+	lanes   []lane
+	devices []*gpusim.Device
+	placer  place.Placer
+	// placedBy is the placer's name on engines with more than one lane, where
+	// arrivals narrate a Place event; empty on a single lane. Built once: a
+	// Spatial placer composes its name.
+	placedBy  string
 	spatial   *place.Spatial
 	planner   sched.BatchPlanner
 	batchCost gpusim.BatchCost
@@ -420,6 +432,9 @@ func New(k Knobs) (*Engine, error) {
 		admit:     admit,
 		view:      make([]place.Load, n*parts),
 		wake:      make([]int, 0, parts),
+	}
+	if len(e.lanes) > 1 {
+		e.placedBy = placer.Name()
 	}
 	if scaler != nil {
 		e.window = fleet.NewWindow(0)
@@ -569,6 +584,7 @@ func (e *Engine) Arrive(now float64, job Job) Arrival {
 		r.SetDeadline(e.k.Alpha)
 	}
 	out.Req, out.Lane, out.QueueLen = r, idx, ln.queue.Len()
+	out.placer = e.placedBy
 	out.Pos = ln.queue.InsertGreedy(now, r)
 	// A fresh arrival is the latest of its task, so Algorithm 1 starts at
 	// the back: one comparison per neighbor passed, plus the one that
@@ -665,7 +681,7 @@ func (e *Engine) Grant(idx int, now float64) Grant {
 	}
 	ln.inflight = lead
 	ln.g = Grant{OK: true, Lane: idx, Shed: shed, Batch: batch, BatchID: id,
-		Block: block, BaseMs: base, RunMs: run, Frac: frac}
+		Block: block, BaseMs: base, RunMs: run, Frac: frac, spatial: e.parts > 1}
 	ln.draw()
 	return ln.g
 }
@@ -679,24 +695,26 @@ func (ln *lane) draw() {
 	g.HoldMs = g.RunMs * f.SpikeFactor
 }
 
-// Settle decides the lane's hold at its boundary. A transient fault within
-// the retry budget re-runs the block (Retry) — unless the grant is a batch
-// of one whose request was canceled, expired, or is being shut down, which
-// is abandoned rather than given more device time; batches never abandon
-// mid-retry, because one member's fate must not discard its batch-mates'
-// attempt. Otherwise the hold is released and each member gets one fate, in
-// grant (FIFO) order so completions and re-inserts keep the arrival order
-// the batch was formed under:
+// Settle decides the lane's hold at its boundary. stop is empty while the
+// driver is running; a driver past granting work passes the reason it is
+// shutting down for, and unfinished members are shed under it. A transient
+// fault within the retry budget re-runs the block (Retry) — unless the
+// grant is a batch of one whose request was canceled, expired, or is being
+// shut down, which is abandoned rather than given more device time; batches
+// never abandon mid-retry, because one member's fate must not discard its
+// batch-mates' attempt. Otherwise the hold is released and each member gets
+// one fate, in grant (FIFO) order so completions and re-inserts keep the
+// arrival order the batch was formed under:
 //
 //	terminal fault        → shed device_fault (every member, whatever else is true of it)
 //	plan finished         → served, even if canceled meanwhile: the work is done
 //	canceled              → shed canceled
-//	stopping              → stopped (the driver names the reason)
+//	stopping              → shed stop
 //	deadline passed       → shed deadline
 //	otherwise             → requeued by Algorithm 1 (full preemption)
 //
 //lint:hotpath every granted block settles here at its boundary
-func (e *Engine) Settle(idx int, now float64, stopping bool) Settlement {
+func (e *Engine) Settle(idx int, now float64, stop string) Settlement {
 	ln := &e.lanes[idx]
 	g := &ln.g
 	terminal := false
@@ -705,7 +723,7 @@ func (e *Engine) Settle(idx int, now float64, stopping bool) Settlement {
 		switch {
 		case ln.dev.Faults.Exhausted(g.Attempt):
 			terminal = true
-		case len(g.Batch) == 1 && (lead.Canceled || stopping || lead.Expired(now)):
+		case len(g.Batch) == 1 && (lead.Canceled || stop != "" || lead.Expired(now)):
 			// An attempt boundary is a block boundary for lifecycle
 			// purposes: abandon, and let the fate below name the reason.
 		default:
@@ -723,7 +741,7 @@ func (e *Engine) Settle(idx int, now float64, stopping bool) Settlement {
 	fates := ln.fates[:0]
 	for _, m := range g.Batch {
 		//lint:ignore hotalloc bounded by BatchMax: the per-lane fate buffer stops growing after the first full batch
-		fates = append(fates, e.fate(ln, m, now, terminal, stopping))
+		fates = append(fates, e.fate(ln, m, now, terminal, stop))
 	}
 	ln.fates = fates
 	// A wide adaptive hold can span sibling anchors, so its release is
@@ -743,7 +761,7 @@ func (e *Engine) Settle(idx int, now float64, stopping bool) Settlement {
 }
 
 // fate decides one member of a released grant.
-func (e *Engine) fate(ln *lane, m *sched.Request, now float64, terminal, stopping bool) Fate {
+func (e *Engine) fate(ln *lane, m *sched.Request, now float64, terminal bool, stop string) Fate {
 	f := Fate{Req: m, Kind: Shed}
 	switch {
 	case terminal:
@@ -753,8 +771,8 @@ func (e *Engine) fate(ln *lane, m *sched.Request, now float64, terminal, stoppin
 		f.Kind = Served
 	case m.Canceled:
 		f.Reason = trace.ReasonCanceled
-	case stopping:
-		f.Kind = Stopped
+	case stop != "":
+		f.Reason = stop
 	case m.Expired(now):
 		f.Reason = trace.ReasonDeadline
 	default:
@@ -768,7 +786,6 @@ func (e *Engine) fate(ln *lane, m *sched.Request, now float64, terminal, stoppin
 		if f.Pos > 0 {
 			m.Preemptions++
 		}
-		f.Depth = ln.queue.Len()
 		return f
 	}
 	e.observe(m, f.Kind != Served)

@@ -127,7 +127,7 @@ func TestBatchStopsNeverSkips(t *testing.T) {
 	e.Arrive(2, doomed)
 	e.Arrive(3, job(3, "short"))
 
-	st := e.Settle(0, 96, false)
+	st := e.Settle(0, 96, "")
 	if st.Retry || len(st.Fates) != 1 || st.Fates[0].Kind != Served || st.Fates[0].Req.DoneMs != 96 {
 		t.Fatalf("huge not served at its boundary: %+v", st)
 	}
@@ -138,7 +138,7 @@ func TestBatchStopsNeverSkips(t *testing.T) {
 	if got := ids(e.Queue(0).Requests()); !slices.Equal(got, []int{2, 3}) {
 		t.Fatalf("queue %v after formation, want [2 3] untouched", got)
 	}
-	e.Settle(0, 101, false)
+	e.Settle(0, 101, "")
 	g = e.Grant(0, 101)
 	if !slices.Equal(ids(g.Shed), []int{2}) || !slices.Equal(ids(g.Batch), []int{3}) {
 		t.Errorf("after the deadline: shed %v grant %v, want the sweep to shed 2 and grant 3", ids(g.Shed), ids(g.Batch))
@@ -150,7 +150,7 @@ func TestBatchStopsNeverSkips(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		e.Arrive(float64(i), job(i, "short"))
 	}
-	e.Settle(0, 96, false)
+	e.Settle(0, 96, "")
 	g = e.Grant(0, 96)
 	if !slices.Equal(ids(g.Batch), []int{1, 2, 3}) || g.BatchID != 1 {
 		t.Fatalf("grant %v batch-id %d, want the whole same-type run as batch 1", ids(g.Batch), g.BatchID)
@@ -178,7 +178,7 @@ func TestAdaptiveWidthClampsAndWakes(t *testing.T) {
 	}
 	e.Arrive(2, job(2, "short")) // lane 0 again, queued behind its own hold
 
-	st := e.Settle(0, 5, false)
+	st := e.Settle(0, 5, "")
 	if !slices.Equal(st.Wake, []int{1}) {
 		t.Fatalf("release wakes %v, want sibling lane 1", st.Wake)
 	}
@@ -191,7 +191,7 @@ func TestAdaptiveWidthClampsAndWakes(t *testing.T) {
 		t.Errorf("half-width hold costs %v, want PartitionCost.BlockMs(5, 0.5) = %v", own.RunMs, want)
 	}
 	// With the sibling still holding slot 1, lane 0's release wakes no one.
-	if st := e.Settle(0, 12.1, false); len(st.Wake) != 0 {
+	if st := e.Settle(0, 12.1, ""); len(st.Wake) != 0 {
 		t.Errorf("release with no waiting sibling wakes %v", st.Wake)
 	}
 }
@@ -247,7 +247,7 @@ func TestFrontDoorOrderAndDrainThenDetach(t *testing.T) {
 	if !e.devices[1].Attached() {
 		t.Fatal("busy device detached at scale-in; it must drain first")
 	}
-	if st := e.Settle(1, 126, false); st.Fates[0].Kind != Served {
+	if st := e.Settle(1, 126, ""); st.Fates[0].Kind != Served {
 		t.Fatalf("draining device's last block: %+v", st.Fates[0])
 	}
 	if g := e.Grant(1, 126); g.OK || e.devices[1].Attached() {
@@ -283,11 +283,11 @@ func TestFateOrder(t *testing.T) {
 		{name: "terminal fault beats stopping", faults: &gpusim.FaultInjector{Seed: 1, FailProb: 1}, model: "long", stopping: true, terminal: true, kind: Shed, reason: trace.ReasonDeviceFault},
 		{name: "terminal fault beats cancel", faults: &gpusim.FaultInjector{Seed: 1, FailProb: 1}, model: "long", cancel: true, terminal: true, kind: Shed, reason: trace.ReasonDeviceFault},
 		{name: "cancel abandons the retry", faults: alwaysFail, model: "long", cancel: true, kind: Shed, reason: trace.ReasonCanceled},
-		{name: "stopping abandons the retry", faults: alwaysFail, model: "long", stopping: true, kind: Stopped},
+		{name: "stopping abandons the retry", faults: alwaysFail, model: "long", stopping: true, kind: Shed, reason: "stopped"},
 		{name: "expiry abandons the retry", faults: alwaysFail, model: "long", deadline: 5, kind: Shed, reason: trace.ReasonDeadline},
 		{name: "finished beats canceled", model: "short", cancel: true, kind: Served},
 		{name: "canceled beats stopping", model: "long", cancel: true, stopping: true, kind: Shed, reason: trace.ReasonCanceled},
-		{name: "stopping beats expired", model: "long", stopping: true, deadline: 5, kind: Stopped},
+		{name: "stopping beats expired", model: "long", stopping: true, deadline: 5, kind: Shed, reason: "stopped"},
 		{name: "expired", model: "long", deadline: 5, kind: Shed, reason: trace.ReasonDeadline},
 		{name: "otherwise requeued", model: "long", kind: Requeued},
 	} {
@@ -304,12 +304,16 @@ func TestFateOrder(t *testing.T) {
 					t.Fatalf("second cancel: %+v, want it reported as already marked", got)
 				}
 			}
-			st := e.Settle(0, 10, c.stopping)
+			stop := ""
+			if c.stopping {
+				stop = "stopped" // the driver's word, not a trace.Reason*
+			}
+			st := e.Settle(0, 10, stop)
 			for i := 0; i < c.retries; i++ {
 				if !st.Retry || st.Attempt != i+1 {
 					t.Fatalf("boundary %d: %+v, want retry into attempt %d", i, st, i+1)
 				}
-				st = e.Settle(0, 10+float64(i+1)*st.HoldMs, c.stopping)
+				st = e.Settle(0, 10+float64(i+1)*st.HoldMs, stop)
 			}
 			if st.Retry || st.Terminal != c.terminal || len(st.Fates) != 1 {
 				t.Fatalf("settlement %+v, want terminal=%v and one fate", st, c.terminal)
@@ -332,18 +336,18 @@ func TestBatchTerminalFaultShedsEveryMember(t *testing.T) {
 	arrive(e, 0, job(0, "huge"))
 	e.Arrive(1, job(1, "short"))
 	e.Arrive(2, job(2, "short"))
-	for st := e.Settle(0, 96, false); st.Retry; st = e.Settle(0, 96, false) {
+	for st := e.Settle(0, 96, ""); st.Retry; st = e.Settle(0, 96, "") {
 	}
 	g := e.Grant(0, 200)
 	if !slices.Equal(ids(g.Batch), []int{1, 2}) {
 		t.Fatalf("batch %v, want [1 2]", ids(g.Batch))
 	}
 	e.Cancel(201, 2)
-	st := e.Settle(0, 210, false)
+	st := e.Settle(0, 210, "")
 	if !st.Retry {
 		t.Fatalf("canceled member abandoned the batch's retry: %+v", st)
 	}
-	st = e.Settle(0, 220, false)
+	st = e.Settle(0, 220, "")
 	if !st.Terminal || len(st.Fates) != 2 {
 		t.Fatalf("settlement %+v, want a terminal fault with two fates", st)
 	}

@@ -117,12 +117,6 @@ func (c AdminConfig) Mux() *http.ServeMux {
 	return mux
 }
 
-// AdminMux is the pre-AdminConfig constructor, kept for callers that wire
-// only the original four providers.
-func AdminMux(reg *Registry, ring *trace.Ring, queuez func() any, health func() any) *http.ServeMux {
-	return AdminConfig{Registry: reg, Ring: ring, Queuez: queuez, Health: health}.Mux()
-}
-
 // filterEvents applies the /tracez query knobs: ?model= and ?kind= keep
 // matching events, ?n= keeps the most recent n after filtering. A bad ?n=
 // is treated as absent (the dump endpoint stays forgiving).

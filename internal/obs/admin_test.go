@@ -24,15 +24,15 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) 
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }
 
-func TestAdminMuxEndpoints(t *testing.T) {
+func TestAdminEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("split_requests_total", "req", "model", "vgg19").Add(2)
 	ring := trace.NewRing(16)
 	ring.Emit(trace.Event{AtMs: 1, Kind: trace.Arrive, ReqID: 0, Model: "vgg19"})
 
-	mux := AdminMux(reg, ring,
-		func() any { return map[string]int{"depth": 3} },
-		func() any { return map[string]string{"status": "ok", "mode": "test"} })
+	mux := AdminConfig{Registry: reg, Ring: ring,
+		Queuez: func() any { return map[string]int{"depth": 3} },
+		Health: func() any { return map[string]string{"status": "ok", "mode": "test"} }}.Mux()
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -74,8 +74,8 @@ func TestAdminMuxEndpoints(t *testing.T) {
 	}
 }
 
-func TestAdminMuxNilProviders(t *testing.T) {
-	srv := httptest.NewServer(AdminMux(nil, nil, nil, nil))
+func TestAdminNilProviders(t *testing.T) {
+	srv := httptest.NewServer(AdminConfig{}.Mux())
 	defer srv.Close()
 	if code, _, body := get(t, srv, "/metrics"); code != 200 || body != "" {
 		t.Errorf("/metrics: %d %q", code, body)

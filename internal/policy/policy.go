@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"sort"
 
+	"split/internal/engine"
 	"split/internal/model"
+	"split/internal/sched"
 	"split/internal/trace"
 	"split/internal/workload"
 )
@@ -63,6 +65,18 @@ func (c Catalog) BlocksFor(name string) []float64 {
 	return []float64{info.ExtMs}
 }
 
+// Job resolves one arrival against the catalog into the engine's input —
+// the request wrapper's lookup, shared by both drivers. ok is false for a
+// model that is not deployed.
+func (c Catalog) Job(id int, name string, deadlineMs float64) (job engine.Job, ok bool) {
+	info := c[name]
+	if info == nil {
+		return engine.Job{}, false
+	}
+	return engine.Job{ID: id, Model: name, Class: info.Class, ExtMs: info.ExtMs,
+		Plan: c.BlocksFor(name), DeadlineMs: deadlineMs}, true
+}
+
 // Request outcomes beyond successful service, aliasing the shared
 // trace.Reason* vocabulary the serving path's split_drops_total reasons
 // also use, so sim and serve results line up label-for-label.
@@ -105,6 +119,24 @@ type Record struct {
 	// Device is the fleet device the request was placed on; 0 on the
 	// single-device systems.
 	Device int
+}
+
+// RecordOf is the outcome record of a scheduler request that left the
+// system at doneMs: served, or shed for the reason in outcome.
+func RecordOf(r *sched.Request, doneMs float64, outcome string) Record {
+	return Record{
+		ID:          r.ID,
+		Model:       r.Model,
+		Class:       r.Class,
+		ArriveMs:    r.ArriveMs,
+		StartMs:     r.StartMs,
+		DoneMs:      doneMs,
+		ExtMs:       r.ExtMs,
+		Preemptions: r.Preemptions,
+		Split:       len(r.BlockTimes) > 1,
+		Outcome:     outcome,
+		Device:      r.Device,
+	}
 }
 
 // Served reports whether the request completed normally.

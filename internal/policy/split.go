@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"split/internal/engine"
-	"split/internal/fleet"
 	"split/internal/gpusim"
 	"split/internal/sched"
 	"split/internal/trace"
@@ -54,10 +53,12 @@ type splitRun struct {
 	sim *gpusim.Sim
 	eng *engine.Engine
 	tr  *trace.Tracer
-	// tracing gates every event-formatting call on the grant path; the
-	// Tracer is nil-safe, but the format arguments would box and allocate
-	// even for a nil tracer if built unconditionally.
+	// tracing gates every narration on the grant path: an untraced run
+	// builds no event at all.
 	tracing bool
+	// evs is the zero-length scratch the engine's narrators append into on
+	// their way to the tracer.
+	evs     []trace.Event
 	holds   []hold
 	records []Record
 }
@@ -120,185 +121,93 @@ func (s *Split) RunWithStats(arrivals []workload.Arrival, catalog Catalog, tr *t
 	return sortRecords(rn.records), eng.Stats(sim.Now())
 }
 
-// record finalizes a request's outcome.
-func (rn *splitRun) record(r *sched.Request, doneMs float64, outcome string) {
-	rn.records = append(rn.records, Record{
-		ID:          r.ID,
-		Model:       r.Model,
-		Class:       r.Class,
-		ArriveMs:    r.ArriveMs,
-		StartMs:     r.StartMs,
-		DoneMs:      doneMs,
-		ExtMs:       r.ExtMs,
-		Preemptions: r.Preemptions,
-		Split:       len(r.BlockTimes) > 1,
-		Outcome:     outcome,
-		Device:      r.Device,
-	})
+// narrate moves narrated events into the tracer and recycles the scratch;
+// call it as rn.narrate(engine.AppendX(rn.evs, ...)).
+func (rn *splitRun) narrate(evs []trace.Event) {
+	rn.tr.Record(evs...)
+	rn.evs = evs[:0]
 }
 
-// shed records a non-served outcome.
-//
-//lint:hotpath deadline sweeps shed on the grant path at every boundary
-func (rn *splitRun) shed(now float64, r *sched.Request, outcome string) {
-	if rn.tracing {
-		rn.tr.DeviceRecordf(now, trace.Shed, r.Device, r.ID, r.Model, r.Next, "%s", outcome)
-	}
-	rn.record(r, now, outcome)
+// record files one request's outcome; records was sized for one per
+// arrival, so the append never regrows.
+func (rn *splitRun) record(r *sched.Request, now float64, outcome string) {
+	rn.records = append(rn.records, RecordOf(r, now, outcome))
 }
 
-// arrive hands one arrival to the engine's front door and reports what it
-// decided.
+// arrive hands one arrival to the engine's front door.
 func (rn *splitRun) arrive(a workload.Arrival, catalog Catalog, now float64) {
-	info := catalog[a.Model]
-	d := rn.eng.Arrive(now, engine.Job{
-		ID: a.ID, Model: a.Model, Class: info.Class, ExtMs: info.ExtMs,
-		Plan: catalog.BlocksFor(a.Model), DeadlineMs: a.DeadlineMs,
-	})
+	job, _ := catalog.Job(a.ID, a.Model, a.DeadlineMs) // validateArrivals saw the model
+	d := rn.eng.Arrive(now, job)
+	if rn.tracing {
+		rn.narrate(engine.AppendArrival(rn.evs, now, job, d))
+	}
 	if d.Rejected {
-		if rn.tracing {
-			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.Drop, ReqID: a.ID,
-				Model: a.Model, Detail: trace.ReasonAdmission + ": " + d.Detail})
-		}
 		// The record keeps per-arrival accounting complete; QoS rates are
 		// computed over admitted records (metrics.Admitted).
 		rn.records = append(rn.records, Record{
-			ID: a.ID, Model: a.Model, Class: info.Class, ArriveMs: now,
-			StartMs: -1, DoneMs: now, ExtMs: info.ExtMs, Outcome: OutcomeAdmission,
+			ID: a.ID, Model: a.Model, Class: job.Class, ArriveMs: now,
+			StartMs: -1, DoneMs: now, ExtMs: job.ExtMs, Outcome: OutcomeAdmission,
 		})
-	}
-	if rn.tracing {
-		switch d.Scale.Dir {
-		case fleet.ScaleOut:
-			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.ScaleOut, ReqID: -1, Device: d.Scale.Device,
-				Detail: fmt.Sprintf("active=%d depth=%d", d.Scale.Active, d.Scale.Depth)})
-		case fleet.ScaleIn:
-			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.ScaleIn, ReqID: -1, Device: d.Scale.Device,
-				Detail: fmt.Sprintf("active=%d drain=%d", d.Scale.Active, d.Scale.Depth)})
-		}
-	}
-	if d.Rejected {
 		return
-	}
-	if r := d.Req; rn.tracing {
-		if rn.eng.Lanes() > 1 {
-			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.Place, ReqID: r.ID, Model: r.Model,
-				Device: r.Device, Part: r.Partition,
-				Detail: fmt.Sprintf("policy=%s depth=%d", rn.eng.PlacerName(), d.QueueLen)})
-		}
-		rn.tr.PartRecordf(now, trace.Arrive, r.Device, r.Partition, r.ID, r.Model, 0,
-			"pos=%d blocks=%d scanned=%d qlen=%d", d.Pos, len(r.BlockTimes), d.Scanned, d.QueueLen)
 	}
 	if d.Idle {
 		rn.grant(d.Lane, now)
 	}
 }
 
-// cancel handles a cancellation hook firing at its scheduled time.
+// cancel handles a cancellation hook firing at its scheduled time. Queued
+// work is shed now; a grant holder (scalar or batch member) at its boundary.
 func (rn *splitRun) cancel(id int, now float64) {
 	c := rn.eng.Cancel(now, id)
-	r := c.Req
-	switch c.State {
-	case engine.CancelQueued:
-		rn.tr.PartRecordf(now, trace.Cancel, r.Device, r.Partition, id, r.Model, r.Next, "queued")
-		rn.shed(now, r, OutcomeCanceled)
-	case engine.CancelInflight:
-		// Scalar or batch member: shed at the next block boundary.
-		if c.Marked {
-			rn.tr.PartRecordf(now, trace.Cancel, r.Device, r.Partition, id, r.Model, r.Next, "inflight")
-		}
+	if rn.tracing {
+		rn.narrate(engine.AppendCancel(rn.evs, now, c, ""))
+	}
+	if c.State == engine.CancelQueued {
+		rn.record(c.Req, now, OutcomeCanceled)
 	}
 }
 
 // grant asks the engine for the lane's next hold and turns it into a
-// boundary timer. A scalar grant is a batch of one; the two differ only in
-// how their events read.
+// boundary timer for the (possibly spiked) block duration.
 //
 //lint:hotpath the grant runs at every block boundary
 func (rn *splitRun) grant(lane int, now float64) {
 	g := rn.eng.Grant(lane, now)
+	if rn.tracing {
+		rn.narrate(engine.AppendGrant(rn.evs, now, g))
+	}
 	for _, ex := range g.Shed {
-		rn.shed(now, ex, OutcomeDeadline)
+		rn.record(ex, now, OutcomeDeadline)
 	}
 	if !g.OK {
 		return
 	}
 	h := &rn.holds[lane]
 	h.g = g
-	if rn.tracing {
-		var detail string
-		switch {
-		case g.BatchID != 0:
-			detail = fmt.Sprintf("dur=%.3f n=%d", g.RunMs, len(g.Batch))
-		case rn.eng.Parts() > 1:
-			detail = fmt.Sprintf("dur=%.3f frac=%.2f", g.RunMs, g.Frac)
-		default:
-			detail = fmt.Sprintf("dur=%.3f", g.BaseMs)
-		}
-		for _, m := range g.Batch {
-			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID, Model: m.Model,
-				Block: g.Block, Device: m.Device, Part: m.Partition, Batch: g.BatchID, Detail: detail})
-		}
-	}
-	h.begin(now)
-}
-
-// begin starts one execution attempt of the granted block: it schedules the
-// boundary timer for the (possibly spiked) block duration.
-//
-//lint:hotpath every device hold schedules its boundary timer here
-func (h *hold) begin(now float64) {
-	rn, g := h.rn, &h.g
-	if g.Spike > 1 && rn.tracing {
-		lead := g.Batch[0]
-		rn.tr.DeviceRecordf(now, trace.Fault, lead.Device, lead.ID, lead.Model, g.Block,
-			"spike x%.2f attempt=%d", g.Spike, g.Attempt)
-	}
 	rn.sim.After(g.HoldMs, h.timer)
 }
 
 // onTimer is the boundary callback for every device hold: the engine
-// settles it, and this driver reports each member's fate and restarts the
-// lanes the release woke.
+// settles it, and this driver re-arms a retry, or records each member's
+// fate and restarts the lanes the release woke.
 //
 //lint:hotpath block-boundary settlement for every device hold
 func (h *hold) onTimer(now float64) {
 	rn, g := h.rn, &h.g
-	lead := g.Batch[0]
-	st := rn.eng.Settle(g.Lane, now, false)
+	st := rn.eng.Settle(g.Lane, now, "")
+	if rn.tracing {
+		rn.narrate(engine.AppendSettle(rn.evs, now, *g, st))
+	}
 	if st.Retry {
-		if rn.tracing {
-			rn.tr.DeviceRecordf(now, trace.Fault, lead.Device, lead.ID, lead.Model, g.Block,
-				"transient attempt=%d, retrying", g.Attempt)
-		}
-		g.Attempt, g.HoldMs, g.Spike = st.Attempt, st.HoldMs, st.Spike
-		h.begin(now)
+		rn.sim.After(st.HoldMs, h.timer)
 		return
 	}
-	if rn.tracing {
-		if st.Terminal {
-			rn.tr.DeviceRecordf(now, trace.Fault, lead.Device, lead.ID, lead.Model, g.Block,
-				"terminal after %d attempts", st.Attempt+1)
-		}
-		for _, m := range g.Batch {
-			rn.tr.Record(trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID, Model: m.Model,
-				Block: g.Block, Device: m.Device, Part: m.Partition, Batch: g.BatchID})
-		}
-	}
 	for _, f := range st.Fates {
-		r := f.Req
 		switch f.Kind {
 		case engine.Served:
-			if rn.tracing {
-				rn.tr.DeviceRecordf(now, trace.Complete, r.Device, r.ID, r.Model, g.Block, "rr=%.2f", r.ResponseRatio())
-			}
-			rn.record(r, now, OutcomeServed)
+			rn.record(f.Req, now, OutcomeServed)
 		case engine.Shed:
-			rn.shed(now, r, f.Reason)
-		case engine.Requeued:
-			if f.Pos > 0 && rn.tracing {
-				rn.tr.DeviceRecordf(now, trace.Preempt, r.Device, r.ID, r.Model, r.Next, "requeued at %d", f.Pos)
-			}
+			rn.record(f.Req, now, f.Reason)
 		}
 	}
 	// Siblings start first — they were waiting — which is what makes the

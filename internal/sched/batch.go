@@ -21,7 +21,7 @@ package sched
 // is what makes sim-vs-serve batching parity testable.
 type BatchPlanner struct {
 	// Max is the maximum batch size, counting the granted head request.
-	// <= 1 disables batching entirely: Form never touches the queue.
+	// <= 1 disables batching entirely: FormInto never touches the queue.
 	Max int
 }
 
@@ -48,9 +48,12 @@ func joinable(head, next *Request, nowMs float64) bool {
 		!next.Doomed(nowMs)
 }
 
-// Form extends the already-popped head request into a batch for its next
-// block: it pops contiguous queue-front requests that satisfy joinable, up
-// to Max members total, and returns the batch in grant order (head first).
+// FormInto extends the already-popped head request into a batch for its
+// next block: it pops contiguous queue-front requests that satisfy joinable,
+// up to Max members total, and returns the batch in grant order (head
+// first), appended to dst — normally a per-lane scratch buffer resliced to
+// zero length, so steady-state grants reuse one backing array instead of
+// allocating per block.
 // FIFO within the batch holds by construction — members come off the queue
 // front in queue order, and the greedy queue keeps same-task requests in
 // arrival order. Stopping at the first non-joinable request (rather than
@@ -59,18 +62,8 @@ func joinable(head, next *Request, nowMs float64) bool {
 //
 // The same-type signal is the elastic mechanism's: a run exists exactly
 // when SameTypeCount sees a same-model waiting neighbor. With Max <= 1, or
-// no run, Form returns just the head and the queue is untouched — the
+// no run, FormInto returns just the head and the queue is untouched — the
 // disabled path costs one length check.
-//
-// Form allocates a fresh slice per grant; grant loops should call FormInto
-// with a per-device scratch buffer instead.
-func (p BatchPlanner) Form(q *Queue, head *Request, nowMs float64) []*Request {
-	return p.FormInto(nil, q, head, nowMs)
-}
-
-// FormInto is Form appending into dst (normally a per-device scratch
-// buffer resliced to zero length), so steady-state grants reuse one
-// backing array instead of allocating per block.
 //
 //lint:hotpath batch formation runs at every device grant
 func (p BatchPlanner) FormInto(dst []*Request, q *Queue, head *Request, nowMs float64) []*Request {

@@ -21,7 +21,7 @@ func TestBatchPlannerDisabled(t *testing.T) {
 		q.PushBack(mkReq(1, "m", 0, 2, 10))
 		q.PushBack(mkReq(2, "m", 1, 2, 10))
 		head := mkReq(0, "m", 0, 2, 10)
-		batch := BatchPlanner{Max: max}.Form(q, head, 5)
+		batch := BatchPlanner{Max: max}.FormInto(nil, q, head, 5)
 		if len(batch) != 1 || batch[0] != head {
 			t.Fatalf("Max=%d: batch = %d members, want just the head", max, len(batch))
 		}
@@ -43,7 +43,7 @@ func TestBatchPlannerFormsSameTypeRun(t *testing.T) {
 	q.PushBack(mkReq(5, "m", 5, 2, 10)) // behind "other": must not batch past it
 	head := mkReq(0, "m", 0, 2, 10)
 
-	batch := BatchPlanner{Max: 3}.Form(q, head, 6)
+	batch := BatchPlanner{Max: 3}.FormInto(nil, q, head, 6)
 	ids := make([]int, len(batch))
 	for i, m := range batch {
 		ids[i] = m.ID
@@ -63,7 +63,7 @@ func TestBatchPlannerStopsAtBoundaryMismatch(t *testing.T) {
 	q.PushBack(ahead)
 	q.PushBack(mkReq(2, "m", 2, 2, 10))
 	head := mkReq(0, "m", 0, 2, 10)
-	if batch := (BatchPlanner{Max: 4}).Form(q, head, 3); len(batch) != 1 {
+	if batch := (BatchPlanner{Max: 4}).FormInto(nil, q, head, 3); len(batch) != 1 {
 		t.Fatalf("batched across a block-index mismatch: %d members", len(batch))
 	}
 
@@ -71,7 +71,7 @@ func TestBatchPlannerStopsAtBoundaryMismatch(t *testing.T) {
 	// split head (2 blocks) even at the same index.
 	q2 := NewQueue(4)
 	q2.PushBack(mkReq(3, "m", 1, 1, 20))
-	if batch := (BatchPlanner{Max: 4}).Form(q2, head, 3); len(batch) != 1 {
+	if batch := (BatchPlanner{Max: 4}).FormInto(nil, q2, head, 3); len(batch) != 1 {
 		t.Fatalf("batched a split head with an unsplit member: %d members", len(batch))
 	}
 }
@@ -84,7 +84,7 @@ func TestBatchPlannerNeverSpansDoomedOrCanceled(t *testing.T) {
 	q.PushBack(doomed)
 	q.PushBack(mkReq(2, "m", 2, 2, 10))
 	head := mkReq(0, "m", 0, 2, 10)
-	if batch := (BatchPlanner{Max: 4}).Form(q, head, now); len(batch) != 1 {
+	if batch := (BatchPlanner{Max: 4}).FormInto(nil, q, head, now); len(batch) != 1 {
 		t.Fatalf("batch spans a doomed request: %d members", len(batch))
 	}
 
@@ -93,7 +93,7 @@ func TestBatchPlannerNeverSpansDoomedOrCanceled(t *testing.T) {
 	canceled.Canceled = true
 	q2.PushBack(canceled)
 	q2.PushBack(mkReq(4, "m", 2, 2, 10))
-	if batch := (BatchPlanner{Max: 4}).Form(q2, head, now); len(batch) != 1 {
+	if batch := (BatchPlanner{Max: 4}).FormInto(nil, q2, head, now); len(batch) != 1 {
 		t.Fatalf("batch spans a canceled request: %d members", len(batch))
 	}
 
@@ -102,7 +102,7 @@ func TestBatchPlannerNeverSpansDoomedOrCanceled(t *testing.T) {
 	q3.PushBack(mkReq(5, "m", 1, 2, 10))
 	badHead := mkReq(6, "m", 0, 2, 10)
 	badHead.DeadlineMs = now + 5
-	if batch := (BatchPlanner{Max: 4}).Form(q3, badHead, now); len(batch) != 1 {
+	if batch := (BatchPlanner{Max: 4}).FormInto(nil, q3, badHead, now); len(batch) != 1 {
 		t.Fatalf("doomed head formed a batch: %d members", len(batch))
 	}
 }

@@ -313,7 +313,7 @@ func FuzzBatchPlanner(f *testing.F) {
 		}
 		before := append([]*Request(nil), q.Requests()...)
 		p := BatchPlanner{Max: int(maxRaw % 9)}
-		batch := p.Form(q, head, now)
+		batch := p.FormInto(nil, q, head, now)
 
 		if len(batch) == 0 || batch[0] != head {
 			t.Fatal("head does not lead the batch")

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"split/internal/model"
-	"split/internal/trace"
 )
 
 // Request is one in-flight inference request. Times are in milliseconds on
@@ -183,13 +182,7 @@ type Queue struct {
 	// that later arrivals cannot bubble past. 0 (the paper's behaviour)
 	// disables the guard.
 	StarveGuardRR float64
-	// Sink, when non-nil, receives a trace.Enqueue event for every greedy
-	// insertion (initial arrivals and block-boundary re-inserts alike) with
-	// the chosen position and queue depth — the live counterpart of
-	// InsertGreedyExplain's offline decision trace. The queue never emits
-	// on the hot path when Sink is nil, preserving the zero-cost default.
-	Sink trace.Sink
-	reqs []*Request
+	reqs          []*Request
 	// popped counts PopFront reslices since the backing array was last
 	// reallocated: each one strands a dead slot ahead of the slice pointer
 	// that the GC cannot reclaim until the whole array is dropped, so the
@@ -372,24 +365,7 @@ func (q *Queue) InsertGreedy(nowMs float64, r *Request) int {
 		pos--
 	}
 	q.insertAt(pos, r)
-	//lint:ignore hotalloc emitEnqueue only allocates when a live sink is attached; nil-guarded inside
-	q.emitEnqueue(nowMs, r, pos)
 	return pos
-}
-
-// emitEnqueue reports an insertion decision to the attached live sink.
-func (q *Queue) emitEnqueue(nowMs float64, r *Request, pos int) {
-	if q.Sink == nil {
-		return
-	}
-	q.Sink.Emit(trace.Event{
-		AtMs:   nowMs,
-		Kind:   trace.Enqueue,
-		ReqID:  r.ID,
-		Model:  r.Model,
-		Block:  r.Next,
-		Detail: fmt.Sprintf("pos=%d depth=%d", pos, len(q.reqs)),
-	})
 }
 
 // fifoCeiling returns the highest insertion index that keeps r ahead of
@@ -481,7 +457,6 @@ func (q *Queue) InsertGreedyExplain(nowMs float64, r *Request) (int, []Decision)
 		pos--
 	}
 	q.insertAt(pos, r)
-	q.emitEnqueue(nowMs, r, pos)
 	return pos, decisions
 }
 

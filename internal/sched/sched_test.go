@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"split/internal/model"
-	"split/internal/trace"
 )
 
 func newReq(id int, modelName string, arrive, ext float64, blocks ...float64) *Request {
@@ -364,40 +363,5 @@ func TestStarveGuardDisabledByDefault(t *testing.T) {
 	q.InsertGreedy(0, newReq(1, "vgg", 0, 67.5))
 	if pos := q.InsertGreedy(1e6, newReq(2, "yolo", 1e6, 10.8)); pos != 0 {
 		t.Errorf("default queue applied a guard (pos %d)", pos)
-	}
-}
-
-// TestQueueSinkEmitsEnqueueEvents checks the live instrumentation hook:
-// every greedy insertion reports its decision to the attached sink, and a
-// nil sink keeps the queue silent.
-func TestQueueSinkEmitsEnqueueEvents(t *testing.T) {
-	sink := trace.New()
-	q := NewQueue(4)
-	q.Sink = sink
-	q.InsertGreedy(0, newReq(1, "vgg", 0, 67.5))
-	q.InsertGreedy(5, newReq(2, "yolo", 5, 10.8))
-	q.InsertGreedyExplain(9, newReq(3, "lstm", 9, 6.8))
-	evs := sink.Events()
-	if len(evs) != 3 {
-		t.Fatalf("%d events, want 3", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Kind != trace.Enqueue {
-			t.Errorf("event %d kind %q", i, ev.Kind)
-		}
-	}
-	if evs[1].ReqID != 2 || evs[1].Model != "yolo" || evs[1].AtMs != 5 {
-		t.Errorf("event = %+v", evs[1])
-	}
-	// The short passed the long: pos=0 at depth 2.
-	if evs[1].Detail != "pos=0 depth=2" {
-		t.Errorf("detail = %q", evs[1].Detail)
-	}
-
-	// Nil sink: no panic, no events.
-	q2 := NewQueue(4)
-	q2.InsertGreedy(0, newReq(9, "vgg", 0, 67.5))
-	if q2.Len() != 1 {
-		t.Fatal("insert without sink failed")
 	}
 }

@@ -210,7 +210,8 @@ func TestElasticInflightServeBoundary(t *testing.T) {
 	blocks := map[int]string{}
 	for _, e := range ring.Snapshot() {
 		if e.Kind == trace.Arrive {
-			blocks[e.ReqID] = e.Detail
+			// "pos=P blocks=B scanned=S qlen=Q": keep the plan length.
+			blocks[e.ReqID] = strings.Fields(e.Detail)[1]
 		}
 	}
 	if blocks[id0] != "blocks=3" || blocks[id1] != "blocks=3" {

@@ -2,32 +2,54 @@ package serve
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"split/internal/onnxlite"
 	"split/internal/zoo"
 )
 
+// TestDeployNewModel runs a hot-deployed model end to end, bare and with a
+// metrics registry attached: the per-model counter families are seeded from
+// the construction-time catalog, so a model deployed later must register
+// its own on first use.
 func TestDeployNewModel(t *testing.T) {
-	_, c := startServer(t)
-	reply, err := c.Deploy(DeployArgs{
-		Name:         "tiny",
-		Class:        "Short",
-		ExtMs:        2,
-		BlockTimesMs: []float64{1, 1.2},
-	})
+	_, bare := startServer(t)
+	observed, reg, _ := startLifecycle(t, nil)
+	oc, err := Dial(observed.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Replaced || reply.Blocks != 2 {
-		t.Errorf("reply = %+v", reply)
+	t.Cleanup(func() { oc.Close() })
+	for name, c := range map[string]*Client{"bare": bare, "obs": oc} {
+		reply, err := c.Deploy(DeployArgs{
+			Name:         "tiny",
+			Class:        "Short",
+			ExtMs:        2,
+			BlockTimesMs: []float64{1, 1.2},
+		})
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		if reply.Replaced || reply.Blocks != 2 {
+			t.Errorf("%s: reply = %+v", name, reply)
+		}
+		inf, err := c.Infer("tiny")
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		if inf.Blocks != 2 || inf.E2EMs < 2 {
+			t.Errorf("%s: infer = %+v", name, inf)
+		}
 	}
-	inf, err := c.Infer("tiny")
-	if err != nil {
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	if inf.Blocks != 2 || inf.E2EMs < 2 {
-		t.Errorf("infer = %+v", inf)
+	for _, want := range []string{`split_requests_total{model="tiny"} 1`, `split_completions_total{model="tiny"} 1`} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }
 

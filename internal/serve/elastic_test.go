@@ -95,6 +95,60 @@ func TestServeAdmissionParityWithSim(t *testing.T) {
 	}
 }
 
+// TestRejectedDropKeepsItsOwnID guards the seam the shared narrator opens:
+// the engine's admission Drop carries the rejected job's ID, so every job
+// that reaches the front door must take one. Were IDs handed out only on
+// admission, the next admitted request would reuse the rejected one's and a
+// per-request fold would attach the Drop to the wrong request.
+func TestRejectedDropKeepsItsOwnID(t *testing.T) {
+	srv, _, ring := startLifecycle(t, func(c *Config) {
+		c.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitQueueLength, MaxQueue: 1}
+	})
+	_, chA, err := srv.enqueue("work", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitBusy(t, srv) // A holds the device, so B waits and fills the cap
+	_, chB, err := srv.enqueue("work", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.enqueue("work", 0); !errors.Is(err, ErrAdmissionRejected) {
+		t.Fatalf("arrival over the queue cap: err = %v, want an admission rejection", err)
+	}
+	await(t, chA)
+	await(t, chB)
+	_, chD, err := srv.enqueue("work", 0) // admitted after the rejection
+	if err != nil {
+		t.Fatal(err)
+	}
+	await(t, chD)
+
+	events := ring.Snapshot()
+	if tree := trace.BuildSpans(events); len(tree.Problems) != 0 || len(tree.Requests) != 3 {
+		t.Fatalf("ring folds into %d spans with problems %v, want 3 clean spans", len(tree.Requests), tree.Problems)
+	}
+	arrived := map[int]bool{}
+	for _, e := range events {
+		if e.Kind == trace.Arrive {
+			arrived[e.ReqID] = true
+		}
+	}
+	drops := 0
+	for _, e := range events {
+		if e.Kind != trace.Drop {
+			continue
+		}
+		drops++
+		if arrived[e.ReqID] {
+			t.Errorf("rejected drop %+v shares its id with an admitted request", e)
+		}
+	}
+	if drops != 1 {
+		t.Errorf("%d drop events, want the one rejection", drops)
+	}
+}
+
 // TestServeAutoscaleScalesOutAndBackIn drives the wall-clock elasticity
 // lifecycle: a burst of 30 ms requests piles depth onto the single active
 // device and forces a scale-out; once the backlog drains, a trickle of

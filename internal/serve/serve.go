@@ -135,8 +135,8 @@ type Config struct {
 	// under the split_* names documented in the README.
 	Obs *obs.Registry
 	// Sink, when non-nil, receives the live scheduling event stream
-	// (arrive, enqueue, block start/end, preempt, elastic transitions,
-	// complete, drop, shed, cancel, fault, drain) — typically a trace.Ring
+	// (place, arrive, block start/end, preempt, elastic transitions,
+	// complete, drop, shed, cancel, fault, scale, drain) — typically a trace.Ring
 	// flight recorder, a Tracer, or a Fanout of both.
 	Sink trace.Sink
 	// QoSWindow sizes the rolling online QoS window (completions);
@@ -169,12 +169,15 @@ type delivery struct {
 // every scheduling decision; the server adds what only a live process has:
 // the mutex and condition variable the decisions are serialized under, one
 // executor goroutine per lane that sleeps out each granted hold, the
-// waiters RPC replies are delivered through, and the metrics, time series,
-// recorder and trace events that describe it all.
+// waiters RPC replies are delivered through, and the metrics, time series
+// and recorder that account for it all. The engine narrates its own
+// decisions (engine.Append*) into the pending buffer; the server writes only
+// the events no engine decision is behind — pre-engine drops, elastic
+// transitions and drain markers.
 type Server struct {
 	cfg Config
-	// tracing caches cfg.Sink != nil: hot-path event emissions are gated
-	// on it so Detail formatting never runs (or allocates) unsinked.
+	// tracing caches cfg.Sink != nil: narration is gated on it so no event
+	// is built (or allocates) unsinked.
 	tracing bool
 	start   time.Time
 
@@ -197,11 +200,10 @@ type Server struct {
 	// draining is true between a Drain call and either the backlog
 	// emptying or the drain timeout shedding it.
 	draining bool
-	// stopReason/stopCause label the shed applied to the in-flight request
-	// when the server closes under it ("stopped", or "drained" once a
-	// drain times out).
+	// stopReason labels the shed applied to the in-flight request when the
+	// server closes under it ("stopped", or "drained" once a drain times
+	// out).
 	stopReason string
-	stopCause  error
 	// elasticSuppressed is the last §3.3 decision for a splittable arrival:
 	// true while the elastic mechanism is disabling splitting.
 	elasticSuppressed bool
@@ -230,12 +232,6 @@ type Server struct {
 
 // NewServer validates cfg and builds a stopped server.
 func NewServer(cfg Config) (*Server, error) {
-	return newServer(Options{Config: cfg})
-}
-
-// newServer validates assembled options and builds a stopped server.
-func newServer(o Options) (*Server, error) {
-	cfg := o.Config
 	if len(cfg.Catalog) == 0 {
 		return nil, errors.New("serve: empty catalog")
 	}
@@ -262,7 +258,6 @@ func newServer(o Options) (*Server, error) {
 		qos:        obs.NewRollingQoS(cfg.Alpha, cfg.QoSWindow),
 		series:     obs.NewTimeSeries(cfg.Alpha, 0, 0, eng.Devices()),
 		stopReason: DropStopped,
-		stopCause:  ErrStopped,
 	}
 	if cfg.Obs != nil {
 		s.met = newServeMetrics(cfg.Obs, cfg.Catalog, eng)
@@ -278,6 +273,16 @@ func newServer(o Options) (*Server, error) {
 // or a drain that timed out. Caller holds s.mu.
 func (s *Server) stoppingLocked() bool { return s.closed && !s.draining }
 
+// stopLocked is what the engine's Settle is told: empty while the server
+// grants work, else the reason unfinished work is shed under. Caller holds
+// s.mu.
+func (s *Server) stopLocked() string {
+	if s.stoppingLocked() {
+		return s.stopReason
+	}
+	return ""
+}
+
 // anyBusyLocked reports whether any lane is executing a block. Caller
 // holds s.mu.
 func (s *Server) anyBusyLocked() bool {
@@ -291,11 +296,14 @@ func (s *Server) anyBusyLocked() bool {
 
 // shedBacklogLocked sheds every queued request on every lane for the given
 // reason and returns how many it shed. Caller holds s.mu.
-func (s *Server) shedBacklogLocked(now float64, reason string, cause error) int {
+func (s *Server) shedBacklogLocked(now float64, reason string) int {
 	shed := 0
 	for lane := 0; lane < s.eng.Lanes(); lane++ {
 		for r := s.eng.Unqueue(lane); r != nil; r = s.eng.Unqueue(lane) {
-			s.shedLocked(now, r, reason, cause)
+			if s.tracing {
+				s.pending = engine.AppendShed(s.pending, now, r, reason)
+			}
+			s.shedLocked(now, r, reason)
 			shed++
 		}
 	}
@@ -327,10 +335,10 @@ func (s *Server) depthChangedLocked(dev int) {
 const dropsHelp = "requests dropped, by reason (rejections before enqueue and sheds after)"
 
 // serveMetrics caches the registry handles the serving path updates, so the
-// hot path never rebuilds label keys. The catalog is fixed at deploy time,
-// which is what makes per-model precomputation possible; drop reasons are
-// open-ended (callers and future outcomes add new ones), so dropCounter
-// registers unseen reasons lazily instead of panicking on an unknown key.
+// hot path never rebuilds label keys. The per-model and per-reason families
+// are seeded at construction and open-ended after it — Deploy adds models,
+// callers and future outcomes add drop reasons — so labeled registers
+// unseen label values on first use instead of handing back a nil counter.
 type serveMetrics struct {
 	reg         *obs.Registry
 	requests    map[string]*obs.Counter
@@ -391,14 +399,14 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engi
 		rr:          reg.Histogram(obs.MetricResponseRatio, "response ratio t_ete/t_ext of completed requests", obs.DefaultRatioBuckets()),
 	}
 	for name := range catalog {
-		m.requests[name] = reg.Counter(obs.MetricRequestsTotal, "requests accepted into the queue", "model", name)
-		m.completions[name] = reg.Counter(obs.MetricCompletionsTotal, "requests completed", "model", name)
+		m.requestCounter(name)
+		m.completionCounter(name)
 	}
 	for _, reason := range []string{
 		DropStopped, DropUnknownModel, DropQueueFull, DropNotStarted,
 		DropDeadline, DropCanceled, DropDrained, DropDeviceFault,
 	} {
-		m.drops[reason] = reg.Counter(obs.MetricDropsTotal, dropsHelp, "reason", reason)
+		m.dropCounter(reason)
 	}
 	if devices > 1 {
 		for i := 0; i < devices; i++ {
@@ -425,7 +433,7 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engi
 	}
 	if eng.Gated() {
 		m.admitted = reg.Counter(obs.MetricAdmittedTotal, "requests admitted through the front-door gate")
-		m.drops[DropAdmission] = reg.Counter(obs.MetricDropsTotal, dropsHelp, "reason", DropAdmission)
+		m.dropCounter(DropAdmission)
 	}
 	if parts > 1 {
 		for i := 0; i < devices; i++ {
@@ -443,17 +451,30 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engi
 	return m
 }
 
-// dropCounter returns the drops counter for reason, registering reasons
-// not pre-seeded in newServeMetrics on first use — an unknown reason must
-// cost one registry lookup, not a nil-map panic on the serving path.
-// Caller holds s.mu, which also serializes access to the map.
-func (m *serveMetrics) dropCounter(reason string) *obs.Counter {
-	if c := m.drops[reason]; c != nil {
-		return c
+// labeled returns the family's counter for one label value from its cache,
+// registering a value not seeded in newServeMetrics on first use — a model
+// deployed later or an unknown drop reason must cost one registry lookup,
+// not a nil dereference on the serving path. Caller holds s.mu (or is the
+// constructor), which also serializes access to the map.
+func (m *serveMetrics) labeled(cache map[string]*obs.Counter, family, help, label, value string) *obs.Counter {
+	c := cache[value]
+	if c == nil {
+		c = m.reg.Counter(family, help, label, value)
+		cache[value] = c
 	}
-	c := m.reg.Counter(obs.MetricDropsTotal, dropsHelp, "reason", reason)
-	m.drops[reason] = c
 	return c
+}
+
+func (m *serveMetrics) requestCounter(modelName string) *obs.Counter {
+	return m.labeled(m.requests, obs.MetricRequestsTotal, "requests accepted into the queue", "model", modelName)
+}
+
+func (m *serveMetrics) completionCounter(modelName string) *obs.Counter {
+	return m.labeled(m.completions, obs.MetricCompletionsTotal, "requests completed", "model", modelName)
+}
+
+func (m *serveMetrics) dropCounter(reason string) *obs.Counter {
+	return m.labeled(m.drops, obs.MetricDropsTotal, dropsHelp, "reason", reason)
 }
 
 // emit records a live event for the configured sink, if any. Caller holds
@@ -493,13 +514,13 @@ func (s *Server) drop(nowMs float64, modelName, reason string) {
 	s.emit(trace.Event{AtMs: nowMs, Kind: trace.Drop, ReqID: -1, Model: modelName, Detail: reason})
 }
 
-// shedLocked drops an already-enqueued request: counts the reason, emits a
-// Shed event, and resolves the request's waiter with the typed cause. The
-// caller has already detached r from the queue (or owns it in flight).
-// Caller holds s.mu.
+// shedLocked accounts one already-enqueued request leaving unserved: it
+// counts the reason and resolves the request's waiter with the reason's
+// typed error. The Shed event is the narrator's. The caller has already
+// detached r from the queue (or owns it in flight). Caller holds s.mu.
 //
 //lint:hotpath boundary sweeps shed through here on the grant loop
-func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string, cause error) {
+func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string) {
 	s.dropped++
 	// Sheds enter the rolling QoS window with their drop reason as the
 	// record outcome: the live violation rate must count a deadline-shed
@@ -507,13 +528,7 @@ func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string, caus
 	// otherwise heavy shedding *improves* the reported rolling QoS. The
 	// window's latency statistics (jitter, mean RR/wait) skip non-served
 	// records, so sheds cannot pollute them.
-	rec := policy.Record{
-		ID: r.ID, Model: r.Model, Class: r.Class,
-		ArriveMs: r.ArriveMs, StartMs: r.StartMs, DoneMs: nowMs,
-		ExtMs: r.ExtMs, Preemptions: r.Preemptions,
-		Split: len(r.BlockTimes) > 1, Device: r.Device,
-		Outcome: reason,
-	}
+	rec := policy.RecordOf(r, nowMs, reason)
 	s.qos.Observe(rec)
 	s.series.ObserveOutcome(rec)
 	if s.met != nil {
@@ -526,10 +541,10 @@ func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string, caus
 		s.met.violRate.Set(vr)
 		s.met.jitter.Set(jit)
 	}
-	s.emit(trace.Event{AtMs: nowMs, Kind: trace.Shed, ReqID: r.ID, Model: r.Model, Block: r.Next,
-		Device: r.Device, Detail: reason})
+	// Shed reasons are the wire-code vocabulary, the engine's trace.Reason*
+	// words included.
 	//lint:ignore hotalloc the resolved error must carry request identity for the client; sheds are the rare path
-	s.resolveLocked(r.ID, outcome{err: fmt.Errorf("%w (request %d, %s)", cause, r.ID, r.Model)})
+	s.resolveLocked(r.ID, outcome{err: fmt.Errorf("%w (request %d, %s)", codeToErr[reason], r.ID, r.Model)})
 }
 
 // resolveLocked queues the waiter's outcome for delivery and forgets the
@@ -608,7 +623,7 @@ func (s *Server) Stop() {
 	if s.listener != nil {
 		s.listener.Close()
 	}
-	s.shedBacklogLocked(s.nowMs(), DropStopped, ErrStopped)
+	s.shedBacklogLocked(s.nowMs(), DropStopped)
 	s.cond.Broadcast()
 	evs, dels := s.takeOut()
 	s.mu.Unlock()
@@ -658,9 +673,9 @@ func (s *Server) Drain(timeout time.Duration) int {
 	shed := 0
 	if s.draining {
 		s.draining = false
-		s.stopReason, s.stopCause = DropDrained, ErrDrained
+		s.stopReason = DropDrained
 		now := s.nowMs()
-		shed = s.shedBacklogLocked(now, DropDrained, ErrDrained)
+		shed = s.shedBacklogLocked(now, DropDrained)
 		s.emit(trace.Event{AtMs: now, Kind: trace.DrainEnd, ReqID: -1,
 			Detail: fmt.Sprintf("timeout, shed=%d", shed)})
 		s.cond.Broadcast()
@@ -680,7 +695,8 @@ func (s *Server) Cancel(id int) CancelState {
 	return s.cancel(id, "client cancel")
 }
 
-// CancelState reports what a cancellation found.
+// CancelState reports what a cancellation found, in the engine's words
+// (engine.CancelState.String).
 type CancelState string
 
 // Cancel outcomes.
@@ -703,38 +719,27 @@ func (s *Server) cancel(id int, why string) CancelState {
 	return state
 }
 
-// cancelStates maps the engine's cancellation verdicts onto the RPC
-// surface's strings.
-var cancelStates = [...]CancelState{
-	engine.CancelUnknown:  CancelUnknown,
-	engine.CancelQueued:   CancelQueued,
-	engine.CancelInflight: CancelInflight,
-}
-
 // cancelLocked is the body of cancel. Caller holds s.mu.
 func (s *Server) cancelLocked(id int, why string) CancelState {
 	now := s.nowMs()
 	c := s.eng.Cancel(now, id)
 	if !c.Marked {
 		// Unknown, or an in-flight request that was already canceled.
-		return cancelStates[c.State]
+		return CancelState(c.State.String())
 	}
-	r := c.Req
+	if s.tracing {
+		s.pending = engine.AppendCancel(s.pending, now, c, why)
+	}
+	// A grant holder — a scalar in-flight request or any member of the
+	// current micro-batch — sheds at its boundary, not here.
 	if c.State == engine.CancelQueued {
-		s.emit(trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: id, Model: r.Model,
-			Block: r.Next, Device: r.Device, Part: r.Partition, Detail: "queued: " + why})
-		s.shedLocked(now, r, DropCanceled, ErrCanceled)
-		s.depthChangedLocked(r.Device)
-	} else {
-		// The grant holder may be a scalar in-flight request or any member
-		// of the current micro-batch; either way it sheds at the boundary.
-		s.emit(trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: id, Model: r.Model,
-			Block: r.Next, Device: r.Device, Part: r.Partition, Detail: "inflight: " + why})
+		s.shedLocked(now, c.Req, DropCanceled)
+		s.depthChangedLocked(c.Req.Device)
 	}
 	if s.cfg.ArrivalRecorder != nil {
 		s.cfg.ArrivalRecorder.ObserveCancel(id, now)
 	}
-	return cancelStates[c.State]
+	return CancelState(c.State.String())
 }
 
 func (s *Server) acceptLoop() {
@@ -772,7 +777,7 @@ func (s *Server) serveConn(conn net.Conn) {
 //lint:hotpath the executor loop is the serving-path grant loop: one iteration per device hold
 func (s *Server) executor(lane int) {
 	defer s.wg.Done()
-	dev, part := place.LaneDevice(lane, s.eng.Parts())
+	dev, _ := place.LaneDevice(lane, s.eng.Parts())
 	// Label the executor goroutine so CPU/goroutine profiles from
 	// /debug/pprof split by device; per-block model/phase labels are applied
 	// around the device hold below.
@@ -786,9 +791,12 @@ func (s *Server) executor(lane int) {
 		var g engine.Grant
 		if !s.stoppingLocked() {
 			g = s.eng.Grant(lane, now)
+			if s.tracing {
+				s.pending = engine.AppendGrant(s.pending, now, g)
+			}
 			if len(g.Shed) > 0 {
 				for _, r := range g.Shed {
-					s.shedLocked(now, r, DropDeadline, ErrDeadlineExceeded)
+					s.shedLocked(now, r, DropDeadline)
 				}
 				s.depthChangedLocked(dev)
 			}
@@ -836,16 +844,8 @@ func (s *Server) executor(lane int) {
 			s.met.batchSize.Observe(float64(len(g.Batch)))
 		}
 		s.depthChangedLocked(dev)
-		for _, m := range g.Batch {
-			s.emit(trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID, Model: m.Model, Block: g.Block,
-				Device: dev, Part: part, Batch: g.BatchID})
-		}
 		var st engine.Settlement
 		for {
-			if g.Spike > 1 && s.tracing {
-				s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.Model, Block: g.Block,
-					Device: dev, Detail: fmt.Sprintf("spike x%.2f attempt=%d", g.Spike, g.Attempt)})
-			}
 			evs, dels := s.takeOut()
 			s.mu.Unlock()
 			s.deliver(evs, dels)
@@ -857,21 +857,17 @@ func (s *Server) executor(lane int) {
 			pprof.SetGoroutineLabels(idleCtx)
 			s.mu.Lock()
 			now = s.nowMs()
-			if st = s.eng.Settle(lane, now, s.stoppingLocked()); !st.Retry {
+			st = s.eng.Settle(lane, now, s.stopLocked())
+			if s.tracing {
+				s.pending = engine.AppendSettle(s.pending, now, g, st)
+			}
+			if !st.Retry {
 				break
 			}
 			if s.met != nil {
 				s.met.retries.Inc()
 			}
-			if s.tracing {
-				s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.Model, Block: g.Block,
-					Device: dev, Detail: fmt.Sprintf("transient attempt=%d, retrying", g.Attempt)})
-			}
-			g.Attempt, g.HoldMs, g.Spike = st.Attempt, st.HoldMs, st.Spike
-		}
-		if st.Terminal && s.tracing {
-			s.emit(trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.Model, Block: g.Block,
-				Device: dev, Detail: fmt.Sprintf("terminal after %d attempts", st.Attempt+1)})
+			g.HoldMs = st.HoldMs
 		}
 		if len(st.Wake) > 0 {
 			// Sibling lanes were waiting for anchor slots this release
@@ -893,10 +889,6 @@ func (s *Server) executor(lane int) {
 			s.met.partBlocks[lane].Inc()
 			s.met.partWidth[lane].SetInt(int(g.Frac*float64(s.eng.Parts()) + 0.5))
 		}
-		for _, m := range g.Batch {
-			s.emit(trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID, Model: m.Model, Block: g.Block,
-				Device: dev, Part: part, Batch: g.BatchID})
-		}
 		for _, f := range st.Fates {
 			s.fateLocked(now, f)
 		}
@@ -907,8 +899,8 @@ func (s *Server) executor(lane int) {
 	}
 }
 
-// fateLocked reports one grant member's boundary outcome, as the engine
-// decided it: deliver the completion, shed with the typed cause, or account
+// fateLocked accounts one grant member's boundary outcome, as the engine
+// decided it: deliver the completion, shed with the typed cause, or count
 // the re-insertion. Caller holds s.mu.
 //
 //lint:hotpath every granted block's members are reported here at the boundary
@@ -936,31 +928,14 @@ func (s *Server) fateLocked(nowMs float64, f engine.Fate) {
 			agg.violations++
 		}
 		agg.preempts += r.Preemptions
+		//lint:ignore hotalloc deployed models hit the cached counter map; Registry.Counter runs once per never-seen model
 		s.observeCompletion(r, rr)
-		if s.tracing {
-			s.emit(trace.Event{AtMs: nowMs, Kind: trace.Complete, ReqID: r.ID, Model: r.Model,
-				Device: r.Device, Detail: fmt.Sprintf("rr=%.3f preempts=%d", rr, r.Preemptions)})
-		}
 		s.resolveLocked(r.ID, outcome{req: r})
 	case engine.Shed:
-		// The engine speaks the shared trace.Reason* vocabulary, which is
-		// also the wire-code vocabulary.
-		s.shedLocked(nowMs, r, f.Reason, codeToErr[f.Reason])
-	case engine.Stopped:
-		s.shedLocked(nowMs, r, s.stopReason, s.stopCause)
+		s.shedLocked(nowMs, r, f.Reason)
 	case engine.Requeued:
-		if s.tracing {
-			s.emit(trace.Event{AtMs: nowMs, Kind: trace.Enqueue, ReqID: r.ID, Model: r.Model, Block: r.Next,
-				Device: r.Device, Part: r.Partition, Detail: fmt.Sprintf("pos=%d depth=%d", f.Pos, f.Depth)})
-		}
-		if f.Pos > 0 {
-			if s.met != nil {
-				s.met.preemptions.Inc()
-			}
-			if s.tracing {
-				s.emit(trace.Event{AtMs: nowMs, Kind: trace.Preempt, ReqID: r.ID, Model: r.Model,
-					Block: r.Next, Device: r.Device, Detail: fmt.Sprintf("pos=%d", f.Pos)})
-			}
+		if f.Pos > 0 && s.met != nil {
+			s.met.preemptions.Inc()
 		}
 		s.depthChangedLocked(r.Device)
 	}
@@ -969,18 +944,13 @@ func (s *Server) fateLocked(nowMs float64, f engine.Fate) {
 // observeCompletion feeds the rolling QoS window and completion metrics.
 // Caller holds s.mu.
 func (s *Server) observeCompletion(r *sched.Request, rr float64) {
-	rec := policy.Record{
-		ID: r.ID, Model: r.Model, Class: r.Class,
-		ArriveMs: r.ArriveMs, StartMs: r.StartMs, DoneMs: r.DoneMs,
-		ExtMs: r.ExtMs, Preemptions: r.Preemptions,
-		Split: len(r.BlockTimes) > 1, Device: r.Device,
-	}
+	rec := policy.RecordOf(r, r.DoneMs, policy.OutcomeServed)
 	s.qos.Observe(rec)
 	s.series.ObserveOutcome(rec)
 	if s.met == nil {
 		return
 	}
-	s.met.completions[r.Model].Inc()
+	s.met.completionCounter(r.Model).Inc()
 	s.met.waitMs.Observe(r.E2EMs() - r.ExtMs)
 	s.met.e2eMs.Observe(r.E2EMs())
 	s.met.rr.Observe(rr)
@@ -1004,8 +974,10 @@ func (s *Server) enqueue(modelName string, deadlineMs float64) (int, chan outcom
 }
 
 // enqueueLocked is the body of enqueue: the serve-only rejections, then the
-// engine's front door, then the metrics, events and waiter that describe
-// what the engine decided. Caller holds s.mu.
+// engine's front door, then the metrics and waiter that account for what
+// the engine decided. Every job that reaches the front door takes an ID,
+// admitted or not, so a rejection's Drop never shares one with a later
+// request. Caller holds s.mu.
 func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan outcome, error) {
 	now := s.nowMs()
 	if s.start.IsZero() {
@@ -1016,7 +988,7 @@ func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan 
 		s.drop(now, modelName, DropStopped)
 		return 0, nil, ErrStopped
 	}
-	info, ok := s.cfg.Catalog[modelName]
+	job, ok := s.cfg.Catalog.Job(s.nextID, modelName, deadlineMs)
 	if !ok {
 		s.drop(now, modelName, DropUnknownModel)
 		return 0, nil, fmt.Errorf("%w: %q", ErrUnknownModel, modelName)
@@ -1027,44 +999,32 @@ func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan 
 			return 0, nil, fmt.Errorf("%w: %d waiting", ErrQueueFull, depth)
 		}
 	}
-	plan := s.cfg.Catalog.BlocksFor(modelName)
-	d := s.eng.Arrive(now, engine.Job{ID: s.nextID, Model: modelName, Class: info.Class,
-		ExtMs: info.ExtMs, Plan: plan, DeadlineMs: deadlineMs})
+	s.nextID++
+	d := s.eng.Arrive(now, job)
+	if s.tracing {
+		s.pending = engine.AppendArrival(s.pending, now, job, d)
+	}
+	if d.Scale.Dir != fleet.Hold {
+		s.scaledLocked(d.Scale)
+	}
 	if d.Rejected {
 		s.dropped++
 		if s.met != nil {
 			s.met.dropCounter(DropAdmission).Inc()
 		}
-		s.emit(trace.Event{AtMs: now, Kind: trace.Drop, ReqID: -1, Model: modelName,
-			Detail: DropAdmission + ": " + d.Detail})
-	} else if s.met != nil && s.met.admitted != nil {
-		s.met.admitted.Inc()
-	}
-	if d.Scale.Dir != fleet.Hold {
-		s.scaledLocked(now, d.Scale)
-	}
-	if d.Rejected {
 		return 0, nil, fmt.Errorf("%w (%s: %s)", ErrAdmissionRejected, modelName, d.Detail)
 	}
 	r := d.Req
 	id := r.ID
-	s.nextID++
 	depth := s.eng.Depth()
-	if s.tracing && s.eng.Lanes() > 1 {
-		s.emit(trace.Event{AtMs: now, Kind: trace.Place, ReqID: id, Model: modelName, Device: r.Device, Part: r.Partition,
-			Detail: fmt.Sprintf("policy=%s depth=%d", s.eng.PlacerName(), d.QueueLen)})
-	}
-	if len(plan) > 1 {
+	if len(job.Plan) > 1 {
 		s.setElastic(now, len(r.BlockTimes) == 1, depth-1)
 	}
 	if s.met != nil {
-		s.met.requests[modelName].Inc()
-	}
-	if s.tracing {
-		s.emit(trace.Event{AtMs: now, Kind: trace.Arrive, ReqID: id, Model: modelName,
-			Device: r.Device, Part: r.Partition, Detail: fmt.Sprintf("blocks=%d", len(r.BlockTimes))})
-		s.emit(trace.Event{AtMs: now, Kind: trace.Enqueue, ReqID: id, Model: modelName,
-			Device: r.Device, Part: r.Partition, Detail: fmt.Sprintf("pos=%d depth=%d", d.Pos, d.QueueLen+1)})
+		if s.met.admitted != nil {
+			s.met.admitted.Inc()
+		}
+		s.met.requestCounter(modelName).Inc()
 	}
 	s.series.ObserveArrival(now)
 	s.series.ObserveDepth(now, depth)
@@ -1080,25 +1040,20 @@ func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan 
 	return id, ch, nil
 }
 
-// scaledLocked reports one autoscaler actuation: the gauge, the direction
-// counter, and the ScaleOut/ScaleIn event. Caller holds s.mu.
-func (s *Server) scaledLocked(now float64, sc engine.Scale) {
-	kind, signal := trace.ScaleOut, "depth"
+// scaledLocked counts one autoscaler actuation: the gauge and the
+// direction counter. After a scale-in the device's executors keep draining
+// their queues and then idle; placement simply never targets them again.
+// Caller holds s.mu.
+func (s *Server) scaledLocked(sc engine.Scale) {
+	if s.met == nil || s.met.fleetActive == nil {
+		return
+	}
+	s.met.fleetActive.SetInt(sc.Active)
 	if sc.Dir == fleet.ScaleIn {
-		// Drain-then-release: the device's executors keep draining their
-		// queues and then idle; placement simply never targets them again.
-		kind, signal = trace.ScaleIn, "drain"
+		s.met.scaleIns.Inc()
+	} else {
+		s.met.scaleOuts.Inc()
 	}
-	if s.met != nil && s.met.fleetActive != nil {
-		s.met.fleetActive.SetInt(sc.Active)
-		if sc.Dir == fleet.ScaleIn {
-			s.met.scaleIns.Inc()
-		} else {
-			s.met.scaleOuts.Inc()
-		}
-	}
-	s.emit(trace.Event{AtMs: now, Kind: kind, ReqID: -1, Device: sc.Device,
-		Detail: fmt.Sprintf("active=%d %s=%d", sc.Active, signal, sc.Depth)})
 }
 
 // setElastic tracks §3.3 elastic-mode transitions for the gauge and the

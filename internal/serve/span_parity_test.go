@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"split/internal/engine"
@@ -17,6 +18,11 @@ import (
 // same phase structure, and exec times matching to within wall-clock
 // scheduling overhead. Both streams must fold with zero invariant
 // problems; the decomposition identity holds exactly on each side.
+//
+// Under the spans, the two streams are one narration: both drivers hand the
+// same engine decisions to the same engine.Append* functions, so each
+// request's (kind, block) sequence is equal event for event, and so is the
+// Detail of every kind that carries no clock reading.
 func TestSimServeSpanParity(t *testing.T) {
 	// The TestSimServeParity schedule: five "work" requests (3 x 20 ms
 	// blocks), arriving together, with deadlines that serve reqs 0/3/4,
@@ -45,16 +51,26 @@ func TestSimServeSpanParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids[i], chans[i] = id, ch
+		if i == 0 {
+			// The simulator grants the first arrival on the spot; wait for
+			// the executor to do the same, so the others queue behind a
+			// held device on both sides.
+			waitBusy(t, srv)
+		}
 	}
 	for _, ch := range chans {
 		await(t, ch) // outcomes themselves are pinned by TestSimServeParity
 	}
-	srvTree := trace.BuildSpans(ring.Snapshot())
+	srvEvents := ring.Snapshot()
+	srvTree := trace.BuildSpans(srvEvents)
 	if len(srvTree.Problems) != 0 {
 		t.Fatalf("serve span problems: %v", srvTree.Problems)
 	}
 
 	for i := range deadlines {
+		if sim, srv := storyOf(simTr.Events(), i), storyOf(srvEvents, ids[i]); !slices.Equal(sim, srv) {
+			t.Errorf("req %d narrated differently:\n sim   %v\n serve %v", i, sim, srv)
+		}
 		sim, srvSpan := simTree.Span(i), srvTree.Span(ids[i])
 		if sim == nil || srvSpan == nil {
 			t.Fatalf("req %d missing a span: sim=%v serve=%v", i, sim, srvSpan)
@@ -94,4 +110,29 @@ func TestSimServeSpanParity(t *testing.T) {
 				i, srvSpan.ExecMs, sim.ExecMs, sim.ExecMs)
 		}
 	}
+}
+
+// step is one event of a request's story with its clock readings removed:
+// the time is dropped, and so is the Detail of the kinds that quote one
+// (Complete's response ratio).
+type step struct {
+	kind   trace.EventKind
+	block  int
+	detail string
+}
+
+func storyOf(events []trace.Event, id int) []step {
+	var story []step
+	for _, e := range events {
+		if e.ReqID != id {
+			continue
+		}
+		st := step{kind: e.Kind, block: e.Block}
+		switch e.Kind {
+		case trace.Arrive, trace.StartBlock, trace.Shed, trace.Fault:
+			st.detail = e.Detail
+		}
+		story = append(story, st)
+	}
+	return story
 }

@@ -173,9 +173,9 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 			st.span = RequestSpan{ReqID: e.ReqID, Model: e.Model, Outcome: "open",
 				ArriveMs: e.AtMs, DoneMs: e.AtMs}
 			switch e.Kind {
-			case Arrive, Place, Enqueue:
-				// Place and Enqueue legally precede Arrive in both the fleet
-				// simulator and the server (routing happens before admission).
+			case Arrive, Place:
+				// Place legally precedes Arrive: the engine routes a request
+				// before Algorithm 1 inserts it.
 			default:
 				// First sight of the request is mid-flight: the Arrive event
 				// was truncated out of the stream (ring wrap). The span is
@@ -331,7 +331,7 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 				sp.Intervals = append(sp.Intervals, Interval{Phase: phase, Block: -1, Device: -1,
 					StartMs: gapStart, EndMs: e.AtMs})
 			}
-		case Cancel, Fault, Enqueue, Place:
+		case Cancel, Fault, Place:
 			// Annotations on the request's lifetime; they shift no phase
 			// boundaries. (Cancellation takes effect at the settle event.)
 		}

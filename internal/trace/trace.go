@@ -22,9 +22,6 @@ const (
 	Preempt    EventKind = "preempt"
 	Complete   EventKind = "complete"
 	Drop       EventKind = "drop"
-	// Enqueue records a queue insertion decision (Algorithm 1's chosen
-	// position), emitted by sched.Queue when a Sink is attached.
-	Enqueue EventKind = "enqueue"
 	// ElasticOn / ElasticOff mark transitions of the §3.3 elastic mechanism:
 	// ElasticOn means splitting is being suppressed (elastic mode active).
 	ElasticOn  EventKind = "elastic_on"
@@ -125,12 +122,12 @@ func (t *Tracer) Emit(e Event) { t.Record(e) }
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
 
-// Record appends an event. No-op on a nil receiver.
-func (t *Tracer) Record(e Event) {
+// Record appends events in order. No-op on a nil receiver.
+func (t *Tracer) Record(evs ...Event) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, e)
+	t.events = append(t.events, evs...)
 }
 
 // Recordf is shorthand for Record with a formatted detail string.
@@ -140,27 +137,6 @@ func (t *Tracer) Recordf(atMs float64, kind EventKind, reqID int, model string, 
 	}
 	t.Record(Event{AtMs: atMs, Kind: kind, ReqID: reqID, Model: model, Block: block,
 		Detail: fmt.Sprintf(format, args...)})
-}
-
-// DeviceRecordf is Recordf with an explicit fleet device.
-func (t *Tracer) DeviceRecordf(atMs float64, kind EventKind, device, reqID int, model string, block int, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{AtMs: atMs, Kind: kind, ReqID: reqID, Model: model, Block: block,
-		Device: device, Detail: fmt.Sprintf(format, args...)})
-}
-
-// PartRecordf is DeviceRecordf with an explicit partition slot, for events
-// emitted by spatial-sharing lanes. part 0 produces the event
-// DeviceRecordf would, so unpartitioned call sites can route through
-// either.
-func (t *Tracer) PartRecordf(atMs float64, kind EventKind, device, part, reqID int, model string, block int, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.Record(Event{AtMs: atMs, Kind: kind, ReqID: reqID, Model: model, Block: block,
-		Device: device, Part: part, Detail: fmt.Sprintf(format, args...)})
 }
 
 // Events returns the recorded events in insertion order. Nil-safe.

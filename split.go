@@ -98,8 +98,6 @@ type (
 	// ServerOption is one functional server option (WithDevices,
 	// WithPlacement, WithDeadlines, ...).
 	ServerOption = serve.Option
-	// ServerOptions is the option set NewServerWith assembles.
-	ServerOptions = serve.Options
 	// Client talks to a Server.
 	Client = serve.Client
 	// InferReply is a completed request's QoS outcome.
