@@ -163,3 +163,33 @@ func TestSplitGoldenDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestBaselineGoldenDigests pins records and trace events of the five
+// baseline systems on goldenArrivals. The values were generated at the
+// commit before their run loops moved onto the shared arrival feed; that
+// move, and any later one, must not change them.
+func TestBaselineGoldenDigests(t *testing.T) {
+	catalog, arrivals := goldenCatalog(), goldenArrivals(t)
+	for _, c := range []struct {
+		sys      System
+		traced   uint64
+		untraced uint64
+	}{
+		{NewClockWork(), 0xa9757a604fcbe4bc, 0x27a73ca0a5eb71e0},
+		{NewPREMA(), 0x66cb64779cde8b58, 0x84d8e85b104aadd0},
+		{NewRTA(), 0xfd0e0875d8128493, 0x3ac2f076e369881a},
+		{NewREEF(), 0x8dac9b5aced9d7c9, 0xf4f19065ba856a22},
+		{NewStreamParallel(), 0xb95b953e35c59619, 0xece72ad5819f7ad3},
+	} {
+		tr := trace.New()
+		recs := c.sys.Run(arrivals, catalog, tr)
+		if got := goldenDigest(recs, tr.Events()); got != c.traced {
+			t.Errorf("%s: records+trace digest %#016x, want %#016x (%d records, %d events)",
+				c.sys.Name(), got, c.traced, len(recs), tr.Len())
+		}
+		recs = c.sys.Run(arrivals, catalog, nil)
+		if got := goldenDigest(recs, nil); got != c.untraced {
+			t.Errorf("%s: untraced records digest %#016x, want %#016x", c.sys.Name(), got, c.untraced)
+		}
+	}
+}
