@@ -3,7 +3,7 @@
 COUNT ?= 1
 BENCH ?= .
 
-.PHONY: check test lint bench fmt
+.PHONY: check test lint bench profile fmt
 
 check:
 	./scripts/check.sh
@@ -23,6 +23,14 @@ lint:
 bench:
 	go test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) . ./internal/... | tee bench.out
 	go run ./cmd/splitperf
+
+# CPU and allocation profiles of the million-request sweep, the simulator's
+# scale point. Leaves cpu.out, mem.out and split.test (git-ignored) for
+# `go tool pprof -peek`, `-list` and `-diff_base` against another commit's.
+profile:
+	go test -run '^$$' -bench MillionRequestSweep -benchtime 3x -cpuprofile cpu.out -memprofile mem.out .
+	go tool pprof -top -nodecount 30 split.test cpu.out
+	go tool pprof -top -nodecount 15 -sample_index alloc_space split.test mem.out
 
 fmt:
 	gofmt -w .

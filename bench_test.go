@@ -545,9 +545,10 @@ func BenchmarkCohortGeneration(b *testing.B) {
 
 // BenchmarkMillionRequestSweep measures the full million-request pipeline —
 // cohort generation plus replay through policy.Split on a 4-device
-// least-loaded fleet — and reports the simulated request throughput. This
-// is the PR 8 scale point: the allocation work recorded in BENCH_2.json is
-// what makes this sweep run in seconds.
+// least-loaded fleet — and reports the simulated request throughput. It is
+// the profiling target of `make profile`; the number that gates a change is
+// splitperf's sim_cohort_1m, which times the same replay without the
+// generation and bounds its allocations and peak memory too.
 func BenchmarkMillionRequestSweep(b *testing.B) {
 	dep := deployOnce(b)
 	b.ResetTimer()

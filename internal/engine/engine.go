@@ -134,9 +134,10 @@ type Job struct {
 	Class model.RequestClass
 	// ExtMs is t_ext, the isolated unsplit execution time.
 	ExtMs float64
-	// Plan is the deployed block plan. The request executes this slice (or
-	// a single ExtMs block when elastic splitting suppresses it), so the
-	// caller must not reuse it.
+	// Plan is the deployed block plan; empty means one unsplit block of
+	// ExtMs. Read-only: the request executes this very slice (or a single
+	// ExtMs block when elastic splitting suppresses it), which is typically
+	// the catalog's own, shared by every request of the model.
 	Plan []float64
 	// DeadlineMs, when > 0, is the client's deadline that many milliseconds
 	// after arrival; 0 derives α·t_ext when EnforceDeadlines is on.
@@ -369,11 +370,47 @@ type Engine struct {
 	// window feeds the autoscaler's rolling violation rate with the same
 	// per-request predicate as metrics.ViolationRate; nil without a scaler.
 	window *fleet.Window
-	// activeIDs, view and wake are reusable buffers: the Resize argument,
-	// the placer's fleet view, and Settlement.Wake.
-	activeIDs []int
+	// deviceIDs is 0..len(devices)-1; its prefixes are the Resize argument.
+	// view and wake are reusable buffers: the placer's fleet view and
+	// Settlement.Wake.
+	deviceIDs []int
 	view      []place.Load
 	wake      []int
+	// slab is the unused tail of the current request chunk, chunk that
+	// chunk's size; see newRequest.
+	slab  []slot
+	chunk int
+}
+
+// slot is one slab entry: a request and, inline, the one-block plan it runs
+// when it has no split plan or §3.3 suppressed it.
+type slot struct {
+	req   sched.Request
+	whole [1]float64
+}
+
+// Slab chunks double from slabMin to slabMax requests: a run of a few
+// arrivals pays for a few slots, a long one allocates under 0.01 times per
+// request, and no chunk is so large (20 KB) that a live server's in-flight
+// requests pin much dead weight.
+const (
+	slabMin = 8
+	slabMax = 128
+)
+
+// newRequest hands out the next slab entry. Nothing is ever returned to the
+// slab: a chunk is garbage once the last request in it has left the system.
+//
+//lint:hotpath every arrival draws its request here
+func (e *Engine) newRequest() *slot {
+	if len(e.slab) == 0 {
+		e.chunk = min(max(2*e.chunk, slabMin), slabMax)
+		//lint:ignore hotalloc amortized slab refill: one allocation per chunk of arrivals
+		e.slab = make([]slot, e.chunk)
+	}
+	s := &e.slab[0]
+	e.slab = e.slab[1:]
+	return s
 }
 
 // New validates k and builds an idle engine. Errors come back exactly as
@@ -420,6 +457,7 @@ func New(k Knobs) (*Engine, error) {
 		k:         k,
 		lanes:     make([]lane, n*parts),
 		devices:   make([]*gpusim.Device, n),
+		deviceIDs: make([]int, n),
 		placer:    placer,
 		spatial:   spatial,
 		planner:   sched.BatchPlanner{Max: k.BatchMax},
@@ -438,9 +476,9 @@ func New(k Knobs) (*Engine, error) {
 	}
 	if scaler != nil {
 		e.window = fleet.NewWindow(0)
-		e.activeIDs = make([]int, 0, n)
 	}
 	for i := range e.devices {
+		e.deviceIDs[i] = i
 		d := &gpusim.Device{ID: i, Faults: k.Faults.ForDevice(i)}
 		if i < active {
 			d.Attach(0)
@@ -535,6 +573,8 @@ func (e *Engine) Stats(now float64) Stats {
 // throttled autoscale evaluation, placement, the §3.3 elastic split
 // decision, deadline derivation, and the Algorithm 1 insertion. Any other
 // interleaving would let two drivers diverge under the same schedule.
+//
+//lint:hotpath the front door runs once per request, in the simulator's event loop and under the server mutex
 func (e *Engine) Arrive(now float64, job Job) Arrival {
 	var out Arrival
 	if e.admit != nil {
@@ -547,9 +587,12 @@ func (e *Engine) Arrive(now float64, job Job) Arrival {
 	}
 	out.Scale = e.autoscale(now)
 	view := e.fleetView()
-	planned := 0.0
-	for _, b := range job.Plan {
-		planned += b
+	planned := job.ExtMs
+	if len(job.Plan) > 0 {
+		planned = 0
+		for _, b := range job.Plan {
+			planned += b
+		}
 	}
 	preq := place.Request{ID: job.ID, Model: job.Model, ExtMs: job.ExtMs, PlannedMs: planned}
 	var dev, idx int
@@ -566,13 +609,16 @@ func (e *Engine) Arrive(now float64, job Job) Arrival {
 		panic(fmt.Sprintf("engine: placer %q chose lane %d of %d", e.placer.Name(), idx, len(view)))
 	}
 	ln := &e.lanes[idx]
+	s := e.newRequest()
 	blocks := job.Plan
 	// The §3.3 same-type run the arrival would join includes the request
 	// occupying the placed lane, not just its queued neighbors.
-	if len(blocks) > 1 && !e.k.Elastic.ShouldSplitWith(ln.queue, job.Model, ln.inflight) {
-		blocks = []float64{job.ExtMs}
+	if len(blocks) == 0 || len(blocks) > 1 && !e.k.Elastic.ShouldSplitWith(ln.queue, job.Model, ln.inflight) {
+		s.whole[0] = job.ExtMs
+		blocks = s.whole[:]
 	}
-	r := sched.NewRequest(job.ID, job.Model, job.Class, now, job.ExtMs, blocks)
+	r := &s.req
+	*r = sched.MakeRequest(job.ID, job.Model, job.Class, now, job.ExtMs, blocks)
 	r.Device = dev
 	r.Partition = ln.part
 	if alpha, ok := e.k.AlphaByClass[job.Class]; ok {
@@ -908,9 +954,5 @@ func (e *Engine) autoscale(now float64) Scale {
 func (e *Engine) SetActive(n int) {
 	e.active = n
 	e.maxActive = max(e.maxActive, n)
-	e.activeIDs = e.activeIDs[:0]
-	for i := 0; i < n; i++ {
-		e.activeIDs = append(e.activeIDs, i)
-	}
-	e.placer.Resize(e.activeIDs)
+	e.placer.Resize(e.deviceIDs[:n])
 }

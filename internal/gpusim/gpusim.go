@@ -47,6 +47,16 @@ func (s *Sim) Processed() int { return s.processed }
 //
 //lint:hotpath every device hold schedules its boundary event here
 func (s *Sim) At(atMs float64, fn func(now float64)) {
+	atMs = s.eventTime(atMs)
+	s.seq++
+	//lint:ignore hotalloc amortized heap growth: the backing array reaches steady state and is reused
+	s.events = append(s.events, event{at: atMs, seq: s.seq, fn: fn})
+	s.events.siftUp(len(s.events) - 1)
+}
+
+// eventTime checks an event time against the clock — the past and
+// non-finite times panic — and absorbs float rounding just behind Now.
+func (s *Sim) eventTime(atMs float64) float64 {
 	if atMs < s.now-1e-9 {
 		panic(fmt.Sprintf("gpusim: scheduling event at %.6f before now %.6f", atMs, s.now))
 	}
@@ -56,10 +66,7 @@ func (s *Sim) At(atMs float64, fn func(now float64)) {
 	if atMs < s.now {
 		atMs = s.now
 	}
-	s.seq++
-	//lint:ignore hotalloc amortized heap growth: the backing array reaches steady state and is reused
-	s.events = append(s.events, event{at: atMs, seq: s.seq, fn: fn})
-	s.events.siftUp(len(s.events) - 1)
+	return atMs
 }
 
 // After schedules fn to run delayMs milliseconds from now.
@@ -72,7 +79,7 @@ func (s *Sim) After(delayMs float64, fn func(now float64)) {
 // Run executes events until the queue is empty and returns the final time.
 func (s *Sim) Run() float64 {
 	for len(s.events) > 0 {
-		s.step()
+		s.Step()
 	}
 	return s.now
 }
@@ -80,14 +87,32 @@ func (s *Sim) Run() float64 {
 // RunUntil executes events with time <= t, then sets the clock to t.
 func (s *Sim) RunUntil(t float64) {
 	for len(s.events) > 0 && s.events[0].at <= t {
-		s.step()
+		s.Step()
 	}
 	if t > s.now {
 		s.now = t
 	}
 }
 
-func (s *Sim) step() {
+// NextAt returns the time of the earliest queued event, +Inf when none is
+// queued.
+//
+// NextAt, Step and Advance let a caller merge a time-ordered stream of its
+// own — a trace's arrivals — against the queue instead of planting it: fire
+// whichever of NextAt and the stream's head is earlier, a queued event with
+// Step, a stream event with Advance. An event planted before the run would
+// precede every same-instant event scheduled during it, so let the stream
+// win ties; the merged firing order is then exactly the planted one, and the
+// heap stays as deep as the work in flight rather than as long as the trace.
+func (s *Sim) NextAt() float64 {
+	if len(s.events) == 0 {
+		return math.Inf(1)
+	}
+	return s.events[0].at
+}
+
+// Step executes the earliest queued event; it panics on an empty queue.
+func (s *Sim) Step() {
 	ev := s.events[0]
 	last := len(s.events) - 1
 	s.events[0] = s.events[last]
@@ -97,11 +122,24 @@ func (s *Sim) step() {
 		s.events.siftDown(0)
 	}
 	s.now = ev.at
+	s.count()
+	ev.fn(s.now)
+}
+
+// Advance moves the clock to the time of an event the caller fires itself,
+// under At's rules for event times, and counts it as processed. The caller
+// must have stepped past every queued event earlier than atMs.
+func (s *Sim) Advance(atMs float64) {
+	s.now = s.eventTime(atMs)
+	s.count()
+}
+
+// count books one executed event against the runaway budget.
+func (s *Sim) count() {
 	s.processed++
 	if s.MaxEvents > 0 && s.processed > s.MaxEvents {
 		panic("gpusim: event budget exceeded (runaway simulation)")
 	}
-	ev.fn(s.now)
 }
 
 // Pending returns the number of queued events.

@@ -1,7 +1,9 @@
 package gpusim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -139,6 +141,87 @@ func TestEventBudgetGuard(t *testing.T) {
 		}
 	}()
 	s.Run()
+}
+
+// TestMergedStreamFiresInPlantedOrder drives the queue the way a trace
+// replay does — external events fed with Advance, queued ones with Step —
+// and checks the result against planting everything up front: same order,
+// ties to the stream, every fed event counted.
+func TestMergedStreamFiresInPlantedOrder(t *testing.T) {
+	stream := []float64{0, 2, 2, 5, 9}
+	// Each stream event schedules a timer 3 ms out: the one from t=2 lands
+	// exactly on the stream event at t=5.
+	run := func(planted bool) (order []string, s *Sim) {
+		s = New()
+		fire := func(i int) func(float64) {
+			return func(now float64) {
+				order = append(order, fmt.Sprintf("ext%d@%v", i, now))
+				s.After(3, func(now float64) { order = append(order, fmt.Sprintf("timer%d@%v", i, now)) })
+			}
+		}
+		if planted {
+			for i, at := range stream {
+				s.At(at, fire(i))
+			}
+			s.Run()
+			return order, s
+		}
+		for i, at := range stream {
+			for s.NextAt() < at {
+				s.Step()
+			}
+			s.Advance(at)
+			fire(i)(s.Now())
+		}
+		s.Run()
+		return order, s
+	}
+	want, planted := run(true)
+	got, merged := run(false)
+	if !slices.Equal(got, want) {
+		t.Errorf("merged order %v\nplanted order %v", got, want)
+	}
+	if merged.Processed() != planted.Processed() || merged.Processed() != 2*len(stream) {
+		t.Errorf("processed: merged %d, planted %d, want %d", merged.Processed(), planted.Processed(), 2*len(stream))
+	}
+	if merged.Now() != planted.Now() {
+		t.Errorf("final time: merged %v, planted %v", merged.Now(), planted.Now())
+	}
+	if at := merged.NextAt(); !math.IsInf(at, 1) {
+		t.Errorf("NextAt on an empty queue = %v, want +Inf", at)
+	}
+}
+
+func TestAdvanceFollowsAtsRules(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	s := New()
+	s.Advance(10)
+	mustPanic("advancing before now", func() { s.Advance(5) })
+	mustPanic("advancing to NaN", func() { s.Advance(math.NaN()) })
+	mustPanic("advancing to +Inf", func() { s.Advance(math.Inf(1)) })
+	s.Advance(10 - 1e-12) // float jitter just behind now clamps, as in At
+	if s.Now() != 10 {
+		t.Errorf("now = %v after a clamped advance, want 10", s.Now())
+	}
+
+	s = New()
+	s.MaxEvents = 3
+	mustPanic("a runaway feed", func() {
+		for i := 0; ; i++ {
+			s.Advance(float64(i))
+		}
+	})
+	if s.Processed() != 4 {
+		t.Errorf("processed = %d when the budget of 3 tripped, want 4", s.Processed())
+	}
 }
 
 func TestContentionInflation(t *testing.T) {

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"split/internal/gpusim"
 	"split/internal/trace"
 	"split/internal/workload"
 )
@@ -27,16 +26,16 @@ func (c *ClockWork) Name() string { return "ClockWork" }
 
 // Run implements System.
 func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) []Record {
-	validateArrivals(arrivals, catalog)
-	sim := gpusim.New()
+	rp := newReplay(arrivals, catalog)
+	sim := rp.sim
 	type req struct {
 		Record
+		slot int
 	}
 	var queue []*req
 	busy := false
 	// backlogMs tracks the total work queued or running, for drop decisions.
 	var backlogMs float64
-	var records []Record
 
 	var startNext func(now float64)
 	startNext = func(now float64) {
@@ -54,42 +53,37 @@ func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.
 			r.DoneMs = now
 			backlogMs -= r.ExtMs
 			tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
-			records = append(records, r.Record)
+			rp.file(r.slot, r.Record)
 			startNext(now)
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			info := catalog[a.Model]
-			r := &req{Record: Record{
-				ID:       a.ID,
-				Model:    a.Model,
-				Class:    info.Class,
-				ArriveMs: now,
-				ExtMs:    info.ExtMs,
-			}}
-			if c.DropAlpha > 0 {
-				predicted := (backlogMs + info.ExtMs) / info.ExtMs
-				if predicted > c.DropAlpha {
-					// Dropped: record the predicted completion so the QoS
-					// metrics see the violation the user experienced.
-					r.StartMs = now
-					r.DoneMs = now + backlogMs + info.ExtMs
-					tr.Recordf(now, trace.Drop, r.ID, r.Model, 0, "predicted rr=%.2f", predicted)
-					records = append(records, r.Record)
-					return
-				}
+	return rp.run(func(i int, info *ModelInfo, now float64) {
+		a := &arrivals[i]
+		r := &req{slot: i, Record: Record{
+			ID:       a.ID,
+			Model:    a.Model,
+			Class:    info.Class,
+			ArriveMs: now,
+			ExtMs:    info.ExtMs,
+		}}
+		if c.DropAlpha > 0 {
+			predicted := (backlogMs + info.ExtMs) / info.ExtMs
+			if predicted > c.DropAlpha {
+				// Dropped: record the predicted completion so the QoS
+				// metrics see the violation the user experienced.
+				r.StartMs = now
+				r.DoneMs = now + backlogMs + info.ExtMs
+				tr.Recordf(now, trace.Drop, r.ID, r.Model, 0, "predicted rr=%.2f", predicted)
+				rp.file(i, r.Record)
+				return
 			}
-			backlogMs += info.ExtMs
-			queue = append(queue, r)
-			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "pos=%d", len(queue)-1)
-			if !busy {
-				startNext(now)
-			}
-		})
-	}
-	sim.Run()
-	return sortRecords(records)
+		}
+		backlogMs += info.ExtMs
+		queue = append(queue, r)
+		tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "pos=%d", len(queue)-1)
+		if !busy {
+			startNext(now)
+		}
+	}, nil)
 }

@@ -119,6 +119,21 @@ func goldenDigest(recs []Record, events []trace.Event) uint64 {
 	return h.Sum64()
 }
 
+// allFeatures is the configuration with every knob on.
+func allFeatures() *Split {
+	s := NewSplit()
+	s.Placement = "least-loaded"
+	s.BatchMax = 4
+	s.Partitions = 2
+	s.PartitionWidth = "adaptive"
+	s.EnforceDeadlines = true
+	s.PredictiveShed = true
+	s.Fleet = fleet.AutoscaleConfig{Min: 1, Max: 4}
+	s.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitTokenBucket, RatePerSec: 70, Burst: 40}
+	s.Faults = &gpusim.FaultInjector{Seed: 7, SpikeProb: .01, SpikeFactor: 3, FailProb: .005, MaxRetries: 2}
+	return s
+}
+
 // TestSplitGoldenDigests pins records AND trace events of three systems on
 // a fixed seed. The values were generated at the commit before the
 // scheduler moved into internal/engine; the refactor must not move them.
@@ -127,17 +142,6 @@ func TestSplitGoldenDigests(t *testing.T) {
 	fleet4 := NewSplit()
 	fleet4.Devices = 4
 	fleet4.Placement = "least-loaded"
-	features := NewSplit()
-	features.Placement = "least-loaded"
-	features.BatchMax = 4
-	features.Partitions = 2
-	features.PartitionWidth = "adaptive"
-	features.EnforceDeadlines = true
-	features.PredictiveShed = true
-	features.Fleet = fleet.AutoscaleConfig{Min: 1, Max: 4}
-	features.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitTokenBucket, RatePerSec: 70, Burst: 40}
-	features.Faults = &gpusim.FaultInjector{Seed: 7, SpikeProb: .01, SpikeFactor: 3, FailProb: .005, MaxRetries: 2}
-
 	catalog, arrivals := goldenCatalog(), goldenArrivals(t)
 	for _, c := range []struct {
 		name   string
@@ -149,7 +153,7 @@ func TestSplitGoldenDigests(t *testing.T) {
 	}{
 		{"plain-1dev", plain, 0x8f89a3519d62cb88, 0x15784b6a86880dd4},
 		{"fleet-4dev-least-loaded", fleet4, 0x74588f3a3eb7b432, 0x8e226acda5d164f1},
-		{"all-features", features, 0x2f0a3f663c821b54, 0x23fd4ea706d130f1},
+		{"all-features", allFeatures(), 0x2f0a3f663c821b54, 0x23fd4ea706d130f1},
 	} {
 		tr := trace.New()
 		recs, _ := c.sys.RunWithStats(arrivals, catalog, tr)

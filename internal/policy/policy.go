@@ -10,7 +10,6 @@ package policy
 
 import (
 	"fmt"
-	"sort"
 
 	"split/internal/engine"
 	"split/internal/model"
@@ -52,8 +51,9 @@ func NewCatalog(graphs map[string]*model.Graph, plans map[string]*model.SplitPla
 	return c
 }
 
-// BlocksFor returns the block plan SPLIT would execute for the model: the
-// split plan's block times if present, otherwise a single unsplit block.
+// BlocksFor returns a copy of the block plan SPLIT would execute for the
+// model: the split plan's block times if present, otherwise a single
+// unsplit block.
 func (c Catalog) BlocksFor(name string) []float64 {
 	info := c[name]
 	if info == nil {
@@ -67,14 +67,25 @@ func (c Catalog) BlocksFor(name string) []float64 {
 
 // Job resolves one arrival against the catalog into the engine's input —
 // the request wrapper's lookup, shared by both drivers. ok is false for a
-// model that is not deployed.
+// model that is not deployed. The job's plan is the catalog's own slice, not
+// a copy: plans are immutable once deployed (a redeploy installs a new
+// ModelInfo), and neither the engine nor its requests write through it.
 func (c Catalog) Job(id int, name string, deadlineMs float64) (job engine.Job, ok bool) {
 	info := c[name]
 	if info == nil {
 		return engine.Job{}, false
 	}
-	return engine.Job{ID: id, Model: name, Class: info.Class, ExtMs: info.ExtMs,
-		Plan: c.BlocksFor(name), DeadlineMs: deadlineMs}, true
+	return info.job(id, name, deadlineMs), true
+}
+
+// job is Catalog.Job once the model is resolved. name is the catalog key,
+// which is what requests and traces carry.
+func (m *ModelInfo) job(id int, name string, deadlineMs float64) engine.Job {
+	job := engine.Job{ID: id, Model: name, Class: m.Class, ExtMs: m.ExtMs, DeadlineMs: deadlineMs}
+	if m.Plan != nil {
+		job.Plan = m.Plan.BlockTimesMs
+	}
+	return job
 }
 
 // Request outcomes beyond successful service, aliasing the shared
@@ -161,26 +172,4 @@ type System interface {
 	Name() string
 	// Run simulates the trace to completion. tr may be nil.
 	Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) []Record
-}
-
-// sortRecords orders records by request ID so output is stable across
-// systems regardless of completion order.
-func sortRecords(recs []Record) []Record {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	return recs
-}
-
-// validateArrivals panics on unordered or unknown-model traces — generator
-// bugs that must not be silently absorbed into results.
-func validateArrivals(arrivals []workload.Arrival, catalog Catalog) {
-	prev := -1.0
-	for _, a := range arrivals {
-		if a.AtMs < prev {
-			panic(fmt.Sprintf("policy: arrival trace not time-ordered at id %d", a.ID))
-		}
-		prev = a.AtMs
-		if _, ok := catalog[a.Model]; !ok {
-			panic(fmt.Sprintf("policy: arrival %d references unknown model %q", a.ID, a.Model))
-		}
-	}
 }

@@ -391,24 +391,6 @@ func TestCatalogBlocksForUnknownPanics(t *testing.T) {
 	synthCatalog().BlocksFor("nope")
 }
 
-func TestValidateArrivalsPanics(t *testing.T) {
-	catalog := synthCatalog()
-	cases := [][]workload.Arrival{
-		{{ID: 0, Model: "long", AtMs: 10}, {ID: 1, Model: "long", AtMs: 5}},
-		{{ID: 0, Model: "mystery", AtMs: 0}},
-	}
-	for i, arrivals := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: bad trace accepted", i)
-				}
-			}()
-			NewSplit().Run(arrivals, catalog, nil)
-		}()
-	}
-}
-
 func TestRecordDerivedMetrics(t *testing.T) {
 	r := Record{ArriveMs: 10, StartMs: 12, DoneMs: 40, ExtMs: 10}
 	if r.E2EMs() != 30 {

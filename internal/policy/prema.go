@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"split/internal/gpusim"
 	"split/internal/model"
 	"split/internal/trace"
 	"split/internal/workload"
@@ -64,6 +63,7 @@ func (p *PREMA) Name() string {
 
 type premaReq struct {
 	Record
+	slot        int
 	remainingMs float64
 	priority    float64
 }
@@ -77,11 +77,10 @@ func (r *premaReq) token(now float64) float64 {
 
 // Run implements System.
 func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) []Record {
-	validateArrivals(arrivals, catalog)
-	sim := gpusim.New()
+	rp := newReplay(arrivals, catalog)
+	sim := rp.sim
 	var waiting []*premaReq
 	var running *premaReq
-	var records []Record
 
 	popBest := func(now float64) *premaReq {
 		if len(waiting) == 0 {
@@ -103,7 +102,7 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 	complete := func(r *premaReq, now float64) {
 		r.DoneMs = now
 		tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
-		records = append(records, r.Record)
+		rp.file(r.slot, r.Record)
 	}
 
 	var dispatch func(now float64)
@@ -168,31 +167,27 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			info := catalog[a.Model]
-			prio := p.LongPriority
-			if info.Class == model.Short {
-				prio = p.ShortPriority
-			}
-			r := &premaReq{
-				Record: Record{
-					ID:       a.ID,
-					Model:    a.Model,
-					Class:    info.Class,
-					ArriveMs: now,
-					StartMs:  -1,
-					ExtMs:    info.ExtMs,
-				},
-				remainingMs: info.ExtMs,
-				priority:    prio,
-			}
-			waiting = append(waiting, r)
-			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "prio=%.0f", prio)
-			dispatch(now)
-		})
-	}
-	sim.Run()
-	return sortRecords(records)
+	return rp.run(func(i int, info *ModelInfo, now float64) {
+		a := &arrivals[i]
+		prio := p.LongPriority
+		if info.Class == model.Short {
+			prio = p.ShortPriority
+		}
+		r := &premaReq{
+			Record: Record{
+				ID:       a.ID,
+				Model:    a.Model,
+				Class:    info.Class,
+				ArriveMs: now,
+				StartMs:  -1,
+				ExtMs:    info.ExtMs,
+			},
+			slot:        i,
+			remainingMs: info.ExtMs,
+			priority:    prio,
+		}
+		waiting = append(waiting, r)
+		tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "prio=%.0f", prio)
+		dispatch(now)
+	}, nil)
 }

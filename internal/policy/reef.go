@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"split/internal/gpusim"
 	"split/internal/model"
 	"split/internal/trace"
 	"split/internal/workload"
@@ -33,26 +32,26 @@ func (r *REEF) Name() string { return "REEF" }
 
 type reefReq struct {
 	Record
+	slot        int
 	remainingMs float64
 	realtime    bool
 }
 
 // Run implements System.
 func (r *REEF) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) []Record {
-	validateArrivals(arrivals, catalog)
-	sim := gpusim.New()
+	rp := newReplay(arrivals, catalog)
+	sim := rp.sim
 	var rtQueue, beQueue []*reefReq // realtime FIFO, best-effort FIFO
 	var running *reefReq
 	var runStart float64
 	version := 0
-	var records []Record
 
 	var dispatch func(now float64)
 
 	complete := func(q *reefReq, now float64) {
 		q.DoneMs = now
 		tr.Recordf(now, trace.Complete, q.ID, q.Model, 0, "rr=%.2f", q.ResponseRatio())
-		records = append(records, q.Record)
+		rp.file(q.slot, q.Record)
 	}
 
 	dispatch = func(now float64) {
@@ -87,53 +86,49 @@ func (r *REEF) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trace
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			info := catalog[a.Model]
-			q := &reefReq{
-				Record: Record{
-					ID:       a.ID,
-					Model:    a.Model,
-					Class:    info.Class,
-					ArriveMs: now,
-					StartMs:  -1,
-					ExtMs:    info.ExtMs,
-				},
-				remainingMs: info.ExtMs,
-				realtime:    info.Class == model.Short,
-			}
-			tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "rt=%v", q.realtime)
-			if q.realtime {
-				rtQueue = append(rtQueue, q)
-				// Kernel-level preemption: kill the running best-effort
-				// request's current kernel immediately.
-				if running != nil && !running.realtime {
-					victim := running
-					elapsed := now - runStart
-					victim.remainingMs -= elapsed
-					victim.remainingMs += r.KernelLossMs // killed kernel redone
-					if victim.remainingMs < 0 {
-						victim.remainingMs = 0
-					}
-					victim.Preemptions++
-					// Close the victim's occupancy span at the kill instant.
-					tr.Recordf(now, trace.EndBlock, victim.ID, victim.Model, 0, "killed")
-					tr.Recordf(now, trace.Preempt, victim.ID, victim.Model, 0, "kernel reset")
-					// Preempted best-effort work resumes at queue head.
-					beQueue = append([]*reefReq{victim}, beQueue...)
-					running = nil
-					version++
-					// Reset-and-relaunch latency before the short starts.
-					sim.After(r.PreemptLatencyMs, dispatch)
-					return
+	return rp.run(func(i int, info *ModelInfo, now float64) {
+		a := &arrivals[i]
+		q := &reefReq{
+			Record: Record{
+				ID:       a.ID,
+				Model:    a.Model,
+				Class:    info.Class,
+				ArriveMs: now,
+				StartMs:  -1,
+				ExtMs:    info.ExtMs,
+			},
+			slot:        i,
+			remainingMs: info.ExtMs,
+			realtime:    info.Class == model.Short,
+		}
+		tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "rt=%v", q.realtime)
+		if q.realtime {
+			rtQueue = append(rtQueue, q)
+			// Kernel-level preemption: kill the running best-effort
+			// request's current kernel immediately.
+			if running != nil && !running.realtime {
+				victim := running
+				elapsed := now - runStart
+				victim.remainingMs -= elapsed
+				victim.remainingMs += r.KernelLossMs // killed kernel redone
+				if victim.remainingMs < 0 {
+					victim.remainingMs = 0
 				}
-			} else {
-				beQueue = append(beQueue, q)
+				victim.Preemptions++
+				// Close the victim's occupancy span at the kill instant.
+				tr.Recordf(now, trace.EndBlock, victim.ID, victim.Model, 0, "killed")
+				tr.Recordf(now, trace.Preempt, victim.ID, victim.Model, 0, "kernel reset")
+				// Preempted best-effort work resumes at queue head.
+				beQueue = append([]*reefReq{victim}, beQueue...)
+				running = nil
+				version++
+				// Reset-and-relaunch latency before the short starts.
+				sim.After(r.PreemptLatencyMs, dispatch)
+				return
 			}
-			dispatch(now)
-		})
-	}
-	sim.Run()
-	return sortRecords(records)
+		} else {
+			beQueue = append(beQueue, q)
+		}
+		dispatch(now)
+	}, nil)
 }

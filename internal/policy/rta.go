@@ -28,12 +28,14 @@ func (r *RTA) Name() string { return "RT-A" }
 
 // Run implements System.
 func (r *RTA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) []Record {
-	validateArrivals(arrivals, catalog)
-	sim := gpusim.New()
-	type req struct{ Record }
+	rp := newReplay(arrivals, catalog)
+	sim := rp.sim
+	type req struct {
+		Record
+		slot int
+	}
 	var waiting []*req
 	busy := false
-	var records []Record
 
 	var startRound func(now float64)
 	startRound = func(now float64) {
@@ -67,35 +69,30 @@ func (r *RTA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer
 			for _, q := range batch {
 				tr.Recordf(now, trace.EndBlock, q.ID, q.Model, 0, "")
 				tr.Recordf(now, trace.Complete, q.ID, q.Model, 0, "rr=%.2f", q.ResponseRatio())
-				records = append(records, q.Record)
+				rp.file(q.slot, q.Record)
 			}
 			startRound(now)
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			info := catalog[a.Model]
-			q := &req{Record: Record{
-				ID:       a.ID,
-				Model:    a.Model,
-				Class:    info.Class,
-				ArriveMs: now,
-				ExtMs:    info.ExtMs,
-			}}
-			waiting = append(waiting, q)
-			tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "")
-			if !busy {
-				// Defer the round launch within the current instant so that
-				// simultaneous arrivals merge into the same round, exactly
-				// as the runtime merges whatever is pending when it builds
-				// the next super-graph.
-				busy = true
-				sim.At(now, startRound)
-			}
-		})
-	}
-	sim.Run()
-	return sortRecords(records)
+	return rp.run(func(i int, info *ModelInfo, now float64) {
+		a := &arrivals[i]
+		q := &req{slot: i, Record: Record{
+			ID:       a.ID,
+			Model:    a.Model,
+			Class:    info.Class,
+			ArriveMs: now,
+			ExtMs:    info.ExtMs,
+		}}
+		waiting = append(waiting, q)
+		tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "")
+		if !busy {
+			// Defer the round launch within the current instant so that
+			// simultaneous arrivals merge into the same round, exactly
+			// as the runtime merges whatever is pending when it builds
+			// the next super-graph.
+			busy = true
+			sim.At(now, startRound)
+		}
+	}, nil)
 }

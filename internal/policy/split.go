@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"split/internal/engine"
-	"split/internal/gpusim"
 	"split/internal/sched"
 	"split/internal/trace"
 	"split/internal/workload"
@@ -47,10 +46,10 @@ func (s *Split) Name() string {
 type FleetStats = engine.Stats
 
 // splitRun is the per-Run driver state. The engine holds every queue,
-// ledger and controller; what is left here is the clock, the tracer, the
-// records, and one reusable hold per lane.
+// ledger and controller; what is left here is the replay (clock, trace,
+// records), the tracer, and one reusable hold per lane.
 type splitRun struct {
-	sim *gpusim.Sim
+	*replay
 	eng *engine.Engine
 	tr  *trace.Tracer
 	// tracing gates every narration on the grant path: an untraced run
@@ -58,9 +57,8 @@ type splitRun struct {
 	tracing bool
 	// evs is the zero-length scratch the engine's narrators append into on
 	// their way to the tracer.
-	evs     []trace.Event
-	holds   []hold
-	records []Record
+	evs   []trace.Event
+	holds []hold
 }
 
 // hold is one lane's in-flight grant. A lane holds at most one grant at a
@@ -87,38 +85,32 @@ func (s *Split) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 // and admission disabled the records are identical to Run's and the stats
 // report the fixed fleet's cost.
 func (s *Split) RunWithStats(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) ([]Record, FleetStats) {
-	validateArrivals(arrivals, catalog)
+	rn := s.newRun(arrivals, catalog, tr)
+	recs := rn.run(rn.arrive, rn.cancel)
+	return recs, rn.eng.Stats(rn.sim.Now())
+}
+
+// newRun validates the trace and the knobs and builds an idle driver.
+func (s *Split) newRun(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) *splitRun {
+	rp := newReplay(arrivals, catalog)
 	eng, err := engine.New(s.Knobs)
 	if err != nil {
 		panic(fmt.Sprintf("policy: %v", err))
 	}
 	eng.PartialPreemption = s.PartialPreemption
-	sim := gpusim.New()
 	rn := &splitRun{
-		sim:     sim,
+		replay:  rp,
 		eng:     eng,
 		tr:      tr,
 		tracing: tr != nil,
 		holds:   make([]hold, eng.Lanes()),
-		// One record per arrival; preallocating keeps million-request
-		// sweeps out of the append-regrowth copy path.
-		records: make([]Record, 0, len(arrivals)),
 	}
 	for i := range rn.holds {
 		h := &rn.holds[i]
 		h.rn = rn
 		h.timer = h.onTimer
 	}
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) { rn.arrive(a, catalog, now) })
-		if a.CancelAtMs > 0 {
-			id := a.ID
-			sim.At(a.CancelAtMs, func(now float64) { rn.cancel(id, now) })
-		}
-	}
-	sim.Run()
-	return sortRecords(rn.records), eng.Stats(sim.Now())
+	return rn
 }
 
 // narrate moves narrated events into the tracer and recycles the scratch;
@@ -128,15 +120,18 @@ func (rn *splitRun) narrate(evs []trace.Event) {
 	rn.evs = evs[:0]
 }
 
-// record files one request's outcome; records was sized for one per
-// arrival, so the append never regrows.
+// record files one request's outcome in its arrival's slot, which arrive
+// left in the request's Tag.
 func (rn *splitRun) record(r *sched.Request, now float64, outcome string) {
-	rn.records = append(rn.records, RecordOf(r, now, outcome))
+	rn.file(r.Tag, RecordOf(r, now, outcome))
 }
 
-// arrive hands one arrival to the engine's front door.
-func (rn *splitRun) arrive(a workload.Arrival, catalog Catalog, now float64) {
-	job, _ := catalog.Job(a.ID, a.Model, a.DeadlineMs) // validateArrivals saw the model
+// arrive hands arrival i to the engine's front door.
+//
+//lint:hotpath every simulated request enters here
+func (rn *splitRun) arrive(i int, info *ModelInfo, now float64) {
+	a := &rn.arrivals[i]
+	job := info.job(a.ID, a.Model, a.DeadlineMs)
 	d := rn.eng.Arrive(now, job)
 	if rn.tracing {
 		rn.narrate(engine.AppendArrival(rn.evs, now, job, d))
@@ -144,21 +139,23 @@ func (rn *splitRun) arrive(a workload.Arrival, catalog Catalog, now float64) {
 	if d.Rejected {
 		// The record keeps per-arrival accounting complete; QoS rates are
 		// computed over admitted records (metrics.Admitted).
-		rn.records = append(rn.records, Record{
+		rn.file(i, Record{
 			ID: a.ID, Model: a.Model, Class: job.Class, ArriveMs: now,
 			StartMs: -1, DoneMs: now, ExtMs: job.ExtMs, Outcome: OutcomeAdmission,
 		})
 		return
 	}
+	d.Req.Tag = i
 	if d.Idle {
 		rn.grant(d.Lane, now)
 	}
 }
 
-// cancel handles a cancellation hook firing at its scheduled time. Queued
-// work is shed now; a grant holder (scalar or batch member) at its boundary.
-func (rn *splitRun) cancel(id int, now float64) {
-	c := rn.eng.Cancel(now, id)
+// cancel handles arrival i's cancellation firing at its scheduled time.
+// Queued work is shed now; a grant holder (scalar or batch member) at its
+// boundary.
+func (rn *splitRun) cancel(i int, now float64) {
+	c := rn.eng.Cancel(now, rn.arrivals[i].ID)
 	if rn.tracing {
 		rn.narrate(engine.AppendCancel(rn.evs, now, c, ""))
 	}

@@ -33,15 +33,15 @@ func (s *StreamParallel) Name() string { return "Stream-Parallel" }
 
 type streamReq struct {
 	Record
+	slot      int
 	remaining float64 // service demand left, in isolated-ms
 }
 
 // Run implements System.
 func (s *StreamParallel) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) []Record {
-	validateArrivals(arrivals, catalog)
-	sim := gpusim.New()
+	rp := newReplay(arrivals, catalog)
+	sim := rp.sim
 	var active []*streamReq
-	var records []Record
 	lastUpdate := 0.0
 	version := 0
 
@@ -95,7 +95,7 @@ func (s *StreamParallel) Run(arrivals []workload.Arrival, catalog Catalog, tr *t
 				if r.remaining <= 1e-9 {
 					r.DoneMs = now
 					tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
-					records = append(records, r.Record)
+					rp.file(r.slot, r.Record)
 				} else {
 					kept = append(kept, r)
 				}
@@ -106,28 +106,24 @@ func (s *StreamParallel) Run(arrivals []workload.Arrival, catalog Catalog, tr *t
 		})
 	}
 
-	for _, a := range arrivals {
-		a := a
-		sim.At(a.AtMs, func(now float64) {
-			advance(now)
-			info := catalog[a.Model]
-			r := &streamReq{
-				Record: Record{
-					ID:       a.ID,
-					Model:    a.Model,
-					Class:    info.Class,
-					ArriveMs: now,
-					StartMs:  now, // streams launch immediately
-					ExtMs:    info.ExtMs,
-				},
-				remaining: info.ExtMs,
-			}
-			active = append(active, r)
-			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "k=%d", len(active))
-			version++
-			scheduleNextCompletion(now)
-		})
-	}
-	sim.Run()
-	return sortRecords(records)
+	return rp.run(func(i int, info *ModelInfo, now float64) {
+		advance(now)
+		a := &arrivals[i]
+		r := &streamReq{
+			Record: Record{
+				ID:       a.ID,
+				Model:    a.Model,
+				Class:    info.Class,
+				ArriveMs: now,
+				StartMs:  now, // streams launch immediately
+				ExtMs:    info.ExtMs,
+			},
+			slot:      i,
+			remaining: info.ExtMs,
+		}
+		active = append(active, r)
+		tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "k=%d", len(active))
+		version++
+		scheduleNextCompletion(now)
+	}, nil)
 }

@@ -119,52 +119,55 @@ func TestPopFrontReleasesSlot(t *testing.T) {
 	}
 }
 
-// TestPopFrontCompacts pins head-capacity reclamation: sustained pops must
-// eventually move the live requests to a fresh backing array instead of
-// stranding an ever-growing dead head region.
-func TestPopFrontCompacts(t *testing.T) {
-	q := NewQueue(4)
-	// A deep queue whose head is drained far below the threshold.
-	for i := 0; i < 4*compactMinPops; i++ {
-		q.PushBack(newReq(i, "m", float64(i), 10))
-	}
-	for q.Len() > compactMinPops/2 {
-		if q.PopFront() == nil {
-			t.Fatal("queue drained early")
-		}
-	}
-	// The compaction invariant: the dead head region never dominates both
-	// the threshold and the live queue.
-	if q.popped >= compactMinPops && q.popped > q.Len() {
-		t.Errorf("popped=%d with len=%d: compaction never ran", q.popped, q.Len())
-	}
-	// Everything still present and ordered.
-	for i := 0; i < q.Len(); i++ {
-		if q.At(i) == nil {
-			t.Fatalf("nil request at %d after compaction", i)
-		}
-	}
-}
-
-// TestQueueSteadyStateAllocs bounds the per-operation allocations of a
-// sustained push/pop cycle: the compaction heuristic must stay amortized,
-// not copy on every pop.
-func TestQueueSteadyStateAllocs(t *testing.T) {
+// TestPushReclaimsDeadHead pins head-capacity reclamation: once pops have
+// stranded a dead region ahead of the live requests, a push that runs out
+// of capacity slides them back over it instead of reallocating, and leaves
+// no stale pointer behind.
+func TestPushReclaimsDeadHead(t *testing.T) {
 	q := NewQueue(4)
 	for i := 0; i < 8; i++ {
 		q.PushBack(newReq(i, "m", float64(i), 10))
 	}
-	id := 100
-	avg := testing.AllocsPerRun(2000, func() {
-		r := q.PopFront()
-		r.ID = id
-		r.ArriveMs = float64(id)
-		id++
-		q.PushBack(r)
-	})
-	// Each cycle may amortize an append regrowth or a compaction copy, but
-	// not both at full cost every time.
-	if avg > 1.5 {
-		t.Errorf("steady-state allocs/op = %v, want <= 1.5", avg)
+	array := &q.base[:1][0]
+	size := cap(q.base)
+	for i := 0; i < 6; i++ {
+		if r := q.PopFront(); r == nil || r.ID != i {
+			t.Fatalf("pop %d returned %+v", i, r)
+		}
+	}
+	for i := 8; i < size+4; i++ {
+		q.PushBack(newReq(i, "m", float64(i), 10))
+		assertNoLeakedSlots(t, q)
+	}
+	if &q.base[:1][0] != array || cap(q.base) != size {
+		t.Errorf("queue of %d reallocated a %d-slot array with 6 dead slots to reuse", q.Len(), size)
+	}
+	for i := 0; i < q.Len(); i++ {
+		if r := q.At(i); r == nil || r.ID != 6+i {
+			t.Fatalf("slot %d holds %+v after the slide, want request %d", i, r, 6+i)
+		}
+	}
+}
+
+// TestQueueSteadyStateAllocs pins that a sustained push/pop cycle allocates
+// nothing — neither at depth 8 nor on the shallow queue of an unsaturated
+// device, where every pop used to eat the capacity the next insert needed.
+func TestQueueSteadyStateAllocs(t *testing.T) {
+	for _, depth := range []int{1, 8} {
+		q := NewQueue(4)
+		for i := 0; i < depth; i++ {
+			q.PushBack(newReq(i, "m", float64(i), 10))
+		}
+		id := 100
+		avg := testing.AllocsPerRun(2000, func() {
+			r := q.PopFront()
+			r.ID = id
+			r.ArriveMs = float64(id)
+			id++
+			q.InsertGreedy(r.ArriveMs, r)
+		})
+		if avg != 0 {
+			t.Errorf("depth %d: steady-state allocs/op = %v, want 0", depth, avg)
+		}
 	}
 }

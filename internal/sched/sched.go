@@ -31,7 +31,8 @@ type Request struct {
 	ExtMs float64
 	// BlockTimes is the execution plan: the per-block times the request will
 	// occupy the device for, including splitting overheads. len == 1 means
-	// the request runs unsplit.
+	// the request runs unsplit. Read-only: it aliases the catalog's plan,
+	// which every request of the model shares.
 	BlockTimes []float64
 	// Next indexes the next block to execute. Blocks < Next are committed
 	// (executed or in flight).
@@ -68,11 +69,22 @@ type Request struct {
 	// (Device, Partition) since each lane has its own queue. 0 on
 	// unpartitioned deployments.
 	Partition int
+	// Tag is the driver's own handle for the request; the scheduler never
+	// reads it. The simulator stores the arrival's position in its trace, so
+	// an outcome is filed straight into that arrival's record slot.
+	Tag int
 }
 
 // NewRequest builds a request with sentinel times set.
 func NewRequest(id int, modelName string, class model.RequestClass, arriveMs, extMs float64, blocks []float64) *Request {
-	return &Request{
+	r := MakeRequest(id, modelName, class, arriveMs, extMs, blocks)
+	return &r
+}
+
+// MakeRequest is NewRequest by value, for a caller that owns the storage
+// (the engine's request slab).
+func MakeRequest(id int, modelName string, class model.RequestClass, arriveMs, extMs float64, blocks []float64) Request {
+	return Request{
 		ID:         id,
 		Model:      modelName,
 		Class:      class,
@@ -183,17 +195,15 @@ type Queue struct {
 	// disables the guard.
 	StarveGuardRR float64
 	reqs          []*Request
-	// popped counts PopFront reslices since the backing array was last
-	// reallocated: each one strands a dead slot ahead of the slice pointer
-	// that the GC cannot reclaim until the whole array is dropped, so the
-	// queue compacts once the dead region dominates the live one.
+	// base is the zero-length head of reqs' backing array, and popped counts
+	// the dead (nil) slots PopFront's reslices have stranded between it and
+	// reqs. push slides the live requests back over them before it lets
+	// append reallocate, so a queue in steady state — above all the shallow
+	// queue of an unsaturated device, whose every pop would otherwise eat
+	// the capacity its next insert needs — allocates nothing.
+	base   []*Request
 	popped int
 }
-
-// compactMinPops is the dead-slot threshold below which PopFront never
-// compacts: small queues churn through their backing array fast enough
-// that copying would cost more than the few stranded slots.
-const compactMinPops = 32
 
 // NewQueue creates an empty queue with the given α.
 func NewQueue(alpha float64) *Queue {
@@ -210,10 +220,8 @@ func (q *Queue) At(i int) *Request { return q.reqs[i] }
 func (q *Queue) Requests() []*Request { return q.reqs }
 
 // PopFront removes and returns the next request to run, or nil when empty.
-// The popped slot is nilled (so the backing array never retains the
-// request) and the backing array is reallocated once the dead head region
-// it strands outgrows the live queue — without both, sustained traffic
-// retains every popped *Request and grows the head region without bound.
+// The popped slot is nilled, so the backing array never retains the
+// request; the slot itself is dead until push reclaims it.
 //
 //lint:hotpath every device grant starts by popping the queue front
 func (q *Queue) PopFront() *Request {
@@ -224,29 +232,38 @@ func (q *Queue) PopFront() *Request {
 	q.reqs[0] = nil
 	q.reqs = q.reqs[1:]
 	q.popped++
-	if q.popped >= compactMinPops && q.popped > len(q.reqs) {
-		//lint:ignore hotalloc compaction is the amortized anti-leak reallocation: at most one make per len(queue) pops
-		q.compact()
-	}
 	return r
 }
 
-// compact moves the live requests onto a fresh backing array, releasing
-// the dead head slots stranded by PopFront reslices.
-func (q *Queue) compact() {
-	fresh := make([]*Request, len(q.reqs))
-	copy(fresh, q.reqs)
-	q.reqs = fresh
-	q.popped = 0
+// push appends r. Out of capacity, it first reclaims the dead head slots by
+// sliding the live requests back to base — when there are enough of them to
+// pay for the copy (half the live length keeps it amortized O(1)) — and only
+// otherwise lets append reallocate.
+//
+//lint:hotpath every insertion extends the queue here
+func (q *Queue) push(r *Request) {
+	if len(q.reqs) == cap(q.reqs) && q.popped > 0 && q.popped >= len(q.reqs)/2 {
+		live := q.base[:len(q.reqs)]
+		copy(live, q.reqs)
+		// Old slot j sat at base index popped+j; those past the new live
+		// region still hold their request.
+		clear(q.reqs[max(len(live)-q.popped, 0):])
+		q.reqs, q.popped = live, 0
+	}
+	fresh := len(q.reqs) == cap(q.reqs)
+	//lint:ignore hotalloc amortized growth: the backing array reaches the queue's peak depth and is reused
+	q.reqs = append(q.reqs, r)
+	if fresh {
+		q.base, q.popped = q.reqs[:0], 0
+	}
 }
 
 // clearTail nils the backing-array slots from index `from` up to the
 // current length. Every path that shrinks the queue by shifting survivors
 // forward (Remove, SweepExpired) must run it before reslicing: a vacated
 // tail slot still referencing a departed request is the same pointer-leak
-// class as the PopFront slot retention fixed in the lifecycle-hardening
-// pass, and FuzzQueueLifecycle asserts the whole [len, cap) region stays
-// nil after every operation.
+// class as PopFront slot retention, and FuzzQueueLifecycle asserts the whole
+// [len, cap) region stays nil after every operation.
 func (q *Queue) clearTail(from int) {
 	for i := from; i < len(q.reqs); i++ {
 		q.reqs[i] = nil
@@ -293,7 +310,7 @@ func (q *Queue) SweepExpired(nowMs float64, predictive bool) []*Request {
 
 // PushBack appends r without any preemption logic (FIFO insertion).
 func (q *Queue) PushBack(r *Request) {
-	q.reqs = append(q.reqs, r)
+	q.push(r)
 }
 
 // SameTypeCount returns how many waiting requests share the model name.
@@ -403,7 +420,7 @@ func swapBeneficial(ahead, behind *Request, alpha float64) bool {
 
 // insertAt inserts r at index pos.
 func (q *Queue) insertAt(pos int, r *Request) {
-	q.reqs = append(q.reqs, nil)
+	q.push(nil)
 	copy(q.reqs[pos+1:], q.reqs[pos:])
 	q.reqs[pos] = r
 }

@@ -2,10 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"net"
+	"net/rpc"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"split/internal/engine"
 	"split/internal/onnxlite"
+	"split/internal/sched"
 	"split/internal/zoo"
 )
 
@@ -189,5 +195,69 @@ func TestDeployGraphUnsplitAndErrors(t *testing.T) {
 	}
 	if _, err := c.DeployGraph(DeployGraphArgs{GraphJSON: []byte("junk"), Blocks: 2}); err == nil {
 		t.Error("junk graph deployed")
+	}
+}
+
+// TestHotDeployLeavesQueuedPlansAlone: a request executes the catalog's plan
+// slice itself, not a copy, so a redeploy must install a new plan rather
+// than edit the old one in place — work queued under the old plan finishes
+// on it, and only later arrivals see the new one.
+func TestHotDeployLeavesQueuedPlansAlone(t *testing.T) {
+	srv, err := NewServer(Config{
+		Knobs:     engine.Knobs{Alpha: 4}, // elastic off: every long request keeps its three blocks
+		Catalog:   testCatalog(),
+		TimeScale: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(l); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	var calls []*rpc.Call
+	for i := 0; i < 6; i++ {
+		calls = append(calls, c.InferAsync("long"))
+	}
+	var queued []*sched.Request
+	for deadline := time.Now().Add(2 * time.Second); len(queued) < 3; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("never saw three requests queued behind the first")
+		}
+		srv.mu.Lock()
+		queued = append(queued[:0], srv.eng.Queue(0).Requests()...)
+		srv.mu.Unlock()
+	}
+	if _, err := c.Deploy(DeployArgs{Name: "long", Class: "Long", ExtMs: 2, BlockTimesMs: []float64{1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	for _, r := range queued {
+		if !slices.Equal(r.BlockTimes, []float64{4, 4, 4}) {
+			t.Errorf("request %d, queued before the redeploy, now plans %v", r.ID, r.BlockTimes)
+		}
+	}
+	srv.mu.Unlock()
+	for _, call := range calls {
+		<-call.Done
+		if call.Error != nil {
+			t.Fatal(call.Error)
+		}
+		if reply := call.Reply.(*InferReply); reply.Blocks != 3 || reply.ExtMs != 12 {
+			t.Errorf("request %d ran %d blocks against ExtMs %v, want the plan it was queued with", reply.ReqID, reply.Blocks, reply.ExtMs)
+		}
+	}
+	if reply, err := c.Infer("long"); err != nil || reply.Blocks != 2 {
+		t.Errorf("after the redeploy: %+v, %v; want the new two-block plan", reply, err)
 	}
 }
