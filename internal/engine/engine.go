@@ -377,40 +377,82 @@ type Engine struct {
 	view      []place.Load
 	wake      []int
 	// slab is the unused tail of the current request chunk, chunk that
-	// chunk's size; see newRequest.
-	slab  []slot
+	// chunk's size, and free the requests drivers have handed back; see
+	// newRequest and Release.
+	slab  []sched.Request
 	chunk int
-}
-
-// slot is one slab entry: a request and, inline, the one-block plan it runs
-// when it has no split plan or §3.3 suppressed it.
-type slot struct {
-	req   sched.Request
-	whole [1]float64
+	free  []*sched.Request
+	// wholes holds the one-block plans of requests that run unsplit, one
+	// entry per distinct ExtMs seen; see wholePlan.
+	wholes []float64
 }
 
 // Slab chunks double from slabMin to slabMax requests: a run of a few
-// arrivals pays for a few slots, a long one allocates under 0.01 times per
-// request, and no chunk is so large (20 KB) that a live server's in-flight
-// requests pin much dead weight.
+// arrivals pays for a few requests, a long one allocates under 0.01 times
+// per request, and no chunk is so large (18 KB) that a live server's
+// in-flight requests pin much dead weight.
 const (
 	slabMin = 8
 	slabMax = 128
 )
 
-// newRequest hands out the next slab entry. Nothing is ever returned to the
-// slab: a chunk is garbage once the last request in it has left the system.
+// newRequest hands out a released request if there is one, else the next
+// slab entry. A driver that never calls Release leaves each chunk to the
+// collector once the last request in it has left the system.
 //
 //lint:hotpath every arrival draws its request here
-func (e *Engine) newRequest() *slot {
+func (e *Engine) newRequest() *sched.Request {
+	if n := len(e.free); n > 0 {
+		r := e.free[n-1]
+		e.free = e.free[:n-1]
+		return r
+	}
 	if len(e.slab) == 0 {
 		e.chunk = min(max(2*e.chunk, slabMin), slabMax)
 		//lint:ignore hotalloc amortized slab refill: one allocation per chunk of arrivals
-		e.slab = make([]slot, e.chunk)
+		e.slab = make([]sched.Request, e.chunk)
 	}
-	s := &e.slab[0]
+	r := &e.slab[0]
 	e.slab = e.slab[1:]
-	return s
+	return r
+}
+
+// Release hands a request's storage back for a later arrival. The caller
+// promises that the request has met its terminal fate (served, shed or
+// canceled out of the queue) and that no pointer to it will be read again.
+// It is optional: the simulator releases each request as it files its
+// record, so a run's requests occupy a few warm chunks however long the
+// trace; the server, whose waiters read a request after it settles, never
+// does.
+//
+//lint:hotpath the simulator releases every request it records
+func (e *Engine) Release(r *sched.Request) {
+	//lint:ignore hotalloc bounded by the peak number of requests in flight
+	e.free = append(e.free, r)
+}
+
+// wholeMemo is how many distinct one-block plans an engine shares.
+const wholeMemo = 8
+
+// wholePlan is the plan of a request that runs as one block of extMs: no
+// split plan, or §3.3 suppressed it. A trace names a handful of models, so
+// the plans are shared (BlockTimes is read-only) from a memo scanned by
+// value; wholes never reallocates, so a plan cut from it stays put. Past
+// wholeMemo distinct times a request pays for its own.
+//
+//lint:hotpath every unsplit arrival takes its plan here
+func (e *Engine) wholePlan(extMs float64) []float64 {
+	for i, w := range e.wholes {
+		if w == extMs {
+			return e.wholes[i : i+1 : i+1]
+		}
+	}
+	if n := len(e.wholes); n < cap(e.wholes) {
+		e.wholes = append(e.wholes, extMs)
+		return e.wholes[n : n+1 : n+1]
+	}
+	//lint:ignore hotalloc only past wholeMemo distinct unsplit execution times
+	return []float64{extMs}
 }
 
 // New validates k and builds an idle engine. Errors come back exactly as
@@ -470,6 +512,7 @@ func New(k Knobs) (*Engine, error) {
 		admit:     admit,
 		view:      make([]place.Load, n*parts),
 		wake:      make([]int, 0, parts),
+		wholes:    make([]float64, 0, wholeMemo),
 	}
 	if len(e.lanes) > 1 {
 		e.placedBy = placer.Name()
@@ -609,15 +652,13 @@ func (e *Engine) Arrive(now float64, job Job) Arrival {
 		panic(fmt.Sprintf("engine: placer %q chose lane %d of %d", e.placer.Name(), idx, len(view)))
 	}
 	ln := &e.lanes[idx]
-	s := e.newRequest()
 	blocks := job.Plan
 	// The §3.3 same-type run the arrival would join includes the request
 	// occupying the placed lane, not just its queued neighbors.
 	if len(blocks) == 0 || len(blocks) > 1 && !e.k.Elastic.ShouldSplitWith(ln.queue, job.Model, ln.inflight) {
-		s.whole[0] = job.ExtMs
-		blocks = s.whole[:]
+		blocks = e.wholePlan(job.ExtMs)
 	}
-	r := &s.req
+	r := e.newRequest()
 	*r = sched.MakeRequest(job.ID, job.Model, job.Class, now, job.ExtMs, blocks)
 	r.Device = dev
 	r.Partition = ln.part

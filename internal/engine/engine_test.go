@@ -380,6 +380,55 @@ func TestCancelQueued(t *testing.T) {
 	}
 }
 
+// TestReleaseRecyclesRequests: a released request backs the next arrival,
+// fully rewritten; requests never released are never handed out twice; and
+// unsplit requests of one execution time share a read-only one-block plan.
+func TestReleaseRecyclesRequests(t *testing.T) {
+	e := mustNew(t, Knobs{Alpha: 4})
+	first, g := arrive(e, 0, Job{ID: 0, Model: "a", ExtMs: 5})
+	if !g.OK {
+		t.Fatal("the first arrival was not granted an idle device")
+	}
+	if fates := e.Settle(0, 5, "").Fates; len(fates) != 1 || fates[0].Kind != Served {
+		t.Fatalf("fates %+v, want one served", fates)
+	}
+	first.Req.Canceled, first.Req.Preemptions = true, 3
+	e.Release(first.Req)
+
+	second, _ := arrive(e, 6, Job{ID: 1, Model: "b", ExtMs: 5, DeadlineMs: 50})
+	if second.Req != first.Req {
+		t.Error("the released request was not reused")
+	}
+	want := sched.MakeRequest(1, "b", model.Short, 6, 5, second.Req.BlockTimes)
+	want.StartMs, want.Next, want.DeadlineMs = 6, 1, 56
+	if got := *second.Req; got.ID != want.ID || got.Model != want.Model || got.ArriveMs != want.ArriveMs ||
+		got.StartMs != want.StartMs || got.DoneMs != want.DoneMs || got.Next != want.Next ||
+		got.DeadlineMs != want.DeadlineMs || got.Canceled || got.Preemptions != 0 {
+		t.Errorf("reused request carries its past: %+v", got)
+	}
+	third := e.Arrive(7, Job{ID: 2, Model: "a", ExtMs: 5})
+	if third.Req == second.Req {
+		t.Error("a request still in flight was handed out again")
+	}
+	if &third.Req.BlockTimes[0] != &second.Req.BlockTimes[0] {
+		t.Error("two unsplit requests of one execution time do not share their one-block plan")
+	}
+	other := e.Arrive(8, Job{ID: 3, Model: "c", ExtMs: 9})
+	if len(other.Req.BlockTimes) != 1 || other.Req.BlockTimes[0] != 9 || third.Req.BlockTimes[0] != 5 {
+		t.Errorf("one-block plans %v and %v, want [9] and [5]", other.Req.BlockTimes, third.Req.BlockTimes)
+	}
+	// Past the memo every request still gets the right plan.
+	for i := 0; i < 2*wholeMemo; i++ {
+		ext := float64(100 + i)
+		if r := e.Arrive(9, Job{ID: 10 + i, Model: "d", ExtMs: ext}).Req; len(r.BlockTimes) != 1 || r.BlockTimes[0] != ext {
+			t.Fatalf("request of %v ms runs plan %v", ext, r.BlockTimes)
+		}
+	}
+	if third.Req.BlockTimes[0] != 5 || other.Req.BlockTimes[0] != 9 {
+		t.Error("filling the memo moved or overwrote a plan already handed out")
+	}
+}
+
 // badPlacer returns a lane outside the view.
 type badPlacer struct{ place.Placer }
 

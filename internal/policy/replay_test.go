@@ -116,7 +116,7 @@ func TestRunLeavesCatalogPlansUntouched(t *testing.T) {
 
 // TestSplitRunAllocs holds the per-arrival allocation bill in tier-1: a
 // plain fleet run allocates per run (engine, lanes, records) and per slab
-// chunk, never per arrival.
+// chunk of requests in flight at once, never per arrival.
 func TestSplitRunAllocs(t *testing.T) {
 	const n = 20000
 	cfg := workload.CohortSetConfig{

@@ -121,9 +121,11 @@ func (rn *splitRun) narrate(evs []trace.Event) {
 }
 
 // record files one request's outcome in its arrival's slot, which arrive
-// left in the request's Tag.
+// left in the request's Tag, and hands the request back to the engine: a
+// recorded request has met its fate and nothing reads it again.
 func (rn *splitRun) record(r *sched.Request, now float64, outcome string) {
 	rn.file(r.Tag, RecordOf(r, now, outcome))
+	rn.eng.Release(r)
 }
 
 // arrive hands arrival i to the engine's front door.
