@@ -1,8 +1,8 @@
 // Fleet demonstrates multi-GPU serving: a 2-device server built with the
-// versioned functional-options API, least-loaded placement routing a
-// concurrent burst across the devices, the protocol v2 handshake reporting
-// the fleet shape to the client, and typed errors surviving the wire via
-// the v2 error codes (errors.Is works on what Dial returns).
+// functional-options API, least-loaded placement routing a concurrent burst
+// across the devices, Dial reading the fleet shape from the server, and
+// typed errors surviving the wire (errors.Is works on what the client
+// returns, because a typed error's message is its wire code).
 package main
 
 import (
@@ -44,8 +44,7 @@ func main() {
 	}
 	defer client.Close()
 	devices, placement := client.Fleet()
-	fmt.Printf("negotiated protocol v%d; server is a %d-device fleet with %s placement\n\n",
-		client.Proto(), devices, placement)
+	fmt.Printf("server is a %d-device fleet with %s placement\n\n", devices, placement)
 
 	// A concurrent burst: the placer routes each arrival to the device with
 	// the least expected work, so both devices fill up.
@@ -81,8 +80,8 @@ func main() {
 		fmt.Printf("  device %d occupancy: %.0f simulated ms\n", ds.Device, ds.BusyMsTotal)
 	}
 
-	// Typed errors across the wire: protocol v2 carries a stable error code
-	// in the reply, so the client reconstructs the exported error values.
+	// Typed errors across the wire: the server's error message begins with
+	// the exported error's message, so the client decodes it back.
 	fmt.Println("-- typed wire errors --")
 	_, err = client.Infer("no-such-model")
 	fmt.Printf("  unknown model: errors.Is(err, ErrUnknownModel) = %v (%v)\n",

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"split/internal/analytic"
@@ -134,20 +136,28 @@ func EvennessAblation(cm model.CostModel, seed int64) ([]EvennessAblationRow, er
 	// Uneven plans: cuts forced near the graph edges (worst case per §2.4).
 	uneven := make(map[string]*model.SplitPlan, len(dep.Plans))
 	rng := rand.New(rand.NewSource(seed))
-	for name, plan := range dep.Plans {
-		g := dep.Graphs[name]
+	// Draw in name order: one rng feeds every model, so map order would
+	// make the uneven plans differ from run to run.
+	names := make([]string, 0, len(dep.Plans))
+	for name := range dep.Plans {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		plan, g := dep.Plans[name], dep.Graphs[name]
 		p := profiler.New(g, cm)
 		k := len(plan.Cuts)
 		cuts := make([]int, 0, k)
 		for i := 0; i < k; i++ {
 			// Positions inside the first 10% of the model: early, uneven.
 			c := 1 + rng.Intn(max(1, g.NumOps()/10))
-			for contains(cuts, c) {
+			for slices.Contains(cuts, c) {
 				c++
 			}
 			cuts = append(cuts, c)
 		}
-		cand := p.Evaluate(sorted(cuts))
+		slices.Sort(cuts)
+		cand := p.Evaluate(cuts)
 		uneven[name] = p.Plan(cand)
 	}
 
@@ -669,42 +679,10 @@ func PlacementAblationCSV(w io.Writer, rows []PlacementRow) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// helpers
-// ---------------------------------------------------------------------------
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func sorted(xs []int) []int {
-	out := append([]int(nil), xs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
+// sortArrivals orders arrivals by time. The sort is stable so same-instant
+// burst arrivals keep their generation order.
 func sortArrivals(arrivals []workload.Arrival) {
-	for i := 1; i < len(arrivals); i++ {
-		for j := i; j > 0 && arrivals[j].AtMs < arrivals[j-1].AtMs; j-- {
-			arrivals[j], arrivals[j-1] = arrivals[j-1], arrivals[j]
-		}
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	slices.SortStableFunc(arrivals, func(a, b workload.Arrival) int { return cmp.Compare(a.AtMs, b.AtMs) })
 }
 
 // ---------------------------------------------------------------------------

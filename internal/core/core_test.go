@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -434,6 +435,15 @@ func TestEvennessAblationEvenBeatsUneven(t *testing.T) {
 	}
 	if RenderEvennessAblation(rows) == "" {
 		t.Error("empty render")
+	}
+	// The uneven plans are drawn from one seeded rng, so a second run at the
+	// same seed must reproduce them.
+	again, err := EvennessAblation(model.DefaultCostModel(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, again) {
+		t.Error("two runs at the same seed differ")
 	}
 }
 

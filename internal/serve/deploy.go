@@ -81,7 +81,7 @@ func (r *Responder) Deploy(args DeployArgs, reply *DeployReply) error {
 	r.srv.mu.Lock()
 	defer r.srv.mu.Unlock()
 	if r.srv.closed {
-		return errors.New("serve: server stopped")
+		return ErrStopped
 	}
 	_, replaced := r.srv.cfg.Catalog[args.Name]
 	r.srv.cfg.Catalog[args.Name] = info
@@ -107,7 +107,7 @@ func (r *Responder) Undeploy(args UndeployArgs, reply *struct{}) error {
 	r.srv.mu.Lock()
 	defer r.srv.mu.Unlock()
 	if _, ok := r.srv.cfg.Catalog[args.Name]; !ok {
-		return fmt.Errorf("serve: model %q not deployed", args.Name)
+		return fmt.Errorf("%w: %q", ErrUnknownModel, args.Name)
 	}
 	delete(r.srv.cfg.Catalog, args.Name)
 	return nil
@@ -196,7 +196,7 @@ func (r *Responder) DeployGraph(args DeployGraphArgs, reply *DeployGraphReply) e
 	r.srv.mu.Lock()
 	defer r.srv.mu.Unlock()
 	if r.srv.closed {
-		return errors.New("serve: server stopped")
+		return ErrStopped
 	}
 	_, replaced := r.srv.cfg.Catalog[g.Name]
 	r.srv.cfg.Catalog[g.Name] = info
@@ -218,26 +218,26 @@ func (r *Responder) DeployGraph(args DeployGraphArgs, reply *DeployGraphReply) e
 // DeployGraph uploads a graph for server-side splitting and deployment.
 func (c *Client) DeployGraph(args DeployGraphArgs) (DeployGraphReply, error) {
 	var reply DeployGraphReply
-	err := c.rpc.Call("SPLIT.DeployGraph", args, &reply)
+	err := c.call("SPLIT.DeployGraph", args, &reply)
 	return reply, err
 }
 
 // Deploy installs or replaces a model on the server.
 func (c *Client) Deploy(args DeployArgs) (DeployReply, error) {
 	var reply DeployReply
-	err := c.rpc.Call("SPLIT.Deploy", args, &reply)
+	err := c.call("SPLIT.Deploy", args, &reply)
 	return reply, err
 }
 
 // Undeploy removes a model from the server.
 func (c *Client) Undeploy(name string) error {
 	var reply struct{}
-	return c.rpc.Call("SPLIT.Undeploy", UndeployArgs{Name: name}, &reply)
+	return c.call("SPLIT.Undeploy", UndeployArgs{Name: name}, &reply)
 }
 
 // ListModels enumerates the server's deployment.
 func (c *Client) ListModels() ([]ModelDesc, error) {
 	var reply ListModelsReply
-	err := c.rpc.Call("SPLIT.ListModels", struct{}{}, &reply)
+	err := c.call("SPLIT.ListModels", struct{}{}, &reply)
 	return reply.Models, err
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"net/rpc"
 	"slices"
@@ -95,6 +96,28 @@ func TestUndeploy(t *testing.T) {
 	}
 	if err := c.Undeploy("short"); err == nil {
 		t.Error("double undeploy succeeded")
+	}
+}
+
+// TestDeploymentErrorsAreTyped: the deployment RPCs return the package's
+// typed errors in-process, not look-alike messages. Their wire side is
+// rows of TestTypedOutcomesAcrossWire.
+func TestDeploymentErrorsAreTyped(t *testing.T) {
+	srv, _ := startServer(t)
+	r := newResponder(srv)
+	if err := r.Undeploy(UndeployArgs{Name: "nosuch"}, &struct{}{}); !errors.Is(err, ErrUnknownModel) {
+		t.Errorf("undeploy of an unknown model: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := onnxlite.EncodeGraph(&buf, zoo.MustLoad("yolov2")); err != nil {
+		t.Fatal(err)
+	}
+	srv.Stop()
+	if err := r.Deploy(DeployArgs{Name: "late", Class: "Short", ExtMs: 1}, &DeployReply{}); !errors.Is(err, ErrStopped) {
+		t.Errorf("deploy on a stopped server: %v", err)
+	}
+	if err := r.DeployGraph(DeployGraphArgs{GraphJSON: buf.Bytes(), Blocks: 1}, &DeployGraphReply{}); !errors.Is(err, ErrStopped) {
+		t.Errorf("deploy-graph on a stopped server: %v", err)
 	}
 }
 

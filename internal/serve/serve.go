@@ -30,7 +30,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -46,9 +45,10 @@ import (
 )
 
 // Typed rejection and shedding errors, so clients and metrics can
-// distinguish drop causes. net/rpc flattens errors to strings on the wire,
-// so the messages are stable and prefix-matchable; in-process callers can
-// use errors.Is.
+// distinguish drop causes. The messages are the wire codes: an error the
+// server returns for a typed outcome begins with that outcome's message
+// (%w first), and the Client decodes it back so errors.Is works on both
+// sides of the wire.
 var (
 	// ErrNotStarted rejects requests arriving before Start: the virtual
 	// clock has no epoch yet, so enqueueing would record garbage times.
@@ -76,23 +76,6 @@ var (
 	// bucket empty, queue over its cap, or predicted RR past the limit).
 	ErrAdmissionRejected = errors.New("serve: admission rejected")
 )
-
-// IsShed reports whether err is one of the lifecycle shed/rejection
-// outcomes — deadline, cancellation, drain, device fault, or server
-// shutdown — as opposed to a transport or usage error. It matches both
-// in-process errors (errors.Is) and errors flattened to strings by the
-// RPC layer (prefix match on the stable messages above).
-func IsShed(err error) bool {
-	if err == nil {
-		return false
-	}
-	for _, e := range []error{ErrStopped, ErrDeadlineExceeded, ErrCanceled, ErrDrained, ErrDeviceFault} {
-		if errors.Is(err, e) || strings.HasPrefix(err.Error(), e.Error()) {
-			return true
-		}
-	}
-	return false
-}
 
 // Drop reasons as they appear in the split_drops_total metric and in
 // trace.Drop / trace.Shed event details. The reasons the simulator also
@@ -541,10 +524,8 @@ func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string) {
 		s.met.violRate.Set(vr)
 		s.met.jitter.Set(jit)
 	}
-	// Shed reasons are the wire-code vocabulary, the engine's trace.Reason*
-	// words included.
 	//lint:ignore hotalloc the resolved error must carry request identity for the client; sheds are the rare path
-	s.resolveLocked(r.ID, outcome{err: fmt.Errorf("%w (request %d, %s)", codeToErr[reason], r.ID, r.Model)})
+	s.resolveLocked(r.ID, outcome{err: fmt.Errorf("%w (request %d, %s)", reasonErr[reason], r.ID, r.Model)})
 }
 
 // resolveLocked queues the waiter's outcome for delivery and forgets the
@@ -1311,8 +1292,7 @@ type InferReply struct {
 	ResponseRatio float64
 	Preemptions   int
 	// Device is the fleet device that served the request (0 on
-	// single-device deployments). New fields are wire-safe: gob ignores
-	// fields the peer does not know.
+	// single-device deployments).
 	Device int
 }
 
@@ -1339,6 +1319,12 @@ func (r *Responder) Infer(args InferArgs, reply *InferReply) error {
 		return err
 	}
 	r.track(id, ch)
+	return r.claim(id, ch, reply)
+}
+
+// claim blocks until the tracked request id completes or is shed, forgets
+// it, and fills reply from a completion.
+func (r *Responder) claim(id int, ch chan outcome, reply *InferReply) error {
 	out := <-ch
 	r.untrack(id)
 	if out.err != nil {
@@ -1382,13 +1368,7 @@ func (r *Responder) Wait(args WaitArgs, reply *InferReply) error {
 	if ch == nil {
 		return fmt.Errorf("serve: no pending request %d on this connection", args.ReqID)
 	}
-	out := <-ch
-	r.untrack(args.ReqID)
-	if out.err != nil {
-		return out.err
-	}
-	reply.fill(out.req)
-	return nil
+	return r.claim(args.ReqID, ch, reply)
 }
 
 // CancelArgs names the request to cancel.
@@ -1410,22 +1390,35 @@ func (r *Responder) Cancel(args CancelArgs, reply *CancelReply) error {
 	return nil
 }
 
-// StatsReply reports server-level counters.
+// StatsReply reports server-level counters and the fleet shape.
 type StatsReply struct {
 	Served  int
 	Queued  int
 	Models  int
 	UptimeS float64
+	// Devices is the physical device count; Placement the device-level
+	// placement policy. Partition lanes are an implementation detail of the
+	// server and never leak into the fleet shape.
+	Devices   int
+	Placement string
+	// Partitions is the spatial-sharing lane count per device (0 on
+	// unpartitioned servers).
+	Partitions int
 }
 
-// Stats reports server counters.
+// Stats reports server counters and the fleet shape.
 func (r *Responder) Stats(_ struct{}, reply *StatsReply) error {
 	r.srv.mu.Lock()
 	defer r.srv.mu.Unlock()
 	*reply = StatsReply{
-		Served: r.srv.served,
-		Queued: r.srv.eng.Depth(),
-		Models: len(r.srv.cfg.Catalog),
+		Served:    r.srv.served,
+		Queued:    r.srv.eng.Depth(),
+		Models:    len(r.srv.cfg.Catalog),
+		Devices:   r.srv.eng.Devices(),
+		Placement: r.srv.eng.Placement(),
+	}
+	if parts := r.srv.eng.Parts(); parts > 1 {
+		reply.Partitions = parts
 	}
 	if !r.srv.start.IsZero() {
 		reply.UptimeS = time.Since(r.srv.start).Seconds()
@@ -1478,58 +1471,46 @@ func (r *Responder) ModelStats(_ struct{}, reply *ModelStatsReply) error {
 	return nil
 }
 
-// Client is a thin wrapper over the rpc client. Dial negotiates the
-// protocol version with a Hello handshake; against v2 servers the client
-// uses the *V2 methods so typed errors (errors.Is) survive the wire, and
-// against v1 servers it falls back to prefix-matching the stable error
-// messages.
+// Client is a thin wrapper over the rpc client. Every method but
+// InferAsync goes through call, so every error it returns is decoded once:
+// errors.Is works on typed outcomes across the wire.
 type Client struct {
 	rpc        *rpc.Client
-	proto      int
-	caps       map[string]bool
 	devices    int
 	placement  string
 	partitions int
 }
 
-// Dial connects to a SPLIT server and negotiates the protocol version.
+// Dial connects to a SPLIT server and reads its fleet shape with one Stats
+// call.
 func Dial(addr string) (*Client, error) {
 	rc, err := rpc.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{rpc: rc, proto: ProtoV1}
-	var hello HelloReply
-	// A v1 server has no Hello method; any handshake failure degrades to
-	// protocol v1 rather than failing the dial.
-	if err := rc.Call("SPLIT.Hello", HelloArgs{Version: ProtoV2}, &hello); err == nil {
-		c.proto = hello.Version
-		c.caps = make(map[string]bool, len(hello.Capabilities))
-		for _, cap := range hello.Capabilities {
-			c.caps[cap] = true
-		}
-		c.devices = hello.Devices
-		c.placement = hello.Placement
-		c.partitions = hello.Partitions
+	c := &Client{rpc: rc}
+	st, err := c.Stats()
+	if err != nil {
+		rc.Close()
+		return nil, fmt.Errorf("serve: dial %s: read fleet shape: %w", addr, err)
 	}
+	c.devices, c.placement, c.partitions = st.Devices, st.Placement, st.Partitions
 	return c, nil
 }
 
-// Proto reports the negotiated protocol version (ProtoV1 or ProtoV2).
-func (c *Client) Proto() int { return c.proto }
+// call makes one RPC and decodes its error.
+func (c *Client) call(method string, args, reply any) error {
+	return fromWire(c.rpc.Call(method, args, reply))
+}
 
-// Has reports whether the server advertised a capability (always false on
-// protocol v1 servers, which advertise nothing).
-func (c *Client) Has(capability string) bool { return c.caps[capability] }
-
-// Fleet reports the server's device count and placement policy as
-// advertised by the handshake (0, "" against v1 servers).
+// Fleet reports the server's device count and placement policy as read at
+// Dial.
 func (c *Client) Fleet() (devices int, placement string) {
 	return c.devices, c.placement
 }
 
 // Partitions reports the server's spatial-sharing lane count per device as
-// advertised by the handshake (0 against unpartitioned or older servers).
+// read at Dial (0 on unpartitioned servers).
 func (c *Client) Partitions() int { return c.partitions }
 
 // Infer runs one request synchronously.
@@ -1540,20 +1521,13 @@ func (c *Client) Infer(modelName string) (InferReply, error) {
 // InferDeadline runs one request synchronously with a client-supplied
 // deadline (virtual milliseconds after arrival; 0 = server default).
 func (c *Client) InferDeadline(modelName string, deadlineMs float64) (InferReply, error) {
-	args := InferArgs{Model: modelName, DeadlineMs: deadlineMs}
-	if c.proto >= ProtoV2 {
-		var reply InferV2Reply
-		if err := c.rpc.Call("SPLIT.InferV2", args, &reply); err != nil {
-			return reply.Reply, err
-		}
-		return reply.Reply, ErrorFromCode(reply.Err.Code, reply.Err.Msg)
-	}
 	var reply InferReply
-	err := c.rpc.Call("SPLIT.Infer", args, &reply)
-	return reply, errorFromV1(err)
+	err := c.call("SPLIT.Infer", InferArgs{Model: modelName, DeadlineMs: deadlineMs}, &reply)
+	return reply, err
 }
 
-// InferAsync starts a request and returns the pending call.
+// InferAsync starts a request and returns the pending call. Its Error is
+// raw; IsShed classifies it.
 func (c *Client) InferAsync(modelName string) *rpc.Call {
 	reply := new(InferReply)
 	return c.rpc.Go("SPLIT.Infer", InferArgs{Model: modelName}, reply, nil)
@@ -1561,51 +1535,36 @@ func (c *Client) InferAsync(modelName string) *rpc.Call {
 
 // Submit enqueues a request and returns its ID without waiting.
 func (c *Client) Submit(modelName string, deadlineMs float64) (int, error) {
-	args := InferArgs{Model: modelName, DeadlineMs: deadlineMs}
-	if c.proto >= ProtoV2 {
-		var reply SubmitV2Reply
-		if err := c.rpc.Call("SPLIT.SubmitV2", args, &reply); err != nil {
-			return reply.Reply.ReqID, err
-		}
-		return reply.Reply.ReqID, ErrorFromCode(reply.Err.Code, reply.Err.Msg)
-	}
 	var reply SubmitReply
-	err := c.rpc.Call("SPLIT.Submit", args, &reply)
-	return reply.ReqID, errorFromV1(err)
+	err := c.call("SPLIT.Submit", InferArgs{Model: modelName, DeadlineMs: deadlineMs}, &reply)
+	return reply.ReqID, err
 }
 
 // Wait claims the outcome of a submitted request.
 func (c *Client) Wait(reqID int) (InferReply, error) {
-	if c.proto >= ProtoV2 {
-		var reply InferV2Reply
-		if err := c.rpc.Call("SPLIT.WaitV2", WaitArgs{ReqID: reqID}, &reply); err != nil {
-			return reply.Reply, err
-		}
-		return reply.Reply, ErrorFromCode(reply.Err.Code, reply.Err.Msg)
-	}
 	var reply InferReply
-	err := c.rpc.Call("SPLIT.Wait", WaitArgs{ReqID: reqID}, &reply)
-	return reply, errorFromV1(err)
+	err := c.call("SPLIT.Wait", WaitArgs{ReqID: reqID}, &reply)
+	return reply, err
 }
 
 // Cancel cancels a pending request and reports what it found.
 func (c *Client) Cancel(reqID int) (CancelState, error) {
 	var reply CancelReply
-	err := c.rpc.Call("SPLIT.Cancel", CancelArgs{ReqID: reqID}, &reply)
+	err := c.call("SPLIT.Cancel", CancelArgs{ReqID: reqID}, &reply)
 	return CancelState(reply.State), err
 }
 
-// Stats fetches server counters.
+// Stats fetches server counters and the fleet shape.
 func (c *Client) Stats() (StatsReply, error) {
 	var reply StatsReply
-	err := c.rpc.Call("SPLIT.Stats", struct{}{}, &reply)
+	err := c.call("SPLIT.Stats", struct{}{}, &reply)
 	return reply, err
 }
 
 // ModelStats fetches the per-model QoS digest.
 func (c *Client) ModelStats() (ModelStatsReply, error) {
 	var reply ModelStatsReply
-	err := c.rpc.Call("SPLIT.ModelStats", struct{}{}, &reply)
+	err := c.call("SPLIT.ModelStats", struct{}{}, &reply)
 	return reply, err
 }
 

@@ -252,16 +252,45 @@ func TestTimeScaleAcceleration(t *testing.T) {
 	}
 }
 
+// TestInferAsync pins the contract a raw InferAsync caller relies on: a
+// served call's Reply is an *InferReply, and a queued call shed by Stop has
+// an Error that IsShed recognizes.
 func TestInferAsync(t *testing.T) {
-	_, c := startServer(t)
-	call := c.InferAsync("short")
+	srv, _, _ := startLifecycle(t, func(c *Config) { c.TimeScale = 10 })
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	call := c.InferAsync("quick")
 	<-call.Done
 	if call.Error != nil {
 		t.Fatal(call.Error)
 	}
-	reply := call.Reply.(*InferReply)
-	if reply.Model != "short" {
+	if reply := call.Reply.(*InferReply); reply.Model != "quick" {
 		t.Errorf("async reply = %+v", reply)
+	}
+
+	inflight := c.InferAsync("solo")
+	waitBusy(t, srv)
+	queued := c.InferAsync("work")
+	for i := 0; srv.QueueSnapshot().Depth != 1; i++ {
+		if i == 2000 {
+			t.Fatal("the second call never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Stop()
+	<-queued.Done
+	if !IsShed(queued.Error) {
+		t.Errorf("queued call shed by Stop: IsShed(%v) = false", queued.Error)
+	}
+	<-inflight.Done
+	if inflight.Error != nil {
+		t.Fatalf("in-flight call: %v", inflight.Error)
+	}
+	if reply := inflight.Reply.(*InferReply); reply.Model != "solo" {
+		t.Errorf("in-flight reply = %+v", reply)
 	}
 }
 

@@ -2,18 +2,20 @@ package serve
 
 import (
 	"errors"
-	"fmt"
-	"net"
 	"net/rpc"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"split/internal/fleet"
 	"split/internal/place"
 )
 
 // exportedWireErrors is every typed serving error a client can receive.
-// New exported errors must be added here (and to codeToErr) so the
-// round-trip test keeps covering all of them.
+// New exported errors must be added here (and to reasonErr) so the decoder
+// test keeps covering all of them.
 var exportedWireErrors = []error{
 	ErrNotStarted,
 	ErrStopped,
@@ -26,225 +28,169 @@ var exportedWireErrors = []error{
 	ErrAdmissionRejected,
 }
 
-// TestWireCodeRoundTripEveryError: every exported error must survive a
-// wire round trip — CodeForError then ErrorFromCode — under errors.Is,
-// preserving the remote message, and the v1 prefix fallback must map the
-// same messages.
-func TestWireCodeRoundTripEveryError(t *testing.T) {
-	if len(codeToErr) != len(exportedWireErrors) {
-		t.Fatalf("codeToErr has %d codes, %d exported errors", len(codeToErr), len(exportedWireErrors))
+// TestWireDecoderUnambiguous: every exported error decodes from its wire
+// form, no typed message is a prefix of another (so the decoder's answer
+// does not depend on map order), and everything else passes through.
+func TestWireDecoderUnambiguous(t *testing.T) {
+	if len(reasonErr) != len(exportedWireErrors) {
+		t.Fatalf("reasonErr has %d reasons, %d exported errors", len(reasonErr), len(exportedWireErrors))
 	}
-	seen := make(map[string]bool)
 	for _, typed := range exportedWireErrors {
-		code := CodeForError(typed)
-		if code == "" {
-			t.Fatalf("no wire code for %v", typed)
+		n := 0
+		for _, e := range reasonErr {
+			if e == typed {
+				n++
+			}
 		}
-		if seen[code] {
-			t.Fatalf("wire code %q assigned twice", code)
+		if n != 1 {
+			t.Errorf("%v has %d reasons, want 1", typed, n)
 		}
-		seen[code] = true
 		msg := typed.Error() + " (request 7)"
-		back := ErrorFromCode(code, msg)
+		back := fromWire(rpc.ServerError(msg))
 		if !errors.Is(back, typed) {
-			t.Errorf("code %q: errors.Is lost across the wire (got %v)", code, back)
+			t.Errorf("%v: errors.Is lost across the wire (got %v)", typed, back)
 		}
 		if back.Error() != msg {
-			t.Errorf("code %q: message %q != %q", code, back.Error(), msg)
+			t.Errorf("%v: message %q != %q", typed, back.Error(), msg)
 		}
-		if got := CodeForError(fmt.Errorf("wrapped: %w", typed)); got != code {
-			t.Errorf("wrapped %v maps to %q, want %q", typed, got, code)
+		for _, other := range exportedWireErrors {
+			if other != typed && strings.HasPrefix(other.Error(), typed.Error()) {
+				t.Errorf("%q is a prefix of %q: decoding is ambiguous", typed, other)
+			}
 		}
-		if v1 := errorFromV1(errors.New(msg)); !errors.Is(v1, typed) {
-			t.Errorf("v1 prefix mapping lost %v (got %v)", typed, v1)
+	}
+	for _, err := range []error{errors.New("some transport error"), rpc.ServerError("serve: deploy x with unknown class"), rpc.ErrShutdown} {
+		if got := fromWire(err); got != err {
+			t.Errorf("untyped %v decoded to %v", err, got)
 		}
 	}
-	if err := ErrorFromCode("", ""); err != nil {
-		t.Errorf("empty code+msg should be nil, got %v", err)
-	}
-	if err := ErrorFromCode("bogus_code", "boom"); err == nil || err.Error() != "boom" {
-		t.Errorf("unknown code should pass the message through, got %v", err)
-	}
-	if code := CodeForError(errors.New("some transport error")); code != "" {
-		t.Errorf("untyped error got code %q", code)
-	}
-	if errorFromV1(nil) != nil {
-		t.Error("errorFromV1(nil) != nil")
+	if fromWire(nil) != nil {
+		t.Error("fromWire(nil) != nil")
 	}
 }
 
-// TestHelloNegotiation: Dial negotiates v2 against a new server and the
-// handshake advertises the fleet shape and capabilities.
-func TestHelloNegotiation(t *testing.T) {
+// TestTypedOutcomesAcrossWire: every typed outcome a client can provoke
+// satisfies errors.Is on the far side of a real connection.
+func TestTypedOutcomesAcrossWire(t *testing.T) {
+	// stretch makes solo hold the device 300 ms and work blocks 200 ms, so a
+	// queue built behind them stays put while the row provokes its error.
+	stretch := func(c *Config) { c.TimeScale = 10 }
+	// busyThenQueued puts solo on the device and work in the queue behind it.
+	busyThenQueued := func(t *testing.T, srv *Server, c *Client) {
+		if _, err := c.Submit("solo", 0); err != nil {
+			t.Fatal(err)
+		}
+		waitBusy(t, srv)
+		if _, err := c.Submit("work", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := []struct {
+		name    string
+		mut     func(*Config)
+		provoke func(t *testing.T, srv *Server, c *Client) error
+		want    error
+	}{
+		{"unknown model", nil, func(t *testing.T, _ *Server, c *Client) error {
+			_, err := c.Infer("nosuch")
+			return err
+		}, ErrUnknownModel},
+		{"queue full", func(c *Config) { stretch(c); c.MaxQueue = 1 }, func(t *testing.T, srv *Server, c *Client) error {
+			busyThenQueued(t, srv, c)
+			_, err := c.Infer("quick")
+			return err
+		}, ErrQueueFull},
+		{"admission rejected", func(c *Config) {
+			stretch(c)
+			c.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitQueueLength, MaxQueue: 1}
+		}, func(t *testing.T, srv *Server, c *Client) error {
+			busyThenQueued(t, srv, c)
+			_, err := c.Infer("quick")
+			return err
+		}, ErrAdmissionRejected},
+		{"client cancel", stretch, func(t *testing.T, srv *Server, c *Client) error {
+			busyThenQueued(t, srv, c)
+			id, err := c.Submit("work", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+			_, err = c.Wait(id)
+			return err
+		}, ErrCanceled},
+		{"deadline", nil, func(t *testing.T, _ *Server, c *Client) error {
+			// Block 1 of 3 × 20 ms ends past the 30 ms deadline.
+			_, err := c.InferDeadline("work", 30)
+			return err
+		}, ErrDeadlineExceeded},
+		{"stopped", nil, func(t *testing.T, srv *Server, c *Client) error {
+			srv.Stop()
+			_, err := c.Infer("quick")
+			return err
+		}, ErrStopped},
+		{"stopped on Deploy", nil, func(t *testing.T, srv *Server, c *Client) error {
+			srv.Stop()
+			_, err := c.Deploy(DeployArgs{Name: "late", Class: "Short", ExtMs: 1})
+			return err
+		}, ErrStopped},
+		{"unknown model on Undeploy", nil, func(t *testing.T, _ *Server, c *Client) error {
+			return c.Undeploy("nosuch")
+		}, ErrUnknownModel},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			srv, _, _ := startLifecycle(t, row.mut)
+			// Dialed before any Stop: the connection outlives the listener.
+			c, err := Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := row.provoke(t, srv, c); !errors.Is(err, row.want) {
+				t.Errorf("got %v, want errors.Is(err, %v)", err, row.want)
+			}
+		})
+	}
+}
+
+// TestWireSurface pins the one protocol: *Responder registers exactly these
+// ten RPC methods, and Dial reads the fleet shape from the server.
+func TestWireSurface(t *testing.T) {
+	want := []string{"Cancel", "Deploy", "DeployGraph", "Infer", "ListModels",
+		"ModelStats", "Stats", "Submit", "Undeploy", "Wait"}
+	// net/rpc registers an exported method with two arguments, a pointer
+	// reply and a single error result.
+	errType := reflect.TypeOf((*error)(nil)).Elem()
+	typ := reflect.TypeOf(&Responder{})
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i).Type
+		if m.NumIn() == 3 && m.In(2).Kind() == reflect.Pointer && m.NumOut() == 1 && m.Out(0) == errType {
+			got = append(got, typ.Method(i).Name)
+		}
+	}
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("RPC methods = %v, want %v", got, want)
+	}
+
 	srv, _, _ := startLifecycle(t, func(c *Config) {
 		c.Devices = 2
 		c.Placement = place.LeastLoaded
+		c.Partitions = 2
+		c.PartitionWidth = place.WidthFixed
 	})
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Proto() != ProtoV2 {
-		t.Errorf("negotiated proto %d, want %d", c.Proto(), ProtoV2)
-	}
-	for _, cap := range []string{CapPlacement, CapAsync, CapCancel, CapErrCodes} {
-		if !c.Has(cap) {
-			t.Errorf("capability %q not advertised", cap)
-		}
-	}
 	if devs, pol := c.Fleet(); devs != 2 || pol != place.LeastLoaded {
-		t.Errorf("fleet = (%d, %q)", devs, pol)
+		t.Errorf("fleet = (%d, %q), server has (2, %q)", devs, pol, place.LeastLoaded)
 	}
-
-	// An old client asking for v1 gets v1, and an over-eager version is
-	// clamped to the server's maximum.
-	raw, err := rpc.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	var hello HelloReply
-	if err := raw.Call("SPLIT.Hello", HelloArgs{Version: ProtoV1}, &hello); err != nil || hello.Version != ProtoV1 {
-		t.Errorf("Hello(v1) = %+v, %v", hello, err)
-	}
-	if err := raw.Call("SPLIT.Hello", HelloArgs{Version: 99}, &hello); err != nil || hello.Version != ProtoV2 {
-		t.Errorf("Hello(99) = %+v, %v", hello, err)
-	}
-}
-
-// TestProtoV2TypedErrorsAcrossWire: against a v2 server the client's
-// errors satisfy errors.Is for the typed serving errors.
-func TestProtoV2TypedErrorsAcrossWire(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.MaxQueue = 1
-		c.TimeScale = 10 // stretch solo to 300ms so the queue stays stable
-	})
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, err := c.Infer("nosuch"); !errors.Is(err, ErrUnknownModel) {
-		t.Errorf("unknown model: %v", err)
-	}
-
-	if _, err := c.Submit("solo", 0); err != nil {
-		t.Fatal(err)
-	}
-	waitBusy(t, srv)
-	queued, err := c.Submit("work", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Infer("quick"); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("over-cap arrival: %v", err)
-	}
-	if _, err := c.Cancel(queued); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Wait(queued); !errors.Is(err, ErrCanceled) {
-		t.Errorf("canceled request: %v", err)
-	}
-}
-
-// v1Responder exposes only the protocol v1 surface of a Responder — it
-// stands in for an old server build in interop tests.
-type v1Responder struct {
-	inner *Responder
-}
-
-func (r *v1Responder) Infer(args InferArgs, reply *InferReply) error {
-	return r.inner.Infer(args, reply)
-}
-func (r *v1Responder) Submit(args InferArgs, reply *SubmitReply) error {
-	return r.inner.Submit(args, reply)
-}
-func (r *v1Responder) Wait(args WaitArgs, reply *InferReply) error { return r.inner.Wait(args, reply) }
-func (r *v1Responder) Cancel(args CancelArgs, reply *CancelReply) error {
-	return r.inner.Cancel(args, reply)
-}
-
-// startV1Server serves srv's scheduling machinery behind a v1-only RPC
-// surface on its own listener and returns that listener's address.
-func startV1Server(t *testing.T, srv *Server) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				rs := rpc.NewServer()
-				if err := rs.RegisterName("SPLIT", &v1Responder{inner: newResponder(srv)}); err != nil {
-					conn.Close()
-					return
-				}
-				rs.ServeConn(conn)
-			}(conn)
-		}
-	}()
-	return l.Addr().String()
-}
-
-// TestInteropNewClientOldServer: a new client against a v1-only server
-// falls back to protocol v1 and still yields typed errors via the stable
-// message prefixes.
-func TestInteropNewClientOldServer(t *testing.T) {
-	srv, _, _ := startLifecycle(t, nil)
-	addr := startV1Server(t, srv)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Proto() != ProtoV1 {
-		t.Errorf("proto against v1 server = %d", c.Proto())
-	}
-	if c.Has(CapErrCodes) {
-		t.Error("v1 server advertised capabilities")
-	}
-	if devs, pol := c.Fleet(); devs != 0 || pol != "" {
-		t.Errorf("v1 fleet = (%d, %q)", devs, pol)
-	}
-	if reply, err := c.Infer("quick"); err != nil || reply.Model != "quick" {
-		t.Errorf("v1 infer: %+v, %v", reply, err)
-	}
-	if _, err := c.Infer("nosuch"); !errors.Is(err, ErrUnknownModel) {
-		t.Errorf("v1 unknown model not typed: %v", err)
-	}
-	id, err := c.Submit("quick", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply, err := c.Wait(id); err != nil || reply.Model != "quick" {
-		t.Errorf("v1 submit/wait: %+v, %v", reply, err)
-	}
-}
-
-// TestInteropOldClientNewServer: a raw net/rpc client speaking only
-// protocol v1 works unchanged against a new server, including the stable
-// error-message prefixes it relies on.
-func TestInteropOldClientNewServer(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) { c.Devices = 2 })
-	raw, err := rpc.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	var reply InferReply
-	if err := raw.Call("SPLIT.Infer", InferArgs{Model: "quick"}, &reply); err != nil || reply.Model != "quick" {
-		t.Errorf("old client infer: %+v, %v", reply, err)
-	}
-	err = raw.Call("SPLIT.Infer", InferArgs{Model: "nosuch"}, &reply)
-	if err == nil || !strings.HasPrefix(err.Error(), ErrUnknownModel.Error()) {
-		t.Errorf("old client error message changed: %v", err)
+	if c.Partitions() != 2 {
+		t.Errorf("partitions = %d, server has 2", c.Partitions())
 	}
 }
