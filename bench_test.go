@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"split/internal/analytic"
@@ -434,20 +436,26 @@ func BenchmarkREEFComparison(b *testing.B) {
 	b.ReportMetric(reefJ, "REEF-short-jitter-ms")
 }
 
-// BenchmarkServeRPC measures the serving path's per-request overhead: RPC
-// round trip + Algorithm 1 insertion + executor wakeup, with near-zero
-// simulated execution time so scheduling cost dominates.
+// BenchmarkServeRPC is the saturated serving rung, in the shape of
+// splitperf's serve_saturate_tiny: two devices placed least-loaded serve
+// tiny (one 0.01 ms op) and tiny3 (three 0.02 ms ops cut into three
+// blocks), three requests to one, to 2 connections × 32 callers, each
+// caller with one InferAsync outstanding. The service time is about zero,
+// so a request costs what carrying it costs: the transport, the server
+// mutex, Algorithm 1 and delivery. `make profile PROFILE=ServeRPC`
+// profiles it.
 func BenchmarkServeRPC(b *testing.B) {
-	graphs := map[string]*model.Graph{
-		"tiny": {
-			Name: "tiny", Domain: "bench", Class: model.Short,
-			Ops: []model.Op{{Name: "op", TimeMs: 0.01}},
-		},
+	tiny := &model.Graph{Name: "tiny", Domain: "bench", Class: model.Short,
+		Ops: []model.Op{{Name: "op", TimeMs: 0.01}}}
+	tiny3 := &model.Graph{Name: "tiny3", Domain: "bench", Class: model.Short,
+		Ops: []model.Op{{Name: "a", TimeMs: 0.02}, {Name: "b", TimeMs: 0.02}, {Name: "c", TimeMs: 0.02}}}
+	plan, err := model.NewSplitPlan(tiny3, []int{1, 2}, model.DefaultCostModel())
+	if err != nil {
+		b.Fatal(err)
 	}
-	srv, err := serve.NewServer(serve.Config{
-		Catalog:   policy.NewCatalog(graphs, nil),
-		TimeScale: 0.001,
-	})
+	catalog := policy.NewCatalog(map[string]*model.Graph{"tiny": tiny, "tiny3": tiny3},
+		map[string]*model.SplitPlan{"tiny3": plan})
+	srv, err := serve.New(catalog, serve.WithTimeScale(0.001), serve.WithDevices(2), serve.WithPlacement("least-loaded"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -459,17 +467,35 @@ func BenchmarkServeRPC(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Stop()
-	c, err := serve.Dial(srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Infer("tiny"); err != nil {
+	conns := make([]*serve.Client, 2)
+	for i := range conns {
+		if conns[i], err = serve.Dial(srv.Addr()); err != nil {
 			b.Fatal(err)
 		}
+		defer conns[i].Close()
 	}
+	const callers = 64
+	procs := runtime.GOMAXPROCS(0)
+	b.SetParallelism((callers + procs - 1) / procs)
+	var started atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		c := conns[started.Add(1)%int64(len(conns))]
+		for n := 0; pb.Next(); n++ {
+			m := "tiny"
+			if n%4 == 3 {
+				m = "tiny3"
+			}
+			call := c.InferAsync(m)
+			<-call.Done
+			if call.Error != nil {
+				b.Error(call.Error)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
 // BenchmarkSchedInsertGreedy measures Algorithm 1's insertion cost at

@@ -1,6 +1,6 @@
 // Command splitd is the SPLIT inference server daemon (§4): it deploys the
 // benchmark models (with split plans built by the GA or loaded from a plan
-// directory written by splitga) and serves inference requests over net/rpc,
+// directory written by splitga) and serves inference requests over RPC,
 // scheduling them with the greedy block-level preemption algorithm.
 //
 // Usage:

@@ -2,7 +2,7 @@
 // in-process splitd-style RPC server at 20x accelerated time, fires a burst
 // of concurrent clients at it — long detections plus short classifications —
 // and prints each request's measured QoS, showing the greedy block
-// preemption working over actual wall-clock execution and net/rpc.
+// preemption working over actual wall-clock execution and RPC.
 package main
 
 import (

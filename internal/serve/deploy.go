@@ -13,7 +13,7 @@ import (
 	"split/internal/profiler"
 )
 
-// This file implements the Deployment Manager RPCs (§4.2): at runtime,
+// This file implements the Deployment Manager calls (§4.2): at runtime,
 // operators can deploy new models (with or without split plans produced
 // offline by splitga), replace a model's plan, or undeploy a model. Requests
 // already queued keep their original block plans; only new arrivals see the
@@ -39,21 +39,21 @@ type DeployReply struct {
 	Replaced bool
 }
 
-// Deploy installs or replaces a model at runtime.
-func (r *Responder) Deploy(args DeployArgs, reply *DeployReply) error {
+// deploy answers Deploy: it installs or replaces a model at runtime.
+func (s *Server) deploy(args *DeployArgs) (DeployReply, error) {
 	if args.Name == "" {
-		return errors.New("serve: deploy with empty model name")
+		return DeployReply{}, errors.New("serve: deploy with empty model name")
 	}
 	if args.ExtMs <= 0 {
-		return fmt.Errorf("serve: deploy %s with non-positive ExtMs %v", args.Name, args.ExtMs)
+		return DeployReply{}, fmt.Errorf("serve: deploy %s with non-positive ExtMs %v", args.Name, args.ExtMs)
 	}
 	class := model.RequestClass(args.Class)
 	if class != model.Short && class != model.Long {
-		return fmt.Errorf("serve: deploy %s with unknown class %q", args.Name, args.Class)
+		return DeployReply{}, fmt.Errorf("serve: deploy %s with unknown class %q", args.Name, args.Class)
 	}
 	for _, b := range args.BlockTimesMs {
 		if b <= 0 {
-			return fmt.Errorf("serve: deploy %s with non-positive block time %v", args.Name, b)
+			return DeployReply{}, fmt.Errorf("serve: deploy %s with non-positive block time %v", args.Name, b)
 		}
 	}
 	info := &policy.ModelInfo{
@@ -62,39 +62,25 @@ func (r *Responder) Deploy(args DeployArgs, reply *DeployReply) error {
 		ExtMs: args.ExtMs,
 	}
 	if len(args.BlockTimesMs) > 1 {
-		times := append([]float64(nil), args.BlockTimesMs...)
-		var total float64
-		for _, t := range times {
-			total += t
-		}
 		info.Plan = &model.SplitPlan{
-			Model:         args.Name,
-			Cuts:          make([]int, len(times)-1), // positions unknown at this layer
-			BlockTimesMs:  times,
-			OverheadRatio: total/args.ExtMs - 1,
+			Model:        args.Name,
+			Cuts:         make([]int, len(args.BlockTimesMs)-1), // positions unknown at this layer
+			BlockTimesMs: append([]float64(nil), args.BlockTimesMs...),
 		}
+		info.Plan.OverheadRatio = info.Plan.TotalTimeMs()/args.ExtMs - 1
 		for i := range info.Plan.Cuts {
 			info.Plan.Cuts[i] = i + 1 // placeholder monotone positions
 		}
 	}
 
-	r.srv.mu.Lock()
-	defer r.srv.mu.Unlock()
-	if r.srv.closed {
-		return ErrStopped
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return DeployReply{}, ErrStopped
 	}
-	_, replaced := r.srv.cfg.Catalog[args.Name]
-	r.srv.cfg.Catalog[args.Name] = info
-	blocks := 1
-	if info.Plan != nil {
-		blocks = len(info.Plan.BlockTimesMs)
-	}
-	*reply = DeployReply{
-		Name:     args.Name,
-		Blocks:   blocks,
-		Replaced: replaced,
-	}
-	return nil
+	_, replaced := s.cfg.Catalog[args.Name]
+	s.cfg.Catalog[args.Name] = info
+	return DeployReply{Name: args.Name, Blocks: max(1, len(args.BlockTimesMs)), Replaced: replaced}, nil
 }
 
 // UndeployArgs names the model to remove.
@@ -102,15 +88,16 @@ type UndeployArgs struct {
 	Name string
 }
 
-// Undeploy removes a model; queued requests for it still complete.
-func (r *Responder) Undeploy(args UndeployArgs, reply *struct{}) error {
-	r.srv.mu.Lock()
-	defer r.srv.mu.Unlock()
-	if _, ok := r.srv.cfg.Catalog[args.Name]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownModel, args.Name)
+// undeploy answers Undeploy: it removes a model; queued requests for it
+// still complete.
+func (s *Server) undeploy(args *UndeployArgs) (empty, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.cfg.Catalog[args.Name]; !ok {
+		return empty{}, fmt.Errorf("%w: %q", ErrUnknownModel, args.Name)
 	}
-	delete(r.srv.cfg.Catalog, args.Name)
-	return nil
+	delete(s.cfg.Catalog, args.Name)
+	return empty{}, nil
 }
 
 // ModelDesc describes one deployed model.
@@ -126,30 +113,26 @@ type ListModelsReply struct {
 	Models []ModelDesc
 }
 
-// ListModels reports every deployed model, sorted by name.
-func (r *Responder) ListModels(_ struct{}, reply *ListModelsReply) error {
-	r.srv.mu.Lock()
-	defer r.srv.mu.Unlock()
-	for name, info := range r.srv.cfg.Catalog {
-		blocks := 1
-		if info.Plan != nil && len(info.Plan.BlockTimesMs) > 0 {
-			blocks = len(info.Plan.BlockTimesMs)
-		}
+// listModels answers ListModels: every deployed model, sorted by name.
+func (s *Server) listModels(*empty) (ListModelsReply, error) {
+	var reply ListModelsReply
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, info := range s.cfg.Catalog {
 		reply.Models = append(reply.Models, ModelDesc{
 			Name:   name,
 			Class:  string(info.Class),
 			ExtMs:  info.ExtMs,
-			Blocks: blocks,
+			Blocks: len(s.cfg.Catalog.BlocksFor(name)),
 		})
 	}
 	sort.Slice(reply.Models, func(i, j int) bool { return reply.Models[i].Name < reply.Models[j].Name })
-	return nil
+	return reply, nil
 }
 
-// DeployGraphArgs uploads a full model graph for server-side splitting:
-// the §4.1/§4.2 path where SPLIT accepts models from deep-learning
-// frameworks, converts them (request unwrapper), splits them offline with
-// the genetic algorithm, and deploys the blocks.
+// DeployGraphArgs uploads a full model graph for server-side splitting
+// (§4.1/§4.2): SPLIT converts it (request unwrapper), splits it with the
+// genetic algorithm, and deploys the blocks.
 type DeployGraphArgs struct {
 	// GraphJSON is the onnxlite-encoded graph.
 	GraphJSON []byte
@@ -168,12 +151,12 @@ type DeployGraphReply struct {
 	Replaced      bool
 }
 
-// DeployGraph unwraps an uploaded graph, runs the evenly-sized splitting on
-// it, and installs the result in the catalog.
-func (r *Responder) DeployGraph(args DeployGraphArgs, reply *DeployGraphReply) error {
+// deployGraph answers DeployGraph: it unwraps an uploaded graph, runs the
+// evenly-sized splitting on it, and installs the result in the catalog.
+func (s *Server) deployGraph(args *DeployGraphArgs) (DeployGraphReply, error) {
 	g, err := onnxlite.DecodeGraph(bytes.NewReader(args.GraphJSON))
 	if err != nil {
-		return fmt.Errorf("serve: unwrap graph: %w", err)
+		return DeployGraphReply{}, fmt.Errorf("serve: unwrap graph: %w", err)
 	}
 	info := &policy.ModelInfo{
 		Name:  g.Name,
@@ -188,56 +171,45 @@ func (r *Responder) DeployGraph(args DeployGraphArgs, reply *DeployGraphReply) e
 		}
 		res, err := ga.Run(prof, cfg)
 		if err != nil {
-			return fmt.Errorf("serve: split %s: %w", g.Name, err)
+			return DeployGraphReply{}, fmt.Errorf("serve: split %s: %w", g.Name, err)
 		}
 		info.Plan = prof.Plan(res.Best)
 	}
 
-	r.srv.mu.Lock()
-	defer r.srv.mu.Unlock()
-	if r.srv.closed {
-		return ErrStopped
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return DeployGraphReply{}, ErrStopped
 	}
-	_, replaced := r.srv.cfg.Catalog[g.Name]
-	r.srv.cfg.Catalog[g.Name] = info
-	*reply = DeployGraphReply{
-		Name:     g.Name,
-		Blocks:   1,
-		Replaced: replaced,
-	}
+	_, replaced := s.cfg.Catalog[g.Name]
+	s.cfg.Catalog[g.Name] = info
+	reply := DeployGraphReply{Name: g.Name, Blocks: 1, Replaced: replaced}
 	if info.Plan != nil {
 		reply.Blocks = info.Plan.NumBlocks()
 		reply.StdDevMs = info.Plan.StdDevMs
 		reply.OverheadRatio = info.Plan.OverheadRatio
 	}
-	return nil
+	return reply, nil
 }
-
-// Client-side wrappers.
 
 // DeployGraph uploads a graph for server-side splitting and deployment.
 func (c *Client) DeployGraph(args DeployGraphArgs) (DeployGraphReply, error) {
-	var reply DeployGraphReply
-	err := c.call("SPLIT.DeployGraph", args, &reply)
-	return reply, err
+	return call[DeployGraphReply](c, "SPLIT.DeployGraph", &args)
 }
 
 // Deploy installs or replaces a model on the server.
 func (c *Client) Deploy(args DeployArgs) (DeployReply, error) {
-	var reply DeployReply
-	err := c.call("SPLIT.Deploy", args, &reply)
-	return reply, err
+	return call[DeployReply](c, "SPLIT.Deploy", &args)
 }
 
 // Undeploy removes a model from the server.
 func (c *Client) Undeploy(name string) error {
-	var reply struct{}
-	return c.call("SPLIT.Undeploy", UndeployArgs{Name: name}, &reply)
+	_, err := call[empty](c, "SPLIT.Undeploy", &UndeployArgs{Name: name})
+	return err
 }
 
 // ListModels enumerates the server's deployment.
 func (c *Client) ListModels() ([]ModelDesc, error) {
-	var reply ListModelsReply
-	err := c.call("SPLIT.ListModels", struct{}{}, &reply)
+	reply, err := call[ListModelsReply](c, "SPLIT.ListModels", &empty{})
 	return reply.Models, err
 }

@@ -104,8 +104,7 @@ func TestUndeploy(t *testing.T) {
 // rows of TestTypedOutcomesAcrossWire.
 func TestDeploymentErrorsAreTyped(t *testing.T) {
 	srv, _ := startServer(t)
-	r := newResponder(srv)
-	if err := r.Undeploy(UndeployArgs{Name: "nosuch"}, &struct{}{}); !errors.Is(err, ErrUnknownModel) {
+	if _, err := srv.undeploy(&UndeployArgs{Name: "nosuch"}); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("undeploy of an unknown model: %v", err)
 	}
 	var buf bytes.Buffer
@@ -113,10 +112,10 @@ func TestDeploymentErrorsAreTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Stop()
-	if err := r.Deploy(DeployArgs{Name: "late", Class: "Short", ExtMs: 1}, &DeployReply{}); !errors.Is(err, ErrStopped) {
+	if _, err := srv.deploy(&DeployArgs{Name: "late", Class: "Short", ExtMs: 1}); !errors.Is(err, ErrStopped) {
 		t.Errorf("deploy on a stopped server: %v", err)
 	}
-	if err := r.DeployGraph(DeployGraphArgs{GraphJSON: buf.Bytes(), Blocks: 1}, &DeployGraphReply{}); !errors.Is(err, ErrStopped) {
+	if _, err := srv.deployGraph(&DeployGraphArgs{GraphJSON: buf.Bytes(), Blocks: 1}); !errors.Is(err, ErrStopped) {
 		t.Errorf("deploy-graph on a stopped server: %v", err)
 	}
 }

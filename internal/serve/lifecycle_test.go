@@ -273,31 +273,54 @@ func TestCancelInflightStopsAtBoundary(t *testing.T) {
 	}
 }
 
-// TestConnLossCancelsOrphans: requests submitted on a connection that drops
-// are canceled rather than left occupying the queue and device.
+// TestConnLossCancelsOrphans: requests on a connection that drops — one in
+// flight, one queued — are canceled rather than left occupying the queue
+// and device, whether they were submitted or are Infers still waiting.
 func TestConnLossCancelsOrphans(t *testing.T) {
-	srv, reg, _ := startLifecycle(t, nil)
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit("work", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit("work", 0); err != nil {
-		t.Fatal(err)
-	}
-	waitBusy(t, srv)
-	c.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for dropCount(reg, DropCanceled) < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := dropCount(reg, DropCanceled); got != 2 {
-		t.Fatalf("canceled drops after connection loss = %d, want 2", got)
-	}
-	if snap := srv.QueueSnapshot(); snap.Depth != 0 {
-		t.Errorf("orphaned work still queued: depth=%d", snap.Depth)
+	for _, row := range []struct {
+		name  string
+		start func(c *Client) error
+	}{
+		{"Submit", func(c *Client) error {
+			_, err := c.Submit("work", 0)
+			return err
+		}},
+		{"InferAsync", func(c *Client) error {
+			c.InferAsync("work")
+			return nil
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			srv, reg, _ := startLifecycle(t, nil)
+			c, err := Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := row.start(c); err != nil {
+				t.Fatal(err)
+			}
+			waitBusy(t, srv)
+			if err := row.start(c); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; srv.QueueSnapshot().Depth != 1; i++ {
+				if i == 2000 {
+					t.Fatal("second request never queued")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			c.Close()
+			deadline := time.Now().Add(10 * time.Second)
+			for dropCount(reg, DropCanceled) < 2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := dropCount(reg, DropCanceled); got != 2 {
+				t.Fatalf("canceled drops after connection loss = %d, want 2", got)
+			}
+			if h := srv.Health(); h.QueueDepth != 0 || h.Served != 0 {
+				t.Errorf("orphaned work went on: depth=%d served=%d", h.QueueDepth, h.Served)
+			}
+		})
 	}
 }
 

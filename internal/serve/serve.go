@@ -1,11 +1,12 @@
 // Package serve is the online serving path of SPLIT (§4.1-4.2), realized
-// with Go's net/rpc: a Responder accepts user requests over RPC and appends
-// them to the request queue; the Request Wrapper turns them into
-// block-granular scheduler requests using the deployed split plans; the
-// Token Scheduler orders the queue with the greedy preemption algorithm; the
-// Token Assigner hands the token to the highest-priority request, whose next
-// block then occupies the (simulated) device for its profiled duration; the
-// Responder finally returns the inference result to the user.
+// over a framed RPC transport of its own (wire.go): a Responder accepts user
+// requests on a connection and appends them to the request queue; the
+// Request Wrapper turns them into block-granular scheduler requests using
+// the deployed split plans; the Token Scheduler orders the queue with the
+// greedy preemption algorithm; the Token Assigner hands the token to the
+// highest-priority request, whose next block then occupies the (simulated)
+// device for its profiled duration; the Responder finally returns the
+// inference result to the user.
 //
 // Block execution is wall-clock: a block of d ms holds the device for
 // d·TimeScale real milliseconds, so TimeScale=1 serves in true Jetson-Nano
@@ -139,24 +140,34 @@ type outcome struct {
 	err error
 }
 
-// delivery pairs a waiter channel with its outcome. Like trace events,
-// deliveries are buffered while s.mu is held and sent only after it is
-// released; the channels are buffered (capacity 1, one send each), so the
-// sends can never block the serving path either way.
-type delivery struct {
-	ch  chan outcome
-	out outcome
+// An outbox is where outcomes go: a connection's Responder, which frames
+// each as the reply to call seq.
+type outbox interface{ resolve(seq uint64, out outcome) }
+
+// waiter is a request's claim on its outcome: call seq on connection to,
+// attached from arrival for an Infer and once its Wait comes for a Submit.
+// An outcome no call is attached to yet is parked in out.
+type waiter struct {
+	to               outbox
+	seq              uint64
+	attached, parked bool
+	out              outcome
+}
+
+// outbound is what a caller takes out from under s.mu to deliver after
+// releasing it; each executor and connection reader owns one it reuses.
+type outbound struct {
+	evs  []trace.Event
+	dels []waiter
 }
 
 // Server is the wall-clock driver of internal/engine. The engine makes
 // every scheduling decision; the server adds what only a live process has:
 // the mutex and condition variable the decisions are serialized under, one
 // executor goroutine per lane that sleeps out each granted hold, the
-// waiters RPC replies are delivered through, and the metrics, time series
-// and recorder that account for it all. The engine narrates its own
-// decisions (engine.Append*) into the pending buffer; the server writes only
-// the events no engine decision is behind — pre-engine drops, elastic
-// transitions and drain markers.
+// waiters, and the metrics, time series and recorder. The engine narrates
+// its own decisions (engine.Append*) into pending; the server writes only
+// pre-engine drops, elastic transitions and drain markers.
 type Server struct {
 	cfg Config
 	// tracing caches cfg.Sink != nil: narration is gated on it so no event
@@ -166,12 +177,10 @@ type Server struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// eng is the decision core: queues, placer, planner, ledgers, autoscaler
-	// and admission gate. It is not concurrency-safe and is only called with
-	// mu held.
+	// eng is the decision core (queues, placer, planner, ledgers, autoscaler,
+	// admission gate); it is not concurrency-safe and is only called under mu.
 	eng *engine.Engine
-	// busyMs accumulates virtual-ms occupancy per lane, pro-rated by the
-	// granted device fraction.
+	// busyMs is virtual-ms occupancy per lane, pro-rated by granted fraction.
 	busyMs  []float64
 	nextID  int
 	closed  bool
@@ -183,28 +192,26 @@ type Server struct {
 	// draining is true between a Drain call and either the backlog
 	// emptying or the drain timeout shedding it.
 	draining bool
-	// stopReason labels the shed applied to the in-flight request when the
-	// server closes under it ("stopped", or "drained" once a drain times
-	// out).
+	// stopReason labels the shed of a request in flight when the server
+	// closes ("stopped", or "drained" once a drain times out).
 	stopReason string
 	// elasticSuppressed is the last §3.3 decision for a splittable arrival:
 	// true while the elastic mechanism is disabling splitting.
 	elasticSuppressed bool
-	waiters           map[int]chan outcome
+	// waiters holds each admitted request's waiter until its outcome leaves.
+	waiters map[int]waiter
 	// perModel accumulates QoS aggregates per model since start.
 	perModel map[string]*modelAgg
 
-	// pending buffers trace events recorded while s.mu is held. The sink is
-	// caller-supplied code that may take its own locks or call back into the
-	// server, so events are flushed to Config.Sink only after s.mu is
-	// released.
+	// pending buffers trace events recorded under s.mu. The sink is caller
+	// code that may take its own locks or call back into the server, so
+	// events reach Config.Sink only after s.mu is released.
 	pending []trace.Event
-	// pendingOut buffers waiter deliveries the same way.
-	pendingOut []delivery
+	// pendingOut buffers resolved waiters the same way.
+	pendingOut []waiter
 
-	// met holds cached metric handles (nil when Config.Obs is nil); qos is
-	// the rolling online estimator and always exists, as does series, the
-	// windowed trajectory behind /timeseriesz.
+	// met caches metric handles (nil without Config.Obs); qos, the rolling
+	// estimator, and series, behind /timeseriesz, always exist.
 	met    *serveMetrics
 	qos    *obs.RollingQoS
 	series *obs.TimeSeries
@@ -236,7 +243,7 @@ func NewServer(cfg Config) (*Server, error) {
 		tracing:    cfg.Sink != nil,
 		eng:        eng,
 		busyMs:     make([]float64, eng.Lanes()),
-		waiters:    make(map[int]chan outcome),
+		waiters:    make(map[int]waiter),
 		perModel:   make(map[string]*modelAgg),
 		qos:        obs.NewRollingQoS(cfg.Alpha, cfg.QoSWindow),
 		series:     obs.NewTimeSeries(cfg.Alpha, 0, 0, eng.Devices()),
@@ -256,25 +263,13 @@ func NewServer(cfg Config) (*Server, error) {
 // or a drain that timed out. Caller holds s.mu.
 func (s *Server) stoppingLocked() bool { return s.closed && !s.draining }
 
-// stopLocked is what the engine's Settle is told: empty while the server
-// grants work, else the reason unfinished work is shed under. Caller holds
-// s.mu.
+// stopLocked is what Settle is told: empty while the server grants work,
+// else the reason unfinished work is shed under. Caller holds s.mu.
 func (s *Server) stopLocked() string {
 	if s.stoppingLocked() {
 		return s.stopReason
 	}
 	return ""
-}
-
-// anyBusyLocked reports whether any lane is executing a block. Caller
-// holds s.mu.
-func (s *Server) anyBusyLocked() bool {
-	for lane := 0; lane < s.eng.Lanes(); lane++ {
-		if s.eng.Inflight(lane) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // shedBacklogLocked sheds every queued request on every lane for the given
@@ -299,10 +294,8 @@ func (s *Server) shedBacklogLocked(now float64, reason string) int {
 	return shed
 }
 
-// depthChangedLocked refreshes the queue-depth gauges after one of dev's
-// queues changed: the fleet-wide gauge, and on fleets the per-device one
-// (summing the device's partition lanes when spatially shared). Caller
-// holds s.mu.
+// depthChangedLocked refreshes the fleet-wide queue-depth gauge and, on
+// fleets, dev's (summed over its partition lanes). Caller holds s.mu.
 func (s *Server) depthChangedLocked(dev int) {
 	if s.met == nil {
 		return
@@ -319,9 +312,7 @@ const dropsHelp = "requests dropped, by reason (rejections before enqueue and sh
 
 // serveMetrics caches the registry handles the serving path updates, so the
 // hot path never rebuilds label keys. The per-model and per-reason families
-// are seeded at construction and open-ended after it — Deploy adds models,
-// callers and future outcomes add drop reasons — so labeled registers
-// unseen label values on first use instead of handing back a nil counter.
+// are seeded at construction and open-ended after it (see labeled).
 type serveMetrics struct {
 	reg         *obs.Registry
 	requests    map[string]*obs.Counter
@@ -336,29 +327,23 @@ type serveMetrics struct {
 	waitMs      *obs.Histogram
 	e2eMs       *obs.Histogram
 	rr          *obs.Histogram
-	// Per-device families, indexed by device ID. Registered only on fleets
-	// (devices > 1) so single-device deployments keep today's exact
-	// /metrics output.
+	// The families below are registered only where they apply, so other
+	// deployments keep their exact /metrics output. Per device, on fleets
+	// (devices > 1):
 	deviceDepth  []*obs.Gauge
 	deviceBusyMs []*obs.Gauge
 	deviceBlocks []*obs.Counter
 	deviceDrops  []*obs.Counter
-	// Batch families, registered only when micro-batching is enabled
-	// (BatchMax > 1), for the same reason: deployments that never batch
-	// keep their exact /metrics output.
+	// Micro-batching (BatchMax > 1):
 	batchedBlocks *obs.Counter
 	batchSize     *obs.Histogram
-	// Control-plane families, registered only when the autoscaler /
-	// admission gate is enabled, again to keep fixed deployments' /metrics
-	// output byte-stable.
+	// The autoscaler / admission gate:
 	fleetActive *obs.Gauge
 	scaleOuts   *obs.Counter
 	scaleIns    *obs.Counter
 	admitted    *obs.Counter
-	// Spatial-sharing families, indexed by lane (device*parts+part) and
-	// registered only when Partitions > 1, so temporal deployments keep
-	// their exact /metrics output. Busy-ms is pro-rated by the granted
-	// fraction; width is the slot count of the most recent hold.
+	// Per lane (device*parts+part) under spatial sharing (Partitions > 1);
+	// busy-ms is pro-rated by granted fraction, width is the last hold's slots.
 	partBusyMs []*obs.Gauge
 	partBlocks []*obs.Counter
 	partWidth  []*obs.Gauge
@@ -435,10 +420,8 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engi
 }
 
 // labeled returns the family's counter for one label value from its cache,
-// registering a value not seeded in newServeMetrics on first use — a model
-// deployed later or an unknown drop reason must cost one registry lookup,
-// not a nil dereference on the serving path. Caller holds s.mu (or is the
-// constructor), which also serializes access to the map.
+// registering an unseen value (a model deployed later, a new drop reason)
+// rather than handing back a nil counter. Caller holds s.mu or constructs.
 func (m *serveMetrics) labeled(cache map[string]*obs.Counter, family, help, label, value string) *obs.Counter {
 	c := cache[value]
 	if c == nil {
@@ -468,23 +451,23 @@ func (s *Server) emit(e trace.Event) {
 	}
 }
 
-// takeOut hands the buffered events and waiter deliveries to the caller
-// and resets the buffers. Caller holds s.mu and passes the result to
+// takeOut copies the buffered events and resolved waiters into o, emptying
+// the buffers but keeping their capacity. Caller holds s.mu and passes o to
 // deliver after unlocking.
-func (s *Server) takeOut() ([]trace.Event, []delivery) {
-	evs, dels := s.pending, s.pendingOut
-	s.pending, s.pendingOut = nil, nil
-	return evs, dels
+func (s *Server) takeOut(o *outbound) {
+	o.evs = append(o.evs[:0], s.pending...)
+	o.dels = append(o.dels[:0], s.pendingOut...)
+	s.pending, s.pendingOut = s.pending[:0], s.pendingOut[:0]
 }
 
-// deliver forwards buffered events to the sink and buffered outcomes to
-// their waiters. Caller must NOT hold s.mu.
-func (s *Server) deliver(evs []trace.Event, dels []delivery) {
-	for _, e := range evs {
+// deliver forwards taken-out events to the sink and outcomes to their
+// waiters' outboxes. Caller must NOT hold s.mu.
+func (s *Server) deliver(o *outbound) {
+	for _, e := range o.evs {
 		s.cfg.Sink.Emit(e)
 	}
-	for _, d := range dels {
-		d.ch <- d.out
+	for _, w := range o.dels {
+		w.to.resolve(w.seq, w.out)
 	}
 }
 
@@ -497,20 +480,17 @@ func (s *Server) drop(nowMs float64, modelName, reason string) {
 	s.emit(trace.Event{AtMs: nowMs, Kind: trace.Drop, ReqID: -1, Model: modelName, Detail: reason})
 }
 
-// shedLocked accounts one already-enqueued request leaving unserved: it
-// counts the reason and resolves the request's waiter with the reason's
-// typed error. The Shed event is the narrator's. The caller has already
-// detached r from the queue (or owns it in flight). Caller holds s.mu.
+// shedLocked accounts one request, already detached from its queue (or in
+// flight), leaving unserved: it counts the reason and resolves the waiter
+// with the reason's typed error; the Shed event is the narrator's. Caller
+// holds s.mu.
 //
 //lint:hotpath boundary sweeps shed through here on the grant loop
 func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string) {
 	s.dropped++
-	// Sheds enter the rolling QoS window with their drop reason as the
-	// record outcome: the live violation rate must count a deadline-shed
-	// request as a violated one, exactly as the offline harness does —
-	// otherwise heavy shedding *improves* the reported rolling QoS. The
-	// window's latency statistics (jitter, mean RR/wait) skip non-served
-	// records, so sheds cannot pollute them.
+	// A shed enters the rolling QoS window as a violation, as offline, or
+	// heavy shedding would *improve* the live QoS; the window's latency
+	// statistics skip non-served records.
 	rec := policy.RecordOf(r, nowMs, reason)
 	s.qos.Observe(rec)
 	s.series.ObserveOutcome(rec)
@@ -528,15 +508,20 @@ func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string) {
 	s.resolveLocked(r.ID, outcome{err: fmt.Errorf("%w (request %d, %s)", reasonErr[reason], r.ID, r.Model)})
 }
 
-// resolveLocked queues the waiter's outcome for delivery and forgets the
-// waiter. Caller holds s.mu.
+// resolveLocked queues the outcome for delivery and forgets its waiter, or
+// parks it on a waiter no call is attached to yet. Caller holds s.mu.
 func (s *Server) resolveLocked(id int, out outcome) {
-	ch, ok := s.waiters[id]
+	w, ok := s.waiters[id]
 	if !ok {
 		return
 	}
+	if w.out = out; !w.attached {
+		w.parked = true
+		s.waiters[id] = w
+		return
+	}
 	delete(s.waiters, id)
-	s.pendingOut = append(s.pendingOut, delivery{ch, out})
+	s.pendingOut = append(s.pendingOut, w)
 }
 
 // modelAgg accumulates per-model QoS outcomes (under s.mu).
@@ -606,9 +591,10 @@ func (s *Server) Stop() {
 	}
 	s.shedBacklogLocked(s.nowMs(), DropStopped)
 	s.cond.Broadcast()
-	evs, dels := s.takeOut()
+	var out outbound
+	s.takeOut(&out)
 	s.mu.Unlock()
-	s.deliver(evs, dels)
+	s.deliver(&out)
 	s.wg.Wait()
 }
 
@@ -633,9 +619,10 @@ func (s *Server) Drain(timeout time.Duration) int {
 	s.emit(trace.Event{AtMs: s.nowMs(), Kind: trace.DrainStart, ReqID: -1,
 		Detail: fmt.Sprintf("depth=%d timeout=%s", s.eng.Depth(), timeout)})
 	s.cond.Broadcast()
-	evs, dels := s.takeOut()
+	var out outbound
+	s.takeOut(&out)
 	s.mu.Unlock()
-	s.deliver(evs, dels)
+	s.deliver(&out)
 
 	done := make(chan struct{})
 	go func() {
@@ -661,9 +648,9 @@ func (s *Server) Drain(timeout time.Duration) int {
 			Detail: fmt.Sprintf("timeout, shed=%d", shed)})
 		s.cond.Broadcast()
 	}
-	evs, dels = s.takeOut()
+	s.takeOut(&out)
 	s.mu.Unlock()
-	s.deliver(evs, dels)
+	s.deliver(&out)
 	<-done
 	return shed
 }
@@ -673,7 +660,13 @@ func (s *Server) Drain(timeout time.Duration) int {
 // Unknown IDs — never enqueued, already completed, already shed — return
 // CancelUnknown.
 func (s *Server) Cancel(id int) CancelState {
-	return s.cancel(id, "client cancel")
+	var out outbound
+	s.mu.Lock()
+	state := s.cancelLocked(id, "client cancel")
+	s.takeOut(&out)
+	s.mu.Unlock()
+	s.deliver(&out)
+	return state
 }
 
 // CancelState reports what a cancellation found, in the engine's words
@@ -691,16 +684,8 @@ const (
 	CancelUnknown CancelState = "unknown"
 )
 
-func (s *Server) cancel(id int, why string) CancelState {
-	s.mu.Lock()
-	state := s.cancelLocked(id, why)
-	evs, dels := s.takeOut()
-	s.mu.Unlock()
-	s.deliver(evs, dels)
-	return state
-}
-
-// cancelLocked is the body of cancel. Caller holds s.mu.
+// cancelLocked is the body of Cancel and of hangUp's cancels. Caller
+// holds s.mu.
 func (s *Server) cancelLocked(id int, why string) CancelState {
 	now := s.nowMs()
 	c := s.eng.Cancel(now, id)
@@ -711,8 +696,7 @@ func (s *Server) cancelLocked(id int, why string) CancelState {
 	if s.tracing {
 		s.pending = engine.AppendCancel(s.pending, now, c, why)
 	}
-	// A grant holder — a scalar in-flight request or any member of the
-	// current micro-batch — sheds at its boundary, not here.
+	// A grant holder (in flight, or in the current batch) sheds at its boundary.
 	if c.State == engine.CancelQueued {
 		s.shedLocked(now, c.Req, DropCanceled)
 		s.depthChangedLocked(c.Req.Device)
@@ -730,42 +714,51 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		go s.serveConn(conn)
+		go (&Responder{srv: s, conn: conn}).serve()
 	}
 }
 
-// serveConn serves one client connection with its own Responder, so that
-// requests submitted on the connection can be canceled when it drops: a
-// client that goes away must not keep occupying the device or the queue.
-func (s *Server) serveConn(conn net.Conn) {
-	resp := newResponder(s)
-	rs := rpc.NewServer()
-	if err := rs.RegisterName("SPLIT", resp); err != nil {
-		conn.Close()
-		return
+// hangUp forgets every waiter on a connection that dropped and cancels its
+// request, an Infer's as much as an unclaimed Submit's, in ascending ID
+// order: the client is gone, so its work would burn device time unread.
+func (s *Server) hangUp(r *Responder) {
+	s.mu.Lock()
+	var ids []int
+	for id, w := range s.waiters {
+		if w.to == outbox(r) {
+			delete(s.waiters, id)
+			if !w.parked {
+				ids = append(ids, id)
+			}
+		}
 	}
-	rs.ServeConn(conn)
-	resp.cancelOrphans()
+	sort.Ints(ids) // deterministic cancel order for traces
+	for _, id := range ids {
+		s.cancelLocked(id, "connection lost")
+	}
+	s.takeOut(&r.held)
+	s.mu.Unlock()
+	s.deliver(&r.held)
 }
 
 // executor is one lane's wall clock: it asks the engine for the lane's next
 // grant, sleeps out the hold with s.mu released, and hands the boundary
-// back to the engine to settle. A fleet runs one executor per lane, all
-// sharing s.mu and the condition variable. All lock transitions stay in
-// this function so the buffered events and outcomes are always flushed
-// with s.mu released.
+// back to the engine to settle. All lock transitions stay in this function
+// so buffered events and outcomes are always flushed with s.mu released.
 //
 //lint:hotpath the executor loop is the serving-path grant loop: one iteration per device hold
 func (s *Server) executor(lane int) {
 	defer s.wg.Done()
 	dev, _ := place.LaneDevice(lane, s.eng.Parts())
-	// Label the executor goroutine so CPU/goroutine profiles from
-	// /debug/pprof split by device; per-block model/phase labels are applied
-	// around the device hold below.
-	idleCtx := pprof.WithLabels(context.Background(),
+	// Label the executor so /debug/pprof profiles split by device, and each
+	// hold below by model and block.
+	idle := pprof.WithLabels(context.Background(),
 		pprof.Labels("subsystem", "executor", "device", strconv.Itoa(dev)))
-	pprof.SetGoroutineLabels(idleCtx)
+	pprof.SetGoroutineLabels(idle)
 	defer pprof.SetGoroutineLabels(context.Background())
+	//lint:ignore hotalloc once per executor, before its loop
+	holds := map[holdKey]context.Context{}
+	var out outbound
 	s.mu.Lock()
 	for {
 		now := s.nowMs()
@@ -783,31 +776,27 @@ func (s *Server) executor(lane int) {
 			}
 		}
 		if !g.OK {
-			// No grant means an empty queue OR a covered anchor slot; a
-			// draining lane that still holds work is the latter and must
-			// wait for the sibling's release, not exit.
+			// No grant: an empty queue, or a covered anchor slot that a
+			// draining lane with work must wait out, not exit on.
 			if s.closed && (!s.draining || s.eng.Queue(lane).Len() == 0) {
-				// Stopped, or draining with this lane's backlog empty:
-				// exit. The last executor out of a drain owns the clean
-				// DrainEnd — earlier exits would end the drain while other
-				// devices still hold work.
+				// Exit. The last executor out of a drain owns the clean
+				// DrainEnd: other devices may still hold work before it.
 				s.running--
 				if s.draining && s.running == 0 {
 					s.draining = false
 					s.emit(trace.Event{AtMs: s.nowMs(), Kind: trace.DrainEnd, ReqID: -1, Detail: "clean"})
 				}
-				evs, dels := s.takeOut()
+				s.takeOut(&out)
 				s.mu.Unlock()
-				s.deliver(evs, dels)
+				s.deliver(&out)
 				return
 			}
-			// Idle. Flush buffered events and outcomes before blocking: a
-			// shed client must not wait for the next arrival to learn its
-			// fate.
+			// Idle. Flush before blocking: a shed client must not wait for
+			// the next arrival to learn its fate.
 			if len(s.pending) > 0 || len(s.pendingOut) > 0 {
-				evs, dels := s.takeOut()
+				s.takeOut(&out)
 				s.mu.Unlock()
-				s.deliver(evs, dels)
+				s.deliver(&out)
 				s.mu.Lock()
 				continue
 			}
@@ -815,9 +804,8 @@ func (s *Server) executor(lane int) {
 			continue
 		}
 
-		// The engine granted block g.Block to g.Batch — a batch of one
-		// unless micro-batching coalesced same-type neighbors — for
-		// g.HoldMs of device time.
+		// The engine granted block g.Block to g.Batch (one request unless
+		// micro-batched) for g.HoldMs of device time.
 		lead := g.Batch[0]
 		blockStartMs := now
 		if s.met != nil && g.BatchID != 0 && s.met.batchedBlocks != nil {
@@ -827,15 +815,12 @@ func (s *Server) executor(lane int) {
 		s.depthChangedLocked(dev)
 		var st engine.Settlement
 		for {
-			evs, dels := s.takeOut()
+			s.takeOut(&out)
 			s.mu.Unlock()
-			s.deliver(evs, dels)
-			// The device hold is the executor's hot phase: label it with the
-			// model and block so profiles attribute occupancy causally.
-			pprof.SetGoroutineLabels(pprof.WithLabels(idleCtx,
-				pprof.Labels("phase", "exec", "model", lead.Model, "block", strconv.Itoa(g.Block))))
+			s.deliver(&out)
+			pprof.SetGoroutineLabels(holdLabels(idle, holds, lead.Model, g.Block))
 			time.Sleep(time.Duration(g.HoldMs * s.cfg.TimeScale * float64(time.Millisecond)))
-			pprof.SetGoroutineLabels(idleCtx)
+			pprof.SetGoroutineLabels(idle)
 			s.mu.Lock()
 			now = s.nowMs()
 			st = s.eng.Settle(lane, now, s.stopLocked())
@@ -851,12 +836,9 @@ func (s *Server) executor(lane int) {
 			g.HoldMs = st.HoldMs
 		}
 		if len(st.Wake) > 0 {
-			// Sibling lanes were waiting for anchor slots this release
-			// uncovered.
-			s.cond.Broadcast()
+			s.cond.Broadcast() // siblings wait for anchor slots this release uncovered
 		}
-		// Busy-ms pro-rates by the occupied fraction so per-device sums stay
-		// comparable between temporal and spatial runs (Frac is 1 unpartitioned).
+		// Pro-rated by Frac (1 unpartitioned): temporal and spatial sums compare.
 		busyMs := (now - blockStartMs) * g.Frac
 		s.busyMs[lane] += busyMs
 		//lint:ignore hotalloc lazy per-window busy buckets: one make per elapsed time window, not per hold
@@ -873,11 +855,31 @@ func (s *Server) executor(lane int) {
 		for _, f := range st.Fates {
 			s.fateLocked(now, f)
 		}
-		evs, dels := s.takeOut()
+		s.takeOut(&out)
 		s.mu.Unlock()
-		s.deliver(evs, dels)
+		s.deliver(&out)
 		s.mu.Lock()
 	}
+}
+
+type holdKey struct {
+	model string
+	block int
+}
+
+// holdLabels is the profiler context a hold of model's block runs under, so
+// profiles attribute device occupancy causally: idle's labels plus the
+// hold's, built the first time the lane holds that block and cached in holds.
+//
+//lint:hotpath the executor labels every device hold
+func holdLabels(idle context.Context, holds map[holdKey]context.Context, model string, block int) context.Context {
+	ctx, ok := holds[holdKey{model, block}]
+	if !ok {
+		//lint:ignore hotalloc once per (model, block) the lane ever holds; a hot-deployed model adds its entries on first sight
+		ctx = pprof.WithLabels(idle, pprof.Labels("phase", "exec", "model", model, "block", strconv.Itoa(block)))
+		holds[holdKey{model, block}] = ctx
+	}
+	return ctx
 }
 
 // fateLocked accounts one grant member's boundary outcome, as the engine
@@ -889,8 +891,7 @@ func (s *Server) fateLocked(nowMs float64, f engine.Fate) {
 	r := f.Req
 	switch f.Kind {
 	case engine.Served:
-		// Work is done — deliver even if the request was canceled or the
-		// server is stopping: the client paid for the answer.
+		// Deliver even if canceled or stopping: the client paid for the answer.
 		s.served++
 		agg := s.perModel[r.Model]
 		if agg == nil {
@@ -901,9 +902,7 @@ func (s *Server) fateLocked(nowMs float64, f engine.Fate) {
 		rr := r.ResponseRatio()
 		agg.served++
 		agg.sumRR += rr
-		if rr > agg.maxRR {
-			agg.maxRR = rr
-		}
+		agg.maxRR = max(agg.maxRR, rr)
 		agg.sumWaitMs += r.E2EMs() - r.ExtMs
 		if rr > s.cfg.Alpha {
 			agg.violations++
@@ -940,44 +939,43 @@ func (s *Server) observeCompletion(r *sched.Request, rr float64) {
 	s.met.jitter.Set(jit)
 }
 
-// enqueue wraps a model request (request wrapper + token scheduler insert)
-// and returns the request ID and the channel that will deliver the
-// outcome. deadlineMs > 0 sets a client-supplied deadline that many
-// virtual milliseconds after arrival. Every rejection path is typed and
+// arrive wraps a model request (request wrapper + token scheduler insert),
+// registers w as its waiter and returns the request ID, using out as the
+// caller's scratch. deadlineMs > 0 sets a client-supplied deadline that
+// many virtual milliseconds after arrival. Every rejection is typed and
 // counted so live metrics can distinguish causes.
-func (s *Server) enqueue(modelName string, deadlineMs float64) (int, chan outcome, error) {
+func (s *Server) arrive(modelName string, deadlineMs float64, w waiter, out *outbound) (int, error) {
 	s.mu.Lock()
-	id, ch, err := s.enqueueLocked(modelName, deadlineMs)
-	evs, dels := s.takeOut()
+	id, err := s.arriveLocked(modelName, deadlineMs, w)
+	s.takeOut(out)
 	s.mu.Unlock()
-	s.deliver(evs, dels)
-	return id, ch, err
+	s.deliver(out)
+	return id, err
 }
 
-// enqueueLocked is the body of enqueue: the serve-only rejections, then the
-// engine's front door, then the metrics and waiter that account for what
-// the engine decided. Every job that reaches the front door takes an ID,
-// admitted or not, so a rejection's Drop never shares one with a later
-// request. Caller holds s.mu.
-func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan outcome, error) {
+// arriveLocked is the body of arrive: the serve-only rejections, the
+// engine's front door, then the metrics and waiter. Every job reaching the
+// front door takes an ID, admitted or not, so a rejection's Drop never
+// shares one with a later request. Caller holds s.mu.
+func (s *Server) arriveLocked(modelName string, deadlineMs float64, w waiter) (int, error) {
 	now := s.nowMs()
 	if s.start.IsZero() {
 		s.drop(now, modelName, DropNotStarted)
-		return 0, nil, ErrNotStarted
+		return 0, ErrNotStarted
 	}
 	if s.closed {
 		s.drop(now, modelName, DropStopped)
-		return 0, nil, ErrStopped
+		return 0, ErrStopped
 	}
 	job, ok := s.cfg.Catalog.Job(s.nextID, modelName, deadlineMs)
 	if !ok {
 		s.drop(now, modelName, DropUnknownModel)
-		return 0, nil, fmt.Errorf("%w: %q", ErrUnknownModel, modelName)
+		return 0, fmt.Errorf("%w: %q", ErrUnknownModel, modelName)
 	}
 	if s.cfg.MaxQueue > 0 {
 		if depth := s.eng.Depth(); depth >= s.cfg.MaxQueue {
 			s.drop(now, modelName, DropQueueFull)
-			return 0, nil, fmt.Errorf("%w: %d waiting", ErrQueueFull, depth)
+			return 0, fmt.Errorf("%w: %d waiting", ErrQueueFull, depth)
 		}
 	}
 	s.nextID++
@@ -993,7 +991,7 @@ func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan 
 		if s.met != nil {
 			s.met.dropCounter(DropAdmission).Inc()
 		}
-		return 0, nil, fmt.Errorf("%w (%s: %s)", ErrAdmissionRejected, modelName, d.Detail)
+		return 0, fmt.Errorf("%w (%s: %s)", ErrAdmissionRejected, modelName, d.Detail)
 	}
 	r := d.Req
 	id := r.ID
@@ -1010,21 +1008,17 @@ func (s *Server) enqueueLocked(modelName string, deadlineMs float64) (int, chan 
 	s.series.ObserveArrival(now)
 	s.series.ObserveDepth(now, depth)
 	s.depthChangedLocked(r.Device)
-	ch := make(chan outcome, 1)
-	s.waiters[id] = ch
+	s.waiters[id] = w
 	if s.cfg.ArrivalRecorder != nil {
 		s.cfg.ArrivalRecorder.Observe(id, modelName, now, deadlineMs)
 	}
-	// Broadcast, not Signal: only the placed lane's executor can run this
-	// request, and Signal could wake a different one.
-	s.cond.Broadcast()
-	return id, ch, nil
+	s.cond.Broadcast() // Signal could wake an executor other than the placed lane's
+	return id, nil
 }
 
-// scaledLocked counts one autoscaler actuation: the gauge and the
-// direction counter. After a scale-in the device's executors keep draining
-// their queues and then idle; placement simply never targets them again.
-// Caller holds s.mu.
+// scaledLocked counts one autoscaler actuation. After a scale-in the
+// device's executors drain their queues and idle: placement never targets
+// them again. Caller holds s.mu.
 func (s *Server) scaledLocked(sc engine.Scale) {
 	if s.met == nil || s.met.fleetActive == nil {
 		return
@@ -1037,9 +1031,8 @@ func (s *Server) scaledLocked(sc engine.Scale) {
 	}
 }
 
-// setElastic tracks §3.3 elastic-mode transitions for the gauge and the
-// event stream; depth is the fleet-wide queue depth the decision was made
-// at. Caller holds s.mu.
+// setElastic tracks §3.3 elastic-mode transitions for the gauge and event
+// stream at fleet-wide queue depth depth. Caller holds s.mu.
 func (s *Server) setElastic(nowMs float64, suppressed bool, depth int) {
 	if s.met != nil {
 		if suppressed {
@@ -1130,7 +1123,6 @@ func (s *Server) QueueSnapshot() QueueSnapshot {
 		NowMs:             now,
 		Alpha:             s.cfg.Alpha,
 		Depth:             depth,
-		Busy:              s.anyBusyLocked(),
 		Draining:          s.draining,
 		Served:            s.served,
 		Dropped:           s.dropped,
@@ -1138,6 +1130,7 @@ func (s *Server) QueueSnapshot() QueueSnapshot {
 		Requests:          make([]QueuedRequest, 0, depth),
 	}
 	for lane := 0; lane < s.eng.Lanes(); lane++ {
+		snap.Busy = snap.Busy || s.eng.Inflight(lane) != nil
 		for i, r := range s.eng.Queue(lane).Requests() {
 			snap.Requests = append(snap.Requests, QueuedRequest{
 				ID:          r.ID,
@@ -1224,50 +1217,154 @@ func (s *Server) Health() Health {
 	return h
 }
 
-// Responder is the RPC surface (§4.2 "Responder"): it accepts user
-// requests, blocks until the scheduler completes or sheds them, and
-// replies with the outcome. Each client connection gets its own Responder
-// so that work submitted on a connection can be canceled when the
-// connection is lost.
+// Responder is one client connection (§4.2 "Responder"). Its reader (serve)
+// dispatches calls in the order they were written; its writer (writeLoop)
+// writes the replies. No call gets a goroutine or channel of its own: a
+// waiting request is a (Responder, seq) waiter whose outcome becomes a reply
+// frame appended to out.
 type Responder struct {
-	srv *Server
-	// mu guards calls: the requests submitted on this Responder's
-	// connection whose outcomes have not yet been claimed.
-	mu    sync.Mutex
-	calls map[int]chan outcome
+	srv  *Server
+	conn net.Conn
+	// The reader's decoder, Infer/Submit args and outbound scratch.
+	in   coder
+	args InferArgs
+	held outbound
+
+	// mu guards the frames the writer has not taken (out), the completion
+	// being framed (reply) and closed, after which replies are dropped.
+	mu     sync.Mutex
+	cond   sync.Cond
+	out    coder
+	reply  InferReply
+	closed bool
 }
 
-// newResponder builds the per-connection RPC handler.
-func newResponder(s *Server) *Responder {
-	return &Responder{srv: s, calls: make(map[int]chan outcome)}
-}
-
-func (r *Responder) track(id int, ch chan outcome) {
-	r.mu.Lock()
-	r.calls[id] = ch
-	r.mu.Unlock()
-}
-
-func (r *Responder) untrack(id int) {
-	r.mu.Lock()
-	delete(r.calls, id)
-	r.mu.Unlock()
-}
-
-// cancelOrphans cancels every request submitted on this Responder's
-// connection that has not been delivered: the client is gone, so finishing
-// its work would burn device time nobody will read.
-func (r *Responder) cancelOrphans() {
-	r.mu.Lock()
-	ids := make([]int, 0, len(r.calls))
-	for id := range r.calls {
-		ids = append(ids, id)
+// serve reads and dispatches calls until the connection drops, then hangs
+// up its waiters.
+func (r *Responder) serve() {
+	r.cond.L = &r.mu
+	go r.writeLoop()
+	frames := newFrameReader(r.conn)
+	for {
+		seq, kind, body, err := frames.next()
+		if err != nil {
+			break
+		}
+		if int(kind) >= len(methods) {
+			r.send(seq, nil, fmt.Errorf("serve: unknown method %d", kind))
+			continue
+		}
+		methods[kind].serve(r, seq, body)
 	}
-	r.calls = make(map[int]chan outcome)
+	r.mu.Lock()
+	r.closed = true
+	r.cond.Signal()
 	r.mu.Unlock()
-	sort.Ints(ids) // deterministic cancel order for traces
-	for _, id := range ids {
-		r.srv.cancel(id, "connection lost")
+	r.conn.Close()
+	r.srv.hangUp(r)
+}
+
+// writeLoop writes the replies: all that built up while its previous write
+// ran goes out in one write, from two buffers used in turn.
+func (r *Responder) writeLoop() {
+	var spare []byte
+	r.mu.Lock()
+	for {
+		for len(r.out.buf) == 0 && !r.closed {
+			r.cond.Wait()
+		}
+		if r.closed {
+			r.mu.Unlock()
+			return
+		}
+		buf := r.out.buf
+		r.out.buf = spare[:0]
+		r.mu.Unlock()
+		if _, err := r.conn.Write(buf); err != nil {
+			r.conn.Close() // the reader's next read fails, closes r and hangs up
+		}
+		spare = buf
+		r.mu.Lock()
+	}
+}
+
+// resolve makes r an outbox: an outcome becomes the reply to the call
+// waiting for it.
+func (r *Responder) resolve(seq uint64, out outcome) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if out.err == nil {
+		r.reply.fill(out.req)
+	}
+	r.sendLocked(seq, &r.reply, out.err)
+}
+
+// send frames the reply to call seq for the writer: reply, or err's
+// message if err is not nil.
+func (r *Responder) send(seq uint64, reply wirer, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sendLocked(seq, reply, err)
+}
+
+func (r *Responder) sendLocked(seq uint64, reply wirer, err error) {
+	if r.closed {
+		return
+	}
+	r.cond.Signal() // the writer wakes once r.mu is released
+	kind := byte(replyOK)
+	if err != nil {
+		msg := message(err.Error())
+		kind, reply = replyErr, &msg
+	}
+	r.out.frame(seq, kind, reply)
+}
+
+func (r *Responder) infer(seq uint64, body []byte)  { r.enqueue(seq, body, true) }
+func (r *Responder) submit(seq uint64, body []byte) { r.enqueue(seq, body, false) }
+
+// enqueue serves Infer, whose reply is the request's outcome, and Submit,
+// whose reply is the request's ID while the outcome waits for a Wait.
+func (r *Responder) enqueue(seq uint64, body []byte, infer bool) {
+	err := r.in.decode(body, &r.args)
+	var id int
+	if err == nil {
+		id, err = r.srv.arrive(r.args.Model, r.args.DeadlineMs, waiter{to: r, seq: seq, attached: infer}, &r.held)
+	}
+	switch {
+	case err != nil:
+		r.send(seq, nil, err)
+	case !infer:
+		r.send(seq, &SubmitReply{ReqID: id}, nil)
+	}
+}
+
+// wait serves Wait: it replies with the parked outcome, or attaches seq to
+// the waiter. A request has one waiter, so a Wait on a request a call
+// already waits for, or on another connection's, fails at once.
+func (r *Responder) wait(seq uint64, body []byte) {
+	var args WaitArgs
+	err := r.in.decode(body, &args)
+	s := r.srv
+	s.mu.Lock()
+	w, ok := s.waiters[args.ReqID]
+	switch {
+	case err != nil:
+	case !ok || w.to != outbox(r):
+		err = fmt.Errorf("serve: no pending request %d on this connection", args.ReqID)
+	case w.parked:
+		delete(s.waiters, args.ReqID)
+	case w.attached:
+		err = fmt.Errorf("serve: request %d already has a waiter", args.ReqID)
+	default:
+		w.seq, w.attached = seq, true
+		s.waiters[args.ReqID] = w
+	}
+	s.mu.Unlock()
+	if err != nil {
+		r.send(seq, nil, err)
+	} else if w.parked {
+		r.resolve(seq, w.out)
 	}
 }
 
@@ -1311,64 +1408,14 @@ func (reply *InferReply) fill(req *sched.Request) {
 	}
 }
 
-// Infer runs one inference request to completion (or to a typed terminal
-// error: deadline, cancellation, drain, stop, device fault).
-func (r *Responder) Infer(args InferArgs, reply *InferReply) error {
-	id, ch, err := r.srv.enqueue(args.Model, args.DeadlineMs)
-	if err != nil {
-		return err
-	}
-	r.track(id, ch)
-	return r.claim(id, ch, reply)
-}
-
-// claim blocks until the tracked request id completes or is shed, forgets
-// it, and fills reply from a completion.
-func (r *Responder) claim(id int, ch chan outcome, reply *InferReply) error {
-	out := <-ch
-	r.untrack(id)
-	if out.err != nil {
-		return out.err
-	}
-	reply.fill(out.req)
-	return nil
-}
-
 // SubmitReply reports the ID of an asynchronously submitted request.
 type SubmitReply struct {
 	ReqID int
 }
 
-// Submit enqueues a request and returns immediately with its ID; the
-// client claims the outcome with Wait and may Cancel it meanwhile. The
-// pending outcome is scoped to this connection: if the connection drops
-// before Wait, the request is canceled.
-func (r *Responder) Submit(args InferArgs, reply *SubmitReply) error {
-	id, ch, err := r.srv.enqueue(args.Model, args.DeadlineMs)
-	if err != nil {
-		return err
-	}
-	r.track(id, ch)
-	reply.ReqID = id
-	return nil
-}
-
 // WaitArgs names the submitted request to wait for.
 type WaitArgs struct {
 	ReqID int
-}
-
-// Wait blocks until the submitted request completes or is shed, then
-// reports the outcome. Waiting on an ID not submitted on this connection
-// (or already claimed) is an error.
-func (r *Responder) Wait(args WaitArgs, reply *InferReply) error {
-	r.mu.Lock()
-	ch := r.calls[args.ReqID]
-	r.mu.Unlock()
-	if ch == nil {
-		return fmt.Errorf("serve: no pending request %d on this connection", args.ReqID)
-	}
-	return r.claim(args.ReqID, ch, reply)
 }
 
 // CancelArgs names the request to cancel.
@@ -1380,14 +1427,6 @@ type CancelArgs struct {
 // "unknown").
 type CancelReply struct {
 	State string
-}
-
-// Cancel cancels a pending request: queued work is removed immediately,
-// in-flight work stops at its next block boundary. The canceled request's
-// Wait (or Infer) receives ErrCanceled.
-func (r *Responder) Cancel(args CancelArgs, reply *CancelReply) error {
-	reply.State = string(r.srv.Cancel(args.ReqID))
-	return nil
 }
 
 // StatsReply reports server-level counters and the fleet shape.
@@ -1406,24 +1445,24 @@ type StatsReply struct {
 	Partitions int
 }
 
-// Stats reports server counters and the fleet shape.
-func (r *Responder) Stats(_ struct{}, reply *StatsReply) error {
-	r.srv.mu.Lock()
-	defer r.srv.mu.Unlock()
-	*reply = StatsReply{
-		Served:    r.srv.served,
-		Queued:    r.srv.eng.Depth(),
-		Models:    len(r.srv.cfg.Catalog),
-		Devices:   r.srv.eng.Devices(),
-		Placement: r.srv.eng.Placement(),
+// stats answers Stats: server counters and the fleet shape.
+func (s *Server) stats(*empty) (StatsReply, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	reply := StatsReply{
+		Served:    s.served,
+		Queued:    s.eng.Depth(),
+		Models:    len(s.cfg.Catalog),
+		Devices:   s.eng.Devices(),
+		Placement: s.eng.Placement(),
 	}
-	if parts := r.srv.eng.Parts(); parts > 1 {
+	if parts := s.eng.Parts(); parts > 1 {
 		reply.Partitions = parts
 	}
-	if !r.srv.start.IsZero() {
-		reply.UptimeS = time.Since(r.srv.start).Seconds()
+	if !s.start.IsZero() {
+		reply.UptimeS = time.Since(s.start).Seconds()
 	}
-	return nil
+	return reply, nil
 }
 
 // ModelQoS is one model's serving-time QoS digest.
@@ -1443,18 +1482,19 @@ type ModelStatsReply struct {
 	Models []ModelQoS
 }
 
-// ModelStats reports the per-model QoS digest (§5.2's metrics, live).
-func (r *Responder) ModelStats(_ struct{}, reply *ModelStatsReply) error {
-	r.srv.mu.Lock()
-	defer r.srv.mu.Unlock()
-	reply.Alpha = r.srv.cfg.Alpha
-	names := make([]string, 0, len(r.srv.perModel))
-	for name := range r.srv.perModel {
+// modelStats answers ModelStats: the per-model QoS digest (§5.2's
+// metrics, live).
+func (s *Server) modelStats(*empty) (ModelStatsReply, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	reply := ModelStatsReply{Alpha: s.cfg.Alpha}
+	names := make([]string, 0, len(s.perModel))
+	for name := range s.perModel {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		a := r.srv.perModel[name]
+		a := s.perModel[name]
 		q := ModelQoS{
 			Model:       name,
 			Served:      a.served,
@@ -1468,12 +1508,11 @@ func (r *Responder) ModelStats(_ struct{}, reply *ModelStatsReply) error {
 		}
 		reply.Models = append(reply.Models, q)
 	}
-	return nil
+	return reply, nil
 }
 
-// Client is a thin wrapper over the rpc client. Every method but
-// InferAsync goes through call, so every error it returns is decoded once:
-// errors.Is works on typed outcomes across the wire.
+// Client is an rpc.Client over clientCodec. Every method but InferAsync goes
+// through call, so errors.Is works on the typed outcomes it returns.
 type Client struct {
 	rpc        *rpc.Client
 	devices    int
@@ -1484,10 +1523,11 @@ type Client struct {
 // Dial connects to a SPLIT server and reads its fleet shape with one Stats
 // call.
 func Dial(addr string) (*Client, error) {
-	rc, err := rpc.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	rc := rpc.NewClientWithCodec(&clientCodec{conn: conn, fr: newFrameReader(conn)})
 	c := &Client{rpc: rc}
 	st, err := c.Stats()
 	if err != nil {
@@ -1498,9 +1538,11 @@ func Dial(addr string) (*Client, error) {
 	return c, nil
 }
 
-// call makes one RPC and decodes its error.
-func (c *Client) call(method string, args, reply any) error {
-	return fromWire(c.rpc.Call(method, args, reply))
+// call makes one call and returns its reply, with its error decoded.
+func call[R any, PR msg[R]](c *Client, method string, args wirer) (R, error) {
+	var reply R
+	err := fromWire(c.rpc.Call(method, args, PR(&reply)))
+	return reply, err
 }
 
 // Fleet reports the server's device count and placement policy as read at
@@ -1521,51 +1563,39 @@ func (c *Client) Infer(modelName string) (InferReply, error) {
 // InferDeadline runs one request synchronously with a client-supplied
 // deadline (virtual milliseconds after arrival; 0 = server default).
 func (c *Client) InferDeadline(modelName string, deadlineMs float64) (InferReply, error) {
-	var reply InferReply
-	err := c.call("SPLIT.Infer", InferArgs{Model: modelName, DeadlineMs: deadlineMs}, &reply)
-	return reply, err
+	return call[InferReply](c, "SPLIT.Infer", &InferArgs{Model: modelName, DeadlineMs: deadlineMs})
 }
 
 // InferAsync starts a request and returns the pending call. Its Error is
 // raw; IsShed classifies it.
 func (c *Client) InferAsync(modelName string) *rpc.Call {
 	reply := new(InferReply)
-	return c.rpc.Go("SPLIT.Infer", InferArgs{Model: modelName}, reply, nil)
+	return c.rpc.Go("SPLIT.Infer", &InferArgs{Model: modelName}, reply, nil)
 }
 
 // Submit enqueues a request and returns its ID without waiting.
 func (c *Client) Submit(modelName string, deadlineMs float64) (int, error) {
-	var reply SubmitReply
-	err := c.call("SPLIT.Submit", InferArgs{Model: modelName, DeadlineMs: deadlineMs}, &reply)
+	reply, err := call[SubmitReply](c, "SPLIT.Submit", &InferArgs{Model: modelName, DeadlineMs: deadlineMs})
 	return reply.ReqID, err
 }
 
 // Wait claims the outcome of a submitted request.
 func (c *Client) Wait(reqID int) (InferReply, error) {
-	var reply InferReply
-	err := c.call("SPLIT.Wait", WaitArgs{ReqID: reqID}, &reply)
-	return reply, err
+	return call[InferReply](c, "SPLIT.Wait", &WaitArgs{ReqID: reqID})
 }
 
 // Cancel cancels a pending request and reports what it found.
 func (c *Client) Cancel(reqID int) (CancelState, error) {
-	var reply CancelReply
-	err := c.call("SPLIT.Cancel", CancelArgs{ReqID: reqID}, &reply)
+	reply, err := call[CancelReply](c, "SPLIT.Cancel", &CancelArgs{ReqID: reqID})
 	return CancelState(reply.State), err
 }
 
 // Stats fetches server counters and the fleet shape.
-func (c *Client) Stats() (StatsReply, error) {
-	var reply StatsReply
-	err := c.call("SPLIT.Stats", struct{}{}, &reply)
-	return reply, err
-}
+func (c *Client) Stats() (StatsReply, error) { return call[StatsReply](c, "SPLIT.Stats", &empty{}) }
 
 // ModelStats fetches the per-model QoS digest.
 func (c *Client) ModelStats() (ModelStatsReply, error) {
-	var reply ModelStatsReply
-	err := c.call("SPLIT.ModelStats", struct{}{}, &reply)
-	return reply, err
+	return call[ModelStatsReply](c, "SPLIT.ModelStats", &empty{})
 }
 
 // Close tears down the connection.

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"context"
 	"errors"
+	"maps"
 	"net"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -344,6 +347,19 @@ func unstartedServer(t *testing.T, mut func(*Config)) *Server {
 	return srv
 }
 
+// chanBox is an in-process outbox: the outcome goes to a channel.
+type chanBox chan outcome
+
+func (c chanBox) resolve(_ uint64, out outcome) { c <- out }
+
+// enqueue is the in-process front door the tests drive: an Infer with no
+// connection behind it, whose outcome arrives on the returned channel.
+func (s *Server) enqueue(modelName string, deadlineMs float64) (int, chan outcome, error) {
+	ch := make(chan outcome, 1)
+	id, err := s.arrive(modelName, deadlineMs, waiter{to: chanBox(ch), attached: true}, &outbound{})
+	return id, ch, err
+}
+
 func TestEnqueueBeforeStartRejected(t *testing.T) {
 	srv, err := NewServer(Config{Catalog: testCatalog()})
 	if err != nil {
@@ -551,5 +567,30 @@ func TestLiveMetricsEndToEnd(t *testing.T) {
 	// 4 long × 3 blocks + 4 short × 1 block = 16 block executions.
 	if kinds[trace.StartBlock] != 16 || kinds[trace.EndBlock] != 16 {
 		t.Errorf("block events = %v", kinds)
+	}
+}
+
+// TestHoldLabelsCached: an executor builds a hold's profiler context once
+// per (model, block) and reuses it, and the cached context carries exactly
+// the labels the per-hold construction did.
+func TestHoldLabelsCached(t *testing.T) {
+	idle := pprof.WithLabels(context.Background(), pprof.Labels("subsystem", "executor", "device", "1"))
+	holds := map[holdKey]context.Context{}
+	ctx := holdLabels(idle, holds, "vgg19", 2)
+	if holdLabels(idle, holds, "vgg19", 2) != ctx {
+		t.Error("a second hold of the same block built a new context")
+	}
+	if holdLabels(idle, holds, "vgg19", 3) == ctx || holdLabels(idle, holds, "ner", 2) == ctx {
+		t.Error("different holds share a context")
+	}
+	labels := func(ctx context.Context) map[string]string {
+		m := map[string]string{}
+		pprof.ForLabels(ctx, func(k, v string) bool { m[k] = v; return true })
+		return m
+	}
+	perHold := pprof.WithLabels(idle, pprof.Labels("phase", "exec", "model", "vgg19", "block", "2"))
+	want := map[string]string{"subsystem": "executor", "device": "1", "phase": "exec", "model": "vgg19", "block": "2"}
+	if got := labels(ctx); !maps.Equal(got, labels(perHold)) || !maps.Equal(got, want) {
+		t.Errorf("cached labels %v, per-hold labels %v", got, labels(perHold))
 	}
 }

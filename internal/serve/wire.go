@@ -1,20 +1,360 @@
 package serve
 
-// This file is the error half of the wire protocol. net/rpc sends a
-// handler's error as its message alone, and sends no reply struct with it,
-// so the message is the code: an error the server returns for a typed
-// outcome begins with that outcome's message. fromWire is the one decoder
-// that turns such a message back into an error errors.Is recognizes.
+// This file is the wire protocol (DESIGN §9). A call and its reply each
+// travel as one frame, [u32 length][u64 seq][u8 kind][body], little-endian.
+// A call's kind is its index in methods; a reply's is replyOK or replyErr,
+// whose body is the error's message: the message is the code, and fromWire
+// turns it back into an error errors.Is recognizes.
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net"
+	"net/rpc"
+	"slices"
 	"strings"
 )
 
-// reasonErr maps each drop reason (the split_drops_total vocabulary, the
-// engine's trace.Reason* words included) to the typed error a shed
-// request's waiter receives. Its values are also every typed outcome the
-// decoder knows.
+const (
+	frameHeader = 9 // seq and kind, between a frame's length and body
+	// maxFrame caps a frame's length (DeployGraph's graph JSON is the only
+	// large body); a longer frame closes its connection unread.
+	maxFrame = 64 << 20
+	replyOK  = 0
+	replyErr = 1
+)
+
+var errFrame = errors.New("serve: malformed frame")
+
+// frameReader reads one connection's frames into a buffer it reuses: a body
+// is valid until the next call to next.
+type frameReader struct {
+	r      *bufio.Reader
+	length [4]byte
+	buf    []byte
+}
+
+func newFrameReader(conn io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(conn, 32<<10)}
+}
+
+func (f *frameReader) next() (seq uint64, kind byte, body []byte, err error) {
+	if _, err := io.ReadFull(f.r, f.length[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	n := int(binary.LittleEndian.Uint32(f.length[:]))
+	if n < frameHeader || n > maxFrame {
+		return 0, 0, nil, fmt.Errorf("%w: length %d", errFrame, n)
+	}
+	f.buf = f.buf[:0]
+	for have := 0; have < n; have = len(f.buf) {
+		// Grow as the bytes arrive, not as the length claims: a frame that
+		// lies about its length costs no more memory than was sent.
+		step := min(n-have, 64<<10)
+		f.buf = slices.Grow(f.buf, step)[:have+step]
+		if _, err := io.ReadFull(f.r, f.buf[have:]); err != nil {
+			return 0, 0, nil, err
+		}
+	}
+	return binary.LittleEndian.Uint64(f.buf), f.buf[8], f.buf[frameHeader:], nil
+}
+
+// wirer is a message: its one wire method moves every field, in order,
+// through a coder that either encodes or decodes, so the two cannot drift.
+type wirer interface{ wire(c *coder) }
+
+// msg is *T for a message type T, so generic code can make one and move it.
+type msg[T any] interface {
+	*T
+	wirer
+}
+
+// coder encodes by appending to buf and decodes by consuming it; a decode's
+// first failure sticks. Its owner keeps it: a coder handed to a wire method
+// escapes, so one per message would cost an allocation each.
+type coder struct {
+	buf []byte
+	dec bool
+	err error
+}
+
+// frame appends a frame carrying msg.
+func (c *coder) frame(seq uint64, kind byte, msg wirer) {
+	start := len(c.buf)
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, 0)
+	c.buf = append(binary.LittleEndian.AppendUint64(c.buf, seq), kind)
+	msg.wire(c)
+	binary.LittleEndian.PutUint32(c.buf[start:], uint32(len(c.buf)-start-4))
+}
+
+// decode fills msg from a whole body; bytes left over are an error.
+func (c *coder) decode(body []byte, msg wirer) error {
+	*c = coder{buf: body, dec: true}
+	if msg.wire(c); c.err == nil && len(c.buf) > 0 {
+		c.err = errFrame
+	}
+	return c.err
+}
+
+// fail ends a decode; with buf gone, every later field fails too.
+func (c *coder) fail() { c.err, c.buf = errFrame, nil }
+
+// take consumes n bytes of a decode, or fails it and returns nil.
+func (c *coder) take(n uint64) []byte {
+	if c.err != nil || n > uint64(len(c.buf)) {
+		c.fail()
+		return nil
+	}
+	b := c.buf[:n:n]
+	c.buf = c.buf[n:]
+	return b
+}
+
+func (c *coder) uvarint(v *uint64) {
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, *v)
+	} else if x, n := binary.Uvarint(c.buf); n > 0 {
+		*v, c.buf = x, c.buf[n:]
+	} else {
+		c.fail()
+	}
+}
+
+// i64 moves a signed integer zig-zag encoded, as binary.AppendVarint does.
+func (c *coder) i64(v *int64) {
+	x := uint64(*v<<1) ^ uint64(*v>>63)
+	c.uvarint(&x)
+	*v = int64(x>>1) ^ -int64(x&1)
+}
+
+func (c *coder) int(v *int) {
+	x := int64(*v)
+	c.i64(&x)
+	*v = int(x)
+}
+
+func (c *coder) bool(v *bool) {
+	var x uint64
+	if *v {
+		x = 1
+	}
+	if c.uvarint(&x); x > 1 {
+		c.fail()
+	}
+	*v = x == 1
+}
+
+func (c *coder) f64(v *float64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+	} else if b := c.take(8); b != nil {
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+}
+
+func (c *coder) str(v *string) { blob(c, v) }
+
+// blob moves a string or byte slice, decoding a copy: frame buffers are reused.
+func blob[T string | []byte](c *coder, v *T) {
+	n := uint64(len(*v))
+	if c.uvarint(&n); !c.dec {
+		c.buf = append(c.buf, *v...)
+	} else if b := c.take(n); c.err == nil {
+		*v = T(string(b))
+	}
+}
+
+// list moves a length, then each element through elem. A decoded length is
+// bounded by the bytes left at size per element: no allocation past the frame.
+func list[T any](c *coder, v *[]T, size int, elem func(*T, *coder)) {
+	n := uint64(len(*v))
+	if c.uvarint(&n); c.dec && n > uint64(len(c.buf)/size) {
+		c.fail()
+		return
+	}
+	if c.dec && n > 0 {
+		*v = make([]T, n)
+	}
+	for i := range int(n) {
+		elem(&(*v)[i], c)
+	}
+}
+
+// empty is the args or reply of a call that carries none; message is an
+// error reply's body.
+type (
+	empty   struct{}
+	message string
+)
+
+func (*empty) wire(*coder)               {}
+func (m *message) wire(c *coder)         { c.str((*string)(m)) }
+func (a *InferArgs) wire(c *coder)       { c.str(&a.Model); c.f64(&a.DeadlineMs) }
+func (r *SubmitReply) wire(c *coder)     { c.int(&r.ReqID) }
+func (a *WaitArgs) wire(c *coder)        { c.int(&a.ReqID) }
+func (a *CancelArgs) wire(c *coder)      { c.int(&a.ReqID) }
+func (r *CancelReply) wire(c *coder)     { c.str(&r.State) }
+func (a *UndeployArgs) wire(c *coder)    { c.str(&a.Name) }
+func (r *ListModelsReply) wire(c *coder) { list(c, &r.Models, 1, (*ModelDesc).wire) }
+func (r *ModelStatsReply) wire(c *coder) { c.f64(&r.Alpha); list(c, &r.Models, 1, (*ModelQoS).wire) }
+func (r *DeployReply) wire(c *coder)     { c.str(&r.Name); c.int(&r.Blocks); c.bool(&r.Replaced) }
+func (a *DeployGraphArgs) wire(c *coder) { blob(c, &a.GraphJSON); c.int(&a.Blocks); c.i64(&a.GASeed) }
+
+func (r *InferReply) wire(c *coder) {
+	c.int(&r.ReqID)
+	c.str(&r.Model)
+	c.int(&r.Blocks)
+	c.f64(&r.E2EMs)
+	c.f64(&r.ExtMs)
+	c.f64(&r.WaitMs)
+	c.f64(&r.ResponseRatio)
+	c.int(&r.Preemptions)
+	c.int(&r.Device)
+}
+
+func (r *StatsReply) wire(c *coder) {
+	c.int(&r.Served)
+	c.int(&r.Queued)
+	c.int(&r.Models)
+	c.f64(&r.UptimeS)
+	c.int(&r.Devices)
+	c.str(&r.Placement)
+	c.int(&r.Partitions)
+}
+
+func (q *ModelQoS) wire(c *coder) {
+	c.str(&q.Model)
+	c.int(&q.Served)
+	c.f64(&q.MeanRR)
+	c.f64(&q.MaxRR)
+	c.f64(&q.MeanWaitMs)
+	c.f64(&q.ViolationRate)
+	c.int(&q.Preemptions)
+}
+
+func (a *DeployArgs) wire(c *coder) {
+	c.str(&a.Name)
+	c.str(&a.Class)
+	c.f64(&a.ExtMs)
+	list(c, &a.BlockTimesMs, 8, func(t *float64, c *coder) { c.f64(t) })
+}
+
+func (d *ModelDesc) wire(c *coder) {
+	c.str(&d.Name)
+	c.str(&d.Class)
+	c.f64(&d.ExtMs)
+	c.int(&d.Blocks)
+}
+
+func (r *DeployGraphReply) wire(c *coder) {
+	c.str(&r.Name)
+	c.int(&r.Blocks)
+	c.f64(&r.StdDevMs)
+	c.f64(&r.OverheadRatio)
+	c.bool(&r.Replaced)
+}
+
+// method is a SPLIT.* method and its handler on the connection's reader.
+type method struct {
+	name  string
+	serve func(r *Responder, seq uint64, body []byte)
+}
+
+// methods is the dispatch table, indexed by method byte. Infer, Submit and
+// Wait hand a waiter to the server; the rest are plain server calls,
+// answered inline but for DeployGraph, whose GA gets a goroutine.
+var methods = [...]method{
+	{"SPLIT.Infer", (*Responder).infer},
+	{"SPLIT.Submit", (*Responder).submit},
+	{"SPLIT.Wait", (*Responder).wait},
+	{"SPLIT.Cancel", handle(func(s *Server, a *CancelArgs) (CancelReply, error) {
+		return CancelReply{State: string(s.Cancel(a.ReqID))}, nil
+	}, true)},
+	{"SPLIT.Stats", handle((*Server).stats, true)},
+	{"SPLIT.ModelStats", handle((*Server).modelStats, true)},
+	{"SPLIT.Deploy", handle((*Server).deploy, true)},
+	{"SPLIT.Undeploy", handle((*Server).undeploy, true)},
+	{"SPLIT.ListModels", handle((*Server).listModels, true)},
+	{"SPLIT.DeployGraph", handle((*Server).deployGraph, false)},
+}
+
+// handle makes a plain server call a dispatch-table entry: decode its args
+// on the reader, call it inline or on its own goroutine, send its reply.
+func handle[A, B any, PA msg[A], PB msg[B]](f func(*Server, PA) (B, error), inline bool) func(*Responder, uint64, []byte) {
+	return func(r *Responder, seq uint64, body []byte) {
+		args := PA(new(A))
+		if err := r.in.decode(body, args); err != nil {
+			r.send(seq, nil, err)
+			return
+		}
+		call := func() {
+			reply, err := f(r.srv, args)
+			r.send(seq, PB(&reply), err)
+		}
+		if inline {
+			call()
+		} else {
+			go call()
+		}
+	}
+}
+
+// clientCodec carries rpc.Client's calls: each call is one frame sent with
+// one write, each reply decoded straight into the caller's reply value.
+// rpc.Client serializes WriteRequest and reads from one goroutine.
+type clientCodec struct {
+	conn    net.Conn
+	out, in coder
+	fr      *frameReader
+	body    []byte // the reply ReadResponseBody decodes
+}
+
+func (c *clientCodec) WriteRequest(req *rpc.Request, args any) error {
+	m := slices.IndexFunc(methods[:], func(m method) bool { return m.name == req.ServiceMethod })
+	if m < 0 {
+		return fmt.Errorf("serve: no method %q", req.ServiceMethod)
+	}
+	c.out.buf = c.out.buf[:0]
+	if c.out.frame(req.Seq, byte(m), args.(wirer)); len(c.out.buf)-4 > maxFrame {
+		return fmt.Errorf("%w: %s call of %d bytes", errFrame, req.ServiceMethod, len(c.out.buf))
+	}
+	_, err := c.conn.Write(c.out.buf)
+	return err
+}
+
+func (c *clientCodec) ReadResponseHeader(resp *rpc.Response) error {
+	seq, kind, body, err := c.fr.next()
+	if err != nil {
+		return err
+	}
+	resp.Seq, c.body = seq, body
+	switch kind {
+	case replyOK:
+		return nil
+	case replyErr:
+		return c.in.decode(body, (*message)(&resp.Error))
+	}
+	return fmt.Errorf("%w: reply kind %d", errFrame, kind)
+}
+
+// ReadResponseBody decodes the reply; reply is nil after an error or for an
+// unknown seq.
+func (c *clientCodec) ReadResponseBody(reply any) error {
+	if reply == nil {
+		return nil
+	}
+	return c.in.decode(c.body, reply.(wirer))
+}
+
+func (c *clientCodec) Close() error { return c.conn.Close() }
+
+// reasonErr maps each drop reason (split_drops_total's, trace.Reason*
+// included) to the typed error a shed request's waiter receives; its values
+// are every typed outcome the decoder knows.
 var reasonErr = map[string]error{
 	DropNotStarted:   ErrNotStarted,
 	DropStopped:      ErrStopped,
