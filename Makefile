@@ -25,14 +25,15 @@ bench:
 	go run ./cmd/splitperf
 
 # CPU and allocation profiles of one root benchmark: PROFILE=MillionRequestSweep
-# (the default), the simulator's scale point, three sweeps; PROFILE=ServeRPC,
-# the saturated serving rung, a million requests. Leaves cpu.out, mem.out and
+# (the default), the simulator's scale point, three sweeps; any other, such as
+# ServeRPC (the saturated serving rung) or ScenarioAllSystems (one seed of the
+# paper's evaluation grid), for five seconds. Leaves cpu.out, mem.out and
 # split.test (git-ignored) for `go tool pprof -peek`, `-list` and `-diff_base`
 # against another commit's.
 PROFILE ?= MillionRequestSweep
 
 profile:
-	go test -run '^$$' -bench '^Benchmark$(PROFILE)$$' -benchtime $(if $(filter ServeRPC,$(PROFILE)),1000000x,3x) -cpuprofile cpu.out -memprofile mem.out .
+	go test -run '^$$' -bench '^Benchmark$(PROFILE)$$' -benchtime $(if $(filter MillionRequestSweep,$(PROFILE)),3x,5s) -cpuprofile cpu.out -memprofile mem.out .
 	go tool pprof -top -nodecount 30 split.test cpu.out
 	go tool pprof -top -nodecount 15 -sample_index alloc_space split.test mem.out
 

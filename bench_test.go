@@ -345,17 +345,28 @@ func BenchmarkAblationGuidedInit(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioAllSystems measures a full Figure 6/7-style sweep of one
-// scenario across every system.
+// BenchmarkScenarioAllSystems is splitperf's sim_paper_grid for one seed:
+// the six Table 2 scenarios through the four systems (24 runs of 1000
+// requests), then the Figure 6 curve and the Figure 7 jitter of every run.
+// `make profile PROFILE=ScenarioAllSystems` profiles it.
 func BenchmarkScenarioAllSystems(b *testing.B) {
 	dep := deployOnce(b)
-	sc := workload.Table2()[5]
 	systems := core.DefaultSystems()
+	alphas := metrics.DefaultAlphas()
+	var sink float64
+	reqs := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, sys := range systems {
-			dep.RunScenario(sc, sys, int64(i+1), nil)
+		for _, run := range dep.RunAllScenarios(systems, int64(i+1)) {
+			sink += metrics.ViolationCurve(run.Records, alphas)[2]
+			sink += metrics.JitterByModel(run.Records)["gpt2"]
+			reqs += len(run.Records)
 		}
+	}
+	b.ReportMetric(float64(reqs)/b.Elapsed().Seconds(), "req/s")
+	if sink < 0 {
+		b.Fatal("negative violation rate or jitter")
 	}
 }
 

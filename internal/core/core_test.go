@@ -382,6 +382,28 @@ func TestRunAllScenarios(t *testing.T) {
 			t.Errorf("%s: %d requests", r.Scenario.Name, r.Summary.Requests)
 		}
 	}
+
+	// Each scenario's trace is generated once and shared by every system;
+	// every cell must still be what a run on a fresh trace gives, in
+	// scenario-outer, system-inner order.
+	systems := DefaultSystems()
+	runs = dep.RunAllScenarios(systems, 1)
+	if len(runs) != len(workload.Table2())*len(systems) {
+		t.Fatalf("%d runs for %d systems", len(runs), len(systems))
+	}
+	for i, got := range runs {
+		sc, sys := workload.Table2()[i/len(systems)], systems[i%len(systems)]
+		want := dep.RunScenario(sc, sys, 1, nil)
+		if got.Scenario != sc || got.System != sys.Name() {
+			t.Fatalf("cell %d is %s/%s, want %s/%s", i, got.Scenario.Name, got.System, sc.Name, sys.Name())
+		}
+		if !reflect.DeepEqual(got.Records, want.Records) {
+			t.Errorf("%s/%s: records differ from a run on a fresh trace", sc.Name, got.System)
+		}
+		if !reflect.DeepEqual(got.Summary, want.Summary) {
+			t.Errorf("%s/%s: summary %+v, fresh trace %+v", sc.Name, got.System, got.Summary, want.Summary)
+		}
+	}
 }
 
 func TestSearchAblationGABeatsRandom(t *testing.T) {

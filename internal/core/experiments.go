@@ -425,17 +425,11 @@ type Fig6Cell struct {
 // violation-rate-vs-α curve for each.
 func Fig6(d *Deployment, systems []policy.System, seed int64) []Fig6Cell {
 	alphas := metrics.DefaultAlphas()
-	var out []Fig6Cell
-	for _, sc := range workload.Table2() {
-		for _, sys := range systems {
-			run := d.RunScenario(sc, sys, seed, nil)
-			out = append(out, Fig6Cell{
-				Scenario: sc,
-				System:   run.System,
-				Alphas:   alphas,
-				Curve:    metrics.ViolationCurve(run.Records, alphas),
-			})
-		}
+	runs := d.RunAllScenarios(systems, seed)
+	out := make([]Fig6Cell, len(runs))
+	for i, run := range runs {
+		out[i] = Fig6Cell{Scenario: run.Scenario, System: run.System, Alphas: alphas,
+			Curve: metrics.ViolationCurve(run.Records, alphas)}
 	}
 	return out
 }
@@ -478,16 +472,10 @@ type Fig7Cell struct {
 
 // Fig7 replays all six scenarios and computes per-model jitter.
 func Fig7(d *Deployment, systems []policy.System, seed int64) []Fig7Cell {
-	var out []Fig7Cell
-	for _, sc := range workload.Table2() {
-		for _, sys := range systems {
-			run := d.RunScenario(sc, sys, seed, nil)
-			out = append(out, Fig7Cell{
-				Scenario: sc,
-				System:   run.System,
-				JitterMs: metrics.JitterByModel(run.Records),
-			})
-		}
+	runs := d.RunAllScenarios(systems, seed)
+	out := make([]Fig7Cell, len(runs))
+	for i, run := range runs {
+		out[i] = Fig7Cell{Scenario: run.Scenario, System: run.System, JitterMs: metrics.JitterByModel(run.Records)}
 	}
 	return out
 }

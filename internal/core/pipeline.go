@@ -156,24 +156,32 @@ type ScenarioRun struct {
 
 // RunScenario replays one Table 2 scenario through one system.
 func (d *Deployment) RunScenario(sc workload.Scenario, sys policy.System, seed int64, tr *trace.Tracer) ScenarioRun {
-	arrivals := workload.MustGenerate(workload.ForScenario(sc, zoo.BenchmarkModels, seed))
-	recs := sys.Run(arrivals, d.Catalog, tr)
-	return ScenarioRun{
-		Scenario: sc,
-		System:   sys.Name(),
-		Records:  recs,
-		Summary:  metrics.Summarize(sys.Name(), recs),
-	}
+	return d.replay(sc, scenarioTrace(sc, seed), sys, tr)
 }
 
 // RunAllScenarios replays every Table 2 scenario through every system with
-// a shared seed, so each system sees identical traces.
+// a shared seed, scenario outer and system inner. Each scenario's trace is
+// generated once and handed to every system, which only reads it.
 func (d *Deployment) RunAllScenarios(systems []policy.System, seed int64) []ScenarioRun {
-	var out []ScenarioRun
-	for _, sc := range workload.Table2() {
+	scenarios := workload.Table2()
+	out := make([]ScenarioRun, 0, len(scenarios)*len(systems))
+	for _, sc := range scenarios {
+		arrivals := scenarioTrace(sc, seed)
 		for _, sys := range systems {
-			out = append(out, d.RunScenario(sc, sys, seed, nil))
+			out = append(out, d.replay(sc, arrivals, sys, nil))
 		}
 	}
 	return out
+}
+
+// scenarioTrace generates scenario sc's arrivals over the benchmark models.
+func scenarioTrace(sc workload.Scenario, seed int64) []workload.Arrival {
+	return workload.MustGenerate(workload.ForScenario(sc, zoo.BenchmarkModels, seed))
+}
+
+// replay runs one system over a scenario's trace and summarizes the records.
+func (d *Deployment) replay(sc workload.Scenario, arrivals []workload.Arrival, sys policy.System, tr *trace.Tracer) ScenarioRun {
+	recs := sys.Run(arrivals, d.Catalog, tr)
+	name := sys.Name()
+	return ScenarioRun{Scenario: sc, System: name, Records: recs, Summary: metrics.Summarize(name, recs)}
 }

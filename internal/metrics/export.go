@@ -19,7 +19,8 @@ func WriteRecordsCSV(w io.Writer, recs []policy.Record) error {
 	if _, err := fmt.Fprintln(w, "id,model,class,arrive_ms,start_ms,done_ms,ext_ms,e2e_ms,wait_ms,response_ratio,preemptions,split,device"); err != nil {
 		return err
 	}
-	for _, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		if _, err := fmt.Fprintf(w, "%d,%s,%s,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%d,%t,%d\n",
 			r.ID, r.Model, r.Class, r.ArriveMs, r.StartMs, r.DoneMs, r.ExtMs,
 			r.E2EMs(), r.WaitMs(), r.ResponseRatio(), r.Preemptions, r.Split, r.Device); err != nil {

@@ -33,8 +33,8 @@ func ViolationRate(recs []policy.Record, alpha float64) float64 {
 		return 0
 	}
 	violated := 0
-	for _, r := range recs {
-		if !r.Served() || r.ResponseRatio() > alpha {
+	for i := range recs {
+		if r := &recs[i]; !r.Served() || r.ResponseRatio() > alpha {
 			violated++
 		}
 	}
@@ -45,9 +45,9 @@ func ViolationRate(recs []policy.Record, alpha float64) float64 {
 // metrics are only meaningful over these.
 func Served(recs []policy.Record) []policy.Record {
 	out := make([]policy.Record, 0, len(recs))
-	for _, r := range recs {
-		if r.Served() {
-			out = append(out, r)
+	for i := range recs {
+		if recs[i].Served() {
+			out = append(out, recs[i])
 		}
 	}
 	return out
@@ -59,9 +59,9 @@ func Served(recs []policy.Record) []policy.Record {
 // accepted request — while the rejected count is reported alongside.
 func Admitted(recs []policy.Record) []policy.Record {
 	out := make([]policy.Record, 0, len(recs))
-	for _, r := range recs {
-		if r.Outcome != policy.OutcomeAdmission {
-			out = append(out, r)
+	for i := range recs {
+		if recs[i].Outcome != policy.OutcomeAdmission {
+			out = append(out, recs[i])
 		}
 	}
 	return out
@@ -73,7 +73,13 @@ func DropRate(recs []policy.Record) float64 {
 	if len(recs) == 0 {
 		return 0
 	}
-	return float64(len(recs)-len(Served(recs))) / float64(len(recs))
+	shed := 0
+	for i := range recs {
+		if !recs[i].Served() {
+			shed++
+		}
+	}
+	return float64(shed) / float64(len(recs))
 }
 
 // ViolationCurve evaluates ViolationRate at every α, producing one Figure 6
@@ -90,8 +96,8 @@ func ViolationCurve(recs []policy.Record, alphas []float64) []float64 {
 // record's DoneMs is its shed time, not a completion).
 func ResponseRatios(recs []policy.Record) []float64 {
 	out := make([]float64, 0, len(recs))
-	for _, r := range recs {
-		if r.Served() {
+	for i := range recs {
+		if r := &recs[i]; r.Served() {
 			out = append(out, r.ResponseRatio())
 		}
 	}
@@ -101,8 +107,8 @@ func ResponseRatios(recs []policy.Record) []float64 {
 // E2EByModel groups end-to-end latencies of served requests by model name.
 func E2EByModel(recs []policy.Record) map[string][]float64 {
 	by := make(map[string][]float64)
-	for _, r := range recs {
-		if r.Served() {
+	for i := range recs {
+		if r := &recs[i]; r.Served() {
 			by[r.Model] = append(by[r.Model], r.E2EMs())
 		}
 	}
@@ -122,8 +128,8 @@ func JitterByModel(recs []policy.Record) map[string]float64 {
 // JitterByClass aggregates jitter across all served short and long requests.
 func JitterByClass(recs []policy.Record) map[model.RequestClass]float64 {
 	by := make(map[model.RequestClass][]float64)
-	for _, r := range recs {
-		if r.Served() {
+	for i := range recs {
+		if r := &recs[i]; r.Served() {
 			by[r.Class] = append(by[r.Class], r.E2EMs())
 		}
 	}
@@ -142,22 +148,25 @@ func MeanResponseRatio(recs []policy.Record) float64 {
 // MeanWait returns the average waiting latency (E2E − t_ext) of served
 // requests.
 func MeanWait(recs []policy.Record) float64 {
-	served := Served(recs)
-	if len(served) == 0 {
+	var s float64
+	n := 0
+	for i := range recs {
+		if r := &recs[i]; r.Served() {
+			s += r.WaitMs()
+			n++
+		}
+	}
+	if n == 0 {
 		return 0
 	}
-	var s float64
-	for _, r := range served {
-		s += r.WaitMs()
-	}
-	return s / float64(len(served))
+	return s / float64(n)
 }
 
 // ByClass partitions records into short and long requests.
 func ByClass(recs []policy.Record) map[model.RequestClass][]policy.Record {
 	out := make(map[model.RequestClass][]policy.Record)
-	for _, r := range recs {
-		out[r.Class] = append(out[r.Class], r)
+	for i := range recs {
+		out[recs[i].Class] = append(out[recs[i].Class], recs[i])
 	}
 	return out
 }
@@ -165,8 +174,8 @@ func ByClass(recs []policy.Record) map[model.RequestClass][]policy.Record {
 // ByModel partitions records by model name.
 func ByModel(recs []policy.Record) map[string][]policy.Record {
 	out := make(map[string][]policy.Record)
-	for _, r := range recs {
-		out[r.Model] = append(out[r.Model], r)
+	for i := range recs {
+		out[recs[i].Model] = append(out[recs[i].Model], recs[i])
 	}
 	return out
 }
@@ -188,29 +197,64 @@ type Summary struct {
 	TotalPreemption int
 }
 
-// Summarize digests one system's records.
+// Summarize digests one system's records. It is the definitions above —
+// ViolationRate at 4 and 8, MeanWait, JitterByClass, the mean and 95th
+// percentile of ResponseRatios — folded into two walks that copy no record,
+// one to size its three slices and one to fill them. Every sum still runs
+// in record order, so each field is bit-identical to its definition.
 func Summarize(system string, recs []policy.Record) Summary {
-	rrs := ResponseRatios(recs)
-	jc := JitterByClass(recs)
-	pre := 0
-	for _, r := range recs {
-		pre += r.Preemptions
+	served, short, long := 0, 0, 0
+	for i := range recs {
+		if r := &recs[i]; r.Served() {
+			served++
+			switch r.Class {
+			case model.Short:
+				short++
+			case model.Long:
+				long++
+			}
+		}
 	}
-	s := Summary{
-		System:          system,
-		Requests:        len(recs),
-		Dropped:         len(recs) - len(Served(recs)),
-		MeanRR:          stats.Mean(rrs),
-		MeanWaitMs:      MeanWait(recs),
-		ViolationAt4:    ViolationRate(recs, 4),
-		ViolationAt8:    ViolationRate(recs, 8),
-		JitterShortMs:   jc[model.Short],
-		JitterLongMs:    jc[model.Long],
-		TotalPreemption: pre,
+	rrs := make([]float64, 0, served)
+	shortE2E, longE2E := make([]float64, 0, short), make([]float64, 0, long)
+	s := Summary{System: system, Requests: len(recs), Dropped: len(recs) - served}
+	var wait float64
+	v4, v8 := 0, 0
+	for i := range recs {
+		r := &recs[i]
+		s.TotalPreemption += r.Preemptions
+		if !r.Served() {
+			v4++
+			v8++
+			continue
+		}
+		rr := r.ResponseRatio()
+		rrs = append(rrs, rr)
+		wait += r.WaitMs()
+		if rr > 4 {
+			v4++
+		}
+		if rr > 8 {
+			v8++
+		}
+		switch r.Class {
+		case model.Short:
+			shortE2E = append(shortE2E, r.E2EMs())
+		case model.Long:
+			longE2E = append(longE2E, r.E2EMs())
+		}
 	}
-	if len(rrs) > 0 {
+	if len(recs) > 0 {
+		s.ViolationAt4 = float64(v4) / float64(len(recs))
+		s.ViolationAt8 = float64(v8) / float64(len(recs))
+	}
+	if served > 0 {
+		s.MeanWaitMs = wait / float64(served)
+		s.MeanRR = stats.Mean(rrs)
 		s.P95RR = stats.Percentile(rrs, 95)
 	}
+	s.JitterShortMs = stats.StdDev(shortE2E)
+	s.JitterLongMs = stats.StdDev(longE2E)
 	return s
 }
 
@@ -228,9 +272,9 @@ func (s Summary) String() string {
 // growing queue" regime.
 func BacklogSeries(recs []policy.Record, stepMs float64) []int {
 	var end float64
-	for _, r := range recs {
-		if r.DoneMs > end {
-			end = r.DoneMs
+	for i := range recs {
+		if recs[i].DoneMs > end {
+			end = recs[i].DoneMs
 		}
 	}
 	return BacklogSeriesUntil(recs, stepMs, end+stepMs)
@@ -246,9 +290,9 @@ func BacklogSeriesUntil(recs []policy.Record, stepMs, horizonMs float64) []int {
 	}
 	n := int(horizonMs/stepMs) + 1
 	delta := make([]int, n+1)
-	for _, r := range recs {
-		ai := int(r.ArriveMs / stepMs)
-		di := int(r.DoneMs / stepMs)
+	for i := range recs {
+		ai := int(recs[i].ArriveMs / stepMs)
+		di := int(recs[i].DoneMs / stepMs)
 		if ai < len(delta) {
 			delta[ai]++
 		}
@@ -292,8 +336,8 @@ func BacklogTrend(series []int) float64 {
 // ModelNames returns the sorted model names present in recs.
 func ModelNames(recs []policy.Record) []string {
 	set := map[string]bool{}
-	for _, r := range recs {
-		set[r.Model] = true
+	for i := range recs {
+		set[recs[i].Model] = true
 	}
 	names := make([]string, 0, len(set))
 	for n := range set {

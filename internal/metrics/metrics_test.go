@@ -2,10 +2,12 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"split/internal/model"
 	"split/internal/policy"
+	"split/internal/stats"
 )
 
 func rec(id int, m string, class model.RequestClass, arrive, done, ext float64) policy.Record {
@@ -148,6 +150,99 @@ func TestSummarize(t *testing.T) {
 	empty := Summarize("E", nil)
 	if empty.Requests != 0 || empty.P95RR != 0 {
 		t.Errorf("empty summary: %+v", empty)
+	}
+}
+
+// exactRecords are served requests of both classes, a shed of every reason
+// and preemptions, with times whose sums round in float64 — so a sum taken
+// in another order shows in the last bit — and two ratios exactly on α = 4
+// and α = 8, which do not violate.
+func exactRecords() []policy.Record {
+	reasons := []string{policy.OutcomeDeadline, policy.OutcomeCanceled, policy.OutcomeAdmission, policy.OutcomeDeviceFault}
+	var recs []policy.Record
+	for i := 0; i < 40; i++ {
+		class, ext := model.Short, 10.7
+		if i%3 == 0 {
+			class, ext = model.Long, 67.3
+		}
+		arrive := 1.3 * float64(i)
+		r := policy.Record{ID: i, Model: string(class), Class: class, ArriveMs: arrive, StartMs: arrive + 0.1,
+			DoneMs: arrive + ext*(1+0.37*float64(i%11)+0.013*float64(i)), ExtMs: ext, Preemptions: i % 4}
+		if i%7 == 5 {
+			r.Outcome = reasons[(i/7)%len(reasons)]
+		}
+		recs = append(recs, r)
+	}
+	return append(recs,
+		policy.Record{ID: 40, Model: "on4", Class: model.Short, DoneMs: 40, ExtMs: 10},
+		policy.Record{ID: 41, Model: "on8", Class: model.Long, DoneMs: 80, ExtMs: 10})
+}
+
+// TestSummarizeMatchesDefinitions: Summarize folds the definitions into one
+// walk, and every field must equal its definition bit for bit — on a mixed
+// slice, on a slice where every request was shed, and on none.
+func TestSummarizeMatchesDefinitions(t *testing.T) {
+	mixed := exactRecords()
+	shed := exactRecords()
+	for i := range shed {
+		shed[i].Outcome = []string{policy.OutcomeDeadline, policy.OutcomeCanceled, policy.OutcomeDeviceFault}[i%3]
+	}
+	for _, c := range []struct {
+		name string
+		recs []policy.Record
+	}{{"mixed", mixed}, {"all shed", shed}, {"empty", nil}} {
+		recs := c.recs
+		served, rrs, jc := Served(recs), ResponseRatios(recs), JitterByClass(recs)
+		want := Summary{
+			System:        "S",
+			Requests:      len(recs),
+			Dropped:       len(recs) - len(served),
+			MeanRR:        stats.Mean(rrs),
+			ViolationAt4:  ViolationRate(recs, 4),
+			ViolationAt8:  ViolationRate(recs, 8),
+			JitterShortMs: jc[model.Short],
+			JitterLongMs:  jc[model.Long],
+		}
+		if len(served) > 0 {
+			var wait float64
+			for _, r := range served {
+				wait += r.WaitMs()
+			}
+			want.MeanWaitMs = wait / float64(len(served))
+		}
+		if len(rrs) > 0 {
+			want.P95RR = stats.Percentile(rrs, 95)
+		}
+		for _, r := range recs {
+			want.TotalPreemption += r.Preemptions
+		}
+		if got := Summarize("S", recs); got != want {
+			t.Errorf("%s: Summarize\n got %#v\nwant %#v", c.name, got, want)
+		}
+		if got := MeanWait(recs); got != want.MeanWaitMs {
+			t.Errorf("%s: MeanWait %v, want %v", c.name, got, want.MeanWaitMs)
+		}
+		if len(recs) > 0 {
+			if got, want := DropRate(recs), float64(want.Dropped)/float64(len(recs)); got != want {
+				t.Errorf("%s: DropRate %v, want %v", c.name, got, want)
+			}
+		}
+		alphas := DefaultAlphas()
+		for i, v := range ViolationCurve(recs, alphas) {
+			if want := ViolationRate(recs, alphas[i]); v != want {
+				t.Errorf("%s: curve at α=%v is %v, ViolationRate %v", c.name, alphas[i], v, want)
+			}
+		}
+	}
+	// The mixed slice covers what it claims to.
+	s := Summarize("S", mixed)
+	if s.JitterShortMs == 0 || s.JitterLongMs == 0 || s.TotalPreemption == 0 || s.ViolationAt4 == s.ViolationAt8 {
+		t.Errorf("mixed slice is degenerate: %+v", s)
+	}
+	for _, reason := range []string{policy.OutcomeDeadline, policy.OutcomeCanceled, policy.OutcomeAdmission, policy.OutcomeDeviceFault} {
+		if !slices.ContainsFunc(mixed, func(r policy.Record) bool { return r.Outcome == reason }) {
+			t.Errorf("mixed slice sheds no request for %s", reason)
+		}
 	}
 }
 

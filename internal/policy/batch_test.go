@@ -172,7 +172,7 @@ func TestBatchingCancelMidBatch(t *testing.T) {
 	if byID[2].Outcome != OutcomeCanceled {
 		t.Fatalf("canceled batch member outcome %q, want canceled", byID[2].Outcome)
 	}
-	if !byID[0].Served() || !byID[1].Served() {
+	if r0, r1 := byID[0], byID[1]; !r0.Served() || !r1.Served() {
 		t.Fatalf("batch-mates not delivered: %q / %q", byID[0].Outcome, byID[1].Outcome)
 	}
 	// The cancel must have landed while req 2 shared the device grant, not

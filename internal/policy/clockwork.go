@@ -32,57 +32,80 @@ func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.
 		Record
 		slot int
 	}
+	var reqs pool[req]
+	// queue[head:] waits in arrival order.
 	var queue []*req
-	busy := false
+	head := 0
+	// running is the request on the device. One runs at a time, so its
+	// completion timer, done, is bound once.
+	var running *req
 	// backlogMs tracks the total work queued or running, for drop decisions.
 	var backlogMs float64
 
 	var startNext func(now float64)
+	done := func(now float64) {
+		r := running
+		tr.Recordf(now, trace.EndBlock, r.ID, r.Model, 0, "")
+		r.DoneMs = now
+		backlogMs -= r.ExtMs
+		if tr != nil {
+			tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
+		}
+		rp.file(r.slot, r.Record)
+		reqs.put(r)
+		startNext(now)
+	}
 	startNext = func(now float64) {
-		if len(queue) == 0 {
-			busy = false
+		if head == len(queue) {
+			queue, head, running = queue[:0], 0, nil
 			return
 		}
-		r := queue[0]
-		queue = queue[1:]
-		busy = true
+		r := queue[head]
+		head++
+		running = r
 		r.StartMs = now
-		tr.Recordf(now, trace.StartBlock, r.ID, r.Model, 0, "dur=%.3f", r.ExtMs)
-		sim.After(r.ExtMs, func(now float64) {
-			tr.Recordf(now, trace.EndBlock, r.ID, r.Model, 0, "")
-			r.DoneMs = now
-			backlogMs -= r.ExtMs
-			tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
-			rp.file(r.slot, r.Record)
-			startNext(now)
-		})
+		if tr != nil {
+			tr.Recordf(now, trace.StartBlock, r.ID, r.Model, 0, "dur=%.3f", r.ExtMs)
+		}
+		sim.After(r.ExtMs, done)
 	}
 
 	return rp.run(func(i int, info *ModelInfo, now float64) {
 		a := &arrivals[i]
-		r := &req{slot: i, Record: Record{
+		rec := Record{
 			ID:       a.ID,
 			Model:    a.Model,
 			Class:    info.Class,
 			ArriveMs: now,
 			ExtMs:    info.ExtMs,
-		}}
+		}
 		if c.DropAlpha > 0 {
 			predicted := (backlogMs + info.ExtMs) / info.ExtMs
 			if predicted > c.DropAlpha {
 				// Dropped: record the predicted completion so the QoS
 				// metrics see the violation the user experienced.
-				r.StartMs = now
-				r.DoneMs = now + backlogMs + info.ExtMs
-				tr.Recordf(now, trace.Drop, r.ID, r.Model, 0, "predicted rr=%.2f", predicted)
-				rp.file(i, r.Record)
+				rec.StartMs = now
+				rec.DoneMs = now + backlogMs + info.ExtMs
+				if tr != nil {
+					tr.Recordf(now, trace.Drop, rec.ID, rec.Model, 0, "predicted rr=%.2f", predicted)
+				}
+				rp.file(i, rec)
 				return
 			}
 		}
 		backlogMs += info.ExtMs
+		r := reqs.get()
+		*r = req{Record: rec, slot: i}
+		// Out of room, slide the waiters back over the started ones first,
+		// when that frees at least half the array.
+		if len(queue) == cap(queue) && head > 0 && 2*head >= len(queue) {
+			queue, head = queue[:copy(queue, queue[head:])], 0
+		}
 		queue = append(queue, r)
-		tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "pos=%d", len(queue)-1)
-		if !busy {
+		if tr != nil {
+			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "pos=%d", len(queue)-head-1)
+		}
+		if running == nil {
 			startNext(now)
 		}
 	}, nil)

@@ -150,19 +150,22 @@ func RecordOf(r *sched.Request, doneMs float64, outcome string) Record {
 	}
 }
 
+// The predicates take a pointer: a Record is 112 bytes, and the metrics walk
+// hundreds of thousands of them per figure.
+
 // Served reports whether the request completed normally.
-func (r Record) Served() bool { return r.Outcome == OutcomeServed }
+func (r *Record) Served() bool { return r.Outcome == OutcomeServed }
 
 // E2EMs is the end-to-end latency (wait + execution).
-func (r Record) E2EMs() float64 { return r.DoneMs - r.ArriveMs }
+func (r *Record) E2EMs() float64 { return r.DoneMs - r.ArriveMs }
 
 // WaitMs is the portion of E2E spent not executing: E2E minus the isolated
 // execution time (any splitting/contention overhead counts as waiting from
 // the QoS perspective, since the target is based on t_ext).
-func (r Record) WaitMs() float64 { return r.E2EMs() - r.ExtMs }
+func (r *Record) WaitMs() float64 { return r.E2EMs() - r.ExtMs }
 
 // ResponseRatio is RR = t_ete / t_ext (Eq. 3).
-func (r Record) ResponseRatio() float64 { return r.E2EMs() / r.ExtMs }
+func (r *Record) ResponseRatio() float64 { return r.E2EMs() / r.ExtMs }
 
 // System is a scheduling system under test: it replays an arrival trace
 // against the catalog and reports one Record per request. Implementations
@@ -170,6 +173,8 @@ func (r Record) ResponseRatio() float64 { return r.E2EMs() / r.ExtMs }
 type System interface {
 	// Name identifies the system in experiment output (e.g. "SPLIT").
 	Name() string
-	// Run simulates the trace to completion. tr may be nil.
+	// Run simulates the trace to completion. tr may be nil. The trace is
+	// read-only: callers hand one slice to every system they compare, so a
+	// system must not write to arrivals.
 	Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) []Record
 }

@@ -79,8 +79,13 @@ func (r *premaReq) token(now float64) float64 {
 func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) []Record {
 	rp := newReplay(arrivals, catalog)
 	sim := rp.sim
+	var reqs pool[premaReq]
 	var waiting []*premaReq
+	// running is the request on the device and chunkMs the chunk it is
+	// running. One chunk runs at a time, so its completion timer, onChunk,
+	// is bound once.
 	var running *premaReq
+	var chunkMs float64
 
 	popBest := func(now float64) *premaReq {
 		if len(waiting) == 0 {
@@ -101,11 +106,14 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 
 	complete := func(r *premaReq, now float64) {
 		r.DoneMs = now
-		tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
+		if tr != nil {
+			tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
+		}
 		rp.file(r.slot, r.Record)
+		reqs.put(r)
 	}
 
-	var dispatch func(now float64)
+	var dispatch, onChunk func(now float64)
 	var runChunk func(now float64, switched bool)
 
 	dispatch = func(now float64) {
@@ -125,46 +133,55 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 
 	runChunk = func(now float64, switched bool) {
 		r := running
-		chunk := r.remainingMs
-		if p.CheckpointMs > 0 && p.CheckpointMs < chunk {
-			chunk = p.CheckpointMs
+		chunkMs = r.remainingMs
+		if p.CheckpointMs > 0 && p.CheckpointMs < chunkMs {
+			chunkMs = p.CheckpointMs
 		}
 		start := now
 		if switched {
 			start += p.SwitchOverheadMs
 		}
-		tr.Recordf(start, trace.StartBlock, r.ID, r.Model, 0, "chunk=%.3f", chunk)
-		sim.At(start+chunk, func(now float64) {
-			r.remainingMs -= chunk
+		if tr != nil {
+			tr.Recordf(start, trace.StartBlock, r.ID, r.Model, 0, "chunk=%.3f", chunkMs)
+		}
+		sim.At(start+chunkMs, onChunk)
+	}
+
+	onChunk = func(now float64) {
+		r := running
+		r.remainingMs -= chunkMs
+		if tr != nil {
 			tr.Recordf(now, trace.EndBlock, r.ID, r.Model, 0, "left=%.3f", r.remainingMs)
-			if r.remainingMs <= 1e-9 {
-				complete(r, now)
-				running = nil
-				dispatch(now)
-				return
+		}
+		if r.remainingMs <= 1e-9 {
+			complete(r, now)
+			running = nil
+			dispatch(now)
+			return
+		}
+		// NPU checkpoint decision: switch to a sufficiently better token.
+		bestIdx, bestTok := -1, 0.0
+		for i, w := range waiting {
+			if t := w.token(now); bestIdx < 0 || t > bestTok {
+				bestIdx, bestTok = i, t
 			}
-			// NPU checkpoint decision: switch to a sufficiently better token.
-			bestIdx, bestTok := -1, 0.0
-			for i, w := range waiting {
-				if t := w.token(now); bestIdx < 0 || t > bestTok {
-					bestIdx, bestTok = i, t
-				}
-			}
-			if bestIdx >= 0 && bestTok > r.token(now)*p.Threshold {
-				w := waiting[bestIdx]
-				waiting = append(waiting[:bestIdx], waiting[bestIdx+1:]...)
-				waiting = append(waiting, r)
-				r.Preemptions++
+		}
+		if bestIdx >= 0 && bestTok > r.token(now)*p.Threshold {
+			w := waiting[bestIdx]
+			waiting = append(waiting[:bestIdx], waiting[bestIdx+1:]...)
+			waiting = append(waiting, r)
+			r.Preemptions++
+			if tr != nil {
 				tr.Recordf(now, trace.Preempt, r.ID, r.Model, 0, "by req %d", w.ID)
-				running = w
-				if w.StartMs < 0 {
-					w.StartMs = now + p.SwitchOverheadMs
-				}
-				runChunk(now, true)
-				return
 			}
-			runChunk(now, false)
-		})
+			running = w
+			if w.StartMs < 0 {
+				w.StartMs = now + p.SwitchOverheadMs
+			}
+			runChunk(now, true)
+			return
+		}
+		runChunk(now, false)
 	}
 
 	return rp.run(func(i int, info *ModelInfo, now float64) {
@@ -173,7 +190,8 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 		if info.Class == model.Short {
 			prio = p.ShortPriority
 		}
-		r := &premaReq{
+		r := reqs.get()
+		*r = premaReq{
 			Record: Record{
 				ID:       a.ID,
 				Model:    a.Model,
@@ -187,7 +205,9 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 			priority:    prio,
 		}
 		waiting = append(waiting, r)
-		tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "prio=%.0f", prio)
+		if tr != nil {
+			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "prio=%.0f", prio)
+		}
 		dispatch(now)
 	}, nil)
 }

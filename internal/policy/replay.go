@@ -171,6 +171,50 @@ func (rp *replay) feed(arrive func(i int, info *ModelInfo, now float64), cancel 
 	sim.Run()
 }
 
+// pool is a baseline run's supply of request structs, as the engine's slab
+// and Engine.Release are SPLIT's: get hands out one a system put back after
+// filing its record, else the next entry of a chunk. Chunks double from
+// poolMin to poolMax entries, so a run holds about as many structs as it
+// ever had requests in flight, however long the trace.
+type pool[T any] struct {
+	free  []*T
+	slab  []T
+	chunk int
+}
+
+const (
+	poolMin = 8
+	poolMax = 128
+)
+
+// get returns a struct with whatever its last user left in it; the caller
+// overwrites all of it.
+//
+//lint:hotpath every baseline arrival draws its request here
+func (p *pool[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free = p.free[:n-1]
+		return x
+	}
+	if len(p.slab) == 0 {
+		p.chunk = min(max(2*p.chunk, poolMin), poolMax)
+		//lint:ignore hotalloc amortized refill: one allocation per chunk of requests in flight
+		p.slab = make([]T, p.chunk)
+	}
+	x := &p.slab[0]
+	p.slab = p.slab[1:]
+	return x
+}
+
+// put hands x back once its record is filed; nothing may read it again.
+//
+//lint:hotpath every baseline request is handed back here
+func (p *pool[T]) put(x *T) {
+	//lint:ignore hotalloc bounded by the peak number of requests in flight
+	p.free = append(p.free, x)
+}
+
 // finish checks that the drained run left every arrival exactly one outcome
 // and puts the records in ID order.
 func (rp *replay) finish() []Record {

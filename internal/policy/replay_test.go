@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"split/internal/engine"
 	"split/internal/fleet"
@@ -114,34 +116,77 @@ func TestRunLeavesCatalogPlansUntouched(t *testing.T) {
 	}
 }
 
-// TestSplitRunAllocs holds the per-arrival allocation bill in tier-1: a
-// plain fleet run allocates per run (engine, lanes, records) and per slab
-// chunk of requests in flight at once, never per arrival.
-func TestSplitRunAllocs(t *testing.T) {
+// TestRunLeavesArrivalsUntouched: a trace is read-only to every system —
+// core hands one scenario's slice to each system it compares — so a run,
+// traced or not, on a trace with deadlines and cancels must not write to it.
+func TestRunLeavesArrivalsUntouched(t *testing.T) {
+	catalog, arrivals := goldenCatalog(), goldenArrivals(t)
+	if !slices.ContainsFunc(arrivals, func(a workload.Arrival) bool { return a.CancelAtMs > 0 }) ||
+		!slices.ContainsFunc(arrivals, func(a workload.Arrival) bool { return a.DeadlineMs > 0 }) {
+		t.Fatal("the trace carries no cancels or no deadlines")
+	}
+	before := slices.Clone(arrivals)
+	partial := NewSplit()
+	partial.PartialPreemption = true
+	for _, sys := range append(allSystems(), NewREEF(), partial, allFeatures()) {
+		for _, tr := range []*trace.Tracer{nil, trace.New()} {
+			sys.Run(arrivals, catalog, tr)
+			if !reflect.DeepEqual(arrivals, before) {
+				t.Fatalf("%s (traced %v) wrote to its arrivals", sys.Name(), tr != nil)
+			}
+		}
+	}
+}
+
+// TestRunAllocs holds the per-arrival allocation bill in tier-1: a run
+// allocates per run (engine or queues, records) and per chunk of requests in
+// flight at once, never per arrival; and beyond its record slice, its bytes
+// track the requests in flight, so a request that is never handed back shows.
+// SPLIT runs a 4-device fleet; the single-device baselines get a trace one
+// device keeps up with, since a saturated one holds the whole trace in flight.
+func TestRunAllocs(t *testing.T) {
 	const n = 20000
-	cfg := workload.CohortSetConfig{
-		Cohorts: []workload.Cohort{{
-			Name:    "mix",
-			Models:  []string{"yolov2", "googlenet", "resnet50", "vgg19", "gpt2"},
-			Process: workload.Process{Kind: workload.ProcPoisson, MeanIntervalMs: 8},
-		}},
-		Count: n,
-		Seed:  1,
-	}
-	arrivals, err := workload.GenerateCohorts(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	catalog := goldenCatalog()
-	s := NewSplit()
-	s.Devices = 4
-	s.Placement = "least-loaded"
-	perRun := testing.AllocsPerRun(3, func() { s.Run(arrivals, catalog, nil) })
-	// The set-up allowance covers what a run of any length allocates.
-	const setup = 100
-	if perArrival := (perRun - setup) / n; perArrival > 0.1 {
-		t.Errorf("%.0f allocations for %d arrivals: %.3f per arrival beyond the %d set-up allowance, want <= 0.1",
-			perRun, n, perArrival, setup)
+	fleet := NewSplit()
+	fleet.Devices = 4
+	fleet.Placement = "least-loaded"
+	for _, c := range []struct {
+		sys        System
+		intervalMs float64
+	}{
+		{fleet, 8},
+		{NewClockWork(), 32},
+		{NewPREMA(), 32},
+		{NewRTA(), 32},
+	} {
+		arrivals, err := workload.GenerateCohorts(workload.CohortSetConfig{
+			Cohorts: []workload.Cohort{{
+				Name:    "mix",
+				Models:  []string{"yolov2", "googlenet", "resnet50", "vgg19", "gpt2"},
+				Process: workload.Process{Kind: workload.ProcPoisson, MeanIntervalMs: c.intervalMs},
+			}},
+			Count: n,
+			Seed:  1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		catalog := goldenCatalog()
+		perRun := testing.AllocsPerRun(3, func() { c.sys.Run(arrivals, catalog, nil) })
+		// The set-up allowances cover what a run of any length allocates.
+		const setup, setupBytes = 100, 64 << 10
+		if perArrival := (perRun - setup) / n; perArrival > 0.1 {
+			t.Errorf("%s: %.0f allocations for %d arrivals: %.3f per arrival beyond the %d set-up allowance, want <= 0.1",
+				c.sys.Name(), perRun, n, perArrival, setup)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.sys.Run(arrivals, catalog, nil)
+		runtime.ReadMemStats(&after)
+		record := float64(unsafe.Sizeof(Record{}))
+		if extra := (float64(after.TotalAlloc-before.TotalAlloc)-setupBytes)/n - record; extra > 8 {
+			t.Errorf("%s: %.1f bytes per arrival beyond its %.0f-byte record and the set-up allowance, want <= 8",
+				c.sys.Name(), extra, record)
+		}
 	}
 }
 

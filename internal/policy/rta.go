@@ -34,19 +34,33 @@ func (r *RTA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer
 		Record
 		slot int
 	}
-	var waiting []*req
+	var reqs pool[req]
+	// waiting gathers the next round while round runs; the two buffers swap
+	// at every round start. One round runs at a time, so its completion
+	// timer, endRound, is bound once.
+	var waiting, round []*req
 	busy := false
 
 	var startRound func(now float64)
+	endRound := func(now float64) {
+		for _, q := range round {
+			if tr != nil {
+				tr.Recordf(now, trace.EndBlock, q.ID, q.Model, 0, "")
+				tr.Recordf(now, trace.Complete, q.ID, q.Model, 0, "rr=%.2f", q.ResponseRatio())
+			}
+			rp.file(q.slot, q.Record)
+			reqs.put(q)
+		}
+		startRound(now)
+	}
 	startRound = func(now float64) {
 		if len(waiting) == 0 {
 			busy = false
 			return
 		}
 		busy = true
-		batch := waiting
-		waiting = nil
-		k := len(batch)
+		round, waiting = waiting, round[:0]
+		k := len(round)
 		inflation := r.Contention.Inflation(k)
 		// The merged super-graph's operators are aligned across branches, so
 		// the round runs as long as its longest member (inflated by
@@ -54,30 +68,26 @@ func (r *RTA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer
 		// "request A has to be aligned with request B and wait for the
 		// completion of request B" (§2.2, Fig. 1).
 		var maxExt float64
-		for _, q := range batch {
+		for _, q := range round {
 			if q.ExtMs > maxExt {
 				maxExt = q.ExtMs
 			}
 		}
 		roundEnd := now + maxExt*inflation
-		for _, q := range batch {
+		for _, q := range round {
 			q.StartMs = now
 			q.DoneMs = roundEnd
-			tr.Recordf(now, trace.StartBlock, q.ID, q.Model, 0, "round k=%d dur=%.3f", k, roundEnd-now)
-		}
-		sim.At(roundEnd, func(now float64) {
-			for _, q := range batch {
-				tr.Recordf(now, trace.EndBlock, q.ID, q.Model, 0, "")
-				tr.Recordf(now, trace.Complete, q.ID, q.Model, 0, "rr=%.2f", q.ResponseRatio())
-				rp.file(q.slot, q.Record)
+			if tr != nil {
+				tr.Recordf(now, trace.StartBlock, q.ID, q.Model, 0, "round k=%d dur=%.3f", k, roundEnd-now)
 			}
-			startRound(now)
-		})
+		}
+		sim.At(roundEnd, endRound)
 	}
 
 	return rp.run(func(i int, info *ModelInfo, now float64) {
 		a := &arrivals[i]
-		q := &req{slot: i, Record: Record{
+		q := reqs.get()
+		*q = req{slot: i, Record: Record{
 			ID:       a.ID,
 			Model:    a.Model,
 			Class:    info.Class,
