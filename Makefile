@@ -26,8 +26,9 @@ bench:
 
 # CPU and allocation profiles of one root benchmark: PROFILE=MillionRequestSweep
 # (the default), the simulator's scale point, three sweeps; any other, such as
-# ServeRPC (the saturated serving rung) or ScenarioAllSystems (one seed of the
-# paper's evaluation grid), for five seconds. Leaves cpu.out, mem.out and
+# ServeRPC (the saturated serving rung), ScenarioAllSystems (one seed of the
+# paper's evaluation grid) or TracedFeatures (sim_features' traced run and
+# span fold), for five seconds. Leaves cpu.out, mem.out and
 # split.test (git-ignored) for `go tool pprof -peek`, `-list` and `-diff_base`
 # against another commit's.
 PROFILE ?= MillionRequestSweep

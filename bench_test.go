@@ -15,7 +15,9 @@ import (
 
 	"split/internal/analytic"
 	"split/internal/core"
+	"split/internal/fleet"
 	"split/internal/ga"
+	"split/internal/gpusim"
 	"split/internal/metrics"
 	"split/internal/model"
 	"split/internal/obs"
@@ -23,6 +25,7 @@ import (
 	"split/internal/profiler"
 	"split/internal/sched"
 	"split/internal/serve"
+	"split/internal/trace"
 	"split/internal/workload"
 	"split/internal/zoo"
 )
@@ -539,15 +542,24 @@ func BenchmarkSchedInsertGreedy(b *testing.B) {
 
 // millionCohorts is the heterogeneous cohort mix of the million-request
 // sweep: steady interactive traffic, bursty MMPP edge traffic, and a
-// diurnally-modulated heavy-tailed batch population.
-func millionCohorts(count int, seed int64) workload.CohortSetConfig {
+// diurnally-modulated heavy-tailed batch population. With lifecycle the
+// interactive cohort carries client deadlines and cancellations, as in
+// splitperf's sim_features.
+func millionCohorts(count int, seed int64, lifecycle bool) workload.CohortSetConfig {
+	interactive := workload.Cohort{
+		Name:    "interactive",
+		Models:  zoo.BenchmarkModels,
+		Process: workload.Process{Kind: workload.ProcPoisson, MeanIntervalMs: 24},
+	}
+	if lifecycle {
+		interactive.DeadlineMs = 400
+		interactive.DeadlineJitterFrac = 0.5
+		interactive.CancelFrac = 0.02
+		interactive.CancelAfterMs = 60
+	}
 	return workload.CohortSetConfig{
 		Cohorts: []workload.Cohort{
-			{
-				Name:    "interactive",
-				Models:  zoo.BenchmarkModels,
-				Process: workload.Process{Kind: workload.ProcPoisson, MeanIntervalMs: 24},
-			},
+			interactive,
 			{
 				Name:   "edge-burst",
 				Models: []string{"yolov2", "googlenet"},
@@ -568,16 +580,40 @@ func millionCohorts(count int, seed int64) workload.CohortSetConfig {
 	}
 }
 
-// BenchmarkCohortGeneration measures the lazy heap-merge generator alone:
-// one million arrivals from three heterogeneous cohorts in a single pass.
-func BenchmarkCohortGeneration(b *testing.B) {
-	b.ReportAllocs()
+// BenchmarkTracedFeatures is the shape of splitperf's sim_features
+// correctness gate: 200 k arrivals through SPLIT with every feature on and
+// the product's tracer attached, then the span fold over the recorded
+// events. It reports recorded events per second and heap bytes allocated
+// per event; `make profile PROFILE=TracedFeatures` profiles it.
+func BenchmarkTracedFeatures(b *testing.B) {
+	dep := deployOnce(b)
+	arrivals := workload.MustGenerateCohorts(millionCohorts(200_000, 1, true))
+	sys := policy.NewSplit()
+	sys.Placement = "least-loaded"
+	sys.BatchMax = 4
+	sys.Partitions = 2
+	sys.PartitionWidth = "adaptive"
+	sys.EnforceDeadlines = true
+	sys.PredictiveShed = true
+	sys.Fleet = fleet.AutoscaleConfig{Min: 1, Max: 4}
+	sys.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitTokenBucket, RatePerSec: 70, Burst: 40}
+	sys.Faults = &gpusim.FaultInjector{Seed: 7, SpikeProb: .01, SpikeFactor: 3, FailProb: .005, MaxRetries: 2}
+	var before, after runtime.MemStats
+	events := 0
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arrivals := workload.MustGenerateCohorts(millionCohorts(1_000_000, int64(i+1)))
-		if len(arrivals) != 1_000_000 {
-			b.Fatal("lost arrivals")
+		tr := trace.New()
+		sys.RunWithStats(arrivals, dep.Catalog, tr)
+		if tree := trace.BuildSpans(tr.Events()); len(tree.Problems) > 0 {
+			b.Fatalf("span fold problem: %s", tree.Problems[0])
 		}
+		events += tr.Len()
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(events), "B/event")
 }
 
 // BenchmarkMillionRequestSweep measures the full million-request pipeline —
@@ -590,7 +626,7 @@ func BenchmarkMillionRequestSweep(b *testing.B) {
 	dep := deployOnce(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arrivals := workload.MustGenerateCohorts(millionCohorts(1_000_000, int64(i+1)))
+		arrivals := workload.MustGenerateCohorts(millionCohorts(1_000_000, int64(i+1), false))
 		sys := policy.NewSplit()
 		sys.Devices = 4
 		sys.Placement = "least-loaded"

@@ -183,8 +183,9 @@ type Arrival struct {
 	// should Grant the lane now.
 	Idle bool
 	// placer names the placement policy on engines with more than one lane,
-	// where an arrival narrates its Place event; empty on a single lane.
-	placer string
+	// where an arrival narrates its Place event; the zero Word on a single
+	// lane.
+	placer trace.Word
 }
 
 // Grant is one boundary-delimited device hold: Batch (a scalar grant is a
@@ -348,9 +349,9 @@ type Engine struct {
 	devices []*gpusim.Device
 	placer  place.Placer
 	// placedBy is the placer's name on engines with more than one lane, where
-	// arrivals narrate a Place event; empty on a single lane. Built once: a
-	// Spatial placer composes its name.
-	placedBy  string
+	// arrivals narrate a Place event; the zero Word on a single lane. Built
+	// once: a Spatial placer composes its name.
+	placedBy  trace.Word
 	spatial   *place.Spatial
 	planner   sched.BatchPlanner
 	batchCost gpusim.BatchCost
@@ -515,7 +516,7 @@ func New(k Knobs) (*Engine, error) {
 		wholes:    make([]float64, 0, wholeMemo),
 	}
 	if len(e.lanes) > 1 {
-		e.placedBy = placer.Name()
+		e.placedBy = trace.WordOf(placer.Name())
 	}
 	if scaler != nil {
 		e.window = fleet.NewWindow(0)

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"strconv"
-
 	"split/internal/fleet"
 	"split/internal/sched"
 	"split/internal/trace"
@@ -15,16 +13,13 @@ import (
 // stream and a simulated run of the same schedule read the same, kind for
 // kind and detail for detail. A driver formats nothing about a decision
 // itself; it narrates the decision as returned, before acting on it.
+//
+// A narrated event carries the decision's numbers, not a sentence: each
+// sets a trace.Note and the note's arguments, and the sentence is rendered
+// only when an export asks for it. Narrating allocates nothing.
 
-// line builds one Detail string in a caller's stack buffer, so a detail
-// costs the single allocation of its string.
-type line []byte
-
-func (l line) str(s string) line { return append(l, s...) }
-func (l line) int(v int) line    { return strconv.AppendInt(l, int64(v), 10) }
-func (l line) fix(v float64, prec int) line {
-	return strconv.AppendFloat(l, v, 'f', prec, 64)
-}
+// word is a vocabulary entry as a note argument.
+func word(s string) float64 { return float64(trace.WordOf(s)) }
 
 // AppendArrival narrates the front door: the admission Drop of a rejected
 // job, the autoscaler actuation the arrival triggered, and for an admitted
@@ -32,50 +27,49 @@ func (l line) fix(v float64, prec int) line {
 // insertion — position, plan length, scan length and the queue length the
 // placer saw.
 func AppendArrival(evs []trace.Event, now float64, job Job, a Arrival) []trace.Event {
-	var buf [64]byte
 	if a.Rejected {
 		evs = append(evs, trace.Event{AtMs: now, Kind: trace.Drop, ReqID: job.ID, Model: job.Model,
-			Detail: trace.ReasonAdmission + ": " + a.Detail})
+			Note: trace.NoteAdmission, Args: [4]float64{word(a.Detail)}})
 	}
 	switch sc := a.Scale; sc.Dir {
 	case fleet.ScaleOut:
 		evs = append(evs, trace.Event{AtMs: now, Kind: trace.ScaleOut, ReqID: -1, Device: sc.Device,
-			Detail: string(line(buf[:0]).str("active=").int(sc.Active).str(" depth=").int(sc.Depth))})
+			Note: trace.NoteScaleOut, Args: [4]float64{float64(sc.Active), float64(sc.Depth)}})
 	case fleet.ScaleIn:
 		evs = append(evs, trace.Event{AtMs: now, Kind: trace.ScaleIn, ReqID: -1, Device: sc.Device,
-			Detail: string(line(buf[:0]).str("active=").int(sc.Active).str(" drain=").int(sc.Depth))})
+			Note: trace.NoteScaleIn, Args: [4]float64{float64(sc.Active), float64(sc.Depth)}})
 	}
 	if a.Rejected {
 		return evs
 	}
 	r := a.Req
-	if a.placer != "" {
+	if a.placer != 0 {
 		evs = append(evs, trace.Event{AtMs: now, Kind: trace.Place, ReqID: r.ID, Model: r.Model,
-			Device: r.Device, Part: r.Partition,
-			Detail: string(line(buf[:0]).str("policy=").str(a.placer).str(" depth=").int(a.QueueLen))})
+			Device: r.Device, Part: int32(r.Partition),
+			Note: trace.NotePlaced, Args: [4]float64{float64(a.placer), float64(a.QueueLen)}})
 	}
 	return append(evs, trace.Event{AtMs: now, Kind: trace.Arrive, ReqID: r.ID, Model: r.Model,
-		Device: r.Device, Part: r.Partition,
-		Detail: string(line(buf[:0]).str("pos=").int(a.Pos).str(" blocks=").int(len(r.BlockTimes)).
-			str(" scanned=").int(a.Scanned).str(" qlen=").int(a.QueueLen))})
+		Device: r.Device, Part: int32(r.Partition), Note: trace.NoteQueued,
+		Args: [4]float64{float64(a.Pos), float64(len(r.BlockTimes)), float64(a.Scanned), float64(a.QueueLen)}})
 }
 
 // AppendCancel narrates a cancellation taking effect: where it found the
 // request, and for queued work the shed that follows at once. why, when
 // non-empty, is the driver's cause ("client cancel", "connection lost")
-// and is appended to the state. Unknown IDs and repeated cancellations of
-// an in-flight request narrate nothing.
+// and follows the state. Unknown IDs and repeated cancellations of an
+// in-flight request narrate nothing.
 func AppendCancel(evs []trace.Event, now float64, c Cancellation, why string) []trace.Event {
 	if !c.Marked {
 		return evs
 	}
-	state := c.State.String()
-	if why != "" {
-		state = state + ": " + why
-	}
 	r := c.Req
-	evs = append(evs, trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: r.ID, Model: r.Model,
-		Block: r.Next, Device: r.Device, Part: r.Partition, Detail: state})
+	e := trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: r.ID, Model: r.Model,
+		Block: r.Next, Device: r.Device, Part: int32(r.Partition),
+		Note: trace.NoteWord, Args: [4]float64{word(c.State.String())}}
+	if why != "" {
+		e.Note, e.Args[1] = trace.NoteCancelWhy, word(why)
+	}
+	evs = append(evs, e)
 	if c.State == CancelQueued {
 		evs = AppendShed(evs, now, r, trace.ReasonCanceled)
 	}
@@ -87,7 +81,7 @@ func AppendCancel(evs []trace.Event, now float64, c Cancellation, why string) []
 // directly only for the backlog it sheds at shutdown.
 func AppendShed(evs []trace.Event, now float64, r *sched.Request, reason string) []trace.Event {
 	return append(evs, trace.Event{AtMs: now, Kind: trace.Shed, ReqID: r.ID, Model: r.Model,
-		Block: r.Next, Device: r.Device, Detail: reason})
+		Block: r.Next, Device: r.Device, Note: trace.NoteWord, Args: [4]float64{word(reason)}})
 }
 
 // AppendGrant narrates a grant: the deadline sheds of the boundary sweep,
@@ -101,20 +95,17 @@ func AppendGrant(evs []trace.Event, now float64, g Grant) []trace.Event {
 	if !g.OK {
 		return evs
 	}
-	var buf [64]byte
-	d := line(buf[:0]).str("dur=")
+	note, args := trace.NoteDur, [4]float64{g.BaseMs}
 	switch {
 	case g.BatchID != 0:
-		d = d.fix(g.RunMs, 3).str(" n=").int(len(g.Batch))
+		note, args = trace.NoteDurBatch, [4]float64{g.RunMs, float64(len(g.Batch))}
 	case g.spatial:
-		d = d.fix(g.RunMs, 3).str(" frac=").fix(g.Frac, 2)
-	default:
-		d = d.fix(g.BaseMs, 3)
+		note, args = trace.NoteDurFrac, [4]float64{g.RunMs, g.Frac}
 	}
-	dur := string(d)
 	for _, m := range g.Batch {
 		evs = append(evs, trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID, Model: m.Model,
-			Block: g.Block, Device: m.Device, Part: m.Partition, Batch: g.BatchID, Detail: dur})
+			Block: g.Block, Device: m.Device, Part: int32(m.Partition), Batch: g.BatchID,
+			Note: note, Args: args})
 	}
 	return appendSpike(evs, now, g, g.Spike, g.Attempt)
 }
@@ -125,34 +116,29 @@ func AppendGrant(evs []trace.Event, now float64, g Grant) []trace.Event {
 // member's fate — Complete, Shed, or the Preempt of a requeue that was
 // passed.
 func AppendSettle(evs []trace.Event, now float64, g Grant, st Settlement) []trace.Event {
-	var buf [64]byte
 	if st.Retry {
-		evs = appendFault(evs, now, g,
-			string(line(buf[:0]).str("transient attempt=").int(st.Attempt-1).str(", retrying")))
+		evs = appendFault(evs, now, g, trace.NoteTransient, float64(st.Attempt-1), 0)
 		return appendSpike(evs, now, g, st.Spike, st.Attempt)
 	}
 	if st.Terminal {
-		evs = appendFault(evs, now, g,
-			string(line(buf[:0]).str("terminal after ").int(st.Attempt+1).str(" attempts")))
+		evs = appendFault(evs, now, g, trace.NoteTerminal, float64(st.Attempt+1), 0)
 	}
 	for _, m := range g.Batch {
 		evs = append(evs, trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID, Model: m.Model,
-			Block: g.Block, Device: m.Device, Part: m.Partition, Batch: g.BatchID})
+			Block: g.Block, Device: m.Device, Part: int32(m.Partition), Batch: g.BatchID})
 	}
 	for _, f := range st.Fates {
 		r := f.Req
 		switch f.Kind {
 		case Served:
 			evs = append(evs, trace.Event{AtMs: now, Kind: trace.Complete, ReqID: r.ID, Model: r.Model,
-				Block: g.Block, Device: r.Device,
-				Detail: string(line(buf[:0]).str("rr=").fix(r.ResponseRatio(), 2))})
+				Block: g.Block, Device: r.Device, Note: trace.NoteRR, Args: [4]float64{r.ResponseRatio()}})
 		case Shed:
 			evs = AppendShed(evs, now, r, f.Reason)
 		case Requeued:
 			if f.Pos > 0 {
 				evs = append(evs, trace.Event{AtMs: now, Kind: trace.Preempt, ReqID: r.ID, Model: r.Model,
-					Block: r.Next, Device: r.Device,
-					Detail: string(line(buf[:0]).str("requeued at ").int(f.Pos))})
+					Block: r.Next, Device: r.Device, Note: trace.NoteRequeued, Args: [4]float64{float64(f.Pos)}})
 			}
 		}
 	}
@@ -161,10 +147,10 @@ func AppendSettle(evs []trace.Event, now float64, g Grant, st Settlement) []trac
 
 // appendFault narrates one injected fault on g's block; faults key on the
 // leader.
-func appendFault(evs []trace.Event, now float64, g Grant, detail string) []trace.Event {
+func appendFault(evs []trace.Event, now float64, g Grant, note trace.Note, a0, a1 float64) []trace.Event {
 	lead := g.Batch[0]
 	return append(evs, trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.Model,
-		Block: g.Block, Device: lead.Device, Detail: detail})
+		Block: g.Block, Device: lead.Device, Note: note, Args: [4]float64{a0, a1}})
 }
 
 // appendSpike narrates an attempt's latency spike, if it drew one.
@@ -172,7 +158,5 @@ func appendSpike(evs []trace.Event, now float64, g Grant, spike float64, attempt
 	if spike <= 1 {
 		return evs
 	}
-	var buf [64]byte
-	return appendFault(evs, now, g,
-		string(line(buf[:0]).str("spike x").fix(spike, 2).str(" attempt=").int(attempt)))
+	return appendFault(evs, now, g, trace.NoteSpike, spike, float64(attempt))
 }

@@ -16,9 +16,3 @@ func Outcomes() []string {
 func Register(r *obs.Registry) int {
 	return r.Counter("split_preemptions_total")
 }
-
-// Kind types a string literal as trace.EventKind: flagged.
-func Kind() trace.EventKind {
-	var k trace.EventKind = "grant"
-	return k
-}

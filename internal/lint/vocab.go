@@ -11,11 +11,9 @@ import (
 // Vocab detects cross-layer vocabulary drift. The decision core
 // (internal/engine) and its two drivers — the sim (internal/policy) and the
 // serving path (internal/serve) — must describe the decisions they share
-// with identical words; this rule pins the words:
+// with identical words; this rule pins the words (event kinds need no rule:
+// trace.EventKind is an integer, so no string can be typed as one):
 //
-//   - trace event kinds are named constants: a string literal typed as
-//     trace.EventKind outside internal/trace is a misspelling waiting to
-//     diverge from the canonical kind;
 //   - drop reasons shared by the layers live in internal/trace as Reason*
 //     constants. Redeclaring one of their values as an independent string
 //     constant (or using the bare literal) in engine, policy or serve is
@@ -26,7 +24,7 @@ import (
 //     the server about a family's spelling.
 var Vocab = &Analyzer{
 	Name:      "vocab",
-	Doc:       "sim/serve vocabulary drift: event kinds, drop reasons, and metric families",
+	Doc:       "sim/serve vocabulary drift: drop reasons and metric families",
 	RunModule: runVocab,
 }
 
@@ -41,7 +39,6 @@ const (
 func runVocab(pkgs []*Package, report ModuleReportFunc) {
 	tracePkg := pkgByRel(pkgs, relTrace)
 	obsPkg := pkgByRel(pkgs, relObs)
-	checkEventKindLiterals(pkgs, tracePkg, report)
 	checkReasonConstants(pkgs, tracePkg, report)
 	checkMetricFamilies(pkgs, obsPkg, report)
 }
@@ -55,43 +52,6 @@ func pkgByRel(pkgs []*Package, rel string) *Package {
 		}
 	}
 	return nil
-}
-
-// checkEventKindLiterals flags string literals typed as trace.EventKind
-// outside the trace package (non-test files).
-func checkEventKindLiterals(pkgs []*Package, tracePkg *Package, report ModuleReportFunc) {
-	if tracePkg == nil {
-		return
-	}
-	for _, p := range pkgs {
-		if p.Rel == relTrace || isTestPackage(p) {
-			continue
-		}
-		for _, f := range p.Files {
-			if isTestFile(p, f) {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				lit, ok := n.(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					return true
-				}
-				tv, ok := p.Info.Types[lit]
-				if !ok {
-					return true
-				}
-				named, ok := tv.Type.(*types.Named)
-				if !ok || named.Obj().Name() != "EventKind" ||
-					named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != tracePkg.Path {
-					return true
-				}
-				report(p, lit.Pos(),
-					"trace event kind %s must be a named trace constant, not a string literal (sim/serve vocabulary drift)",
-					lit.Value)
-				return true
-			})
-		}
-	}
 }
 
 // reasonConsts returns the trace package's exported Reason* string

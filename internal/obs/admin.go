@@ -81,12 +81,8 @@ func (c AdminConfig) Mux() *http.ServeMux {
 	mux.HandleFunc("/tracez", func(w http.ResponseWriter, r *http.Request) {
 		events := filterEvents(c.Ring.Snapshot(), r)
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, e := range events {
-			if err := enc.Encode(e); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
+		if err := trace.WriteJSONL(w, events); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
 
@@ -129,7 +125,7 @@ func filterEvents(events []trace.Event, r *http.Request) []trace.Event {
 			if model != "" && e.Model != model {
 				continue
 			}
-			if kind != "" && string(e.Kind) != kind {
+			if kind != "" && e.Kind.String() != kind {
 				continue
 			}
 			kept = append(kept, e)

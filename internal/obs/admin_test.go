@@ -63,8 +63,10 @@ func TestAdminEndpoints(t *testing.T) {
 	if code != 200 || !strings.HasPrefix(ct, "application/x-ndjson") {
 		t.Errorf("/tracez: %d %s", code, ct)
 	}
-	var ev trace.Event
-	if err := json.Unmarshal([]byte(strings.TrimSpace(body)), &ev); err != nil || ev.Kind != trace.Arrive {
+	var ev struct {
+		Kind string `json:"kind"`
+	}
+	if err := json.Unmarshal([]byte(strings.TrimSpace(body)), &ev); err != nil || ev.Kind != "arrive" {
 		t.Errorf("/tracez body %q: %v", body, err)
 	}
 

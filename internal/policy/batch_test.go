@@ -2,7 +2,6 @@ package policy
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"split/internal/engine"
@@ -180,8 +179,8 @@ func TestBatchingCancelMidBatch(t *testing.T) {
 	foundInflightCancel := false
 	for _, e := range tr.Events() {
 		if e.Kind == trace.Cancel && e.ReqID == 2 {
-			if e.Detail != "inflight" {
-				t.Fatalf("cancel detail %q, want inflight", e.Detail)
+			if d := e.Detail(); d != "inflight" {
+				t.Fatalf("cancel detail %q, want inflight", d)
 			}
 			foundInflightCancel = true
 		}
@@ -200,9 +199,9 @@ func TestBatchingCancelMidBatch(t *testing.T) {
 func TestElasticInflightSimBoundary(t *testing.T) {
 	catalog := synthCatalog()
 	elastic := sched.Elastic{Enabled: true, SameTypeLimit: 3}
-	// "long" has a 3-block split plan; block counts land in the Arrive
-	// event detail, so the trace tells us which arrivals were suppressed.
-	arriveBlocks := func(devices int, n int) map[int]string {
+	// "long" has a 3-block split plan; block counts are the Arrive event's
+	// second argument, so the trace tells us which arrivals were suppressed.
+	arriveBlocks := func(devices int, n int) map[int]int {
 		var arrivals []workload.Arrival
 		for i := 0; i < n; i++ {
 			arrivals = append(arrivals, workload.Arrival{ID: i, Model: "long", AtMs: float64(i)})
@@ -210,14 +209,10 @@ func TestElasticInflightSimBoundary(t *testing.T) {
 		tr := trace.New()
 		s := &Split{Knobs: engine.Knobs{Alpha: 4, Elastic: elastic, Devices: devices}}
 		s.Run(arrivals, catalog, tr)
-		got := map[int]string{}
+		got := map[int]int{}
 		for _, e := range tr.Events() {
-			if e.Kind == trace.Arrive {
-				for _, f := range strings.Fields(e.Detail) {
-					if strings.HasPrefix(f, "blocks=") {
-						got[e.ReqID] = f
-					}
-				}
+			if e.Kind == trace.Arrive && e.Note == trace.NoteQueued {
+				got[e.ReqID] = int(e.Args[1])
 			}
 		}
 		return got
@@ -229,7 +224,7 @@ func TestElasticInflightSimBoundary(t *testing.T) {
 	// pre-fix queue-only count needed three *waiting* requests, so id 3
 	// would have kept its split plan.
 	got := arriveBlocks(1, 4)
-	want := map[int]string{0: "blocks=3", 1: "blocks=3", 2: "blocks=3", 3: "blocks=1"}
+	want := map[int]int{0: 3, 1: 3, 2: 3, 3: 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("single device suppression boundary: got %v, want %v", got, want)
 	}
@@ -239,7 +234,7 @@ func TestElasticInflightSimBoundary(t *testing.T) {
 	// and 4 queued), so it is the first suppressed arrival; id 4 still
 	// splits.
 	got = arriveBlocks(2, 7)
-	if got[4] != "blocks=3" || got[6] != "blocks=1" {
+	if got[4] != 3 || got[6] != 1 {
 		t.Fatalf("fleet suppression boundary: got %v, want id4 split and id6 unsplit", got)
 	}
 }

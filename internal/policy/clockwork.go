@@ -45,12 +45,10 @@ func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.
 	var startNext func(now float64)
 	done := func(now float64) {
 		r := running
-		tr.Recordf(now, trace.EndBlock, r.ID, r.Model, 0, "")
+		tr.Note(now, trace.EndBlock, r.ID, r.Model, trace.NoteNone)
 		r.DoneMs = now
 		backlogMs -= r.ExtMs
-		if tr != nil {
-			tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
-		}
+		tr.Note(now, trace.Complete, r.ID, r.Model, trace.NoteRR, r.ResponseRatio())
 		rp.file(r.slot, r.Record)
 		reqs.put(r)
 		startNext(now)
@@ -64,9 +62,7 @@ func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.
 		head++
 		running = r
 		r.StartMs = now
-		if tr != nil {
-			tr.Recordf(now, trace.StartBlock, r.ID, r.Model, 0, "dur=%.3f", r.ExtMs)
-		}
+		tr.Note(now, trace.StartBlock, r.ID, r.Model, trace.NoteDur, r.ExtMs)
 		sim.After(r.ExtMs, done)
 	}
 
@@ -86,9 +82,7 @@ func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.
 				// metrics see the violation the user experienced.
 				rec.StartMs = now
 				rec.DoneMs = now + backlogMs + info.ExtMs
-				if tr != nil {
-					tr.Recordf(now, trace.Drop, rec.ID, rec.Model, 0, "predicted rr=%.2f", predicted)
-				}
+				tr.Note(now, trace.Drop, rec.ID, rec.Model, trace.NotePredictedRR, predicted)
 				rp.file(i, rec)
 				return
 			}
@@ -102,9 +96,7 @@ func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.
 			queue, head = queue[:copy(queue, queue[head:])], 0
 		}
 		queue = append(queue, r)
-		if tr != nil {
-			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "pos=%d", len(queue)-head-1)
-		}
+		tr.Note(now, trace.Arrive, r.ID, r.Model, trace.NotePos, float64(len(queue)-head-1))
 		if running == nil {
 			startNext(now)
 		}

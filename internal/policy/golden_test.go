@@ -107,14 +107,14 @@ func goldenDigest(recs []Record, events []trace.Event) uint64 {
 	}
 	for _, e := range events {
 		f64(e.AtMs)
-		str(string(e.Kind))
+		str(e.Kind.String())
 		u64(uint64(int64(e.ReqID)))
 		str(e.Model)
 		u64(uint64(e.Block))
 		u64(uint64(e.Device))
 		u64(uint64(e.Batch))
 		u64(uint64(e.Part))
-		str(e.Detail)
+		str(e.Detail())
 	}
 	return h.Sum64()
 }

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -478,12 +477,11 @@ func TestAlgorithm1AverageScanIsShort(t *testing.T) {
 		if e.Kind != trace.Arrive {
 			continue
 		}
-		var p, b, s, q int
-		if _, err := fmt.Sscanf(e.Detail, "pos=%d blocks=%d scanned=%d qlen=%d", &p, &b, &s, &q); err != nil {
-			t.Fatalf("unparseable arrive detail %q: %v", e.Detail, err)
+		if e.Note != trace.NoteQueued {
+			t.Fatalf("arrive note %v, want pos blocks scanned qlen", e.Note)
 		}
-		scanned += float64(s)
-		qlen += float64(q)
+		scanned += e.Args[2]
+		qlen += e.Args[3]
 		n++
 	}
 	if n == 0 {

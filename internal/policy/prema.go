@@ -106,9 +106,7 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 
 	complete := func(r *premaReq, now float64) {
 		r.DoneMs = now
-		if tr != nil {
-			tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
-		}
+		tr.Note(now, trace.Complete, r.ID, r.Model, trace.NoteRR, r.ResponseRatio())
 		rp.file(r.slot, r.Record)
 		reqs.put(r)
 	}
@@ -141,18 +139,14 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 		if switched {
 			start += p.SwitchOverheadMs
 		}
-		if tr != nil {
-			tr.Recordf(start, trace.StartBlock, r.ID, r.Model, 0, "chunk=%.3f", chunkMs)
-		}
+		tr.Note(start, trace.StartBlock, r.ID, r.Model, trace.NoteChunk, chunkMs)
 		sim.At(start+chunkMs, onChunk)
 	}
 
 	onChunk = func(now float64) {
 		r := running
 		r.remainingMs -= chunkMs
-		if tr != nil {
-			tr.Recordf(now, trace.EndBlock, r.ID, r.Model, 0, "left=%.3f", r.remainingMs)
-		}
+		tr.Note(now, trace.EndBlock, r.ID, r.Model, trace.NoteLeft, r.remainingMs)
 		if r.remainingMs <= 1e-9 {
 			complete(r, now)
 			running = nil
@@ -171,9 +165,7 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 			waiting = append(waiting[:bestIdx], waiting[bestIdx+1:]...)
 			waiting = append(waiting, r)
 			r.Preemptions++
-			if tr != nil {
-				tr.Recordf(now, trace.Preempt, r.ID, r.Model, 0, "by req %d", w.ID)
-			}
+			tr.Note(now, trace.Preempt, r.ID, r.Model, trace.NoteBy, float64(w.ID))
 			running = w
 			if w.StartMs < 0 {
 				w.StartMs = now + p.SwitchOverheadMs
@@ -205,9 +197,7 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 			priority:    prio,
 		}
 		waiting = append(waiting, r)
-		if tr != nil {
-			tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "prio=%.0f", prio)
-		}
+		tr.Note(now, trace.Arrive, r.ID, r.Model, trace.NotePrio, prio)
 		dispatch(now)
 	}, nil)
 }

@@ -50,7 +50,7 @@ func (r *REEF) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trace
 
 	complete := func(q *reefReq, now float64) {
 		q.DoneMs = now
-		tr.Recordf(now, trace.Complete, q.ID, q.Model, 0, "rr=%.2f", q.ResponseRatio())
+		tr.Note(now, trace.Complete, q.ID, q.Model, trace.NoteRR, q.ResponseRatio())
 		rp.file(q.slot, q.Record)
 	}
 
@@ -72,12 +72,12 @@ func (r *REEF) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trace
 			q.StartMs = now
 		}
 		v := version
-		tr.Recordf(now, trace.StartBlock, q.ID, q.Model, 0, "dur=%.3f", q.remainingMs)
+		tr.Note(now, trace.StartBlock, q.ID, q.Model, trace.NoteDur, q.remainingMs)
 		sim.After(q.remainingMs, func(now float64) {
 			if v != version {
 				return // preempted; superseded
 			}
-			tr.Recordf(now, trace.EndBlock, q.ID, q.Model, 0, "")
+			tr.Note(now, trace.EndBlock, q.ID, q.Model, trace.NoteNone)
 			q.remainingMs = 0
 			complete(q, now)
 			running = nil
@@ -101,7 +101,11 @@ func (r *REEF) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trace
 			remainingMs: info.ExtMs,
 			realtime:    info.Class == model.Short,
 		}
-		tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "rt=%v", q.realtime)
+		rt := 0.0
+		if q.realtime {
+			rt = 1
+		}
+		tr.Note(now, trace.Arrive, q.ID, q.Model, trace.NoteRT, rt)
 		if q.realtime {
 			rtQueue = append(rtQueue, q)
 			// Kernel-level preemption: kill the running best-effort
@@ -116,8 +120,8 @@ func (r *REEF) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trace
 				}
 				victim.Preemptions++
 				// Close the victim's occupancy span at the kill instant.
-				tr.Recordf(now, trace.EndBlock, victim.ID, victim.Model, 0, "killed")
-				tr.Recordf(now, trace.Preempt, victim.ID, victim.Model, 0, "kernel reset")
+				tr.Note(now, trace.EndBlock, victim.ID, victim.Model, trace.NoteKilled)
+				tr.Note(now, trace.Preempt, victim.ID, victim.Model, trace.NoteKernelReset)
 				// Preempted best-effort work resumes at queue head.
 				beQueue = append([]*reefReq{victim}, beQueue...)
 				running = nil

@@ -158,18 +158,7 @@ func TestRunAllocs(t *testing.T) {
 		{NewPREMA(), 32},
 		{NewRTA(), 32},
 	} {
-		arrivals, err := workload.GenerateCohorts(workload.CohortSetConfig{
-			Cohorts: []workload.Cohort{{
-				Name:    "mix",
-				Models:  []string{"yolov2", "googlenet", "resnet50", "vgg19", "gpt2"},
-				Process: workload.Process{Kind: workload.ProcPoisson, MeanIntervalMs: c.intervalMs},
-			}},
-			Count: n,
-			Seed:  1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		arrivals := mixArrivals(t, n, c.intervalMs)
 		catalog := goldenCatalog()
 		perRun := testing.AllocsPerRun(3, func() { c.sys.Run(arrivals, catalog, nil) })
 		// The set-up allowances cover what a run of any length allocates.
@@ -186,6 +175,71 @@ func TestRunAllocs(t *testing.T) {
 		if extra := (float64(after.TotalAlloc-before.TotalAlloc)-setupBytes)/n - record; extra > 8 {
 			t.Errorf("%s: %.1f bytes per arrival beyond its %.0f-byte record and the set-up allowance, want <= 8",
 				c.sys.Name(), extra, record)
+		}
+	}
+}
+
+// mixArrivals is n Poisson arrivals over the five golden models.
+func mixArrivals(t *testing.T, n int, intervalMs float64) []workload.Arrival {
+	t.Helper()
+	arrivals, err := workload.GenerateCohorts(workload.CohortSetConfig{
+		Cohorts: []workload.Cohort{{
+			Name:    "mix",
+			Models:  []string{"yolov2", "googlenet", "resnet50", "vgg19", "gpt2"},
+			Process: workload.Process{Kind: workload.ProcPoisson, MeanIntervalMs: intervalMs},
+		}},
+		Count: n,
+		Seed:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arrivals
+}
+
+// TestTracedRunAllocs holds the bill of a traced run in tier-1: recording
+// an event costs no allocation of its own, so beyond the untraced run's
+// allocations a traced run makes only the tracer's chunks, one per few
+// thousand events; and the span fold over the SPLIT run stays within its
+// bytes per request.
+func TestTracedRunAllocs(t *testing.T) {
+	const n = 20000
+	for _, c := range []struct {
+		sys        System
+		intervalMs float64
+	}{
+		{allFeatures(), 8},
+		{NewClockWork(), 32},
+		{NewPREMA(), 32},
+		{NewRTA(), 32},
+	} {
+		arrivals, catalog := mixArrivals(t, n, c.intervalMs), goldenCatalog()
+		tr := trace.New()
+		c.sys.Run(arrivals, catalog, tr)
+		events := float64(tr.Len())
+		untraced := testing.AllocsPerRun(2, func() { c.sys.Run(arrivals, catalog, nil) })
+		traced := testing.AllocsPerRun(2, func() { c.sys.Run(arrivals, catalog, trace.New()) })
+		// Chunk growth: one chunk per 4096 events plus the chunk list's own
+		// doublings; the set-up allowance covers a traced run's scratch.
+		const setup = 20
+		chunks := math.Ceil(events/4096) + math.Ceil(math.Log2(events/4096+1))
+		if perEvent := (traced - untraced - chunks - setup) / events; perEvent > 1.0/1000 {
+			t.Errorf("%s: %.0f allocations traced, %.0f untraced, for %.0f events: %.4f per event beyond chunk growth and set-up, want <= 0.001",
+				c.sys.Name(), traced, untraced, events, perEvent)
+		}
+		if _, ok := c.sys.(*Split); !ok {
+			continue
+		}
+		evs := tr.Events()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tree := trace.BuildSpans(evs)
+		runtime.ReadMemStats(&after)
+		// 719 bytes measured (go1.24, amd64), plus 10 %: the span, its
+		// intervals and devices, and the fold's index and state.
+		const bound = 790
+		if perReq := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tree.Requests)); perReq > bound {
+			t.Errorf("%s: BuildSpans allocates %.0f bytes per request, want <= %d", c.sys.Name(), perReq, bound)
 		}
 	}
 }

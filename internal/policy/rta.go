@@ -44,10 +44,8 @@ func (r *RTA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer
 	var startRound func(now float64)
 	endRound := func(now float64) {
 		for _, q := range round {
-			if tr != nil {
-				tr.Recordf(now, trace.EndBlock, q.ID, q.Model, 0, "")
-				tr.Recordf(now, trace.Complete, q.ID, q.Model, 0, "rr=%.2f", q.ResponseRatio())
-			}
+			tr.Note(now, trace.EndBlock, q.ID, q.Model, trace.NoteNone)
+			tr.Note(now, trace.Complete, q.ID, q.Model, trace.NoteRR, q.ResponseRatio())
 			rp.file(q.slot, q.Record)
 			reqs.put(q)
 		}
@@ -77,9 +75,7 @@ func (r *RTA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer
 		for _, q := range round {
 			q.StartMs = now
 			q.DoneMs = roundEnd
-			if tr != nil {
-				tr.Recordf(now, trace.StartBlock, q.ID, q.Model, 0, "round k=%d dur=%.3f", k, roundEnd-now)
-			}
+			tr.Note(now, trace.StartBlock, q.ID, q.Model, trace.NoteRound, float64(k), roundEnd-now)
 		}
 		sim.At(roundEnd, endRound)
 	}
@@ -95,7 +91,7 @@ func (r *RTA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer
 			ExtMs:    info.ExtMs,
 		}}
 		waiting = append(waiting, q)
-		tr.Recordf(now, trace.Arrive, q.ID, q.Model, 0, "")
+		tr.Note(now, trace.Arrive, q.ID, q.Model, trace.NoteNone)
 		if !busy {
 			// Defer the round launch within the current instant so that
 			// simultaneous arrivals merge into the same round, exactly

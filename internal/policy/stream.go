@@ -94,7 +94,7 @@ func (s *StreamParallel) Run(arrivals []workload.Arrival, catalog Catalog, tr *t
 			for _, r := range active {
 				if r.remaining <= 1e-9 {
 					r.DoneMs = now
-					tr.Recordf(now, trace.Complete, r.ID, r.Model, 0, "rr=%.2f", r.ResponseRatio())
+					tr.Note(now, trace.Complete, r.ID, r.Model, trace.NoteRR, r.ResponseRatio())
 					rp.file(r.slot, r.Record)
 				} else {
 					kept = append(kept, r)
@@ -122,7 +122,7 @@ func (s *StreamParallel) Run(arrivals []workload.Arrival, catalog Catalog, tr *t
 			remaining: info.ExtMs,
 		}
 		active = append(active, r)
-		tr.Recordf(now, trace.Arrive, r.ID, r.Model, 0, "k=%d", len(active))
+		tr.Note(now, trace.Arrive, r.ID, r.Model, trace.NoteK, float64(len(active)))
 		version++
 		scheduleNextCompletion(now)
 	}, nil)

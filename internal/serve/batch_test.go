@@ -207,18 +207,18 @@ func TestElasticInflightServeBoundary(t *testing.T) {
 			t.Fatal(out.err)
 		}
 	}
-	blocks := map[int]string{}
+	blocks := map[int]int{}
 	for _, e := range ring.Snapshot() {
-		if e.Kind == trace.Arrive {
-			// "pos=P blocks=B scanned=S qlen=Q": keep the plan length.
-			blocks[e.ReqID] = strings.Fields(e.Detail)[1]
+		if e.Kind == trace.Arrive && e.Note == trace.NoteQueued {
+			// pos, blocks, scanned, qlen: keep the plan length.
+			blocks[e.ReqID] = int(e.Args[1])
 		}
 	}
-	if blocks[id0] != "blocks=3" || blocks[id1] != "blocks=3" {
-		t.Fatalf("pre-boundary arrivals: %q / %q, want both split", blocks[id0], blocks[id1])
+	if blocks[id0] != 3 || blocks[id1] != 3 {
+		t.Fatalf("pre-boundary arrivals: blocks=%d / blocks=%d, want both split", blocks[id0], blocks[id1])
 	}
-	if blocks[id2] != "blocks=1" {
-		t.Fatalf("arrival at the run limit got %q, want blocks=1 (suppressed)", blocks[id2])
+	if blocks[id2] != 1 {
+		t.Fatalf("arrival at the run limit got blocks=%d, want 1 (suppressed)", blocks[id2])
 	}
 }
 

@@ -83,7 +83,7 @@ func TestServeAdmissionParityWithSim(t *testing.T) {
 	}
 	drops := 0
 	for _, e := range ring.Snapshot() {
-		if e.Kind == trace.Drop && strings.HasPrefix(e.Detail, DropAdmission) {
+		if e.Kind == trace.Drop && e.Note == trace.NoteAdmission {
 			drops++
 		}
 	}

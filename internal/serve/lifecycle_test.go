@@ -139,7 +139,7 @@ func TestExpiredQueuedNeverRunsBlock(t *testing.T) {
 	}
 	var shedSeen bool
 	for _, e := range ring.Snapshot() {
-		if e.Kind == trace.Shed && e.ReqID == victimID && e.Detail == DropDeadline {
+		if e.Kind == trace.Shed && e.ReqID == victimID && e.Detail() == DropDeadline {
 			shedSeen = true
 		}
 	}

@@ -46,7 +46,7 @@ func TestServePartitionConcurrency(t *testing.T) {
 			t.Errorf("req %d served on partition %d", i, out.req.Partition)
 		}
 	}
-	parts := map[int]bool{}
+	parts := map[int32]bool{}
 	for _, e := range ring.Snapshot() {
 		if e.Kind == trace.StartBlock {
 			parts[e.Part] = true

@@ -477,7 +477,8 @@ func (s *Server) drop(nowMs float64, modelName, reason string) {
 	if s.met != nil {
 		s.met.dropCounter(reason).Inc()
 	}
-	s.emit(trace.Event{AtMs: nowMs, Kind: trace.Drop, ReqID: -1, Model: modelName, Detail: reason})
+	s.emit(trace.Event{AtMs: nowMs, Kind: trace.Drop, ReqID: -1, Model: modelName,
+		Note: trace.NoteWord, Args: [4]float64{float64(trace.WordOf(reason))}})
 }
 
 // shedLocked accounts one request, already detached from its queue (or in
@@ -617,7 +618,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 		s.listener.Close()
 	}
 	s.emit(trace.Event{AtMs: s.nowMs(), Kind: trace.DrainStart, ReqID: -1,
-		Detail: fmt.Sprintf("depth=%d timeout=%s", s.eng.Depth(), timeout)})
+		Note: trace.NoteDrainStart, Args: [4]float64{float64(s.eng.Depth()), float64(timeout) / float64(time.Millisecond)}})
 	s.cond.Broadcast()
 	var out outbound
 	s.takeOut(&out)
@@ -645,7 +646,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 		now := s.nowMs()
 		shed = s.shedBacklogLocked(now, DropDrained)
 		s.emit(trace.Event{AtMs: now, Kind: trace.DrainEnd, ReqID: -1,
-			Detail: fmt.Sprintf("timeout, shed=%d", shed)})
+			Note: trace.NoteDrainTimeout, Args: [4]float64{float64(shed)}})
 		s.cond.Broadcast()
 	}
 	s.takeOut(&out)
@@ -784,7 +785,7 @@ func (s *Server) executor(lane int) {
 				s.running--
 				if s.draining && s.running == 0 {
 					s.draining = false
-					s.emit(trace.Event{AtMs: s.nowMs(), Kind: trace.DrainEnd, ReqID: -1, Detail: "clean"})
+					s.emit(trace.Event{AtMs: s.nowMs(), Kind: trace.DrainEnd, ReqID: -1, Note: trace.NoteDrainClean})
 				}
 				s.takeOut(&out)
 				s.mu.Unlock()
@@ -1049,8 +1050,7 @@ func (s *Server) setElastic(nowMs float64, suppressed bool, depth int) {
 	if suppressed {
 		kind = trace.ElasticOn
 	}
-	s.emit(trace.Event{AtMs: nowMs, Kind: kind, ReqID: -1,
-		Detail: fmt.Sprintf("depth=%d", depth)})
+	s.emit(trace.Event{AtMs: nowMs, Kind: kind, ReqID: -1, Note: trace.NoteDepth, Args: [4]float64{float64(depth)}})
 }
 
 // QueuedRequest is one waiting request in a QueueSnapshot.

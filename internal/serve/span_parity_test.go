@@ -130,7 +130,7 @@ func storyOf(events []trace.Event, id int) []step {
 		st := step{kind: e.Kind, block: e.Block}
 		switch e.Kind {
 		case trace.Arrive, trace.StartBlock, trace.Shed, trace.Fault:
-			st.detail = e.Detail
+			st.detail = e.Detail()
 		}
 		story = append(story, st)
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -35,10 +36,10 @@ func (t *Tracer) Spans() []Span {
 	}
 	pending := map[int]open{}
 	var spans []Span
-	for _, e := range t.Events() {
+	t.walk(func(e *Event) error {
 		switch e.Kind {
 		case StartBlock:
-			pending[e.ReqID] = open{at: e.AtMs, block: e.Block, device: e.Device, part: e.Part, model: e.Model}
+			pending[e.ReqID] = open{at: e.AtMs, block: e.Block, device: e.Device, part: int(e.Part), model: e.Model}
 		case EndBlock:
 			if o, ok := pending[e.ReqID]; ok {
 				spans = append(spans, Span{
@@ -53,7 +54,8 @@ func (t *Tracer) Spans() []Span {
 				delete(pending, e.ReqID)
 			}
 		}
-	}
+		return nil
+	})
 	sort.Slice(spans, func(i, j int) bool { return spans[i].StartMs < spans[j].StartMs })
 	return spans
 }
@@ -86,12 +88,11 @@ type Analysis struct {
 // Analyze computes the occupancy analysis of the trace.
 func (t *Tracer) Analyze() Analysis {
 	a := Analysis{PerModelBusyMs: map[string]float64{}, PerDeviceBusyMs: map[int]float64{}}
-	events := t.Events()
-	if len(events) == 0 {
+	if t.Len() == 0 {
 		return a
 	}
-	first, last := events[0].AtMs, events[0].AtMs
-	for _, e := range events {
+	first, last := math.Inf(1), math.Inf(-1)
+	t.walk(func(e *Event) error {
 		if e.AtMs < first {
 			first = e.AtMs
 		}
@@ -104,7 +105,8 @@ func (t *Tracer) Analyze() Analysis {
 		case Complete:
 			a.Completions++
 		}
-	}
+		return nil
+	})
 	a.HorizonMs = last - first
 
 	spans := t.Spans()

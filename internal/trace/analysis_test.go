@@ -7,19 +7,19 @@ import (
 
 func sampleTrace() *Tracer {
 	tr := New()
-	tr.Recordf(0, Arrive, 1, "vgg", 0, "")
-	tr.Recordf(0, StartBlock, 1, "vgg", 0, "")
-	tr.Recordf(10, EndBlock, 1, "vgg", 0, "")
-	tr.Recordf(10, StartBlock, 2, "yolo", 0, "")
-	tr.Recordf(15, EndBlock, 2, "yolo", 0, "")
-	tr.Recordf(15, Complete, 2, "yolo", 0, "")
-	tr.Recordf(15, StartBlock, 1, "vgg", 1, "")
-	tr.Recordf(25, EndBlock, 1, "vgg", 1, "")
-	tr.Recordf(25, Complete, 1, "vgg", 1, "")
+	tr.Record(ev(0, Arrive, 1, "vgg", 0))
+	tr.Record(ev(0, StartBlock, 1, "vgg", 0))
+	tr.Record(ev(10, EndBlock, 1, "vgg", 0))
+	tr.Record(ev(10, StartBlock, 2, "yolo", 0))
+	tr.Record(ev(15, EndBlock, 2, "yolo", 0))
+	tr.Record(ev(15, Complete, 2, "yolo", 0))
+	tr.Record(ev(15, StartBlock, 1, "vgg", 1))
+	tr.Record(ev(25, EndBlock, 1, "vgg", 1))
+	tr.Record(ev(25, Complete, 1, "vgg", 1))
 	// Idle gap, then another request.
-	tr.Recordf(40, StartBlock, 3, "yolo", 0, "")
-	tr.Recordf(45, EndBlock, 3, "yolo", 0, "")
-	tr.Recordf(45, Complete, 3, "yolo", 0, "")
+	tr.Record(ev(40, StartBlock, 3, "yolo", 0))
+	tr.Record(ev(45, EndBlock, 3, "yolo", 0))
+	tr.Record(ev(45, Complete, 3, "yolo", 0))
 	return tr
 }
 
@@ -41,7 +41,7 @@ func TestSpans(t *testing.T) {
 
 func TestSpansDropUnpaired(t *testing.T) {
 	tr := New()
-	tr.Recordf(0, StartBlock, 1, "m", 0, "")
+	tr.Record(ev(0, StartBlock, 1, "m", 0))
 	if len(tr.Spans()) != 0 {
 		t.Error("unpaired start produced a span")
 	}
@@ -84,9 +84,9 @@ func TestAnalyzeEmpty(t *testing.T) {
 
 func TestAnalyzeCountsPreempts(t *testing.T) {
 	tr := New()
-	tr.Recordf(0, StartBlock, 1, "m", 0, "")
-	tr.Recordf(5, EndBlock, 1, "m", 0, "")
-	tr.Recordf(5, Preempt, 1, "m", 1, "")
+	tr.Record(ev(0, StartBlock, 1, "m", 0))
+	tr.Record(ev(5, EndBlock, 1, "m", 0))
+	tr.Record(ev(5, Preempt, 1, "m", 1))
 	a := tr.Analyze()
 	if a.Preemptions != 1 {
 		t.Errorf("preemptions = %d", a.Preemptions)

@@ -1,0 +1,203 @@
+package trace
+
+import (
+	"encoding/json"
+	"io"
+	"math"
+	"reflect"
+	"strconv"
+	"unicode/utf8"
+)
+
+// The hand-written encoders below render events and intervals byte for
+// byte as encoding/json rendered the string-detail structs they replaced:
+// the same field order, the same omitted zero fields, the same float and
+// string spellings.
+
+// MarshalJSON renders the event as
+//
+//	{"at_ms":…,"kind":…,"req":…,"model":…,"block":…,"device":…,"batch":…,"part":…,"detail":…}
+//
+// with block, device, batch, part and detail omitted when zero or empty.
+func (e Event) MarshalJSON() ([]byte, error) { return e.appendJSON(nil) }
+
+func (e *Event) appendJSON(b []byte) ([]byte, error) {
+	if err := checkFinite(e.AtMs); err != nil {
+		return b, err
+	}
+	b = append(b, `{"at_ms":`...)
+	b = appendJSONFloat(b, e.AtMs)
+	b = append(b, `,"kind":`...)
+	b = appendJSONString(b, e.Kind.String())
+	b = append(b, `,"req":`...)
+	b = strconv.AppendInt(b, int64(e.ReqID), 10)
+	b = append(b, `,"model":`...)
+	b = appendJSONString(b, e.Model)
+	b = appendJSONInt(b, `,"block":`, e.Block)
+	b = appendJSONInt(b, `,"device":`, e.Device)
+	b = appendJSONInt(b, `,"batch":`, e.Batch)
+	b = appendJSONInt(b, `,"part":`, int(e.Part))
+	b = appendJSONDetail(b, e.Note, &e.Args)
+	return append(b, '}'), nil
+}
+
+// appendCSV renders the event as one WriteCSV row without its newline.
+func (e *Event) appendCSV(b []byte) []byte {
+	b = strconv.AppendFloat(b, e.AtMs, 'f', 4, 64)
+	b = append(b, ',')
+	b = append(b, e.Kind.String()...)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(e.ReqID), 10)
+	b = append(b, ',')
+	b = append(b, e.Model...)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(e.Block), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(e.Device), 10)
+	// A detail needs no escaping (see words), so quoting is two quotes.
+	b = append(b, ",\""...)
+	b = e.Note.appendTo(b, &e.Args)
+	return append(b, '"')
+}
+
+// MarshalJSON renders the interval as
+//
+//	{"phase":…,"block":…,"device":…,"part":…,"batch":…,"start_ms":…,"end_ms":…,"detail":…}
+//
+// with part, batch and detail omitted when zero or empty.
+func (iv Interval) MarshalJSON() ([]byte, error) {
+	if err := checkFinite(iv.StartMs); err != nil {
+		return nil, err
+	}
+	if err := checkFinite(iv.EndMs); err != nil {
+		return nil, err
+	}
+	b := append([]byte(nil), `{"phase":`...)
+	b = appendJSONString(b, iv.Phase)
+	b = append(b, `,"block":`...)
+	b = strconv.AppendInt(b, int64(iv.Block), 10)
+	b = append(b, `,"device":`...)
+	b = strconv.AppendInt(b, int64(iv.Device), 10)
+	b = appendJSONInt(b, `,"part":`, iv.Part)
+	b = appendJSONInt(b, `,"batch":`, iv.Batch)
+	b = append(b, `,"start_ms":`...)
+	b = appendJSONFloat(b, iv.StartMs)
+	b = append(b, `,"end_ms":`...)
+	b = appendJSONFloat(b, iv.EndMs)
+	b = appendJSONDetail(b, iv.Note, &iv.Args)
+	return append(b, '}'), nil
+}
+
+// appendJSONInt appends key and v unless v is zero.
+func appendJSONInt(b []byte, key string, v int) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
+}
+
+// appendJSONDetail appends the "detail" member unless the note renders
+// empty.
+func appendJSONDetail(b []byte, n Note, args *[4]float64) []byte {
+	const key = `,"detail":"`
+	mark := len(b)
+	b = n.appendTo(append(b, key...), args)
+	if len(b) == mark+len(key) {
+		return b[:mark]
+	}
+	return append(b, '"')
+}
+
+// appendJSONFloat spells f as encoding/json does.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// Clean up e-09 to e-9, as encoding/json does.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// checkFinite fails as encoding/json fails on a NaN or infinite float.
+func checkFinite(f float64) error {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	return nil
+}
+
+// jsonPlain marks the bytes encoding/json writes as themselves.
+var jsonPlain = func() (plain [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		plain[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return plain
+}()
+
+// appendJSONString quotes s as encoding/json does, HTML escaping included.
+// Model names and kinds are plain ASCII in practice; anything else takes
+// encoding/json's own path.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !jsonPlain[s[i]] {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// lineWriter batches rendered lines and writes them out about 64 KiB at a
+// time.
+type lineWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+// event appends e's JSON line.
+func (lw *lineWriter) event(e *Event) error {
+	var err error
+	if lw.buf, err = e.appendJSON(lw.buf); err != nil {
+		return err
+	}
+	return lw.endLine()
+}
+
+// endLine terminates the line just appended and writes the buffer out once
+// it is large.
+func (lw *lineWriter) endLine() error {
+	lw.buf = append(lw.buf, '\n')
+	if len(lw.buf) < 64<<10 {
+		return nil
+	}
+	return lw.flush()
+}
+
+func (lw *lineWriter) flush() error {
+	if len(lw.buf) == 0 {
+		return nil
+	}
+	_, err := lw.w.Write(lw.buf)
+	lw.buf = lw.buf[:0]
+	return err
+}
+
+// WriteJSONL writes events as JSON lines, one Event.MarshalJSON per line.
+func WriteJSONL(w io.Writer, events []Event) error {
+	lw := lineWriter{w: w}
+	for i := range events {
+		if err := lw.event(&events[i]); err != nil {
+			return err
+		}
+	}
+	return lw.flush()
+}

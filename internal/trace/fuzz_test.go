@@ -104,7 +104,7 @@ func FuzzSpanBuilder(f *testing.F) {
 					if !r.done && r.granted == -1 {
 						r.done = true
 						events = append(events, Event{AtMs: now, Kind: Shed, ReqID: id,
-							Model: models[id%len(models)], Block: r.next, Detail: "deadline"})
+							Model: models[id%len(models)], Block: r.next, Note: NoteWord, Args: [4]float64{float64(WordOf(ReasonDeadline))}})
 						break
 					}
 				}

@@ -87,8 +87,8 @@ func (t *SpanTree) WritePerfetto(w io.Writer) error {
 				if iv.Batch != 0 {
 					args["batch"] = iv.Batch
 				}
-				if iv.Detail != "" {
-					args["detail"] = iv.Detail
+				if d := iv.Detail(); d != "" {
+					args["detail"] = d
 				}
 				tid := sp.ReqID
 				if partitioned {

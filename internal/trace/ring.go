@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"io"
 	"sync"
 )
@@ -92,12 +91,4 @@ func (r *Ring) Snapshot() []Event {
 }
 
 // WriteJSONL dumps the current snapshot as JSON lines, oldest-first.
-func (r *Ring) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.Snapshot() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (r *Ring) WriteJSONL(w io.Writer) error { return WriteJSONL(w, r.Snapshot()) }

@@ -30,12 +30,17 @@ type Interval struct {
 	Batch   int     `json:"batch,omitempty"`
 	StartMs float64 `json:"start_ms"`
 	EndMs   float64 `json:"end_ms"`
-	// Detail carries the source event's detail (exec intervals only).
-	Detail string `json:"detail,omitempty"`
+	// Note and Args are the source StartBlock's note (exec intervals only),
+	// rendered by Detail and exported as "detail".
+	Note Note       `json:"-"`
+	Args [4]float64 `json:"-"`
 }
 
 // DurationMs is the interval length.
 func (iv Interval) DurationMs() float64 { return iv.EndMs - iv.StartMs }
+
+// Detail renders the interval's note, the source event's detail.
+func (iv Interval) Detail() string { return iv.Note.render(&iv.Args) }
 
 // RequestSpan is one request's causal span tree: its lifetime decomposed
 // into wait / exec / preempted intervals, with the derived quantities the
@@ -110,29 +115,24 @@ func (t *SpanTree) Span(id int) *RequestSpan {
 	return nil
 }
 
-// SpanBuilder folds a flat event stream — from a Tracer, a Ring snapshot,
-// or a JSONL recording; sim and serve emit the same vocabulary — into a
-// SpanTree. The zero value is ready to use.
+// SpanBuilder folds a flat event stream — from a Tracer or a Ring
+// snapshot; sim and serve emit the same vocabulary — into a SpanTree. The
+// zero value is ready to use.
 type SpanBuilder struct {
 	// MaxRequests, when > 0, keeps only the MaxRequests most recently
 	// arrived requests in the result (the /spanz ?n= knob).
 	MaxRequests int
 }
 
-// spanState accumulates one request while folding.
+// spanState is what the fold needs about one request beyond its span.
+// The open grant is kept as the index of its StartBlock in the stream,
+// which holds everything an exec interval needs from it.
 type spanState struct {
-	span      RequestSpan
-	seen      bool    // any event observed
-	arrived   bool    // Arrive event observed
-	openStart float64 // StartBlock time of the open grant, -1 when none
-	openBlock int
-	openDev   int
-	openPart  int
-	openBatch int
-	openDet   string
-	lastEnd   float64 // end of the last closed exec interval
-	executed  bool    // at least one exec interval closed
-	arrivalNo int     // arrival order for MaxRequests trimming
+	open     int     // stream index of the open grant's StartBlock, -1 when none
+	lastEnd  float64 // end of the last closed exec interval
+	seen     bool    // any event observed
+	arrived  bool    // Arrive event observed
+	executed bool    // at least one exec interval closed
 }
 
 // deviceHold is one closed device grant, for the overlap check. Batched
@@ -152,6 +152,13 @@ type laneKey struct {
 	dev, part int
 }
 
+// execInterval is the exec interval of the grant opened by start and
+// released at endMs.
+func execInterval(start *Event, endMs float64) Interval {
+	return Interval{Phase: PhaseExec, Block: start.Block, Device: start.Device, Part: int(start.Part),
+		Batch: start.Batch, StartMs: start.AtMs, EndMs: endMs, Note: start.Note, Args: start.Args}
+}
+
 // Build folds events into a SpanTree. The stream does not need to be
 // time-sorted across requests (ring snapshots are, tracer streams are),
 // but each request's own events must be in causal order — violations are
@@ -162,38 +169,55 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 		return t
 	}
 	t.FirstMs, t.LastMs = events[0].AtMs, events[0].AtMs
-	states := map[int]*spanState{}
-	holds := map[laneKey][]deviceHold{}
-	arrivalSeq := 0
-	get := func(e Event) *spanState {
-		st := states[e.ReqID]
-		if st == nil {
-			st = &spanState{openStart: -1, arrivalNo: arrivalSeq}
-			arrivalSeq++
-			st.span = RequestSpan{ReqID: e.ReqID, Model: e.Model, Outcome: "open",
-				ArriveMs: e.AtMs, DoneMs: e.AtMs}
-			switch e.Kind {
-			case Arrive, Place:
+
+	// Size the output before folding. Every request of a complete stream
+	// has one Arrive, so the spans are allocated once at their final
+	// length; a ring snapshot's truncated requests append beyond it. A lane
+	// holds at most one grant per StartBlock on it.
+	arrivals := 0
+	starts := map[laneKey]int{}
+	for i := range events {
+		switch e := &events[i]; e.Kind {
+		case Arrive:
+			arrivals++
+		case StartBlock:
+			starts[laneKey{e.Device, int(e.Part)}]++
+		}
+	}
+	t.Requests = make([]RequestSpan, 0, arrivals)
+	states := make([]spanState, 0, arrivals)
+	index := make(map[int]int, arrivals) // request id -> position in first-sight order
+	holds := make(map[laneKey][]deviceHold, len(starts))
+	for l, n := range starts {
+		holds[l] = make([]deviceHold, 0, n)
+	}
+	get := func(e *Event) (*RequestSpan, *spanState) {
+		k, ok := index[e.ReqID]
+		if !ok {
+			k = len(t.Requests)
+			index[e.ReqID] = k
+			t.Requests = append(t.Requests, RequestSpan{ReqID: e.ReqID, Model: e.Model, Outcome: "open",
+				ArriveMs: e.AtMs, DoneMs: e.AtMs,
 				// Place legally precedes Arrive: the engine routes a request
-				// before Algorithm 1 inserts it.
-			default:
-				// First sight of the request is mid-flight: the Arrive event
-				// was truncated out of the stream (ring wrap). The span is
-				// still useful, but lifetime invariants cannot be checked.
-				st.span.Truncated = true
-			}
-			states[e.ReqID] = st
+				// before Algorithm 1 inserts it. Any other first sight is
+				// mid-flight: the Arrive event was truncated out of the stream
+				// (ring wrap). The span is still useful, but lifetime
+				// invariants cannot be checked.
+				Truncated: e.Kind != Arrive && e.Kind != Place})
+			states = append(states, spanState{open: -1})
 		}
-		if st.span.Model == "" && e.Model != "" {
-			st.span.Model = e.Model
+		sp := &t.Requests[k]
+		if sp.Model == "" && e.Model != "" {
+			sp.Model = e.Model
 		}
-		return st
+		return sp, &states[k]
 	}
 	problemf := func(format string, args ...any) {
 		t.Problems = append(t.Problems, fmt.Sprintf(format, args...))
 	}
 
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.AtMs < t.FirstMs {
 			t.FirstMs = e.AtMs
 		}
@@ -207,8 +231,7 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 			e.Kind == DrainStart || e.Kind == DrainEnd {
 			continue
 		}
-		st := get(e)
-		sp := &st.span
+		sp, st := get(e)
 		switch e.Kind {
 		case Arrive:
 			if st.arrived {
@@ -220,31 +243,27 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 				sp.DoneMs = e.AtMs
 			}
 		case StartBlock:
-			if st.openStart >= 0 {
+			if st.open >= 0 {
 				problemf("req %d: start_block %d at %.3f with block %d still open",
-					e.ReqID, e.Block, e.AtMs, st.openBlock)
+					e.ReqID, e.Block, e.AtMs, events[st.open].Block)
 				// Close the dangling grant zero-length so folding continues.
-				st.openStart = -1
+				st.open = -1
 			}
 			if sp.Decided() {
 				problemf("req %d: start_block %d at %.3f after settle (%s)",
 					e.ReqID, e.Block, e.AtMs, sp.Outcome)
 			}
-			st.openStart = e.AtMs
-			st.openBlock = e.Block
-			st.openDev = e.Device
-			st.openPart = e.Part
-			st.openBatch = e.Batch
-			st.openDet = e.Detail
+			st.open = i
 		case EndBlock:
-			if st.openStart < 0 {
+			if st.open < 0 {
 				problemf("req %d: end_block %d at %.3f without start_block",
 					e.ReqID, e.Block, e.AtMs)
 				break
 			}
-			if e.AtMs < st.openStart {
+			start := &events[st.open]
+			if e.AtMs < start.AtMs {
 				problemf("req %d: end_block %d at %.3f before its start %.3f",
-					e.ReqID, e.Block, e.AtMs, st.openStart)
+					e.ReqID, e.Block, e.AtMs, start.AtMs)
 			}
 			// Close the wait/preempted gap that preceded this grant.
 			gapStart := sp.ArriveMs
@@ -253,46 +272,44 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 				gapStart = st.lastEnd
 				phase = PhasePreempted
 			}
-			if st.openStart > gapStart {
+			if start.AtMs > gapStart {
 				sp.Intervals = append(sp.Intervals, Interval{Phase: phase, Block: -1, Device: -1,
-					StartMs: gapStart, EndMs: st.openStart})
+					StartMs: gapStart, EndMs: start.AtMs})
 			}
-			sp.Intervals = append(sp.Intervals, Interval{Phase: PhaseExec, Block: st.openBlock,
-				Device: st.openDev, Part: st.openPart, Batch: st.openBatch,
-				StartMs: st.openStart, EndMs: e.AtMs, Detail: st.openDet})
-			lane := laneKey{st.openDev, st.openPart}
-			holds[lane] = append(holds[lane], deviceHold{st.openStart, e.AtMs, e.ReqID, st.openBatch})
+			sp.Intervals = append(sp.Intervals, execInterval(start, e.AtMs))
+			lane := laneKey{start.Device, int(start.Part)}
+			holds[lane] = append(holds[lane], deviceHold{start.AtMs, e.AtMs, e.ReqID, start.Batch})
 			sp.Blocks++
-			if len(sp.Devices) == 0 || sp.Devices[len(sp.Devices)-1] != st.openDev {
+			if len(sp.Devices) == 0 || sp.Devices[len(sp.Devices)-1] != start.Device {
 				if st.executed {
 					sp.DeviceHops++
 				}
 				known := false
 				for _, d := range sp.Devices {
-					if d == st.openDev {
+					if d == start.Device {
 						known = true
 						break
 					}
 				}
 				if !known {
-					sp.Devices = append(sp.Devices, st.openDev)
+					sp.Devices = append(sp.Devices, start.Device)
 				}
 			}
-			if st.openBatch != 0 {
+			if start.Batch != 0 {
 				known := false
 				for _, bid := range sp.Batches {
-					if bid == st.openBatch {
+					if bid == start.Batch {
 						known = true
 						break
 					}
 				}
 				if !known {
-					sp.Batches = append(sp.Batches, st.openBatch)
+					sp.Batches = append(sp.Batches, start.Batch)
 				}
 			}
 			st.lastEnd = e.AtMs
 			st.executed = true
-			st.openStart = -1
+			st.open = -1
 		case Preempt:
 			sp.Preemptions++
 		case Complete, Shed:
@@ -300,9 +317,9 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 				problemf("req %d: %s at %.3f after settle (%s)", e.ReqID, e.Kind, e.AtMs, sp.Outcome)
 				break
 			}
-			if st.openStart >= 0 {
+			if st.open >= 0 {
 				problemf("req %d: %s at %.3f with block %d still holding the device",
-					e.ReqID, e.Kind, e.AtMs, st.openBlock)
+					e.ReqID, e.Kind, e.AtMs, events[st.open].Block)
 			}
 			if st.executed && e.AtMs < st.lastEnd {
 				problemf("req %d: settle at %.3f before last grant released at %.3f",
@@ -312,7 +329,7 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 			if e.Kind == Complete {
 				sp.Outcome = SpanOutcomeServed
 			} else {
-				sp.Outcome = e.Detail
+				sp.Outcome = e.Detail()
 				if sp.Outcome == "" {
 					sp.Outcome = "shed"
 				}
@@ -339,20 +356,12 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 	}
 
 	// Sum the decomposition and flag never-closed grants.
-	ids := make([]int, 0, len(states))
-	for id := range states {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st := states[id]
-		sp := &st.span
-		if st.openStart >= 0 && sp.Outcome == "open" {
+	for k := range t.Requests {
+		sp, st := &t.Requests[k], &states[k]
+		if st.open >= 0 && sp.Outcome == "open" {
 			// In-flight at stream end: legal for live snapshots; represent
 			// the open grant as an exec interval up to the stream horizon.
-			sp.Intervals = append(sp.Intervals, Interval{Phase: PhaseExec, Block: st.openBlock,
-				Device: st.openDev, Part: st.openPart, Batch: st.openBatch,
-				StartMs: st.openStart, EndMs: t.LastMs, Detail: st.openDet})
+			sp.Intervals = append(sp.Intervals, execInterval(&events[st.open], t.LastMs))
 			sp.Blocks++
 			sp.DoneMs = t.LastMs
 		}
@@ -369,7 +378,20 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 				sp.PreemptedMs += iv.DurationMs()
 			}
 		}
-		t.Requests = append(t.Requests, *sp)
+	}
+
+	// The spans are in arrival order. Keep the MaxRequests most recently
+	// arrived, if asked, and put them in request order — which a stream
+	// whose ids grow with arrival already is.
+	switch {
+	case len(t.Requests) == 0:
+		t.Requests = nil
+	case b.MaxRequests > 0 && len(t.Requests) > b.MaxRequests:
+		t.Requests = t.Requests[len(t.Requests)-b.MaxRequests:]
+	}
+	byID := func(i, j int) bool { return t.Requests[i].ReqID < t.Requests[j].ReqID }
+	if !sort.SliceIsSorted(t.Requests, byID) {
+		sort.Slice(t.Requests, byID)
 	}
 
 	// Per-lane overlap check: two closed grants on one (device, partition)
@@ -405,18 +427,6 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 					lane, prev.req, prev.startMs, prev.endMs, cur.req, cur.startMs, cur.endMs)
 			}
 		}
-	}
-
-	if b.MaxRequests > 0 && len(t.Requests) > b.MaxRequests {
-		// Keep the most recently arrived requests (by arrival order in the
-		// stream, which is arrival time for sorted streams).
-		byArrival := append([]RequestSpan(nil), t.Requests...)
-		sort.Slice(byArrival, func(i, j int) bool {
-			return states[byArrival[i].ReqID].arrivalNo < states[byArrival[j].ReqID].arrivalNo
-		})
-		keep := byArrival[len(byArrival)-b.MaxRequests:]
-		sort.Slice(keep, func(i, j int) bool { return keep[i].ReqID < keep[j].ReqID })
-		t.Requests = keep
 	}
 	return t
 }

@@ -67,7 +67,7 @@ func TestSpanBuilderDecomposition(t *testing.T) {
 func TestSpanBuilderQueuedShed(t *testing.T) {
 	events := []Event{
 		ev(0, Arrive, 7, "m", 0),
-		{AtMs: 30, Kind: Shed, ReqID: 7, Model: "m", Detail: "deadline"},
+		{AtMs: 30, Kind: Shed, ReqID: 7, Model: "m", Note: NoteWord, Args: [4]float64{float64(WordOf(ReasonDeadline))}},
 	}
 	tree := BuildSpans(events)
 	sp := tree.Span(7)

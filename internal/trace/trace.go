@@ -1,80 +1,122 @@
 // Package trace records scheduling timelines — arrivals, block starts and
 // ends, preemption decisions, completions — and renders them as CSV, JSON
 // lines, or an ASCII Gantt chart like the paper's Figures 1 and 3.
+//
+// An event carries numbers only: its kind and its note are small integers
+// and the note's arguments are scalars (note.go). The sentence a note
+// stands for is rendered on the way out, by Event.Detail and the writers,
+// so recording an event allocates nothing.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// EventKind labels a trace event.
-type EventKind string
+// EventKind labels a trace event. Its String is the name every export
+// prints.
+type EventKind uint8
 
 // Event kinds emitted by the policies.
 const (
-	Arrive     EventKind = "arrive"
-	StartBlock EventKind = "start_block"
-	EndBlock   EventKind = "end_block"
-	Preempt    EventKind = "preempt"
-	Complete   EventKind = "complete"
-	Drop       EventKind = "drop"
+	Arrive EventKind = iota + 1
+	StartBlock
+	EndBlock
+	Preempt
+	Complete
+	Drop
 	// ElasticOn / ElasticOff mark transitions of the §3.3 elastic mechanism:
 	// ElasticOn means splitting is being suppressed (elastic mode active).
-	ElasticOn  EventKind = "elastic_on"
-	ElasticOff EventKind = "elastic_off"
+	ElasticOn
+	ElasticOff
 	// Shed records a request dropped after it was enqueued — deadline
 	// expiry, cancellation, drain timeout, stop, or device fault — with the
-	// drop reason in Detail. Distinct from Drop, which records pre-enqueue
-	// rejections.
-	Shed EventKind = "shed"
-	// Cancel records a cancellation taking effect on a request (Detail says
-	// whether it was queued or in flight, and why).
-	Cancel EventKind = "cancel"
+	// drop reason as its note. Distinct from Drop, which records
+	// pre-enqueue rejections.
+	Shed
+	// Cancel records a cancellation taking effect on a request (the note
+	// says whether it was queued or in flight, and why).
+	Cancel
 	// Fault records an injected device fault on a block attempt: a latency
 	// spike, a transient failure being retried, or a terminal device fault.
-	Fault EventKind = "fault"
+	Fault
 	// DrainStart / DrainEnd bracket a graceful drain: between them the
 	// server accepts no new work and is finishing or shedding the backlog.
-	DrainStart EventKind = "drain_start"
-	DrainEnd   EventKind = "drain_end"
+	DrainStart
+	DrainEnd
 	// Place records a fleet placement decision: the chosen device is in
-	// Device, the policy name in Detail. Emitted only by multi-device
+	// Device, the policy name in the note. Emitted only by multi-device
 	// deployments, so single-device traces are unchanged.
-	Place EventKind = "place"
+	Place
 	// ScaleOut / ScaleIn record autoscaler membership changes: Device is
 	// the device attached (scale-out) or beginning drain-then-release
-	// (scale-in), Detail carries the triggering signal. They are control-
+	// (scale-in), the note carries the triggering signal. They are control-
 	// plane events and carry ReqID -1, so span folding ignores them.
-	ScaleOut EventKind = "scale_out"
-	ScaleIn  EventKind = "scale_in"
+	ScaleOut
+	ScaleIn
 )
 
-// Event is one timeline entry.
+var kindNames = [...]string{
+	Arrive:     "arrive",
+	StartBlock: "start_block",
+	EndBlock:   "end_block",
+	Preempt:    "preempt",
+	Complete:   "complete",
+	Drop:       "drop",
+	ElasticOn:  "elastic_on",
+	ElasticOff: "elastic_off",
+	Shed:       "shed",
+	Cancel:     "cancel",
+	Fault:      "fault",
+	DrainStart: "drain_start",
+	DrainEnd:   "drain_end",
+	Place:      "place",
+	ScaleOut:   "scale_out",
+	ScaleIn:    "scale_in",
+}
+
+// String returns the kind's name as the exports print it; the zero kind is
+// the empty string.
+func (k EventKind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return "EventKind(" + strconv.Itoa(int(k)) + ")"
+}
+
+// Event is one timeline entry. Part is narrower than the other placement
+// fields so that the whole event fits in 96 bytes.
 type Event struct {
-	AtMs  float64   `json:"at_ms"`
-	Kind  EventKind `json:"kind"`
-	ReqID int       `json:"req"`
-	Model string    `json:"model"`
-	Block int       `json:"block,omitempty"`
+	AtMs  float64
+	ReqID int
+	Model string
+	Block int
 	// Device is the fleet device the event happened on; 0 (and omitted
 	// from JSON) on single-device deployments.
-	Device int `json:"device,omitempty"`
+	Device int
 	// Batch groups the StartBlock/EndBlock events of one batched device
 	// grant: every member of a micro-batch carries the same non-zero id.
 	// 0 (and omitted from JSON) means an unbatched scalar grant, so traces
 	// from runs without batching are byte-identical to before.
-	Batch int `json:"batch,omitempty"`
+	Batch int
 	// Part is the device partition slot the event happened on when the
 	// fleet runs spatial sharing; 0 (and omitted from JSON) on
 	// unpartitioned deployments, so temporal-only traces are byte-identical
 	// to before.
-	Part   int    `json:"part,omitempty"`
-	Detail string `json:"detail,omitempty"`
+	Part int32
+	Kind EventKind
+	// Note names the sentence Detail renders and Args are its arguments,
+	// in the order the sentence names them (note.go).
+	Note Note
+	Args [4]float64
 }
+
+// Detail renders the event's note: the sentence the exports print in
+// their detail column.
+func (e Event) Detail() string { return e.Note.render(&e.Args) }
 
 // Sink receives a live stream of trace events. Implementations must be safe
 // for concurrent use when attached to the real-time serving path; the
@@ -110,10 +152,21 @@ func (m multiSink) Emit(e Event) {
 	}
 }
 
+// chunkLen is the number of events one tracer chunk holds.
+const chunkLen = 4096
+
 // Tracer collects events. A nil *Tracer is a valid no-op sink, so policies
 // can call methods on it unconditionally.
+//
+// Events are stored in fixed-size chunks: recording fills the current chunk
+// and starts a new one when it is full, so a long run never copies its
+// history. Events flattens the chunks once, on demand.
 type Tracer struct {
-	events []Event
+	// flat holds the history Events last flattened; chunks hold what was
+	// recorded after it, each of capacity chunkLen.
+	flat   []Event
+	chunks [][]Event
+	n      int
 }
 
 // Emit implements Sink by recording the event. No-op on a nil receiver.
@@ -127,24 +180,68 @@ func (t *Tracer) Record(evs ...Event) {
 	if t == nil {
 		return
 	}
-	t.events = append(t.events, evs...)
+	t.n += len(evs)
+	for len(evs) > 0 {
+		last := len(t.chunks) - 1
+		if last < 0 || len(t.chunks[last]) == chunkLen {
+			t.chunks = append(t.chunks, make([]Event, 0, chunkLen))
+			last++
+		}
+		c := t.chunks[last]
+		k := copy(c[len(c):chunkLen], evs)
+		t.chunks[last] = c[:len(c)+k]
+		evs = evs[k:]
+	}
 }
 
-// Recordf is shorthand for Record with a formatted detail string.
-func (t *Tracer) Recordf(atMs float64, kind EventKind, reqID int, model string, block int, format string, args ...any) {
+// Note records one event rendering note with args. No-op on a nil
+// receiver.
+func (t *Tracer) Note(atMs float64, kind EventKind, reqID int, model string, note Note, args ...float64) {
 	if t == nil {
 		return
 	}
-	t.Record(Event{AtMs: atMs, Kind: kind, ReqID: reqID, Model: model, Block: block,
-		Detail: fmt.Sprintf(format, args...)})
+	e := Event{AtMs: atMs, Kind: kind, ReqID: reqID, Model: model, Note: note}
+	copy(e.Args[:], args)
+	t.Record(e)
 }
 
-// Events returns the recorded events in insertion order. Nil-safe.
+// Events returns the recorded events in insertion order, as one slice of
+// exactly Len events that later calls return again until more events are
+// recorded. Nil-safe.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.events
+	if len(t.chunks) > 0 {
+		flat := make([]Event, 0, t.n)
+		flat = append(flat, t.flat...)
+		for _, c := range t.chunks {
+			flat = append(flat, c...)
+		}
+		t.flat, t.chunks = flat, nil
+	}
+	return t.flat
+}
+
+// walk calls fn on every recorded event in order without flattening the
+// chunks, stopping at the first error. Nil-safe.
+func (t *Tracer) walk(fn func(e *Event) error) error {
+	if t == nil {
+		return nil
+	}
+	for i := range t.flat {
+		if err := fn(&t.flat[i]); err != nil {
+			return err
+		}
+	}
+	for _, c := range t.chunks {
+		for i := range c {
+			if err := fn(&c[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Len returns the number of recorded events. Nil-safe.
@@ -152,32 +249,29 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.n
 }
 
 // WriteCSV emits the trace as CSV with a header row.
 func (t *Tracer) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "at_ms,kind,req,model,block,device,detail"); err != nil {
+	lw := lineWriter{w: w}
+	lw.buf = append(lw.buf, "at_ms,kind,req,model,block,device,detail\n"...)
+	if err := t.walk(func(e *Event) error {
+		lw.buf = e.appendCSV(lw.buf)
+		return lw.endLine()
+	}); err != nil {
 		return err
 	}
-	for _, e := range t.Events() {
-		if _, err := fmt.Fprintf(w, "%.4f,%s,%d,%s,%d,%d,%q\n",
-			e.AtMs, e.Kind, e.ReqID, e.Model, e.Block, e.Device, e.Detail); err != nil {
-			return err
-		}
-	}
-	return nil
+	return lw.flush()
 }
 
 // WriteJSONL emits the trace as JSON lines.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range t.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
+	lw := lineWriter{w: w}
+	if err := t.walk(lw.event); err != nil {
+		return err
 	}
-	return nil
+	return lw.flush()
 }
 
 // Gantt renders an ASCII Gantt chart of block executions between startMs and
@@ -190,7 +284,7 @@ func (t *Tracer) Gantt(startMs, endMs, cellMs float64) string {
 	labels := map[int]string{}
 	open := map[int]float64{}
 	firstRun := map[int]float64{}
-	for _, e := range t.Events() {
+	t.walk(func(e *Event) error {
 		switch e.Kind {
 		case StartBlock:
 			open[e.ReqID] = e.AtMs
@@ -204,7 +298,8 @@ func (t *Tracer) Gantt(startMs, endMs, cellMs float64) string {
 				delete(open, e.ReqID)
 			}
 		}
-	}
+		return nil
+	})
 	// Only render requests that actually occupy the window.
 	ids := make([]int, 0, len(spans))
 	for id, ss := range spans {

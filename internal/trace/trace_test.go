@@ -10,7 +10,7 @@ import (
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Record(Event{AtMs: 1, Kind: Arrive})
-	tr.Recordf(2, Complete, 1, "m", 0, "x=%d", 3)
+	tr.Note(2, Complete, 1, "m", NoteRR, 3)
 	if tr.Len() != 0 {
 		t.Error("nil tracer recorded something")
 	}
@@ -22,20 +22,20 @@ func TestNilTracerIsSafe(t *testing.T) {
 func TestRecordAndEvents(t *testing.T) {
 	tr := New()
 	tr.Record(Event{AtMs: 1, Kind: Arrive, ReqID: 7, Model: "vgg"})
-	tr.Recordf(2, StartBlock, 7, "vgg", 0, "dur=%.1f", 5.0)
+	tr.Note(2, StartBlock, 7, "vgg", NoteDur, 5)
 	if tr.Len() != 2 {
 		t.Fatalf("len = %d", tr.Len())
 	}
 	evs := tr.Events()
-	if evs[0].Kind != Arrive || evs[1].Detail != "dur=5.0" {
+	if evs[0].Kind != Arrive || evs[1].Detail() != "dur=5.000" {
 		t.Errorf("events = %+v", evs)
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
 	tr := New()
-	tr.Recordf(1.5, Arrive, 1, "yolo", 0, "pos=0")
-	tr.Recordf(2.5, Complete, 1, "yolo", 2, "rr=1.00")
+	tr.Note(1.5, Arrive, 1, "yolo", NotePos, 0)
+	tr.Record(Event{AtMs: 2.5, Kind: Complete, ReqID: 1, Model: "yolo", Block: 2, Note: NoteRR, Args: [4]float64{1}})
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -54,28 +54,32 @@ func TestWriteCSV(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	tr := New()
-	tr.Recordf(1, StartBlock, 3, "gpt2", 1, "")
+	tr.Record(ev(1, StartBlock, 3, "gpt2", 1))
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var e Event
+	var e struct {
+		ReqID int    `json:"req"`
+		Kind  string `json:"kind"`
+		Block int    `json:"block"`
+	}
 	if err := json.Unmarshal(buf.Bytes(), &e); err != nil {
 		t.Fatal(err)
 	}
-	if e.ReqID != 3 || e.Kind != StartBlock || e.Block != 1 {
+	if e.ReqID != 3 || e.Kind != "start_block" || e.Block != 1 {
 		t.Errorf("roundtrip = %+v", e)
 	}
 }
 
 func TestGantt(t *testing.T) {
 	tr := New()
-	tr.Recordf(0, StartBlock, 1, "vgg", 0, "")
-	tr.Recordf(10, EndBlock, 1, "vgg", 0, "")
-	tr.Recordf(10, StartBlock, 2, "yolo", 0, "")
-	tr.Recordf(15, EndBlock, 2, "yolo", 0, "")
-	tr.Recordf(15, StartBlock, 1, "vgg", 1, "")
-	tr.Recordf(25, EndBlock, 1, "vgg", 1, "")
+	tr.Record(ev(0, StartBlock, 1, "vgg", 0))
+	tr.Record(ev(10, EndBlock, 1, "vgg", 0))
+	tr.Record(ev(10, StartBlock, 2, "yolo", 0))
+	tr.Record(ev(15, EndBlock, 2, "yolo", 0))
+	tr.Record(ev(15, StartBlock, 1, "vgg", 1))
+	tr.Record(ev(25, EndBlock, 1, "vgg", 1))
 	g := tr.Gantt(0, 25, 1)
 	lines := strings.Split(strings.TrimSpace(g), "\n")
 	if len(lines) != 2 {
@@ -95,8 +99,8 @@ func TestGanttEmptyAndDegenerate(t *testing.T) {
 	if got := tr.Gantt(0, 0, 1); got != "" {
 		t.Errorf("empty gantt = %q", got)
 	}
-	tr.Recordf(0, StartBlock, 1, "m", 0, "")
-	tr.Recordf(5, EndBlock, 1, "m", 0, "")
+	tr.Record(ev(0, StartBlock, 1, "m", 0))
+	tr.Record(ev(5, EndBlock, 1, "m", 0))
 	if got := tr.Gantt(0, 10, 0); got == "" {
 		t.Error("auto cell width failed")
 	}
@@ -104,9 +108,54 @@ func TestGanttEmptyAndDegenerate(t *testing.T) {
 
 func TestGanttIgnoresUnpairedStart(t *testing.T) {
 	tr := New()
-	tr.Recordf(0, StartBlock, 1, "m", 0, "")
+	tr.Record(ev(0, StartBlock, 1, "m", 0))
 	// No EndBlock: span never closes, so no rows.
 	if got := tr.Gantt(0, 10, 1); got != "" {
 		t.Errorf("unpaired start rendered: %q", got)
+	}
+}
+
+// TestTracerChunks records across several chunk boundaries, one event and
+// a batch at a time, and reads the history back flat and chunk by chunk,
+// before and after Events has flattened it once.
+func TestTracerChunks(t *testing.T) {
+	var want []Event
+	tr := New()
+	record := func(evs ...Event) {
+		tr.Record(evs...)
+		want = append(want, evs...)
+	}
+	batch := make([]Event, chunkLen+7)
+	for i := range batch {
+		batch[i] = Event{AtMs: float64(i), Kind: Arrive, ReqID: i, Note: NoteQueued, Args: [4]float64{float64(i)}}
+	}
+	for i := 0; i < chunkLen+3; i++ {
+		record(Event{AtMs: float64(i), Kind: Complete, ReqID: i, Model: "m", Note: NoteRR, Args: [4]float64{1.5}})
+	}
+	record(batch...)
+	check := func(stage string) {
+		t.Helper()
+		if tr.Len() != len(want) {
+			t.Fatalf("%s: Len %d, want %d", stage, tr.Len(), len(want))
+		}
+		var walked, flat bytes.Buffer
+		if err := tr.WriteJSONL(&walked); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteJSONL(&flat, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(walked.Bytes(), flat.Bytes()) {
+			t.Fatalf("%s: chunked JSONL differs from the flat history", stage)
+		}
+		if got := tr.Events(); len(got) != len(want) || cap(got) != len(want) || got[len(got)-1] != want[len(want)-1] {
+			t.Fatalf("%s: Events has len %d cap %d, want %d", stage, len(got), cap(got), len(want))
+		}
+	}
+	check("chunked")
+	record(batch[:5]...)
+	check("flattened, then recorded")
+	if &tr.Events()[0] != &tr.Events()[0] {
+		t.Error("Events flattened twice without new events")
 	}
 }
