@@ -85,7 +85,9 @@ type CapacityRow struct {
 // one fleet configuration. Each probe generates a fresh uniform-mix Poisson
 // trace at the candidate rate and replays it through policy.Split; the
 // violation-rate curve is flat and low below saturation and climbs steeply
-// past it, so doubling brackets the knee and bisection pins it to ~2%.
+// past it, so doubling brackets the knee and bisection pins it to ~2%. The
+// search runs its probes one at a time: each probe's rate depends on the
+// verdict of the one before, so there is nothing to run side by side.
 func (d *Deployment) CapacitySearch(cfg CapacityConfig) CapacityRow {
 	cfg = cfg.withDefaults()
 	row := CapacityRow{Devices: cfg.Devices, BatchMax: cfg.BatchMax, Placement: cfg.Placement}
@@ -157,14 +159,14 @@ func (d *Deployment) loadProbe(cfg CapacityConfig, reqPerSec float64, gate fleet
 }
 
 // CapacitySweep runs CapacitySearch across fleet sizes with otherwise
-// shared settings.
+// shared settings. The searches are independent, so they share the cores.
 func (d *Deployment) CapacitySweep(cfg CapacityConfig, devices []int) []CapacityRow {
-	rows := make([]CapacityRow, 0, len(devices))
-	for _, n := range devices {
+	rows := make([]CapacityRow, len(devices))
+	each(len(devices), func(i int) {
 		c := cfg
-		c.Devices = n
-		rows = append(rows, d.CapacitySearch(c))
-	}
+		c.Devices = devices[i]
+		rows[i] = d.CapacitySearch(c)
+	})
 	return rows
 }
 

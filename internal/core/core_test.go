@@ -3,12 +3,15 @@ package core
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"split/internal/metrics"
 	"split/internal/model"
 	"split/internal/policy"
+	"split/internal/stats"
 	"split/internal/workload"
 	"split/internal/zoo"
 )
@@ -403,6 +406,119 @@ func TestRunAllScenarios(t *testing.T) {
 		if !reflect.DeepEqual(got.Summary, want.Summary) {
 			t.Errorf("%s/%s: summary %+v, fresh trace %+v", sc.Name, got.System, got.Summary, want.Summary)
 		}
+	}
+
+	// The cells share the cores; the grid must not depend on how many.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	inline := dep.RunAllScenarios(systems, 1)
+	runtime.GOMAXPROCS(4)
+	if !reflect.DeepEqual(dep.RunAllScenarios(systems, 1), inline) {
+		t.Error("the grid on four cores differs from the grid on one")
+	}
+}
+
+// TestEachRunsEveryIndexOnce: every index runs exactly once, on no more
+// goroutines than GOMAXPROCS, and a single worker starts none.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	raise := func(peak *atomic.Int64, v int64) {
+		for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 7, 100} {
+			calls := make([]atomic.Int64, n)
+			var running, peakRunning, peakGoroutines atomic.Int64
+			base := int64(runtime.NumGoroutine())
+			each(n, func(i int) {
+				calls[i].Add(1)
+				raise(&peakRunning, running.Add(1))
+				raise(&peakGoroutines, int64(runtime.NumGoroutine()))
+				runtime.Gosched()
+				running.Add(-1)
+			})
+			for i := range calls {
+				if c := calls[i].Load(); c != 1 {
+					t.Errorf("GOMAXPROCS %d, n %d: index %d ran %d times", procs, n, i, c)
+				}
+			}
+			workers := int64(min(procs, n))
+			if workers == 1 {
+				workers = 0 // inline
+			}
+			if p := peakRunning.Load(); p > int64(procs) {
+				t.Errorf("GOMAXPROCS %d, n %d: %d calls ran at once", procs, n, p)
+			}
+			if extra := peakGoroutines.Load() - base; extra > workers {
+				t.Errorf("GOMAXPROCS %d, n %d: %d goroutines beyond the caller's, want <= %d", procs, n, extra, workers)
+			}
+		}
+	}
+}
+
+// TestEachRepanics: a panic in fn reaches the caller, inline or not, and
+// can be recovered there.
+func TestEachRepanics(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			each(10, func(i int) {
+				if i == 7 {
+					panic("bad trace")
+				}
+			})
+			return nil
+		}()
+		if got != "bad trace" {
+			t.Errorf("GOMAXPROCS %d: recovered %v, want the worker's panic", procs, got)
+		}
+	}
+}
+
+// TestMultiSeedMatchesSerialFold pins the multi-seed tables to the fold
+// they are defined by: one fresh-trace RunScenario per scenario, system and
+// seed, samples in seed order.
+func TestMultiSeedMatchesSerialFold(t *testing.T) {
+	dep := testDeploy(t)
+	systems := []policy.System{policy.NewSplit(), policy.NewClockWork(), policy.NewRTA()}
+	const seeds = 2
+	alphas := metrics.DefaultAlphas()
+	var fig6 []Fig6Aggregate
+	var fig7 []Fig7Aggregate
+	for _, sc := range workload.Table2() {
+		for _, sys := range systems {
+			curves := make([][]float64, len(alphas))
+			jitters := map[string][]float64{}
+			for s := 1; s <= seeds; s++ {
+				recs := dep.RunScenario(sc, sys, int64(s), nil).Records
+				for i, v := range metrics.ViolationCurve(recs, alphas) {
+					curves[i] = append(curves[i], v)
+				}
+				for m, j := range metrics.JitterByModel(recs) {
+					jitters[m] = append(jitters[m], j)
+				}
+			}
+			a6 := Fig6Aggregate{Scenario: sc, System: sys.Name(), Alphas: alphas, Seeds: seeds}
+			for _, vs := range curves {
+				a6.MeanCurve = append(a6.MeanCurve, stats.Mean(vs))
+				a6.StdCurve = append(a6.StdCurve, stats.SampleStdDev(vs))
+			}
+			a7 := Fig7Aggregate{Scenario: sc, System: sys.Name(), Seeds: seeds,
+				MeanJitterMs: map[string]float64{}, StdJitterMs: map[string]float64{}}
+			for m, vs := range jitters {
+				a7.MeanJitterMs[m], a7.StdJitterMs[m] = stats.Mean(vs), stats.SampleStdDev(vs)
+			}
+			fig6, fig7 = append(fig6, a6), append(fig7, a7)
+		}
+	}
+	if got, want := RenderFig6Aggregate(Fig6MultiSeed(dep, systems, seeds)), RenderFig6Aggregate(fig6); got != want {
+		t.Errorf("Figure 6 over %d seeds:\n%s\nwant:\n%s", seeds, got, want)
+	}
+	if got, want := RenderFig7Aggregate(Fig7MultiSeed(dep, systems, seeds)), RenderFig7Aggregate(fig7); got != want {
+		t.Errorf("Figure 7 over %d seeds:\n%s\nwant:\n%s", seeds, got, want)
 	}
 }
 

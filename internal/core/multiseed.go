@@ -27,34 +27,37 @@ type Fig6Aggregate struct {
 	Seeds    int
 }
 
+// perSeed replays the whole grid once per seed, 1 to seeds, and reduces
+// every run as it lands: out[k][s-1] is reduce of RunAllScenarios' cell k at
+// seed s. Only what reduce returns outlives a seed.
+func perSeed[T any](d *Deployment, systems []policy.System, seeds int, reduce func([]policy.Record) T) [][]T {
+	out := make([][]T, len(workload.Table2())*len(systems))
+	for s := 1; s <= seeds; s++ {
+		for k, run := range d.RunAllScenarios(systems, int64(s)) {
+			out[k] = append(out[k], reduce(run.Records))
+		}
+	}
+	return out
+}
+
 // Fig6MultiSeed replays every scenario × system over `seeds` independent
 // workload seeds and aggregates the violation curves.
 func Fig6MultiSeed(d *Deployment, systems []policy.System, seeds int) []Fig6Aggregate {
 	alphas := metrics.DefaultAlphas()
-	var out []Fig6Aggregate
-	for _, sc := range workload.Table2() {
-		for _, sys := range systems {
-			perAlpha := make([][]float64, len(alphas))
-			for s := 1; s <= seeds; s++ {
-				run := d.RunScenario(sc, sys, int64(s), nil)
-				curve := metrics.ViolationCurve(run.Records, alphas)
-				for i, v := range curve {
-					perAlpha[i] = append(perAlpha[i], v)
-				}
+	curves := perSeed(d, systems, seeds, func(recs []policy.Record) []float64 {
+		return metrics.ViolationCurve(recs, alphas)
+	})
+	out := make([]Fig6Aggregate, len(curves))
+	for k, cs := range curves {
+		out[k] = Fig6Aggregate{Scenario: workload.Table2()[k/len(systems)], System: systems[k%len(systems)].Name(),
+			Alphas: alphas, MeanCurve: make([]float64, len(alphas)), StdCurve: make([]float64, len(alphas)), Seeds: seeds}
+		for i := range alphas {
+			vs := make([]float64, len(cs))
+			for s, c := range cs {
+				vs[s] = c[i]
 			}
-			agg := Fig6Aggregate{
-				Scenario:  sc,
-				System:    sys.Name(),
-				Alphas:    alphas,
-				MeanCurve: make([]float64, len(alphas)),
-				StdCurve:  make([]float64, len(alphas)),
-				Seeds:     seeds,
-			}
-			for i, vs := range perAlpha {
-				agg.MeanCurve[i] = stats.Mean(vs)
-				agg.StdCurve[i] = stats.SampleStdDev(vs)
-			}
-			out = append(out, agg)
+			out[k].MeanCurve[i] = stats.Mean(vs)
+			out[k].StdCurve[i] = stats.SampleStdDev(vs)
 		}
 	}
 	return out
@@ -105,28 +108,20 @@ type Fig7Aggregate struct {
 
 // Fig7MultiSeed aggregates per-model jitter over seeds.
 func Fig7MultiSeed(d *Deployment, systems []policy.System, seeds int) []Fig7Aggregate {
-	var out []Fig7Aggregate
-	for _, sc := range workload.Table2() {
-		for _, sys := range systems {
-			samples := map[string][]float64{}
-			for s := 1; s <= seeds; s++ {
-				run := d.RunScenario(sc, sys, int64(s), nil)
-				for m, j := range metrics.JitterByModel(run.Records) {
-					samples[m] = append(samples[m], j)
-				}
+	jitters := perSeed(d, systems, seeds, metrics.JitterByModel)
+	out := make([]Fig7Aggregate, len(jitters))
+	for k, js := range jitters {
+		samples := map[string][]float64{}
+		for _, j := range js {
+			for m, v := range j {
+				samples[m] = append(samples[m], v)
 			}
-			agg := Fig7Aggregate{
-				Scenario:     sc,
-				System:       sys.Name(),
-				MeanJitterMs: map[string]float64{},
-				StdJitterMs:  map[string]float64{},
-				Seeds:        seeds,
-			}
-			for m, js := range samples {
-				agg.MeanJitterMs[m] = stats.Mean(js)
-				agg.StdJitterMs[m] = stats.SampleStdDev(js)
-			}
-			out = append(out, agg)
+		}
+		out[k] = Fig7Aggregate{Scenario: workload.Table2()[k/len(systems)], System: systems[k%len(systems)].Name(),
+			MeanJitterMs: map[string]float64{}, StdJitterMs: map[string]float64{}, Seeds: seeds}
+		for m, vs := range samples {
+			out[k].MeanJitterMs[m] = stats.Mean(vs)
+			out[k].StdJitterMs[m] = stats.SampleStdDev(vs)
 		}
 	}
 	return out

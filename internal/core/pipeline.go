@@ -9,7 +9,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"split/internal/ga"
 	"split/internal/metrics"
@@ -161,17 +163,53 @@ func (d *Deployment) RunScenario(sc workload.Scenario, sys policy.System, seed i
 
 // RunAllScenarios replays every Table 2 scenario through every system with
 // a shared seed, scenario outer and system inner. Each scenario's trace is
-// generated once and handed to every system, which only reads it.
+// generated once and handed to every system, which only reads it. The
+// traces, then the runs, share the cores through each.
 func (d *Deployment) RunAllScenarios(systems []policy.System, seed int64) []ScenarioRun {
 	scenarios := workload.Table2()
-	out := make([]ScenarioRun, 0, len(scenarios)*len(systems))
-	for _, sc := range scenarios {
-		arrivals := scenarioTrace(sc, seed)
-		for _, sys := range systems {
-			out = append(out, d.replay(sc, arrivals, sys, nil))
+	traces := make([][]workload.Arrival, len(scenarios))
+	each(len(scenarios), func(i int) { traces[i] = scenarioTrace(scenarios[i], seed) })
+	out := make([]ScenarioRun, len(scenarios)*len(systems))
+	each(len(out), func(k int) {
+		i := k / len(systems)
+		out[k] = d.replay(scenarios[i], traces[i], systems[k%len(systems)], nil)
+	})
+	return out
+}
+
+// each calls fn(0), …, fn(n-1) on min(GOMAXPROCS, n) goroutines, which take
+// indexes from a shared counter, and returns once every call has returned;
+// with one worker it makes the calls inline, in order. The calls must be
+// independent, each writing only its own slot of a result the caller sized,
+// so the result is the same on any number of cores. A panic in fn is
+// re-raised on the caller's goroutine, where it can be recovered.
+func each(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	done := make(chan any, workers) // what each worker recovered: nil, or fn's panic
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer func() { done <- recover() }()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	var problem any
+	for w := 0; w < workers; w++ {
+		if p := <-done; p != nil {
+			problem = p
 		}
 	}
-	return out
+	if problem != nil {
+		panic(problem)
+	}
 }
 
 // scenarioTrace generates scenario sc's arrivals over the benchmark models.

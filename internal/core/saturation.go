@@ -197,9 +197,10 @@ func (a *SaturationAnalyzer) Analyze() SaturationResult {
 	if lo > 0 {
 		// Grid the bracket interior; the endpoints are already measured.
 		step := (hi - lo) / float64(cfg.Points+1)
-		for i := 1; i <= cfg.Points; i++ {
-			probe(lo + step*float64(i))
-		}
+		grid := make([]SaturationPoint, cfg.Points)
+		each(len(grid), func(i int) { grid[i] = a.Probe(lo + step*float64(i+1)) })
+		res.Points = append(res.Points, grid...)
+		res.Evals += len(grid)
 	}
 
 	sort.Slice(res.Points, func(i, j int) bool {

@@ -173,8 +173,10 @@ func (r *Record) ResponseRatio() float64 { return r.E2EMs() / r.ExtMs }
 type System interface {
 	// Name identifies the system in experiment output (e.g. "SPLIT").
 	Name() string
-	// Run simulates the trace to completion. tr may be nil. The trace is
-	// read-only: callers hand one slice to every system they compare, so a
-	// system must not write to arrivals.
+	// Run simulates the trace to completion. tr may be nil. Run must not
+	// write to its receiver, the catalog or the arrivals: callers hand one
+	// trace to every system they compare, and may call Run on one value
+	// from several goroutines at once, each with its own tracer. Everything
+	// a run changes belongs to that run.
 	Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer) []Record
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -135,6 +136,41 @@ func TestRunLeavesArrivalsUntouched(t *testing.T) {
 				t.Fatalf("%s (traced %v) wrote to its arrivals", sys.Name(), tr != nil)
 			}
 		}
+	}
+}
+
+// TestSystemsRunConcurrently holds System.Run's concurrency contract: every
+// system, and SPLIT with batching, partitions, autoscaling, admission,
+// deadlines and faults on, replays one shared trace and catalog from
+// GOMAXPROCS+1 goroutines at once, every other one traced, and each run's
+// records and events must equal a serial run's. Under -race it also catches
+// a run that writes to its receiver, the catalog or the trace.
+func TestSystemsRunConcurrently(t *testing.T) {
+	catalog, arrivals := goldenCatalog(), goldenArrivals(t)[:2000]
+	partial := NewSplit()
+	partial.PartialPreemption = true
+	for _, sys := range append(allSystems(), NewREEF(), partial, allFeatures()) {
+		serial := trace.New()
+		want := [2][]Record{sys.Run(arrivals, catalog, nil), sys.Run(arrivals, catalog, serial)}
+		wantEvents := serial.Events()
+		var wg sync.WaitGroup
+		for g := 0; g <= runtime.GOMAXPROCS(0); g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var tr *trace.Tracer
+				if g%2 == 1 {
+					tr = trace.New()
+				}
+				if got := sys.Run(arrivals, catalog, tr); !reflect.DeepEqual(got, want[g%2]) {
+					t.Errorf("%s (traced %v): a concurrent run's records differ from a serial run's", sys.Name(), tr != nil)
+				}
+				if tr != nil && !reflect.DeepEqual(tr.Events(), wantEvents) {
+					t.Errorf("%s: a concurrent run's events differ from a serial run's", sys.Name())
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -16,6 +16,9 @@ go vet ./...
 go build ./...
 go run ./cmd/splitlint ./...
 go test -race -shuffle on ./...
+# The grid's runs share the cores: check the inline path (one CPU) and an
+# oversubscribed one (four) under the race detector, several times over.
+go test -race -count=3 -cpu 1,4 -run 'RunAllScenarios|RunConcurrently|Each|MultiSeed' ./internal/core ./internal/policy
 
 # Brief fuzz smoke past the seed corpora. The targets are discovered, not
 # listed: every Fuzz function in the module runs for FUZZTIME (CI sets 10s),
