@@ -6,7 +6,6 @@
 package split
 
 import (
-	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
@@ -20,7 +19,6 @@ import (
 	"split/internal/gpusim"
 	"split/internal/metrics"
 	"split/internal/model"
-	"split/internal/obs"
 	"split/internal/policy"
 	"split/internal/profiler"
 	"split/internal/sched"
@@ -180,21 +178,6 @@ func BenchmarkFig3FullVsPartial(b *testing.B) {
 	if len(rows) > 0 {
 		b.ReportMetric(rows[len(rows)-1].FullMeanRR, "full-meanRR")
 		b.ReportMetric(rows[len(rows)-1].PartMeanRR, "partial-meanRR")
-	}
-}
-
-// BenchmarkTable2ScenarioRun measures one full scenario replay (Scenario 4,
-// 1000 requests) under SPLIT.
-func BenchmarkTable2ScenarioRun(b *testing.B) {
-	dep := deployOnce(b)
-	sc := workload.Table2()[3]
-	sys := policy.NewSplit()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run := dep.RunScenario(sc, sys, int64(i+1), nil)
-		if run.Summary.Requests != 1000 {
-			b.Fatal("lost requests")
-		}
 	}
 }
 
@@ -373,20 +356,6 @@ func BenchmarkScenarioAllSystems(b *testing.B) {
 	}
 }
 
-// BenchmarkGPT2Profile measures profiling the 2534-op GPT-2 graph: a full
-// single-cut profile over every position.
-func BenchmarkGPT2Profile(b *testing.B) {
-	g := zoo.MustLoad("gpt2")
-	p := profiler.New(g, model.DefaultCostModel())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		over, std := p.SingleCutProfile()
-		if len(over) != 2533 || len(std) != 2533 {
-			b.Fatal("wrong profile size")
-		}
-	}
-}
-
 // BenchmarkFig1Microbenchmark regenerates the Figure 1 two-request
 // comparison and reports SPLIT's and FCFS's short-request response ratios.
 func BenchmarkFig1Microbenchmark(b *testing.B) {
@@ -512,34 +481,6 @@ func BenchmarkServeRPC(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkSchedInsertGreedy measures Algorithm 1's insertion cost at
-// several queue depths. Sub-benchmark names are stable (`depth=N`) so
-// `go test -bench InsertGreedy -count 10 | benchstat` can diff runs across
-// PRs; ns/insert is also reported explicitly, amortized over the depth.
-func BenchmarkSchedInsertGreedy(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	models := []string{"vgg19", "yolov2", "pos", "ner", "resnet50"}
-	for _, depth := range []int{16, 64, 256} {
-		reqs := make([]*sched.Request, depth)
-		for i := range reqs {
-			m := models[rng.Intn(len(models))]
-			ext := 5 + rng.Float64()*120
-			reqs[i] = sched.NewRequest(i, m, model.Short, rng.Float64()*100, ext,
-				[]float64{ext / 3, ext / 3, ext / 3})
-		}
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := sched.NewQueue(4)
-				for _, r := range reqs {
-					q.InsertGreedy(r.ArriveMs, r)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/insert")
-		})
-	}
-}
-
 // millionCohorts is the heterogeneous cohort mix of the million-request
 // sweep: steady interactive traffic, bursty MMPP edge traffic, and a
 // diurnally-modulated heavy-tailed batch population. With lifecycle the
@@ -636,31 +577,4 @@ func BenchmarkMillionRequestSweep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(1_000_000*b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
-// BenchmarkObsHotPath measures the instrumentation primitives the serving
-// path calls per request, confirming they stay allocation-free.
-func BenchmarkObsHotPath(b *testing.B) {
-	reg := obs.NewRegistry()
-	c := reg.Counter(obs.MetricRequestsTotal, "bench", "model", "vgg19")
-	g := reg.Gauge(obs.MetricQueueDepth, "bench")
-	h := reg.Histogram(obs.MetricE2EMs, "bench", obs.DefaultLatencyBuckets())
-	b.Run("counter", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-		}
-	})
-	b.Run("gauge", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.SetInt(i)
-		}
-	})
-	b.Run("histogram", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h.Observe(float64(i % 4000))
-		}
-	})
 }

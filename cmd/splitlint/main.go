@@ -1,19 +1,16 @@
 // Command splitlint runs the project's static-analysis suite (see
-// internal/lint) over every package in the module.
+// internal/lint) over every package in the module containing the working
+// directory.
 //
 // Usage:
 //
-//	splitlint [-rules noclock,msunits] [-C dir] [-list] [-json] [./...]
+//	splitlint [./...]
 //
 // Exit status: 0 when the tree is clean, 1 when diagnostics were reported,
-// 2 on usage or load errors. With -json, diagnostics are emitted to stdout
-// as a single JSON array (empty array for a clean tree) so CI can archive
-// them as a machine-readable artifact; the exit status is unchanged.
+// 2 on usage or load errors.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -23,115 +20,40 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("splitlint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	rules := fs.String("rules", "", "comma-separated rule names to run (default: all)")
-	chdir := fs.String("C", "", "run as if started in `dir`")
-	list := fs.Bool("list", false, "list available rules and exit")
-	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: splitlint [flags] [./...]\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
+// run lints the module containing dir and prints its findings with
+// module-relative paths, so the output is stable across machines.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	for _, a := range args {
+		if a != "./..." {
+			fmt.Fprintf(stderr, "splitlint: unsupported argument %q\nusage: splitlint [./...]\n", a)
+			return 2
 		}
-		return 0
 	}
-
-	analyzers, err := lint.ByName(*rules)
+	root, err := findModuleRoot(dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "splitlint: %v\n", err)
 		return 2
 	}
-
-	// The only supported package pattern is the whole module; anything that
-	// is not "./..." (or empty) is a usage error rather than a silent no-op.
-	for _, pat := range fs.Args() {
-		if pat != "./..." {
-			fmt.Fprintf(stderr, "splitlint: unsupported package pattern %q (only ./... is supported)\n", pat)
-			return 2
-		}
-	}
-
-	start := *chdir
-	if start == "" {
-		start, err = os.Getwd()
-		if err != nil {
-			fmt.Fprintf(stderr, "splitlint: %v\n", err)
-			return 2
-		}
-	}
-	root, err := findModuleRoot(start)
-	if err != nil {
-		fmt.Fprintf(stderr, "splitlint: %v\n", err)
-		return 2
-	}
-
 	mod, err := lint.LoadModule(root)
 	if err != nil {
 		fmt.Fprintf(stderr, "splitlint: %v\n", err)
 		return 2
 	}
-
-	diags := lint.Run(mod.Packages, analyzers)
-	for i := range diags {
-		// Report module-relative paths so output is stable across machines.
-		if rel, relErr := filepath.Rel(root, diags[i].Pos.Filename); relErr == nil {
-			diags[i].Pos.Filename = rel
+	diags := lint.Run(mod.Packages, lint.All())
+	for _, d := range diags {
+		if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil {
+			d.Pos.Filename = rel
 		}
-	}
-	if *asJSON {
-		if err := writeJSON(stdout, diags); err != nil {
-			fmt.Fprintf(stderr, "splitlint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d.String())
-		}
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "splitlint: %d issue(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// jsonDiagnostic is the machine-readable shape of one finding. The field
-// set is a stable contract for CI artifact consumers; extend it, don't
-// rename it.
-type jsonDiagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File:    d.Pos.Filename,
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Rule:    d.Rule,
-			Message: d.Msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // findModuleRoot ascends from dir to the nearest directory containing go.mod.

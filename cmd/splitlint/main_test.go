@@ -2,20 +2,19 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
-func runLint(t *testing.T, args ...string) (int, string, string) {
+func runLint(t *testing.T, dir string, args ...string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := run(args, &stdout, &stderr)
+	code := run(dir, args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
 }
 
 func TestRepoIsClean(t *testing.T) {
-	code, stdout, stderr := runLint(t, "-C", "../..", "./...")
+	code, stdout, stderr := runLint(t, "../..", "./...")
 	if code != 0 {
 		t.Fatalf("splitlint on this repo: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -24,101 +23,42 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestBadModule pins one seeded defect per rule family, each reported once
+// with its module-relative position.
 func TestBadModule(t *testing.T) {
-	code, stdout, _ := runLint(t, "-C", "testdata/badmod")
+	code, stdout, _ := runLint(t, "testdata/badmod")
 	if code != 1 {
 		t.Fatalf("splitlint on badmod: exit %d, want 1\n%s", code, stdout)
 	}
-	for _, want := range []string{
+	want := []string{
 		"bad.go:11:32: norandglobal:",
 		"bad.go:14:62: errwrap:",
-		"clock.go:7:31: noclock:",
-		"drop.go:5:29: vocab:",
-		"lock.go:16:9: hotalloc:",
-		"lock.go:22:2: lockorder:",
-	} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("output missing %q:\n%s", want, stdout)
+		"internal/policy/clock.go:7:31: noclock:",
+		"internal/policy/drop.go:5:29: vocab:",
+		"internal/sched/lock.go:16:9: hotalloc: hot path (queue.Pop): make allocates",
+		"internal/sched/lock.go:22:2: locks:",
+	}
+	for _, w := range want {
+		if !strings.Contains(stdout, w) {
+			t.Errorf("output missing %q:\n%s", w, stdout)
 		}
+	}
+	if n := strings.Count(stdout, "\n"); n != len(want) {
+		t.Errorf("got %d diagnostics, want %d:\n%s", n, len(want), stdout)
 	}
 }
 
 func TestFindsModuleRootFromSubdir(t *testing.T) {
-	code, stdout, _ := runLint(t, "-C", "testdata/badmod/internal/policy")
+	code, stdout, _ := runLint(t, "testdata/badmod/internal/policy")
 	if code != 1 || !strings.Contains(stdout, "noclock:") {
 		t.Fatalf("exit %d, want 1 with noclock finding\n%s", code, stdout)
 	}
 }
 
-func TestRuleSelection(t *testing.T) {
-	// Only the noclock rule: the norandglobal and errwrap findings vanish.
-	code, stdout, _ := runLint(t, "-C", "testdata/badmod", "-rules", "noclock")
-	if code != 1 || strings.Contains(stdout, "norandglobal") {
-		t.Fatalf("exit %d\n%s", code, stdout)
-	}
-	if strings.Count(stdout, "\n") != 1 {
-		t.Errorf("want exactly the noclock finding:\n%s", stdout)
-	}
-}
-
-func TestList(t *testing.T) {
-	code, stdout, _ := runLint(t, "-list")
-	if code != 0 {
-		t.Fatalf("-list: exit %d", code)
-	}
-	for _, rule := range []string{"noclock", "norandglobal", "msunits", "errwrap",
-		"lockdiscipline", "hotalloc", "lockorder", "vocab"} {
-		if !strings.Contains(stdout, rule) {
-			t.Errorf("-list output missing %q:\n%s", rule, stdout)
-		}
-	}
-}
-
-func TestJSONOutput(t *testing.T) {
-	code, stdout, stderr := runLint(t, "-C", "testdata/badmod", "-json")
-	if code != 1 {
-		t.Fatalf("splitlint -json on badmod: exit %d, want 1\n%s", code, stderr)
-	}
-	var diags []jsonDiagnostic
-	if err := json.Unmarshal([]byte(stdout), &diags); err != nil {
-		t.Fatalf("stdout is not a JSON array: %v\n%s", err, stdout)
-	}
-	if len(diags) != 6 {
-		t.Fatalf("got %d diagnostics, want 6:\n%s", len(diags), stdout)
-	}
-	byRule := map[string]jsonDiagnostic{}
-	for _, d := range diags {
-		byRule[d.Rule] = d
-	}
-	ha, ok := byRule["hotalloc"]
-	if !ok || ha.File != "internal/sched/lock.go" || ha.Line != 16 || ha.Column != 9 ||
-		!strings.Contains(ha.Message, "make allocates") {
-		t.Errorf("hotalloc diagnostic malformed: %+v", ha)
-	}
-	for _, rule := range []string{"lockorder", "vocab", "noclock", "norandglobal", "errwrap"} {
-		if _, ok := byRule[rule]; !ok {
-			t.Errorf("JSON output missing a %s diagnostic:\n%s", rule, stdout)
-		}
-	}
-}
-
-// TestJSONClean checks a clean selection emits an empty array, not null —
-// CI consumers parse the artifact unconditionally.
-func TestJSONClean(t *testing.T) {
-	code, stdout, _ := runLint(t, "-C", "testdata/badmod", "-rules", "msunits", "-json")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0", code)
-	}
-	if strings.TrimSpace(stdout) != "[]" {
-		t.Errorf("clean -json output = %q, want []", stdout)
-	}
-}
-
 func TestUsageErrors(t *testing.T) {
-	if code, _, _ := runLint(t, "-rules", "nosuchrule", "-C", "testdata/badmod"); code != 2 {
-		t.Errorf("unknown rule: exit %d, want 2", code)
-	}
-	if code, _, _ := runLint(t, "-C", "testdata/badmod", "some/pkg"); code != 2 {
-		t.Errorf("unsupported pattern: exit %d, want 2", code)
+	for _, args := range [][]string{{"some/pkg"}, {"-rules", "noclock"}, {"-json"}} {
+		if code, _, _ := runLint(t, "testdata/badmod", args...); code != 2 {
+			t.Errorf("splitlint %v: exit %d, want 2", args, code)
+		}
 	}
 }

@@ -18,24 +18,26 @@ var Errwrap = &Analyzer{
 	Run:  runErrwrap,
 }
 
-func runErrwrap(p *Package, report ReportFunc) {
+func runErrwrap(pkgs []*Package, report ModuleReportFunc) {
 	errType := types.Universe.Lookup("error").Type()
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkErrorf(p, n, errType, report)
-			case *ast.BinaryExpr:
-				checkSentinelCompare(p, n, errType, report)
-			}
-			return true
-		})
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					checkErrorf(p, n, errType, report)
+				case *ast.BinaryExpr:
+					checkSentinelCompare(p, n, errType, report)
+				}
+				return true
+			})
+		}
 	}
 }
 
 // checkErrorf flags fmt.Errorf calls that format an error operand with a
 // verb other than %w.
-func checkErrorf(p *Package, call *ast.CallExpr, errType types.Type, report ReportFunc) {
+func checkErrorf(p *Package, call *ast.CallExpr, errType types.Type, report ModuleReportFunc) {
 	fn := calleeFunc(p.Info, call)
 	if fn == nil || fn.FullName() != "fmt.Errorf" || len(call.Args) < 2 {
 		return
@@ -57,7 +59,7 @@ func checkErrorf(p *Package, call *ast.CallExpr, errType types.Type, report Repo
 			continue
 		}
 		if types.AssignableTo(tv.Type, errType) && verbs[i] != 'w' {
-			report(arg.Pos(), "error operand formatted with %%%c flattens the chain; use %%w so callers can errors.Is/As/Unwrap", verbs[i])
+			report(p, arg.Pos(), "error operand formatted with %%%c flattens the chain; use %%w so callers can errors.Is/As/Unwrap", verbs[i])
 		}
 	}
 }
@@ -100,7 +102,7 @@ func formatVerbs(format string) ([]byte, bool) {
 
 // checkSentinelCompare flags ==/!= between error values when one side is a
 // package-level sentinel variable (ErrFoo, EOF).
-func checkSentinelCompare(p *Package, bin *ast.BinaryExpr, errType types.Type, report ReportFunc) {
+func checkSentinelCompare(p *Package, bin *ast.BinaryExpr, errType types.Type, report ModuleReportFunc) {
 	if bin.Op != token.EQL && bin.Op != token.NEQ {
 		return
 	}
@@ -109,7 +111,7 @@ func checkSentinelCompare(p *Package, bin *ast.BinaryExpr, errType types.Type, r
 	}
 	for _, side := range []ast.Expr{bin.X, bin.Y} {
 		if name, ok := sentinelName(p.Info, side); ok {
-			report(bin.Pos(), "sentinel %s compared with %s; use errors.Is so wrapped errors still match", name, bin.Op)
+			report(p, bin.Pos(), "sentinel %s compared with %s; use errors.Is so wrapped errors still match", name, bin.Op)
 			return
 		}
 	}

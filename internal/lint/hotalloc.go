@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // Hotalloc keeps the grant path allocation-free. SPLIT's preemption-latency
@@ -31,9 +30,9 @@ import (
 // formatting off the untraced hot path, and the guard itself is what the
 // rule pushes call sites toward.
 var Hotalloc = &Analyzer{
-	Name:      "hotalloc",
-	Doc:       "no heap allocation in //lint:hotpath functions, transitively through module calls",
-	RunModule: runHotalloc,
+	Name: "hotalloc",
+	Doc:  "no heap allocation in //lint:hotpath functions, transitively through module calls",
+	Run:  runHotalloc,
 }
 
 // allocSite is one direct allocation inside a function body.
@@ -46,13 +45,6 @@ type allocSite struct {
 	verb string
 }
 
-// callRef is one static call to a module-local function.
-type callRef struct {
-	pos  token.Pos
-	key  string
-	name string // shortFuncKey of the callee, for diagnostics
-}
-
 // funcFacts is everything hotalloc knows about one function.
 type funcFacts struct {
 	p     *Package
@@ -60,82 +52,41 @@ type funcFacts struct {
 	hot   bool
 	sites []allocSite
 	calls []callRef
-	// allocVerb is non-empty once the function is known to allocate,
-	// directly or transitively.
-	allocVerb string
 }
 
 func runHotalloc(pkgs []*Package, report ModuleReportFunc) {
 	facts := map[string]*funcFacts{}
+	graph := callGraph{}
+	// allocVerb is non-empty once a function is known to allocate,
+	// directly or transitively; the fixpoint records the call chain in the
+	// verb so the report explains *why* a helper allocates.
+	allocVerb := map[string]string{}
 	var hotKeys []string
-	for _, p := range pkgs {
-		if isTestPackage(p) {
-			continue
-		}
-		for _, f := range p.Files {
-			if isTestFile(p, f) {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				ff := &funcFacts{p: p, name: shortFuncKey(fn)}
-				ff.hot = hasDirective(fd.Doc, "hotpath")
-				collectAllocs(p, fd, ff)
-				key := funcKey(fn)
-				facts[key] = ff
-				if ff.hot {
-					hotKeys = append(hotKeys, key)
-				}
-			}
-		}
-	}
-
-	// Seed each function's allocation verdict from its direct sites, then
-	// propagate through module-local calls to a fixpoint, recording the
-	// call chain in the verb so the report explains *why* a helper is hot.
-	for _, ff := range facts {
+	eachFunc(pkgs, func(p *Package, fd *ast.FuncDecl, fn *types.Func) {
+		ff := &funcFacts{p: p, name: shortFuncKey(fn), hot: hasDirective(fd.Doc, "hotpath")}
+		collectAllocs(p, fd, ff)
+		key := funcKey(fn)
+		facts[key], graph[key] = ff, ff.calls
 		if len(ff.sites) > 0 {
-			ff.allocVerb = ff.sites[0].verb
+			allocVerb[key] = ff.sites[0].verb
 		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, ff := range facts {
-			if ff.allocVerb != "" {
-				continue
-			}
-			for _, c := range ff.calls {
-				callee := facts[c.key]
-				if callee == nil || callee.allocVerb == "" {
-					continue
-				}
-				ff.allocVerb = fmt.Sprintf("calls %s, which %s", c.name, callee.allocVerb)
-				changed = true
-				break
-			}
+		if ff.hot {
+			hotKeys = append(hotKeys, key)
 		}
-	}
+	})
+	graph.propagate(allocVerb)
 
-	sort.Strings(hotKeys)
 	for _, key := range hotKeys {
 		ff := facts[key]
 		for _, site := range ff.sites {
 			report(ff.p, site.pos, "hot path (%s): %s", ff.name, site.what)
 		}
 		for _, c := range ff.calls {
-			callee := facts[c.key]
-			if callee == nil || callee.allocVerb == "" || callee.hot {
+			if allocVerb[c.key] == "" || facts[c.key].hot {
 				continue
 			}
 			report(ff.p, c.pos, "hot path (%s): call to %s allocates — it %s; make the helper allocation-free or lift it off the grant path",
-				ff.name, c.name, callee.allocVerb)
+				ff.name, c.name, allocVerb[c.key])
 		}
 	}
 }
@@ -373,31 +324,4 @@ func insideLoop(stack []ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// sharesModule reports whether calleePath lives in the same module as the
-// package at pkgPath, judged by the first path segment — both real loads
-// ("split/...") and fixture loads share one module prefix.
-func sharesModule(calleePath, pkgPath string) bool {
-	return firstSegment(calleePath) == firstSegment(pkgPath)
-}
-
-func firstSegment(path string) string {
-	for i := 0; i < len(path); i++ {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return path
-}
-
-// isTestFile reports whether f is a _test.go file of p.
-func isTestFile(p *Package, f *ast.File) bool {
-	name := p.Fset.Position(f.Pos()).Filename
-	return len(name) >= len("_test.go") && name[len(name)-len("_test.go"):] == "_test.go"
-}
-
-// isTestPackage reports whether p is an external _test package.
-func isTestPackage(p *Package) bool {
-	return len(p.Name) > len("_test") && p.Name[len(p.Name)-len("_test"):] == "_test"
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,29 +13,30 @@ import (
 var update = flag.Bool("update", false, "rewrite the testdata golden files")
 
 // goldenCases pairs each testdata package with the module location it
-// simulates and the rules it exercises. Loading the same source at a
-// different import path is how the path-scoped rules get negative coverage.
+// simulates and the rule it exercises. Loading the same source at a
+// different import path is how the path-scoped rules get negative coverage,
+// and how the unscoped locks rule shows its findings do not depend on one.
 var goldenCases = []struct {
 	name       string
 	dir        string
 	importPath string
-	rules      string
+	rule       *Analyzer
 	golden     string
 }{
-	{"noclock", "noclock", "split/internal/policy", "noclock", "expect.txt"},
-	{"noclock-allowed", "noclock", "split/cmd/splitd", "noclock", "expect_allowed.txt"},
-	{"norandglobal", "norandglobal", "split/internal/workload", "norandglobal", "expect.txt"},
-	{"msunits", "msunits", "split/internal/core", "msunits", "expect.txt"},
-	{"errwrap", "errwrap", "split/internal/metrics", "errwrap", "expect.txt"},
-	{"lockdiscipline", "lockdiscipline", "split/internal/serve", "lockdiscipline", "expect.txt"},
-	{"lockdiscipline-out-of-scope", "lockdiscipline", "split/internal/sched", "lockdiscipline", "expect_out_of_scope.txt"},
-	{"ignore", "ignore", "split/internal/workload", "norandglobal", "expect.txt"},
-	{"hotalloc", "hotalloc", "split/internal/sched", "hotalloc", "expect.txt"},
-	// The same lockorder fixture loads twice: in sched the rule owns the
-	// direct escapes too; in serve those are lockdiscipline's report and
-	// only the cycle/re-acquisition findings remain.
-	{"lockorder-sched", "lockorder", "split/internal/sched", "lockorder", "expect_sched.txt"},
-	{"lockorder-serve", "lockorder", "split/internal/serve", "lockorder", "expect_serve.txt"},
+	{"noclock", "noclock", "split/internal/policy", Noclock, "expect.txt"},
+	{"noclock-allowed", "noclock", "split/cmd/splitd", Noclock, "expect_allowed.txt"},
+	{"norandglobal", "norandglobal", "split/internal/workload", Norandglobal, "expect.txt"},
+	{"msunits", "msunits", "split/internal/core", Msunits, "expect.txt"},
+	{"errwrap", "errwrap", "split/internal/metrics", Errwrap, "expect.txt"},
+	{"ignore", "ignore", "split/internal/workload", Norandglobal, "expect.txt"},
+	{"hotalloc", "hotalloc", "split/internal/sched", Hotalloc, "expect.txt"},
+	// The locks rule has no path scope: each fixture reports the same
+	// findings at an import path outside the two scopes the rule replaced
+	// (trace) and at ones inside them.
+	{"lockdiscipline", "lockdiscipline", "split/internal/serve", Locks, "expect.txt"},
+	{"lockdiscipline-out-of-scope", "lockdiscipline", "split/internal/trace", Locks, "expect.txt"},
+	{"lockorder-sched", "lockorder", "split/internal/sched", Locks, "expect.txt"},
+	{"lockorder-serve", "lockorder", "split/internal/serve", Locks, "expect.txt"},
 }
 
 func TestGolden(t *testing.T) {
@@ -45,12 +47,8 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LoadPackage(%s): %v", dir, err)
 			}
-			analyzers, err := ByName(tc.rules)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var b strings.Builder
-			for _, d := range Run([]*Package{p}, analyzers) {
+			for _, d := range Run([]*Package{p}, []*Analyzer{tc.rule}) {
 				d.Pos.Filename = filepath.Base(d.Pos.Filename)
 				fmt.Fprintln(&b, d.String())
 			}
@@ -118,7 +116,9 @@ func TestVocabModule(t *testing.T) {
 }
 
 // TestLoadModule loads the real module and checks the suite passes on it:
-// the tree is swept clean, and staying clean is part of `make check`.
+// the tree is swept clean, and staying clean is part of `make check`. It
+// also checks the locks rule sees across every package: the serving mutex
+// is held while the arrival recorder takes its own.
 func TestLoadModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -133,19 +133,13 @@ func TestLoadModule(t *testing.T) {
 	for _, d := range Run(mod.Packages, All()) {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
-}
-
-func TestByName(t *testing.T) {
-	all, err := ByName("")
-	if err != nil || len(all) != len(All()) {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v", len(all), err)
+	const from, to = "serve.Server.mu", "workload.Recorder.mu"
+	found := false
+	for _, e := range lockGraph(mod.Packages, func(*Package, token.Pos, string, ...any) {}) {
+		found = found || e.from == from && e.to == to
 	}
-	two, err := ByName("noclock, errwrap")
-	if err != nil || len(two) != 2 || two[0].Name != "noclock" || two[1].Name != "errwrap" {
-		t.Fatalf("ByName(\"noclock, errwrap\") = %v, err %v", two, err)
-	}
-	if _, err := ByName("nosuchrule"); err == nil {
-		t.Fatal("ByName(\"nosuchrule\") did not fail")
+	if !found {
+		t.Errorf("acquisition graph lacks the edge %s -> %s", from, to)
 	}
 }
 

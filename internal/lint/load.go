@@ -22,8 +22,8 @@ type Package struct {
 	// packages share the path of the package they test.
 	Path string
 	// Rel is the module-relative directory ("" for the module root,
-	// "internal/sched", "cmd/splitd", ...). Analyzers scope their rules
-	// on Rel, so a package loaded standalone can simulate any location.
+	// "internal/sched", "cmd/splitd", ...). Only noclock and vocab read
+	// it, and a package loaded standalone can simulate any location.
 	Rel string
 	// Name is the package name ("sched", "sched_test", "main").
 	Name  string

@@ -65,16 +65,18 @@ func needsUnitSuffix(name string) bool {
 	return !unitSuffixes[last] && timeWords[last]
 }
 
-func runMsunits(p *Package, report ReportFunc) {
-	for _, f := range p.Files {
-		checkNamedTimes(p, f, report)
-		checkDurationMixing(p, f, report)
+func runMsunits(pkgs []*Package, report ModuleReportFunc) {
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			checkNamedTimes(p, f, report)
+			checkDurationMixing(p, f, report)
+		}
 	}
 }
 
 // checkNamedTimes applies the naming half of the rule to exported struct
 // fields and to the parameters of exported functions and methods.
-func checkNamedTimes(p *Package, f *ast.File, report ReportFunc) {
+func checkNamedTimes(p *Package, f *ast.File, report ModuleReportFunc) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.StructType:
@@ -88,7 +90,7 @@ func checkNamedTimes(p *Package, f *ast.File, report ReportFunc) {
 						continue
 					}
 					if needsUnitSuffix(name.Name) {
-						report(name.Pos(), "exported time-valued float64 field %s does not name its unit; add the Ms suffix", name.Name)
+						report(p, name.Pos(), "exported time-valued float64 field %s does not name its unit; add the Ms suffix", name.Name)
 					}
 				}
 			}
@@ -103,7 +105,7 @@ func checkNamedTimes(p *Package, f *ast.File, report ReportFunc) {
 						continue
 					}
 					if needsUnitSuffix(name.Name) {
-						report(name.Pos(), "time-valued float64 parameter %s of exported %s does not name its unit; add the Ms suffix", name.Name, n.Name.Name)
+						report(p, name.Pos(), "time-valued float64 parameter %s of exported %s does not name its unit; add the Ms suffix", name.Name, n.Name.Name)
 					}
 				}
 			}
@@ -113,7 +115,7 @@ func checkNamedTimes(p *Package, f *ast.File, report ReportFunc) {
 }
 
 // checkDurationMixing applies the conversion half of the rule.
-func checkDurationMixing(p *Package, f *ast.File, report ReportFunc) {
+func checkDurationMixing(p *Package, f *ast.File, report ModuleReportFunc) {
 	walkStack(f, func(n ast.Node, stack []ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) != 1 {
@@ -131,7 +133,7 @@ func checkDurationMixing(p *Package, f *ast.File, report ReportFunc) {
 				return
 			}
 			if !mentionsTimeUnit(p.Info, arg) {
-				report(call.Pos(), "time.Duration(<float64>) reads a millisecond value as nanoseconds; multiply by float64(time.Millisecond) in the conversion")
+				report(p, call.Pos(), "time.Duration(<float64>) reads a millisecond value as nanoseconds; multiply by float64(time.Millisecond) in the conversion")
 			}
 		case *ast.Ident:
 			// float64(<time.Duration expr>) without a unit divisor in the
@@ -143,7 +145,7 @@ func checkDurationMixing(p *Package, f *ast.File, report ReportFunc) {
 				return
 			}
 			if !mentionsTimeUnit(p.Info, enclosingArithmetic(call, stack)) {
-				report(call.Pos(), "float64(<time.Duration>) yields nanoseconds; divide by float64(time.Millisecond) in the same expression")
+				report(p, call.Pos(), "float64(<time.Duration>) yields nanoseconds; divide by float64(time.Millisecond) in the same expression")
 			}
 		}
 	})

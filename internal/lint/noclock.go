@@ -36,20 +36,22 @@ func clockAllowed(rel string) bool {
 	return strings.HasPrefix(rel, "cmd/") || strings.HasPrefix(rel, "examples/")
 }
 
-func runNoclock(p *Package, report ReportFunc) {
-	if clockAllowed(p.Rel) {
-		return
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+func runNoclock(pkgs []*Package, report ModuleReportFunc) {
+	for _, p := range pkgs {
+		if clockAllowed(p.Rel) {
+			continue
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if name := pkgSelector(p.Info, sel, "time"); clockFuncs[name] {
+					report(p, sel.Pos(), "time.%s in a virtual-time package: keep sim/sched code clock-free and take times as float64 ms arguments", name)
+				}
 				return true
-			}
-			if name := pkgSelector(p.Info, sel, "time"); clockFuncs[name] {
-				report(sel.Pos(), "time.%s in a virtual-time package: keep sim/sched code clock-free and take times as float64 ms arguments", name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }

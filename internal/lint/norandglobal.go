@@ -24,32 +24,34 @@ var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
-func runNorandglobal(p *Package, report ReportFunc) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+func runNorandglobal(pkgs []*Package, report ModuleReportFunc) {
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				id, ok := sel.X.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				pkg := usedPkg(p.Info, id)
+				if pkg == nil || (pkg.Path() != "math/rand" && pkg.Path() != "math/rand/v2") {
+					return true
+				}
+				fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+				if !ok {
+					return true // a type like rand.Rand, not a function
+				}
+				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+					return true // method on *rand.Rand reached some other way
+				}
+				if !randConstructors[fn.Name()] {
+					report(p, sel.Pos(), "global %s.%s draws from shared, unseeded state and breaks run-to-run reproducibility; use an injected seeded *rand.Rand", pkg.Name(), fn.Name())
+				}
 				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkg := usedPkg(p.Info, id)
-			if pkg == nil || (pkg.Path() != "math/rand" && pkg.Path() != "math/rand/v2") {
-				return true
-			}
-			fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-			if !ok {
-				return true // a type like rand.Rand, not a function
-			}
-			if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-				return true // method on *rand.Rand reached some other way
-			}
-			if !randConstructors[fn.Name()] {
-				report(sel.Pos(), "global %s.%s draws from shared, unseeded state and breaks run-to-run reproducibility; use an injected seeded *rand.Rand", pkg.Name(), fn.Name())
-			}
-			return true
-		})
+			})
+		}
 	}
 }

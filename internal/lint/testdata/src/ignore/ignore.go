@@ -30,3 +30,5 @@ func Unreasoned() float64 {
 func Unsuppressed() float64 {
 	return rand.ExpFloat64()
 }
+
+//lint:ignore lockorder testdata demonstrating a directive that names a deleted rule

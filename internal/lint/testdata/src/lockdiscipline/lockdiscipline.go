@@ -1,5 +1,5 @@
-// Package lockdiscipline exercises the lockdiscipline rule. The golden
-// test loads it as split/internal/serve, putting it in the rule's scope.
+// Package lockdiscipline exercises the locks rule's escape checks. The golden
+// test loads it at split/internal/serve and at split/internal/trace.
 package lockdiscipline
 
 import "sync"

@@ -1,12 +1,12 @@
-// Package lockorder seeds the defects the lockorder rule reports: an ABBA
-// lock-order cycle closed through a module-local call, a non-reentrant
-// re-acquisition, and escapes (channel sends, sink Emit calls) reachable
-// while a mutex is held — both directly and through a helper.
+// Package lockorder seeds an ABBA lock-order cycle closed through a
+// module-local call, a non-reentrant re-acquisition, and escapes (channel
+// sends, sink Emit calls) reachable while a mutex is held, both directly
+// and through a helper.
 //
-// The golden test loads this package twice: at split/internal/sched, where
-// lockdiscipline does not run and lockorder owns the direct escapes too,
-// and at split/internal/serve, where same-package direct escapes are
-// lockdiscipline's report and only the cycle findings remain.
+// The golden test loads this package twice, at split/internal/sched and at
+// split/internal/serve. The locks rule has no path scope and no division of
+// labour between rules, so both loads report every defect once, against
+// one golden.
 package lockorder
 
 import "sync"

@@ -23,9 +23,9 @@ import (
 //     obs.Metric* constants, so dashboards and tests cannot disagree with
 //     the server about a family's spelling.
 var Vocab = &Analyzer{
-	Name:      "vocab",
-	Doc:       "sim/serve vocabulary drift: drop reasons and metric families",
-	RunModule: runVocab,
+	Name: "vocab",
+	Doc:  "sim/serve vocabulary drift: drop reasons and metric families",
+	Run:  runVocab,
 }
 
 const (

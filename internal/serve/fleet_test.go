@@ -118,10 +118,14 @@ func TestFleetSimServeParity(t *testing.T) {
 				}
 			}
 
-			// Real-time side: same schedule through the fleet server.
+			// Real-time side: same schedule through the fleet server. Time
+			// is stretched 3x so the 10 virtual ms margins are 30 wall ms,
+			// wider than the scheduling delay of a loaded two-core host;
+			// the virtual schedule and every expectation are unchanged.
 			srv, _, ring := startLifecycle(t, func(c *Config) {
 				c.Devices = n
 				c.Placement = place.RoundRobin
+				c.TimeScale = 3
 			})
 			chans := make([]chan outcome, len(deadlines))
 			for i, d := range deadlines {
