@@ -271,14 +271,14 @@ func BenchmarkAblationEvenness(b *testing.B) {
 // Scenario 6 (ablation 3).
 func BenchmarkAblationElastic(b *testing.B) {
 	dep := deployOnce(b)
-	var rows []core.ElasticAblationRow
+	var rows []core.Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = core.ElasticAblation(dep, int64(i+1))
+		rows = core.ElasticAblation(dep, int64(i+1)).Run()
 	}
 	for _, r := range rows {
-		if r.Scenario.Name == "Scenario6" {
-			if r.Elastic {
+		if r.Labels[0] == "Scenario6" {
+			if r.Labels[1] == "true" {
 				b.ReportMetric(r.MeanRR, "elastic-meanRR")
 			} else {
 				b.ReportMetric(r.MeanRR, "static-meanRR")
@@ -306,29 +306,6 @@ func BenchmarkAblationBlockCount(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(best.Blocks), "optimal-blocks")
-}
-
-// BenchmarkAblationGuidedInit compares guided vs uniform GA initialization
-// (ablation 6).
-func BenchmarkAblationGuidedInit(b *testing.B) {
-	g := zoo.MustLoad("vgg19")
-	p := profiler.New(g, model.DefaultCostModel())
-	for _, guided := range []bool{true, false} {
-		name := "uniform"
-		if guided {
-			name = "guided"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := ga.DefaultConfig(3)
-				cfg.GuidedInit = guided
-				cfg.Seed = int64(i + 1)
-				if _, err := ga.Run(p, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkScenarioAllSystems is splitperf's sim_paper_grid for one seed:
@@ -379,16 +356,16 @@ func BenchmarkFig1Microbenchmark(b *testing.B) {
 // ablation and reports the long-request p95 RR with and without the guard.
 func BenchmarkAblationStarvationGuard(b *testing.B) {
 	dep := deployOnce(b)
-	var rows []core.StarvationRow
+	var rows []core.Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows = core.StarvationAblation(dep, int64(i+1))
+		rows = core.StarvationAblation(dep, int64(i+1)).Run()
 	}
 	for _, r := range rows {
-		if r.GuardRR == 0 {
+		if r.Labels[0] == "off" {
 			b.ReportMetric(r.P95LongRR, "p95-longRR-off")
 		}
-		if r.GuardRR == 6 {
+		if r.Labels[0] == "6" {
 			b.ReportMetric(r.P95LongRR, "p95-longRR-guard6")
 		}
 	}

@@ -11,10 +11,11 @@
 //	splitbench -fig3
 //	splitbench -table2
 //	splitbench -summary
-//	splitbench -ablation search|evenness|elastic|blocks|init|starvation|burstiness|shedding
-//	splitbench -ablation placement [-devices 2] [-csv placement.csv]
-//	splitbench -ablation batching [-batch-max 8]
-//	splitbench -ablation sharing [-partitions 1,2,4]
+//	splitbench -ablation search|blocks|init
+//	splitbench -ablation evenness|elastic|starvation|burstiness|shedding [-csv rows.csv]
+//	splitbench -ablation placement [-devices 2] [-csv rows.csv]
+//	splitbench -ablation batching [-batch-max 8] [-csv rows.csv]
+//	splitbench -ablation sharing [-partitions 1,2,4] [-csv rows.csv]
 //	splitbench -capacity [-capacity-devices 1,2,4] [-viol-target 0.1] [-placement least-loaded]
 //	splitbench -saturation [-devices 2] [-saturation-points 16] [-viol-target 0.1]
 //	splitbench -replay run.trace [-systems "SPLIT,RT-A"]
@@ -28,9 +29,13 @@
 // -record, or workload.WriteTrace) through the selected systems and prints
 // their QoS summaries.
 //
-// Command-line mistakes (unknown ablation, -devices 0, -batch-max 0, a bad
-// -viol-target or -capacity-devices list) exit with status 2 and a one-line
-// error; runtime failures exit with status 1.
+// -csv also writes a simulator ablation's rows (every -ablation but search,
+// blocks and init) as CSV.
+//
+// Command-line mistakes (unknown ablation, -csv without a simulator
+// ablation, -devices 0, -batch-max 0, a bad -viol-target or
+// -capacity-devices list) exit with status 2 and a one-line error; runtime
+// failures exit with status 1.
 package main
 
 import (
@@ -89,7 +94,7 @@ func run(args []string, out io.Writer) error {
 		devices  = fs.Int("devices", 2, "fleet size for -ablation placement")
 		batchMax = fs.Int("batch-max", 8, "micro-batch cap for -ablation batching (1 disables batching)")
 		partList = fs.String("partitions", "1,2,4", "comma-separated per-device partition counts for -ablation sharing")
-		csvPath  = fs.String("csv", "", "also write -ablation placement rows as CSV to this file")
+		csvPath  = fs.String("csv", "", "also write the simulator -ablation's rows as CSV to this file")
 		systems  = fs.String("systems", "", "comma-separated system list for -fig6/-fig7/-summary (default: the paper's four; add REEF or Stream-Parallel here)")
 		seeds    = fs.Int("seeds", 1, "replications for -fig6/-fig7; >1 reports mean±std over seeds")
 		seed     = fs.Int64("seed", 1, "workload seed")
@@ -125,7 +130,7 @@ func run(args []string, out io.Writer) error {
 	if _, err := place.New(*placement, 1); err != nil {
 		return usageError{err}
 	}
-	capList, err := parseDevices(*capDevices)
+	capList, err := parseCounts("-capacity-devices", *capDevices)
 	if err != nil {
 		return err
 	}
@@ -142,7 +147,6 @@ func run(args []string, out io.Writer) error {
 		}
 	})
 	cm := model.DefaultCostModel()
-	ran := false
 
 	sysList := core.DefaultSystems()
 	if *systems != "" {
@@ -156,13 +160,29 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	needDeploy := *fig6 || *fig7 || *fig3 || *fig1 || *summary || *stab || *capacity || *saturation || *replayPath != "" ||
-		*ablation == "elastic" || *ablation == "starvation" || *ablation == "burstiness" ||
-		*ablation == "shedding" || *ablation == "placement" || *ablation == "batching" ||
-		*ablation == "sharing"
+	// The simulator ablations, by name; each runs, renders and writes CSV
+	// one way. dep is deployed below, before any of them is built.
 	var dep *core.Deployment
+	simAblations := map[string]func() (*core.Ablation, error){
+		"evenness":   func() (*core.Ablation, error) { return core.EvennessAblation(cm, *seed) },
+		"elastic":    func() (*core.Ablation, error) { return core.ElasticAblation(dep, *seed), nil },
+		"starvation": func() (*core.Ablation, error) { return core.StarvationAblation(dep, *seed), nil },
+		"burstiness": func() (*core.Ablation, error) { return core.BurstinessAblation(dep, *seed), nil },
+		"shedding":   func() (*core.Ablation, error) { return core.SheddingAblation(dep, *seed), nil },
+		"placement":  func() (*core.Ablation, error) { return core.PlacementAblation(dep, *devices, *seed), nil },
+		"batching":   func() (*core.Ablation, error) { return core.BatchingAblation(dep, *batchMax, *seed), nil },
+		"sharing":    func() (*core.Ablation, error) { return core.SharingAblation(dep, partitions, *seed), nil },
+	}
+	sim := simAblations[*ablation]
+	if *csvPath != "" && sim == nil {
+		return usagef("-csv needs a simulator -ablation, got %q", *ablation)
+	}
+	needDeploy := *fig6 || *fig7 || *fig3 || *fig1 || *summary || *stab || *capacity || *saturation || *replayPath != "" || sim != nil
+	if !needDeploy && !*table2 && *ablation == "" {
+		fs.Usage()
+		return usagef("no action selected")
+	}
 	if needDeploy {
-		var err error
 		dep, err = core.DefaultPipeline().Deploy()
 		if err != nil {
 			return err
@@ -170,14 +190,12 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *table2 {
-		ran = true
 		fmt.Fprintf(out, "%-12s %26s %6s\n", "Name", "Average arrival interval(λ)", "Load")
 		for _, s := range workload.Table2() {
 			fmt.Fprintf(out, "%-12s %25.0fms %6s\n", s.Name, s.MeanIntervalMs, s.Load)
 		}
 	}
 	if *fig6 {
-		ran = true
 		if *seeds > 1 {
 			fmt.Fprint(out, core.RenderFig6Aggregate(core.Fig6MultiSeed(dep, sysList, *seeds)))
 		} else {
@@ -188,7 +206,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *fig7 {
-		ran = true
 		if *seeds > 1 {
 			fmt.Fprint(out, core.RenderFig7Aggregate(core.Fig7MultiSeed(dep, sysList, *seeds)))
 		} else {
@@ -196,25 +213,20 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *fig3 {
-		ran = true
 		fmt.Fprint(out, core.RenderFig3(core.Fig3(dep, *seed)))
 	}
 	if *fig1 {
-		ran = true
 		fmt.Fprint(out, core.RenderFig1(core.Fig1(dep)))
 	}
 	if *stab {
-		ran = true
 		fmt.Fprint(out, core.RenderStability(core.StabilityExperiment(dep, nil, *seed)))
 	}
 	if *summary {
-		ran = true
 		for _, run := range dep.RunAllScenarios(sysList, *seed) {
 			fmt.Fprintf(out, "%-12s %s\n", run.Scenario.Name, run.Summary)
 		}
 	}
 	if *capacity {
-		ran = true
 		cfg := core.CapacityConfig{
 			BatchMax:   capBatch,
 			Placement:  *placement,
@@ -226,7 +238,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, core.RenderCapacity(rows, *violTarget, 4))
 	}
 	if *saturation {
-		ran = true
 		res := core.NewSaturationAnalyzer(dep, core.SaturationConfig{
 			CapacityConfig: core.CapacityConfig{
 				Devices:    *devices,
@@ -241,7 +252,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, core.RenderSaturation(res, *violTarget, 4))
 	}
 	if *replayPath != "" {
-		ran = true
 		if err := replayTrace(out, dep, sysList, *replayPath); err != nil {
 			return err
 		}
@@ -249,24 +259,12 @@ func run(args []string, out io.Writer) error {
 	switch *ablation {
 	case "":
 	case "search":
-		ran = true
 		rows, err := core.SearchAblation(cm, *seed)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, core.RenderSearchAblation(rows))
-	case "evenness":
-		ran = true
-		rows, err := core.EvennessAblation(cm, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, core.RenderEvennessAblation(rows))
-	case "elastic":
-		ran = true
-		fmt.Fprint(out, core.RenderElasticAblation(core.ElasticAblation(dep, *seed)))
 	case "blocks":
-		ran = true
 		for _, name := range []string{"resnet50", "vgg19"} {
 			rows, err := core.BlockCountSweep(name, 8, cm, *seed)
 			if err != nil {
@@ -274,59 +272,34 @@ func run(args []string, out io.Writer) error {
 			}
 			fmt.Fprint(out, core.RenderBlockCountSweep(rows))
 		}
-	case "starvation":
-		ran = true
-		fmt.Fprint(out, core.RenderStarvationAblation(core.StarvationAblation(dep, *seed)))
-	case "burstiness":
-		ran = true
-		fmt.Fprint(out, core.RenderBurstinessAblation(core.BurstinessAblation(dep, *seed)))
-	case "shedding":
-		ran = true
-		fmt.Fprint(out, core.RenderSheddingAblation(core.SheddingAblation(dep, *seed)))
-	case "placement":
-		ran = true
-		rows := core.PlacementAblation(dep, *devices, *seed)
-		fmt.Fprint(out, core.RenderPlacementAblation(rows))
-		if *csvPath != "" {
-			f, err := os.Create(*csvPath)
-			if err != nil {
-				return err
-			}
-			if err := core.PlacementAblationCSV(f, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
 	case "init":
-		ran = true
 		rows, err := core.InitAblation(cm, *seed)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(out, core.RenderInitAblation(rows))
-	case "batching":
-		ran = true
-		fmt.Fprint(out, core.RenderBatchingAblation(core.BatchingAblation(dep, *batchMax, *seed)))
-	case "sharing":
-		ran = true
-		fmt.Fprint(out, core.RenderSharingAblation(core.SharingAblation(dep, partitions, *seed)))
 	default:
-		return usagef("unknown ablation %q", *ablation)
+		if sim == nil {
+			return usagef("unknown ablation %q", *ablation)
+		}
+		a, err := sim()
+		if err != nil {
+			return err
+		}
+		rows := a.Run()
+		fmt.Fprint(out, a.Render(rows))
+		if *csvPath != "" {
+			f, err := os.Create(*csvPath)
+			if err != nil {
+				return err
+			}
+			if err := errors.Join(a.WriteCSV(f, rows), f.Close()); err != nil {
+				return err
+			}
+		}
 	}
 
-	if !ran {
-		fs.Usage()
-		return usagef("no action selected")
-	}
 	return nil
-}
-
-// parseDevices parses a comma-separated list of positive fleet sizes.
-func parseDevices(list string) ([]int, error) {
-	return parseCounts("-capacity-devices", list)
 }
 
 // parseCounts parses a comma-separated list of positive integers.

@@ -9,6 +9,8 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +30,7 @@ func main() {
 }
 
 // run executes every experiment, writing to out (tee'd to -out if given).
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("splitexp", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -39,15 +41,19 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w := out
+	dst := out
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		w = io.MultiWriter(out, f)
+		defer func() { err = errors.Join(err, f.Close()) }()
+		dst = io.MultiWriter(out, f)
 	}
+	// A bufio.Writer keeps the first write error and reports it from Flush,
+	// so the many prints below need no check of their own.
+	w := bufio.NewWriter(dst)
+	defer func() { err = errors.Join(err, w.Flush()) }()
 	cm := model.DefaultCostModel()
 
 	dep, err := core.DefaultPipeline().Deploy()
@@ -130,10 +136,11 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(w, core.RenderEvennessAblation(a2))
+	fmt.Fprint(w, a2.Render(a2.Run()))
 
 	section(w, "Ablation 3 — elastic splitting")
-	fmt.Fprint(w, core.RenderElasticAblation(core.ElasticAblation(dep, *seed)))
+	a3 := core.ElasticAblation(dep, *seed)
+	fmt.Fprint(w, a3.Render(a3.Run()))
 
 	section(w, "Ablation 5 — block count sweep (Eq. 1 optimum)")
 	for _, name := range []string{"resnet50", "vgg19"} {
@@ -155,10 +162,12 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprint(w, core.RenderStability(core.StabilityExperiment(dep, nil, *seed)))
 
 	section(w, "Ablation 7 — starvation guard (extension)")
-	fmt.Fprint(w, core.RenderStarvationAblation(core.StarvationAblation(dep, *seed)))
+	a7 := core.StarvationAblation(dep, *seed)
+	fmt.Fprint(w, a7.Render(a7.Run()))
 
 	section(w, "Ablation 8 — burstiness robustness (extension)")
-	fmt.Fprint(w, core.RenderBurstinessAblation(core.BurstinessAblation(dep, *seed)))
+	a8 := core.BurstinessAblation(dep, *seed)
+	fmt.Fprint(w, a8.Render(a8.Run()))
 
 	return nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"cmp"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 
 	"split/internal/analytic"
@@ -20,6 +22,203 @@ import (
 	"split/internal/workload"
 	"split/internal/zoo"
 )
+
+// ---------------------------------------------------------------------------
+// The simulator ablations' shape: workloads × arms, one Row per run, one
+// text table and one CSV writer
+// ---------------------------------------------------------------------------
+
+// Ablation is one simulator ablation: every arm replays every workload, and
+// each run folds into one Row. Labels and Metrics pick the table's columns.
+type Ablation struct {
+	Labels    []Column // the workload's label columns, then the arm's
+	Metrics   []string // metric columns, by text header (see metricColumns)
+	Workloads []Workload
+	Arms      []Arm
+}
+
+// Column is a label column: its header and printf width, negative for
+// left-aligned.
+type Column struct {
+	Header string
+	Width  int
+}
+
+// Workload is one trace an ablation replays, with its label cells.
+type Workload struct {
+	Labels   []string
+	Arrivals []workload.Arrival
+}
+
+// Arm is one configuration an ablation compares, with its label cells.
+type Arm struct {
+	Labels  []string
+	System  policy.System
+	Catalog policy.Catalog
+}
+
+// Row is one (workload, arm) run: the cells that label it and every metric
+// an ablation table can show.
+type Row struct {
+	Labels []string // the workload's, then the arm's
+
+	Requests, Served, Dropped int
+	// MakespanMs is the last completion time; ThroughputRps is served
+	// requests per second of it.
+	MakespanMs, ThroughputRps float64
+	// metrics.Summarize's: the latency ones cover served requests only.
+	MeanRR, Viol4, MeanWaitMs, JitterShortMs float64
+	// Response ratios by class, over every record.
+	MaxLongRR, P95LongRR, MeanShortRR float64
+	// Per-device busy share of the trace horizon: a policy that balances
+	// well has a narrow min..max band.
+	UtilMean, UtilMin, UtilMax float64
+	// BatchedGrants counts device grants that coalesced > 1 request, and
+	// LargestBatch is the biggest batch actually formed.
+	BatchedGrants, LargestBatch int
+}
+
+// Run replays every workload through every arm, workload outer and arm
+// inner; the runs share the cores through each.
+func (a *Ablation) Run() []Row {
+	rows := make([]Row, len(a.Workloads)*len(a.Arms))
+	each(len(rows), func(k int) {
+		rows[k] = measure(a.Workloads[k/len(a.Arms)], a.Arms[k%len(a.Arms)])
+	})
+	return rows
+}
+
+// measure runs one arm on one workload, traced, and folds the records and
+// the trace into a Row.
+func measure(w Workload, arm Arm) Row {
+	tr := trace.New()
+	recs := arm.System.Run(w.Arrivals, arm.Catalog, tr)
+	sum := metrics.Summarize(arm.System.Name(), recs)
+	row := Row{
+		Labels:   slices.Concat(w.Labels, arm.Labels),
+		Requests: sum.Requests, Served: sum.Requests - sum.Dropped, Dropped: sum.Dropped,
+		MeanRR: sum.MeanRR, Viol4: sum.ViolationAt4, MeanWaitMs: sum.MeanWaitMs, JitterShortMs: sum.JitterShortMs,
+	}
+	rrs := map[model.RequestClass][]float64{}
+	for i := range recs {
+		row.MakespanMs = max(row.MakespanMs, recs[i].DoneMs)
+		rrs[recs[i].Class] = append(rrs[recs[i].Class], recs[i].ResponseRatio())
+	}
+	if row.MakespanMs > 0 {
+		row.ThroughputRps = float64(row.Served) / row.MakespanMs * 1000
+	}
+	if long := rrs[model.Long]; len(long) > 0 {
+		row.MaxLongRR, row.P95LongRR = stats.Max(long), stats.Percentile(long, 95)
+	}
+	row.MeanShortRR = stats.Mean(rrs[model.Short])
+
+	devices := 1
+	if s, ok := arm.System.(*policy.Split); ok {
+		devices = max(s.Devices, 1)
+	}
+	if an := tr.Analyze(); an.HorizonMs > 0 {
+		util := make([]float64, devices)
+		for i := range util {
+			util[i] = an.PerDeviceBusyMs[i] / an.HorizonMs
+			row.UtilMean += util[i] / float64(devices)
+		}
+		row.UtilMin, row.UtilMax = slices.Min(util), slices.Max(util)
+	}
+	grants := map[int]int{} // batch id → requests in it
+	for _, e := range tr.Events() {
+		if e.Kind == trace.StartBlock && e.Batch != 0 {
+			grants[e.Batch]++
+			row.LargestBatch = max(row.LargestBatch, grants[e.Batch])
+		}
+	}
+	row.BatchedGrants = len(grants)
+	return row
+}
+
+// metricColumn is how one metric prints, the same in every table: its text
+// header right-aligned to width, each value in cell (a cell ending in "%%"
+// shows the value ×100), and in CSV each value raw at prec decimals under
+// its own header.
+type metricColumn struct {
+	width  int
+	cell   string
+	csv    string // comma-separated, one header per value
+	prec   int
+	values func(*Row) []float64
+}
+
+// metricColumns holds every metric a Row carries, keyed by text header.
+var metricColumns = map[string]metricColumn{
+	"reqs":          {8, "%8.0f", "requests", 0, func(r *Row) []float64 { return []float64{float64(r.Requests)} }},
+	"served":        {8, "%8.0f", "served", 0, func(r *Row) []float64 { return []float64{float64(r.Served)} }},
+	"dropped":       {8, "%8.0f", "dropped", 0, func(r *Row) []float64 { return []float64{float64(r.Dropped)} }},
+	"grants":        {8, "%8.0f", "batched_grants", 0, func(r *Row) []float64 { return []float64{float64(r.BatchedGrants)} }},
+	"maxsize":       {8, "%8.0f", "largest_batch", 0, func(r *Row) []float64 { return []float64{float64(r.LargestBatch)} }},
+	"makespan(ms)":  {12, "%12.1f", "makespan_ms", 4, func(r *Row) []float64 { return []float64{r.MakespanMs} }},
+	"rps":           {8, "%8.2f", "throughput_rps", 4, func(r *Row) []float64 { return []float64{r.ThroughputRps} }},
+	"meanRR":        {8, "%8.2f", "mean_rr", 4, func(r *Row) []float64 { return []float64{r.MeanRR} }},
+	"viol@4":        {8, "%7.1f%%", "viol_at_4", 4, func(r *Row) []float64 { return []float64{r.Viol4} }},
+	"wait(ms)":      {10, "%10.2f", "mean_wait_ms", 4, func(r *Row) []float64 { return []float64{r.MeanWaitMs} }},
+	"jitterS":       {10, "%10.2f", "jitter_short_ms", 4, func(r *Row) []float64 { return []float64{r.JitterShortMs} }},
+	"max long RR":   {12, "%12.2f", "max_long_rr", 4, func(r *Row) []float64 { return []float64{r.MaxLongRR} }},
+	"p95 long RR":   {12, "%12.2f", "p95_long_rr", 4, func(r *Row) []float64 { return []float64{r.P95LongRR} }},
+	"mean short RR": {13, "%13.2f", "mean_short_rr", 4, func(r *Row) []float64 { return []float64{r.MeanShortRR} }},
+	"util mean/min/max": {22, "%6.1f%%", "util_mean,util_min,util_max", 4,
+		func(r *Row) []float64 { return []float64{r.UtilMean, r.UtilMin, r.UtilMax} }},
+}
+
+// Render formats rows as the ablation's text table.
+func (a *Ablation) Render(rows []Row) string {
+	var head []string
+	for _, c := range a.Labels {
+		head = append(head, fmt.Sprintf("%*s", c.Width, c.Header))
+	}
+	for _, name := range a.Metrics {
+		head = append(head, fmt.Sprintf("%*s", metricColumns[name].width, name))
+	}
+	lines := []string{strings.Join(head, " ")}
+	for i := range rows {
+		var cells []string
+		for j, c := range a.Labels {
+			cells = append(cells, fmt.Sprintf("%*s", c.Width, rows[i].Labels[j]))
+		}
+		for _, name := range a.Metrics {
+			m := metricColumns[name]
+			for _, v := range m.values(&rows[i]) {
+				if strings.HasSuffix(m.cell, "%%") {
+					v *= 100
+				}
+				cells = append(cells, fmt.Sprintf(m.cell, v))
+			}
+		}
+		lines = append(lines, strings.Join(cells, " "))
+	}
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// WriteCSV writes rows as CSV: a header line, then per row its label cells
+// and the raw metric values.
+func (a *Ablation) WriteCSV(w io.Writer, rows []Row) error {
+	var head []string
+	for _, c := range a.Labels {
+		head = append(head, c.Header)
+	}
+	for _, name := range a.Metrics {
+		head = append(head, strings.Split(metricColumns[name].csv, ",")...)
+	}
+	lines := [][]string{head}
+	for i := range rows {
+		cells := slices.Clone(rows[i].Labels)
+		for _, name := range a.Metrics {
+			m := metricColumns[name]
+			for _, v := range m.values(&rows[i]) {
+				cells = append(cells, strconv.FormatFloat(v, 'f', m.prec, 64))
+			}
+		}
+		lines = append(lines, cells)
+	}
+	return csv.NewWriter(w).WriteAll(lines)
+}
 
 // ---------------------------------------------------------------------------
 // Ablation 1 — search strategies: GA vs random search vs exhaustive
@@ -110,21 +309,12 @@ func RenderSearchAblation(rows []SearchAblationRow) string {
 // Ablation 2 — evenness: even vs uneven vs no splitting
 // ---------------------------------------------------------------------------
 
-// EvennessAblationRow compares plan evenness regimes in one scenario.
-type EvennessAblationRow struct {
-	Scenario   workload.Scenario
-	Plan       string
-	MeanRR     float64
-	Viol4      float64
-	MeanWaitMs float64
-	JitterSMs  float64
-}
-
 // EvennessAblation runs SPLIT under three plan regimes — GA (even), a
 // deliberately uneven random split with the same block counts, and no
 // splitting — on every scenario, demonstrating Eq. 1's claim that evenness
-// (low σ) is what reduces waiting latency.
-func EvennessAblation(cm model.CostModel, seed int64) ([]EvennessAblationRow, error) {
+// (low σ) is what reduces waiting latency. It deploys its own plans, with
+// the GA seeded by seed.
+func EvennessAblation(cm model.CostModel, seed int64) (*Ablation, error) {
 	pipe := DefaultPipeline()
 	pipe.Cost = cm
 	pipe.GASeed = seed
@@ -144,11 +334,9 @@ func EvennessAblation(cm model.CostModel, seed int64) ([]EvennessAblationRow, er
 	}
 	slices.Sort(names)
 	for _, name := range names {
-		plan, g := dep.Plans[name], dep.Graphs[name]
-		p := profiler.New(g, cm)
-		k := len(plan.Cuts)
-		cuts := make([]int, 0, k)
-		for i := 0; i < k; i++ {
+		g := dep.Graphs[name]
+		var cuts []int
+		for range dep.Plans[name].Cuts {
 			// Positions inside the first 10% of the model: early, uneven.
 			c := 1 + rng.Intn(max(1, g.NumOps()/10))
 			for slices.Contains(cuts, c) {
@@ -157,102 +345,56 @@ func EvennessAblation(cm model.CostModel, seed int64) ([]EvennessAblationRow, er
 			cuts = append(cuts, c)
 		}
 		slices.Sort(cuts)
-		cand := p.Evaluate(cuts)
-		uneven[name] = p.Plan(cand)
+		p := profiler.New(g, cm)
+		uneven[name] = p.Plan(p.Evaluate(cuts))
 	}
 
-	regimes := []struct {
-		name  string
-		plans map[string]*model.SplitPlan
-	}{
-		{"even(GA)", dep.Plans},
-		{"uneven", uneven},
-		{"unsplit", nil},
+	arm := func(label string, plans map[string]*model.SplitPlan) Arm {
+		return Arm{[]string{label}, policy.NewSplit(), policy.NewCatalog(dep.Graphs, plans)}
 	}
-	var rows []EvennessAblationRow
-	for _, sc := range workload.Table2() {
-		for _, reg := range regimes {
-			catalog := policy.NewCatalog(dep.Graphs, reg.plans)
-			arrivals := workload.MustGenerate(workload.ForScenario(sc, zoo.BenchmarkModels, seed))
-			recs := policy.NewSplit().Run(arrivals, catalog, nil)
-			sum := metrics.Summarize(reg.name, recs)
-			jc := metrics.JitterByClass(recs)
-			rows = append(rows, EvennessAblationRow{
-				Scenario:   sc,
-				Plan:       reg.name,
-				MeanRR:     sum.MeanRR,
-				Viol4:      sum.ViolationAt4,
-				MeanWaitMs: sum.MeanWaitMs,
-				JitterSMs:  jc[model.Short],
-			})
-		}
-	}
-	return rows, nil
+	return &Ablation{
+		Labels:    []Column{{"scenario", -12}, {"plan", -10}},
+		Metrics:   []string{"meanRR", "viol@4", "wait(ms)", "jitterS"},
+		Workloads: scenarioWorkloads(seed),
+		Arms:      []Arm{arm("even(GA)", dep.Plans), arm("uneven", uneven), arm("unsplit", nil)},
+	}, nil
 }
 
-// RenderEvennessAblation formats the rows.
-func RenderEvennessAblation(rows []EvennessAblationRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-10s %8s %8s %10s %10s\n",
-		"scenario", "plan", "meanRR", "viol@4", "wait(ms)", "jitterS")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %-10s %8.2f %7.1f%% %10.2f %10.2f\n",
-			r.Scenario.Name, r.Plan, r.MeanRR, r.Viol4*100, r.MeanWaitMs, r.JitterSMs)
+// scenarioWorkloads is one workload per Table 2 scenario, labeled by name.
+func scenarioWorkloads(seed int64) []Workload {
+	var ws []Workload
+	for _, sc := range workload.Table2() {
+		ws = append(ws, Workload{[]string{sc.Name}, scenarioTrace(sc, seed)})
 	}
-	return b.String()
+	return ws
 }
 
 // ---------------------------------------------------------------------------
 // Ablation 3 — elastic splitting on/off
 // ---------------------------------------------------------------------------
 
-// ElasticAblationRow compares elastic splitting enabled vs disabled.
-type ElasticAblationRow struct {
-	Scenario   workload.Scenario
-	Elastic    bool
-	MeanRR     float64
-	Viol4      float64
-	MeanWaitMs float64
-}
-
 // ElasticAblation runs SPLIT with and without §3.3's elastic mechanism on a
 // workload with same-type bursts injected, where elastic splitting should
 // pay off by skipping useless splits.
-func ElasticAblation(d *Deployment, seed int64) []ElasticAblationRow {
-	var rows []ElasticAblationRow
-	for _, sc := range workload.Table2() {
-		arrivals := workload.MustGenerate(workload.ForScenario(sc, zoo.BenchmarkModels, seed))
+func ElasticAblation(d *Deployment, seed int64) *Ablation {
+	ws := scenarioWorkloads(seed)
+	for i := range ws {
 		// Inject bursts of the long models partway through the run.
+		arrivals := ws[i].Arrivals
 		at := arrivals[len(arrivals)/2].AtMs
 		arrivals = workload.Burst(arrivals, "vgg19", at, 5, 6)
 		arrivals = workload.Burst(arrivals, "resnet50", at+200, 5, 6)
 		sortArrivals(arrivals)
-		for _, elastic := range []bool{true, false} {
-			sys := policy.NewSplit()
-			sys.Elastic.Enabled = elastic
-			recs := sys.Run(arrivals, d.Catalog, nil)
-			sum := metrics.Summarize(sys.Name(), recs)
-			rows = append(rows, ElasticAblationRow{
-				Scenario:   sc,
-				Elastic:    elastic,
-				MeanRR:     sum.MeanRR,
-				Viol4:      sum.ViolationAt4,
-				MeanWaitMs: sum.MeanWaitMs,
-			})
-		}
+		ws[i].Arrivals = arrivals
 	}
-	return rows
-}
-
-// RenderElasticAblation formats the rows.
-func RenderElasticAblation(rows []ElasticAblationRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-8s %8s %8s %10s\n", "scenario", "elastic", "meanRR", "viol@4", "wait(ms)")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %-8v %8.2f %7.1f%% %10.2f\n",
-			r.Scenario.Name, r.Elastic, r.MeanRR, r.Viol4*100, r.MeanWaitMs)
+	static := policy.NewSplit()
+	static.Elastic.Enabled = false
+	return &Ablation{
+		Labels:    []Column{{"scenario", -12}, {"elastic", -8}},
+		Metrics:   []string{"meanRR", "viol@4", "wait(ms)"},
+		Workloads: ws,
+		Arms:      []Arm{{[]string{"true"}, policy.NewSplit(), d.Catalog}, {[]string{"false"}, static, d.Catalog}},
 	}
-	return b.String()
 }
 
 // ---------------------------------------------------------------------------
@@ -327,20 +469,10 @@ func RenderBlockCountSweep(rows []BlockCountRow) string {
 // Ablation 7 — starvation guard (extension beyond the paper)
 // ---------------------------------------------------------------------------
 
-// StarvationRow compares SPLIT with and without the starvation guard on a
-// short-heavy workload that keeps passing the long requests.
-type StarvationRow struct {
-	GuardRR     float64 // 0 = paper behaviour
-	MaxLongRR   float64
-	P95LongRR   float64
-	MeanShortRR float64
-	Viol4       float64
-}
-
 // StarvationAblation floods the device with short requests (4:1 short:long
 // mix at high load) and reports the tail response ratio of long requests
-// under different guard settings.
-func StarvationAblation(d *Deployment, seed int64) []StarvationRow {
+// under different guard settings; "off" is the paper's behaviour.
+func StarvationAblation(d *Deployment, seed int64) *Ablation {
 	cfg := workload.Config{
 		Models:         zoo.BenchmarkModels,
 		Weights:        []float64{4, 4, 1, 1, 4}, // yolov2, googlenet, resnet50, vgg19, gpt2
@@ -348,50 +480,21 @@ func StarvationAblation(d *Deployment, seed int64) []StarvationRow {
 		Count:          1000,
 		Seed:           seed,
 	}
-	arrivals := workload.MustGenerate(cfg)
-	var rows []StarvationRow
+	a := &Ablation{
+		Labels:    []Column{{"guard RR", -10}},
+		Metrics:   []string{"max long RR", "p95 long RR", "mean short RR", "viol@4"},
+		Workloads: []Workload{{nil, workload.MustGenerate(cfg)}},
+	}
 	for _, guard := range []float64{0, 20, 10, 6} {
 		sys := policy.NewSplit()
 		sys.StarveGuardRR = guard
-		recs := sys.Run(arrivals, d.Catalog, nil)
-		var longRRs, shortRRs []float64
-		for _, r := range recs {
-			if r.Class == model.Long {
-				longRRs = append(longRRs, r.ResponseRatio())
-			} else {
-				shortRRs = append(shortRRs, r.ResponseRatio())
-			}
+		label := "off"
+		if guard > 0 {
+			label = fmt.Sprintf("%.0f", guard)
 		}
-		row := StarvationRow{
-			GuardRR: guard,
-			Viol4:   metrics.ViolationRate(recs, 4),
-		}
-		if len(longRRs) > 0 {
-			row.MaxLongRR = stats.Max(longRRs)
-			row.P95LongRR = stats.Percentile(longRRs, 95)
-		}
-		if len(shortRRs) > 0 {
-			row.MeanShortRR = stats.Mean(shortRRs)
-		}
-		rows = append(rows, row)
+		a.Arms = append(a.Arms, Arm{[]string{label}, sys, d.Catalog})
 	}
-	return rows
-}
-
-// RenderStarvationAblation formats the rows.
-func RenderStarvationAblation(rows []StarvationRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s %12s %13s %8s\n",
-		"guard RR", "max long RR", "p95 long RR", "mean short RR", "viol@4")
-	for _, r := range rows {
-		guard := "off"
-		if r.GuardRR > 0 {
-			guard = fmt.Sprintf("%.0f", r.GuardRR)
-		}
-		fmt.Fprintf(&b, "%-10s %12.2f %12.2f %13.2f %7.1f%%\n",
-			guard, r.MaxLongRR, r.P95LongRR, r.MeanShortRR, r.Viol4*100)
-	}
-	return b.String()
+	return a
 }
 
 // ---------------------------------------------------------------------------
@@ -465,24 +568,13 @@ func RenderInitAblation(rows []InitAblationRow) string {
 // Ablation 8 — burstiness robustness (extension beyond the paper)
 // ---------------------------------------------------------------------------
 
-// BurstinessRow compares systems under an MMPP trace matched in mean rate
-// to a Poisson trace.
-type BurstinessRow struct {
-	Workload string // "poisson" or "mmpp"
-	System   string
-	MeanRR   float64
-	Viol4    float64
-	JitterS  float64
-}
-
 // BurstinessAblation replays a Poisson trace and a rate-matched bursty MMPP
 // trace through the four systems. The paper evaluates Poisson only; this
 // extension checks the ordering survives realistic burstiness.
-func BurstinessAblation(d *Deployment, seed int64) []BurstinessRow {
+func BurstinessAblation(d *Deployment, seed int64) *Ablation {
 	// Mean aggregate interval ≈ Scenario4's.
 	sc := workload.Table2()[3]
 	agg := sc.MeanIntervalMs * workload.TaskIntervalFactor / float64(len(zoo.BenchmarkModels))
-	poisson := workload.MustGenerate(workload.ForScenario(sc, zoo.BenchmarkModels, seed))
 	// MMPP: bursts run 4x faster than calm; dwell chosen so the mean
 	// interval matches agg. With half the time in each state (equal
 	// dwells), mean rate = (1/calm + 1/burst)/2; solve calm = 2.5 agg,
@@ -499,184 +591,70 @@ func BurstinessAblation(d *Deployment, seed int64) []BurstinessRow {
 	if err != nil {
 		panic(err) // static config; cannot fail
 	}
-
-	var rows []BurstinessRow
-	for _, tracePair := range []struct {
-		name     string
-		arrivals []workload.Arrival
-	}{{"poisson", poisson}, {"mmpp", mmpp}} {
-		for _, sys := range DefaultSystems() {
-			recs := sys.Run(tracePair.arrivals, d.Catalog, nil)
-			sum := metrics.Summarize(sys.Name(), recs)
-			rows = append(rows, BurstinessRow{
-				Workload: tracePair.name,
-				System:   sys.Name(),
-				MeanRR:   sum.MeanRR,
-				Viol4:    sum.ViolationAt4,
-				JitterS:  sum.JitterShortMs,
-			})
-		}
+	a := &Ablation{
+		Labels:    []Column{{"workload", -9}, {"system", -16}},
+		Metrics:   []string{"meanRR", "viol@4", "jitterS"},
+		Workloads: []Workload{{[]string{"poisson"}, scenarioTrace(sc, seed)}, {[]string{"mmpp"}, mmpp}},
 	}
-	return rows
-}
-
-// RenderBurstinessAblation formats the rows.
-func RenderBurstinessAblation(rows []BurstinessRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-9s %-16s %8s %8s %10s\n", "workload", "system", "meanRR", "viol@4", "jitterS")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s %-16s %8.2f %7.1f%% %10.2f\n",
-			r.Workload, r.System, r.MeanRR, r.Viol4*100, r.JitterS)
+	for _, sys := range DefaultSystems() {
+		a.Arms = append(a.Arms, Arm{[]string{sys.Name()}, sys, d.Catalog})
 	}
-	return b.String()
+	return a
 }
 
 // ---------------------------------------------------------------------------
 // Ablation 9 — deadline shedding under overload (extension beyond the paper)
 // ---------------------------------------------------------------------------
 
-// SheddingRow compares SPLIT's deadline-shedding modes on one scenario.
-type SheddingRow struct {
-	Scenario workload.Scenario
-	// Mode is "none" (paper behavior: every request runs to completion),
-	// "deadline" (shed once the α·t_ext deadline passes), or "predictive"
-	// (also shed requests that can no longer make their deadline).
-	Mode       string
-	Dropped    int
-	Viol4      float64
-	MeanRR     float64 // served requests only
-	MeanWaitMs float64 // served requests only
-}
-
 // SheddingAblation measures what admission honesty buys under load: without
-// shedding, every doomed request still occupies the device and pushes the
-// requests behind it past their own targets; with deadline shedding the
-// violation rate already counts the shed requests, so any improvement is
+// shedding ("none", the paper's behavior), every doomed request still
+// occupies the device and pushes the requests behind it past their own
+// targets; with "deadline" shedding (shed once the α·t_ext deadline passes)
+// the violation rate already counts the shed requests, so any improvement is
 // genuine — served requests finishing inside their targets because dead
-// weight was cleared at block boundaries.
-func SheddingAblation(d *Deployment, seed int64) []SheddingRow {
-	var rows []SheddingRow
-	for _, sc := range workload.Table2() {
-		arrivals := workload.MustGenerate(workload.ForScenario(sc, zoo.BenchmarkModels, seed))
-		for _, mode := range []string{"none", "deadline", "predictive"} {
-			sys := policy.NewSplit()
-			sys.EnforceDeadlines = mode != "none"
-			sys.PredictiveShed = mode == "predictive"
-			recs := sys.Run(arrivals, d.Catalog, nil)
-			sum := metrics.Summarize(sys.Name(), recs)
-			rows = append(rows, SheddingRow{
-				Scenario:   sc,
-				Mode:       mode,
-				Dropped:    sum.Dropped,
-				Viol4:      sum.ViolationAt4,
-				MeanRR:     sum.MeanRR,
-				MeanWaitMs: sum.MeanWaitMs,
-			})
-		}
+// weight was cleared at block boundaries. "predictive" also sheds requests
+// that can no longer make their deadline. meanRR and wait cover served
+// requests only.
+func SheddingAblation(d *Deployment, seed int64) *Ablation {
+	a := &Ablation{
+		Labels:    []Column{{"scenario", -12}, {"shedding", -10}},
+		Metrics:   []string{"dropped", "viol@4", "meanRR", "wait(ms)"},
+		Workloads: scenarioWorkloads(seed),
 	}
-	return rows
-}
-
-// RenderSheddingAblation formats the rows.
-func RenderSheddingAblation(rows []SheddingRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %-10s %8s %8s %8s %10s\n",
-		"scenario", "shedding", "dropped", "viol@4", "meanRR", "wait(ms)")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %-10s %8d %7.1f%% %8.2f %10.2f\n",
-			r.Scenario.Name, r.Mode, r.Dropped, r.Viol4*100, r.MeanRR, r.MeanWaitMs)
+	for _, mode := range []string{"none", "deadline", "predictive"} {
+		sys := policy.NewSplit()
+		sys.EnforceDeadlines = mode != "none"
+		sys.PredictiveShed = mode == "predictive"
+		a.Arms = append(a.Arms, Arm{[]string{mode}, sys, d.Catalog})
 	}
-	return b.String()
+	return a
 }
 
 // ---------------------------------------------------------------------------
 // Ablation 10 — fleet placement policies (extension beyond the paper)
 // ---------------------------------------------------------------------------
 
-// PlacementRow compares one fleet placement policy on the heavy scenario.
-type PlacementRow struct {
-	Scenario  workload.Scenario
-	Devices   int
-	Placement string
-	MeanRR    float64
-	Viol4     float64
-	JitterSMs float64
-	// Per-device utilization spread over the trace horizon: a policy that
-	// balances well has a narrow min..max band.
-	UtilMean float64
-	UtilMin  float64
-	UtilMax  float64
-}
-
 // PlacementAblation replays the heaviest Table 2 scenario through the
 // fleet simulator under every placement policy. The arrival rate is scaled
 // by the device count so each device sees Scenario6-level load — otherwise
 // adding devices would turn the heavy scenario into an idle one and every
 // policy would look alike.
-func PlacementAblation(d *Deployment, devices int, seed int64) []PlacementRow {
+func PlacementAblation(d *Deployment, devices int, seed int64) *Ablation {
 	sc := workload.Table2()[5]
 	cfg := workload.ForScenario(sc, zoo.BenchmarkModels, seed)
 	cfg.MeanIntervalMs /= float64(devices)
-	arrivals := workload.MustGenerate(cfg)
-	var rows []PlacementRow
+	a := &Ablation{
+		Labels:    []Column{{"scenario", -12}, {"devices", 7}, {"placement", -13}},
+		Metrics:   []string{"meanRR", "viol@4", "jitterS", "util mean/min/max"},
+		Workloads: []Workload{{[]string{sc.Name, strconv.Itoa(devices)}, workload.MustGenerate(cfg)}},
+	}
 	for _, pol := range place.Names() {
 		sys := policy.NewSplit()
 		sys.Devices = devices
 		sys.Placement = pol
-		tr := trace.New()
-		recs := sys.Run(arrivals, d.Catalog, tr)
-		sum := metrics.Summarize(pol, recs)
-		row := PlacementRow{
-			Scenario:  sc,
-			Devices:   devices,
-			Placement: pol,
-			MeanRR:    sum.MeanRR,
-			Viol4:     sum.ViolationAt4,
-			JitterSMs: sum.JitterShortMs,
-		}
-		if an := tr.Analyze(); an.HorizonMs > 0 {
-			for i := 0; i < devices; i++ {
-				u := an.PerDeviceBusyMs[i] / an.HorizonMs
-				row.UtilMean += u / float64(devices)
-				if i == 0 || u < row.UtilMin {
-					row.UtilMin = u
-				}
-				if u > row.UtilMax {
-					row.UtilMax = u
-				}
-			}
-		}
-		rows = append(rows, row)
+		a.Arms = append(a.Arms, Arm{[]string{pol}, sys, d.Catalog})
 	}
-	return rows
-}
-
-// RenderPlacementAblation formats the rows.
-func RenderPlacementAblation(rows []PlacementRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %7s %-13s %8s %8s %10s %22s\n",
-		"scenario", "devices", "placement", "meanRR", "viol@4", "jitterS", "util mean/min/max")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %7d %-13s %8.2f %7.1f%% %10.2f %6.1f%% %6.1f%% %6.1f%%\n",
-			r.Scenario.Name, r.Devices, r.Placement, r.MeanRR, r.Viol4*100, r.JitterSMs,
-			r.UtilMean*100, r.UtilMin*100, r.UtilMax*100)
-	}
-	return b.String()
-}
-
-// PlacementAblationCSV writes the rows as CSV with a header.
-func PlacementAblationCSV(w io.Writer, rows []PlacementRow) error {
-	if _, err := fmt.Fprintln(w, "scenario,devices,placement,mean_rr,viol_at_4,jitter_short_ms,util_mean,util_min,util_max"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%s,%d,%s,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f\n",
-			r.Scenario.Name, r.Devices, r.Placement, r.MeanRR, r.Viol4, r.JitterSMs,
-			r.UtilMean, r.UtilMin, r.UtilMax); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a
 }
 
 // sortArrivals orders arrivals by time. The sort is stable so same-instant
@@ -685,87 +663,74 @@ func sortArrivals(arrivals []workload.Arrival) {
 	slices.SortStableFunc(arrivals, func(a, b workload.Arrival) int { return cmp.Compare(a.AtMs, b.AtMs) })
 }
 
+// burstWorkload is a same-type burst-heavy trace: two large back-to-back
+// bursts (the elastic mechanism keeps their members unsplit, which is the
+// run structure batching coalesces and a single lane serializes) over a
+// light mixed background. Both bursts land within the first ~60ms, so the
+// queue saturates and the makespan measures service capacity rather than
+// arrival span.
+func burstWorkload(seed int64) []Workload {
+	background := workload.MustGenerate(workload.Config{
+		Models: zoo.BenchmarkModels, MeanIntervalMs: 20, Count: 10, Seed: seed,
+	})
+	arrivals := workload.Burst(background, "resnet50", 10, 1, 32)
+	arrivals = workload.Burst(arrivals, "vgg19", 45, 1, 16)
+	sortArrivals(arrivals)
+	return []Workload{{nil, arrivals}}
+}
+
 // ---------------------------------------------------------------------------
 // Ablation — same-type micro-batching sweep
 // ---------------------------------------------------------------------------
 
-// BatchingRow is one batch-cap setting evaluated on the same-type burst
-// workload.
-type BatchingRow struct {
-	BatchMax      int
-	Requests      int
-	Served        int
-	BatchedGrants int     // device grants that coalesced > 1 request
-	LargestBatch  int     // biggest batch actually formed
-	MakespanMs    float64 // last completion time
-	ThroughputRps float64 // served requests per second of makespan
-	MeanRR        float64
-	Viol4         float64
+// BatchingAblation sweeps the micro-batch cap over the powers of two up to
+// maxBatch on the same-type burst workload. Batch cap 1 is the serial
+// baseline.
+func BatchingAblation(d *Deployment, maxBatch int, seed int64) *Ablation {
+	a := &Ablation{
+		Labels:    []Column{{"batch", -6}},
+		Metrics:   []string{"reqs", "served", "grants", "maxsize", "makespan(ms)", "rps", "meanRR", "viol@4"},
+		Workloads: burstWorkload(seed),
+	}
+	for b := 1; b <= maxBatch; b *= 2 {
+		sys := policy.NewSplit()
+		sys.BatchMax = b
+		a.Arms = append(a.Arms, Arm{[]string{strconv.Itoa(b)}, sys, d.Catalog})
+	}
+	return a
 }
 
-// BatchingAblation sweeps the micro-batch cap on a same-type burst-heavy
-// workload: two large back-to-back bursts (the elastic mechanism keeps their
-// members unsplit, which is exactly the run structure batching coalesces)
-// over a light mixed background. BatchMax 1 is the serial baseline; the
-// sweep stops at maxBatch (values beyond it are skipped).
-func BatchingAblation(d *Deployment, maxBatch int, seed int64) []BatchingRow {
-	background := workload.MustGenerate(workload.Config{
-		Models: zoo.BenchmarkModels, MeanIntervalMs: 20, Count: 10, Seed: seed,
-	})
-	// Both bursts land within the first ~60ms, so the queue saturates and
-	// the makespan measures service capacity rather than arrival span.
-	arrivals := workload.Burst(background, "resnet50", 10, 1, 32)
-	arrivals = workload.Burst(arrivals, "vgg19", 45, 1, 16)
-	sortArrivals(arrivals)
+// ---------------------------------------------------------------------------
+// Ablation — temporal vs spatial vs hybrid GPU sharing
+// ---------------------------------------------------------------------------
 
-	var rows []BatchingRow
-	for _, b := range []int{1, 2, 4, 8} {
-		if b > maxBatch && b != 1 {
+// SharingAblation replays the same-type burst workload, where temporal
+// splitting stops helping, through three sharing regimes. "temporal" is the
+// paper's scheduler: split plans time-slice one sequential lane per device.
+// "spatial" divides each device into M concurrent fixed-width partition
+// lanes but serves whole (unsplit) models. "hybrid" keeps the split plans
+// AND the partition lanes, the regime ParvaGPU-style spatial sharing
+// predicts should dominate: blocks stay evenly sized for low waiting, while
+// same-type runs overlap across partitions instead of serializing. A
+// partition count of 1 runs the temporal arm; each M > 1 runs the spatial
+// and hybrid arms.
+func SharingAblation(d *Deployment, partitions []int, seed int64) *Ablation {
+	a := &Ablation{
+		Labels:    []Column{{"mode", -9}, {"parts", 6}},
+		Metrics:   []string{"reqs", "served", "makespan(ms)", "rps", "meanRR", "viol@4", "wait(ms)"},
+		Workloads: burstWorkload(seed),
+	}
+	unsplit := policy.NewCatalog(d.Graphs, nil)
+	for _, m := range partitions {
+		if m <= 1 {
+			a.Arms = append(a.Arms, Arm{[]string{"temporal", "1"}, policy.NewSplit(), d.Catalog})
 			continue
 		}
 		sys := policy.NewSplit()
-		sys.BatchMax = b
-		tr := trace.New()
-		recs := sys.Run(arrivals, d.Catalog, tr)
-		sum := metrics.Summarize(sys.Name(), recs)
-		row := BatchingRow{BatchMax: b, Requests: len(recs)}
-		for _, r := range recs {
-			if r.Served() {
-				row.Served++
-			}
-			if r.DoneMs > row.MakespanMs {
-				row.MakespanMs = r.DoneMs
-			}
-		}
-		grants := map[int]int{}
-		for _, e := range tr.Events() {
-			if e.Kind == trace.StartBlock && e.Batch != 0 {
-				grants[e.Batch]++
-			}
-		}
-		row.BatchedGrants = len(grants)
-		for _, n := range grants {
-			row.LargestBatch = max(row.LargestBatch, n)
-		}
-		if row.MakespanMs > 0 {
-			row.ThroughputRps = float64(row.Served) / row.MakespanMs * 1000
-		}
-		row.MeanRR = sum.MeanRR
-		row.Viol4 = sum.ViolationAt4
-		rows = append(rows, row)
+		sys.Partitions = m
+		sys.PartitionWidth = place.WidthFixed
+		parts := strconv.Itoa(m)
+		a.Arms = append(a.Arms, Arm{[]string{"spatial", parts}, sys, unsplit}, Arm{[]string{"hybrid", parts}, sys, d.Catalog})
 	}
-	return rows
-}
-
-// RenderBatchingAblation formats the rows.
-func RenderBatchingAblation(rows []BatchingRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %8s %8s %8s %8s %12s %8s %8s %8s\n",
-		"batch", "reqs", "served", "grants", "maxsize", "makespan(ms)", "rps", "meanRR", "viol@4")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-6d %8d %8d %8d %8d %12.1f %8.2f %8.2f %7.1f%%\n",
-			r.BatchMax, r.Requests, r.Served, r.BatchedGrants, r.LargestBatch,
-			r.MakespanMs, r.ThroughputRps, r.MeanRR, r.Viol4*100)
-	}
-	return b.String()
+	return a
 }

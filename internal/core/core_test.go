@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -551,16 +552,17 @@ func TestSearchAblationGABeatsRandom(t *testing.T) {
 }
 
 func TestEvennessAblationEvenBeatsUneven(t *testing.T) {
-	rows, err := EvennessAblation(model.DefaultCostModel(), 1)
+	a, err := EvennessAblation(model.DefaultCostModel(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byScenario := map[string]map[string]EvennessAblationRow{}
+	rows := a.Run()
+	byScenario := map[string]map[string]Row{}
 	for _, r := range rows {
-		if byScenario[r.Scenario.Name] == nil {
-			byScenario[r.Scenario.Name] = map[string]EvennessAblationRow{}
+		if byScenario[r.Labels[0]] == nil {
+			byScenario[r.Labels[0]] = map[string]Row{}
 		}
-		byScenario[r.Scenario.Name][r.Plan] = r
+		byScenario[r.Labels[0]][r.Labels[1]] = r
 	}
 	evenBetter := 0
 	for _, m := range byScenario {
@@ -571,7 +573,7 @@ func TestEvennessAblationEvenBeatsUneven(t *testing.T) {
 	if evenBetter < 5 {
 		t.Errorf("even split better than uneven in only %d of 6 scenarios", evenBetter)
 	}
-	if RenderEvennessAblation(rows) == "" {
+	if a.Render(rows) == "" {
 		t.Error("empty render")
 	}
 	// The uneven plans are drawn from one seeded rng, so a second run at the
@@ -580,18 +582,19 @@ func TestEvennessAblationEvenBeatsUneven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rows, again) {
+	if !reflect.DeepEqual(rows, again.Run()) {
 		t.Error("two runs at the same seed differ")
 	}
 }
 
 func TestElasticAblationRuns(t *testing.T) {
 	dep := testDeploy(t)
-	rows := ElasticAblation(dep, 1)
+	a := ElasticAblation(dep, 1)
+	rows := a.Run()
 	if len(rows) != 12 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	if RenderElasticAblation(rows) == "" {
+	if a.Render(rows) == "" {
 		t.Error("empty render")
 	}
 }
@@ -601,24 +604,29 @@ func TestElasticAblationRuns(t *testing.T) {
 // the serial baseline's throughput at an equal-or-lower violation rate.
 func TestBatchingAblationThroughput(t *testing.T) {
 	dep := testDeploy(t)
-	rows := BatchingAblation(dep, 8, 1)
+	a := BatchingAblation(dep, 8, 1)
+	rows := a.Run()
 	if len(rows) != 4 {
 		t.Fatalf("%d rows, want 4 (batch 1,2,4,8)", len(rows))
 	}
 	base := rows[0]
-	if base.BatchMax != 1 || base.BatchedGrants != 0 || base.LargestBatch != 0 {
+	if base.Labels[0] != "1" || base.BatchedGrants != 0 || base.LargestBatch != 0 {
 		t.Fatalf("baseline row formed batches: %+v", base)
 	}
 	improved := false
 	for _, r := range rows[1:] {
+		batchMax, err := strconv.Atoi(r.Labels[0])
+		if err != nil {
+			t.Fatal(err)
+		}
 		if r.Requests != base.Requests || r.Served != base.Served {
-			t.Fatalf("BatchMax=%d changed conservation: %+v vs base %+v", r.BatchMax, r, base)
+			t.Fatalf("BatchMax=%d changed conservation: %+v vs base %+v", batchMax, r, base)
 		}
 		if r.BatchedGrants == 0 || r.LargestBatch < 2 {
-			t.Fatalf("BatchMax=%d formed no batches on a burst workload: %+v", r.BatchMax, r)
+			t.Fatalf("BatchMax=%d formed no batches on a burst workload: %+v", batchMax, r)
 		}
-		if r.LargestBatch > r.BatchMax {
-			t.Fatalf("BatchMax=%d exceeded: largest batch %d", r.BatchMax, r.LargestBatch)
+		if r.LargestBatch > batchMax {
+			t.Fatalf("BatchMax=%d exceeded: largest batch %d", batchMax, r.LargestBatch)
 		}
 		if r.ThroughputRps >= 1.5*base.ThroughputRps && r.Viol4 <= base.Viol4+1e-9 {
 			improved = true
@@ -626,14 +634,13 @@ func TestBatchingAblationThroughput(t *testing.T) {
 	}
 	if !improved {
 		t.Errorf("no batch cap reached 1.5x baseline throughput at <= baseline violations:\n%s",
-			RenderBatchingAblation(rows))
+			a.Render(rows))
 	}
-	if RenderBatchingAblation(rows) == "" {
-		t.Error("empty render")
-	}
-	// Capping the sweep caps the rows.
-	if short := BatchingAblation(dep, 2, 1); len(short) != 2 {
-		t.Errorf("maxBatch=2 produced %d rows, want 2", len(short))
+	// The sweep is the powers of two up to maxBatch, whatever maxBatch is.
+	for maxBatch, want := range map[int]int{2: 2, 3: 2, 16: 5} {
+		if got := len(BatchingAblation(dep, maxBatch, 1).Run()); got != want {
+			t.Errorf("maxBatch=%d produced %d rows, want %d", maxBatch, got, want)
+		}
 	}
 }
 
@@ -744,11 +751,12 @@ func TestFig1SplitBestAverage(t *testing.T) {
 
 func TestStarvationAblationGuardHelpsLongTail(t *testing.T) {
 	dep := testDeploy(t)
-	rows := StarvationAblation(dep, 1)
+	a := StarvationAblation(dep, 1)
+	rows := a.Run()
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	if rows[0].GuardRR != 0 {
+	if rows[0].Labels[0] != "off" {
 		t.Fatal("first row must be the unguarded baseline")
 	}
 	tightest := rows[len(rows)-1]
@@ -760,7 +768,7 @@ func TestStarvationAblationGuardHelpsLongTail(t *testing.T) {
 		t.Errorf("guard should cost short requests something: %.2f vs %.2f",
 			tightest.MeanShortRR, rows[0].MeanShortRR)
 	}
-	if RenderStarvationAblation(rows) == "" {
+	if a.Render(rows) == "" {
 		t.Error("empty render")
 	}
 }
@@ -847,18 +855,19 @@ func TestStabilityExperimentFootnote(t *testing.T) {
 
 func TestBurstinessAblationOrderingSurvives(t *testing.T) {
 	dep := testDeploy(t)
-	rows := BurstinessAblation(dep, 1)
+	a := BurstinessAblation(dep, 1)
+	rows := a.Run()
 	if len(rows) != 8 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	get := func(workload, system string) BurstinessRow {
+	get := func(workload, system string) Row {
 		for _, r := range rows {
-			if r.Workload == workload && r.System == system {
+			if r.Labels[0] == workload && r.Labels[1] == system {
 				return r
 			}
 		}
 		t.Fatalf("missing row %s/%s", workload, system)
-		return BurstinessRow{}
+		return Row{}
 	}
 	for _, w := range []string{"poisson", "mmpp"} {
 		s := get(w, "SPLIT")
@@ -866,8 +875,8 @@ func TestBurstinessAblationOrderingSurvives(t *testing.T) {
 			if got := get(w, sys); got.Viol4 < s.Viol4 {
 				t.Errorf("%s: %s viol@4 %.3f below SPLIT %.3f", w, sys, got.Viol4, s.Viol4)
 			}
-			if got := get(w, sys); got.JitterS < s.JitterS {
-				t.Errorf("%s: %s short jitter %.2f below SPLIT %.2f", w, sys, got.JitterS, s.JitterS)
+			if got := get(w, sys); got.JitterShortMs < s.JitterShortMs {
+				t.Errorf("%s: %s short jitter %.2f below SPLIT %.2f", w, sys, got.JitterShortMs, s.JitterShortMs)
 			}
 		}
 	}
@@ -875,7 +884,7 @@ func TestBurstinessAblationOrderingSurvives(t *testing.T) {
 	if get("mmpp", "SPLIT").MeanRR <= get("poisson", "SPLIT").MeanRR {
 		t.Log("note: MMPP did not raise SPLIT's mean RR (acceptable, informational)")
 	}
-	if RenderBurstinessAblation(rows) == "" {
+	if a.Render(rows) == "" {
 		t.Error("empty render")
 	}
 }

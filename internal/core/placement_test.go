@@ -13,19 +13,20 @@ import (
 // point of consulting the fleet load view.
 func TestPlacementAblation(t *testing.T) {
 	dep := testDeploy(t)
-	rows := PlacementAblation(dep, 2, 1)
+	a := PlacementAblation(dep, 2, 1)
+	rows := a.Run()
 	if len(rows) != len(place.Names()) {
 		t.Fatalf("%d rows for %d policies", len(rows), len(place.Names()))
 	}
-	byPol := make(map[string]PlacementRow, len(rows))
+	byPol := make(map[string]Row, len(rows))
 	for _, r := range rows {
-		byPol[r.Placement] = r
-		if r.Devices != 2 || r.Scenario.Name != "Scenario6" {
+		byPol[r.Labels[2]] = r
+		if r.Labels[1] != "2" || r.Labels[0] != "Scenario6" {
 			t.Errorf("row ran the wrong experiment: %+v", r)
 		}
 		if r.UtilMean <= 0 || r.UtilMin > r.UtilMean || r.UtilMean > r.UtilMax || r.UtilMax > 1.0001 {
 			t.Errorf("%s: implausible utilization spread %.3f/%.3f/%.3f",
-				r.Placement, r.UtilMin, r.UtilMean, r.UtilMax)
+				r.Labels[2], r.UtilMin, r.UtilMean, r.UtilMax)
 		}
 	}
 	ll, rr := byPol[place.LeastLoaded], byPol[place.RoundRobin]
@@ -35,7 +36,7 @@ func TestPlacementAblation(t *testing.T) {
 	}
 
 	var csv strings.Builder
-	if err := PlacementAblationCSV(&csv, rows); err != nil {
+	if err := a.WriteCSV(&csv, rows); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
@@ -46,7 +47,7 @@ func TestPlacementAblation(t *testing.T) {
 		t.Errorf("CSV header %q", lines[0])
 	}
 
-	rendered := RenderPlacementAblation(rows)
+	rendered := a.Render(rows)
 	for _, pol := range place.Names() {
 		if !strings.Contains(rendered, pol) {
 			t.Errorf("rendered table misses %s:\n%s", pol, rendered)
