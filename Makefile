@@ -25,7 +25,9 @@ bench:
 	go run ./cmd/splitperf
 
 # CPU and allocation profiles of one root benchmark: PROFILE=MillionRequestSweep
-# (the default), the simulator's scale point, three sweeps; any other, such as
+# (the default), the simulator's scale point: eight replays of one million-
+# arrival trace generated before the timer, so the profile holds what
+# splitperf's sim_cohort_1m times and nothing else; any other, such as
 # ServeRPC (the saturated serving rung), ScenarioAllSystems (one seed of the
 # paper's evaluation grid) or TracedFeatures (sim_features' traced run and
 # span fold), for five seconds. Leaves cpu.out, mem.out and
@@ -34,7 +36,7 @@ bench:
 PROFILE ?= MillionRequestSweep
 
 profile:
-	go test -run '^$$' -bench '^Benchmark$(PROFILE)$$' -benchtime $(if $(filter MillionRequestSweep,$(PROFILE)),3x,5s) -cpuprofile cpu.out -memprofile mem.out .
+	go test -run '^$$' -bench '^Benchmark$(PROFILE)$$' -benchtime $(if $(filter MillionRequestSweep,$(PROFILE)),8x,5s) -cpuprofile cpu.out -memprofile mem.out .
 	go tool pprof -top -nodecount 30 split.test cpu.out
 	go tool pprof -top -nodecount 15 -sample_index alloc_space split.test mem.out
 

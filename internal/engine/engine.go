@@ -5,7 +5,7 @@
 // retry.
 //
 // The engine owns no clock, no goroutine, no lock, no sink and no channel.
-// Its whole surface is events in, decisions out, returned by value:
+// Its whole surface is events in, decisions out, returned by reference:
 //
 //	Arrive(now, job)             the front door: admit → autoscale → place →
 //	                             elastic split → deadline → Algorithm 1
@@ -24,10 +24,13 @@
 // events, once, for both. That is what "the serving path exercises the same
 // code path as the simulator" means.
 //
-// Slices inside a returned decision (Grant.Batch, Settlement.Fates,
-// Settlement.Wake) alias engine scratch buffers: they stay valid until the
-// same lane's next Grant or Settle and must not be retained past it. That
-// is what keeps the grant loop allocation-free in both drivers.
+// A returned decision is engine storage, and so are the slices inside it
+// (Grant.Batch, Settlement.Fates, Settlement.Wake): a lane's *Grant and
+// *Settlement stay valid until that lane's next Grant or Settle, an
+// *Arrival until the engine's next Arrive. A caller that keeps a decision
+// longer, or reads it without the engine's lock, copies it first. Handing
+// out references is what keeps the grant loop free of allocations and of
+// decision-sized copies in both drivers.
 package engine
 
 import (
@@ -328,8 +331,12 @@ type lane struct {
 	inflight *sched.Request
 	// g is the lane's single in-flight grant. A lane holds at most one, so
 	// its state — and the batch and fate buffers it points into — is reused
-	// for every hold.
+	// for every hold. refused is the lane's not-OK grant, kept apart so that
+	// asking a covered lane for work leaves the grant Settle reads intact;
+	// st is the lane's settlement.
 	g       Grant
+	refused Grant
+	st      Settlement
 	scratch []*sched.Request
 	fates   []Fate
 }
@@ -386,6 +393,8 @@ type Engine struct {
 	// wholes holds the one-block plans of requests that run unsplit, one
 	// entry per distinct ExtMs seen; see wholePlan.
 	wholes []float64
+	// arrival is the front door's decision, rewritten by every Arrive.
+	arrival Arrival
 }
 
 // Slab chunks double from slabMin to slabMax requests: a run of a few
@@ -459,6 +468,9 @@ func (e *Engine) wholePlan(extMs float64) []float64 {
 // New validates k and builds an idle engine. Errors come back exactly as
 // place and fleet phrase them; drivers add their own prefix.
 func New(k Knobs) (*Engine, error) {
+	if math.IsNaN(k.Alpha) || math.IsInf(k.Alpha, 0) {
+		return nil, fmt.Errorf("engine: Alpha must be finite, got %g", k.Alpha)
+	}
 	scaler, err := fleet.NewAutoscaler(k.Fleet)
 	if err != nil {
 		return nil, err
@@ -533,7 +545,7 @@ func New(k Knobs) (*Engine, error) {
 	for i := range e.lanes {
 		q := sched.NewQueue(k.Alpha)
 		q.StarveGuardRR = k.StarveGuardRR
-		e.lanes[i] = lane{dev: e.devices[i/parts], part: i % parts, want: want, queue: q}
+		e.lanes[i] = lane{dev: e.devices[i/parts], part: i % parts, want: want, queue: q, refused: Grant{Lane: i}}
 	}
 	return e, nil
 }
@@ -619,8 +631,9 @@ func (e *Engine) Stats(now float64) Stats {
 // interleaving would let two drivers diverge under the same schedule.
 //
 //lint:hotpath the front door runs once per request, in the simulator's event loop and under the server mutex
-func (e *Engine) Arrive(now float64, job Job) Arrival {
-	var out Arrival
+func (e *Engine) Arrive(now float64, job *Job) *Arrival {
+	out := &e.arrival
+	*out = Arrival{}
 	if e.admit != nil {
 		if ok, detail := e.admit.Admit(now, job.ExtMs, e.k.Alpha, e.admitView()); !ok {
 			// Rejected at the door: never enqueued, never started.
@@ -660,7 +673,7 @@ func (e *Engine) Arrive(now float64, job Job) Arrival {
 		blocks = e.wholePlan(job.ExtMs)
 	}
 	r := e.newRequest()
-	*r = sched.MakeRequest(job.ID, job.Model, job.Class, now, job.ExtMs, blocks)
+	r.Init(job.ID, job.Model, job.Class, now, job.ExtMs, blocks)
 	r.Device = dev
 	r.Partition = ln.part
 	if alpha, ok := e.k.AlphaByClass[job.Class]; ok {
@@ -726,10 +739,10 @@ func (e *Engine) Unqueue(lane int) *sched.Request { return e.lanes[lane].queue.P
 // its lanes is drained.
 //
 //lint:hotpath the grant decision runs at every block boundary
-func (e *Engine) Grant(idx int, now float64) Grant {
+func (e *Engine) Grant(idx int, now float64) *Grant {
 	ln := &e.lanes[idx]
 	if ln.dev.PartitionBusy(ln.part) {
-		return Grant{Lane: idx}
+		return ln.refuse(nil)
 	}
 	//lint:ignore hotalloc SweepExpired allocates only when something actually expired — the shed path, not the steady grant loop
 	shed := ln.queue.SweepExpired(now, e.k.PredictiveShed)
@@ -739,7 +752,7 @@ func (e *Engine) Grant(idx int, now float64) Grant {
 	lead := ln.queue.PopFront()
 	if lead == nil {
 		e.detachIfDrained(ln.dev, now)
-		return Grant{Lane: idx, Shed: shed}
+		return ln.refuse(shed)
 	}
 	batch := e.planner.FormInto(ln.scratch[:0], ln.queue, lead, now)
 	ln.scratch = batch
@@ -768,10 +781,21 @@ func (e *Engine) Grant(idx int, now float64) Grant {
 		m.Next++
 	}
 	ln.inflight = lead
-	ln.g = Grant{OK: true, Lane: idx, Shed: shed, Batch: batch, BatchID: id,
-		Block: block, BaseMs: base, RunMs: run, Frac: frac, spatial: e.parts > 1}
+	// Field by field: a composite literal would be built aside and copied in.
+	// draw sets Spike, fail and HoldMs.
+	g := &ln.g
+	g.OK, g.Lane, g.Shed, g.Batch, g.BatchID = true, idx, shed, batch, id
+	g.Block, g.BaseMs, g.RunMs, g.Frac = block, base, run, frac
+	g.Attempt, g.spatial = 0, e.parts > 1
 	ln.draw()
-	return ln.g
+	return g
+}
+
+// refuse is the lane's not-OK grant: nothing to run, and the sweep's sheds.
+// Shed is the only field of refused that is ever written after New.
+func (ln *lane) refuse(shed []*sched.Request) *Grant {
+	ln.refused.Shed = shed
+	return &ln.refused
 }
 
 // draw draws the current attempt's fault. Draws key on the leader, so a
@@ -802,9 +826,9 @@ func (ln *lane) draw() {
 //	otherwise             → requeued by Algorithm 1 (full preemption)
 //
 //lint:hotpath every granted block settles here at its boundary
-func (e *Engine) Settle(idx int, now float64, stop string) Settlement {
+func (e *Engine) Settle(idx int, now float64, stop string) *Settlement {
 	ln := &e.lanes[idx]
-	g := &ln.g
+	g, st := &ln.g, &ln.st
 	terminal := false
 	if g.fail {
 		lead := g.Batch[0]
@@ -817,7 +841,9 @@ func (e *Engine) Settle(idx int, now float64, stop string) Settlement {
 		default:
 			g.Attempt++
 			ln.draw()
-			return Settlement{Retry: true, Attempt: g.Attempt, HoldMs: g.HoldMs, Spike: g.Spike}
+			st.Retry, st.Attempt, st.HoldMs, st.Spike = true, g.Attempt, g.HoldMs, g.Spike
+			st.Terminal, st.Fates, st.Wake = false, nil, nil
+			return st
 		}
 	}
 	if e.parts > 1 {
@@ -845,7 +871,9 @@ func (e *Engine) Settle(idx int, now float64, stop string) Settlement {
 			}
 		}
 	}
-	return Settlement{Attempt: g.Attempt, Terminal: terminal, Fates: fates, Wake: wake}
+	st.Retry, st.Attempt, st.HoldMs, st.Spike = false, g.Attempt, 0, 0
+	st.Terminal, st.Fates, st.Wake = terminal, fates, wake
+	return st
 }
 
 // fate decides one member of a released grant.

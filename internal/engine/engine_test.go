@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -18,14 +20,14 @@ import (
 
 // jobs the tests feed: "long" is three 10 ms blocks (30 ms isolated),
 // "short" 5 ms, "huge" 96 ms; the last two run unsplit.
-func job(id int, name string) Job {
+func job(id int, name string) *Job {
 	switch name {
 	case "long":
-		return Job{ID: id, Model: name, Class: model.Long, ExtMs: 30, Plan: []float64{10, 10, 10}}
+		return &Job{ID: id, Model: name, Class: model.Long, ExtMs: 30, Plan: []float64{10, 10, 10}}
 	case "short":
-		return Job{ID: id, Model: name, Class: model.Short, ExtMs: 5, Plan: []float64{5}}
+		return &Job{ID: id, Model: name, Class: model.Short, ExtMs: 5, Plan: []float64{5}}
 	case "huge":
-		return Job{ID: id, Model: name, Class: model.Long, ExtMs: 96, Plan: []float64{96}}
+		return &Job{ID: id, Model: name, Class: model.Long, ExtMs: 96, Plan: []float64{96}}
 	}
 	panic("unknown test model " + name)
 }
@@ -40,11 +42,11 @@ func mustNew(t *testing.T, k Knobs) *Engine {
 }
 
 // arrive feeds one job and, as a driver would, grants the lane when the
-// engine says it is idle.
-func arrive(e *Engine, now float64, j Job) (Arrival, Grant) {
-	a := e.Arrive(now, j)
+// engine says it is idle. It returns copies, which outlive the next call.
+func arrive(e *Engine, now float64, j *Job) (Arrival, Grant) {
+	a := *e.Arrive(now, j)
 	if a.Idle {
-		return a, e.Grant(a.Lane, now)
+		return a, *e.Grant(a.Lane, now)
 	}
 	return a, Grant{}
 }
@@ -105,8 +107,8 @@ func TestArriveReportsAlgorithm1(t *testing.T) {
 func TestElasticCountsInflight(t *testing.T) {
 	e := mustNew(t, Knobs{Alpha: 4, Elastic: sched.Elastic{Enabled: true, SameTypeLimit: 2}})
 	arrive(e, 0, job(0, "long")) // in flight
-	b := e.Arrive(1, job(1, "long"))
-	c := e.Arrive(2, job(2, "long"))
+	b := *e.Arrive(1, job(1, "long"))
+	c := *e.Arrive(2, job(2, "long"))
 	if got := len(b.Req.BlockTimes); got != 3 {
 		t.Errorf("run of 1 (the in-flight long): arrival keeps %d blocks, want its 3-block plan", got)
 	}
@@ -385,7 +387,7 @@ func TestCancelQueued(t *testing.T) {
 // unsplit requests of one execution time share a read-only one-block plan.
 func TestReleaseRecyclesRequests(t *testing.T) {
 	e := mustNew(t, Knobs{Alpha: 4})
-	first, g := arrive(e, 0, Job{ID: 0, Model: "a", ExtMs: 5})
+	first, g := arrive(e, 0, &Job{ID: 0, Model: "a", ExtMs: 5})
 	if !g.OK {
 		t.Fatal("the first arrival was not granted an idle device")
 	}
@@ -395,32 +397,32 @@ func TestReleaseRecyclesRequests(t *testing.T) {
 	first.Req.Canceled, first.Req.Preemptions = true, 3
 	e.Release(first.Req)
 
-	second, _ := arrive(e, 6, Job{ID: 1, Model: "b", ExtMs: 5, DeadlineMs: 50})
+	second, _ := arrive(e, 6, &Job{ID: 1, Model: "b", ExtMs: 5, DeadlineMs: 50})
 	if second.Req != first.Req {
 		t.Error("the released request was not reused")
 	}
-	want := sched.MakeRequest(1, "b", model.Short, 6, 5, second.Req.BlockTimes)
+	want := sched.NewRequest(1, "b", model.Short, 6, 5, second.Req.BlockTimes)
 	want.StartMs, want.Next, want.DeadlineMs = 6, 1, 56
 	if got := *second.Req; got.ID != want.ID || got.Model != want.Model || got.ArriveMs != want.ArriveMs ||
 		got.StartMs != want.StartMs || got.DoneMs != want.DoneMs || got.Next != want.Next ||
 		got.DeadlineMs != want.DeadlineMs || got.Canceled || got.Preemptions != 0 {
 		t.Errorf("reused request carries its past: %+v", got)
 	}
-	third := e.Arrive(7, Job{ID: 2, Model: "a", ExtMs: 5})
+	third := *e.Arrive(7, &Job{ID: 2, Model: "a", ExtMs: 5})
 	if third.Req == second.Req {
 		t.Error("a request still in flight was handed out again")
 	}
 	if &third.Req.BlockTimes[0] != &second.Req.BlockTimes[0] {
 		t.Error("two unsplit requests of one execution time do not share their one-block plan")
 	}
-	other := e.Arrive(8, Job{ID: 3, Model: "c", ExtMs: 9})
+	other := *e.Arrive(8, &Job{ID: 3, Model: "c", ExtMs: 9})
 	if len(other.Req.BlockTimes) != 1 || other.Req.BlockTimes[0] != 9 || third.Req.BlockTimes[0] != 5 {
 		t.Errorf("one-block plans %v and %v, want [9] and [5]", other.Req.BlockTimes, third.Req.BlockTimes)
 	}
 	// Past the memo every request still gets the right plan.
 	for i := 0; i < 2*wholeMemo; i++ {
 		ext := float64(100 + i)
-		if r := e.Arrive(9, Job{ID: 10 + i, Model: "d", ExtMs: ext}).Req; len(r.BlockTimes) != 1 || r.BlockTimes[0] != ext {
+		if r := e.Arrive(9, &Job{ID: 10 + i, Model: "d", ExtMs: ext}).Req; len(r.BlockTimes) != 1 || r.BlockTimes[0] != ext {
 			t.Fatalf("request of %v ms runs plan %v", ext, r.BlockTimes)
 		}
 	}
@@ -456,13 +458,106 @@ func TestOutOfRangeLanePanics(t *testing.T) {
 // phrase them, for the drivers to prefix.
 func TestNewRejectsBadKnobs(t *testing.T) {
 	for want, k := range map[string]Knobs{
-		"unknown policy":          {Placement: "nope"},
-		"unknown partition width": {Partitions: 2, PartitionWidth: "nope"},
-		"autoscale Min":           {Fleet: fleet.AutoscaleConfig{Min: 3, Max: 2}},
-		"unknown admission mode":  {Admission: fleet.AdmissionConfig{Mode: "nope"}},
+		"unknown policy":                 {Placement: "nope"},
+		"unknown partition width":        {Partitions: 2, PartitionWidth: "nope"},
+		"autoscale Min":                  {Fleet: fleet.AutoscaleConfig{Min: 3, Max: 2}},
+		"unknown admission mode":         {Admission: fleet.AdmissionConfig{Mode: "nope"}},
+		"Alpha must be finite, got NaN":  {Alpha: math.NaN()},
+		"Alpha must be finite, got +Inf": {Alpha: math.Inf(1)},
 	} {
 		if _, err := New(k); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("New(%+v): error %v, want one mentioning %q", k, err, want)
 		}
+	}
+}
+
+// TestDecisionsInPlaceLeakNoState: decisions are engine storage rewritten
+// in place, so nothing of one decision may show through the next. A lane's
+// grant after a retried and then terminally failed hold starts at attempt 0
+// with its own spike draw and its own sweep's sheds; asking a covered lane
+// for work leaves the in-flight grant Settle reads untouched; and a second
+// Arrive rewrites the first *Arrival but not the first request's placement.
+func TestDecisionsInPlaceLeakNoState(t *testing.T) {
+	// Every attempt fails. Seed 25 spikes both attempts of request 0 and
+	// neither of request 2's, so a stale spike would show on 2's grant.
+	e := mustNew(t, Knobs{Alpha: 4, Faults: &gpusim.FaultInjector{Seed: 25, SpikeProb: 0.5, SpikeFactor: 3, FailProb: 1, MaxRetries: 1}})
+	fresh := func(g *Grant, lead int, shed []int) {
+		t.Helper()
+		want := e.devices[0].Faults.Draw(lead, g.Block, 0)
+		if !g.OK || !slices.Equal(ids(g.Batch), []int{lead}) || g.Attempt != 0 || g.Spike != want.SpikeFactor ||
+			g.HoldMs != g.RunMs*want.SpikeFactor || !slices.Equal(ids(g.Shed), shed) {
+			t.Fatalf("grant of %v: attempt %d spike %v hold %v (run %v) shed %v; want request %d at attempt 0, spike %v, shed %v",
+				ids(g.Batch), g.Attempt, g.Spike, g.HoldMs, g.RunMs, ids(g.Shed), lead, want.SpikeFactor, shed)
+		}
+	}
+	// fail runs the lane's hold into a transient fault, its retry, and the
+	// terminal fault that ends it.
+	fail := func(now float64) {
+		t.Helper()
+		if st := e.Settle(0, now, ""); !st.Retry || st.Attempt != 1 {
+			t.Fatalf("first boundary %+v, want a retry into attempt 1", *st)
+		}
+		if st := e.Settle(0, now+100, ""); !st.Terminal || len(st.Fates) != 1 {
+			t.Fatalf("second boundary %+v, want a terminal fault", *st)
+		}
+	}
+	e.Arrive(0, job(0, "huge"))
+	fresh(e.Grant(0, 0), 0, nil)
+	doomed := job(1, "short")
+	doomed.DeadlineMs = 2
+	e.Arrive(1, doomed)
+	e.Arrive(2, job(2, "short"))
+	e.Arrive(3, job(3, "short"))
+	fail(100)
+	fresh(e.Grant(0, 300), 2, []int{1})
+	fail(400)
+	fresh(e.Grant(0, 600), 3, nil)
+
+	// A lane whose anchor is covered, by its own hold or by a sibling's wide
+	// one, is refused without touching the grant in flight.
+	e = mustNew(t, Knobs{Alpha: 4, Partitions: 2, PartitionWidth: place.WidthAdaptive})
+	e.Arrive(0, job(0, "short"))
+	held := e.Grant(0, 0)
+	want := *held
+	e.Arrive(1, job(1, "short")) // lane 1, covered by lane 0's full-width hold
+	for _, lane := range []int{1, 0} {
+		if g := e.Grant(lane, 1); g.OK || g == held {
+			t.Fatalf("covered lane %d granted, or refused in the in-flight grant's storage", lane)
+		}
+	}
+	if !reflect.DeepEqual(*held, want) {
+		t.Fatalf("refusals rewrote the grant in flight: %+v, want %+v", *held, want)
+	}
+	if st := e.Settle(0, 5, ""); len(st.Fates) != 1 || st.Fates[0].Req.ID != 0 || st.Fates[0].Kind != Served {
+		t.Fatalf("settlement after the refusals: %+v, want request 0 served", *st)
+	}
+
+	// Each arrival rewrites the one *Arrival; the requests keep their own
+	// placement and queue position.
+	e = mustNew(t, Knobs{Alpha: 4, Devices: 2, Placement: place.RoundRobin, Partitions: 2})
+	type placed struct {
+		req                  *sched.Request
+		lane, dev, part, pos int
+	}
+	var got []placed
+	var first *Arrival
+	for i := 0; i < 4; i++ {
+		a := e.Arrive(float64(i), job(i, "short"))
+		if first == nil {
+			first = a
+		}
+		got = append(got, placed{a.Req, a.Lane, a.Req.Device, a.Req.Partition, a.Pos})
+	}
+	if first.Req.ID != 3 || first.Lane != got[3].lane {
+		t.Errorf("first *Arrival reads request %d on lane %d, want the latest arrival's decision", first.Req.ID, first.Lane)
+	}
+	for i, p := range got {
+		if p.req.ID != i || p.req.Device != p.dev || p.req.Partition != p.part || e.Queue(p.lane).Requests()[p.pos] != p.req {
+			t.Errorf("request %d: device %d partition %d, want %d and %d at position %d of lane %d",
+				p.req.ID, p.req.Device, p.req.Partition, p.dev, p.part, p.pos, p.lane)
+		}
+	}
+	if got[3].dev != 1 || got[3].part != 1 {
+		t.Errorf("round-robin placed the fourth arrival on device %d partition %d, want 1 and 1", got[3].dev, got[3].part)
 	}
 }

@@ -26,7 +26,7 @@ func word(s string) float64 { return float64(trace.WordOf(s)) }
 // job its placement (on engines with more than one lane) and its Algorithm 1
 // insertion — position, plan length, scan length and the queue length the
 // placer saw.
-func AppendArrival(evs []trace.Event, now float64, job Job, a Arrival) []trace.Event {
+func AppendArrival(evs []trace.Event, now float64, job *Job, a *Arrival) []trace.Event {
 	if a.Rejected {
 		evs = append(evs, trace.Event{AtMs: now, Kind: trace.Drop, ReqID: job.ID, Model: job.Model,
 			Note: trace.NoteAdmission, Args: [4]float64{word(a.Detail)}})
@@ -88,7 +88,7 @@ func AppendShed(evs []trace.Event, now float64, r *sched.Request, reason string)
 // one StartBlock per member carrying the hold's priced duration (and the
 // batch size or granted fraction that priced it), and the first attempt's
 // latency spike.
-func AppendGrant(evs []trace.Event, now float64, g Grant) []trace.Event {
+func AppendGrant(evs []trace.Event, now float64, g *Grant) []trace.Event {
 	for _, r := range g.Shed {
 		evs = AppendShed(evs, now, r, trace.ReasonDeadline)
 	}
@@ -115,7 +115,7 @@ func AppendGrant(evs []trace.Event, now float64, g Grant) []trace.Event {
 // fault if the retry budget ran out, one EndBlock per member, and then each
 // member's fate — Complete, Shed, or the Preempt of a requeue that was
 // passed.
-func AppendSettle(evs []trace.Event, now float64, g Grant, st Settlement) []trace.Event {
+func AppendSettle(evs []trace.Event, now float64, g *Grant, st *Settlement) []trace.Event {
 	if st.Retry {
 		evs = appendFault(evs, now, g, trace.NoteTransient, float64(st.Attempt-1), 0)
 		return appendSpike(evs, now, g, st.Spike, st.Attempt)
@@ -147,14 +147,14 @@ func AppendSettle(evs []trace.Event, now float64, g Grant, st Settlement) []trac
 
 // appendFault narrates one injected fault on g's block; faults key on the
 // leader.
-func appendFault(evs []trace.Event, now float64, g Grant, note trace.Note, a0, a1 float64) []trace.Event {
+func appendFault(evs []trace.Event, now float64, g *Grant, note trace.Note, a0, a1 float64) []trace.Event {
 	lead := g.Batch[0]
 	return append(evs, trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.Model,
 		Block: g.Block, Device: lead.Device, Note: note, Args: [4]float64{a0, a1}})
 }
 
 // appendSpike narrates an attempt's latency spike, if it drew one.
-func appendSpike(evs []trace.Event, now float64, g Grant, spike float64, attempt int) []trace.Event {
+func appendSpike(evs []trace.Event, now float64, g *Grant, spike float64, attempt int) []trace.Event {
 	if spike <= 1 {
 		return evs
 	}

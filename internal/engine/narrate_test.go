@@ -24,7 +24,7 @@ type teller struct {
 	evs  []trace.Event
 }
 
-func (s *teller) arrive(now float64, j Job) {
+func (s *teller) arrive(now float64, j *Job) {
 	a := s.e.Arrive(now, j)
 	s.evs = AppendArrival(s.evs, now, j, a)
 	if a.Idle {
@@ -36,7 +36,7 @@ func (s *teller) grant(lane int, now float64) {
 	g := s.e.Grant(lane, now)
 	s.evs = AppendGrant(s.evs, now, g)
 	if g.OK {
-		s.held[lane] = g
+		s.held[lane] = *g
 	}
 }
 
@@ -44,7 +44,8 @@ func (s *teller) grant(lane int, now float64) {
 // down: nothing is granted after it.
 func (s *teller) settle(lane int, now float64, stop string) {
 	st := s.e.Settle(lane, now, stop)
-	s.evs = AppendSettle(s.evs, now, s.held[lane], st)
+	g := s.held[lane]
+	s.evs = AppendSettle(s.evs, now, &g, st)
 	if st.Retry || stop != "" {
 		return
 	}

@@ -69,8 +69,8 @@ func (c AdmissionConfig) Validate() error {
 	case "":
 		return nil
 	case AdmitTokenBucket:
-		if c.RatePerSec <= 0 {
-			return fmt.Errorf("fleet: token-bucket admission needs RatePerSec > 0, got %g", c.RatePerSec)
+		if !(c.RatePerSec > 0) || math.IsInf(c.RatePerSec, 1) {
+			return fmt.Errorf("fleet: token-bucket admission needs a finite RatePerSec > 0, got %g", c.RatePerSec)
 		}
 	case AdmitQueueLength:
 		if c.MaxQueue <= 0 {

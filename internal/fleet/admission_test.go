@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,8 @@ func TestAdmissionValidate(t *testing.T) {
 	}{
 		{"unknown mode", AdmissionConfig{Mode: "typo"}, "unknown admission mode"},
 		{"token bucket no rate", AdmissionConfig{Mode: AdmitTokenBucket}, "RatePerSec"},
+		{"token bucket NaN rate", AdmissionConfig{Mode: AdmitTokenBucket, RatePerSec: math.NaN()}, "RatePerSec"},
+		{"token bucket infinite rate", AdmissionConfig{Mode: AdmitTokenBucket, RatePerSec: math.Inf(1)}, "RatePerSec"},
 		{"queue length no cap", AdmissionConfig{Mode: AdmitQueueLength}, "MaxQueue"},
 	}
 	for _, tc := range cases {

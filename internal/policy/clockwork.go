@@ -49,7 +49,7 @@ func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.
 		r.DoneMs = now
 		backlogMs -= r.ExtMs
 		tr.Note(now, trace.Complete, r.ID, r.Model, trace.NoteRR, r.ResponseRatio())
-		rp.file(r.slot, r.Record)
+		*rp.file(r.slot) = r.Record
 		reqs.put(r)
 		startNext(now)
 	}
@@ -83,7 +83,7 @@ func (c *ClockWork) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.
 				rec.StartMs = now
 				rec.DoneMs = now + backlogMs + info.ExtMs
 				tr.Note(now, trace.Drop, rec.ID, rec.Model, trace.NotePredictedRR, predicted)
-				rp.file(i, rec)
+				*rp.file(i) = rec
 				return
 			}
 		}

@@ -75,17 +75,19 @@ func (c Catalog) Job(id int, name string, deadlineMs float64) (job engine.Job, o
 	if info == nil {
 		return engine.Job{}, false
 	}
-	return info.job(id, name, deadlineMs), true
+	info.job(&job, id, name, deadlineMs)
+	return job, true
 }
 
-// job is Catalog.Job once the model is resolved. name is the catalog key,
-// which is what requests and traces carry.
-func (m *ModelInfo) job(id int, name string, deadlineMs float64) engine.Job {
-	job := engine.Job{ID: id, Model: name, Class: m.Class, ExtMs: m.ExtMs, DeadlineMs: deadlineMs}
+// job is Catalog.Job once the model is resolved, written into j field by
+// field so a driver can reuse one Job for every arrival. name is the catalog
+// key, which is what requests and traces carry.
+func (m *ModelInfo) job(j *engine.Job, id int, name string, deadlineMs float64) {
+	j.ID, j.Model, j.Class, j.ExtMs, j.DeadlineMs = id, name, m.Class, m.ExtMs, deadlineMs
+	j.Plan = nil
 	if m.Plan != nil {
-		job.Plan = m.Plan.BlockTimesMs
+		j.Plan = m.Plan.BlockTimesMs
 	}
-	return job
 }
 
 // Request outcomes beyond successful service, aliasing the shared
@@ -135,19 +137,18 @@ type Record struct {
 // RecordOf is the outcome record of a scheduler request that left the
 // system at doneMs: served, or shed for the reason in outcome.
 func RecordOf(r *sched.Request, doneMs float64, outcome string) Record {
-	return Record{
-		ID:          r.ID,
-		Model:       r.Model,
-		Class:       r.Class,
-		ArriveMs:    r.ArriveMs,
-		StartMs:     r.StartMs,
-		DoneMs:      doneMs,
-		ExtMs:       r.ExtMs,
-		Preemptions: r.Preemptions,
-		Split:       len(r.BlockTimes) > 1,
-		Outcome:     outcome,
-		Device:      r.Device,
-	}
+	var rec Record
+	rec.fill(r, doneMs, outcome)
+	return rec
+}
+
+// fill makes rec RecordOf(r, doneMs, outcome) in place, field by field, so
+// the simulator writes each record straight into its slot.
+func (rec *Record) fill(r *sched.Request, doneMs float64, outcome string) {
+	rec.ID, rec.Model, rec.Class = r.ID, r.Model, r.Class
+	rec.ArriveMs, rec.StartMs, rec.DoneMs, rec.ExtMs = r.ArriveMs, r.StartMs, doneMs, r.ExtMs
+	rec.Preemptions, rec.Split = r.Preemptions, len(r.BlockTimes) > 1
+	rec.Outcome, rec.Device = outcome, r.Device
 }
 
 // The predicates take a pointer: a Record is 112 bytes, and the metrics walk

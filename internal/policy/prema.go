@@ -107,7 +107,7 @@ func (p *PREMA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trac
 	complete := func(r *premaReq, now float64) {
 		r.DoneMs = now
 		tr.Note(now, trace.Complete, r.ID, r.Model, trace.NoteRR, r.ResponseRatio())
-		rp.file(r.slot, r.Record)
+		*rp.file(r.slot) = r.Record
 		reqs.put(r)
 	}
 

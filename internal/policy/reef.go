@@ -51,7 +51,7 @@ func (r *REEF) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Trace
 	complete := func(q *reefReq, now float64) {
 		q.DoneMs = now
 		tr.Note(now, trace.Complete, q.ID, q.Model, trace.NoteRR, q.ResponseRatio())
-		rp.file(q.slot, q.Record)
+		*rp.file(q.slot) = q.Record
 	}
 
 	dispatch = func(now float64) {

@@ -113,10 +113,11 @@ func validateArrivals(arrivals []workload.Arrival, models *modelMemo) (cancels [
 	return cancels, ascending
 }
 
-// file stores arrival slot's outcome.
-func (rp *replay) file(slot int, rec Record) {
-	rp.records[slot] = rec
+// file counts one filed outcome and returns arrival slot's record for the
+// caller to write it into.
+func (rp *replay) file(slot int) *Record {
 	rp.filed++
+	return &rp.records[slot]
 }
 
 // run replays the trace to completion and returns the records in ID order.

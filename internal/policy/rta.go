@@ -46,7 +46,7 @@ func (r *RTA) Run(arrivals []workload.Arrival, catalog Catalog, tr *trace.Tracer
 		for _, q := range round {
 			tr.Note(now, trace.EndBlock, q.ID, q.Model, trace.NoteNone)
 			tr.Note(now, trace.Complete, q.ID, q.Model, trace.NoteRR, q.ResponseRatio())
-			rp.file(q.slot, q.Record)
+			*rp.file(q.slot) = q.Record
 			reqs.put(q)
 		}
 		startRound(now)

@@ -59,14 +59,19 @@ type splitRun struct {
 	// their way to the tracer.
 	evs   []trace.Event
 	holds []hold
+	// job is the arrival being handed to the engine, rewritten in place for
+	// each one.
+	job engine.Job
 }
 
 // hold is one lane's in-flight grant. A lane holds at most one grant at a
 // time, so its state — including the timer callback bound once at setup —
-// is reused for every hold instead of allocating closures per block.
+// is reused for every hold instead of allocating closures per block. g is
+// the engine's own grant, valid until the lane's next Grant or Settle: while
+// the hold is in flight only its timer makes either call on the lane.
 type hold struct {
 	rn    *splitRun
-	g     engine.Grant
+	g     *engine.Grant
 	timer func(now float64)
 }
 
@@ -124,7 +129,7 @@ func (rn *splitRun) narrate(evs []trace.Event) {
 // left in the request's Tag, and hands the request back to the engine: a
 // recorded request has met its fate and nothing reads it again.
 func (rn *splitRun) record(r *sched.Request, now float64, outcome string) {
-	rn.file(r.Tag, RecordOf(r, now, outcome))
+	rn.file(r.Tag).fill(r, now, outcome)
 	rn.eng.Release(r)
 }
 
@@ -132,8 +137,8 @@ func (rn *splitRun) record(r *sched.Request, now float64, outcome string) {
 //
 //lint:hotpath every simulated request enters here
 func (rn *splitRun) arrive(i int, info *ModelInfo, now float64) {
-	a := &rn.arrivals[i]
-	job := info.job(a.ID, a.Model, a.DeadlineMs)
+	a, job := &rn.arrivals[i], &rn.job
+	info.job(job, a.ID, a.Model, a.DeadlineMs)
 	d := rn.eng.Arrive(now, job)
 	if rn.tracing {
 		rn.narrate(engine.AppendArrival(rn.evs, now, job, d))
@@ -141,10 +146,10 @@ func (rn *splitRun) arrive(i int, info *ModelInfo, now float64) {
 	if d.Rejected {
 		// The record keeps per-arrival accounting complete; QoS rates are
 		// computed over admitted records (metrics.Admitted).
-		rn.file(i, Record{
+		*rn.file(i) = Record{
 			ID: a.ID, Model: a.Model, Class: job.Class, ArriveMs: now,
 			StartMs: -1, DoneMs: now, ExtMs: job.ExtMs, Outcome: OutcomeAdmission,
-		})
+		}
 		return
 	}
 	d.Req.Tag = i
@@ -192,10 +197,10 @@ func (rn *splitRun) grant(lane int, now float64) {
 //
 //lint:hotpath block-boundary settlement for every device hold
 func (h *hold) onTimer(now float64) {
-	rn, g := h.rn, &h.g
+	rn, g := h.rn, h.g
 	st := rn.eng.Settle(g.Lane, now, "")
 	if rn.tracing {
-		rn.narrate(engine.AppendSettle(rn.evs, now, *g, st))
+		rn.narrate(engine.AppendSettle(rn.evs, now, g, st))
 	}
 	if st.Retry {
 		rn.sim.After(st.HoldMs, h.timer)

@@ -95,7 +95,7 @@ func (s *StreamParallel) Run(arrivals []workload.Arrival, catalog Catalog, tr *t
 				if r.remaining <= 1e-9 {
 					r.DoneMs = now
 					tr.Note(now, trace.Complete, r.ID, r.Model, trace.NoteRR, r.ResponseRatio())
-					rp.file(r.slot, r.Record)
+					*rp.file(r.slot) = r.Record
 				} else {
 					kept = append(kept, r)
 				}

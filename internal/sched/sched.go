@@ -77,23 +77,20 @@ type Request struct {
 
 // NewRequest builds a request with sentinel times set.
 func NewRequest(id int, modelName string, class model.RequestClass, arriveMs, extMs float64, blocks []float64) *Request {
-	r := MakeRequest(id, modelName, class, arriveMs, extMs, blocks)
-	return &r
+	r := new(Request)
+	r.Init(id, modelName, class, arriveMs, extMs, blocks)
+	return r
 }
 
-// MakeRequest is NewRequest by value, for a caller that owns the storage
-// (the engine's request slab).
-func MakeRequest(id int, modelName string, class model.RequestClass, arriveMs, extMs float64, blocks []float64) Request {
-	return Request{
-		ID:         id,
-		Model:      modelName,
-		Class:      class,
-		ArriveMs:   arriveMs,
-		ExtMs:      extMs,
-		BlockTimes: blocks,
-		StartMs:    -1,
-		DoneMs:     -1,
-	}
+// Init makes r a fresh request with sentinel times set, overwriting every
+// field, for a caller that owns the storage (the engine's request slab). It
+// writes field by field, so no Request-sized temporary is built and copied.
+func (r *Request) Init(id int, modelName string, class model.RequestClass, arriveMs, extMs float64, blocks []float64) {
+	r.ID, r.Model, r.Class = id, modelName, class
+	r.ArriveMs, r.ExtMs, r.BlockTimes = arriveMs, extMs, blocks
+	r.Next, r.StartMs, r.DoneMs, r.Preemptions = 0, -1, -1, 0
+	r.AlphaOverride, r.DeadlineMs, r.Canceled = 0, 0, false
+	r.Device, r.Partition, r.Tag = 0, 0, 0
 }
 
 // RemainingMs returns Ext_left: the summed time of uncommitted blocks.

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -37,6 +38,39 @@ func TestRequestHelpers(t *testing.T) {
 	}
 	if got := r.TargetMs(4); got != 120 {
 		t.Errorf("target = %v", got)
+	}
+}
+
+// TestInitOverwritesEveryField: a recycled request carries none of its past,
+// including any field added after Init was written.
+func TestInitOverwritesEveryField(t *testing.T) {
+	var r Request
+	v := reflect.ValueOf(&r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Float64:
+			f.SetFloat(7.5)
+		case reflect.String:
+			f.SetString("stale")
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		default:
+			t.Fatalf("field %s of kind %s: teach this test to dirty it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	blocks := []float64{2, 3}
+	r.Init(4, "m", model.Long, 1, 5, blocks)
+	want := Request{ID: 4, Model: "m", Class: model.Long, ArriveMs: 1, ExtMs: 5, BlockTimes: blocks, StartMs: -1, DoneMs: -1}
+	if !reflect.DeepEqual(r, want) {
+		t.Errorf("Init left %+v, want %+v", r, want)
+	}
+	if got := NewRequest(4, "m", model.Long, 1, 5, blocks); !reflect.DeepEqual(*got, want) {
+		t.Errorf("NewRequest built %+v, want %+v", *got, want)
 	}
 }
 

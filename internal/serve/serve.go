@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/rpc"
 	"runtime"
@@ -227,6 +228,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 4
+	}
+	if math.IsNaN(cfg.TimeScale) || math.IsInf(cfg.TimeScale, 0) {
+		return nil, fmt.Errorf("serve: TimeScale must be finite, got %g", cfg.TimeScale)
 	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
@@ -763,11 +767,13 @@ func (s *Server) executor(lane int) {
 	s.mu.Lock()
 	for {
 		now := s.nowMs()
+		// g and st copy the engine's decisions under s.mu: g is read after
+		// s.mu is released for the hold, and a retry patches its HoldMs.
 		var g engine.Grant
 		if !s.stoppingLocked() {
-			g = s.eng.Grant(lane, now)
+			g = *s.eng.Grant(lane, now)
 			if s.tracing {
-				s.pending = engine.AppendGrant(s.pending, now, g)
+				s.pending = engine.AppendGrant(s.pending, now, &g)
 			}
 			if len(g.Shed) > 0 {
 				for _, r := range g.Shed {
@@ -824,9 +830,9 @@ func (s *Server) executor(lane int) {
 			pprof.SetGoroutineLabels(idle)
 			s.mu.Lock()
 			now = s.nowMs()
-			st = s.eng.Settle(lane, now, s.stopLocked())
+			st = *s.eng.Settle(lane, now, s.stopLocked())
 			if s.tracing {
-				s.pending = engine.AppendSettle(s.pending, now, g, st)
+				s.pending = engine.AppendSettle(s.pending, now, &g, &st)
 			}
 			if !st.Retry {
 				break
@@ -980,9 +986,9 @@ func (s *Server) arriveLocked(modelName string, deadlineMs float64, w waiter) (i
 		}
 	}
 	s.nextID++
-	d := s.eng.Arrive(now, job)
+	d := s.eng.Arrive(now, &job)
 	if s.tracing {
-		s.pending = engine.AppendArrival(s.pending, now, job, d)
+		s.pending = engine.AppendArrival(s.pending, now, &job, d)
 	}
 	if d.Scale.Dir != fleet.Hold {
 		s.scaledLocked(d.Scale)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"math"
 	"net"
 	"runtime/pprof"
 	"strings"
@@ -77,6 +78,17 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	if srv.cfg.Alpha != 4 || srv.cfg.TimeScale != 1 {
 		t.Errorf("defaults not applied: %+v", srv.cfg)
+	}
+	for want, cfg := range map[string]Config{
+		"TimeScale must be finite, got NaN":  {TimeScale: math.NaN()},
+		"TimeScale must be finite, got +Inf": {TimeScale: math.Inf(1)},
+		"Alpha must be finite, got NaN":      {Knobs: engine.Knobs{Alpha: math.NaN()}},
+		"Alpha must be finite, got +Inf":     {Knobs: engine.Knobs{Alpha: math.Inf(1)}},
+	} {
+		cfg.Catalog = testCatalog()
+		if _, err := NewServer(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewServer with %s: error %v", want, err)
+		}
 	}
 }
 

@@ -19,6 +19,9 @@ go test -race -shuffle on ./...
 # The grid's runs share the cores: check the inline path (one CPU) and an
 # oversubscribed one (four) under the race detector, several times over.
 go test -race -count=3 -cpu 1,4 -run 'RunAllScenarios|RunConcurrently|Each|MultiSeed' ./internal/core ./internal/policy
+# The server copies the engine's per-lane decisions under its mutex; a copy
+# that slipped outside it races only with several executors running.
+go test -race -count=3 -cpu 1,4 -run 'ManyConcurrentRequestsAllComplete|FleetCancelRoutesAcrossDevices|ServePartitionConcurrency|ServeBatchingCoalesces' ./internal/serve
 
 # Brief fuzz smoke past the seed corpora. The targets are discovered, not
 # listed: every Fuzz function in the module runs for FUZZTIME (CI sets 10s),
