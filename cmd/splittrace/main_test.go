@@ -178,6 +178,15 @@ func TestReplayRecordedWorkload(t *testing.T) {
 	if err := run([]string{"-system", "SPLIT", "-scenario", "Scenario1", "-records", recPath}, &b); err != nil {
 		t.Fatal(err)
 	}
+	// The records carry columns replay does not read — the derived ones,
+	// device and outcome — and replay ignores them.
+	raw, err := os.ReadFile(recPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if header, _, _ := strings.Cut(string(raw), "\n"); !strings.HasSuffix(header, ",device,outcome") {
+		t.Errorf("records header = %q", header)
+	}
 	// ...then what-if replay the identical arrivals under REEF.
 	b.Reset()
 	if err := run([]string{"-system", "REEF", "-replay", recPath}, &b); err != nil {
