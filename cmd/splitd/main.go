@@ -31,10 +31,10 @@
 // block failures for resilience testing.
 //
 // With -devices N > 1, the daemon schedules a fleet of N devices — one
-// executor and queue per device — and routes each arrival with the
+// queue and hold timer per device — and routes each arrival with the
 // -placement policy ("round-robin", "least-loaded" or "affinity").
 //
-// With -batch-max B > 1, the executor coalesces up to B same-model requests
+// With -batch-max B > 1, the scheduler coalesces up to B same-model requests
 // at the queue front into one batched block execution (§3.3's same-type runs
 // executed as micro-batches). The default of 1 leaves batching off.
 //
@@ -43,7 +43,7 @@
 // shutdown, so the live run can be re-simulated deterministically with
 // splitbench -replay.
 //
-// With -autoscale-max N > 0, the daemon runs an elastic fleet: N executors
+// With -autoscale-max N > 0, the daemon runs an elastic fleet: N devices
 // are provisioned but only [-autoscale-min, N] are actively placed, scaling
 // on queue-depth and rolling-QoS watermarks with drain-then-release (the
 // fixed -devices value is superseded). The live active count appears as
@@ -132,7 +132,7 @@ func run(args []string, out io.Writer, ready, adminReady chan<- string, stop <-c
 		maxQueue   = fs.Int("max-queue", 0, "reject requests once this many are waiting (0 = unbounded)")
 		ringCap    = fs.Int("trace-ring", 4096, "flight-recorder capacity in events (with -admin)")
 		qosWindow  = fs.Int("qos-window", 0, "rolling QoS window in completions (0 = default)")
-		devices    = fs.Int("devices", 1, "fleet size: executors and queues, one per device")
+		devices    = fs.Int("devices", 1, "fleet size: queues and hold timers, one per device")
 		placement  = fs.String("placement", "", "fleet placement policy: round-robin|least-loaded|affinity (default round-robin)")
 		batchMax   = fs.Int("batch-max", 1, "coalesce up to this many same-model requests into one batched block execution (1 = off)")
 		partitions = fs.Int("partitions", 1, "spatial sharing: concurrent partition lanes per device (1 = temporal only)")

@@ -17,8 +17,8 @@
 //
 // Two drivers turn decisions into time. policy.Split is the virtual-clock
 // driver: a Grant becomes a gpusim timer, a fate becomes a Record.
-// serve.Server is the wall-clock driver: a Grant becomes an executor sleep
-// under the server mutex, a fate becomes an RPC reply and a metric. Neither
+// serve.Server is the wall-clock driver: a Grant becomes a wall-clock timer
+// armed under the server mutex, a fate becomes an RPC reply and a metric. Neither
 // makes a scheduling decision of its own, and neither describes one: the
 // Append* functions of narrate.go turn each decision value into its trace
 // events, once, for both. That is what "the serving path exercises the same
@@ -104,7 +104,7 @@ type Knobs struct {
 	// Partitions enables spatial sharing when > 1: every device is split
 	// into that many concurrent partition slots (gpusim
 	// ConfigurePartitions), each with its own scheduling lane — queue,
-	// elastic state, executor — fed by lane-level placement. <= 1 — the
+	// elastic state, hold — fed by lane-level placement. <= 1 — the
 	// default — keeps the temporal-only path and reproduces prior records
 	// and traces bit-for-bit.
 	Partitions int

@@ -32,7 +32,7 @@ type FaultInjector struct {
 	// FailProb is the per-attempt probability of a transient failure.
 	FailProb float64
 	// MaxRetries bounds re-executions of a failing block: an attempt index
-	// beyond MaxRetries must not be retried again — the executor reports a
+	// beyond MaxRetries must not be retried again — the scheduler reports a
 	// device fault instead.
 	MaxRetries int
 }

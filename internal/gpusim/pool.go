@@ -73,7 +73,7 @@ func (d *Device) Acquire(nowMs float64) {
 
 // AcquireBatch marks the device occupied from nowMs by one batched block
 // coalescing n same-type requests. With n <= 1 it is exactly Acquire — the
-// scalar grant — so executors can route every grant through it; n >= 2
+// scalar grant — so drivers can route every grant through it; n >= 2
 // additionally accounts the batch in the device's batched-grant counters.
 // The occupancy rules are unchanged: one hold at a time, panics if busy.
 //

@@ -61,7 +61,7 @@ type Request struct {
 	Canceled bool
 	// Device is the fleet device the placement layer assigned the request
 	// to. The queue itself never reads it — each device has its own queue —
-	// but executors and cancellation paths route by it. 0 on a
+	// but grants and cancellation paths route by it. 0 on a
 	// single-device deployment.
 	Device int
 	// Partition is the device partition slot the placement layer assigned
@@ -270,7 +270,7 @@ func (q *Queue) clearTail(from int) {
 // Remove extracts the waiting request with the given ID, preserving the
 // order of the survivors, and returns it — or nil if no such request is
 // waiting. This is the queued-work half of cancellation; the in-flight
-// request is not in the queue and must be handled by its executor.
+// request is not in the queue and is handled at its block boundary.
 func (q *Queue) Remove(id int) *Request {
 	for i, r := range q.reqs {
 		if r.ID == id {
@@ -496,7 +496,7 @@ func DefaultElastic() Elastic {
 }
 
 // ShouldSplit decides whether an arriving request of the given model should
-// use its split plan, based on the waiting queue alone. Executors that know
+// use its split plan, based on the waiting queue alone. Callers that know
 // which request currently occupies the device should call ShouldSplitWith
 // instead, which counts it into the same-type run.
 func (e Elastic) ShouldSplit(q *Queue, modelName string) bool {

@@ -22,14 +22,12 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"net"
 	"net/rpc"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"sync"
@@ -156,19 +154,26 @@ type waiter struct {
 }
 
 // outbound is what a caller takes out from under s.mu to deliver after
-// releasing it; each executor and connection reader owns one it reuses.
+// releasing it; each connection reader owns one it reuses, and each hold
+// timer callback takes one from outbounds.
 type outbound struct {
 	evs  []trace.Event
 	dels []waiter
 }
 
-// Server is the wall-clock driver of internal/engine. The engine makes
-// every scheduling decision; the server adds what only a live process has:
-// the mutex and condition variable the decisions are serialized under, one
-// executor goroutine per lane that sleeps out each granted hold, the
-// waiters, and the metrics, time series and recorder. The engine narrates
-// its own decisions (engine.Append*) into pending; the server writes only
-// pre-engine drops, elastic transitions and drain markers.
+// outbounds recycles the hold timers' outbound scratch. A callback cannot
+// keep one per lane: the lane's next fire can come while the previous one
+// is still delivering, since an arrival may grant the idle lane in between.
+var outbounds = sync.Pool{New: func() any { return new(outbound) }}
+
+// Server is the wall-clock driver of internal/engine, shaped like
+// policy.Split, the virtual-clock one. The engine makes every scheduling
+// decision; the server adds what only a live process has: the mutex the
+// decisions are serialized under, one wall-clock timer per lane that times
+// each granted hold, the waiters, and the metrics, time series and
+// recorder. The engine narrates its own decisions (engine.Append*) into
+// pending; the server writes only pre-engine drops, elastic transitions
+// and drain markers.
 type Server struct {
 	cfg Config
 	// tracing caches cfg.Sink != nil: narration is gated on it so no event
@@ -176,20 +181,18 @@ type Server struct {
 	tracing bool
 	start   time.Time
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 	// eng is the decision core (queues, placer, planner, ledgers, autoscaler,
 	// admission gate); it is not concurrency-safe and is only called under mu.
-	eng *engine.Engine
-	// busyMs is virtual-ms occupancy per lane, pro-rated by granted fraction.
-	busyMs  []float64
+	eng     *engine.Engine
 	nextID  int
 	closed  bool
 	served  int
 	dropped int
-	// running counts live executor goroutines; the last one to exit under a
-	// drain owns the clean DrainEnd event.
-	running int
+	// holds are the lanes' timers, one per lane; armed counts those timing
+	// a grant, and a drain ends cleanly when it reaches 0.
+	holds []hold
+	armed int
 	// draining is true between a Drain call and either the backlog
 	// emptying or the drain timeout shedding it.
 	draining bool
@@ -218,7 +221,23 @@ type Server struct {
 	series *obs.TimeSeries
 
 	listener net.Listener
-	wg       sync.WaitGroup
+	// wg counts the accept loop and the armed holds: Stop and Drain wait on
+	// it. A settling hold adds the holds it grants before it is done.
+	wg sync.WaitGroup
+}
+
+// hold is one lane's device hold: a grant arms its timer for the hold's
+// wall time, and the timer's callback, fire, settles it. g is the engine's
+// own grant, which stays valid while the hold is armed because only fire
+// settles or re-grants the lane then; startMs is when the grant began, and
+// busyMs the lane's virtual-ms occupancy, pro-rated by granted fraction.
+type hold struct {
+	s       *Server
+	dev     int
+	g       *engine.Grant
+	startMs float64
+	busyMs  float64
+	timer   *time.Timer
 }
 
 // NewServer validates cfg and builds a stopped server.
@@ -246,7 +265,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		tracing:    cfg.Sink != nil,
 		eng:        eng,
-		busyMs:     make([]float64, eng.Lanes()),
 		waiters:    make(map[int]waiter),
 		perModel:   make(map[string]*modelAgg),
 		qos:        obs.NewRollingQoS(cfg.Alpha, cfg.QoSWindow),
@@ -259,7 +277,14 @@ func NewServer(cfg Config) (*Server, error) {
 			s.met.fleetActive.SetInt(eng.Active())
 		}
 	}
-	s.cond = sync.NewCond(&s.mu)
+	s.holds = make([]hold, eng.Lanes())
+	for lane := range s.holds {
+		h := &s.holds[lane]
+		h.s = s
+		h.dev, _ = place.LaneDevice(lane, eng.Parts())
+		h.timer = time.AfterFunc(time.Hour, h.fire)
+		h.timer.Stop()
+	}
 	return s, nil
 }
 
@@ -549,8 +574,8 @@ func (s *Server) nowMs() float64 {
 	return float64(time.Since(s.start)) / float64(time.Millisecond) / s.cfg.TimeScale
 }
 
-// Start begins serving RPCs on l and launches the executor. It returns
-// immediately; Stop or Drain shuts everything down.
+// Start begins serving RPCs on l. It returns immediately; Stop or Drain
+// shuts everything down.
 func (s *Server) Start(l net.Listener) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -559,12 +584,8 @@ func (s *Server) Start(l net.Listener) error {
 	}
 	s.start = time.Now()
 	s.listener = l
-	s.running = s.eng.Lanes()
-	s.wg.Add(1 + s.running)
+	s.wg.Add(1)
 	go s.acceptLoop()
-	for lane := 0; lane < s.running; lane++ {
-		go s.executor(lane)
-	}
 	return nil
 }
 
@@ -579,9 +600,9 @@ func (s *Server) Addr() string {
 }
 
 // Stop closes the listener, sheds every queued request with ErrStopped,
-// and stops the executor after the current block — whose request is NOT
-// shed: if that block completes its plan, the completion is delivered to
-// its client, otherwise the client receives ErrStopped at the boundary.
+// and grants nothing after each lane's current block — whose request is
+// NOT shed: if that block completes its plan, the completion is delivered
+// to its client, otherwise the client receives ErrStopped at the boundary.
 // For a shutdown that finishes the backlog first, use Drain.
 func (s *Server) Stop() {
 	s.mu.Lock()
@@ -595,7 +616,6 @@ func (s *Server) Stop() {
 		s.listener.Close()
 	}
 	s.shedBacklogLocked(s.nowMs(), DropStopped)
-	s.cond.Broadcast()
 	var out outbound
 	s.takeOut(&out)
 	s.mu.Unlock()
@@ -603,7 +623,7 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
-// Drain stops accepting new work and lets the executor finish the backlog.
+// Drain stops accepting new work and lets the lanes finish the backlog.
 // If the backlog is not done within timeout, every still-queued request is
 // shed with ErrDrained and the in-flight request is shed at its next block
 // boundary (or delivered, if that boundary completes it). Drain returns
@@ -621,9 +641,10 @@ func (s *Server) Drain(timeout time.Duration) int {
 	if s.listener != nil {
 		s.listener.Close()
 	}
-	s.emit(trace.Event{AtMs: s.nowMs(), Kind: trace.DrainStart, ReqID: -1,
+	now := s.nowMs()
+	s.emit(trace.Event{AtMs: now, Kind: trace.DrainStart, ReqID: -1,
 		Note: trace.NoteDrainStart, Args: [4]float64{float64(s.eng.Depth()), float64(timeout) / float64(time.Millisecond)}})
-	s.cond.Broadcast()
+	s.drainedLocked(now)
 	var out outbound
 	s.takeOut(&out)
 	s.mu.Unlock()
@@ -651,7 +672,6 @@ func (s *Server) Drain(timeout time.Duration) int {
 		shed = s.shedBacklogLocked(now, DropDrained)
 		s.emit(trace.Event{AtMs: now, Kind: trace.DrainEnd, ReqID: -1,
 			Note: trace.NoteDrainTimeout, Args: [4]float64{float64(shed)}})
-		s.cond.Broadcast()
 	}
 	s.takeOut(&out)
 	s.mu.Unlock()
@@ -746,113 +766,80 @@ func (s *Server) hangUp(r *Responder) {
 	s.deliver(&r.held)
 }
 
-// executor is one lane's wall clock: it asks the engine for the lane's next
-// grant, sleeps out the hold with s.mu released, and hands the boundary
-// back to the engine to settle. All lock transitions stay in this function
-// so buffered events and outcomes are always flushed with s.mu released.
+// grantLocked asks the engine for the lane's next hold and arms the lane's
+// timer for it, unless the server is past granting work. Caller holds s.mu.
 //
-//lint:hotpath the executor loop is the serving-path grant loop: one iteration per device hold
-func (s *Server) executor(lane int) {
-	defer s.wg.Done()
-	dev, _ := place.LaneDevice(lane, s.eng.Parts())
-	// Label the executor so /debug/pprof profiles split by device, and each
-	// hold below by model and block.
-	idle := pprof.WithLabels(context.Background(),
-		pprof.Labels("subsystem", "executor", "device", strconv.Itoa(dev)))
-	pprof.SetGoroutineLabels(idle)
-	defer pprof.SetGoroutineLabels(context.Background())
-	//lint:ignore hotalloc once per executor, before its loop
-	holds := map[holdKey]context.Context{}
-	var out outbound
-	s.mu.Lock()
-	for {
-		now := s.nowMs()
-		// g and st copy the engine's decisions under s.mu: g is read after
-		// s.mu is released for the hold, and a retry patches its HoldMs.
-		var g engine.Grant
-		if !s.stoppingLocked() {
-			g = *s.eng.Grant(lane, now)
-			if s.tracing {
-				s.pending = engine.AppendGrant(s.pending, now, &g)
-			}
-			if len(g.Shed) > 0 {
-				for _, r := range g.Shed {
-					s.shedLocked(now, r, DropDeadline)
-				}
-				s.depthChangedLocked(dev)
-			}
+//lint:hotpath the grant runs at every block boundary and idle arrival
+func (s *Server) grantLocked(lane int, now float64) {
+	if s.stoppingLocked() {
+		return
+	}
+	g := s.eng.Grant(lane, now)
+	if s.tracing {
+		s.pending = engine.AppendGrant(s.pending, now, g)
+	}
+	h := &s.holds[lane]
+	if len(g.Shed) > 0 {
+		for _, r := range g.Shed {
+			s.shedLocked(now, r, DropDeadline)
 		}
-		if !g.OK {
-			// No grant: an empty queue, or a covered anchor slot that a
-			// draining lane with work must wait out, not exit on.
-			if s.closed && (!s.draining || s.eng.Queue(lane).Len() == 0) {
-				// Exit. The last executor out of a drain owns the clean
-				// DrainEnd: other devices may still hold work before it.
-				s.running--
-				if s.draining && s.running == 0 {
-					s.draining = false
-					s.emit(trace.Event{AtMs: s.nowMs(), Kind: trace.DrainEnd, ReqID: -1, Note: trace.NoteDrainClean})
-				}
-				s.takeOut(&out)
-				s.mu.Unlock()
-				s.deliver(&out)
-				return
-			}
-			// Idle. Flush before blocking: a shed client must not wait for
-			// the next arrival to learn its fate.
-			if len(s.pending) > 0 || len(s.pendingOut) > 0 {
-				s.takeOut(&out)
-				s.mu.Unlock()
-				s.deliver(&out)
-				s.mu.Lock()
-				continue
-			}
-			s.cond.Wait()
-			continue
-		}
+		s.depthChangedLocked(h.dev)
+	}
+	if !g.OK {
+		// An empty queue, or a covered anchor slot: the release that
+		// uncovers it names this lane in Settlement.Wake.
+		return
+	}
+	if s.met != nil && g.BatchID != 0 && s.met.batchedBlocks != nil {
+		s.met.batchedBlocks.Inc()
+		s.met.batchSize.Observe(float64(len(g.Batch)))
+	}
+	s.depthChangedLocked(h.dev)
+	h.g, h.startMs = g, now
+	s.armed++
+	s.wg.Add(1)
+	h.arm(g.HoldMs)
+}
 
-		// The engine granted block g.Block to g.Batch (one request unless
-		// micro-batched) for g.HoldMs of device time.
-		lead := g.Batch[0]
-		blockStartMs := now
-		if s.met != nil && g.BatchID != 0 && s.met.batchedBlocks != nil {
-			s.met.batchedBlocks.Inc()
-			s.met.batchSize.Observe(float64(len(g.Batch)))
+// arm starts the hold's timer for ms of virtual time. Caller holds s.mu.
+func (h *hold) arm(ms float64) {
+	h.timer.Reset(time.Duration(ms * h.s.cfg.TimeScale * float64(time.Millisecond)))
+}
+
+// fire is the hold's boundary, policy.Split's onTimer on the wall clock:
+// the engine settles the hold, and the server re-arms a retry, or accounts
+// the hold's busy time and each member's fate and grants the lanes the
+// release woke, siblings first — they were waiting — then its own. It
+// delivers with s.mu released.
+//
+//lint:hotpath block-boundary settlement for every device hold
+func (h *hold) fire() {
+	s := h.s
+	s.mu.Lock()
+	g, now := h.g, s.nowMs()
+	lane := g.Lane
+	st := s.eng.Settle(lane, now, s.stopLocked())
+	if s.tracing {
+		s.pending = engine.AppendSettle(s.pending, now, g, st)
+	}
+	// st is the engine's, and this lane's next fire may settle it again
+	// once s.mu is released.
+	retry := st.Retry
+	if retry {
+		if s.met != nil {
+			s.met.retries.Inc()
 		}
-		s.depthChangedLocked(dev)
-		var st engine.Settlement
-		for {
-			s.takeOut(&out)
-			s.mu.Unlock()
-			s.deliver(&out)
-			pprof.SetGoroutineLabels(holdLabels(idle, holds, lead.Model, g.Block))
-			time.Sleep(time.Duration(g.HoldMs * s.cfg.TimeScale * float64(time.Millisecond)))
-			pprof.SetGoroutineLabels(idle)
-			s.mu.Lock()
-			now = s.nowMs()
-			st = *s.eng.Settle(lane, now, s.stopLocked())
-			if s.tracing {
-				s.pending = engine.AppendSettle(s.pending, now, &g, &st)
-			}
-			if !st.Retry {
-				break
-			}
-			if s.met != nil {
-				s.met.retries.Inc()
-			}
-			g.HoldMs = st.HoldMs
-		}
-		if len(st.Wake) > 0 {
-			s.cond.Broadcast() // siblings wait for anchor slots this release uncovered
-		}
+		h.arm(st.HoldMs)
+	} else {
+		s.armed--
 		// Pro-rated by Frac (1 unpartitioned): temporal and spatial sums compare.
-		busyMs := (now - blockStartMs) * g.Frac
-		s.busyMs[lane] += busyMs
+		busyMs := (now - h.startMs) * g.Frac
+		h.busyMs += busyMs
 		//lint:ignore hotalloc lazy per-window busy buckets: one make per elapsed time window, not per hold
-		s.series.ObserveBusyFrac(dev, blockStartMs, now, g.Frac)
+		s.series.ObserveBusyFrac(h.dev, h.startMs, now, g.Frac)
 		if s.met != nil && len(s.met.deviceBusyMs) > 0 {
-			s.met.deviceBusyMs[dev].Add(busyMs)
-			s.met.deviceBlocks[dev].Inc()
+			s.met.deviceBusyMs[h.dev].Add(busyMs)
+			s.met.deviceBlocks[h.dev].Inc()
 		}
 		if s.met != nil && len(s.met.partBusyMs) > 0 {
 			s.met.partBusyMs[lane].Add(busyMs)
@@ -862,31 +849,29 @@ func (s *Server) executor(lane int) {
 		for _, f := range st.Fates {
 			s.fateLocked(now, f)
 		}
-		s.takeOut(&out)
-		s.mu.Unlock()
-		s.deliver(&out)
-		s.mu.Lock()
+		for _, sib := range st.Wake {
+			s.grantLocked(sib, now)
+		}
+		s.grantLocked(lane, now)
+		s.drainedLocked(now)
+	}
+	out := outbounds.Get().(*outbound)
+	s.takeOut(out)
+	s.mu.Unlock()
+	s.deliver(out)
+	outbounds.Put(out)
+	if !retry {
+		s.wg.Done()
 	}
 }
 
-type holdKey struct {
-	model string
-	block int
-}
-
-// holdLabels is the profiler context a hold of model's block runs under, so
-// profiles attribute device occupancy causally: idle's labels plus the
-// hold's, built the first time the lane holds that block and cached in holds.
-//
-//lint:hotpath the executor labels every device hold
-func holdLabels(idle context.Context, holds map[holdKey]context.Context, model string, block int) context.Context {
-	ctx, ok := holds[holdKey{model, block}]
-	if !ok {
-		//lint:ignore hotalloc once per (model, block) the lane ever holds; a hot-deployed model adds its entries on first sight
-		ctx = pprof.WithLabels(idle, pprof.Labels("phase", "exec", "model", model, "block", strconv.Itoa(block)))
-		holds[holdKey{model, block}] = ctx
+// drainedLocked ends a drain cleanly once no hold is armed: every lane has
+// worked off its queue. Caller holds s.mu.
+func (s *Server) drainedLocked(now float64) {
+	if s.draining && s.armed == 0 {
+		s.draining = false
+		s.emit(trace.Event{AtMs: now, Kind: trace.DrainEnd, ReqID: -1, Note: trace.NoteDrainClean})
 	}
-	return ctx
 }
 
 // fateLocked accounts one grant member's boundary outcome, as the engine
@@ -1019,12 +1004,14 @@ func (s *Server) arriveLocked(modelName string, deadlineMs float64, w waiter) (i
 	if s.cfg.ArrivalRecorder != nil {
 		s.cfg.ArrivalRecorder.Observe(id, modelName, now, deadlineMs)
 	}
-	s.cond.Broadcast() // Signal could wake an executor other than the placed lane's
+	if d.Idle {
+		s.grantLocked(d.Lane, now)
+	}
 	return id, nil
 }
 
 // scaledLocked counts one autoscaler actuation. After a scale-in the
-// device's executors drain their queues and idle: placement never targets
+// device's lanes work off their queues and idle: placement never targets
 // them again. Caller holds s.mu.
 func (s *Server) scaledLocked(sc engine.Scale) {
 	if s.met == nil || s.met.fleetActive == nil {
@@ -1162,7 +1149,7 @@ func (s *Server) QueueSnapshot() QueueSnapshot {
 		for lane := 0; lane < s.eng.Lanes(); lane++ {
 			dev, part := place.LaneDevice(lane, s.eng.Parts())
 			ds := DeviceSnapshot{Device: dev, Part: part, Depth: s.eng.Queue(lane).Len(),
-				InflightID: -1, BusyMsTotal: s.busyMs[lane]}
+				InflightID: -1, BusyMsTotal: s.holds[lane].busyMs}
 			if r := s.eng.Inflight(lane); r != nil {
 				ds.Busy, ds.InflightID = true, r.ID
 			}

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"context"
 	"errors"
-	"maps"
 	"math"
 	"net"
-	"runtime/pprof"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -226,6 +224,68 @@ func TestDoubleStartFails(t *testing.T) {
 	}
 }
 
+// TestIdleArrivalStartsAtArrival: an arrival on an idle lane is granted
+// under the same lock and at the same instant it arrives — the simulator's
+// rule — so its first block starts at its arrival time.
+func TestIdleArrivalStartsAtArrival(t *testing.T) {
+	ring := trace.NewRing(64)
+	srv, err := NewServer(Config{Catalog: testCatalog(), TimeScale: 0.1, Sink: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(l); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	id, ch, err := srv.enqueue("short", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := <-ch; out.err != nil {
+		t.Fatal(out.err)
+	}
+	at := map[trace.EventKind][]float64{}
+	for _, e := range ring.Snapshot() {
+		if e.ReqID == id {
+			at[e.Kind] = append(at[e.Kind], e.AtMs)
+		}
+	}
+	arrive, start := at[trace.Arrive], at[trace.StartBlock]
+	if len(arrive) != 1 || len(start) != 1 || start[0] != arrive[0] {
+		t.Errorf("arrive at %v, start_block at %v: want one each, at the same instant", arrive, start)
+	}
+}
+
+// TestStartRunsNoGoroutinePerLane: a lane is a timer, not a goroutine, so
+// starting a 64-device server runs no more goroutines than starting a
+// 1-device one, give or take goroutines other tests leave winding down.
+func TestStartRunsNoGoroutinePerLane(t *testing.T) {
+	started := func(devices int) int {
+		srv, err := NewServer(Config{Knobs: engine.Knobs{Devices: devices}, Catalog: testCatalog()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		if err := srv.Start(l); err != nil {
+			t.Fatal(err)
+		}
+		n := runtime.NumGoroutine() - before
+		srv.Stop()
+		return n
+	}
+	if one, many := started(1), started(64); many-one > 4 {
+		t.Errorf("Start runs %d goroutines at 64 devices, %d at 1", many, one)
+	}
+}
+
 func TestStopRejectsNewWork(t *testing.T) {
 	srv, c := startServer(t)
 	srv.Stop()
@@ -341,11 +401,13 @@ func TestModelStats(t *testing.T) {
 	}
 }
 
-// unstartedServer builds a server whose clock is running but whose executor
-// is not, so queue contents are deterministic for enqueue/snapshot tests.
-func unstartedServer(t *testing.T, mut func(*Config)) *Server {
+// blockedServer builds and starts a server whose one device is held by an
+// in-flight "short" blocker for half a wall second, so the queue behind it
+// is deterministic for enqueue/snapshot tests. The blocker finishes its
+// plan at its boundary, so it is served even if the server stops first.
+func blockedServer(t *testing.T, mut func(*Config)) *Server {
 	t.Helper()
-	cfg := Config{Knobs: engine.Knobs{Alpha: 4}, Catalog: testCatalog(), TimeScale: 1}
+	cfg := Config{Knobs: engine.Knobs{Alpha: 4}, Catalog: testCatalog(), TimeScale: 500}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -353,9 +415,20 @@ func unstartedServer(t *testing.T, mut func(*Config)) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Start the virtual clock without Start's listener/executor machinery:
-	// enqueue rejects requests while the epoch is unset.
-	srv.start = time.Now()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(l); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	if _, _, err := srv.enqueue("short", 0); err != nil {
+		t.Fatal(err)
+	}
+	if snap := srv.QueueSnapshot(); !snap.Busy || snap.Depth != 0 {
+		t.Fatalf("blocker not in flight: %+v", snap)
+	}
 	return srv
 }
 
@@ -392,7 +465,7 @@ func TestEnqueueBeforeStartRejected(t *testing.T) {
 }
 
 func TestTypedRejectionErrors(t *testing.T) {
-	srv := unstartedServer(t, func(c *Config) { c.MaxQueue = 1 })
+	srv := blockedServer(t, func(c *Config) { c.MaxQueue = 1 })
 	if _, _, err := srv.enqueue("mystery", 0); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("unknown model: %v", err)
 	}
@@ -416,7 +489,7 @@ func TestTypedRejectionErrors(t *testing.T) {
 
 func TestDropsCountedByReason(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := unstartedServer(t, func(c *Config) { c.MaxQueue = 1; c.Obs = reg })
+	srv := blockedServer(t, func(c *Config) { c.MaxQueue = 1; c.Obs = reg })
 	srv.enqueue("mystery", 0)
 	srv.enqueue("long", 0)
 	srv.enqueue("short", 0)
@@ -441,7 +514,7 @@ func TestDropsCountedByReason(t *testing.T) {
 func TestElasticSuppressionObserved(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := trace.NewRing(32)
-	srv := unstartedServer(t, func(c *Config) {
+	srv := blockedServer(t, func(c *Config) {
 		c.Obs = reg
 		c.Sink = ring
 		c.Elastic = sched.Elastic{Enabled: true, HighLoadQueueLen: 2}
@@ -474,7 +547,7 @@ func TestElasticSuppressionObserved(t *testing.T) {
 }
 
 func TestQueueSnapshotContents(t *testing.T) {
-	srv := unstartedServer(t, nil)
+	srv := blockedServer(t, nil)
 	srv.enqueue("long", 0)
 	srv.enqueue("short", 0)
 	snap := srv.QueueSnapshot()
@@ -579,30 +652,5 @@ func TestLiveMetricsEndToEnd(t *testing.T) {
 	// 4 long × 3 blocks + 4 short × 1 block = 16 block executions.
 	if kinds[trace.StartBlock] != 16 || kinds[trace.EndBlock] != 16 {
 		t.Errorf("block events = %v", kinds)
-	}
-}
-
-// TestHoldLabelsCached: an executor builds a hold's profiler context once
-// per (model, block) and reuses it, and the cached context carries exactly
-// the labels the per-hold construction did.
-func TestHoldLabelsCached(t *testing.T) {
-	idle := pprof.WithLabels(context.Background(), pprof.Labels("subsystem", "executor", "device", "1"))
-	holds := map[holdKey]context.Context{}
-	ctx := holdLabels(idle, holds, "vgg19", 2)
-	if holdLabels(idle, holds, "vgg19", 2) != ctx {
-		t.Error("a second hold of the same block built a new context")
-	}
-	if holdLabels(idle, holds, "vgg19", 3) == ctx || holdLabels(idle, holds, "ner", 2) == ctx {
-		t.Error("different holds share a context")
-	}
-	labels := func(ctx context.Context) map[string]string {
-		m := map[string]string{}
-		pprof.ForLabels(ctx, func(k, v string) bool { m[k] = v; return true })
-		return m
-	}
-	perHold := pprof.WithLabels(idle, pprof.Labels("phase", "exec", "model", "vgg19", "block", "2"))
-	want := map[string]string{"subsystem": "executor", "device": "1", "phase": "exec", "model": "vgg19", "block": "2"}
-	if got := labels(ctx); !maps.Equal(got, labels(perHold)) || !maps.Equal(got, want) {
-		t.Errorf("cached labels %v, per-hold labels %v", got, labels(perHold))
 	}
 }

@@ -19,9 +19,11 @@ go test -race -shuffle on ./...
 # The grid's runs share the cores: check the inline path (one CPU) and an
 # oversubscribed one (four) under the race detector, several times over.
 go test -race -count=3 -cpu 1,4 -run 'RunAllScenarios|RunConcurrently|Each|MultiSeed' ./internal/core ./internal/policy
-# The server copies the engine's per-lane decisions under its mutex; a copy
-# that slipped outside it races only with several executors running.
-go test -race -count=3 -cpu 1,4 -run 'ManyConcurrentRequestsAllComplete|FleetCancelRoutesAcrossDevices|ServePartitionConcurrency|ServeBatchingCoalesces' ./internal/serve
+# Hold timers of different lanes fire on goroutines of their own, and a
+# lane's next fire can overlap its previous delivery (an arrival may grant
+# the idle lane in between); state read outside the server mutex races only
+# with several lanes running.
+go test -race -count=3 -cpu 1,4 -run 'ManyConcurrentRequestsAllComplete|FleetCancelRoutesAcrossDevices|ServePartitionConcurrency|ServeBatchingCoalesces|ServeElasticConcurrentScaleDown|IdleArrivalStartsAtArrival|StartRunsNoGoroutinePerLane' ./internal/serve
 
 # Brief fuzz smoke past the seed corpora. The targets are discovered, not
 # listed: every Fuzz function in the module runs for FUZZTIME (CI sets 10s),

@@ -96,7 +96,7 @@ type (
 	// them field for field.
 	Knobs = engine.Knobs
 	// ServerOption is one functional server option (WithDevices,
-	// WithPlacement, WithDeadlines, ...).
+	// WithPlacement, WithTimeScale, ...).
 	ServerOption = serve.Option
 	// Client talks to a Server.
 	Client = serve.Client
@@ -104,35 +104,20 @@ type (
 	InferReply = serve.InferReply
 )
 
-// Functional server options for NewServerWith.
+// Functional server options for NewServerWith; every other knob is a
+// ServerConfig field.
 var (
-	// WithDevices sets the fleet size (one executor and queue per device).
+	// WithDevices sets the fleet size (one queue and hold timer per device).
 	WithDevices = serve.WithDevices
 	// WithPlacement selects the fleet placement policy: "round-robin",
 	// "least-loaded" or "affinity".
 	WithPlacement = serve.WithPlacement
-	// WithDeadlines enables α·t_ext deadline enforcement (alpha > 0 also
-	// sets the scheduling α).
-	WithDeadlines = serve.WithDeadlines
-	// WithAlpha sets the latency-target multiplier.
-	WithAlpha = serve.WithAlpha
 	// WithTimeScale accelerates or slows the virtual clock.
 	WithTimeScale = serve.WithTimeScale
-	// WithElastic configures §3.3 elastic splitting.
-	WithElastic = serve.WithElastic
-	// WithMaxQueue caps the fleet-wide waiting-request count.
-	WithMaxQueue = serve.WithMaxQueue
-	// WithPredictiveShed sheds requests that can no longer meet their
-	// deadline even if granted the device immediately.
-	WithPredictiveShed = serve.WithPredictiveShed
-	// WithFaults injects the deterministic fault schedule.
-	WithFaults = serve.WithFaults
 	// WithObs attaches a live metrics registry.
 	WithObs = serve.WithObs
 	// WithSink attaches a live scheduling-event sink.
 	WithSink = serve.WithSink
-	// WithQoSWindow sizes the rolling online QoS window.
-	WithQoSWindow = serve.WithQoSWindow
 )
 
 // Request classes.
@@ -250,7 +235,7 @@ func NewServer(cfg ServerConfig) (*Server, error) { return serve.NewServer(cfg) 
 //
 //	srv, err := split.NewServerWith(catalog,
 //	    split.WithDevices(2), split.WithPlacement("least-loaded"),
-//	    split.WithDeadlines(4))
+//	    split.WithTimeScale(0.05))
 func NewServerWith(catalog Catalog, opts ...ServerOption) (*Server, error) {
 	return serve.New(catalog, opts...)
 }
