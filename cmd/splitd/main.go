@@ -129,7 +129,6 @@ func run(args []string, out io.Writer, ready, adminReady chan<- string, stop <-c
 		alpha      = fs.Float64("alpha", 4, "latency target multiplier α")
 		timescale  = fs.Float64("timescale", 1.0, "wall-clock ms per simulated ms (e.g. 0.1 = 10x faster)")
 		noElastic  = fs.Bool("no-elastic", false, "disable elastic splitting")
-		maxQueue   = fs.Int("max-queue", 0, "reject requests once this many are waiting (0 = unbounded)")
 		ringCap    = fs.Int("trace-ring", 4096, "flight-recorder capacity in events (with -admin)")
 		qosWindow  = fs.Int("qos-window", 0, "rolling QoS window in completions (0 = default)")
 		devices    = fs.Int("devices", 1, "fleet size: queues and hold timers, one per device")
@@ -250,7 +249,6 @@ func run(args []string, out io.Writer, ready, adminReady chan<- string, stop <-c
 		},
 		Catalog:   catalog,
 		TimeScale: *timescale,
-		MaxQueue:  *maxQueue,
 		QoSWindow: *qosWindow,
 	}
 	if *batchMax > 1 {

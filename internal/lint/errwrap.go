@@ -8,10 +8,11 @@ import (
 )
 
 // Errwrap keeps error chains inspectable. The serving path's typed
-// rejections (serve.ErrQueueFull, serve.ErrUnknownModel, serve.ErrStopped)
-// only work if wrapping preserves the chain — fmt.Errorf must use %w for
-// error operands — and if call sites test with errors.Is rather than ==,
-// which breaks the moment a sentinel is wrapped with context.
+// rejections (serve.ErrAdmissionRejected, serve.ErrUnknownModel,
+// serve.ErrStopped) only work if wrapping preserves the chain — fmt.Errorf
+// must use %w for error operands — and if call sites test with errors.Is
+// rather than ==, which breaks the moment a sentinel is wrapped with
+// context.
 var Errwrap = &Analyzer{
 	Name: "errwrap",
 	Doc:  "fmt.Errorf wraps errors with %w; sentinels are compared with errors.Is",

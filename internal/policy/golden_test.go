@@ -1,138 +1,50 @@
 package policy
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"testing"
 
-	"split/internal/fleet"
-	"split/internal/gpusim"
-	"split/internal/model"
+	"split/internal/fixture"
 	"split/internal/trace"
 	"split/internal/workload"
 )
 
-// goldenCatalog is the five-model deployment of the paper's evaluation with
-// its block times written out by hand (rounded from the zoo's GA plans), so
-// the golden digests below pin the scheduler and nothing upstream of it.
-func goldenCatalog() Catalog {
-	one := func(name string, class model.RequestClass, ms float64) *model.Graph {
-		return &model.Graph{Name: name, Domain: "t", Class: class, Ops: []model.Op{{Name: "op", TimeMs: ms}}}
-	}
-	graphs := map[string]*model.Graph{
-		"yolov2":    one("yolov2", model.Short, 10.8),
-		"googlenet": one("googlenet", model.Short, 13.2),
-		"gpt2":      one("gpt2", model.Short, 20.4),
-		"resnet50":  one("resnet50", model.Long, 28.35),
-		"vgg19":     one("vgg19", model.Long, 67.5),
-	}
-	plans := map[string]*model.SplitPlan{
-		"resnet50": {Model: "resnet50", Cuts: []int{1}, BlockTimesMs: []float64{16.16, 16.20}},
-		"vgg19":    {Model: "vgg19", Cuts: []int{1, 2}, BlockTimesMs: []float64{25.24, 26.08, 25.79}},
-	}
-	return NewCatalog(graphs, plans)
-}
+// goldenCatalog is fixture.Deployment's five models.
+func goldenCatalog() Catalog { return NewCatalog(fixture.Deployment()) }
 
-// goldenArrivals is cmd/splitperf's sim_features population at 5 k
-// arrivals: three cohorts, the interactive one carrying client deadlines
-// and cancellations.
+// goldenArrivals is fixture.Arrivals, the sim_features population at 5 k
+// arrivals.
 func goldenArrivals(t *testing.T) []workload.Arrival {
 	t.Helper()
-	arrivals, err := workload.GenerateCohorts(workload.CohortSetConfig{
-		Cohorts: []workload.Cohort{
-			{
-				Name:               "interactive",
-				Models:             []string{"yolov2", "googlenet", "resnet50", "vgg19", "gpt2"},
-				Process:            workload.Process{Kind: workload.ProcPoisson, MeanIntervalMs: 24},
-				DeadlineMs:         400,
-				DeadlineJitterFrac: 0.5,
-				CancelFrac:         0.02,
-				CancelAfterMs:      60,
-			},
-			{
-				Name:   "edge-burst",
-				Models: []string{"yolov2", "googlenet"},
-				Process: workload.Process{
-					Kind: workload.ProcMMPP, MeanIntervalMs: 120,
-					BurstIntervalMs: 20, CalmDwellMs: 4000, BurstDwellMs: 1000,
-				},
-			},
-			{
-				Name:     "batch",
-				Models:   []string{"vgg19", "gpt2"},
-				Process:  workload.Process{Kind: workload.ProcLogNormal, MeanIntervalMs: 90, Sigma: 1.2},
-				Envelope: &workload.Envelope{PeriodMs: 600000, Factors: []float64{0.5, 1, 2, 1}},
-			},
-		},
-		Count: 5000,
-		Seed:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return arrivals
+	return fixture.Arrivals()
 }
 
 // goldenDigest folds every field of every record and every trace event
 // into one FNV-1a value.
 func goldenDigest(recs []Record, events []trace.Event) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	str := func(s string) {
-		u64(uint64(len(s)))
-		h.Write([]byte(s))
-	}
+	d := fixture.NewDigest()
 	for _, r := range recs {
-		u64(uint64(r.ID))
-		str(r.Model)
-		str(string(r.Class))
-		f64(r.ArriveMs)
-		f64(r.StartMs)
-		f64(r.DoneMs)
-		f64(r.ExtMs)
-		u64(uint64(r.Preemptions))
+		d.U64(uint64(r.ID))
+		d.Str(r.Model)
+		d.Str(string(r.Class))
+		d.F64(r.ArriveMs)
+		d.F64(r.StartMs)
+		d.F64(r.DoneMs)
+		d.F64(r.ExtMs)
+		d.U64(uint64(r.Preemptions))
 		if r.Split {
-			u64(1)
+			d.U64(1)
 		} else {
-			u64(0)
+			d.U64(0)
 		}
-		str(r.Outcome)
-		u64(uint64(r.Device))
+		d.Str(r.Outcome)
+		d.U64(uint64(r.Device))
 	}
-	for _, e := range events {
-		f64(e.AtMs)
-		str(e.Kind.String())
-		u64(uint64(int64(e.ReqID)))
-		str(e.Model)
-		u64(uint64(e.Block))
-		u64(uint64(e.Device))
-		u64(uint64(e.Batch))
-		u64(uint64(e.Part))
-		str(e.Detail())
-	}
-	return h.Sum64()
+	d.Events(events)
+	return d.Sum()
 }
 
 // allFeatures is the configuration with every knob on.
-func allFeatures() *Split {
-	s := NewSplit()
-	s.Placement = "least-loaded"
-	s.BatchMax = 4
-	s.Partitions = 2
-	s.PartitionWidth = "adaptive"
-	s.EnforceDeadlines = true
-	s.PredictiveShed = true
-	s.Fleet = fleet.AutoscaleConfig{Min: 1, Max: 4}
-	s.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitTokenBucket, RatePerSec: 70, Burst: 40}
-	s.Faults = &gpusim.FaultInjector{Seed: 7, SpikeProb: .01, SpikeFactor: 3, FailProb: .005, MaxRetries: 2}
-	return s
-}
+func allFeatures() *Split { return &Split{Knobs: fixture.AllFeatures()} }
 
 // TestSplitGoldenDigests pins records AND trace events of three systems on
 // a fixed seed. The values were generated at the commit before the

@@ -155,7 +155,7 @@ func FuzzQueueLifecycle(f *testing.F) {
 					t.Fatalf("bad insert position %d (len %d)", pos, q.Len())
 				}
 			case op%4 == 2:
-				// Block boundary: sweep doomed work (the executor's
+				// Block boundary: sweep doomed work (the engine's
 				// pre-grant shed), then run the head's next block and
 				// re-insert or complete.
 				for _, ex := range q.SweepExpired(now, op%8 >= 4) {
@@ -197,7 +197,7 @@ func FuzzQueueLifecycle(f *testing.F) {
 			default:
 				// Cancellation of an arbitrary known ID: queued work is
 				// removed immediately, anything else is a no-op here (the
-				// executor handles in-flight marks at boundaries).
+				// lane's settle handles in-flight marks at boundaries).
 				if nextID == 0 {
 					break
 				}

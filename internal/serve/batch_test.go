@@ -2,22 +2,21 @@ package serve
 
 import (
 	"bytes"
-	"math"
+	"errors"
 	"strings"
 	"testing"
 
 	"split/internal/engine"
 	"split/internal/obs"
-	"split/internal/policy"
 	"split/internal/sched"
+	"split/internal/stats"
 	"split/internal/trace"
-	"split/internal/workload"
 )
 
 // batchSizes extracts the ordered sizes of batched grants from a trace:
 // StartBlock events grouped by batch id, in order of first appearance. The
-// same extraction runs against simulator tracers and serving-path rings,
-// which is what the parity test compares.
+// same extraction reads simulator tracers and serving-path rings alike;
+// TestSimServeBatchingParity pins its batches with it.
 func batchSizes(events []trace.Event) []int {
 	var order []int
 	counts := map[int]int{}
@@ -132,54 +131,6 @@ func TestServeBatchingDisabledKeepsSurface(t *testing.T) {
 	}
 }
 
-// TestSimServeBatchingParity is the acceptance check for the tentpole: the
-// fleet simulator and the real-time serving path, driven by the identical
-// sched.BatchPlanner, must form the same batches for the same workload —
-// same grant sizes in the same order, same outcomes — at every BatchMax.
-func TestSimServeBatchingParity(t *testing.T) {
-	catalog := lifecycleCatalog()
-	// The sim mirror of runBatchScenario: the blocker arrives on an idle
-	// device, the quick run lands during its 30 ms block.
-	arrivals := []workload.Arrival{
-		{ID: 0, Model: "solo", AtMs: 0},
-		{ID: 1, Model: "quick", AtMs: 1},
-		{ID: 2, Model: "quick", AtMs: 2},
-		{ID: 3, Model: "quick", AtMs: 3},
-	}
-	for _, batchMax := range []int{1, 2, 3} {
-		tr := trace.New()
-		sim := &policy.Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), BatchMax: batchMax}}
-		recs := sim.Run(arrivals, catalog, tr)
-		for _, r := range recs {
-			if !r.Served() {
-				t.Fatalf("BatchMax=%d: sim outcome %q for req %d", batchMax, r.Outcome, r.ID)
-			}
-		}
-
-		srv, _, ring := startLifecycle(t, func(c *Config) { c.BatchMax = batchMax })
-		for i, err := range runBatchScenario(t, srv) {
-			if err != nil {
-				t.Fatalf("BatchMax=%d: serve request %d: %v", batchMax, i, err)
-			}
-		}
-
-		simSizes, srvSizes := batchSizes(tr.Events()), batchSizes(ring.Snapshot())
-		// []int{} vs nil both mean "no batches".
-		if len(simSizes) != len(srvSizes) {
-			t.Fatalf("BatchMax=%d: sim batches %v, serve batches %v", batchMax, simSizes, srvSizes)
-		}
-		for i := range simSizes {
-			if simSizes[i] != srvSizes[i] {
-				t.Fatalf("BatchMax=%d: sim batches %v, serve batches %v", batchMax, simSizes, srvSizes)
-			}
-		}
-		if batchMax > 1 && len(simSizes) == 0 {
-			t.Fatalf("BatchMax=%d: no batches formed on either side", batchMax)
-		}
-		srv.Stop()
-	}
-}
-
 // TestElasticInflightServeBoundary pins the S1 fix on the serving path: the
 // §3.3 same-type run includes the request occupying the placed device, so
 // with SameTypeLimit=2 the arrival that joins one queued plus one in-flight
@@ -225,32 +176,22 @@ func TestElasticInflightServeBoundary(t *testing.T) {
 // TestShedsEnterRollingQoS pins the S4 fix: a deadline shed must enter the
 // rolling QoS window (raising the live violation rate the way the offline
 // harness counts sheds) without polluting the served-only jitter statistic.
+// It runs on the stepped clock, so every latency is exact.
 func TestShedsEnterRollingQoS(t *testing.T) {
-	srv, reg, _ := startLifecycle(t, nil)
-	_, blocker, err := srv.enqueue("solo", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitBusy(t, srv)
-	// The victim's 1 ms deadline expires behind the 30 ms blocker; it is
-	// swept at the boundary and never runs.
-	_, victim, err := srv.enqueue("quick", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := await(t, victim); out.err == nil {
-		t.Fatal("victim not shed")
-	}
-	if out := await(t, blocker); out.err != nil {
-		t.Fatal(out.err)
-	}
-	for i := 0; i < 2; i++ {
-		_, ch, err := srv.enqueue("quick", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out := await(t, ch); out.err != nil {
-			t.Fatal(out.err)
+	reg := obs.NewRegistry()
+	srv, sim := startStepped(t, Config{Knobs: engine.Knobs{Alpha: 4}, Catalog: lifecycleCatalog(), Obs: reg})
+	got, errs := make(fates, 4), make([]error, 4)
+	// A 30 ms blocker holds the device; the victim's 1 ms deadline expires
+	// behind it, so it is swept at the boundary and never runs. Two quick
+	// requests follow on an idle device.
+	arriveAt(sim, srv, 0, "solo", 0, got, errs, 0)
+	arriveAt(sim, srv, 0, "quick", 1, got, errs, 1)
+	arriveAt(sim, srv, 40, "quick", 0, got, errs, 2)
+	arriveAt(sim, srv, 50, "quick", 0, got, errs, 3)
+	sim.Run()
+	for i, want := range []error{nil, ErrDeadlineExceeded, nil, nil} {
+		if errs[i] != nil || !errors.Is(got[i].err, want) {
+			t.Fatalf("req %d: front door %v, outcome %v, want %v", i, errs[i], got[i].err, want)
 		}
 	}
 	qs := srv.qos.Snapshot()
@@ -263,9 +204,9 @@ func TestShedsEnterRollingQoS(t *testing.T) {
 	if got := reg.Gauge(obs.MetricViolationRate, "").Value(); got != 0.25 {
 		t.Fatalf("violation-rate gauge %v, want 0.25", got)
 	}
-	// Served e2e values are ~30ms (blocker) and ~1ms (quicks); their spread
-	// is bounded, and the shed's DoneMs stand-in must not be folded in.
-	if math.IsNaN(qs.JitterMs) || qs.JitterMs > 30 {
-		t.Fatalf("jitter %v looks polluted by the shed record", qs.JitterMs)
+	// The served e2e values are exactly 30, 1 and 1 ms; folding in the
+	// shed's DoneMs stand-in would move their spread.
+	if want := stats.StdDev([]float64{30, 1, 1}); qs.JitterMs != want {
+		t.Fatalf("jitter %v, want %v: the shed record leaked into it", qs.JitterMs, want)
 	}
 }

@@ -3,94 +3,15 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"split/internal/engine"
 	"split/internal/fleet"
 	"split/internal/obs"
 	"split/internal/place"
-	"split/internal/policy"
-	"split/internal/sched"
 	"split/internal/trace"
-	"split/internal/workload"
 )
-
-// TestServeAdmissionParityWithSim is the admission acceptance criterion:
-// the simulator and the wall-clock server, configured with the identical
-// token-bucket gate, must make the identical admit/reject decision for
-// every request in the same order. The bucket is built timing-insensitive —
-// burst 3, refill 0.001 tokens/s — so wall-clock jitter cannot refill a
-// token between requests and the decision sequence is fully determined.
-func TestServeAdmissionParityWithSim(t *testing.T) {
-	gate := fleet.AdmissionConfig{Mode: fleet.AdmitTokenBucket, RatePerSec: 0.001, Burst: 3}
-	const n = 10
-
-	// Discrete-event side.
-	arrivals := make([]workload.Arrival, n)
-	for i := range arrivals {
-		arrivals[i] = workload.Arrival{ID: i, Model: "quick", AtMs: float64(i)}
-	}
-	sys := &policy.Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), Admission: gate}}
-	recs := sys.Run(arrivals, lifecycleCatalog(), nil)
-	simAdmitted := make([]bool, n)
-	for _, r := range recs {
-		simAdmitted[r.ID] = r.Outcome != policy.OutcomeAdmission
-	}
-
-	// Wall-clock side: same gate, same request sequence.
-	srv, reg, ring := startLifecycle(t, func(c *Config) {
-		c.Admission = gate
-	})
-	for i := 0; i < n; i++ {
-		_, ch, err := srv.enqueue("quick", 0)
-		admitted := err == nil
-		if admitted != simAdmitted[i] {
-			t.Fatalf("request %d: serve admitted=%v, sim admitted=%v (parity broken)",
-				i, admitted, simAdmitted[i])
-		}
-		if admitted {
-			if out := await(t, ch); out.err != nil {
-				t.Fatalf("admitted request %d failed: %v", i, out.err)
-			}
-			continue
-		}
-		if !errors.Is(err, ErrAdmissionRejected) {
-			t.Fatalf("request %d rejected with untyped error %v", i, err)
-		}
-		if !strings.Contains(err.Error(), fleet.DetailTokenBucket) {
-			t.Errorf("rejection lost its detail: %v", err)
-		}
-	}
-
-	// Tallies line up across both layers and the metric surface.
-	rejected := 0
-	for _, ok := range simAdmitted {
-		if !ok {
-			rejected++
-		}
-	}
-	if rejected != n-gate.Burst {
-		t.Fatalf("sim rejected %d of %d with burst %d", rejected, n, gate.Burst)
-	}
-	if got := dropCount(reg, DropAdmission); got != int64(rejected) {
-		t.Errorf("split_drops_total{reason=admission} = %d, want %d", got, rejected)
-	}
-	if got := reg.Counter(obs.MetricAdmittedTotal, "").Value(); got != int64(n-rejected) {
-		t.Errorf("split_admitted_total = %d, want %d", got, n-rejected)
-	}
-	drops := 0
-	for _, e := range ring.Snapshot() {
-		if e.Kind == trace.Drop && e.Note == trace.NoteAdmission {
-			drops++
-		}
-	}
-	if drops != rejected {
-		t.Errorf("%d admission drop events for %d rejections", drops, rejected)
-	}
-}
 
 // TestRejectedDropKeepsItsOwnID guards the seam the shared narrator opens:
 // the engine's admission Drop carries the rejected job's ID, so every job
@@ -170,7 +91,7 @@ func TestServeAutoscaleScalesOutAndBackIn(t *testing.T) {
 		}
 	})
 	if srv.eng.Lanes() != 2 {
-		t.Fatalf("fleet holds %d executors, want Fleet.Max=2", srv.eng.Lanes())
+		t.Fatalf("fleet holds %d lanes, want Fleet.Max=2", srv.eng.Lanes())
 	}
 	if snap := srv.QueueSnapshot(); snap.ActiveDevices != 1 {
 		t.Fatalf("fleet started with %d active devices, want Min=1", snap.ActiveDevices)
@@ -244,7 +165,7 @@ func TestServeAutoscaleScalesOutAndBackIn(t *testing.T) {
 
 // TestServeElasticConcurrentScaleDown hammers an autoscaled fleet from
 // concurrent clients with aggressive scale thresholds, so scale-downs race
-// executors holding in-flight work on the draining device — the -race
+// hold timers settling in-flight work on the draining device — the -race
 // regression for the active-prefix bookkeeping. Every request must still
 // resolve with a nil or typed outcome and the fleet must drain cleanly.
 func TestServeElasticConcurrentScaleDown(t *testing.T) {

@@ -2,161 +2,13 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"split/internal/engine"
 	"split/internal/obs"
 	"split/internal/place"
-	"split/internal/policy"
-	"split/internal/trace"
-	"split/internal/workload"
 )
-
-// fleetOutcome maps a serve-side waiter result to the sim's outcome label.
-func fleetOutcome(t *testing.T, i int, out outcome) string {
-	t.Helper()
-	if out.err == nil {
-		return policy.OutcomeServed
-	}
-	switch {
-	case errors.Is(out.err, ErrDeadlineExceeded):
-		return policy.OutcomeDeadline
-	case errors.Is(out.err, ErrCanceled):
-		return policy.OutcomeCanceled
-	case errors.Is(out.err, ErrDeviceFault):
-		return policy.OutcomeDeviceFault
-	default:
-		t.Fatalf("serve outcome[%d]: unexpected error %v", i, out.err)
-		return ""
-	}
-}
-
-// arriveDevice reads the device a request was placed on from the event
-// stream (the Arrive event is stamped for served and shed requests alike).
-func arriveDevice(ring *trace.Ring, id int) int {
-	for _, e := range ring.Snapshot() {
-		if e.Kind == trace.Arrive && e.ReqID == id {
-			return e.Device
-		}
-	}
-	return -1
-}
-
-// TestFleetSimServeParity is the fleet acceptance criterion: for N in
-// {1, 2, 4} devices under round-robin placement, the discrete-event fleet
-// simulator and the real-time fleet server make identical decisions —
-// same placements, same outcomes, same block counts. The static
-// expectations pin both sides, so a shared drift cannot pass unnoticed.
-//
-// Worked timeline ("work" = 3 x 20 ms blocks, same-model scheduling is
-// FIFO, deadlines chosen with >= 10 virtual ms of margin at every decision
-// boundary):
-//
-//	N=1: FIFO r0,r1,r2,r3,r4 on device 0. r2 (deadline 50) and r3
-//	     (deadline 70) expire queued at the 60/120 ms boundary sweeps.
-//	N=2: round-robin puts r0,r2,r4 on d0 and r1,r3 on d1. r2 expires
-//	     queued at d0's 60 ms sweep; r3 is granted on d1 at 60 ms and shed
-//	     at its first block boundary (80 ms > 70).
-//	N=4: every device has at most two requests; r2 and r3 start at 0 on
-//	     their own devices and finish at 60, inside their deadlines'
-//	     sweep margins, so everything is served.
-func TestFleetSimServeParity(t *testing.T) {
-	deadlines := []float64{1000, 1000, 50, 70, 1000}
-	want := map[int]map[int]struct {
-		outcome string
-		device  int
-		blocks  int
-	}{
-		1: {
-			0: {policy.OutcomeServed, 0, 3},
-			1: {policy.OutcomeServed, 0, 3},
-			2: {policy.OutcomeDeadline, 0, 0},
-			3: {policy.OutcomeDeadline, 0, 0},
-			4: {policy.OutcomeServed, 0, 3},
-		},
-		2: {
-			0: {policy.OutcomeServed, 0, 3},
-			1: {policy.OutcomeServed, 1, 3},
-			2: {policy.OutcomeDeadline, 0, 0},
-			3: {policy.OutcomeDeadline, 1, 1},
-			4: {policy.OutcomeServed, 0, 3},
-		},
-		4: {
-			0: {policy.OutcomeServed, 0, 3},
-			1: {policy.OutcomeServed, 1, 3},
-			2: {policy.OutcomeServed, 2, 3},
-			3: {policy.OutcomeServed, 3, 3},
-			4: {policy.OutcomeServed, 0, 3},
-		},
-	}
-	for _, n := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("devices=%d", n), func(t *testing.T) {
-			expect := want[n]
-
-			// Discrete-event side.
-			arrivals := make([]workload.Arrival, len(deadlines))
-			for i, d := range deadlines {
-				arrivals[i] = workload.Arrival{ID: i, Model: "work", AtMs: float64(i), DeadlineMs: d}
-			}
-			tr := trace.New()
-			sys := &policy.Split{Knobs: engine.Knobs{Alpha: 4, Devices: n, Placement: place.RoundRobin}}
-			recs := sys.Run(arrivals, lifecycleCatalog(), tr)
-			simBlocks := map[int]int{}
-			for _, e := range tr.Events() {
-				if e.Kind == trace.StartBlock {
-					simBlocks[e.ReqID]++
-				}
-			}
-			for _, r := range recs {
-				w := expect[r.ID]
-				if r.Outcome != w.outcome || r.Device != w.device || simBlocks[r.ID] != w.blocks {
-					t.Errorf("sim req %d: outcome=%q device=%d blocks=%d, want %q/%d/%d",
-						r.ID, r.Outcome, r.Device, simBlocks[r.ID], w.outcome, w.device, w.blocks)
-				}
-			}
-
-			// Real-time side: same schedule through the fleet server. Time
-			// is stretched 3x so the 10 virtual ms margins are 30 wall ms,
-			// wider than the scheduling delay of a loaded two-core host;
-			// the virtual schedule and every expectation are unchanged.
-			srv, _, ring := startLifecycle(t, func(c *Config) {
-				c.Devices = n
-				c.Placement = place.RoundRobin
-				c.TimeScale = 3
-			})
-			chans := make([]chan outcome, len(deadlines))
-			for i, d := range deadlines {
-				_, ch, err := srv.enqueue("work", d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				chans[i] = ch
-			}
-			for i, ch := range chans {
-				out := await(t, ch)
-				w := expect[i]
-				if got := fleetOutcome(t, i, out); got != w.outcome {
-					t.Errorf("serve req %d outcome = %q, want %q (sim parity broken)", i, got, w.outcome)
-				}
-				if out.req != nil && out.req.Device != w.device {
-					t.Errorf("serve req %d on device %d, want %d", i, out.req.Device, w.device)
-				}
-			}
-			for i := range deadlines {
-				w := expect[i]
-				if dev := arriveDevice(ring, i); dev != w.device {
-					t.Errorf("serve req %d placed on device %d, want %d (sim parity broken)", i, dev, w.device)
-				}
-				if blocks := startBlocks(ring, i); blocks != w.blocks {
-					t.Errorf("serve req %d blocks = %d, want %d (sim parity broken)", i, blocks, w.blocks)
-				}
-			}
-		})
-	}
-}
 
 // TestFleetServeParallelism: two 60 ms requests round-robined onto two
 // devices must run concurrently — the second would wait a full 60 ms if

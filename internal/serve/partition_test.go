@@ -7,9 +7,7 @@ import (
 	"split/internal/engine"
 	"split/internal/obs"
 	"split/internal/place"
-	"split/internal/policy"
 	"split/internal/trace"
-	"split/internal/workload"
 )
 
 // TestServePartitionConcurrency: two single-block requests on the two
@@ -18,11 +16,36 @@ import (
 // must export the gated split_partition_* families with Part-tagged block
 // events. An unpartitioned server must export none of them.
 func TestServePartitionConcurrency(t *testing.T) {
-	srv, reg, ring := startLifecycle(t, func(c *Config) {
+	partitioned := func(c *Config) {
 		c.Partitions = 2
 		c.PartitionWidth = place.WidthFixed
 		c.Placement = place.RoundRobin
-	})
+	}
+	// On the stepped clock the concurrency is exact: arriving together, both
+	// requests start the instant they arrive, each on its own lane. Serial
+	// lanes would make the second wait the first's whole stretched block.
+	cfg := Config{Knobs: engine.Knobs{Alpha: 4}, Catalog: lifecycleCatalog()}
+	partitioned(&cfg)
+	stepped, sim := startStepped(t, cfg)
+	got, errs := make(fates, 2), make([]error, 2)
+	for i := range got {
+		arriveAt(sim, stepped, 0, "solo", 0, got, errs, i)
+	}
+	sim.Run()
+	for i, out := range got {
+		if errs[i] != nil || out.err != nil {
+			t.Fatalf("req %d: %v %v", i, errs[i], out.err)
+		}
+		if wait := out.req.StartMs - out.req.ArriveMs; wait != 0 {
+			t.Errorf("req %d waited %v virtual ms — partitions are serializing", i, wait)
+		}
+		if out.req.Partition != i {
+			t.Errorf("req %d served on partition %d", i, out.req.Partition)
+		}
+	}
+
+	// The metric surface, on the wall clock.
+	srv, reg, ring := startLifecycle(t, partitioned)
 	var chans []chan outcome
 	for i := 0; i < 2; i++ {
 		_, ch, err := srv.enqueue("solo", 0)
@@ -35,12 +58,6 @@ func TestServePartitionConcurrency(t *testing.T) {
 		out := await(t, ch)
 		if out.err != nil {
 			t.Fatalf("req %d: %v", i, out.err)
-		}
-		// solo is 30 ms at full width, ~42.4 ms at fraction 1/2 under the
-		// default Beta=0.5 curve. Serial execution would make the second
-		// request wait ~42 ms; concurrent lanes wait only scheduler overhead.
-		if wait := out.req.E2EMs() - out.req.ExtMs; wait > 25 {
-			t.Errorf("req %d waited %.1f virtual ms — partitions are serializing", i, wait)
 		}
 		if out.req.Partition != i {
 			t.Errorf("req %d served on partition %d", i, out.req.Partition)
@@ -85,86 +102,6 @@ func TestServePartitionConcurrency(t *testing.T) {
 	if strings.Contains(sb1.String(), "split_partition_") {
 		t.Error("unpartitioned server exported split_partition_* families")
 	}
-}
-
-// TestSimServePartitionParity: the same schedule on a 2-partition device
-// through the simulator and the serving path must agree on outcomes, lane
-// assignment, and exec durations (serve can only overshoot by scheduler
-// overhead). Fixed width makes the granted fraction — and therefore the
-// stretched block time — deterministic on both sides.
-func TestSimServePartitionParity(t *testing.T) {
-	const n = 4
-	arrivals := make([]workload.Arrival, n)
-	for i := range arrivals {
-		arrivals[i] = workload.Arrival{ID: i, Model: "solo", AtMs: float64(i)}
-	}
-	simTr := trace.New()
-	(&policy.Split{Knobs: engine.Knobs{Alpha: 4, Devices: 1, Placement: place.RoundRobin,
-		Partitions: 2, PartitionWidth: place.WidthFixed}}).Run(arrivals, lifecycleCatalog(), simTr)
-	simTree := trace.BuildSpans(simTr.Events())
-	if len(simTree.Problems) != 0 {
-		t.Fatalf("sim span problems: %v", simTree.Problems)
-	}
-
-	srv, _, ring := startLifecycle(t, func(c *Config) {
-		c.Partitions = 2
-		c.PartitionWidth = place.WidthFixed
-		c.Placement = place.RoundRobin
-	})
-	ids := make([]int, n)
-	chans := make([]chan outcome, n)
-	for i := 0; i < n; i++ {
-		id, ch, err := srv.enqueue("solo", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i], chans[i] = id, ch
-	}
-	for _, ch := range chans {
-		if out := await(t, ch); out.err != nil {
-			t.Fatal(out.err)
-		}
-	}
-	srvTree := trace.BuildSpans(ring.Snapshot())
-	if len(srvTree.Problems) != 0 {
-		t.Fatalf("serve span problems: %v", srvTree.Problems)
-	}
-
-	simSpans, srvSpans := simTr.Spans(), traceSpansOf(ring.Snapshot())
-	if len(simSpans) != n || len(srvSpans) != n {
-		t.Fatalf("span counts: sim %d serve %d, want %d", len(simSpans), len(srvSpans), n)
-	}
-	simByReq := map[int]trace.Span{}
-	for _, sp := range simSpans {
-		simByReq[sp.ReqID] = sp
-	}
-	srvByReq := map[int]trace.Span{}
-	for _, sp := range srvSpans {
-		srvByReq[sp.ReqID] = sp
-	}
-	for i := 0; i < n; i++ {
-		sim, srvSp := simByReq[i], srvByReq[ids[i]]
-		if sim.Part != srvSp.Part {
-			t.Errorf("req %d: sim lane %d, serve lane %d", i, sim.Part, srvSp.Part)
-		}
-		simExec := sim.EndMs - sim.StartMs
-		srvExec := srvSp.EndMs - srvSp.StartMs
-		// Both sides stretch the 30 ms block to 30/eff(0.5) ~ 42.4 ms; the
-		// serving side sleeps that long in wall clock, plus overhead.
-		if srvExec < simExec-1e-6 || srvExec > simExec+19 {
-			t.Errorf("req %d: serve exec %.2f outside [%.2f, %.2f+19]", i, srvExec, simExec, simExec)
-		}
-	}
-}
-
-// traceSpansOf pairs StartBlock/EndBlock events from a raw event slice the
-// same way Tracer.Spans does.
-func traceSpansOf(events []trace.Event) []trace.Span {
-	tr := trace.New()
-	for _, e := range events {
-		tr.Record(e)
-	}
-	return tr.Spans()
 }
 
 // TestServeScaleInThenBurst is the serving-path half of the affinity

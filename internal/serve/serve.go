@@ -50,15 +50,12 @@ import (
 // (%w first), and the Client decodes it back so errors.Is works on both
 // sides of the wire.
 var (
-	// ErrNotStarted rejects requests arriving before Start: the virtual
-	// clock has no epoch yet, so enqueueing would record garbage times.
+	// ErrNotStarted rejects requests arriving before Start starts the clock.
 	ErrNotStarted = errors.New("serve: server not started")
 	// ErrStopped rejects requests arriving at a stopped server.
 	ErrStopped = errors.New("serve: server stopped")
 	// ErrUnknownModel rejects requests naming a model not in the catalog.
 	ErrUnknownModel = errors.New("serve: model not deployed")
-	// ErrQueueFull rejects requests when Config.MaxQueue is reached.
-	ErrQueueFull = errors.New("serve: queue full")
 	// ErrDeadlineExceeded sheds requests whose deadline passed before they
 	// could finish; they never occupy the device for another block.
 	ErrDeadlineExceeded = errors.New("serve: deadline exceeded")
@@ -84,7 +81,6 @@ var (
 const (
 	DropStopped      = "stopped"
 	DropUnknownModel = "unknown_model"
-	DropQueueFull    = "queue_full"
 	DropNotStarted   = "not_started"
 	DropDeadline     = trace.ReasonDeadline
 	DropCanceled     = trace.ReasonCanceled
@@ -107,12 +103,6 @@ type Config struct {
 	// TimeScale converts simulated block milliseconds to wall-clock
 	// milliseconds (1.0 = real time; 0.01 = 100× accelerated).
 	TimeScale float64
-	// MaxQueue caps the number of waiting requests; arrivals beyond it are
-	// rejected with ErrQueueFull before they reach the front door. 0 means
-	// unbounded (the paper's setting). For the gate both drivers share —
-	// with typed drop reasons and parity-comparable decisions — use
-	// Admission instead.
-	MaxQueue int
 	// Obs, when non-nil, receives live metrics (request/completion/drop
 	// counters, queue-depth and elastic gauges, wait/e2e/RR histograms)
 	// under the split_* names documented in the README.
@@ -169,17 +159,17 @@ var outbounds = sync.Pool{New: func() any { return new(outbound) }}
 // Server is the wall-clock driver of internal/engine, shaped like
 // policy.Split, the virtual-clock one. The engine makes every scheduling
 // decision; the server adds what only a live process has: the mutex the
-// decisions are serialized under, one wall-clock timer per lane that times
-// each granted hold, the waiters, and the metrics, time series and
-// recorder. The engine narrates its own decisions (engine.Append*) into
-// pending; the server writes only pre-engine drops, elastic transitions
-// and drain markers.
+// decisions are serialized under, one timer per lane that times each
+// granted hold, the waiters, and the metrics, time series and recorder.
+// The engine narrates its own decisions (engine.Append*) into pending; the
+// server writes only pre-engine drops, elastic transitions and drain
+// markers.
 type Server struct {
 	cfg Config
 	// tracing caches cfg.Sink != nil: narration is gated on it so no event
 	// is built (or allocates) unsinked.
 	tracing bool
-	start   time.Time
+	clk     clock
 
 	mu sync.Mutex
 	// eng is the decision core (queues, placer, planner, ledgers, autoscaler,
@@ -237,11 +227,45 @@ type hold struct {
 	g       *engine.Grant
 	startMs float64
 	busyMs  float64
-	timer   *time.Timer
+	timer   timer
 }
 
-// NewServer validates cfg and builds a stopped server.
-func NewServer(cfg Config) (*Server, error) {
+// A clock is the server's time in ms since Start, 0 before it, and the maker
+// of its timers: arm(ms) has one call fire ms later. Tests step a gpusim.Sim.
+type clock interface {
+	start()
+	now() float64
+	timer(fire func()) timer
+}
+
+type timer interface{ arm(ms float64) }
+
+type wallClock struct{ epoch time.Time }
+
+func (c *wallClock) start() { c.epoch = time.Now() }
+
+func (c *wallClock) now() float64 {
+	if c.epoch.IsZero() {
+		return 0 // not decades since the zero time
+	}
+	return float64(time.Since(c.epoch)) / float64(time.Millisecond)
+}
+
+func (c *wallClock) timer(fire func()) timer {
+	t := time.AfterFunc(time.Hour, fire)
+	t.Stop()
+	return wallTimer{t}
+}
+
+type wallTimer struct{ *time.Timer }
+
+func (w wallTimer) arm(ms float64) { w.Reset(time.Duration(ms * float64(time.Millisecond))) }
+
+// NewServer validates cfg and builds a stopped server on the wall clock;
+// newServer builds it on clk.
+func NewServer(cfg Config) (*Server, error) { return newServer(cfg, new(wallClock)) }
+
+func newServer(cfg Config, clk clock) (*Server, error) {
 	if len(cfg.Catalog) == 0 {
 		return nil, errors.New("serve: empty catalog")
 	}
@@ -264,6 +288,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		tracing:    cfg.Sink != nil,
+		clk:        clk,
 		eng:        eng,
 		waiters:    make(map[int]waiter),
 		perModel:   make(map[string]*modelAgg),
@@ -282,8 +307,7 @@ func NewServer(cfg Config) (*Server, error) {
 		h := &s.holds[lane]
 		h.s = s
 		h.dev, _ = place.LaneDevice(lane, eng.Parts())
-		h.timer = time.AfterFunc(time.Hour, h.fire)
-		h.timer.Stop()
+		h.timer = clk.timer(h.fire)
 	}
 	return s, nil
 }
@@ -400,7 +424,7 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engi
 		m.completionCounter(name)
 	}
 	for _, reason := range []string{
-		DropStopped, DropUnknownModel, DropQueueFull, DropNotStarted,
+		DropStopped, DropUnknownModel, DropNotStarted,
 		DropDeadline, DropCanceled, DropDrained, DropDeviceFault,
 	} {
 		m.dropCounter(reason)
@@ -564,15 +588,8 @@ type modelAgg struct {
 	preempts   int
 }
 
-// nowMs returns milliseconds of virtual time since the server started, or
-// 0 before Start: time.Since on the zero epoch would report decades of
-// garbage uptime, poisoning every ArriveMs/WaitedMs derived from it.
-func (s *Server) nowMs() float64 {
-	if s.start.IsZero() {
-		return 0
-	}
-	return float64(time.Since(s.start)) / float64(time.Millisecond) / s.cfg.TimeScale
-}
+// nowMs is the server's virtual time, the clock's over the TimeScale.
+func (s *Server) nowMs() float64 { return s.clk.now() / s.cfg.TimeScale }
 
 // Start begins serving RPCs on l. It returns immediately; Stop or Drain
 // shuts everything down.
@@ -582,7 +599,7 @@ func (s *Server) Start(l net.Listener) error {
 	if s.listener != nil {
 		return errors.New("serve: already started")
 	}
-	s.start = time.Now()
+	s.clk.start()
 	s.listener = l
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -650,15 +667,14 @@ func (s *Server) Drain(timeout time.Duration) int {
 	s.mu.Unlock()
 	s.deliver(&out)
 
-	done := make(chan struct{})
+	clean := make(chan bool, 2) // true once every hold settled, false at the timeout
 	go func() {
 		s.wg.Wait()
-		close(done)
+		clean <- true
 	}()
-	select {
-	case <-done:
+	s.clk.timer(func() { clean <- false }).arm(float64(timeout) / float64(time.Millisecond))
+	if <-clean {
 		return 0
-	case <-time.After(timeout):
 	}
 
 	// Timed out: shed the backlog and demote the in-flight request's
@@ -676,7 +692,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 	s.takeOut(&out)
 	s.mu.Unlock()
 	s.deliver(&out)
-	<-done
+	<-clean
 	return shed
 }
 
@@ -798,12 +814,7 @@ func (s *Server) grantLocked(lane int, now float64) {
 	h.g, h.startMs = g, now
 	s.armed++
 	s.wg.Add(1)
-	h.arm(g.HoldMs)
-}
-
-// arm starts the hold's timer for ms of virtual time. Caller holds s.mu.
-func (h *hold) arm(ms float64) {
-	h.timer.Reset(time.Duration(ms * h.s.cfg.TimeScale * float64(time.Millisecond)))
+	h.timer.arm(g.HoldMs * s.cfg.TimeScale)
 }
 
 // fire is the hold's boundary, policy.Split's onTimer on the wall clock:
@@ -829,7 +840,7 @@ func (h *hold) fire() {
 		if s.met != nil {
 			s.met.retries.Inc()
 		}
-		h.arm(st.HoldMs)
+		h.timer.arm(st.HoldMs * s.cfg.TimeScale)
 	} else {
 		s.armed--
 		// Pro-rated by Frac (1 unpartitioned): temporal and spatial sums compare.
@@ -951,7 +962,7 @@ func (s *Server) arrive(modelName string, deadlineMs float64, w waiter, out *out
 // shares one with a later request. Caller holds s.mu.
 func (s *Server) arriveLocked(modelName string, deadlineMs float64, w waiter) (int, error) {
 	now := s.nowMs()
-	if s.start.IsZero() {
+	if s.listener == nil {
 		s.drop(now, modelName, DropNotStarted)
 		return 0, ErrNotStarted
 	}
@@ -963,12 +974,6 @@ func (s *Server) arriveLocked(modelName string, deadlineMs float64, w waiter) (i
 	if !ok {
 		s.drop(now, modelName, DropUnknownModel)
 		return 0, fmt.Errorf("%w: %q", ErrUnknownModel, modelName)
-	}
-	if s.cfg.MaxQueue > 0 {
-		if depth := s.eng.Depth(); depth >= s.cfg.MaxQueue {
-			s.drop(now, modelName, DropQueueFull)
-			return 0, fmt.Errorf("%w: %d waiting", ErrQueueFull, depth)
-		}
 	}
 	s.nextID++
 	d := s.eng.Arrive(now, &job)
@@ -1197,9 +1202,7 @@ func (s *Server) Health() Health {
 		QueueDepth: s.eng.Depth(),
 		Version:    obs.BuildVersion(),
 		GoVersion:  runtime.Version(),
-	}
-	if !s.start.IsZero() {
-		h.UptimeS = time.Since(s.start).Seconds()
+		UptimeS:    s.clk.now() / 1000,
 	}
 	if s.closed {
 		h.Status = "stopped"
@@ -1448,12 +1451,10 @@ func (s *Server) stats(*empty) (StatsReply, error) {
 		Models:    len(s.cfg.Catalog),
 		Devices:   s.eng.Devices(),
 		Placement: s.eng.Placement(),
+		UptimeS:   s.clk.now() / 1000,
 	}
 	if parts := s.eng.Parts(); parts > 1 {
 		reply.Partitions = parts
-	}
-	if !s.start.IsZero() {
-		reply.UptimeS = time.Since(s.start).Seconds()
 	}
 	return reply, nil
 }

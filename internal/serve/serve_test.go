@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"split/internal/engine"
+	"split/internal/fleet"
 	"split/internal/metrics"
 	"split/internal/model"
 	"split/internal/obs"
@@ -464,22 +465,29 @@ func TestEnqueueBeforeStartRejected(t *testing.T) {
 	}
 }
 
+// queueCap is the engine's queue-length admission gate at one waiting
+// request.
+func queueCap(c *Config) {
+	c.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitQueueLength, MaxQueue: 1}
+}
+
 func TestTypedRejectionErrors(t *testing.T) {
-	srv := blockedServer(t, func(c *Config) { c.MaxQueue = 1 })
+	srv := blockedServer(t, queueCap)
 	if _, _, err := srv.enqueue("mystery", 0); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("unknown model: %v", err)
 	}
 	if _, _, err := srv.enqueue("long", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.enqueue("short", 0); !errors.Is(err, ErrQueueFull) {
-		t.Errorf("full queue: %v", err)
+	if _, _, err := srv.enqueue("short", 0); !errors.Is(err, ErrAdmissionRejected) ||
+		!strings.Contains(err.Error(), fleet.DetailQueueLength) {
+		t.Errorf("full queue: %v, want ErrAdmissionRejected (%s)", err, fleet.DetailQueueLength)
 	}
 	srv.Stop()
 	if _, _, err := srv.enqueue("short", 0); !errors.Is(err, ErrStopped) {
 		t.Errorf("stopped server: %v", err)
 	}
-	// Drops: mystery, queue-full short, the queued long shed by Stop, and
+	// Drops: mystery, the gate's short, the queued long shed by Stop, and
 	// the post-stop short.
 	h := srv.Health()
 	if h.Status != "stopped" || h.Dropped != 4 {
@@ -489,7 +497,7 @@ func TestTypedRejectionErrors(t *testing.T) {
 
 func TestDropsCountedByReason(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := blockedServer(t, func(c *Config) { c.MaxQueue = 1; c.Obs = reg })
+	srv := blockedServer(t, func(c *Config) { queueCap(c); c.Obs = reg })
 	srv.enqueue("mystery", 0)
 	srv.enqueue("long", 0)
 	srv.enqueue("short", 0)
@@ -500,7 +508,7 @@ func TestDropsCountedByReason(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		`split_drops_total{reason="unknown_model"} 1`,
-		`split_drops_total{reason="queue_full"} 1`,
+		`split_drops_total{reason="admission"} 1`,
 		`split_drops_total{reason="stopped"} 0`,
 		`split_requests_total{model="long"} 1`,
 		`split_queue_depth 1`,

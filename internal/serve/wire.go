@@ -359,7 +359,6 @@ var reasonErr = map[string]error{
 	DropNotStarted:   ErrNotStarted,
 	DropStopped:      ErrStopped,
 	DropUnknownModel: ErrUnknownModel,
-	DropQueueFull:    ErrQueueFull,
 	DropDeadline:     ErrDeadlineExceeded,
 	DropCanceled:     ErrCanceled,
 	DropDrained:      ErrDrained,
@@ -376,7 +375,7 @@ type wireError struct {
 
 func (e *wireError) Error() string { return e.msg }
 
-// Unwrap makes errors.Is(err, ErrQueueFull) etc. work on wire errors.
+// Unwrap makes errors.Is(err, ErrDeadlineExceeded) etc. work on wire errors.
 func (e *wireError) Unwrap() error { return e.typed }
 
 // fromWire decodes an error a call returned: a message that begins with a

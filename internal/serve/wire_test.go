@@ -30,7 +30,6 @@ var exportedWireErrors = []error{
 	ErrNotStarted,
 	ErrStopped,
 	ErrUnknownModel,
-	ErrQueueFull,
 	ErrDeadlineExceeded,
 	ErrCanceled,
 	ErrDrained,
@@ -105,16 +104,23 @@ func TestTypedOutcomesAcrossWire(t *testing.T) {
 			_, err := c.Infer("nosuch")
 			return err
 		}, ErrUnknownModel},
-		{"queue full", func(c *Config) { stretch(c); c.MaxQueue = 1 }, func(t *testing.T, srv *Server, c *Client) error {
-			busyThenQueued(t, srv, c)
-			_, err := c.Infer("quick")
-			return err
-		}, ErrQueueFull},
-		{"admission rejected", func(c *Config) {
+		{"queue full", func(c *Config) {
 			stretch(c)
 			c.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitQueueLength, MaxQueue: 1}
 		}, func(t *testing.T, srv *Server, c *Client) error {
 			busyThenQueued(t, srv, c)
+			_, err := c.Infer("quick")
+			if !strings.Contains(fmt.Sprint(err), fleet.DetailQueueLength) {
+				t.Errorf("rejection %v does not name %s", err, fleet.DetailQueueLength)
+			}
+			return err
+		}, ErrAdmissionRejected},
+		{"admission rejected", func(c *Config) {
+			c.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitTokenBucket, RatePerSec: 0.001, Burst: 1}
+		}, func(t *testing.T, srv *Server, c *Client) error {
+			if _, err := c.Infer("quick"); err != nil {
+				t.Fatal(err)
+			}
 			_, err := c.Infer("quick")
 			return err
 		}, ErrAdmissionRejected},

@@ -199,7 +199,7 @@ var words = func() []string {
 		// Fates the engine decides (reasons.go).
 		ReasonDeadline, ReasonCanceled, ReasonDeviceFault, ReasonAdmission,
 		// The server's own rejections and shutdown sheds (serve.Drop*).
-		"stopped", "drained", "unknown_model", "queue_full", "not_started",
+		"stopped", "drained", "unknown_model", "not_started",
 		// Cancellation states (engine.CancelState) and the server's causes.
 		"unknown", "queued", "inflight", "client cancel", "connection lost",
 		// Admission verdicts.
