@@ -609,6 +609,10 @@ func (e *Engine) DeviceDepth(dev int) int {
 	return depth
 }
 
+// DeviceBusyMs is one device's occupancy over its settled holds, pro-rated
+// by granted fraction.
+func (e *Engine) DeviceBusyMs(dev int) float64 { return e.devices[dev].BusyMs() }
+
 // Stats reports the control plane's activity up to now.
 func (e *Engine) Stats(now float64) Stats {
 	st := Stats{MaxActive: e.maxActive}
@@ -769,10 +773,10 @@ func (e *Engine) Grant(idx int, now float64) *Grant {
 	run := e.batchCost.BlockMs(base, n)
 	frac := 1.0
 	if e.parts > 1 {
-		frac = ln.dev.AcquirePartitionBatch(now, ln.part, ln.want, n)
+		frac = ln.dev.AcquirePartition(now, ln.part, ln.want)
 		run = e.partCost.BlockMs(run, frac)
 	} else {
-		ln.dev.AcquireBatch(now, n)
+		ln.dev.Acquire(now)
 	}
 	for _, m := range batch {
 		if m.StartMs < 0 {

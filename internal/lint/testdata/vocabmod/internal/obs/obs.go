@@ -10,4 +10,5 @@ const MetricQueueDepth = "split_queue_depth"
 
 func (r *Registry) Counter(name string) int   { _ = name; return 0 }
 func (r *Registry) Gauge(name string) int     { _ = name; return 0 }
+func (r *Registry) GaugeFunc(name string) int { _ = name; return 0 }
 func (r *Registry) Histogram(name string) int { _ = name; return 0 }

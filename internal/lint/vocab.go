@@ -19,9 +19,9 @@ import (
 //     constant (or using the bare literal) in engine, policy or serve is
 //     drift;
 //   - metric family names ("split_*") passed to obs.Registry
-//     Counter/Gauge/Histogram outside internal/obs must reference the
-//     obs.Metric* constants, so dashboards and tests cannot disagree with
-//     the server about a family's spelling.
+//     Counter/Gauge/GaugeFunc/Histogram outside internal/obs must
+//     reference the obs.Metric* constants, so dashboards and tests cannot
+//     disagree with the server about a family's spelling.
 var Vocab = &Analyzer{
 	Name: "vocab",
 	Doc:  "sim/serve vocabulary drift: drop reasons and metric families",
@@ -135,7 +135,7 @@ func checkMetricFamilies(pkgs []*Package, obsPkg *Package, report ModuleReportFu
 					return true
 				}
 				switch fn.Name() {
-				case "Counter", "Gauge", "Histogram":
+				case "Counter", "Gauge", "GaugeFunc", "Histogram":
 				default:
 					return true
 				}

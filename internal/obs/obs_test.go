@@ -17,16 +17,25 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
-func TestGaugeBasics(t *testing.T) {
-	var g Gauge
-	g.Set(2.5)
-	g.Add(1.5)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %v, want 4", g.Value())
+// TestGaugeReadsAtScrape: a gauge reports what its read function returns
+// at the moment it is read, the first registration's read function wins,
+// and a gauge registered without one reads 0.
+func TestGaugeReadsAtScrape(t *testing.T) {
+	reg := NewRegistry()
+	depth := 2
+	g := reg.GaugeFunc("split_queue_depth", "h", func() float64 { return float64(depth) })
+	if g.Value() != 2 {
+		t.Fatalf("gauge = %v, want 2", g.Value())
 	}
-	g.SetInt(7)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %v, want 7", g.Value())
+	depth = 7
+	if again := reg.GaugeFunc("split_queue_depth", "h", func() float64 { return -1 }); again != g || g.Value() != 7 {
+		t.Fatalf("re-registered gauge = %v, want the first one reading 7", again.Value())
+	}
+	if v := reg.Gauge("split_queue_depth", "h").Value(); v != 7 {
+		t.Fatalf("looked-up gauge = %v, want 7", v)
+	}
+	if v := reg.Gauge("split_elastic_suppressed", "h").Value(); v != 0 {
+		t.Fatalf("gauge with no read function = %v, want 0", v)
 	}
 }
 
@@ -64,24 +73,6 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Value())
-	}
-}
-
-func TestGaugeConcurrentAdd(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				g.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if g.Value() != 8000 {
-		t.Fatalf("gauge = %v, want 8000", g.Value())
 	}
 }
 
@@ -162,7 +153,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("split_requests_total", "requests accepted", "model", "vgg19").Add(3)
 	reg.Counter("split_requests_total", "requests accepted", "model", "yolov2").Inc()
-	reg.Gauge("split_queue_depth", "waiting requests").SetInt(2)
+	reg.GaugeFunc("split_queue_depth", "waiting requests", func() float64 { return 2 })
 	h := reg.Histogram("split_wait_ms", "waiting latency", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(5)

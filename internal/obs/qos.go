@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 
 	"split/internal/metrics"
@@ -75,60 +74,6 @@ func (q *RollingQoS) recordsLocked() []policy.Record {
 	out := make([]policy.Record, 0, len(q.window))
 	out = append(out, q.window[q.next:]...)
 	return append(out, q.window[:q.next]...)
-}
-
-// Gauges computes the two measures the serving path exports per settled
-// request — rolling violation rate and jitter — in place over the ring.
-// Snapshot copies the window (twice) to reuse the offline metrics
-// functions; calling that once per completion put two O(window)
-// allocations on the grant loop. Gauges walks the ring in the same
-// oldest-first order with the same arithmetic (count/n; two-pass
-// population stddev over served e2e), so its results are bit-identical to
-// Snapshot's ViolationRate and JitterMs.
-func (q *RollingQoS) Gauges() (violationRate, jitterMs float64) {
-	if q == nil {
-		return 0, 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := q.next
-	if q.full {
-		n = len(q.window)
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	// start indexes the oldest record, matching recordsLocked's order.
-	start := 0
-	if q.full {
-		start = q.next
-	}
-	violated, served := 0, 0
-	var e2eSum float64
-	for i := 0; i < n; i++ {
-		r := &q.window[(start+i)%len(q.window)]
-		if !r.Served() || r.ResponseRatio() > q.alpha {
-			violated++
-		}
-		if r.Served() {
-			served++
-			e2eSum += r.E2EMs()
-		}
-	}
-	violationRate = float64(violated) / float64(n)
-	if served > 0 {
-		mean := e2eSum / float64(served)
-		var devSum float64
-		for i := 0; i < n; i++ {
-			r := &q.window[(start+i)%len(q.window)]
-			if r.Served() {
-				d := r.E2EMs() - mean
-				devSum += d * d
-			}
-		}
-		jitterMs = math.Sqrt(devSum / float64(served))
-	}
-	return violationRate, jitterMs
 }
 
 // QoSSnapshot is one rolling-window digest, JSON-ready for /queuez.

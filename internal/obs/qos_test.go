@@ -155,34 +155,3 @@ func TestRollingConcurrent(t *testing.T) {
 		t.Fatalf("total=%d window=%d", s.Total, s.Window)
 	}
 }
-
-// TestGaugesMatchSnapshot pins the bit-identity contract Gauges documents:
-// the allocation-free in-place walk must reproduce Snapshot's
-// ViolationRate and JitterMs exactly (==, not within epsilon) at every
-// fill level — partial window, exactly full, and wrapped — and across
-// served/shed mixes.
-func TestGaugesMatchSnapshot(t *testing.T) {
-	q := NewRollingQoS(4, 8)
-	if vr, jit := q.Gauges(); vr != 0 || jit != 0 {
-		t.Fatalf("empty window: Gauges() = %v, %v", vr, jit)
-	}
-	var nilQ *RollingQoS
-	if vr, jit := nilQ.Gauges(); vr != 0 || jit != 0 {
-		t.Fatalf("nil receiver: Gauges() = %v, %v", vr, jit)
-	}
-	rrs := []float64{1, 5.5, 2.3, 4.0001, 3.9, 7, 0.5, 1.1, 6.6, 2.2, 9, 1.7, 3.3}
-	for i, rr := range rrs {
-		r := rec(i, rr)
-		if i%4 == 3 { // every fourth record is a shed, not a completion
-			r.Outcome = policy.OutcomeDeadline
-			r.DoneMs = r.ArriveMs + 1
-		}
-		q.Observe(r)
-		s := q.Snapshot()
-		vr, jit := q.Gauges()
-		if vr != s.ViolationRate || jit != s.JitterMs {
-			t.Fatalf("after %d records: Gauges() = (%v, %v), Snapshot = (%v, %v)",
-				i+1, vr, jit, s.ViolationRate, s.JitterMs)
-		}
-	}
-}

@@ -220,13 +220,15 @@ type Server struct {
 // wall time, and the timer's callback, fire, settles it. g is the engine's
 // own grant, which stays valid while the hold is armed because only fire
 // settles or re-grants the lane then; startMs is when the grant began, and
-// busyMs the lane's virtual-ms occupancy, pro-rated by granted fraction.
+// busyMs the lane's virtual-ms occupancy, pro-rated by granted fraction;
+// width is the slot width of the lane's last settled hold.
 type hold struct {
 	s       *Server
 	dev     int
 	g       *engine.Grant
 	startMs float64
 	busyMs  float64
+	width   int
 	timer   timer
 }
 
@@ -296,18 +298,16 @@ func newServer(cfg Config, clk clock) (*Server, error) {
 		series:     obs.NewTimeSeries(cfg.Alpha, 0, 0, eng.Devices()),
 		stopReason: DropStopped,
 	}
-	if cfg.Obs != nil {
-		s.met = newServeMetrics(cfg.Obs, cfg.Catalog, eng)
-		if s.met.fleetActive != nil {
-			s.met.fleetActive.SetInt(eng.Active())
-		}
-	}
 	s.holds = make([]hold, eng.Lanes())
 	for lane := range s.holds {
 		h := &s.holds[lane]
 		h.s = s
 		h.dev, _ = place.LaneDevice(lane, eng.Parts())
 		h.timer = clk.timer(h.fire)
+	}
+	if cfg.Obs != nil {
+		s.met = newServeMetrics(cfg.Obs, cfg.Catalog, eng)
+		s.registerGauges(cfg.Obs)
 	}
 	return s, nil
 }
@@ -338,25 +338,7 @@ func (s *Server) shedBacklogLocked(now float64, reason string) int {
 			shed++
 		}
 	}
-	if s.met != nil {
-		s.met.queueDepth.SetInt(0)
-		for _, g := range s.met.deviceDepth {
-			g.SetInt(0)
-		}
-	}
 	return shed
-}
-
-// depthChangedLocked refreshes the fleet-wide queue-depth gauge and, on
-// fleets, dev's (summed over its partition lanes). Caller holds s.mu.
-func (s *Server) depthChangedLocked(dev int) {
-	if s.met == nil {
-		return
-	}
-	s.met.queueDepth.SetInt(s.eng.Depth())
-	if len(s.met.deviceDepth) > 0 {
-		s.met.deviceDepth[dev].SetInt(s.eng.DeviceDepth(dev))
-	}
 }
 
 // dropsHelp is the split_drops_total help text; the family covers both
@@ -365,7 +347,8 @@ const dropsHelp = "requests dropped, by reason (rejections before enqueue and sh
 
 // serveMetrics caches the registry handles the serving path updates, so the
 // hot path never rebuilds label keys. The per-model and per-reason families
-// are seeded at construction and open-ended after it (see labeled).
+// are seeded at construction and open-ended after it (see labeled). Gauges
+// have no handles: registerGauges has each read the state it reports.
 type serveMetrics struct {
 	reg         *obs.Registry
 	requests    map[string]*obs.Counter
@@ -373,33 +356,23 @@ type serveMetrics struct {
 	drops       map[string]*obs.Counter
 	preemptions *obs.Counter
 	retries     *obs.Counter
-	queueDepth  *obs.Gauge
-	elastic     *obs.Gauge
-	violRate    *obs.Gauge
-	jitter      *obs.Gauge
 	waitMs      *obs.Histogram
 	e2eMs       *obs.Histogram
 	rr          *obs.Histogram
 	// The families below are registered only where they apply, so other
 	// deployments keep their exact /metrics output. Per device, on fleets
 	// (devices > 1):
-	deviceDepth  []*obs.Gauge
-	deviceBusyMs []*obs.Gauge
 	deviceBlocks []*obs.Counter
 	deviceDrops  []*obs.Counter
 	// Micro-batching (BatchMax > 1):
 	batchedBlocks *obs.Counter
 	batchSize     *obs.Histogram
 	// The autoscaler / admission gate:
-	fleetActive *obs.Gauge
-	scaleOuts   *obs.Counter
-	scaleIns    *obs.Counter
-	admitted    *obs.Counter
-	// Per lane (device*parts+part) under spatial sharing (Partitions > 1);
-	// busy-ms is pro-rated by granted fraction, width is the last hold's slots.
-	partBusyMs []*obs.Gauge
+	scaleOuts *obs.Counter
+	scaleIns  *obs.Counter
+	admitted  *obs.Counter
+	// Per lane (device*parts+part) under spatial sharing (Partitions > 1).
 	partBlocks []*obs.Counter
-	partWidth  []*obs.Gauge
 }
 
 func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engine) *serveMetrics {
@@ -411,10 +384,6 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engi
 		drops:       make(map[string]*obs.Counter, 8),
 		preemptions: reg.Counter(obs.MetricPreemptions, "block-boundary preemptions (requests passed while re-entering the queue)"),
 		retries:     reg.Counter(obs.MetricBlockRetries, "block re-executions after injected transient device failures"),
-		queueDepth:  reg.Gauge(obs.MetricQueueDepth, "requests waiting in the scheduler queue"),
-		elastic:     reg.Gauge(obs.MetricElasticSuppress, "1 while the elastic mechanism is suppressing splitting (§3.3), else 0"),
-		violRate:    reg.Gauge(obs.MetricViolationRate, "fraction of the rolling completion window with RR > α"),
-		jitter:      reg.Gauge(obs.MetricJitterMs, "stddev of e2e latency over the rolling completion window"),
 		waitMs:      reg.Histogram(obs.MetricWaitMs, "waiting latency (e2e - t_ext) of completed requests, virtual ms", obs.DefaultLatencyBuckets()),
 		e2eMs:       reg.Histogram(obs.MetricE2EMs, "end-to-end latency of completed requests, virtual ms", obs.DefaultLatencyBuckets()),
 		rr:          reg.Histogram(obs.MetricResponseRatio, "response ratio t_ete/t_ext of completed requests", obs.DefaultRatioBuckets()),
@@ -432,10 +401,6 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engi
 	if devices > 1 {
 		for i := 0; i < devices; i++ {
 			d := strconv.Itoa(i)
-			m.deviceDepth = append(m.deviceDepth,
-				reg.Gauge(obs.MetricDeviceQueueDepth, "requests waiting per fleet device", "device", d))
-			m.deviceBusyMs = append(m.deviceBusyMs,
-				reg.Gauge(obs.MetricDeviceBusyMs, "cumulative virtual-ms block occupancy per fleet device", "device", d))
 			m.deviceBlocks = append(m.deviceBlocks,
 				reg.Counter(obs.MetricDeviceBlocks, "blocks executed per fleet device", "device", d))
 			m.deviceDrops = append(m.deviceDrops,
@@ -448,7 +413,6 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engi
 			[]float64{1, 2, 3, 4, 6, 8, 12, 16})
 	}
 	if eng.Elastic() {
-		m.fleetActive = reg.Gauge(obs.MetricFleetActive, "devices in the actively placed fleet prefix")
 		m.scaleOuts = reg.Counter(obs.MetricAutoscaleEvents, "autoscaler actuations, by direction", "direction", "out")
 		m.scaleIns = reg.Counter(obs.MetricAutoscaleEvents, "autoscaler actuations, by direction", "direction", "in")
 	}
@@ -459,17 +423,65 @@ func newServeMetrics(reg *obs.Registry, catalog policy.Catalog, eng *engine.Engi
 	if parts > 1 {
 		for i := 0; i < devices; i++ {
 			for p := 0; p < parts; p++ {
-				d, pt := strconv.Itoa(i), strconv.Itoa(p)
-				m.partBusyMs = append(m.partBusyMs,
-					reg.Gauge(obs.MetricPartitionBusyMs, "virtual-ms occupancy per partition lane, pro-rated by granted fraction", "device", d, "part", pt))
-				m.partBlocks = append(m.partBlocks,
-					reg.Counter(obs.MetricPartitionBlocks, "blocks executed per partition lane", "device", d, "part", pt))
-				m.partWidth = append(m.partWidth,
-					reg.Gauge(obs.MetricPartitionWidth, "slot width of the lane's most recent hold", "device", d, "part", pt))
+				m.partBlocks = append(m.partBlocks, reg.Counter(obs.MetricPartitionBlocks,
+					"blocks executed per partition lane", "device", strconv.Itoa(i), "part", strconv.Itoa(p)))
 			}
 		}
 	}
 	return m
+}
+
+// registerGauges registers every gauge family, each reading at scrape time
+// state the server, the engine or the rolling window already keeps; nothing
+// writes a gauge after this. The reads take s.mu (the window has its own
+// lock), which no registry lock is held under: labeled registers series
+// under s.mu, and WritePrometheus reads with the registry unlocked.
+func (s *Server) registerGauges(reg *obs.Registry) {
+	locked := func(read func() float64) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return read()
+		}
+	}
+	eng := s.eng
+	reg.GaugeFunc(obs.MetricQueueDepth, "requests waiting in the scheduler queue",
+		locked(func() float64 { return float64(eng.Depth()) }))
+	reg.GaugeFunc(obs.MetricElasticSuppress, "1 while the elastic mechanism is suppressing splitting (§3.3), else 0",
+		locked(func() float64 {
+			if s.elasticSuppressed {
+				return 1
+			}
+			return 0
+		}))
+	reg.GaugeFunc(obs.MetricViolationRate, "fraction of the rolling completion window with RR > α",
+		func() float64 { return s.qos.Snapshot().ViolationRate })
+	reg.GaugeFunc(obs.MetricJitterMs, "stddev of e2e latency over the rolling completion window",
+		func() float64 { return s.qos.Snapshot().JitterMs })
+	if eng.Devices() > 1 {
+		for i := 0; i < eng.Devices(); i++ {
+			d := strconv.Itoa(i)
+			reg.GaugeFunc(obs.MetricDeviceQueueDepth, "requests waiting per fleet device",
+				locked(func() float64 { return float64(eng.DeviceDepth(i)) }), "device", d)
+			reg.GaugeFunc(obs.MetricDeviceBusyMs, "cumulative virtual-ms block occupancy per fleet device",
+				locked(func() float64 { return eng.DeviceBusyMs(i) }), "device", d)
+		}
+	}
+	if eng.Elastic() {
+		reg.GaugeFunc(obs.MetricFleetActive, "devices in the actively placed fleet prefix",
+			locked(func() float64 { return float64(eng.Active()) }))
+	}
+	if eng.Parts() > 1 {
+		for lane := range s.holds {
+			h := &s.holds[lane]
+			dev, part := place.LaneDevice(lane, eng.Parts())
+			d, pt := strconv.Itoa(dev), strconv.Itoa(part)
+			reg.GaugeFunc(obs.MetricPartitionBusyMs, "virtual-ms occupancy per partition lane, pro-rated by granted fraction",
+				locked(func() float64 { return h.busyMs }), "device", d, "part", pt)
+			reg.GaugeFunc(obs.MetricPartitionWidth, "slot width of the lane's most recent hold",
+				locked(func() float64 { return float64(h.width) }), "device", d, "part", pt)
+		}
+	}
 }
 
 // labeled returns the family's counter for one label value from its cache,
@@ -554,9 +566,6 @@ func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string) {
 		if len(s.met.deviceDrops) > 0 {
 			s.met.deviceDrops[r.Device].Inc()
 		}
-		vr, jit := s.qos.Gauges()
-		s.met.violRate.Set(vr)
-		s.met.jitter.Set(jit)
 	}
 	//lint:ignore hotalloc the resolved error must carry request identity for the client; sheds are the rare path
 	s.resolveLocked(r.ID, outcome{err: fmt.Errorf("%w (request %d, %s)", reasonErr[reason], r.ID, r.Model)})
@@ -740,7 +749,6 @@ func (s *Server) cancelLocked(id int, why string) CancelState {
 	// A grant holder (in flight, or in the current batch) sheds at its boundary.
 	if c.State == engine.CancelQueued {
 		s.shedLocked(now, c.Req, DropCanceled)
-		s.depthChangedLocked(c.Req.Device)
 	}
 	if s.cfg.ArrivalRecorder != nil {
 		s.cfg.ArrivalRecorder.ObserveCancel(id, now)
@@ -794,12 +802,8 @@ func (s *Server) grantLocked(lane int, now float64) {
 	if s.tracing {
 		s.pending = engine.AppendGrant(s.pending, now, g)
 	}
-	h := &s.holds[lane]
-	if len(g.Shed) > 0 {
-		for _, r := range g.Shed {
-			s.shedLocked(now, r, DropDeadline)
-		}
-		s.depthChangedLocked(h.dev)
+	for _, r := range g.Shed {
+		s.shedLocked(now, r, DropDeadline)
 	}
 	if !g.OK {
 		// An empty queue, or a covered anchor slot: the release that
@@ -810,7 +814,7 @@ func (s *Server) grantLocked(lane int, now float64) {
 		s.met.batchedBlocks.Inc()
 		s.met.batchSize.Observe(float64(len(g.Batch)))
 	}
-	s.depthChangedLocked(h.dev)
+	h := &s.holds[lane]
 	h.g, h.startMs = g, now
 	s.armed++
 	s.wg.Add(1)
@@ -844,18 +848,15 @@ func (h *hold) fire() {
 	} else {
 		s.armed--
 		// Pro-rated by Frac (1 unpartitioned): temporal and spatial sums compare.
-		busyMs := (now - h.startMs) * g.Frac
-		h.busyMs += busyMs
+		h.busyMs += (now - h.startMs) * g.Frac
+		h.width = int(g.Frac*float64(s.eng.Parts()) + 0.5)
 		//lint:ignore hotalloc lazy per-window busy buckets: one make per elapsed time window, not per hold
 		s.series.ObserveBusyFrac(h.dev, h.startMs, now, g.Frac)
-		if s.met != nil && len(s.met.deviceBusyMs) > 0 {
-			s.met.deviceBusyMs[h.dev].Add(busyMs)
+		if s.met != nil && len(s.met.deviceBlocks) > 0 {
 			s.met.deviceBlocks[h.dev].Inc()
 		}
-		if s.met != nil && len(s.met.partBusyMs) > 0 {
-			s.met.partBusyMs[lane].Add(busyMs)
+		if s.met != nil && len(s.met.partBlocks) > 0 {
 			s.met.partBlocks[lane].Inc()
-			s.met.partWidth[lane].SetInt(int(g.Frac*float64(s.eng.Parts()) + 0.5))
 		}
 		for _, f := range st.Fates {
 			s.fateLocked(now, f)
@@ -920,7 +921,6 @@ func (s *Server) fateLocked(nowMs float64, f engine.Fate) {
 		if f.Pos > 0 && s.met != nil {
 			s.met.preemptions.Inc()
 		}
-		s.depthChangedLocked(r.Device)
 	}
 }
 
@@ -937,9 +937,6 @@ func (s *Server) observeCompletion(r *sched.Request, rr float64) {
 	s.met.waitMs.Observe(r.E2EMs() - r.ExtMs)
 	s.met.e2eMs.Observe(r.E2EMs())
 	s.met.rr.Observe(rr)
-	vr, jit := s.qos.Gauges()
-	s.met.violRate.Set(vr)
-	s.met.jitter.Set(jit)
 }
 
 // arrive wraps a model request (request wrapper + token scheduler insert),
@@ -980,8 +977,14 @@ func (s *Server) arriveLocked(modelName string, deadlineMs float64, w waiter) (i
 	if s.tracing {
 		s.pending = engine.AppendArrival(s.pending, now, &job, d)
 	}
-	if d.Scale.Dir != fleet.Hold {
-		s.scaledLocked(d.Scale)
+	// After a scale-in the device's lanes work off their queues and idle:
+	// placement never targets them again.
+	switch {
+	case s.met == nil:
+	case d.Scale.Dir == fleet.ScaleIn:
+		s.met.scaleIns.Inc()
+	case d.Scale.Dir == fleet.ScaleOut:
+		s.met.scaleOuts.Inc()
 	}
 	if d.Rejected {
 		s.dropped++
@@ -1004,7 +1007,6 @@ func (s *Server) arriveLocked(modelName string, deadlineMs float64, w waiter) (i
 	}
 	s.series.ObserveArrival(now)
 	s.series.ObserveDepth(now, depth)
-	s.depthChangedLocked(r.Device)
 	s.waiters[id] = w
 	if s.cfg.ArrivalRecorder != nil {
 		s.cfg.ArrivalRecorder.Observe(id, modelName, now, deadlineMs)
@@ -1015,31 +1017,9 @@ func (s *Server) arriveLocked(modelName string, deadlineMs float64, w waiter) (i
 	return id, nil
 }
 
-// scaledLocked counts one autoscaler actuation. After a scale-in the
-// device's lanes work off their queues and idle: placement never targets
-// them again. Caller holds s.mu.
-func (s *Server) scaledLocked(sc engine.Scale) {
-	if s.met == nil || s.met.fleetActive == nil {
-		return
-	}
-	s.met.fleetActive.SetInt(sc.Active)
-	if sc.Dir == fleet.ScaleIn {
-		s.met.scaleIns.Inc()
-	} else {
-		s.met.scaleOuts.Inc()
-	}
-}
-
 // setElastic tracks §3.3 elastic-mode transitions for the gauge and event
 // stream at fleet-wide queue depth depth. Caller holds s.mu.
 func (s *Server) setElastic(nowMs float64, suppressed bool, depth int) {
-	if s.met != nil {
-		if suppressed {
-			s.met.elastic.Set(1)
-		} else {
-			s.met.elastic.Set(0)
-		}
-	}
 	if suppressed == s.elasticSuppressed {
 		return
 	}
