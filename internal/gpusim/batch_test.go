@@ -65,25 +65,20 @@ func TestBatchCostOrDefault(t *testing.T) {
 	}
 }
 
+// TestDeviceBatchAccounting: a batched grant is one hold like any other —
+// the ledger counts one block and its time per hold, whatever the batch
+// size, and a batch cannot share the device with another hold.
 func TestDeviceBatchAccounting(t *testing.T) {
 	sim := New()
 	pool := NewDevicePool(sim, 1, nil)
 	d := pool.Device(0)
 
-	d.AcquireBatch(0, 1) // scalar grant: no batch accounting
+	d.Acquire(0) // a scalar grant
 	d.Release(10)
-	if d.BatchedBlocks() != 0 || d.BatchedRequests() != 0 || d.MaxBatch() != 0 {
-		t.Fatalf("scalar grant leaked into batch counters: %d/%d/%d",
-			d.BatchedBlocks(), d.BatchedRequests(), d.MaxBatch())
-	}
-	d.AcquireBatch(10, 4)
+	d.Acquire(10) // a batch of four
 	d.Release(30)
-	d.AcquireBatch(30, 2)
+	d.Acquire(30) // a batch of two
 	d.Release(40)
-	if d.BatchedBlocks() != 2 || d.BatchedRequests() != 6 || d.MaxBatch() != 4 {
-		t.Fatalf("batch accounting = %d blocks / %d reqs / max %d, want 2/6/4",
-			d.BatchedBlocks(), d.BatchedRequests(), d.MaxBatch())
-	}
 	if d.Blocks() != 3 {
 		t.Fatalf("total holds = %d, want 3", d.Blocks())
 	}
@@ -91,12 +86,11 @@ func TestDeviceBatchAccounting(t *testing.T) {
 		t.Fatalf("busyMs = %v, want 40", d.BusyMs())
 	}
 
-	// Batch grants obey the same exclusion rule as scalar ones.
-	d.AcquireBatch(40, 3)
+	d.Acquire(40)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("double AcquireBatch did not panic")
+			t.Fatal("double Acquire did not panic")
 		}
 	}()
-	d.AcquireBatch(41, 2)
+	d.Acquire(41)
 }

@@ -160,16 +160,6 @@ func (d *Device) HeldFraction() float64 {
 //
 //lint:hotpath partition occupancy flips once per granted block on spatial fleets
 func (d *Device) AcquirePartition(nowMs float64, p, want int) float64 {
-	return d.AcquirePartitionBatch(nowMs, p, want, 1)
-}
-
-// AcquirePartitionBatch is AcquirePartition for a hold coalescing n
-// same-type requests; n >= 2 additionally accounts the batch in the
-// device's batched-grant counters, exactly as AcquireBatch does on the
-// serial path.
-//
-//lint:hotpath batched spatial grants route every partition hold through here
-func (d *Device) AcquirePartitionBatch(nowMs float64, p, want, n int) float64 {
 	if d.parts <= 1 {
 		panic(fmt.Sprintf("gpusim: partition acquire on unpartitioned device %d", d.ID))
 	}
@@ -195,13 +185,6 @@ func (d *Device) AcquirePartitionBatch(nowMs float64, p, want, n int) float64 {
 	d.holdSince[p] = nowMs
 	d.holdSlots[p] = k
 	d.heldParts++
-	if n > 1 {
-		d.batchedBlocks++
-		d.batchedReqs += n
-		if n > d.maxBatch {
-			d.maxBatch = n
-		}
-	}
 	return float64(k) / float64(d.parts)
 }
 

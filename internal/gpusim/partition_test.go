@@ -282,7 +282,7 @@ func FuzzPartitionTimeline(f *testing.F) {
 			if d.PartitionBusy(p) {
 				continue // lane gated on its anchor slot, like the scheduler
 			}
-			frac := d.AcquirePartitionBatch(now, p, want, int(b%3)+1)
+			frac := d.AcquirePartition(now, p, want)
 			if frac <= 0 || frac > 1 {
 				t.Fatalf("granted fraction %v outside (0,1]", frac)
 			}

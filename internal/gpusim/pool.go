@@ -26,13 +26,6 @@ type Device struct {
 	busySinceMs float64
 	busyMs      float64
 	blocks      int
-	// Batched-grant accounting: holds that coalesced n >= 2 requests into
-	// one block execution. Scalar grants (n <= 1) leave all three untouched
-	// so single-request timelines report exactly what they did before
-	// batching existed.
-	batchedBlocks int
-	batchedReqs   int
-	maxBatch      int
 	// Membership accounting for elastic fleets. attached mirrors whether
 	// the device is currently part of the active set; attachedAtMs stamps
 	// the current attach, and activeMs accumulates completed attach spans.
@@ -69,24 +62,6 @@ func (d *Device) Acquire(nowMs float64) {
 	}
 	d.busy = true
 	d.busySinceMs = nowMs
-}
-
-// AcquireBatch marks the device occupied from nowMs by one batched block
-// coalescing n same-type requests. With n <= 1 it is exactly Acquire — the
-// scalar grant — so drivers can route every grant through it; n >= 2
-// additionally accounts the batch in the device's batched-grant counters.
-// The occupancy rules are unchanged: one hold at a time, panics if busy.
-//
-//lint:hotpath batched grants route every device hold through here
-func (d *Device) AcquireBatch(nowMs float64, n int) {
-	d.Acquire(nowMs)
-	if n > 1 {
-		d.batchedBlocks++
-		d.batchedReqs += n
-		if n > d.maxBatch {
-			d.maxBatch = n
-		}
-	}
 }
 
 // Release marks the device idle at nowMs and accounts the occupancy.
@@ -130,16 +105,6 @@ func (d *Device) BusyMsAt(nowMs float64) float64 {
 
 // Blocks returns the number of completed device holds.
 func (d *Device) Blocks() int { return d.blocks }
-
-// BatchedBlocks returns the number of holds granted as batches (n >= 2).
-func (d *Device) BatchedBlocks() int { return d.batchedBlocks }
-
-// BatchedRequests returns the total requests served through batched holds
-// (the sum of batch sizes over BatchedBlocks).
-func (d *Device) BatchedRequests() int { return d.batchedReqs }
-
-// MaxBatch returns the largest batch granted, 0 if none were.
-func (d *Device) MaxBatch() int { return d.maxBatch }
 
 // Attach marks the device part of the active fleet from nowMs. Attaching
 // an attached device panics, as does attaching a busy one: membership
