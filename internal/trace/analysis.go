@@ -15,7 +15,10 @@ type Span struct {
 	// Device is the fleet device the block ran on (0 single-device).
 	Device int
 	// Part is the device partition the block ran on (0 unpartitioned).
-	Part    int
+	Part int
+	// Batch is the micro-batch id of the grant (0 unbatched); the members
+	// of one batch share one device hold.
+	Batch   int
 	StartMs float64
 	EndMs   float64
 }
@@ -32,6 +35,7 @@ func (t *Tracer) Spans() []Span {
 		block  int
 		device int
 		part   int
+		batch  int
 		model  string
 	}
 	pending := map[int]open{}
@@ -39,7 +43,7 @@ func (t *Tracer) Spans() []Span {
 	t.walk(func(e *Event) error {
 		switch e.Kind {
 		case StartBlock:
-			pending[e.ReqID] = open{at: e.AtMs, block: e.Block, device: e.Device, part: int(e.Part), model: e.Model}
+			pending[e.ReqID] = open{at: e.AtMs, block: e.Block, device: e.Device, part: int(e.Part), batch: e.Batch, model: e.Model}
 		case EndBlock:
 			if o, ok := pending[e.ReqID]; ok {
 				spans = append(spans, Span{
@@ -48,6 +52,7 @@ func (t *Tracer) Spans() []Span {
 					Block:   o.block,
 					Device:  o.device,
 					Part:    o.part,
+					Batch:   o.batch,
 					StartMs: o.at,
 					EndMs:   e.AtMs,
 				})
@@ -110,7 +115,16 @@ func (t *Tracer) Analyze() Analysis {
 	a.HorizonMs = last - first
 
 	spans := t.Spans()
+	// A micro-batch's members share one device hold: count it once per
+	// batch id, not once per member.
+	counted := map[int]bool{}
 	for _, s := range spans {
+		if s.Batch != 0 {
+			if counted[s.Batch] {
+				continue
+			}
+			counted[s.Batch] = true
+		}
 		a.BusyMs += s.DurationMs()
 		a.PerModelBusyMs[s.Model] += s.DurationMs()
 		a.PerDeviceBusyMs[s.Device] += s.DurationMs()

@@ -75,6 +75,29 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCountsBatchOnce: the three members of micro-batch 7 each
+// narrate a 0–10 ms StartBlock/EndBlock pair on device 1, but they held the
+// device once, so the batch adds 10 busy-ms, not 30; an unbatched block of
+// the same model after it adds its own 5.
+func TestAnalyzeCountsBatchOnce(t *testing.T) {
+	tr := New()
+	for id := 1; id <= 3; id++ {
+		tr.Record(Event{AtMs: 0, Kind: StartBlock, ReqID: id, Model: "m", Device: 1, Batch: 7})
+	}
+	for id := 1; id <= 3; id++ {
+		tr.Record(Event{AtMs: 10, Kind: EndBlock, ReqID: id, Model: "m", Device: 1, Batch: 7})
+	}
+	tr.Record(Event{AtMs: 10, Kind: StartBlock, ReqID: 4, Model: "m", Device: 1})
+	tr.Record(Event{AtMs: 15, Kind: EndBlock, ReqID: 4, Model: "m", Device: 1})
+	a := tr.Analyze()
+	if a.BusyMs != 15 || a.PerDeviceBusyMs[1] != 15 || a.PerModelBusyMs["m"] != 15 {
+		t.Errorf("busy %v, device 1 %v, model m %v; want 15 each", a.BusyMs, a.PerDeviceBusyMs[1], a.PerModelBusyMs["m"])
+	}
+	if a.Utilization != 1 || a.BusyPeriods != 1 {
+		t.Errorf("utilization %v over %d busy periods, want 1 over 1", a.Utilization, a.BusyPeriods)
+	}
+}
+
 func TestAnalyzeEmpty(t *testing.T) {
 	a := New().Analyze()
 	if a.HorizonMs != 0 || a.BusyMs != 0 || a.BusyPeriods != 0 {
