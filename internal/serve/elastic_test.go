@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,5 +227,85 @@ func TestServeElasticConcurrentScaleDown(t *testing.T) {
 	}
 	if shed := srv.Drain(5 * time.Second); shed != 0 {
 		t.Fatalf("drain shed %d requests from an idle fleet", shed)
+	}
+}
+
+// TestScrapeWhileServing scrapes /metrics in a loop while eight workers
+// drive a fleet with every feature that registers a gauge on: autoscaling,
+// partitions, batching and admission. Each gauge is read at scrape time
+// under the server's mutex while hold timers settle and arrivals grant on
+// other goroutines, so this is the race detector's view of the read path.
+// Once the work is done the gauges read the idle server.
+func TestScrapeWhileServing(t *testing.T) {
+	srv, reg, _ := startLifecycle(t, func(c *Config) {
+		c.Placement = place.LeastLoaded
+		c.Partitions, c.PartitionWidth = 2, place.WidthAdaptive
+		c.BatchMax = 4
+		c.Admission = fleet.AdmissionConfig{Mode: fleet.AdmitQueueLength, MaxQueue: 16}
+		c.Fleet = fleet.AutoscaleConfig{Min: 1, Max: 3, EvalEveryMs: 1, HighDepthPerDevice: 1,
+			HighViolRate: 1000, ScaleOutCooldownMs: 2, ScaleInCooldownMs: 4, IdleReleaseMs: 4}
+	})
+	done := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scrapes <- n
+				return
+			default:
+			}
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
+	}()
+	const workers, per = 8, 20
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				name := "quick"
+				if (i+w)%4 == 0 {
+					name = "solo"
+				}
+				_, ch, err := srv.enqueue(name, 0)
+				if errors.Is(err, ErrAdmissionRejected) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("worker %d request %d: %v", w, i, err)
+					return
+				}
+				select {
+				case out := <-ch:
+					if out.err != nil {
+						t.Errorf("worker %d request %d: %v", w, i, out.err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Errorf("worker %d request %d: no outcome within 10s", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	if n := <-scrapes; n == 0 {
+		t.Fatal("no scrape ran while serving")
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"split_queue_depth 0", `split_device_queue_depth{device="0"} 0`,
+		`split_partition_width{device="0",part="0"} `, "split_fleet_active_devices "} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("idle scrape lacks %q:\n%s", want, b.String())
+		}
 	}
 }

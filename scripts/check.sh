@@ -21,9 +21,10 @@ go test -race -shuffle on ./...
 go test -race -count=3 -cpu 1,4 -run 'RunAllScenarios|RunConcurrently|Each|MultiSeed' ./internal/core ./internal/policy
 # Hold timers of different lanes fire on goroutines of their own, and a
 # lane's next fire can overlap its previous delivery (an arrival may grant
-# the idle lane in between); state read outside the server mutex races only
-# with several lanes running.
-go test -race -count=3 -cpu 1,4 -run 'ManyConcurrentRequestsAllComplete|FleetCancelRoutesAcrossDevices|ServePartitionConcurrency|ServeBatchingCoalesces|ServeElasticConcurrentScaleDown|IdleArrivalStartsAtArrival|StartRunsNoGoroutinePerLane' ./internal/serve
+# the idle lane in between), and a /metrics scrape reads every gauge from a
+# goroutine of its own; state read outside the server mutex races only with
+# several lanes running.
+go test -race -count=3 -cpu 1,4 -run 'ManyConcurrentRequestsAllComplete|FleetCancelRoutesAcrossDevices|ServePartitionConcurrency|ServeBatchingCoalesces|ServeElasticConcurrentScaleDown|IdleArrivalStartsAtArrival|StartRunsNoGoroutinePerLane|ScrapeWhileServing' ./internal/serve
 
 # Brief fuzz smoke past the seed corpora. The targets are discovered, not
 # listed: every Fuzz function in the module runs for FUZZTIME (CI sets 10s),
