@@ -1,6 +1,6 @@
 // Command splitd is the SPLIT inference server daemon (§4): it deploys the
 // benchmark models (with split plans built by the GA or loaded from a plan
-// directory written by splitga) and serves inference requests over RPC,
+// directory written by splitexp plan) and serves inference requests over RPC,
 // scheduling them with the greedy block-level preemption algorithm.
 //
 // Usage:
@@ -41,7 +41,7 @@
 // With -record, every admitted arrival (and any later cancellation) is
 // recorded in workload trace form and written to the given path on
 // shutdown, so the live run can be re-simulated deterministically with
-// splitbench -replay.
+// splitexp replay or splitexp trace -replay.
 //
 // With -autoscale-max N > 0, the daemon runs an elastic fleet: N devices
 // are provisioned but only [-autoscale-min, N] are actively placed, scaling

@@ -136,7 +136,7 @@ func NewSaturationAnalyzer(d *Deployment, cfg SaturationConfig) *SaturationAnaly
 }
 
 // Probe measures one offered-load level with the analyzer's gate and fleet
-// settings. Exposed so callers (splitbench, the overload tests) can measure
+// settings. Exposed so callers (splitexp saturation, the overload tests) can measure
 // a specific rate — e.g. 2x the knee — without running the whole sweep.
 func (a *SaturationAnalyzer) Probe(reqPerSec float64) SaturationPoint {
 	recs, stats := a.dep.loadProbe(a.cfg.CapacityConfig, reqPerSec, a.cfg.Admission, a.cfg.Fleet)

@@ -13,7 +13,7 @@ import (
 // diurnal and bursty workloads show up as a *trajectory* — throughput,
 // viol@α, queue depth and per-device busy fraction per window — rather
 // than a single point. It is fed live by serve.Server and offline from a
-// (records, events) pair, so /timeseriesz and splittrace dumps agree on
+// (records, events) pair, so /timeseriesz and splitexp trace dumps agree on
 // the same formulas.
 //
 // All methods are concurrency-safe and nil-safe (no-ops / zero snapshots),

@@ -4,7 +4,7 @@
 // loads them in the online deployment manager (§4.1 steps 3-4). This
 // package plays that role with a JSON container: graphs, blocks and plans
 // round-trip through a stable, versioned format so the offline splitting
-// tool (cmd/splitga) and the online server (cmd/splitd) can exchange
+// tool (splitexp plan) and the online server (cmd/splitd) can exchange
 // artifacts through the filesystem.
 package onnxlite
 

@@ -15,7 +15,7 @@ import (
 
 // This file implements the Deployment Manager calls (§4.2): at runtime,
 // operators can deploy new models (with or without split plans produced
-// offline by splitga), replace a model's plan, or undeploy a model. Requests
+// offline by splitexp plan), replace a model's plan, or undeploy a model. Requests
 // already queued keep their original block plans; only new arrivals see the
 // updated deployment.
 
