@@ -34,6 +34,7 @@ type stepClock struct{ sim *gpusim.Sim }
 
 func (c stepClock) start()       {}
 func (c stepClock) now() float64 { return c.sim.Now() }
+func (c stepClock) stop()        {}
 func (c stepClock) timer(fire func()) timer {
 	return simTimer{c.sim, func(float64) { fire() }}
 }

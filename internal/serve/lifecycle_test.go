@@ -152,20 +152,29 @@ func TestExpiredQueuedNeverRunsBlock(t *testing.T) {
 
 // TestInflightDeadlineShedAtBoundary: a request whose deadline passes while
 // it executes is stopped at the next block boundary, not run to completion.
+// On the stepped clock the boundaries fall exactly at 20 and 40 ms.
 func TestInflightDeadlineShedAtBoundary(t *testing.T) {
-	srv, _, ring := startLifecycle(t, nil)
-	// Deadline 30 ms into a 3x20 ms plan: block 0 ends ~20 (alive), block 1
-	// ends ~40 (past deadline) — shed there, block 2 must never run.
-	id, ch, err := srv.enqueue("work", 30)
-	if err != nil {
-		t.Fatal(err)
+	ring := trace.NewRing(1024)
+	srv, sim := startStepped(t, Config{Knobs: engine.Knobs{Alpha: 4}, Catalog: lifecycleCatalog(), Sink: ring})
+	// Deadline 30 ms into a 3x20 ms plan: block 0 ends at 20 (alive), block
+	// 1 at 40 (past the deadline) — shed there, block 2 must never run.
+	got, errs := make(fates, 1), make([]error, 1)
+	arriveAt(sim, srv, 0, "work", 30, got, errs, 0)
+	sim.Run()
+	if errs[0] != nil || !errors.Is(got[0].err, ErrDeadlineExceeded) {
+		t.Fatalf("front door %v, outcome %v, want %v", errs[0], got[0].err, ErrDeadlineExceeded)
 	}
-	out := await(t, ch)
-	if !errors.Is(out.err, ErrDeadlineExceeded) {
-		t.Fatalf("outcome: %v", out.err)
+	if n := startBlocks(ring, 0); n != 2 {
+		t.Errorf("expired in-flight request ran %d blocks, want 2", n)
 	}
-	if n := startBlocks(ring, id); n == 0 || n >= 3 {
-		t.Errorf("expired in-flight request ran %d blocks, want 1..2", n)
+	var shedAt []float64
+	for _, e := range ring.Snapshot() {
+		if e.Kind == trace.Shed {
+			shedAt = append(shedAt, e.AtMs)
+		}
+	}
+	if len(shedAt) != 1 || shedAt[0] != 40 {
+		t.Errorf("shed at %v ms, want once at 40, the second block's boundary", shedAt)
 	}
 }
 
@@ -480,20 +489,17 @@ func TestFaultRetryExhaustion(t *testing.T) {
 // TestFaultSpikeStretchesBlock: a latency spike multiplies the block's
 // device time but the request still completes.
 func TestFaultSpikeStretchesBlock(t *testing.T) {
-	srv, _, _ := startLifecycle(t, func(c *Config) {
-		c.Faults = &gpusim.FaultInjector{Seed: 1, SpikeProb: 1, SpikeFactor: 5}
-	})
-	_, ch, err := srv.enqueue("quick", 0)
-	if err != nil {
-		t.Fatal(err)
+	srv, sim := startStepped(t, Config{Catalog: lifecycleCatalog(), Knobs: engine.Knobs{Alpha: 4,
+		Faults: &gpusim.FaultInjector{Seed: 1, SpikeProb: 1, SpikeFactor: 5}}})
+	got, errs := make(fates, 1), make([]error, 1)
+	arriveAt(sim, srv, 0, "quick", 0, got, errs, 0)
+	sim.Run()
+	if errs[0] != nil || got[0].err != nil {
+		t.Fatalf("front door %v, outcome %v", errs[0], got[0].err)
 	}
-	out := await(t, ch)
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	// The 1 ms block held the device 5 ms; e2e is at least that.
-	if e2e := out.req.E2EMs(); e2e < 5 {
-		t.Errorf("e2e = %v ms, want >= 5 (spiked)", e2e)
+	// The 1 ms block held the device 5 ms, and nothing else did.
+	if e2e := got[0].req.E2EMs(); e2e != 5 {
+		t.Errorf("e2e = %v ms, want 5 (spiked)", e2e)
 	}
 }
 

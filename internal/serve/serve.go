@@ -233,35 +233,17 @@ type hold struct {
 }
 
 // A clock is the server's time in ms since Start, 0 before it, and the maker
-// of its timers: arm(ms) has one call fire ms later. Tests step a gpusim.Sim.
+// of its timers: arm(ms) has one call fire ms later. stop, once every hold
+// has settled, releases what start took, and no timer fires after it. Tests
+// step a gpusim.Sim; a live server runs on a wallClock (wallclock.go).
 type clock interface {
 	start()
 	now() float64
 	timer(fire func()) timer
+	stop()
 }
 
 type timer interface{ arm(ms float64) }
-
-type wallClock struct{ epoch time.Time }
-
-func (c *wallClock) start() { c.epoch = time.Now() }
-
-func (c *wallClock) now() float64 {
-	if c.epoch.IsZero() {
-		return 0 // not decades since the zero time
-	}
-	return float64(time.Since(c.epoch)) / float64(time.Millisecond)
-}
-
-func (c *wallClock) timer(fire func()) timer {
-	t := time.AfterFunc(time.Hour, fire)
-	t.Stop()
-	return wallTimer{t}
-}
-
-type wallTimer struct{ *time.Timer }
-
-func (w wallTimer) arm(ms float64) { w.Reset(time.Duration(ms * float64(time.Millisecond))) }
 
 // NewServer validates cfg and builds a stopped server on the wall clock;
 // newServer builds it on clk.
@@ -634,7 +616,7 @@ func (s *Server) Stop() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.wg.Wait()
+		s.shutDown()
 		return
 	}
 	s.closed = true
@@ -646,7 +628,15 @@ func (s *Server) Stop() {
 	s.takeOut(&out)
 	s.mu.Unlock()
 	s.deliver(&out)
+	s.shutDown()
+}
+
+// shutDown waits for the accept loop and every armed hold, then stops the
+// clock: Stop and Drain return with no goroutine or timer of the server's
+// left running.
+func (s *Server) shutDown() {
 	s.wg.Wait()
+	s.clk.stop()
 }
 
 // Drain stops accepting new work and lets the lanes finish the backlog.
@@ -659,7 +649,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.wg.Wait()
+		s.shutDown()
 		return 0
 	}
 	s.closed = true
@@ -683,6 +673,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 	}()
 	s.clk.timer(func() { clean <- false }).arm(float64(timeout) / float64(time.Millisecond))
 	if <-clean {
+		s.clk.stop() // the timeout's timer, still pending, never fires
 		return 0
 	}
 
@@ -702,6 +693,7 @@ func (s *Server) Drain(timeout time.Duration) int {
 	s.mu.Unlock()
 	s.deliver(&out)
 	<-clean
+	s.clk.stop()
 	return shed
 }
 

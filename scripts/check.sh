@@ -19,12 +19,17 @@ go test -race -shuffle on ./...
 # The grid's runs share the cores: check the inline path (one CPU) and an
 # oversubscribed one (four) under the race detector, several times over.
 go test -race -count=3 -cpu 1,4 -run 'RunAllScenarios|RunConcurrently|Each|MultiSeed' ./internal/core ./internal/policy
-# Hold timers of different lanes fire on goroutines of their own, and a
-# lane's next fire can overlap its previous delivery (an arrival may grant
-# the idle lane in between), and a /metrics scrape reads every gauge from a
-# goroutine of its own; state read outside the server mutex races only with
-# several lanes running.
-go test -race -count=3 -cpu 1,4 -run 'ManyConcurrentRequestsAllComplete|FleetCancelRoutesAcrossDevices|ServePartitionConcurrency|ServeBatchingCoalesces|ServeElasticConcurrentScaleDown|IdleArrivalStartsAtArrival|StartRunsNoGoroutinePerLane|ScrapeWhileServing' ./internal/serve
+# A lane's next fire can overlap its previous delivery (an arrival may grant
+# the idle lane in between); holds shorter than the kernel timer's cut-off
+# each fire on a goroutine of their own, the others on the wall clock's one
+# timer goroutine, which Stop and Drain shut down; and a /metrics scrape
+# reads every gauge from a goroutine of its own. State read outside the
+# server mutex races only with several lanes running.
+go test -race -count=3 -cpu 1,4 -run 'ManyConcurrentRequestsAllComplete|FleetCancelRoutesAcrossDevices|ServePartitionConcurrency|ServeBatchingCoalesces|ServeElasticConcurrentScaleDown|IdleArrivalStartsAtArrival|StartRunsNoGoroutinePerLane|ScrapeWhileServing|WallTimerContract|ShutdownReleasesTimer' ./internal/serve
+# Off Linux every hold takes the runtime timer: keep that path compiling,
+# tests included.
+GOOS=darwin GOARCH=arm64 go vet ./internal/serve ./cmd/splitd
+GOOS=windows go vet ./internal/serve ./cmd/splitd
 
 # Brief fuzz smoke past the seed corpora. The targets are discovered, not
 # listed: every Fuzz function in the module runs for FUZZTIME (CI sets 10s),
