@@ -12,7 +12,8 @@ import (
 // kernelTimer is a CLOCK_MONOTONIC timerfd. It is non-blocking, so os.File
 // registers it with the netpoller and a read parks the goroutine there
 // until the timer expires: the wake-up is the kernel's hrtimer, not the
-// netpoller's millisecond-rounded wait.
+// netpoller's millisecond-rounded wait. fd is f's descriptor, kept
+// because File.Fd would switch it back to blocking mode.
 type kernelTimer struct {
 	f   *os.File
 	fd  uintptr
