@@ -66,3 +66,44 @@ func ExampleScenarios() {
 	// Scenario1: λ=160ms (Low)
 	// Scenario2: λ=150ms (Low)
 }
+
+// ExampleTracer_Gantt draws the Figure 1 timeline that examples/quickstart
+// prints: vgg19 split into three blocks starts at 0, yolov2 arrives at 5 ms.
+// SPLIT runs yolov2 at vgg19's first block boundary; ClockWork makes it wait
+// for the whole long model.
+func ExampleTracer_Gantt() {
+	vgg, err := split.LoadModel("vgg19")
+	if err != nil {
+		panic(err)
+	}
+	yolo, err := split.LoadModel("yolov2")
+	if err != nil {
+		panic(err)
+	}
+	plan, err := split.SplitModel(vgg, 3, split.DefaultCost())
+	if err != nil {
+		panic(err)
+	}
+	catalog := split.NewCatalog(map[string]*split.Graph{"vgg19": vgg, "yolov2": yolo},
+		map[string]*split.SplitPlan{"vgg19": plan})
+	arrivals := []split.Arrival{
+		{ID: 0, Model: "vgg19", AtMs: 0},
+		{ID: 1, Model: "yolov2", AtMs: 5},
+	}
+	for _, name := range []string{"SPLIT", "ClockWork"} {
+		sys, err := split.NewSystem(name)
+		if err != nil {
+			panic(err)
+		}
+		tracer := split.NewTracer()
+		sys.Run(arrivals, catalog, tracer)
+		fmt.Printf("== %s ==\n%s", name, tracer.Gantt(0, 110, 2.2))
+	}
+	// Output:
+	// == SPLIT ==
+	// req0    vgg19      |############....########################.........|
+	// req1    yolov2     |...........######................................|
+	// == ClockWork ==
+	// req0    vgg19      |###############################..................|
+	// req1    yolov2     |..............................######.............|
+}
