@@ -157,6 +157,7 @@ func TestOutputGoldens(t *testing.T) {
 		{"fig2.resnet50.txt", []string{"fig2"}, nil},
 		{"sweep.yolov2.txt", []string{"sweep", "-model", "yolov2", "-blocks", "2", "-count", "200"}, nil},
 		{"trace.gantt.txt", []string{"trace", "-system", "SPLIT", "-scenario", "Scenario1", "-gantt", "500:1500"}, nil},
+		{"trace.gantt.RT-A.txt", []string{"trace", "-system", "RT-A", "-scenario", "Scenario1", "-gantt", "0:1000"}, nil},
 		{"trace.spans.txt", []string{"trace", "-system", "SPLIT", "-scenario", "Scenario1", "-spans"}, nil},
 		{"plan.resnet50.txt", []string{"plan", "-model", "resnet50", "-blocks", "2", "-out", "$TMP", "-save-blocks"}, map[string]string{
 			"resnet50.plan.json":   "resnet50.plan.json",

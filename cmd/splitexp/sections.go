@@ -342,38 +342,36 @@ func traceRun(w io.Writer, o *options) error {
 			run.System, o.sc.Name, o.sc.MeanIntervalMs, o.sc.Load, run.Summary.Requests)
 	}
 	fmt.Fprintln(w, run.Summary)
-	fmt.Fprint(w, tr.Analyze())
+	tree := trace.BuildSpans(tr.Events())
+	fmt.Fprint(w, tree.Analyze())
 	if o.gantt != "" {
 		fmt.Fprintf(w, "\nGantt [%.0f, %.0f] ms (models: %v):\n", o.lo, o.hi, zoo.BenchmarkModels)
 		fmt.Fprint(w, tr.Gantt(o.lo, o.hi, (o.hi-o.lo)/100))
 	}
-	if o.spans || o.perfetto != "" {
-		tree := trace.BuildSpans(tr.Events())
-		if o.spans {
-			fmt.Fprintf(w, "\nSpan decomposition (%d requests):\n", len(tree.Requests))
-			fmt.Fprint(w, tree.Summary())
-			// Concurrent baselines (RT-A, Stream-Parallel) legitimately
-			// overlap grants on one device, so problems describe the
-			// schedule's shape; they are not a failure.
-			for _, p := range tree.Problems {
-				fmt.Fprintf(w, "span invariant: %s\n", p)
-			}
+	if o.spans {
+		fmt.Fprintf(w, "\nSpan decomposition (%d requests):\n", len(tree.Requests))
+		fmt.Fprint(w, tree.Summary())
+		// Concurrent baselines (RT-A, Stream-Parallel) legitimately
+		// overlap grants on one device, so problems describe the
+		// schedule's shape; they are not a failure.
+		for _, p := range tree.Problems {
+			fmt.Fprintf(w, "span invariant: %s\n", p)
 		}
-		if o.perfetto != "" {
-			if err := writeFile(o.perfetto, tree.WritePerfetto); err != nil {
-				return err
-			}
-			// Check the written bytes against the trace-event schema, so a
-			// file chrome://tracing would reject never lands silently.
-			data, err := os.ReadFile(o.perfetto)
-			if err != nil {
-				return err
-			}
-			if _, err := trace.ValidatePerfetto(data); err != nil {
-				return fmt.Errorf("exported trace failed validation: %w", err)
-			}
-			fmt.Fprintf(w, "wrote %d spans to %s (chrome://tracing)\n", len(tree.Requests), o.perfetto)
+	}
+	if o.perfetto != "" {
+		if err := writeFile(o.perfetto, tree.WritePerfetto); err != nil {
+			return err
 		}
+		// Check the written bytes against the trace-event schema, so a
+		// file chrome://tracing would reject never lands silently.
+		data, err := os.ReadFile(o.perfetto)
+		if err != nil {
+			return err
+		}
+		if _, err := trace.ValidatePerfetto(data); err != nil {
+			return fmt.Errorf("exported trace failed validation: %w", err)
+		}
+		fmt.Fprintf(w, "wrote %d spans to %s (chrome://tracing)\n", len(tree.Requests), o.perfetto)
 	}
 	if o.timeseries != "" {
 		devices := 1

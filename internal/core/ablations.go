@@ -89,7 +89,7 @@ func (a *Ablation) Run() []Row {
 }
 
 // measure runs one arm on one workload, traced, and folds the records and
-// the trace into a Row.
+// the trace's span tree into a Row.
 func measure(w Workload, arm Arm) Row {
 	tr := trace.New()
 	recs := arm.System.Run(w.Arrivals, arm.Catalog, tr)
@@ -116,7 +116,8 @@ func measure(w Workload, arm Arm) Row {
 	if s, ok := arm.System.(*policy.Split); ok {
 		devices = max(s.Devices, 1)
 	}
-	if an := tr.Analyze(); an.HorizonMs > 0 {
+	tree := trace.BuildSpans(tr.Events())
+	if an := tree.Analyze(); an.HorizonMs > 0 {
 		util := make([]float64, devices)
 		for i := range util {
 			util[i] = an.PerDeviceBusyMs[i] / an.HorizonMs
@@ -125,10 +126,12 @@ func measure(w Workload, arm Arm) Row {
 		row.UtilMin, row.UtilMax = slices.Min(util), slices.Max(util)
 	}
 	grants := map[int]int{} // batch id → requests in it
-	for _, e := range tr.Events() {
-		if e.Kind == trace.StartBlock && e.Batch != 0 {
-			grants[e.Batch]++
-			row.LargestBatch = max(row.LargestBatch, grants[e.Batch])
+	for _, sp := range tree.Requests {
+		for _, iv := range sp.Intervals {
+			if iv.Phase == trace.PhaseExec && iv.Batch != 0 {
+				grants[iv.Batch]++
+				row.LargestBatch = max(row.LargestBatch, grants[iv.Batch])
+			}
 		}
 	}
 	row.BatchedGrants = len(grants)

@@ -186,16 +186,11 @@ func (ts *TimeSeries) ObserveOutcome(rec policy.Record) {
 	ts.mu.Unlock()
 }
 
-// ObserveBusy attributes one device hold [startMs, endMs] to the windows
-// it crosses, pro-rated.
-func (ts *TimeSeries) ObserveBusy(device int, startMs, endMs float64) {
-	ts.ObserveBusyFrac(device, startMs, endMs, 1)
-}
-
-// ObserveBusyFrac attributes one fractional device hold — a partition
-// grant occupying frac of the device — to the windows it crosses. A hold
-// of frac f for t ms contributes f·t busy-ms, so concurrent partition
-// lanes can never push a device's windowed busy fraction past 1.
+// ObserveBusyFrac attributes one device hold occupying frac of the device
+// — 1 for a whole-device hold, less for a partition grant — to the windows
+// it crosses. A hold of frac f for t ms contributes f·t busy-ms, so
+// concurrent partition lanes can never push a device's windowed busy
+// fraction past 1.
 func (ts *TimeSeries) ObserveBusyFrac(device int, startMs, endMs, frac float64) {
 	if ts == nil || endMs <= startMs || device < 0 || device >= ts.devices || frac <= 0 {
 		return
@@ -341,8 +336,9 @@ func emptyWindow(w WindowStat) bool {
 // TimeSeriesFromRun folds an offline run — the per-request records plus
 // the event trace — into the same windowed series the live server
 // produces, so `policy.Split` runs are inspectable with the exact
-// /timeseriesz semantics. Busy time comes from StartBlock/EndBlock pairs;
-// depth is sampled at every arrival from the arrive/settle balance.
+// /timeseriesz semantics. Busy time comes from the exec intervals of the
+// run's span tree, each at its Interval.Occupancy; depth is sampled at
+// every arrival from the arrive/settle balance.
 func TimeSeriesFromRun(recs []policy.Record, events []trace.Event, alpha, windowMs float64, devices int) TimeSeriesSnapshot {
 	if devices < 1 {
 		devices = 1
@@ -413,14 +409,6 @@ func TimeSeriesFromRun(recs []policy.Record, events []trace.Event, alpha, window
 		}
 	}
 
-	type open struct {
-		at  float64
-		dev int
-	}
-	opens := map[int]open{}
-	// A micro-batch shares one device hold across its members; count the
-	// occupancy once per batch id, not once per member.
-	batchDone := map[int]bool{}
 	depth := 0
 	for _, e := range events {
 		switch e.Kind {
@@ -431,21 +419,15 @@ func TimeSeriesFromRun(recs []policy.Record, events []trace.Event, alpha, window
 			if depth > 0 {
 				depth--
 			}
-		case trace.StartBlock:
-			opens[e.ReqID] = open{at: e.AtMs, dev: e.Device}
-		case trace.EndBlock:
-			o, ok := opens[e.ReqID]
-			if !ok {
-				break
+		}
+	}
+	tree := trace.BuildSpans(events)
+	counted := map[int]bool{}
+	for _, sp := range tree.Requests {
+		for _, iv := range sp.Intervals {
+			if iv.Phase == trace.PhaseExec {
+				ts.ObserveBusyFrac(iv.Device, iv.StartMs, iv.EndMs, iv.Occupancy(counted))
 			}
-			delete(opens, e.ReqID)
-			if e.Batch != 0 {
-				if batchDone[e.Batch] {
-					break
-				}
-				batchDone[e.Batch] = true
-			}
-			ts.ObserveBusy(o.dev, o.at, e.AtMs)
 		}
 	}
 	return ts.Snapshot()

@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"split/internal/model"
+	"split/internal/place"
 	"split/internal/policy"
 	"split/internal/trace"
+	"split/internal/workload"
 )
 
 // served builds a served record with the given timings.
@@ -98,10 +101,10 @@ func TestTimeSeriesEvictionLargeJump(t *testing.T) {
 // between the windows, and per-device fractions stay separate.
 func TestTimeSeriesBusyProRated(t *testing.T) {
 	ts := NewTimeSeries(4, 100, 10, 2)
-	ts.ObserveBusy(0, 50, 250) // 50ms in w0, 100ms in w1, 50ms in w2
-	ts.ObserveBusy(1, 0, 100)  // exactly w0
-	ts.ObserveBusy(2, 0, 50)   // out-of-range device: ignored
-	ts.ObserveBusy(0, 80, 80)  // empty hold: ignored
+	ts.ObserveBusyFrac(0, 50, 250, 1) // 50ms in w0, 100ms in w1, 50ms in w2
+	ts.ObserveBusyFrac(1, 0, 100, 1)  // exactly w0
+	ts.ObserveBusyFrac(2, 0, 50, 1)   // out-of-range device: ignored
+	ts.ObserveBusyFrac(0, 80, 80, 1)  // empty hold: ignored
 	snap := ts.Snapshot()
 	if len(snap.Windows) != 3 {
 		t.Fatalf("got %d windows, want 3", len(snap.Windows))
@@ -139,7 +142,7 @@ func TestTimeSeriesNilSafe(t *testing.T) {
 	var ts *TimeSeries
 	ts.ObserveArrival(1)
 	ts.ObserveOutcome(served(0, 0, 1, 1))
-	ts.ObserveBusy(0, 0, 1)
+	ts.ObserveBusyFrac(0, 0, 1, 1)
 	ts.ObserveDepth(0, 1)
 	if snap := ts.Snapshot(); len(snap.Windows) != 0 {
 		t.Errorf("nil snapshot = %+v", snap)
@@ -193,6 +196,35 @@ func TestTimeSeriesFromRun(t *testing.T) {
 	}
 }
 
+// TestOfflineOccupancyProRated: eight unsplit 60 ms requests arrive at
+// once on one device cut into two fixed-width partitions, so they run two
+// at a time at half width. The offline views count each hold at its
+// granted half, as the live server does: the device is busy for exactly
+// the makespan, not twice it.
+func TestOfflineOccupancyProRated(t *testing.T) {
+	catalog := policy.NewCatalog(map[string]*model.Graph{
+		"huge": {Name: "huge", Domain: "t", Class: model.Long, Ops: []model.Op{{Name: "h", TimeMs: 60}}},
+	}, nil)
+	arrivals := make([]workload.Arrival, 8)
+	for i := range arrivals {
+		arrivals[i] = workload.Arrival{ID: i, Model: "huge"}
+	}
+	s := policy.NewSplit()
+	s.Partitions, s.PartitionWidth, s.BatchMax = 2, place.WidthFixed, 1
+	tr := trace.New()
+	recs := s.Run(arrivals, catalog, tr)
+
+	a := tr.Analyze()
+	if math.Abs(a.HorizonMs-339.41) > 0.01 || math.Abs(a.BusyMs-a.HorizonMs) > 1e-9 || math.Abs(a.Utilization-1) > 1e-9 {
+		t.Errorf("horizon %.2f ms, busy %.2f ms, utilization %.3f; want 339.41, 339.41, 1.000",
+			a.HorizonMs, a.BusyMs, a.Utilization)
+	}
+	snap := TimeSeriesFromRun(recs, tr.Events(), 4, 1000, 1)
+	if got := snap.Windows[0].DeviceBusyFrac[0]; math.Abs(got-a.HorizonMs/1000) > 1e-9 {
+		t.Errorf("device 0 busy fraction %.4f, want %.4f", got, a.HorizonMs/1000)
+	}
+}
+
 // TestTimeSeriesDefaults: non-positive constructor arguments fall back to
 // the documented defaults.
 func TestTimeSeriesDefaults(t *testing.T) {
@@ -226,8 +258,8 @@ func TestTimeSeriesActiveDenominator(t *testing.T) {
 	// Device 0 attached the whole run; device 1 attaches at 90.
 	ts.ObserveActive(0, 0, 200)
 	ts.ObserveActive(1, 90, 200)
-	ts.ObserveBusy(0, 0, 50)
-	ts.ObserveBusy(1, 90, 150)
+	ts.ObserveBusyFrac(0, 0, 50, 1)
+	ts.ObserveBusyFrac(1, 90, 150, 1)
 	snap := ts.Snapshot()
 	if got := snap.Windows[0].DeviceBusyFrac[0]; math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("dev0 w0 = %v, want 0.5 (full-window denominator)", got)

@@ -186,7 +186,7 @@ func assertFleetInvariants(t *testing.T, label string, arrivals []workload.Arriv
 	for i := range lastEnd {
 		lastEnd[i] = -1
 	}
-	for _, sp := range tr.Spans() {
+	for _, sp := range execIntervals(tr) {
 		if want, ok := owner[sp.ReqID]; ok && sp.Device != want {
 			t.Fatalf("%s: req %d ran a block on device %d but was recorded on %d", label, sp.ReqID, sp.Device, want)
 		}

@@ -81,7 +81,7 @@ func TestPartitionLanesOverlapInVirtualTime(t *testing.T) {
 			t.Fatalf("req %d finished at %.2fms, want ~84.85 (stretched concurrent run)", r.ID, r.DoneMs)
 		}
 	}
-	spans := tr.Spans()
+	spans := execIntervals(tr)
 	if len(spans) != 2 {
 		t.Fatalf("%d exec spans, want 2: %+v", len(spans), spans)
 	}

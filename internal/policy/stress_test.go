@@ -3,6 +3,7 @@ package policy
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"split/internal/trace"
@@ -83,6 +84,27 @@ func TestStressInvariantsAllSystems(t *testing.T) {
 	}
 }
 
+// reqInterval is one exec interval of a traced run, with its request.
+type reqInterval struct {
+	ReqID int
+	trace.Interval
+}
+
+// execIntervals folds a traced run and returns every exec interval of its
+// span tree, ordered by start time.
+func execIntervals(tr *trace.Tracer) []reqInterval {
+	var out []reqInterval
+	for _, sp := range trace.BuildSpans(tr.Events()).Requests {
+		for _, iv := range sp.Intervals {
+			if iv.Phase == trace.PhaseExec {
+				out = append(out, reqInterval{sp.ReqID, iv})
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].StartMs < out[j].StartMs })
+	return out
+}
+
 // TestStressSequentialNonOverlap verifies device exclusivity for the
 // sequential systems over adversarial traces.
 func TestStressSequentialNonOverlap(t *testing.T) {
@@ -92,7 +114,7 @@ func TestStressSequentialNonOverlap(t *testing.T) {
 		for _, sys := range []System{NewSplit(), NewClockWork(), NewPREMA(), NewPREMANPU(), NewREEF()} {
 			tr := trace.New()
 			sys.Run(arrivals, catalog, tr)
-			spans := tr.Spans()
+			spans := execIntervals(tr)
 			for i := 1; i < len(spans); i++ {
 				if spans[i].StartMs < spans[i-1].EndMs-1e-6 {
 					t.Fatalf("seed %d %s: overlapping spans [%f,%f] and [%f,%f]",

@@ -2,68 +2,9 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
-
-// Span is one contiguous device occupancy interval by a request.
-type Span struct {
-	ReqID int
-	Model string
-	Block int
-	// Device is the fleet device the block ran on (0 single-device).
-	Device int
-	// Part is the device partition the block ran on (0 unpartitioned).
-	Part int
-	// Batch is the micro-batch id of the grant (0 unbatched); the members
-	// of one batch share one device hold.
-	Batch   int
-	StartMs float64
-	EndMs   float64
-}
-
-// DurationMs returns the span length.
-func (s Span) DurationMs() float64 { return s.EndMs - s.StartMs }
-
-// Spans pairs StartBlock/EndBlock events into device occupancy intervals,
-// ordered by start time. Unpaired starts (still in flight at trace end) are
-// dropped.
-func (t *Tracer) Spans() []Span {
-	type open struct {
-		at     float64
-		block  int
-		device int
-		part   int
-		batch  int
-		model  string
-	}
-	pending := map[int]open{}
-	var spans []Span
-	t.walk(func(e *Event) error {
-		switch e.Kind {
-		case StartBlock:
-			pending[e.ReqID] = open{at: e.AtMs, block: e.Block, device: e.Device, part: int(e.Part), batch: e.Batch, model: e.Model}
-		case EndBlock:
-			if o, ok := pending[e.ReqID]; ok {
-				spans = append(spans, Span{
-					ReqID:   e.ReqID,
-					Model:   o.model,
-					Block:   o.block,
-					Device:  o.device,
-					Part:    o.part,
-					Batch:   o.batch,
-					StartMs: o.at,
-					EndMs:   e.AtMs,
-				})
-				delete(pending, e.ReqID)
-			}
-		}
-		return nil
-	})
-	sort.Slice(spans, func(i, j int) bool { return spans[i].StartMs < spans[j].StartMs })
-	return spans
-}
 
 // Analysis summarizes device behaviour over a trace.
 type Analysis struct {
@@ -86,63 +27,63 @@ type Analysis struct {
 	PerDeviceBusyMs map[int]float64
 	// Preemptions counts preempt events.
 	Preemptions int
-	// Completions counts complete events.
+	// Completions counts served requests.
 	Completions int
 }
 
-// Analyze computes the occupancy analysis of the trace.
+// Analyze is shorthand for the occupancy analysis of the trace's span
+// tree.
 func (t *Tracer) Analyze() Analysis {
-	a := Analysis{PerModelBusyMs: map[string]float64{}, PerDeviceBusyMs: map[int]float64{}}
-	if t.Len() == 0 {
-		return a
+	return BuildSpans(t.Events()).Analyze()
+}
+
+// Analyze computes the device occupancy of the tree's exec intervals, each
+// hold at the share of its device it occupies (Interval.Occupancy), summed
+// in start-time order. A grant still open at the stream's end counts up to
+// the stream's last event (see SpanTree).
+func (t *SpanTree) Analyze() Analysis {
+	a := Analysis{HorizonMs: t.LastMs - t.FirstMs,
+		PerModelBusyMs: map[string]float64{}, PerDeviceBusyMs: map[int]float64{}}
+	type hold struct {
+		iv    *Interval
+		model string
 	}
-	first, last := math.Inf(1), math.Inf(-1)
-	t.walk(func(e *Event) error {
-		if e.AtMs < first {
-			first = e.AtMs
-		}
-		if e.AtMs > last {
-			last = e.AtMs
-		}
-		switch e.Kind {
-		case Preempt:
-			a.Preemptions++
-		case Complete:
+	var holds []hold
+	for i := range t.Requests {
+		sp := &t.Requests[i]
+		a.Preemptions += sp.Preemptions
+		if sp.Outcome == SpanOutcomeServed {
 			a.Completions++
 		}
-		return nil
-	})
-	a.HorizonMs = last - first
-
-	spans := t.Spans()
-	// A micro-batch's members share one device hold: count it once per
-	// batch id, not once per member.
-	counted := map[int]bool{}
-	for _, s := range spans {
-		if s.Batch != 0 {
-			if counted[s.Batch] {
-				continue
+		for j := range sp.Intervals {
+			if iv := &sp.Intervals[j]; iv.Phase == PhaseExec {
+				holds = append(holds, hold{iv, sp.Model})
 			}
-			counted[s.Batch] = true
 		}
-		a.BusyMs += s.DurationMs()
-		a.PerModelBusyMs[s.Model] += s.DurationMs()
-		a.PerDeviceBusyMs[s.Device] += s.DurationMs()
+	}
+	sort.SliceStable(holds, func(i, j int) bool { return holds[i].iv.StartMs < holds[j].iv.StartMs })
+
+	counted := map[int]bool{}
+	for _, h := range holds {
+		if occ := h.iv.Occupancy(counted); occ > 0 {
+			busy := h.iv.DurationMs() * occ
+			a.BusyMs += busy
+			a.PerModelBusyMs[h.model] += busy
+			a.PerDeviceBusyMs[h.iv.Device] += busy
+		}
 	}
 	if a.HorizonMs > 0 {
 		a.Utilization = a.BusyMs / a.HorizonMs
 	}
 
-	// Merge overlapping/contiguous spans into busy periods.
+	// Merge overlapping/contiguous holds into busy periods.
 	const eps = 1e-9
 	var curStart, curEnd float64
-	started := false
 	var periods []float64
-	for _, s := range spans {
-		switch {
-		case !started:
+	for i, h := range holds {
+		switch s := h.iv; {
+		case i == 0:
 			curStart, curEnd = s.StartMs, s.EndMs
-			started = true
 		case s.StartMs <= curEnd+eps:
 			if s.EndMs > curEnd {
 				curEnd = s.EndMs
@@ -152,7 +93,7 @@ func (t *Tracer) Analyze() Analysis {
 			curStart, curEnd = s.StartMs, s.EndMs
 		}
 	}
-	if started {
+	if len(holds) > 0 {
 		periods = append(periods, curEnd-curStart)
 	}
 	a.BusyPeriods = len(periods)

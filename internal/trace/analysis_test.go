@@ -23,27 +23,31 @@ func sampleTrace() *Tracer {
 	return tr
 }
 
+// TestSpans: the span tree pairs each StartBlock with its EndBlock into
+// one exec interval of its request.
 func TestSpans(t *testing.T) {
-	spans := sampleTrace().Spans()
-	if len(spans) != 4 {
-		t.Fatalf("%d spans", len(spans))
+	tree := BuildSpans(sampleTrace().Events())
+	execs := map[int][]Interval{}
+	n := 0
+	for _, sp := range tree.Requests {
+		for _, iv := range sp.Intervals {
+			if iv.Phase == PhaseExec {
+				execs[sp.ReqID] = append(execs[sp.ReqID], iv)
+				n++
+			}
+		}
 	}
-	if spans[0].ReqID != 1 || spans[0].DurationMs() != 10 {
-		t.Errorf("span0 = %+v", spans[0])
+	if n != 4 {
+		t.Fatalf("%d exec intervals", n)
 	}
-	if spans[1].Model != "yolo" || spans[1].StartMs != 10 {
-		t.Errorf("span1 = %+v", spans[1])
+	if r1 := execs[1]; r1[0].StartMs != 0 || r1[0].DurationMs() != 10 {
+		t.Errorf("req 1 first interval = %+v", r1[0])
 	}
-	if spans[2].Block != 1 {
-		t.Errorf("span2 block = %d", spans[2].Block)
+	if r2 := execs[2]; tree.Span(2).Model != "yolo" || r2[0].StartMs != 10 {
+		t.Errorf("req 2 = %s %+v", tree.Span(2).Model, r2[0])
 	}
-}
-
-func TestSpansDropUnpaired(t *testing.T) {
-	tr := New()
-	tr.Record(ev(0, StartBlock, 1, "m", 0))
-	if len(tr.Spans()) != 0 {
-		t.Error("unpaired start produced a span")
+	if r1 := execs[1]; r1[1].Block != 1 {
+		t.Errorf("req 1 second interval block = %d", r1[1].Block)
 	}
 }
 

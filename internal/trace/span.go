@@ -42,6 +42,25 @@ func (iv Interval) DurationMs() float64 { return iv.EndMs - iv.StartMs }
 // Detail renders the interval's note, the source event's detail.
 func (iv Interval) Detail() string { return iv.Note.render(&iv.Args) }
 
+// Occupancy is the share of its device an exec interval's hold occupies:
+// the granted fraction when the source StartBlock's note carries one, 1
+// otherwise. The members of a micro-batch share one hold, so it counts once
+// per batch id: counted records the batch ids already seen, and every later
+// member of a batch occupies 0. A batched partition hold's note carries its
+// member count, not its fraction, so it counts whole.
+func (iv Interval) Occupancy(counted map[int]bool) float64 {
+	if iv.Batch != 0 {
+		if counted[iv.Batch] {
+			return 0
+		}
+		counted[iv.Batch] = true
+	}
+	if iv.Note == NoteDurFrac {
+		return iv.Args[1]
+	}
+	return 1
+}
+
 // RequestSpan is one request's causal span tree: its lifetime decomposed
 // into wait / exec / preempted intervals, with the derived quantities the
 // paper's Figures 6 and 7 are built from.
@@ -92,7 +111,11 @@ const SpanOutcomeServed = "served"
 
 // SpanTree is the folded view of a whole event stream: one RequestSpan per
 // request plus per-device occupancy lanes, with the invariant problems
-// found while folding.
+// found while folding. Its exec intervals are the only pairing of a
+// grant's StartBlock with its EndBlock that the offline views (Analyze,
+// Gantt, obs.TimeSeriesFromRun) read. A grant still open when the stream
+// ends, on a request that never settled, is closed at the stream's last
+// event; a completed simulator run leaves none open.
 type SpanTree struct {
 	Requests []RequestSpan `json:"requests"`
 	// FirstMs/LastMs bound the analysed stream.

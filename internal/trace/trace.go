@@ -11,6 +11,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -276,42 +277,9 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 
 // Gantt renders an ASCII Gantt chart of block executions between startMs and
 // endMs: one row per request, one column per cell of width cellMs, '#' where
-// a block of that request occupies the device. Requests are ordered by first
-// execution.
+// an exec interval of the request's span (SpanTree) occupies the device.
+// Requests are ordered by first execution, ties by request id.
 func (t *Tracer) Gantt(startMs, endMs, cellMs float64) string {
-	type span struct{ s, e float64 }
-	spans := map[int][]span{}
-	labels := map[int]string{}
-	open := map[int]float64{}
-	firstRun := map[int]float64{}
-	t.walk(func(e *Event) error {
-		switch e.Kind {
-		case StartBlock:
-			open[e.ReqID] = e.AtMs
-			labels[e.ReqID] = e.Model
-			if _, ok := firstRun[e.ReqID]; !ok {
-				firstRun[e.ReqID] = e.AtMs
-			}
-		case EndBlock:
-			if s, ok := open[e.ReqID]; ok {
-				spans[e.ReqID] = append(spans[e.ReqID], span{s, e.AtMs})
-				delete(open, e.ReqID)
-			}
-		}
-		return nil
-	})
-	// Only render requests that actually occupy the window.
-	ids := make([]int, 0, len(spans))
-	for id, ss := range spans {
-		for _, sp := range ss {
-			if sp.e > startMs && sp.s < endMs {
-				ids = append(ids, id)
-				break
-			}
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return firstRun[ids[i]] < firstRun[ids[j]] })
-
 	if cellMs <= 0 {
 		cellMs = (endMs - startMs) / 80
 	}
@@ -319,22 +287,42 @@ func (t *Tracer) Gantt(startMs, endMs, cellMs float64) string {
 	if cols <= 0 {
 		return ""
 	}
-	var b strings.Builder
-	for _, id := range ids {
-		row := make([]byte, cols)
-		for i := range row {
-			row[i] = '.'
-		}
-		for _, sp := range spans[id] {
-			lo := int((sp.s - startMs) / cellMs)
-			hi := int((sp.e - startMs) / cellMs)
-			for c := lo; c <= hi && c < cols; c++ {
-				if c >= 0 {
-					row[c] = '#'
-				}
+	type row struct {
+		sp    *RequestSpan
+		first float64 // start of the first exec interval
+	}
+	tree := BuildSpans(t.Events())
+	var rows []row
+	for i := range tree.Requests {
+		sp := &tree.Requests[i]
+		r, inWindow := row{sp: sp, first: math.Inf(1)}, false
+		for _, iv := range sp.Intervals {
+			if iv.Phase == PhaseExec {
+				r.first = min(r.first, iv.StartMs)
+				inWindow = inWindow || iv.EndMs > startMs && iv.StartMs < endMs
 			}
 		}
-		fmt.Fprintf(&b, "req%-4d %-10s |%s|\n", id, labels[id], row)
+		if inWindow {
+			rows = append(rows, r)
+		}
+	}
+	// The requests are in id order, so a stable sort breaks ties by id.
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].first < rows[j].first })
+
+	var b strings.Builder
+	for _, r := range rows {
+		cells := []byte(strings.Repeat(".", cols))
+		for _, iv := range r.sp.Intervals {
+			if iv.Phase != PhaseExec {
+				continue
+			}
+			lo := int((iv.StartMs - startMs) / cellMs)
+			hi := int((iv.EndMs - startMs) / cellMs)
+			for c := max(lo, 0); c <= hi && c < cols; c++ {
+				cells[c] = '#'
+			}
+		}
+		fmt.Fprintf(&b, "req%-4d %-10s |%s|\n", r.sp.ReqID, r.sp.Model, cells)
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -106,12 +107,44 @@ func TestGanttEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-func TestGanttIgnoresUnpairedStart(t *testing.T) {
+// TestGanttDrawsOpenGrantToStreamEnd: a grant still open when the stream
+// ends is drawn up to the stream's last event, as the span tree closes it.
+func TestGanttDrawsOpenGrantToStreamEnd(t *testing.T) {
 	tr := New()
 	tr.Record(ev(0, StartBlock, 1, "m", 0))
-	// No EndBlock: span never closes, so no rows.
-	if got := tr.Gantt(0, 10, 1); got != "" {
-		t.Errorf("unpaired start rendered: %q", got)
+	tr.Record(ev(5, Arrive, 2, "m", 0))
+	want := "req1    m          |######....|\n"
+	if got := tr.Gantt(0, 10, 1); got != want {
+		t.Errorf("open grant rendered %q, want %q", got, want)
+	}
+}
+
+// TestGanttTiesInRequestOrder: requests that start at one instant — an
+// RT-A round of ten, emitted in no particular id order — render in request
+// id order, the same on every call.
+func TestGanttTiesInRequestOrder(t *testing.T) {
+	ids := []int{7, 2, 9, 0, 5, 3, 8, 1, 6, 4}
+	tr := New()
+	for _, id := range ids {
+		tr.Record(ev(0, StartBlock, id, "m", 0))
+	}
+	for i, id := range ids {
+		tr.Record(ev(float64(2+i), EndBlock, id, "m", 0))
+	}
+	first := tr.Gantt(0, 12, 1)
+	lines := strings.Split(strings.TrimSuffix(first, "\n"), "\n")
+	if len(lines) != len(ids) {
+		t.Fatalf("%d rows, want %d:\n%s", len(lines), len(ids), first)
+	}
+	for id, line := range lines {
+		if !strings.HasPrefix(line, fmt.Sprintf("req%-4d ", id)) {
+			t.Errorf("row %d = %q, want req %d", id, line, id)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if got := tr.Gantt(0, 12, 1); got != first {
+			t.Fatalf("render %d differs:\n%s\nfirst:\n%s", i, got, first)
+		}
 	}
 }
 
