@@ -59,13 +59,6 @@ type Knobs struct {
 	// waiting request whose predicted response ratio already reaches this
 	// value cannot be passed by later arrivals. See sched.Queue.
 	StarveGuardRR float64
-	// AlphaByClass optionally assigns class-specific latency-target
-	// multipliers (§2.2: "the latency target for short requests are usually
-	// stricter than for long requests"). Classes not present fall back to
-	// Alpha. A stricter (smaller) short-class α shrinks short targets,
-	// which both tightens their violation accounting and raises their
-	// scheduling priority through Algorithm 1's E·T ordering.
-	AlphaByClass map[model.RequestClass]float64
 	// EnforceDeadlines derives an absolute deadline ArriveMs + α·t_ext for
 	// every request (unless the arrival supplies its own) and sheds expired
 	// requests at block boundaries instead of letting them keep occupying
@@ -680,9 +673,6 @@ func (e *Engine) Arrive(now float64, job *Job) *Arrival {
 	r.Init(job.ID, job.Model, job.Class, now, job.ExtMs, blocks)
 	r.Device = dev
 	r.Partition = ln.part
-	if alpha, ok := e.k.AlphaByClass[job.Class]; ok {
-		r.AlphaOverride = alpha
-	}
 	if job.DeadlineMs > 0 {
 		r.DeadlineMs = now + job.DeadlineMs
 	} else if e.k.EnforceDeadlines {
@@ -913,17 +903,13 @@ func (e *Engine) fate(ln *lane, m *sched.Request, now float64, terminal bool, st
 }
 
 // observe feeds the autoscaler's rolling violation window: a shed request
-// violated its target by definition, a served one if RR > α (honoring its
-// class override) — the predicate of metrics.ViolationRate.
+// violated its target by definition, a served one if RR > α — the
+// predicate of metrics.ViolationRate.
 func (e *Engine) observe(r *sched.Request, shed bool) {
 	if e.window == nil {
 		return
 	}
-	alpha := e.k.Alpha
-	if r.AlphaOverride > 0 {
-		alpha = r.AlphaOverride
-	}
-	e.window.Observe(shed || r.ResponseRatio() > alpha)
+	e.window.Observe(shed || r.ResponseRatio() > e.k.Alpha)
 }
 
 // detachIfDrained releases a draining device (scaled in while loaded) the

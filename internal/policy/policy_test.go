@@ -496,55 +496,3 @@ func TestAlgorithm1AverageScanIsShort(t *testing.T) {
 		t.Errorf("mean scan %.2f comparisons per insertion — expected a small constant", meanScan)
 	}
 }
-
-// TestPerClassAlphaTightensShortPriority: giving shorts a stricter target
-// (smaller α) than longs raises their queue priority via the E·T ordering
-// and lowers their violation rate against their own targets.
-func TestPerClassAlphaTightensShortPriority(t *testing.T) {
-	catalog := synthCatalog()
-	arrivals := scenarioArrivals(8)
-
-	uniform := NewSplit()
-	classed := NewSplit()
-	classed.AlphaByClass = map[model.RequestClass]float64{
-		model.Short: 2, // strict: shorts must finish within 2x
-		model.Long:  8, // lenient
-	}
-	ur := uniform.Run(arrivals, catalog, nil)
-	cr := classed.Run(arrivals, catalog, nil)
-
-	meanShortWait := func(recs []Record) float64 {
-		var s float64
-		n := 0
-		for _, r := range recs {
-			if r.Class == model.Short {
-				s += r.WaitMs()
-				n++
-			}
-		}
-		return s / float64(n)
-	}
-	if meanShortWait(cr) > meanShortWait(ur)+1e-9 {
-		t.Errorf("strict short targets did not reduce short waits: %.3f vs %.3f",
-			meanShortWait(cr), meanShortWait(ur))
-	}
-
-	// Violations measured against the class-specific targets.
-	violations := func(recs []Record) int {
-		n := 0
-		for _, r := range recs {
-			target := 2.0
-			if r.Class == model.Long {
-				target = 8.0
-			}
-			if r.ResponseRatio() > target {
-				n++
-			}
-		}
-		return n
-	}
-	if violations(cr) > violations(ur) {
-		t.Errorf("class-aware scheduling violated more class targets: %d vs %d",
-			violations(cr), violations(ur))
-	}
-}

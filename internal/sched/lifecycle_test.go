@@ -31,14 +31,6 @@ func TestDeadlinePredicates(t *testing.T) {
 	if r.Doomed(205) {
 		t.Error("doomed with only one block left and 15 ms of slack")
 	}
-
-	// AlphaOverride flows into the deadline.
-	o := newReq(2, "m", 0, 10)
-	o.AlphaOverride = 2
-	o.SetDeadline(4)
-	if o.DeadlineMs != 20 {
-		t.Errorf("override deadline = %v, want 20", o.DeadlineMs)
-	}
 }
 
 func TestQueueRemove(t *testing.T) {

@@ -44,11 +44,6 @@ type Request struct {
 	// Preemptions counts how many times the request was passed by a later
 	// arrival between its blocks.
 	Preemptions int
-	// AlphaOverride, when > 0, replaces the queue-wide α for this request's
-	// latency target — the §2.2 observation that short requests usually
-	// carry stricter targets than long ones. 0 keeps the queue default
-	// (the paper's uniform-α evaluation setting).
-	AlphaOverride float64
 	// DeadlineMs is the absolute deadline on the caller's clock: once it
 	// passes, the request must never be granted the device for another
 	// block — it is shed at the next block boundary instead (the
@@ -89,7 +84,7 @@ func (r *Request) Init(id int, modelName string, class model.RequestClass, arriv
 	r.ID, r.Model, r.Class = id, modelName, class
 	r.ArriveMs, r.ExtMs, r.BlockTimes = arriveMs, extMs, blocks
 	r.Next, r.StartMs, r.DoneMs, r.Preemptions = 0, -1, -1, 0
-	r.AlphaOverride, r.DeadlineMs, r.Canceled = 0, 0, false
+	r.DeadlineMs, r.Canceled = 0, false
 	r.Device, r.Partition, r.Tag = 0, 0, 0
 }
 
@@ -114,17 +109,13 @@ func (r *Request) PlannedMs() float64 {
 // Finished reports whether every block has been committed.
 func (r *Request) Finished() bool { return r.Next >= len(r.BlockTimes) }
 
-// TargetMs returns the latency target α·t_ext (§3.4 footnote 3), honoring
-// the request's AlphaOverride when set.
+// TargetMs returns the latency target α·t_ext (§3.4 footnote 3).
 func (r *Request) TargetMs(alpha float64) float64 {
-	if r.AlphaOverride > 0 {
-		alpha = r.AlphaOverride
-	}
 	return alpha * r.ExtMs
 }
 
 // SetDeadline derives the absolute deadline from the latency target:
-// ArriveMs + α·t_ext (honoring AlphaOverride). A request that completes at
+// ArriveMs + α·t_ext. A request that completes at
 // its deadline has RR exactly α, so "expired" and "target blown" coincide.
 func (r *Request) SetDeadline(alpha float64) {
 	r.DeadlineMs = r.ArriveMs + r.TargetMs(alpha)
