@@ -87,13 +87,10 @@ type Knobs struct {
 	// BatchMax enables same-type micro-batching when > 1: at a block
 	// boundary the granted request may coalesce up to BatchMax same-model,
 	// same-boundary queue-front neighbors into one batched device grant
-	// (sched.BatchPlanner), executed under the BatchCost model. <= 1 — the
+	// (sched.BatchPlanner), priced by gpusim.DefaultBatchCost(). <= 1 — the
 	// default — grants batches of one and reproduces prior records and
 	// traces bit-for-bit.
 	BatchMax int
-	// BatchCost prices batched block execution; the zero value means
-	// gpusim.DefaultBatchCost(). Ignored unless BatchMax > 1.
-	BatchCost gpusim.BatchCost
 	// Partitions enables spatial sharing when > 1: every device is split
 	// into that many concurrent partition slots (gpusim
 	// ConfigurePartitions), each with its own scheduling lane — queue,
@@ -509,7 +506,7 @@ func New(k Knobs) (*Engine, error) {
 		placer:    placer,
 		spatial:   spatial,
 		planner:   sched.BatchPlanner{Max: k.BatchMax},
-		batchCost: k.BatchCost.OrDefault(),
+		batchCost: gpusim.DefaultBatchCost(),
 		partCost:  k.PartitionCost.OrDefault(),
 		parts:     parts,
 		active:    active,

@@ -60,40 +60,31 @@ func ids(rs []*sched.Request) []int {
 }
 
 // TestArriveReportsAlgorithm1: Pos is Algorithm 1's position and Scanned
-// its scan length — checked against sched's own explain path run on a copy
-// of the queue, since the engine derives the scan length arithmetically.
+// its scan length, the neighbor comparisons it made, which the engine
+// derives arithmetically from Pos; the wanted counts are derived by hand.
 func TestArriveReportsAlgorithm1(t *testing.T) {
 	e := mustNew(t, Knobs{Alpha: 4})
 	if _, g := arrive(e, 0, job(0, "long")); !g.OK || g.Batch[0].ID != 0 || g.HoldMs != 10 {
 		t.Fatalf("first arrival on an idle lane not granted its first block: %+v", g)
 	}
 	for i, c := range []struct {
-		model   string
-		wantPos int
+		model       string
+		wantPos     int
+		wantScanned int
 	}{
-		{"long", 0},  // empty queue
-		{"short", 0}, // E·T smaller than the long's: passes it
-		{"long", 2},  // FIFO behind the same-task long, which stops the scan
-		{"short", 1}, // FIFO behind the first short, ahead of both longs
+		{"long", 0, 0},  // empty queue: nothing to compare
+		{"short", 0, 1}, // E·T smaller than the long's: passes it
+		{"long", 2, 1},  // FIFO behind the same-task long, which stops the scan
+		{"short", 1, 3}, // passes both longs, FIFO-stopped by the first short
 	} {
 		id, now := i+1, float64(i+1)
-		shadow := sched.NewQueue(4)
-		for _, r := range e.Queue(0).Requests() {
-			cp := *r
-			shadow.PushBack(&cp)
-		}
-		j := job(id, c.model)
-		wantPos, decisions := shadow.InsertGreedyExplain(now,
-			sched.NewRequest(id, j.Model, j.Class, now, j.ExtMs, j.Plan))
-		a := e.Arrive(now, j)
+		a := e.Arrive(now, job(id, c.model))
 		if a.Idle || a.Rejected {
 			t.Fatalf("arrival %d: idle=%v rejected=%v on a busy lane", id, a.Idle, a.Rejected)
 		}
-		if a.Pos != c.wantPos || a.Pos != wantPos {
-			t.Errorf("arrival %d (%s): pos %d, want %d (explain says %d)", id, c.model, a.Pos, c.wantPos, wantPos)
-		}
-		if a.Scanned != len(decisions) || a.QueueLen != i {
-			t.Errorf("arrival %d: scanned %d qlen %d, want %d and %d", id, a.Scanned, a.QueueLen, len(decisions), i)
+		if a.Pos != c.wantPos || a.Scanned != c.wantScanned || a.QueueLen != i {
+			t.Errorf("arrival %d (%s): pos %d scanned %d qlen %d, want %d, %d and %d",
+				id, c.model, a.Pos, a.Scanned, a.QueueLen, c.wantPos, c.wantScanned, i)
 		}
 	}
 	if got := ids(e.Queue(0).Requests()); !slices.Equal(got, []int{2, 4, 1, 3}) {

@@ -37,15 +37,6 @@ func DefaultBatchCost() BatchCost {
 	return BatchCost{SetupFrac: 0.25, EffGain: 0.5}
 }
 
-// OrDefault returns c, or DefaultBatchCost for the zero value — so config
-// structs can carry a BatchCost without forcing every caller to fill it in.
-func (c BatchCost) OrDefault() BatchCost {
-	if c == (BatchCost{}) {
-		return DefaultBatchCost()
-	}
-	return c
-}
-
 // Efficiency returns eff(n) = (1−EffGain) + EffGain/n, clamping EffGain
 // into [0, 1]. Efficiency(1) is exactly 1.
 func (c BatchCost) Efficiency(n int) float64 {

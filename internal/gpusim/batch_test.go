@@ -55,16 +55,6 @@ func TestBatchCostSublinear(t *testing.T) {
 	}
 }
 
-func TestBatchCostOrDefault(t *testing.T) {
-	if got := (BatchCost{}).OrDefault(); got != DefaultBatchCost() {
-		t.Errorf("zero OrDefault = %+v, want default", got)
-	}
-	set := BatchCost{SetupFrac: 0.5, EffGain: 0.1}
-	if got := set.OrDefault(); got != set {
-		t.Errorf("OrDefault overwrote explicit cost: %+v", got)
-	}
-}
-
 // TestDeviceBatchAccounting: a batched grant is one hold like any other —
 // the ledger counts one block and its time per hold, whatever the batch
 // size, and a batch cannot share the device with another hold.

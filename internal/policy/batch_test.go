@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"split/internal/engine"
-	"split/internal/gpusim"
 	"split/internal/sched"
 	"split/internal/trace"
 	"split/internal/workload"
@@ -38,7 +37,6 @@ func TestBatchingDisabledIdentity(t *testing.T) {
 			Faults:           fleetFaults(),
 			Devices:          devices,
 			BatchMax:         batchMax,
-			BatchCost:        gpusim.DefaultBatchCost(),
 		}}
 	}
 	for _, devices := range []int{1, 2} {

@@ -60,7 +60,7 @@ func TestSplitGoldenDigests(t *testing.T) {
 		sys    *Split
 		traced uint64
 		// untraced is the digest of the records of a run with a nil tracer,
-		// whose Arrive events skip Algorithm 1's explain path.
+		// which narrates nothing.
 		untraced uint64
 	}{
 		{"plain-1dev", plain, 0x8f89a3519d62cb88, 0x15784b6a86880dd4},

@@ -1,6 +1,11 @@
 package sched
 
 import (
+	"cmp"
+	"math"
+	"math/bits"
+	"slices"
+	"sort"
 	"testing"
 
 	"split/internal/model"
@@ -22,15 +27,162 @@ func assertNoLeakedSlots(t *testing.T, q *Queue) {
 	}
 }
 
+// key is Algorithm 1's sort key E·T: swapBeneficial(a, b) is exactly
+// key(b) < key(a), so the scan is Smith's rule (WSPT with weight 1/T) under
+// same-task FIFO chains.
+func key(r *Request, alpha float64) float64 {
+	return r.RemainingMs() * r.TargetMs(alpha)
+}
+
+// rrCost is Σ PredictedRR of order run front to back, each ratio taken at
+// its request's own arrival. That drops the waited term, which is the same
+// in every order, and leaves Σ (W+E)/T with W the work queued ahead.
+func rrCost(order []*Request, alpha float64) float64 {
+	var sum, wait float64
+	for _, r := range order {
+		sum += r.PredictedRR(r.ArriveMs, wait, alpha)
+		wait += r.RemainingMs()
+	}
+	return sum
+}
+
+// fifoOptimum is the least rrCost over every order of reqs that keeps each
+// task's requests in arrival order: a DP over the sets that can run first,
+// exact because a set's total work, and so the wait of whatever runs next,
+// does not depend on the set's own order. Exponential in len(reqs).
+func fifoOptimum(reqs []*Request, alpha float64) float64 {
+	n := len(reqs)
+	after := make([]int, n) // the same-task earlier arrivals each must follow
+	for i, r := range reqs {
+		for j, s := range reqs {
+			if s.Model == r.Model && s.ArriveMs < r.ArriveMs {
+				after[i] |= 1 << j
+			}
+		}
+	}
+	work := make([]float64, 1<<n)
+	best := make([]float64, 1<<n)
+	for set := 1; set < len(best); set++ {
+		work[set] = work[set&(set-1)] + reqs[bits.TrailingZeros(uint(set))].RemainingMs()
+		best[set] = math.Inf(1)
+	}
+	for set, cost := range best {
+		for i, r := range reqs {
+			if set&(1<<i) != 0 || after[i]&^set != 0 {
+				continue
+			}
+			next := set | 1<<i
+			best[next] = min(best[next], cost+r.PredictedRR(r.ArriveMs, work[set], alpha))
+		}
+	}
+	return best[len(best)-1]
+}
+
+// oracleMaxLen bounds the queues fifoOptimum checks: 2^12 sets.
+const oracleMaxLen = 12
+
+// chainsMonotone reports whether every task's queued requests, in queue
+// (arrival) order, have non-decreasing keys — the condition under which the
+// FIFO chains never bind and Smith's rule is optimal.
+func chainsMonotone(reqs []*Request, alpha float64) bool {
+	last := map[string]float64{}
+	for _, r := range reqs {
+		k := key(r, alpha)
+		if prev, ok := last[r.Model]; ok && k < prev {
+			return false
+		}
+		last[r.Model] = k
+	}
+	return true
+}
+
+// insertChecked runs InsertGreedy(nowMs, r) and holds the result to
+// Algorithm 1's theory. fresh marks a new arrival rather than a
+// block-boundary re-insert. *monotone says whether every queue state so far
+// had key-monotone FIFO chains, and is updated for the state after this
+// insert.
+//
+// Always: the requests the scan passed — from the FIFO ceiling down to
+// pos — are each from another task, keyed strictly above r and, with the
+// starve guard on, no barrier at nowMs; the request left ahead of r is a
+// same-task earlier arrival, a barrier, or keyed at most r's key.
+//
+// With the guard off and *monotone still true: the queue is sorted by key,
+// a fresh arrival sits at the upper bound of its key, and Σ PredictedRR is
+// the FIFO-respecting optimum.
+func insertChecked(t *testing.T, q *Queue, nowMs float64, r *Request, fresh bool, monotone *bool) {
+	t.Helper()
+	before := slices.Clone(q.Requests())
+	pos := q.InsertGreedy(nowMs, r)
+	if want := slices.Insert(slices.Clone(before), pos, r); !slices.Equal(q.Requests(), want) {
+		t.Fatalf("request %d: queue is not the old one with it inserted at %d", r.ID, pos)
+	}
+	ceiling := len(before)
+	for i, s := range before {
+		if s.Model == r.Model && s.ArriveMs > r.ArriveMs {
+			ceiling = i
+			break
+		}
+	}
+	if pos > ceiling {
+		t.Fatalf("request %d at %d, behind its FIFO ceiling %d", r.ID, pos, ceiling)
+	}
+	alpha, kr := q.Alpha, key(r, q.Alpha)
+	barrier := func(s *Request) bool {
+		return q.StarveGuardRR > 0 && s.PredictedPlainRR(nowMs, 0) >= q.StarveGuardRR
+	}
+	for _, s := range before[pos:ceiling] {
+		if s.Model == r.Model || key(s, alpha) <= kr || barrier(s) {
+			t.Fatalf("request %d (key %v) passed request %d (%s, key %v, barrier %v)",
+				r.ID, kr, s.ID, s.Model, key(s, alpha), barrier(s))
+		}
+	}
+	if pos > 0 {
+		s := before[pos-1]
+		if !(s.Model == r.Model && s.ArriveMs <= r.ArriveMs) && !barrier(s) && key(s, alpha) > kr {
+			t.Fatalf("request %d (key %v) stopped behind request %d (%s, key %v) it should pass",
+				r.ID, kr, s.ID, s.Model, key(s, alpha))
+		}
+	}
+	reqs := q.Requests()
+	*monotone = *monotone && chainsMonotone(reqs, alpha)
+	if q.StarveGuardRR > 0 || !*monotone {
+		return
+	}
+	if !slices.IsSortedFunc(reqs, func(a, b *Request) int { return cmp.Compare(key(a, alpha), key(b, alpha)) }) {
+		t.Fatalf("monotone chains, yet the queue is not sorted by key after request %d", r.ID)
+	}
+	if fresh {
+		if upper := sort.Search(len(before), func(i int) bool { return key(before[i], alpha) > kr }); pos != upper {
+			t.Fatalf("fresh request %d at %d, want its key's upper bound %d", r.ID, pos, upper)
+		}
+	}
+	if len(reqs) <= oracleMaxLen {
+		got, opt := rrCost(reqs, alpha), fifoOptimum(reqs, alpha)
+		if math.Abs(got-opt) > 1e-9*opt {
+			t.Fatalf("after request %d: Σ predicted RR %v, FIFO-respecting optimum %v", r.ID, got, opt)
+		}
+	}
+}
+
 // FuzzInsertGreedy drives Algorithm 1 with fuzz-chosen request sequences
-// and checks queue invariants after every insertion: no request lost, all
-// positions valid, FIFO among same-task arrivals, and the SRPT-like
-// ordering property between adjacent distinct-task requests that both still
-// have their full work remaining (the bubble's stable configuration).
+// and holds every insertion to insertChecked's theory: no request lost,
+// FIFO among same-task arrivals, the scan's pass and stop rules and, while
+// every task's chain stays key-monotone with the starve guard off, the
+// key-sorted queue at the FIFO-respecting optimum. Each arrival runs its
+// model's split plan, or one unsplit block when the pick's top bit is set
+// (as elastic suppression leaves it), so both kinds of chain occur.
 func FuzzInsertGreedy(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 0, 1}, uint8(4), false)
 	f.Add([]byte{4, 4, 4, 4}, uint8(1), true)
 	f.Add([]byte{0, 3, 0, 3, 0, 3}, uint8(8), false)
+	// Mixed plans: model a split, then unsplit behind itself, which lowers
+	// its key, with other models arriving between.
+	f.Add([]byte{0, 130, 1, 7, 135, 2, 128, 3, 5, 140}, uint8(3), false)
+	// Starve guard on: b waits behind ten d arrivals until its plain RR
+	// reaches 6, so the short a that arrives last passes the d's and stops
+	// at b, a barrier it would otherwise pass.
+	f.Add([]byte{6, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 0}, uint8(3), true)
 	f.Fuzz(func(t *testing.T, picks []byte, alphaRaw uint8, guard bool) {
 		if len(picks) > 64 {
 			picks = picks[:64]
@@ -42,22 +194,26 @@ func FuzzInsertGreedy(f *testing.F) {
 		}
 		models := []string{"a", "b", "c", "d", "e"}
 		exts := []float64{10.8, 13.2, 28.35, 67.5, 20.4}
+		splits := []int{2, 3, 1, 4, 2}
 		now := 0.0
-		inserted := 0
+		monotone := true
 		for i, p := range picks {
 			k := int(p) % len(models)
 			now += float64(p%7) + 0.5
-			r := NewRequest(i, models[k], model.Short, now, exts[k], []float64{exts[k]})
-			pos := q.InsertGreedy(now, r)
-			inserted++
-			if pos < 0 || pos >= q.Len() {
-				t.Fatalf("position %d out of range (len %d)", pos, q.Len())
+			m := splits[k]
+			if p&0x80 != 0 {
+				m = 1
 			}
-			if q.At(pos) != r {
-				t.Fatal("request not at reported position")
+			bt := make([]float64, m)
+			for j := range bt {
+				bt[j] = exts[k] / float64(m)
+				if m > 1 {
+					bt[j] += 0.9
+				}
 			}
-			if q.Len() != inserted {
-				t.Fatalf("queue lost requests: %d vs %d", q.Len(), inserted)
+			insertChecked(t, q, now, NewRequest(i, models[k], model.Short, now, exts[k], bt), true, &monotone)
+			if q.Len() != i+1 {
+				t.Fatalf("queue lost requests: %d vs %d", q.Len(), i+1)
 			}
 		}
 		// FIFO among same-task requests.
@@ -80,7 +236,9 @@ func FuzzInsertGreedy(f *testing.F) {
 // blocks only accumulate (Next is monotone, never past the plan length),
 // finished requests never re-enter the queue, a shed or canceled request
 // never runs another block, and same-task requests stay FIFO through
-// arbitrary preemption.
+// arbitrary preemption. Every insert and re-insert is also held to
+// insertChecked's theory; with one plan per model the chains stay
+// key-monotone, so the optimum check runs whenever the guard is off.
 func FuzzQueueLifecycle(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint8(4), false)
 	f.Add([]byte{2, 9, 2, 9, 2, 9, 2, 9, 2}, uint8(1), true)
@@ -104,6 +262,8 @@ func FuzzQueueLifecycle(f *testing.F) {
 		now := 0.0
 		nextID := 0
 		completed := 0
+		// One plan per model keeps every chain key-monotone.
+		monotone := true
 		terminated := map[int]bool{} // shed or canceled: must never run again
 		committed := map[int]int{}   // request ID -> highest Next observed
 		check := func(op byte) {
@@ -150,10 +310,7 @@ func FuzzQueueLifecycle(f *testing.F) {
 					r.DeadlineMs = now + float64(op%32) + 0.5
 				}
 				nextID++
-				pos := q.InsertGreedy(now, r)
-				if pos < 0 || pos >= q.Len() || q.At(pos) != r {
-					t.Fatalf("bad insert position %d (len %d)", pos, q.Len())
-				}
+				insertChecked(t, q, now, r, true, &monotone)
 			case op%4 == 2:
 				// Block boundary: sweep doomed work (the engine's
 				// pre-grant shed), then run the head's next block and
@@ -192,7 +349,7 @@ func FuzzQueueLifecycle(f *testing.F) {
 					r.DoneMs = now
 					completed++
 				default:
-					q.InsertGreedy(now, r)
+					insertChecked(t, q, now, r, false, &monotone)
 				}
 			default:
 				// Cancellation of an arbitrary known ID: queued work is

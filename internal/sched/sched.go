@@ -344,9 +344,16 @@ func (q *Queue) TotalRemainingMs() float64 {
 // back of the queue, so a rejected greedy swap or a starve-guard barrier
 // between them can never strand r behind a later same-task arrival.
 //
-// nowMs is retained in the signature because the same entry point serves the
-// instrumented variant (InsertGreedyExplain) and real-time callers that log
-// predicted ratios at decision time. It returns the chosen position
+// The scan is Smith's rule (WSPT with weight 1/T) on the key E·T under
+// same-task FIFO chains: an insertion sort that passes only queued keys
+// greater than r's (all of them on a key-sorted queue), so "O(k)" counts
+// those. While every task's queued chain is key-monotone — one plan per
+// model guarantees it — the queue stays sorted by key and its summed
+// predicted response ratio is the least any FIFO-respecting order reaches;
+// with mixed plans, or for the violation count, it need not be
+// (FuzzInsertGreedy, TestInsertGreedyMixedPlansGap).
+//
+// nowMs is read only by the starve guard. It returns the chosen position
 // (0 = front).
 //
 //lint:hotpath Algorithm 1 runs on every arrival and every block-boundary re-insertion
@@ -411,58 +418,6 @@ func (q *Queue) insertAt(pos int, r *Request) {
 	q.push(nil)
 	copy(q.reqs[pos+1:], q.reqs[pos:])
 	q.reqs[pos] = r
-}
-
-// Decision records one neighbor comparison made by Algorithm 1, for tracing
-// and for the microbenchmark that validates the O(n)/O(k) claim.
-type Decision struct {
-	NeighborID    int
-	NeighborModel string
-	SameType      bool
-	Beneficial    bool
-	NewRRFront    float64
-	NewRRBack     float64
-}
-
-// InsertGreedyExplain is InsertGreedy with a full decision trace: it returns
-// the chosen position and the per-neighbor comparisons, including the
-// predicted response ratios of the arriving request ahead/behind of each
-// neighbor at time nowMs.
-func (q *Queue) InsertGreedyExplain(nowMs float64, r *Request) (int, []Decision) {
-	var decisions []Decision
-	// Waiting time seen by r at its FIFO ceiling (the back of the queue for
-	// fresh arrivals; possibly further forward for re-inserts).
-	pos := q.fifoCeiling(r)
-	waiting := 0.0
-	for _, ahead := range q.reqs[:pos] {
-		waiting += ahead.RemainingMs()
-	}
-	for pos > 0 {
-		ahead := q.reqs[pos-1]
-		d := Decision{
-			NeighborID:    ahead.ID,
-			NeighborModel: ahead.Model,
-			SameType:      ahead.Model == r.Model,
-			NewRRBack:     r.PredictedRR(nowMs, waiting, q.Alpha),
-			NewRRFront:    r.PredictedRR(nowMs, waiting-ahead.RemainingMs(), q.Alpha),
-		}
-		switch {
-		case d.SameType:
-			d.Beneficial = ahead.ArriveMs > r.ArriveMs // FIFO order decides
-		case q.StarveGuardRR > 0 && ahead.PredictedPlainRR(nowMs, 0) >= q.StarveGuardRR:
-			d.Beneficial = false // starving request: barrier (extension)
-		default:
-			d.Beneficial = swapBeneficial(ahead, r, q.Alpha)
-		}
-		decisions = append(decisions, d)
-		if !d.Beneficial {
-			break
-		}
-		waiting -= ahead.RemainingMs()
-		pos--
-	}
-	q.insertAt(pos, r)
-	return pos, decisions
 }
 
 // Elastic implements §3.3's elastic model splitting: under particularly

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -242,46 +243,32 @@ func TestSwapConditionMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestInsertGreedyExplainMatchesInsertGreedy(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	models := []string{"a", "b", "c", "d"}
-	for trial := 0; trial < 200; trial++ {
-		q1 := NewQueue(4)
-		q2 := NewQueue(4)
-		n := 1 + rng.Intn(8)
-		for i := 0; i < n; i++ {
-			m := models[rng.Intn(len(models))]
-			at := float64(i)
-			ext := 1 + 60*rng.Float64()
-			q1.InsertGreedy(at, newReq(i, m, at, ext))
-			q2.InsertGreedy(at, newReq(i, m, at, ext))
-		}
-		m := models[rng.Intn(len(models))]
-		r1 := newReq(99, m, float64(n), 15)
-		r2 := newReq(99, m, float64(n), 15)
-		p1 := q1.InsertGreedy(float64(n), r1)
-		p2, decisions := q2.InsertGreedyExplain(float64(n), r2)
-		if p1 != p2 {
-			t.Fatalf("trial %d: positions differ %d vs %d", trial, p1, p2)
-		}
-		if p2 < q2.Len()-1 && len(decisions) == 0 {
-			t.Fatalf("trial %d: moved forward with no decisions", trial)
-		}
+// TestInsertGreedyMixedPlansGap pins the case Smith's rule does not cover: a
+// task whose queued chain is not key-monotone. The split a0 (key E·T = 440)
+// holds back its unsplit successor a1 (400, as elastic suppression leaves
+// it), so x (≈416.2) stops behind a1, while running x before the whole chain
+// would lower Σ (W+E)/T by 0.30 %.
+func TestInsertGreedyMixedPlansGap(t *testing.T) {
+	const alpha = 4
+	a0 := newReq(0, "a", 0, 10, 5.5, 5.5)
+	a1 := newReq(1, "a", 1, 10, 10)
+	x := newReq(2, "x", 2, 10.2)
+	q := NewQueue(alpha)
+	for _, r := range []*Request{a0, a1, x} {
+		q.InsertGreedy(r.ArriveMs, r)
 	}
-}
-
-func TestExplainDecisionsRRBounds(t *testing.T) {
-	q := NewQueue(4)
-	q.InsertGreedy(0, newReq(1, "vgg", 0, 67.5))
-	q.InsertGreedy(0, newReq(2, "resnet", 0, 28.35))
-	_, decisions := q.InsertGreedyExplain(1, newReq(3, "yolo", 1, 10.8))
-	if len(decisions) != 2 {
-		t.Fatalf("decisions = %d", len(decisions))
+	if !slices.Equal(q.Requests(), []*Request{a0, a1, x}) {
+		t.Fatal("InsertGreedy order is not [a0 a1 x]")
 	}
-	for _, d := range decisions {
-		if d.NewRRFront > d.NewRRBack {
-			t.Errorf("moving forward increased RR: %+v", d)
-		}
+	if got := rrCost(q.Requests(), alpha); math.Abs(got-1.564706) > 1e-6 {
+		t.Errorf("Σ (W+E)/T of [a0 a1 x] = %.6f, want 1.564706", got)
+	}
+	best := []*Request{x, a0, a1}
+	if got := rrCost(best, alpha); math.Abs(got-1.56) > 1e-6 {
+		t.Errorf("Σ (W+E)/T of [x a0 a1] = %.6f, want 1.560000", got)
+	}
+	if got, want := fifoOptimum(q.Requests(), alpha), rrCost(best, alpha); math.Abs(got-want) > 1e-12 {
+		t.Errorf("FIFO-respecting optimum %.6f, want [x a0 a1]'s %.6f", got, want)
 	}
 }
 
