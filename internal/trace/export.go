@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"encoding/json"
 	"io"
-	"math"
-	"reflect"
 	"strconv"
-	"unicode/utf8"
+
+	"split/internal/jsonenc"
 )
 
 // The hand-written encoders below render events and intervals byte for
@@ -22,17 +20,17 @@ import (
 func (e Event) MarshalJSON() ([]byte, error) { return e.appendJSON(nil) }
 
 func (e *Event) appendJSON(b []byte) ([]byte, error) {
-	if err := checkFinite(e.AtMs); err != nil {
+	if err := jsonenc.CheckFinite(e.AtMs); err != nil {
 		return b, err
 	}
 	b = append(b, `{"at_ms":`...)
-	b = appendJSONFloat(b, e.AtMs)
+	b = jsonenc.AppendFloat(b, e.AtMs)
 	b = append(b, `,"kind":`...)
-	b = appendJSONString(b, e.Kind.String())
+	b = jsonenc.AppendString(b, e.Kind.String())
 	b = append(b, `,"req":`...)
 	b = strconv.AppendInt(b, int64(e.ReqID), 10)
 	b = append(b, `,"model":`...)
-	b = appendJSONString(b, e.Model)
+	b = jsonenc.AppendString(b, e.Model)
 	b = appendJSONInt(b, `,"block":`, e.Block)
 	b = appendJSONInt(b, `,"device":`, e.Device)
 	b = appendJSONInt(b, `,"batch":`, e.Batch)
@@ -66,14 +64,14 @@ func (e *Event) appendCSV(b []byte) []byte {
 //
 // with part, batch and detail omitted when zero or empty.
 func (iv Interval) MarshalJSON() ([]byte, error) {
-	if err := checkFinite(iv.StartMs); err != nil {
+	if err := jsonenc.CheckFinite(iv.StartMs); err != nil {
 		return nil, err
 	}
-	if err := checkFinite(iv.EndMs); err != nil {
+	if err := jsonenc.CheckFinite(iv.EndMs); err != nil {
 		return nil, err
 	}
 	b := append([]byte(nil), `{"phase":`...)
-	b = appendJSONString(b, iv.Phase)
+	b = jsonenc.AppendString(b, iv.Phase)
 	b = append(b, `,"block":`...)
 	b = strconv.AppendInt(b, int64(iv.Block), 10)
 	b = append(b, `,"device":`...)
@@ -81,9 +79,9 @@ func (iv Interval) MarshalJSON() ([]byte, error) {
 	b = appendJSONInt(b, `,"part":`, iv.Part)
 	b = appendJSONInt(b, `,"batch":`, iv.Batch)
 	b = append(b, `,"start_ms":`...)
-	b = appendJSONFloat(b, iv.StartMs)
+	b = jsonenc.AppendFloat(b, iv.StartMs)
 	b = append(b, `,"end_ms":`...)
-	b = appendJSONFloat(b, iv.EndMs)
+	b = jsonenc.AppendFloat(b, iv.EndMs)
 	b = appendJSONDetail(b, iv.Note, &iv.Args)
 	return append(b, '}'), nil
 }
@@ -105,54 +103,6 @@ func appendJSONDetail(b []byte, n Note, args *[4]float64) []byte {
 	if len(b) == mark+len(key) {
 		return b[:mark]
 	}
-	return append(b, '"')
-}
-
-// appendJSONFloat spells f as encoding/json does.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// Clean up e-09 to e-9, as encoding/json does.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// checkFinite fails as encoding/json fails on a NaN or infinite float.
-func checkFinite(f float64) error {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	return nil
-}
-
-// jsonPlain marks the bytes encoding/json writes as themselves.
-var jsonPlain = func() (plain [256]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		plain[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-	}
-	return plain
-}()
-
-// appendJSONString quotes s as encoding/json does, HTML escaping included.
-// Model names and kinds are plain ASCII in practice; anything else takes
-// encoding/json's own path.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if !jsonPlain[s[i]] {
-			q, _ := json.Marshal(s)
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
 	return append(b, '"')
 }
 

@@ -63,6 +63,9 @@ type Process struct {
 
 // Validate reports process configuration errors.
 func (p Process) Validate() error {
+	if !finite(p.MeanIntervalMs, p.Sigma, p.Alpha, p.BurstIntervalMs, p.CalmDwellMs, p.BurstDwellMs) {
+		return fmt.Errorf("workload: process %q has a non-finite parameter", p.Kind)
+	}
 	if p.MeanIntervalMs <= 0 {
 		return fmt.Errorf("workload: process %q non-positive mean interval %v", p.Kind, p.MeanIntervalMs)
 	}
@@ -105,15 +108,15 @@ func (e *Envelope) Validate() error {
 	if e == nil {
 		return nil
 	}
-	if e.PeriodMs <= 0 {
-		return fmt.Errorf("workload: envelope non-positive period %v", e.PeriodMs)
+	if !finite(e.PeriodMs) || e.PeriodMs <= 0 {
+		return fmt.Errorf("workload: envelope period %v is not positive and finite", e.PeriodMs)
 	}
 	if len(e.Factors) == 0 {
 		return fmt.Errorf("workload: envelope with no factors")
 	}
 	for i, f := range e.Factors {
-		if f <= 0 {
-			return fmt.Errorf("workload: envelope factor %d non-positive (%v)", i, f)
+		if !finite(f) || f <= 0 {
+			return fmt.Errorf("workload: envelope factor %d is %v, not positive and finite", i, f)
 		}
 	}
 	return nil
@@ -185,6 +188,9 @@ func (c Cohort) Validate() error {
 	}
 	if err := c.Envelope.Validate(); err != nil {
 		return fmt.Errorf("workload: cohort %q: %w", c.Name, err)
+	}
+	if !finite(c.DeadlineMs, c.DeadlineJitterFrac, c.CancelFrac, c.CancelAfterMs) {
+		return fmt.Errorf("workload: cohort %q has a non-finite deadline or cancel parameter", c.Name)
 	}
 	if c.DeadlineMs < 0 || c.DeadlineJitterFrac < 0 || c.DeadlineJitterFrac >= 1 {
 		return fmt.Errorf("workload: cohort %q bad deadline spec (%v ± %v)", c.Name, c.DeadlineMs, c.DeadlineJitterFrac)

@@ -74,6 +74,80 @@ func TestCohortValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: every float field of every generator
+// config refuses NaN and both infinities. The range checks alone compare
+// with < and <=, which NaN passes: a NaN mean interval would generate
+// arrivals all at NaN, a NaN deadline would read as no deadline, and a
+// NaN MMPP dwell would never end its state.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	config := func(set func(*Config)) error {
+		c := baseConfig()
+		c.Weights = []float64{1, 1, 1}
+		set(&c)
+		_, err := Generate(c)
+		return err
+	}
+	mmpp := func(set func(*MMPPConfig)) error {
+		c := MMPPConfig{Models: []string{"a"}, CalmIntervalMs: 100, BurstIntervalMs: 10,
+			CalmDwellMs: 500, BurstDwellMs: 100, Count: 10}
+		set(&c)
+		_, err := GenerateMMPP(c)
+		return err
+	}
+	cohort := func(set func(*Cohort)) error {
+		c := twoCohortConfig()
+		c.Count = 10
+		co := &c.Cohorts[0]
+		co.Weights = []float64{1, 1}
+		co.Envelope = &Envelope{PeriodMs: 1000, Factors: []float64{1, 2}}
+		co.DeadlineMs, co.DeadlineJitterFrac = 100, 0.1
+		co.CancelFrac, co.CancelAfterMs = 0.1, 50
+		set(co)
+		_, err := GenerateCohorts(c)
+		return err
+	}
+	for name, err := range map[string]error{
+		"Config":       config(func(*Config) {}),
+		"MMPPConfig":   mmpp(func(*MMPPConfig) {}),
+		"CohortConfig": cohort(func(*Cohort) {}),
+	} {
+		if err != nil {
+			t.Fatalf("the finite base %s is refused: %v", name, err)
+		}
+	}
+	rows := []struct {
+		field string
+		try   func(v float64) error
+	}{
+		{"Config.MeanIntervalMs", func(v float64) error { return config(func(c *Config) { c.MeanIntervalMs = v }) }},
+		{"Config.Weights", func(v float64) error { return config(func(c *Config) { c.Weights[1] = v }) }},
+		{"MMPPConfig.CalmIntervalMs", func(v float64) error { return mmpp(func(c *MMPPConfig) { c.CalmIntervalMs = v }) }},
+		{"MMPPConfig.BurstIntervalMs", func(v float64) error { return mmpp(func(c *MMPPConfig) { c.BurstIntervalMs = v }) }},
+		{"MMPPConfig.CalmDwellMs", func(v float64) error { return mmpp(func(c *MMPPConfig) { c.CalmDwellMs = v }) }},
+		{"MMPPConfig.BurstDwellMs", func(v float64) error { return mmpp(func(c *MMPPConfig) { c.BurstDwellMs = v }) }},
+		{"Process.MeanIntervalMs", func(v float64) error { return cohort(func(c *Cohort) { c.Process.MeanIntervalMs = v }) }},
+		{"Process.Sigma", func(v float64) error { return cohort(func(c *Cohort) { c.Process.Sigma = v }) }},
+		{"Process.Alpha", func(v float64) error { return cohort(func(c *Cohort) { c.Process.Alpha = v }) }},
+		{"Process.BurstIntervalMs", func(v float64) error { return cohort(func(c *Cohort) { c.Process.BurstIntervalMs = v }) }},
+		{"Process.CalmDwellMs", func(v float64) error { return cohort(func(c *Cohort) { c.Process.CalmDwellMs = v }) }},
+		{"Process.BurstDwellMs", func(v float64) error { return cohort(func(c *Cohort) { c.Process.BurstDwellMs = v }) }},
+		{"Envelope.PeriodMs", func(v float64) error { return cohort(func(c *Cohort) { c.Envelope.PeriodMs = v }) }},
+		{"Envelope.Factors", func(v float64) error { return cohort(func(c *Cohort) { c.Envelope.Factors[1] = v }) }},
+		{"Cohort.Weights", func(v float64) error { return cohort(func(c *Cohort) { c.Weights[0] = v }) }},
+		{"Cohort.DeadlineMs", func(v float64) error { return cohort(func(c *Cohort) { c.DeadlineMs = v }) }},
+		{"Cohort.DeadlineJitterFrac", func(v float64) error { return cohort(func(c *Cohort) { c.DeadlineJitterFrac = v }) }},
+		{"Cohort.CancelFrac", func(v float64) error { return cohort(func(c *Cohort) { c.CancelFrac = v }) }},
+		{"Cohort.CancelAfterMs", func(v float64) error { return cohort(func(c *Cohort) { c.CancelAfterMs = v }) }},
+	}
+	for _, row := range rows {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := row.try(v); err == nil {
+				t.Errorf("%s = %v accepted", row.field, v)
+			}
+		}
+	}
+}
+
 func TestGenerateCohortsInvariants(t *testing.T) {
 	cfg := twoCohortConfig()
 	out := MustGenerateCohorts(cfg)

@@ -2,9 +2,15 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+
+	"split/internal/jsonenc"
 )
 
 // FuzzWorkloadTrace drives the cohort engine with arbitrary (bounded)
@@ -100,4 +106,119 @@ func FuzzWorkloadTrace(f *testing.F) {
 			t.Fatal("trace does not round-trip bit-identically")
 		}
 	})
+}
+
+// FuzzReadTrace holds ReadTrace to encoding/json line by line: after a
+// valid header, the arrivals it returns are, to the bit, those
+// json.Unmarshal decodes from each non-blank line, or both fail (a line
+// json.Unmarshal refuses, or a record out of time order).
+func FuzzReadTrace(f *testing.F) {
+	for _, body := range []string{
+		`{"id":0,"model":"vgg19","at_ms":1.5,"deadline_ms":120,"cancel_at_ms":80.25,"cohort":"steady"}` + "\n",
+		`{"model":"vgg19","id":1,"at_ms":2}` + "\n" + `{"at_ms":3,"cohort":"c","id":-2,"model":"m"}`,
+		`{"id":2,"model":"m","at_ms":3,"extra":[1,{"a":null}]}` + "\n",
+		`{"id":3,"model":"m","at_ms":4,"at_ms":5}` + "\n" + `{"id":3,"model":"m","at_ms":6,"deadline_ms":1,"deadline_ms":2}` + "\n",
+		`{"id":4,"model":"a\u003cb","at_ms":6}` + "\n" + `{"id":5,"model":"é","at_ms":7,"cohort":"\u00e9\ud800"}` + "\n",
+		`{"id":6,"model":"m","at_ms":8}` + "\r\n" + `{"id":7,"model":"m","at_ms":9} ` + "\t\r\n",
+		"\n" + `{"id":0,"model":"m","at_ms":0}` + "\n \t\r\n\n" + `{"id":1,"model":"m","at_ms":0}`,
+		`{"id":7,"model":"m","at_ms":1e3,"deadline_ms":2.5E-7,"cancel_at_ms":1.5e+3}` + "\n" + `{"id":8,"model":"m","at_ms":1000.0e0}`,
+		`{"id":9223372036854775808,"model":"m","at_ms":1}` + "\n",
+		`{"id":8,"model":"m","at_ms":1e400}` + "\n",
+		`{"id":01,"model":"m","at_ms":1}` + "\n" + `{"id":1,"model":"m","at_ms":1.}` + "\n",
+		`{"id":-0,"model":"m","at_ms":-0,"deadline_ms":-0}` + "\n" + "null\n",
+		`{"ID":1,"Model":"m","AT_MS":2}` + "\n",
+		"{\"id\":1,\"model\":\"\xff\",\"at_ms\":1}\n{\"id\":2,\"model\":\"a\tb\",\"at_ms\":1,\"cohort\":\"\x00\"}\n",
+		`{"id":1,"model":"m","at_ms":1} x` + "\n" + `{"id":2,"model":"m","at_ms":1}{"id":3,"model":"m","at_ms":1}` + "\n",
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(checkReadTraceAgainstUnmarshal)
+}
+
+// checkReadTraceAgainstUnmarshal reads body after a header that counts its
+// non-blank lines and requires the arrivals json.Unmarshal decodes from
+// those lines, to the bit, or an error where json.Unmarshal fails or the
+// records fall out of time order.
+func checkReadTraceAgainstUnmarshal(t *testing.T, body string) {
+	var want []Arrival
+	wantErr := false
+	lines := 0
+	prev := -1.0
+	for _, line := range strings.SplitAfter(body, "\n") {
+		if strings.Trim(line, " \t\r\n") == "" {
+			continue
+		}
+		lines++
+		var a Arrival
+		if err := json.Unmarshal([]byte(line), &a); err != nil || a.AtMs < 0 || a.AtMs < prev {
+			wantErr = true
+			continue
+		}
+		prev = a.AtMs
+		want = append(want, a)
+	}
+	header := fmt.Sprintf(`{"format":%q,"version":%d,"count":%d}`+"\n", TraceFormat, TraceVersion, lines)
+	_, got, err := ReadTrace(strings.NewReader(header + body))
+	if wantErr {
+		if err == nil {
+			t.Fatalf("ReadTrace accepted what encoding/json refuses: %q", body)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("ReadTrace refused what encoding/json reads: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d arrivals, encoding/json reads %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.ID != w.ID || g.Model != w.Model || g.Cohort != w.Cohort ||
+			math.Float64bits(g.AtMs) != math.Float64bits(w.AtMs) ||
+			math.Float64bits(g.DeadlineMs) != math.Float64bits(w.DeadlineMs) ||
+			math.Float64bits(g.CancelAtMs) != math.Float64bits(w.CancelAtMs) {
+			t.Fatalf("record %d: %+v, encoding/json reads %+v", i, g, w)
+		}
+	}
+}
+
+// TestReadTraceNumbersMatchEncodingJSON: every number the canonical path
+// reads, it reads as encoding/json does — decimals either side of 2^53
+// digits and 22 fraction digits, exponents, shortest-form spellings of
+// arbitrary doubles, and ids either side of the int64 range.
+func TestReadTraceNumbersMatchEncodingJSON(t *testing.T) {
+	nums := []string{"0", "-0", "0.0", "-0.0", "1", "0.5", "9007199254740992", "9007199254740993",
+		"9007199254740991.5", "900719925474099.3", "0.9007199254740993", "0.0000000000000000000001",
+		"0.00000000000000000000001", "1e22", "1e23", "123.456e-2", "4.9e-324", "1.7976931348623157e308",
+		"1e-400", "1e400", "-1", "1.", ".5", "01", "-", "1e", "1e+", "0x10", "+1", "1_0", "Infinity", "NaN"}
+	rng := uint64(7)
+	next := func() uint64 { rng ^= rng << 13; rng ^= rng >> 7; rng ^= rng << 17; return rng }
+	for i := 0; i < 4000; i++ {
+		var f float64
+		switch i % 4 {
+		case 0: // an arbitrary double
+			f = math.Float64frombits(next())
+		case 1: // a time or deadline in ms, as generators draw them
+			f = float64(next()%(1<<53)) / float64(uint64(1)<<(next()%40))
+		case 2: // a short decimal
+			f = float64(next()%10000000) / 1000
+		default: // an integer near 2^53
+			f = float64(1<<53 - 50 + next()%100)
+		}
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			nums = append(nums, string(jsonenc.AppendFloat(nil, f)), strconv.FormatFloat(f, 'f', -1, 64),
+				strconv.FormatFloat(f, 'e', int(next()%20), 64))
+		}
+		nums = append(nums, strconv.FormatUint(next()%(1<<54), 10)+"."+strconv.FormatUint(next()%1e9, 10))
+	}
+	ids := []string{"0", "-0", "-1", "9007199254740993", "9223372036854775807", "9223372036854775808",
+		"-9223372036854775808", "-9223372036854775809", "1.0", "1e2"}
+	var body strings.Builder
+	for i, n := range nums {
+		fmt.Fprintf(&body, `{"id":%s,"model":"m","at_ms":0,"deadline_ms":%s,"cancel_at_ms":%s}`+"\n",
+			ids[i%len(ids)], n, nums[(i*7)%len(nums)])
+	}
+	for _, line := range strings.SplitAfter(body.String(), "\n") {
+		checkReadTraceAgainstUnmarshal(t, line)
+	}
 }

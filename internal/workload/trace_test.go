@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,6 +63,10 @@ func TestReadTraceRejects(t *testing.T) {
 		{"zero version", `{"format":"split-workload-trace","version":0,"count":0}` + "\n"},
 		{"negative count", `{"format":"split-workload-trace","version":1,"count":-1}` + "\n"},
 		{"count mismatch", lines[0] + lines[1]},
+		{"count past the records", `{"format":"split-workload-trace","version":1,"count":4000000000}` + "\n" + lines[1] + lines[2]},
+		{"records past the count", `{"format":"split-workload-trace","version":1,"count":1}` + "\n" + lines[1] + lines[2]},
+		{"record split across lines", lines[0] + `{"id":0,"model":"m",` + "\n" + `"at_ms":1}` + "\n" + lines[2]},
+		{"two records on a line", lines[0] + strings.TrimSuffix(lines[1], "\n") + lines[2]},
 		{"unordered", lines[0] + lines[2] + lines[1]},
 		{"negative time", lines[0] + `{"id":0,"model":"m","at_ms":-1}` + "\n" + lines[2]},
 		{"garbage record", lines[0] + "not json\n"},
@@ -69,6 +75,85 @@ func TestReadTraceRejects(t *testing.T) {
 	for _, tc := range cases {
 		if _, _, err := ReadTrace(strings.NewReader(tc.input)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestReadTraceLongLines: a record longer than the reader's buffer reads
+// whole, on the canonical path and on encoding/json's.
+func TestReadTraceLongLines(t *testing.T) {
+	long := strings.Repeat("x", 200<<10)
+	want := []Arrival{{ID: 0, Model: long, AtMs: 1}, {ID: 1, Model: "m", AtMs: 2, Cohort: long}}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, TraceHeader{}, want); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(`{"model":"` + long + `","id":2,"at_ms":3}` + "\n")
+	want = append(want, Arrival{ID: 2, Model: long, AtMs: 3})
+	input := strings.Replace(buf.String(), `"count":2`, `"count":3`, 1)
+	_, got, err := ReadTrace(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("long records changed through the round trip")
+	}
+}
+
+// TestWriteTraceMatchesEncodingJSON: WriteTrace writes the bytes
+// json.Encoder wrote for the header and every arrival, across floats in
+// both of encoding/json's formats, names that need escaping and every
+// optional member present or omitted, and refuses a non-finite time as
+// encoding/json does.
+func TestWriteTraceMatchesEncodingJSON(t *testing.T) {
+	times := []float64{0, math.Copysign(0, -1), 1, 123.456, -0.5, 1e-7, 3e-9, 1e21, 2.5e22, 1e20, 0.000001}
+	names := []string{"", "vgg19", "a<b>&c", "quote\"back\\slash", "tab\tnew\nline", "é", "\xff", "\u2028"}
+	var arrivals []Arrival
+	for i, at := range times {
+		for j, name := range names {
+			arrivals = append(arrivals, Arrival{ID: len(arrivals) - 3, Model: name, AtMs: at,
+				DeadlineMs: times[(i+j)%len(times)], CancelAtMs: times[(i+2*j)%len(times)], Cohort: names[(i+j)%len(names)]})
+		}
+	}
+	h := TraceHeader{Seed: -7, ConfigHash: "a<b>", Source: "generate"}
+	var got, want bytes.Buffer
+	if err := WriteTrace(&got, h, arrivals); err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(&want)
+	h.Format, h.Version, h.Count = TraceFormat, TraceVersion, len(arrivals)
+	if err := enc.Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	for i := range arrivals {
+		if err := enc.Encode(arrivals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+		for i := range min(len(gotLines), len(wantLines)) {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("line %d:\n got %s\nwant %s", i, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("%d lines, encoding/json wrote %d", len(gotLines), len(wantLines))
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, set := range map[string]func(*Arrival){
+			"at_ms":        func(a *Arrival) { a.AtMs = bad },
+			"deadline_ms":  func(a *Arrival) { a.DeadlineMs = bad },
+			"cancel_at_ms": func(a *Arrival) { a.CancelAtMs = bad },
+		} {
+			a := Arrival{Model: "m", AtMs: 1}
+			set(&a)
+			if _, err := json.Marshal(a); err == nil {
+				t.Fatalf("encoding/json accepted %s=%v", field, bad)
+			}
+			if err := WriteTrace(&bytes.Buffer{}, TraceHeader{}, []Arrival{{Model: "m"}, a}); err == nil {
+				t.Errorf("WriteTrace accepted %s=%v", field, bad)
+			}
 		}
 	}
 }
@@ -123,4 +208,38 @@ func TestRecorder(t *testing.T) {
 	if !reflect.DeepEqual(arrivals, want) {
 		t.Fatalf("round-tripped trace %+v, want %+v", arrivals, want)
 	}
+}
+
+// BenchmarkTraceCodec writes and reads back a 30 000-arrival cohort trace
+// with deadlines, cancellations and cohort labels; ns/op is per trace.
+func BenchmarkTraceCodec(b *testing.B) {
+	cfg := twoCohortConfig()
+	cfg.Count = 30000
+	cfg.Cohorts[0].DeadlineMs = 120
+	cfg.Cohorts[0].DeadlineJitterFrac = 0.2
+	cfg.Cohorts[1].CancelFrac = 0.1
+	cfg.Cohorts[1].CancelAfterMs = 80
+	arrivals := MustGenerateCohorts(cfg)
+	var file bytes.Buffer
+	if err := WriteTrace(&file, TraceHeader{Source: "generate"}, arrivals); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		var out bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			if err := WriteTrace(&out, TraceHeader{Source: "generate"}, arrivals); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := ReadTrace(bytes.NewReader(file.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

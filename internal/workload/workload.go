@@ -8,6 +8,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -41,10 +42,26 @@ type Arrival struct {
 	Cohort string `json:"cohort,omitempty"`
 }
 
-// validateWeights rejects negative entries and all-zero vectors.
+// finite reports whether no value is NaN or infinite. Every Validate asks
+// it of its float fields: their range checks compare with < and <=, which
+// NaN passes.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// validateWeights rejects non-finite and negative entries and all-zero
+// vectors.
 func validateWeights(weights []float64) error {
 	var total float64
 	for i, w := range weights {
+		if !finite(w) {
+			return fmt.Errorf("workload: weight %d is %v, not finite", i, w)
+		}
 		if w < 0 {
 			return fmt.Errorf("%w: weight %d is %v", ErrNegativeWeight, i, w)
 		}
@@ -123,8 +140,8 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.MeanIntervalMs <= 0 {
-		return fmt.Errorf("workload: non-positive mean interval %v", c.MeanIntervalMs)
+	if !finite(c.MeanIntervalMs) || c.MeanIntervalMs <= 0 {
+		return fmt.Errorf("workload: mean interval %v is not positive and finite", c.MeanIntervalMs)
 	}
 	if c.Count <= 0 {
 		return fmt.Errorf("workload: non-positive count %d", c.Count)
@@ -253,6 +270,8 @@ func (c MMPPConfig) Validate() error {
 	switch {
 	case len(c.Models) == 0:
 		return fmt.Errorf("workload: mmpp with no models")
+	case !finite(c.CalmIntervalMs, c.BurstIntervalMs, c.CalmDwellMs, c.BurstDwellMs):
+		return fmt.Errorf("workload: mmpp non-finite interval or dwell time")
 	case c.CalmIntervalMs <= 0 || c.BurstIntervalMs <= 0:
 		return fmt.Errorf("workload: mmpp non-positive intervals")
 	case c.CalmDwellMs <= 0 || c.BurstDwellMs <= 0:
