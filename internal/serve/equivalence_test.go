@@ -70,7 +70,7 @@ func startStepped(t *testing.T, cfg Config) (*Server, *gpusim.Sim) {
 	return srv, sim
 }
 
-// fates is an outbox filing each outcome under its call's seq.
+// fates is a recipient filing each outcome under its call's seq.
 type fates []outcome
 
 func (f fates) resolve(seq uint64, out outcome) { f[seq] = out }

@@ -129,15 +129,15 @@ type outcome struct {
 	err error
 }
 
-// An outbox is where outcomes go: a connection's Responder, which frames
+// A recipient is where outcomes go: a connection's Responder, which frames
 // each as the reply to call seq.
-type outbox interface{ resolve(seq uint64, out outcome) }
+type recipient interface{ resolve(seq uint64, out outcome) }
 
 // waiter is a request's claim on its outcome: call seq on connection to,
 // attached from arrival for an Infer and once its Wait comes for a Submit.
 // An outcome no call is attached to yet is parked in out.
 type waiter struct {
-	to               outbox
+	to               recipient
 	seq              uint64
 	attached, parked bool
 	out              outcome
@@ -755,7 +755,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		go (&Responder{srv: s, conn: conn}).serve()
+		go (&Responder{srv: s}).serve(conn)
 	}
 }
 
@@ -766,7 +766,7 @@ func (s *Server) hangUp(r *Responder) {
 	s.mu.Lock()
 	var ids []int
 	for id, w := range s.waiters {
-		if w.to == outbox(r) {
+		if w.to == recipient(r) {
 			delete(s.waiters, id)
 			if !w.parked {
 				ids = append(ids, id)
@@ -1186,33 +1186,31 @@ func (s *Server) Health() Health {
 }
 
 // Responder is one client connection (§4.2 "Responder"). Its reader (serve)
-// dispatches calls in the order they were written; its writer (writeLoop)
+// dispatches calls in the order they were written; its outbox's writer
 // writes the replies. No call gets a goroutine or channel of its own: a
 // waiting request is a (Responder, seq) waiter whose outcome becomes a reply
-// frame appended to out.
+// frame appended to the outbox.
 type Responder struct {
-	srv  *Server
-	conn net.Conn
-	// The reader's decoder, Infer/Submit args and outbound scratch.
-	in   coder
-	args InferArgs
-	held outbound
+	srv *Server
+	// The reader's decoder, the strings it decoded, Infer/Submit args and
+	// outbound scratch.
+	in    coder
+	names nameMemo
+	args  InferArgs
+	held  outbound
 
-	// mu guards the frames the writer has not taken (out), the completion
-	// being framed (reply) and closed, after which replies are dropped.
-	mu     sync.Mutex
-	cond   sync.Cond
-	out    coder
-	reply  InferReply
-	closed bool
+	// outbox.mu also guards the completion being framed (reply); once the
+	// outbox is closed, replies are dropped.
+	outbox
+	reply InferReply
 }
 
-// serve reads and dispatches calls until the connection drops, then hangs
-// up its waiters.
-func (r *Responder) serve() {
-	r.cond.L = &r.mu
-	go r.writeLoop()
-	frames := newFrameReader(r.conn)
+// serve reads and dispatches conn's calls until it drops, then hangs up
+// its waiters.
+func (r *Responder) serve(conn net.Conn) {
+	r.open(conn)
+	r.in.names = &r.names
+	frames := newFrameReader(conn)
 	for {
 		seq, kind, body, err := frames.next()
 		if err != nil {
@@ -1225,38 +1223,13 @@ func (r *Responder) serve() {
 		methods[kind].serve(r, seq, body)
 	}
 	r.mu.Lock()
-	r.closed = true
-	r.cond.Signal()
+	r.closeLocked()
 	r.mu.Unlock()
-	r.conn.Close()
+	conn.Close()
 	r.srv.hangUp(r)
 }
 
-// writeLoop writes the replies: all that built up while its previous write
-// ran goes out in one write, from two buffers used in turn.
-func (r *Responder) writeLoop() {
-	var spare []byte
-	r.mu.Lock()
-	for {
-		for len(r.out.buf) == 0 && !r.closed {
-			r.cond.Wait()
-		}
-		if r.closed {
-			r.mu.Unlock()
-			return
-		}
-		buf := r.out.buf
-		r.out.buf = spare[:0]
-		r.mu.Unlock()
-		if _, err := r.conn.Write(buf); err != nil {
-			r.conn.Close() // the reader's next read fails, closes r and hangs up
-		}
-		spare = buf
-		r.mu.Lock()
-	}
-}
-
-// resolve makes r an outbox: an outcome becomes the reply to the call
+// resolve makes r a recipient: an outcome becomes the reply to the call
 // waiting for it.
 func (r *Responder) resolve(seq uint64, out outcome) {
 	r.mu.Lock()
@@ -1318,7 +1291,7 @@ func (r *Responder) wait(seq uint64, body []byte) {
 	w, ok := s.waiters[args.ReqID]
 	switch {
 	case err != nil:
-	case !ok || w.to != outbox(r):
+	case !ok || w.to != recipient(r):
 		err = fmt.Errorf("serve: no pending request %d on this connection", args.ReqID)
 	case w.parked:
 		delete(s.waiters, args.ReqID)
@@ -1477,10 +1450,21 @@ func (s *Server) modelStats(*empty) (ModelStatsReply, error) {
 	return reply, nil
 }
 
-// Client is an rpc.Client over clientCodec. Every method but InferAsync goes
+// Client is one connection to a SPLIT server, the Responder's other end.
+// Calls are framed into its outbox; its reader (readLoop) decodes each
+// reply straight into the call pending under the reply's seq and completes
+// it. No call gets a goroutine of its own. Every method but InferAsync goes
 // through call, so errors.Is works on the typed outcomes it returns.
 type Client struct {
-	rpc        *rpc.Client
+	// outbox.mu also guards the last seq sent, the calls sent and not yet
+	// answered (nil once closed), InferAsync's args and closing, set by
+	// Close.
+	outbox
+	seq     uint64
+	pending map[uint64]*rpc.Call
+	args    InferArgs
+	closing bool
+
 	devices    int
 	placement  string
 	partitions int
@@ -1493,11 +1477,10 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := rpc.NewClientWithCodec(&clientCodec{conn: conn, fr: newFrameReader(conn)})
-	c := &Client{rpc: rc}
+	c := newClient(conn)
 	st, err := c.Stats()
 	if err != nil {
-		rc.Close()
+		c.Close()
 		return nil, fmt.Errorf("serve: dial %s: read fleet shape: %w", addr, err)
 	}
 	c.devices, c.placement, c.partitions = st.Devices, st.Placement, st.Partitions
@@ -1507,7 +1490,7 @@ func Dial(addr string) (*Client, error) {
 // call makes one call and returns its reply, with its error decoded.
 func call[R any, PR msg[R]](c *Client, method string, args wirer) (R, error) {
 	var reply R
-	err := fromWire(c.rpc.Call(method, args, PR(&reply)))
+	err := fromWire((<-c.send(method, args, PR(&reply)).Done).Error)
 	return reply, err
 }
 
@@ -1532,11 +1515,27 @@ func (c *Client) InferDeadline(modelName string, deadlineMs float64) (InferReply
 	return call[InferReply](c, "SPLIT.Infer", &InferArgs{Model: modelName, DeadlineMs: deadlineMs})
 }
 
-// InferAsync starts a request and returns the pending call. Its Error is
-// raw; IsShed classifies it.
+// inferCall is an InferAsync call and its reply, allocated together.
+type inferCall struct {
+	rpc.Call
+	reply InferReply
+}
+
+// InferAsync starts a request and returns the pending call, whose Reply
+// is an *InferReply and whose Args is nil: the args are framed from the
+// connection's own. Its Error is raw; IsShed classifies it.
 func (c *Client) InferAsync(modelName string) *rpc.Call {
-	reply := new(InferReply)
-	return c.rpc.Go("SPLIT.Infer", &InferArgs{Model: modelName}, reply, nil)
+	// The reply names the model already, so decoding its name copies nothing.
+	ic := &inferCall{reply: InferReply{Model: modelName}}
+	ic.ServiceMethod, ic.Reply, ic.Done = "SPLIT.Infer", &ic.reply, make(chan *rpc.Call, 1)
+	c.mu.Lock()
+	c.args.Model = modelName
+	err := c.sendLocked(&ic.Call, &c.args)
+	c.mu.Unlock()
+	if err != nil {
+		finish(&ic.Call, err)
+	}
+	return &ic.Call
 }
 
 // Submit enqueues a request and returns its ID without waiting.
@@ -1563,6 +1562,3 @@ func (c *Client) Stats() (StatsReply, error) { return call[StatsReply](c, "SPLIT
 func (c *Client) ModelStats() (ModelStatsReply, error) {
 	return call[ModelStatsReply](c, "SPLIT.ModelStats", &empty{})
 }
-
-// Close tears down the connection.
-func (c *Client) Close() error { return c.rpc.Close() }

@@ -433,7 +433,7 @@ func blockedServer(t *testing.T, mut func(*Config)) *Server {
 	return srv
 }
 
-// chanBox is an in-process outbox: the outcome goes to a channel.
+// chanBox is an in-process recipient: the outcome goes to a channel.
 type chanBox chan outcome
 
 func (c chanBox) resolve(_ uint64, out outcome) { c <- out }

@@ -17,6 +17,7 @@ import (
 	"net/rpc"
 	"slices"
 	"strings"
+	"sync"
 )
 
 const (
@@ -80,6 +81,8 @@ type coder struct {
 	buf []byte
 	dec bool
 	err error
+	// names, when set, resolves decoded strings; decode keeps it.
+	names *nameMemo
 }
 
 // frame appends a frame carrying msg.
@@ -93,7 +96,7 @@ func (c *coder) frame(seq uint64, kind byte, msg wirer) {
 
 // decode fills msg from a whole body; bytes left over are an error.
 func (c *coder) decode(body []byte, msg wirer) error {
-	*c = coder{buf: body, dec: true}
+	*c = coder{buf: body, dec: true, names: c.names}
 	if msg.wire(c); c.err == nil && len(c.buf) > 0 {
 		c.err = errFrame
 	}
@@ -156,16 +159,57 @@ func (c *coder) f64(v *float64) {
 	}
 }
 
-func (c *coder) str(v *string) { blob(c, v) }
+// str moves a string. A decode keeps *v when the bytes equal it, so a
+// destination pre-set to the value it expects costs no allocation; else it
+// takes the names memo's copy, or a fresh one: frame buffers are reused.
+func (c *coder) str(v *string) {
+	n := uint64(len(*v))
+	if c.uvarint(&n); !c.dec {
+		c.buf = append(c.buf, *v...)
+	} else if b := c.take(n); c.err == nil && string(b) != *v {
+		*v = c.names.intern(b)
+	}
+}
 
-// blob moves a string or byte slice, decoding a copy: frame buffers are reused.
-func blob[T string | []byte](c *coder, v *T) {
+// bytes moves a byte slice, decoding a copy every time: the caller owns
+// the slice it gets.
+func (c *coder) bytes(v *[]byte) {
 	n := uint64(len(*v))
 	if c.uvarint(&n); !c.dec {
 		c.buf = append(c.buf, *v...)
 	} else if b := c.take(n); c.err == nil {
-		*v = T(string(b))
+		*v = append([]byte{}, b...)
 	}
+}
+
+// nameMemo is the first memoSize distinct strings a connection's reader
+// decoded: a connection names a handful of models over and over, and a
+// name found here costs a compare, not an allocation. Past memoSize names
+// every other one is copied each time, so a connection cannot grow it.
+type nameMemo struct {
+	n     int
+	names [memoSize]string
+}
+
+const memoSize = 8
+
+// intern returns a string equal to b: the memo's, or a new one it keeps
+// while it has room. A nil memo only copies.
+func (m *nameMemo) intern(b []byte) string {
+	if m == nil {
+		return string(b)
+	}
+	for _, s := range m.names[:m.n] {
+		if s == string(b) {
+			return s
+		}
+	}
+	s := string(b)
+	if m.n < memoSize {
+		m.names[m.n] = s
+		m.n++
+	}
+	return s
 }
 
 // list moves a length, then each element through elem. A decoded length is
@@ -202,7 +246,7 @@ func (a *UndeployArgs) wire(c *coder)    { c.str(&a.Name) }
 func (r *ListModelsReply) wire(c *coder) { list(c, &r.Models, 1, (*ModelDesc).wire) }
 func (r *ModelStatsReply) wire(c *coder) { c.f64(&r.Alpha); list(c, &r.Models, 1, (*ModelQoS).wire) }
 func (r *DeployReply) wire(c *coder)     { c.str(&r.Name); c.int(&r.Blocks); c.bool(&r.Replaced) }
-func (a *DeployGraphArgs) wire(c *coder) { blob(c, &a.GraphJSON); c.int(&a.Blocks); c.i64(&a.GASeed) }
+func (a *DeployGraphArgs) wire(c *coder) { c.bytes(&a.GraphJSON); c.int(&a.Blocks); c.i64(&a.GASeed) }
 
 func (r *InferReply) wire(c *coder) {
 	c.int(&r.ReqID)
@@ -303,54 +347,186 @@ func handle[A, B any, PA msg[A], PB msg[B]](f func(*Server, PA) (B, error), inli
 	}
 }
 
-// clientCodec carries rpc.Client's calls: each call is one frame sent with
-// one write, each reply decoded straight into the caller's reply value.
-// rpc.Client serializes WriteRequest and reads from one goroutine.
-type clientCodec struct {
-	conn    net.Conn
-	out, in coder
-	fr      *frameReader
-	body    []byte // the reply ReadResponseBody decodes
+// outbox is one end's frames on their way out: callers frame into out
+// under mu, and its writer (writeLoop) writes all that built up while its
+// previous write ran in one write, from two buffers used in turn. The
+// server's Responder and the Client each have one per connection.
+type outbox struct {
+	conn net.Conn
+	// mu guards the frames the writer has not taken (out) and closed, after
+	// which no frame is taken and the writer exits.
+	mu     sync.Mutex
+	cond   sync.Cond
+	out    coder
+	closed bool
 }
 
-func (c *clientCodec) WriteRequest(req *rpc.Request, args any) error {
-	m := slices.IndexFunc(methods[:], func(m method) bool { return m.name == req.ServiceMethod })
-	if m < 0 {
-		return fmt.Errorf("serve: no method %q", req.ServiceMethod)
-	}
-	c.out.buf = c.out.buf[:0]
-	if c.out.frame(req.Seq, byte(m), args.(wirer)); len(c.out.buf)-4 > maxFrame {
-		return fmt.Errorf("%w: %s call of %d bytes", errFrame, req.ServiceMethod, len(c.out.buf))
-	}
-	_, err := c.conn.Write(c.out.buf)
-	return err
+// open starts o's writer on conn.
+func (o *outbox) open(conn net.Conn) {
+	o.conn, o.cond.L = conn, &o.mu
+	go o.writeLoop()
 }
 
-func (c *clientCodec) ReadResponseHeader(resp *rpc.Response) error {
-	seq, kind, body, err := c.fr.next()
+func (o *outbox) writeLoop() {
+	var spare []byte
+	o.mu.Lock()
+	for {
+		for len(o.out.buf) == 0 && !o.closed {
+			o.cond.Wait()
+		}
+		if o.closed {
+			o.mu.Unlock()
+			return
+		}
+		buf := o.out.buf
+		o.out.buf = spare[:0]
+		o.mu.Unlock()
+		if _, err := o.conn.Write(buf); err != nil {
+			o.conn.Close() // the reader's next read fails and closes o
+		}
+		spare = buf
+		o.mu.Lock()
+	}
+}
+
+// closeLocked drops the frames not yet taken and stops the writer. Caller
+// holds o.mu.
+func (o *outbox) closeLocked() {
+	o.closed = true
+	o.cond.Signal()
+}
+
+// newClient starts a client's writer and reader on conn.
+func newClient(conn net.Conn) *Client {
+	c := &Client{pending: make(map[uint64]*rpc.Call)}
+	c.open(conn)
+	go c.readLoop()
+	return c
+}
+
+// send starts a call, as rpc.Client.Go did, and returns it; it completes
+// on Done, with its error raw.
+func (c *Client) send(method string, args, reply wirer) *rpc.Call {
+	call := &rpc.Call{ServiceMethod: method, Args: args, Reply: reply, Done: make(chan *rpc.Call, 1)}
+	c.mu.Lock()
+	err := c.sendLocked(call, args)
+	c.mu.Unlock()
 	if err != nil {
-		return err
+		finish(call, err)
 	}
-	resp.Seq, c.body = seq, body
-	switch kind {
-	case replyOK:
-		return nil
-	case replyErr:
-		return c.in.decode(body, (*message)(&resp.Error))
-	}
-	return fmt.Errorf("%w: reply kind %d", errFrame, kind)
+	return call
 }
 
-// ReadResponseBody decodes the reply; reply is nil after an error or for an
-// unknown seq.
-func (c *clientCodec) ReadResponseBody(reply any) error {
-	if reply == nil {
-		return nil
+// sendLocked frames call for the writer and files it as pending under the
+// next seq. A closed client sends nothing: the call fails with
+// rpc.ErrShutdown. Caller holds c.mu.
+func (c *Client) sendLocked(call *rpc.Call, args wirer) error {
+	m := len(methods) - 1
+	for m >= 0 && methods[m].name != call.ServiceMethod {
+		m--
 	}
-	return c.in.decode(c.body, reply.(wirer))
+	switch {
+	case c.closed:
+		return rpc.ErrShutdown
+	case m < 0:
+		return fmt.Errorf("serve: no method %q", call.ServiceMethod)
+	}
+	c.seq++
+	c.cond.Signal() // the writer wakes once c.mu is released
+	start := len(c.out.buf)
+	if c.out.frame(c.seq, byte(m), args); len(c.out.buf)-start-4 > maxFrame {
+		n := len(c.out.buf) - start
+		c.out.buf = c.out.buf[:start]
+		return fmt.Errorf("%w: %s call of %d bytes", errFrame, call.ServiceMethod, n)
+	}
+	c.pending[c.seq] = call
+	return nil
 }
 
-func (c *clientCodec) Close() error { return c.conn.Close() }
+// finish completes call with err. Its Done has room: each call completes
+// once, by whichever of its sender, the reader or Close took it.
+func finish(call *rpc.Call, err error) {
+	call.Error = err
+	call.Done <- call
+}
+
+// readLoop completes each pending call as its reply arrives, decoding the
+// reply straight into the call's. When the connection fails, every call
+// still pending fails with the read's error (io.ErrUnexpectedEOF for a
+// server that hung up) and the client closes.
+func (c *Client) readLoop() {
+	frames := newFrameReader(c.conn)
+	var in coder
+	for {
+		seq, kind, body, err := frames.next()
+		if err == nil {
+			err = c.complete(&in, seq, kind, body)
+		}
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			for _, call := range c.shut() {
+				finish(call, err)
+			}
+			return
+		}
+	}
+}
+
+// complete completes call seq with its reply; a reply for no pending call
+// is dropped. A reply of no known kind is an error that ends the
+// connection, failing its call with the rest.
+func (c *Client) complete(in *coder, seq uint64, kind byte, body []byte) error {
+	if kind != replyOK && kind != replyErr {
+		return fmt.Errorf("%w: reply kind %d", errFrame, kind)
+	}
+	c.mu.Lock()
+	call := c.pending[seq]
+	delete(c.pending, seq)
+	c.mu.Unlock()
+	if call == nil {
+		return nil
+	}
+	var err error
+	if kind == replyOK {
+		err = in.decode(body, call.Reply.(wirer))
+	} else {
+		var msg message
+		if err = in.decode(body, &msg); err == nil {
+			err = rpc.ServerError(msg)
+		}
+	}
+	finish(call, err)
+	return nil
+}
+
+// shut closes c to new calls and stops its writer, and hands back the
+// calls still pending for the caller to fail.
+func (c *Client) shut() map[uint64]*rpc.Call {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	calls := c.pending
+	c.pending = nil
+	c.closeLocked()
+	return calls
+}
+
+// Close tears down the connection. The calls still pending, and every
+// call made after, fail with rpc.ErrShutdown; so does a second Close.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	closing := c.closing
+	c.closing = true
+	c.mu.Unlock()
+	if closing {
+		return rpc.ErrShutdown
+	}
+	for _, call := range c.shut() {
+		finish(call, rpc.ErrShutdown)
+	}
+	return c.conn.Close()
+}
 
 // reasonErr maps each drop reason (split_drops_total's, trace.Reason*
 // included) to the typed error a shed request's waiter receives; its values

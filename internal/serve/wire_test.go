@@ -227,7 +227,7 @@ func TestWireSurface(t *testing.T) {
 	// Table order: Submit before Wait, Deploy before Undeploy.
 	for _, name := range names {
 		args, reply := calls[name]()
-		if err := c.rpc.Call(name, args, reply); err != nil {
+		if err := (<-c.send(name, args, reply).Done).Error; err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -399,7 +399,7 @@ func TestNoGoroutinePerCall(t *testing.T) {
 	busy := c.InferAsync("solo")
 	waitBusy(t, srv)
 	// Dial's Stats and the busy call have run through the connection, so
-	// its server reader and writer and the client's reader are all up.
+	// the reader and writer at each of its ends are all up.
 	before := runtime.NumGoroutine()
 	calls := make([]*rpc.Call, 200)
 	for i := range calls {
@@ -471,7 +471,7 @@ func TestOneWaiterPerRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := c.rpc.Go("SPLIT.Wait", &WaitArgs{ReqID: id}, &InferReply{}, nil)
+	first := c.send("SPLIT.Wait", &WaitArgs{ReqID: id}, &InferReply{})
 	infer := c.InferAsync("quick") // request id+1: IDs follow arrival order
 	for _, late := range []struct {
 		name string
@@ -495,4 +495,164 @@ func TestOneWaiterPerRequest(t *testing.T) {
 	if got := first.Reply.(*InferReply); got.ReqID != id || got.Model != "solo" {
 		t.Errorf("first Wait got %+v", got)
 	}
+}
+
+// TestInferAsyncAllocs pins what a request costs the whole process, client
+// and server over loopback: the call with its reply, and its Done channel
+// (two allocations: its element holds a pointer). Two models alternate 3:1,
+// so the server resolves a changed name through its connection's memo.
+func TestInferAsyncAllocs(t *testing.T) {
+	srv, _, _ := startLifecycle(t, func(c *Config) {
+		c.Obs, c.Sink, c.TimeScale = nil, nil, 0.001
+	})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n := 0
+	infer := func() {
+		model := "quick"
+		if n++; n%4 == 0 {
+			model = "solo"
+		}
+		if call := c.InferAsync(model); (<-call.Done).Error != nil {
+			t.Fatal(call.Error)
+		}
+	}
+	for range 1000 {
+		infer()
+	}
+	got := testing.AllocsPerRun(2000, infer)
+	if t.Logf("%.2f allocations per InferAsync", got); got > 3.5 {
+		t.Errorf("%.2f allocations per InferAsync, want ≤ 3.5", got)
+	}
+}
+
+// TestClientLifecycle: the client's half of a connection, against a frame
+// server written by hand over net.Pipe. Replies complete their calls by
+// seq in any order; a reply for no call is dropped; a drop or Close fails
+// every pending call exactly once; a call after Close fails unsent; and
+// each way down, the client's reader and writer exit.
+func TestClientLifecycle(t *testing.T) {
+	// open dials a client over a pipe and returns the server's end, the
+	// reader of the calls it receives, and the goroutine count before.
+	open := func(t *testing.T) (*Client, net.Conn, *frameReader, int) {
+		before := runtime.NumGoroutine()
+		near, far := net.Pipe()
+		t.Cleanup(func() { far.Close() })
+		return newClient(near), far, newFrameReader(far), before
+	}
+	// receive reads n Infer calls and returns their seqs and models.
+	receive := func(t *testing.T, frames *frameReader, n int) (seqs []uint64, models []string) {
+		for range n {
+			seq, kind, body, err := frames.next()
+			var args InferArgs
+			var dec coder
+			if err != nil || kind != 0 || dec.decode(body, &args) != nil {
+				t.Fatalf("call frame: kind %d, %v", kind, err)
+			}
+			seqs, models = append(seqs, seq), append(models, args.Model)
+		}
+		return seqs, models
+	}
+	answer := func(t *testing.T, far net.Conn, seq uint64, kind byte, msg wirer) {
+		var enc coder
+		enc.frame(seq, kind, msg)
+		if _, err := far.Write(enc.buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// exited waits for the client's reader and writer to exit, then checks
+	// that no call completed twice: a second completion would have been
+	// sent by then.
+	exited := func(t *testing.T, before int, calls ...*rpc.Call) {
+		for i := 0; runtime.NumGoroutine() > before; i++ {
+			if i == 5000 {
+				t.Fatalf("%d goroutines, %d before the client", runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for i, call := range calls {
+			if len(call.Done) != 0 {
+				t.Errorf("call %d completed twice", i)
+			}
+		}
+	}
+
+	t.Run("replies by seq", func(t *testing.T) {
+		c, far, frames, before := open(t)
+		want := []string{"a", "b", "c", "d"}
+		var calls []*rpc.Call
+		for _, m := range want {
+			calls = append(calls, c.InferAsync(m))
+		}
+		seqs, models := receive(t, frames, len(want))
+		if !slices.Equal(models, want) {
+			t.Fatalf("calls arrived as %v, want %v", models, want)
+		}
+		answer(t, far, seqs[3]+100, replyOK, &InferReply{ReqID: 99, Model: "stray"})
+		answer(t, far, seqs[3], replyErr, ptr(message("serve: no such thing")))
+		for i := 2; i >= 0; i-- {
+			answer(t, far, seqs[i], replyOK, &InferReply{ReqID: i, Model: want[i]})
+		}
+		for i, call := range calls[:3] {
+			<-call.Done
+			if got := call.Reply.(*InferReply); call.Error != nil || got.ReqID != i || got.Model != want[i] {
+				t.Errorf("call %d: %+v, %v; want request %d of %s", i, got, call.Error, i, want[i])
+			}
+		}
+		if <-calls[3].Done; calls[3].Error != rpc.ServerError("serve: no such thing") {
+			t.Errorf("error reply: %#v", calls[3].Error)
+		}
+		c.Close()
+		exited(t, before, calls...)
+	})
+
+	t.Run("server drops", func(t *testing.T) {
+		c, far, frames, before := open(t)
+		calls := []*rpc.Call{c.InferAsync("a"), c.InferAsync("b"), c.InferAsync("c")}
+		receive(t, frames, len(calls))
+		far.Close()
+		for i, call := range calls {
+			if <-call.Done; !errors.Is(call.Error, io.ErrUnexpectedEOF) {
+				t.Errorf("call %d: %v, want %v", i, call.Error, io.ErrUnexpectedEOF)
+			}
+		}
+		exited(t, before, calls...)
+		if _, err := c.Stats(); !errors.Is(err, rpc.ErrShutdown) {
+			t.Errorf("call after the drop: %v, want %v", err, rpc.ErrShutdown)
+		}
+		c.Close()
+	})
+
+	t.Run("Close", func(t *testing.T) {
+		c, _, frames, before := open(t)
+		calls := []*rpc.Call{c.InferAsync("a"), c.InferAsync("b")}
+		receive(t, frames, len(calls))
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, call := range calls {
+			if <-call.Done; !errors.Is(call.Error, rpc.ErrShutdown) {
+				t.Errorf("pending call %d: %v, want %v", i, call.Error, rpc.ErrShutdown)
+			}
+		}
+		late := c.InferAsync("late")
+		if <-late.Done; !errors.Is(late.Error, rpc.ErrShutdown) {
+			t.Errorf("InferAsync after Close: %v, want %v", late.Error, rpc.ErrShutdown)
+		}
+		if _, err := c.Infer("late"); !errors.Is(err, rpc.ErrShutdown) {
+			t.Errorf("Infer after Close: %v, want %v", err, rpc.ErrShutdown)
+		}
+		c.mu.Lock()
+		if c.seq != 2 || len(c.out.buf) != 0 {
+			t.Errorf("calls after Close were framed: seq %d, %d bytes unsent", c.seq, len(c.out.buf))
+		}
+		c.mu.Unlock()
+		if err := c.Close(); !errors.Is(err, rpc.ErrShutdown) {
+			t.Errorf("second Close: %v, want %v", err, rpc.ErrShutdown)
+		}
+		exited(t, before, append(calls, late)...)
+	})
 }
