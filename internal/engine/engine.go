@@ -375,11 +375,13 @@ type Engine struct {
 	view      []place.Load
 	wake      []int
 	// slab is the unused tail of the current request chunk, chunk that
-	// chunk's size, and free the requests drivers have handed back; see
-	// newRequest and Release.
+	// chunk's size, free the requests drivers have handed back, and drawn
+	// how many slab entries newRequest has handed out in all; see
+	// newRequest, Release and Outstanding.
 	slab  []sched.Request
 	chunk int
 	free  []*sched.Request
+	drawn int
 	// wholes holds the one-block plans of requests that run unsplit, one
 	// entry per distinct ExtMs seen; see wholePlan.
 	wholes []float64
@@ -414,21 +416,37 @@ func (e *Engine) newRequest() *sched.Request {
 	}
 	r := &e.slab[0]
 	e.slab = e.slab[1:]
+	e.drawn++
 	return r
 }
 
 // Release hands a request's storage back for a later arrival. The caller
 // promises that the request has met its terminal fate (served, shed or
-// canceled out of the queue) and that no pointer to it will be read again.
-// It is optional: the simulator releases each request as it files its
-// record, so a run's requests occupy a few warm chunks however long the
-// trace; the server, whose waiters read a request after it settles, never
-// does.
+// canceled out of the queue), that it releases it once, and that no
+// pointer to it will be read again. Both drivers release every admitted
+// request at its fate: the simulator as it files the request's record, the
+// server once it has copied what the waiter needs into the outcome. A run's
+// requests therefore occupy a few warm chunks however long it lasts.
 //
-//lint:hotpath the simulator releases every request it records
+//lint:hotpath both drivers release every admitted request at its fate
 func (e *Engine) Release(r *sched.Request) {
 	//lint:ignore hotalloc bounded by the peak number of requests in flight
 	e.free = append(e.free, r)
+}
+
+// Outstanding reports how many requests the engine has handed out that no
+// driver has released, and how many it holds twice over on its free list;
+// a driver that has released every request at its fate reads (0, 0) once
+// idle. It walks the free list, so it is for tests, not the hot path.
+func (e *Engine) Outstanding() (held, twice int) {
+	seen := make(map[*sched.Request]bool, len(e.free))
+	for _, r := range e.free {
+		if seen[r] {
+			twice++
+		}
+		seen[r] = true
+	}
+	return e.drawn - len(seen), twice
 }
 
 // wholeMemo is how many distinct one-block plans an engine shares.
@@ -945,9 +963,21 @@ func (e *Engine) fleetView() []place.Load {
 	return e.view[:lanes]
 }
 
-// admitView assembles the admission gate's view from the active prefix.
+// admitView assembles from the active prefix what the gate's mode reads of
+// its view: nothing for the token bucket, the queue depth for the queue-length
+// cap, and the shortest backlog, which walks every queue, for predicted RR.
 func (e *Engine) admitView() fleet.View {
-	v := fleet.View{ActiveDevices: e.active, ShortestBacklogMs: math.MaxFloat64}
+	v := fleet.View{ActiveDevices: e.active}
+	switch e.k.Admission.Mode {
+	case fleet.AdmitTokenBucket:
+		return v
+	case fleet.AdmitQueueLength:
+		for i := 0; i < e.active*e.parts; i++ {
+			v.QueueDepth += e.lanes[i].queue.Len()
+		}
+		return v
+	}
+	v.ShortestBacklogMs = math.MaxFloat64
 	for i := 0; i < e.active*e.parts; i++ {
 		ln := &e.lanes[i]
 		v.QueueDepth += ln.queue.Len()

@@ -374,8 +374,9 @@ func TestCancelQueued(t *testing.T) {
 }
 
 // TestReleaseRecyclesRequests: a released request backs the next arrival,
-// fully rewritten; requests never released are never handed out twice; and
-// unsplit requests of one execution time share a read-only one-block plan.
+// fully rewritten; requests never released are never handed out twice;
+// unsplit requests of one execution time share a read-only one-block plan;
+// and Outstanding counts the requests not released, and a double release.
 func TestReleaseRecyclesRequests(t *testing.T) {
 	e := mustNew(t, Knobs{Alpha: 4})
 	first, g := arrive(e, 0, &Job{ID: 0, Model: "a", ExtMs: 5})
@@ -419,6 +420,15 @@ func TestReleaseRecyclesRequests(t *testing.T) {
 	}
 	if third.Req.BlockTimes[0] != 5 || other.Req.BlockTimes[0] != 9 {
 		t.Error("filling the memo moved or overwrote a plan already handed out")
+	}
+	live := 3 + 2*wholeMemo // second, third, other and the memo's
+	if held, twice := e.Outstanding(); held != live || twice != 0 {
+		t.Errorf("Outstanding = (%d, %d), want (%d, 0)", held, twice, live)
+	}
+	e.Release(second.Req)
+	e.Release(second.Req)
+	if held, twice := e.Outstanding(); held != live-1 || twice != 1 {
+		t.Errorf("Outstanding = (%d, %d) after one request released twice, want (%d, 1)", held, twice, live-1)
 	}
 }
 

@@ -32,6 +32,11 @@ type TimeSeries struct {
 	head    int
 	// dropped counts observations older than the retained range.
 	dropped int
+	// spare holds the busy arrays of evicted windows for later windows to
+	// reuse: under an accelerated clock a window can pass every few holds.
+	// An array is made only when spare is empty, so there are never more
+	// than len(windows) of them, and spare's capacity is that.
+	spare [][]float64
 }
 
 // windowAgg accumulates one window.
@@ -107,7 +112,7 @@ func NewTimeSeries(alpha, windowMs float64, capacity, devices int) *TimeSeries {
 		devices = 1
 	}
 	return &TimeSeries{alpha: alpha, windowMs: windowMs, devices: devices,
-		windows: make([]windowAgg, capacity)}
+		windows: make([]windowAgg, capacity), spare: make([][]float64, 0, capacity)}
 }
 
 // slot returns the aggregation bucket for atMs, advancing/evicting the ring
@@ -135,6 +140,12 @@ func (ts *TimeSeries) slot(atMs float64) *windowAgg {
 	if idx >= ts.base+len(ts.windows) {
 		// Evict the oldest windows to fit idx: shift the dense ring.
 		shift := idx - (ts.base + len(ts.windows)) + 1
+		for i := range min(shift, len(ts.windows)) {
+			if b := ts.windows[i].busyMs; b != nil {
+				ts.spare = ts.spare[:len(ts.spare)+1]
+				ts.spare[len(ts.spare)-1] = b
+			}
+		}
 		if shift >= len(ts.windows) {
 			for i := range ts.windows {
 				ts.windows[i] = windowAgg{}
@@ -206,13 +217,26 @@ func (ts *TimeSeries) ObserveBusyFrac(device int, startMs, endMs, frac float64) 
 		}
 		if w := ts.slot(cur); w != nil {
 			if w.busyMs == nil {
-				w.busyMs = make([]float64, ts.devices)
+				w.busyMs = ts.busyArray()
 			}
 			w.busyMs[device] += frac * (winEnd - cur)
 		}
 		cur = winEnd
 	}
 	ts.mu.Unlock()
+}
+
+// busyArray returns a zeroed per-device busy array, an evicted window's
+// if one is spare. Caller holds mu.
+func (ts *TimeSeries) busyArray() []float64 {
+	n := len(ts.spare)
+	if n == 0 {
+		return make([]float64, ts.devices)
+	}
+	b := ts.spare[n-1]
+	ts.spare = ts.spare[:n-1]
+	clear(b)
+	return b
 }
 
 // ObserveActive attributes one attach span [startMs, endMs] of a device to

@@ -312,3 +312,27 @@ func TestTimeSeriesFromRunInfersMembership(t *testing.T) {
 		t.Errorf("scaled-in device busy frac = %v, want 40/80", got)
 	}
 }
+
+// TestTimeSeriesReusesEvictedBusyArrays: once the ring is full, a hold in a
+// new window takes an evicted window's busy array, zeroed, instead of
+// allocating one: a live server on an accelerated clock crosses a window
+// every few holds.
+func TestTimeSeriesReusesEvictedBusyArrays(t *testing.T) {
+	ts := NewTimeSeries(4, 10, 4, 2)
+	at := 0.0
+	hold := func() {
+		ts.ObserveBusyFrac(0, at, at+5, 1) // half of window at/10
+		at += 10
+	}
+	for range 8 {
+		hold()
+	}
+	if got := testing.AllocsPerRun(100, hold); got != 0 {
+		t.Errorf("%v allocations per hold in a new window, want 0", got)
+	}
+	for _, w := range ts.Snapshot().Windows {
+		if w.DeviceBusyFrac[0] != 0.5 || w.DeviceBusyFrac[1] != 0 {
+			t.Errorf("window at %v ms: busy %v, want [0.5 0]", w.StartMs, w.DeviceBusyFrac)
+		}
+	}
+}

@@ -52,7 +52,13 @@ func (t simTimer) arm(ms float64) { t.sim.After(ms, t.fire) }
 func startStepped(t *testing.T, cfg Config) (*Server, *gpusim.Sim) {
 	t.Helper()
 	sim := gpusim.New()
-	srv, err := newServer(cfg, stepClock{sim})
+	return startOn(t, cfg, sim, stepClock{sim}), sim
+}
+
+// startOn is startStepped on clk, a clock of the test's over sim.
+func startOn(t *testing.T, cfg Config, sim *gpusim.Sim, clk clock) *Server {
+	t.Helper()
+	srv, err := newServer(cfg, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +73,13 @@ func startStepped(t *testing.T, cfg Config) (*Server, *gpusim.Sim) {
 		sim.Run()
 		srv.Stop()
 	})
-	return srv, sim
+	return srv
 }
 
 // fates is a recipient filing each outcome under its call's seq.
 type fates []outcome
 
-func (f fates) resolve(seq uint64, out outcome) { f[seq] = out }
+func (f fates) resolve(seq uint64, out *outcome) { f[seq] = *out }
 
 // arriveAt plants an arrival of model at atMs whose outcome files as f[seq]
 // and whose front-door error, if any, as errs[seq].
@@ -333,14 +339,14 @@ func checkEquivalence(t *testing.T, row equivRow) (simEvents, srvEvents []trace.
 			continue
 		}
 		out := got[i]
-		if errs[i] != nil || out == (outcome{}) {
+		if errs[i] != nil || out.err == nil && out.req.Model == "" {
 			t.Errorf("req %d: no outcome (front door: %v); simulator %q", i, errs[i], r.Outcome)
 			continue
 		}
 		if o := outcomeOf(out.err); o != r.Outcome {
 			t.Errorf("req %d: served as %q, simulated as %q", i, o, r.Outcome)
-		} else if o == policy.OutcomeServed && policy.RecordOf(out.req, out.req.DoneMs, o) != r {
-			t.Errorf("req %d: served record %+v, simulated %+v", i, policy.RecordOf(out.req, out.req.DoneMs, o), r)
+		} else if o == policy.OutcomeServed && policy.RecordOf(&out.req, out.req.DoneMs, o) != r {
+			t.Errorf("req %d: served record %+v, simulated %+v", i, policy.RecordOf(&out.req, out.req.DoneMs, o), r)
 		}
 		a := row.arrivals[i]
 		a.Cohort = ""

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -127,7 +128,7 @@ func TestExpiredQueuedNeverRunsBlock(t *testing.T) {
 	if !errors.Is(out.err, ErrDeadlineExceeded) {
 		t.Fatalf("victim outcome: %v", out.err)
 	}
-	if out.req != nil {
+	if out.req.Model != "" {
 		t.Error("shed request delivered a completion")
 	}
 	if n := startBlocks(ring, victimID); n != 0 {
@@ -347,7 +348,7 @@ func TestStopDeliversInflightCompletion(t *testing.T) {
 	if out.err != nil {
 		t.Fatalf("completion lost in shutdown: %v", out.err)
 	}
-	if out.req == nil || out.req.Model != "solo" || !out.req.Finished() {
+	if out.req.Model != "solo" || !out.req.Finished() {
 		t.Errorf("delivered request: %+v", out.req)
 	}
 	if h := srv.Health(); h.Served != 1 {
@@ -396,7 +397,7 @@ func TestDrainCompletesBacklog(t *testing.T) {
 		t.Fatalf("clean drain shed %d requests", shed)
 	}
 	for i, ch := range chans {
-		if out := await(t, ch); out.err != nil || out.req == nil {
+		if out := await(t, ch); out.err != nil || out.req.Model == "" {
 			t.Errorf("request %d: %v", i, out.err)
 		}
 	}
@@ -505,4 +506,191 @@ func TestFaultSpikeStretchesBlock(t *testing.T) {
 
 func errContains(err error, sub string) bool {
 	return err != nil && strings.Contains(err.Error(), sub)
+}
+
+// drainClock is a stepClock that hands the test the timers made once the
+// server is built instead of arming them on the sim: Drain's timeout, which
+// Drain arms from its own goroutine. The test fires it while the sim stands
+// still, so the server never reads the sim's clock while the test steps it.
+type drainClock struct {
+	stepClock
+	built   bool
+	timeout chan func()
+}
+
+func (c *drainClock) timer(fire func()) timer {
+	if !c.built {
+		return c.stepClock.timer(fire)
+	}
+	return lateTimer{fire, c.timeout}
+}
+
+type lateTimer struct {
+	fire    func()
+	timeout chan<- func()
+}
+
+func (t lateTimer) arm(float64) { t.timeout <- t.fire }
+
+// TestEveryFateReleasesItsRequest holds the server to the simulator's
+// request lifecycle: whatever its fate, every admitted request goes back
+// to the engine once, when it meets it. Each row drives terminal paths on
+// the stepped clock; once the server is idle, the engine must hold no
+// request unreleased and none twice over, and no waiter or parked outcome
+// may be left. Arrivals that file into got are numbered in arrival order,
+// and want is their outcomes; a row's conn is a connection without a
+// socket, whose replies pile up in its outbox.
+func TestEveryFateReleasesItsRequest(t *testing.T) {
+	type rig struct {
+		srv  *Server
+		sim  *gpusim.Sim
+		clk  *drainClock
+		got  fates
+		errs []error
+		n    int
+		conn *Responder
+	}
+	// arrive plants an arrival that files into got.
+	arrive := func(r *rig, at float64, model string, deadlineMs float64) {
+		arriveAt(r.sim, r.srv, at, model, deadlineMs, r.got, r.errs, r.n)
+		r.n++
+	}
+	// call plants an Infer (infer) or Submit arriving on conn as call seq.
+	call := func(r *rig, at float64, model string, deadlineMs float64, seq uint64, infer bool) {
+		r.sim.At(at, func(float64) {
+			w := waiter{to: r.conn, seq: seq, attached: infer}
+			if _, err := r.srv.arrive(model, deadlineMs, w, &outbound{}); err != nil {
+				t.Errorf("call %d: %v", seq, err)
+			}
+		})
+	}
+	// shutDown runs Stop or Drain on a goroutine of its own, as a signal
+	// handler would, and steps the sim whenever it waits for the lanes.
+	shutDown := func(r *rig, at float64, drain func(*Server) int, timeoutAt float64) {
+		r.sim.RunUntil(at)
+		done := make(chan struct{})
+		go func() {
+			drain(r.srv)
+			close(done)
+		}()
+		if timeoutAt == 0 {
+			for r.srv.Health().Status == "ok" {
+				time.Sleep(time.Millisecond)
+			}
+		} else {
+			timeout := <-r.clk.timeout
+			if timeoutAt > 0 {
+				r.sim.RunUntil(timeoutAt)
+				timeout()
+				for r.srv.Health().Status == "draining" {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}
+		r.sim.Run()
+		<-done
+	}
+	stop := func(s *Server) int { s.Stop(); return 0 }
+	drain := func(s *Server) int { return s.Drain(time.Hour) }
+	served, deadline, canceled, fault := policy.OutcomeServed, DropDeadline, DropCanceled, DropDeviceFault
+	for _, row := range []struct {
+		name   string
+		faults *gpusim.FaultInjector
+		run    func(r *rig)
+		want   []string
+	}{
+		{"served", nil, func(r *rig) {
+			arrive(r, 0, "work", 0)
+			arrive(r, 0, "quick", 0)
+			arrive(r, 1, "solo", 0)
+		}, []string{served, served, served}},
+		{"deadline", nil, func(r *rig) {
+			arrive(r, 0, "work", 30)  // in flight past its deadline: shed at 40
+			arrive(r, 0, "work", 0.5) // queued past it: the sweep at 20 sheds it
+		}, []string{deadline, deadline}},
+		{"cancel", nil, func(r *rig) {
+			arrive(r, 0, "work", 0)
+			arrive(r, 0, "work", 0)
+			r.sim.At(5, func(float64) {
+				for _, id := range []int{1, 0, 7} { // queued, in flight, unknown
+					r.srv.Cancel(id)
+				}
+			})
+		}, []string{canceled, canceled}},
+		{"fault", &gpusim.FaultInjector{Seed: 1, FailProb: 1, MaxRetries: 1}, func(r *rig) {
+			arrive(r, 0, "quick", 0)
+			arrive(r, 0, "quick", 0)
+		}, []string{fault, fault}},
+		{"stop", nil, func(r *rig) {
+			arrive(r, 0, "work", 0)
+			arrive(r, 0, "work", 0)
+			arrive(r, 0, "solo", 0)
+			shutDown(r, 5, stop, 0)
+		}, []string{DropStopped, DropStopped, DropStopped}},
+		{"drain", nil, func(r *rig) {
+			arrive(r, 0, "work", 0)
+			arrive(r, 0, "solo", 0)
+			arrive(r, 0, "quick", 0)
+			shutDown(r, 5, drain, -1)
+		}, []string{served, served, served}},
+		{"drain timeout", nil, func(r *rig) {
+			arrive(r, 0, "work", 0)
+			arrive(r, 0, "work", 0)
+			arrive(r, 0, "work", 0)
+			shutDown(r, 5, drain, 30)
+		}, []string{DropDrained, DropDrained, DropDrained}},
+		{"parked", nil, func(r *rig) {
+			call(r, 0, "solo", 0, 1, false)  // served at 30, before its Wait
+			call(r, 0, "work", 10, 2, false) // shed by the sweep at 30
+			r.sim.Run()
+			for seq := uint64(1); seq <= 2; seq++ {
+				var args coder
+				(&WaitArgs{ReqID: int(seq) - 1}).wire(&args)
+				r.conn.wait(10+seq, args.buf)
+			}
+			replies := newFrameReader(bytes.NewReader(r.conn.out.buf))
+			for seq, want := uint64(11), byte(replyOK); seq <= 12; seq, want = seq+1, replyErr {
+				if got, kind, _, err := replies.next(); err != nil || got != seq || kind != want {
+					t.Errorf("reply %d: seq %d, kind %d, %v; want kind %d", seq, got, kind, err, want)
+				}
+			}
+		}, nil},
+		{"hang-up", nil, func(r *rig) {
+			call(r, 0, "quick", 0, 1, false) // served at 1 and parked
+			call(r, 0, "work", 0, 2, true)   // in flight from 1
+			call(r, 0, "work", 0, 3, false)  // queued
+			r.sim.At(5, func(float64) { r.srv.hangUp(r.conn) })
+			r.sim.Run()
+			if n := len(r.conn.out.buf); n != 0 {
+				t.Errorf("%d reply bytes framed for a connection that hung up", n)
+			}
+		}, nil},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			sim := gpusim.New()
+			clk := &drainClock{stepClock: stepClock{sim}, timeout: make(chan func(), 1)}
+			srv := startOn(t, Config{Knobs: engine.Knobs{Alpha: 4, Faults: row.faults}, Catalog: lifecycleCatalog()}, sim, clk)
+			clk.built = true
+			r := &rig{srv: srv, sim: sim, clk: clk, got: make(fates, 4), errs: make([]error, 4), conn: &Responder{srv: srv}}
+			row.run(r)
+			sim.Run()
+			for i, want := range row.want {
+				if r.errs[i] != nil {
+					t.Errorf("arrival %d: front door %v", i, r.errs[i])
+				} else if o := outcomeOf(r.got[i].err); o != want {
+					t.Errorf("arrival %d: %s, want %s", i, o, want)
+				}
+			}
+			srv.mu.Lock()
+			held, twice := srv.eng.Outstanding()
+			waiters, parked := len(srv.waiters), len(srv.parked)
+			srv.mu.Unlock()
+			if held != 0 || twice != 0 {
+				t.Errorf("idle engine: %d requests never released, %d released twice", held, twice)
+			}
+			if waiters != 0 || parked != 0 {
+				t.Errorf("idle server: %d waiters and %d parked outcomes left", waiters, parked)
+			}
+		})
+	}
 }

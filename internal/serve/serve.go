@@ -28,6 +28,7 @@ import (
 	"net"
 	"net/rpc"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -122,25 +123,46 @@ type Config struct {
 	ArrivalRecorder *workload.Recorder
 }
 
-// outcome is what a waiter receives: the completed request, or a typed
-// terminal error (deadline, cancel, drain, stop, device fault).
+// outcome is what a waiter receives: a copy of the served request, or a
+// typed terminal error (deadline, cancel, drain, stop, device fault) and a
+// zero request. It is a copy because the request itself goes back to the
+// engine at its fate (resolveLocked).
 type outcome struct {
-	req *sched.Request
+	req sched.Request
 	err error
 }
 
+// set builds the outcome of r's fate in place: a copy of r if it was
+// served (err nil), else err.
+func (o *outcome) set(r *sched.Request, err error) {
+	if o.err = err; err == nil {
+		o.req = *r
+	} else {
+		o.req = sched.Request{}
+	}
+}
+
 // A recipient is where outcomes go: a connection's Responder, which frames
-// each as the reply to call seq.
-type recipient interface{ resolve(seq uint64, out outcome) }
+// each as the reply to call seq. out is only valid during the call.
+type recipient interface {
+	resolve(seq uint64, out *outcome)
+}
 
 // waiter is a request's claim on its outcome: call seq on connection to,
 // attached from arrival for an Infer and once its Wait comes for a Submit.
-// An outcome no call is attached to yet is parked in out.
+// An outcome no call is attached to yet is parked in Server.parked. A
+// waiter holds no outcome, so the waiters map keeps it in line.
 type waiter struct {
-	to               recipient
-	seq              uint64
-	attached, parked bool
-	out              outcome
+	to       recipient
+	seq      uint64
+	attached bool
+}
+
+// delivery is an outcome on its way to the call waiting for it.
+type delivery struct {
+	to  recipient
+	seq uint64
+	out outcome
 }
 
 // outbound is what a caller takes out from under s.mu to deliver after
@@ -148,7 +170,7 @@ type waiter struct {
 // timer callback takes one from outbounds.
 type outbound struct {
 	evs  []trace.Event
-	dels []waiter
+	dels []delivery
 }
 
 // outbounds recycles the hold timers' outbound scratch. A callback cannot
@@ -192,8 +214,10 @@ type Server struct {
 	// elasticSuppressed is the last §3.3 decision for a splittable arrival:
 	// true while the elastic mechanism is disabling splitting.
 	elasticSuppressed bool
-	// waiters holds each admitted request's waiter until its outcome leaves.
+	// waiters holds each admitted request's waiter until its outcome leaves;
+	// parked holds the outcomes of Submits whose Wait has not come yet.
 	waiters map[int]waiter
+	parked  map[int]*outcome
 	// perModel accumulates QoS aggregates per model since start.
 	perModel map[string]*modelAgg
 
@@ -201,8 +225,8 @@ type Server struct {
 	// code that may take its own locks or call back into the server, so
 	// events reach Config.Sink only after s.mu is released.
 	pending []trace.Event
-	// pendingOut buffers resolved waiters the same way.
-	pendingOut []waiter
+	// pendingOut buffers outcomes for attached waiters the same way.
+	pendingOut []delivery
 
 	// met caches metric handles (nil without Config.Obs); qos, the rolling
 	// estimator, and series, behind /timeseriesz, always exist.
@@ -275,6 +299,7 @@ func newServer(cfg Config, clk clock) (*Server, error) {
 		clk:        clk,
 		eng:        eng,
 		waiters:    make(map[int]waiter),
+		parked:     make(map[int]*outcome),
 		perModel:   make(map[string]*modelAgg),
 		qos:        obs.NewRollingQoS(cfg.Alpha, cfg.QoSWindow),
 		series:     obs.NewTimeSeries(cfg.Alpha, 0, 0, eng.Devices()),
@@ -498,8 +523,8 @@ func (s *Server) emit(e trace.Event) {
 	}
 }
 
-// takeOut copies the buffered events and resolved waiters into o, emptying
-// the buffers but keeping their capacity. Caller holds s.mu and passes o to
+// takeOut copies the buffered events and deliveries into o, emptying the
+// buffers but keeping their capacity. Caller holds s.mu and passes o to
 // deliver after unlocking.
 func (s *Server) takeOut(o *outbound) {
 	o.evs = append(o.evs[:0], s.pending...)
@@ -513,8 +538,10 @@ func (s *Server) deliver(o *outbound) {
 	for _, e := range o.evs {
 		s.cfg.Sink.Emit(e)
 	}
-	for _, w := range o.dels {
-		w.to.resolve(w.seq, w.out)
+	// Indexed: the address of a range variable's outcome would escape.
+	for i := range o.dels {
+		d := &o.dels[i]
+		d.to.resolve(d.seq, &d.out)
 	}
 }
 
@@ -550,23 +577,42 @@ func (s *Server) shedLocked(nowMs float64, r *sched.Request, reason string) {
 		}
 	}
 	//lint:ignore hotalloc the resolved error must carry request identity for the client; sheds are the rare path
-	s.resolveLocked(r.ID, outcome{err: fmt.Errorf("%w (request %d, %s)", reasonErr[reason], r.ID, r.Model)})
+	s.resolveLocked(r, fmt.Errorf("%w (request %d, %s)", reasonErr[reason], r.ID, r.Model))
 }
 
-// resolveLocked queues the outcome for delivery and forgets its waiter, or
-// parks it on a waiter no call is attached to yet. Caller holds s.mu.
-func (s *Server) resolveLocked(id int, out outcome) {
-	w, ok := s.waiters[id]
-	if !ok {
-		return
+// resolveLocked is every admitted request's exit, as policy.Split's record
+// is the simulator's: it builds the outcome of r's fate (r served if err is
+// nil) for r's waiter, then hands r back to the engine. The outcome goes
+// to the waiter's call by way of pendingOut, or is parked until a Submit's
+// Wait comes; a request whose connection hung up has no waiter and leaves
+// no outcome. Caller holds s.mu.
+//
+// The outcome is built in place, in its pendingOut slot, never as a local:
+// fire's boundary chain (fire → fateLocked → resolveLocked, then deliver →
+// resolve → sendLocked → frame) runs on a hold's fresh timer goroutine and
+// only just fits in its starting stack. A frame that grows by an outcome
+// pushes every short hold over the edge, and runtime.newstack then costs
+// more than the serving it interrupts (EXPERIMENTS P12, P13).
+//
+//lint:hotpath every admitted request leaves through here
+func (s *Server) resolveLocked(r *sched.Request, err error) {
+	id := r.ID
+	switch w, ok := s.waiters[id]; {
+	case !ok:
+	case w.attached:
+		delete(s.waiters, id)
+		n := len(s.pendingOut)
+		s.pendingOut = slices.Grow(s.pendingOut, 1)[:n+1]
+		d := &s.pendingOut[n]
+		d.to, d.seq = w.to, w.seq
+		d.out.set(r, err)
+	default:
+		//lint:ignore hotalloc only a Submit whose outcome beats its Wait parks
+		p := new(outcome)
+		p.set(r, err)
+		s.parked[id] = p
 	}
-	if w.out = out; !w.attached {
-		w.parked = true
-		s.waiters[id] = w
-		return
-	}
-	delete(s.waiters, id)
-	s.pendingOut = append(s.pendingOut, w)
+	s.eng.Release(r)
 }
 
 // modelAgg accumulates per-model QoS outcomes (under s.mu).
@@ -766,11 +812,14 @@ func (s *Server) hangUp(r *Responder) {
 	s.mu.Lock()
 	var ids []int
 	for id, w := range s.waiters {
-		if w.to == recipient(r) {
-			delete(s.waiters, id)
-			if !w.parked {
-				ids = append(ids, id)
-			}
+		if w.to != recipient(r) {
+			continue
+		}
+		delete(s.waiters, id)
+		if _, ok := s.parked[id]; ok {
+			delete(s.parked, id)
+		} else {
+			ids = append(ids, id)
 		}
 	}
 	sort.Ints(ids) // deterministic cancel order for traces
@@ -819,6 +868,13 @@ func (s *Server) grantLocked(lane int, now float64) {
 // release woke, siblings first — they were waiting — then its own. It
 // delivers with s.mu released.
 //
+// A hold shorter than the kernel timer's cut-off fires on a fresh
+// goroutine, and the chain below fire (fateLocked → resolveLocked, then
+// deliver → resolve → sendLocked → frame) only just fits in its starting
+// stack: one more frame or a bigger one, and every such hold copies its
+// stack in runtime.newstack. That is why outcomes are built in place in
+// their pendingOut slots and recipients take *outcome (see resolveLocked).
+//
 //lint:hotpath block-boundary settlement for every device hold
 func (h *hold) fire() {
 	s := h.s
@@ -842,7 +898,7 @@ func (h *hold) fire() {
 		// Pro-rated by Frac (1 unpartitioned): temporal and spatial sums compare.
 		h.busyMs += (now - h.startMs) * g.Frac
 		h.width = int(g.Frac*float64(s.eng.Parts()) + 0.5)
-		//lint:ignore hotalloc lazy per-window busy buckets: one make per elapsed time window, not per hold
+		//lint:ignore hotalloc lazy per-window busy buckets: one make per window until the ring is full, recycled after
 		s.series.ObserveBusyFrac(h.dev, h.startMs, now, g.Frac)
 		if s.met != nil && len(s.met.deviceBlocks) > 0 {
 			s.met.deviceBlocks[h.dev].Inc()
@@ -906,7 +962,7 @@ func (s *Server) fateLocked(nowMs float64, f engine.Fate) {
 		agg.preempts += r.Preemptions
 		//lint:ignore hotalloc deployed models hit the cached counter map; Registry.Counter runs once per never-seen model
 		s.observeCompletion(r, rr)
-		s.resolveLocked(r.ID, outcome{req: r})
+		s.resolveLocked(r, nil)
 	case engine.Shed:
 		s.shedLocked(nowMs, r, f.Reason)
 	case engine.Requeued:
@@ -1231,11 +1287,11 @@ func (r *Responder) serve(conn net.Conn) {
 
 // resolve makes r a recipient: an outcome becomes the reply to the call
 // waiting for it.
-func (r *Responder) resolve(seq uint64, out outcome) {
+func (r *Responder) resolve(seq uint64, out *outcome) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if out.err == nil {
-		r.reply.fill(out.req)
+		r.reply.fill(&out.req)
 	}
 	r.sendLocked(seq, &r.reply, out.err)
 }
@@ -1289,12 +1345,14 @@ func (r *Responder) wait(seq uint64, body []byte) {
 	s := r.srv
 	s.mu.Lock()
 	w, ok := s.waiters[args.ReqID]
+	parked := s.parked[args.ReqID]
 	switch {
 	case err != nil:
 	case !ok || w.to != recipient(r):
 		err = fmt.Errorf("serve: no pending request %d on this connection", args.ReqID)
-	case w.parked:
+	case parked != nil:
 		delete(s.waiters, args.ReqID)
+		delete(s.parked, args.ReqID)
 	case w.attached:
 		err = fmt.Errorf("serve: request %d already has a waiter", args.ReqID)
 	default:
@@ -1302,10 +1360,11 @@ func (r *Responder) wait(seq uint64, body []byte) {
 		s.waiters[args.ReqID] = w
 	}
 	s.mu.Unlock()
-	if err != nil {
+	switch {
+	case err != nil:
 		r.send(seq, nil, err)
-	} else if w.parked {
-		r.resolve(seq, w.out)
+	case parked != nil:
+		r.resolve(seq, parked)
 	}
 }
 

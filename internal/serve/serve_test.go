@@ -436,7 +436,7 @@ func blockedServer(t *testing.T, mut func(*Config)) *Server {
 // chanBox is an in-process recipient: the outcome goes to a channel.
 type chanBox chan outcome
 
-func (c chanBox) resolve(_ uint64, out outcome) { c <- out }
+func (c chanBox) resolve(_ uint64, out *outcome) { c <- *out }
 
 // enqueue is the in-process front door the tests drive: an Infer with no
 // connection behind it, whose outcome arrives on the returned channel.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -220,5 +221,101 @@ func TestReadTraceNumbersMatchEncodingJSON(t *testing.T) {
 	}
 	for _, line := range strings.SplitAfter(body.String(), "\n") {
 		checkReadTraceAgainstUnmarshal(t, line)
+	}
+}
+
+// mapRecorder is the Recorder as it was before chunks: a growing slice of
+// arrivals and a map from ID to position, which a cancellation backfills
+// through as it comes. FuzzRecorderMatchesMap holds Recorder to it.
+type mapRecorder struct {
+	arrivals []Arrival
+	byID     map[int]int
+}
+
+func (r *mapRecorder) observe(id int, modelName string, atMs, deadlineMs float64) {
+	r.byID[id] = len(r.arrivals)
+	r.arrivals = append(r.arrivals, Arrival{ID: id, Model: modelName, AtMs: atMs, DeadlineMs: deadlineMs})
+}
+
+func (r *mapRecorder) observeCancel(id int, atMs float64) {
+	if i, ok := r.byID[id]; ok {
+		r.arrivals[i].CancelAtMs = atMs
+	}
+}
+
+func (r *mapRecorder) trace() []Arrival {
+	out := make([]Arrival, len(r.arrivals))
+	copy(out, r.arrivals)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].AtMs != out[j].AtMs {
+			return out[i].AtMs < out[j].AtMs
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// FuzzRecorderMatchesMap: over any sequence of Observe and ObserveCancel,
+// the chunked Recorder's Trace is the map-based one's. Each op is three
+// bytes: a kind, an ID and a time. IDs repeat and come out of order;
+// cancels name unknown IDs, IDs not recorded yet (ignored, even once
+// recorded) and IDs already canceled (the last wins); and a burst op
+// records past one chunk.
+func FuzzRecorderMatchesMap(f *testing.F) {
+	f.Add([]byte{0, 3, 10, 0, 1, 10, 1, 3, 15, 1, 99, 16})
+	f.Add([]byte{1, 5, 1, 0, 5, 2, 1, 5, 3, 1, 5, 4, 0, 5, 5, 1, 5, 6})
+	f.Add([]byte{2, 0, 0, 1, 7, 9, 2, 1, 1, 1, 200, 5, 0, 7, 1, 1, 7, 8})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		got, want := NewRecorder(), &mapRecorder{byID: make(map[int]int)}
+		models := []string{"vgg19", "resnet50", "yolov2"}
+		burstID := 1000
+		for i := 0; i+2 < len(ops); i += 3 {
+			id, at := int(ops[i+1]%64), float64(ops[i+2])
+			switch ops[i] % 4 {
+			case 0, 3:
+				m, dl := models[id%len(models)], float64(id%3)*25
+				got.Observe(id, m, at, dl)
+				want.observe(id, m, at, dl)
+			case 1:
+				got.ObserveCancel(id, at+0.5)
+				want.observeCancel(id, at+0.5)
+			case 2:
+				// A burst of fresh IDs, some of which later ops cancel.
+				for range recChunk/2 + id {
+					got.Observe(burstID, models[0], at, 0)
+					want.observe(burstID, models[0], at, 0)
+					burstID++
+				}
+				got.ObserveCancel(burstID-1-id, at+1)
+				want.observeCancel(burstID-1-id, at+1)
+			}
+		}
+		if got.Len() != len(want.arrivals) {
+			t.Fatalf("Len = %d, the map recorder's %d", got.Len(), len(want.arrivals))
+		}
+		if g, w := got.Trace(), want.trace(); !reflect.DeepEqual(g, w) {
+			for i := range w {
+				if i >= len(g) || g[i] != w[i] {
+					t.Fatalf("Trace differs first at %d: %+v, the map recorder's %+v", i, g[i:min(i+1, len(g))], w[i])
+				}
+			}
+			t.Fatalf("Trace has %d arrivals, the map recorder's %d", len(g), len(w))
+		}
+	})
+}
+
+// TestRecorderObserveAllocs: recording an arrival allocates once per chunk,
+// at most once per thousand calls.
+func TestRecorderObserveAllocs(t *testing.T) {
+	const calls = 100_000
+	r, id := NewRecorder(), 0
+	got := testing.AllocsPerRun(1, func() {
+		for range calls {
+			r.Observe(id, "vgg19", float64(id), 0)
+			id++
+		}
+	}) / calls
+	if t.Logf("%.5f allocations per Observe", got); got > 1.0/1000 {
+		t.Errorf("%.5f allocations per Observe, want ≤ 0.001", got)
 	}
 }

@@ -437,34 +437,56 @@ func (p *lineParser) name(names map[string]string) string {
 // deterministically through policy.Split. It is safe for concurrent use;
 // the serving path records under its own lock, admin surfaces read later.
 type Recorder struct {
-	mu       sync.Mutex
-	arrivals []Arrival
-	// byID maps request ID to its slice position so a later cancellation
-	// can be backfilled onto the arrival that replay needs it on.
-	byID map[int]int
+	mu sync.Mutex
+	// chunks hold the n arrivals in recording order, recChunk to a chunk: an
+	// arrival is written once where it stays, and costs its own bytes and
+	// no index.
+	chunks []*[recChunk]recorded
+	n      int
+	// cancels are the cancellations in recording order, which Trace applies.
+	cancels []recCancel
+}
+
+// recChunk is how many arrivals one Recorder chunk holds: a run pays one
+// allocation per recChunk arrivals.
+const recChunk = 2048
+
+// recorded is one admitted arrival as Observe saw it.
+type recorded struct {
+	id               int
+	model            string
+	atMs, deadlineMs float64
+}
+
+// recCancel is one ObserveCancel call, and how many arrivals had been
+// recorded when it came: it belongs to the latest of those with its ID.
+type recCancel struct {
+	id, seen int
+	atMs     float64
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{byID: make(map[int]int)}
-}
+func NewRecorder() *Recorder { return new(Recorder) }
 
 // Observe records one admitted arrival. atMs is the server's virtual time;
 // deadlineMs is the client-supplied relative deadline (0 for none).
 func (r *Recorder) Observe(id int, modelName string, atMs, deadlineMs float64) {
 	r.mu.Lock()
-	r.byID[id] = len(r.arrivals)
-	r.arrivals = append(r.arrivals, Arrival{ID: id, Model: modelName, AtMs: atMs, DeadlineMs: deadlineMs})
+	i := r.n % recChunk
+	if i == 0 {
+		r.chunks = append(r.chunks, new([recChunk]recorded))
+	}
+	r.chunks[len(r.chunks)-1][i] = recorded{id: id, model: modelName, atMs: atMs, deadlineMs: deadlineMs}
+	r.n++
 	r.mu.Unlock()
 }
 
-// ObserveCancel backfills the cancellation time onto a recorded arrival.
-// Unknown IDs (e.g. requests rejected at admission) are ignored.
+// ObserveCancel records the cancellation time of a recorded arrival, which
+// Trace backfills onto it; the latest cancellation of an arrival wins.
+// IDs not recorded yet (e.g. requests rejected at admission) are ignored.
 func (r *Recorder) ObserveCancel(id int, atMs float64) {
 	r.mu.Lock()
-	if i, ok := r.byID[id]; ok {
-		r.arrivals[i].CancelAtMs = atMs
-	}
+	r.cancels = append(r.cancels, recCancel{id: id, seen: r.n, atMs: atMs})
 	r.mu.Unlock()
 }
 
@@ -472,7 +494,7 @@ func (r *Recorder) ObserveCancel(id int, atMs float64) {
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.arrivals)
+	return r.n
 }
 
 // Trace returns the recorded arrivals as a replayable trace: a copy,
@@ -480,8 +502,23 @@ func (r *Recorder) Len() int {
 // of order — with IDs preserved as the server assigned them.
 func (r *Recorder) Trace() []Arrival {
 	r.mu.Lock()
-	out := make([]Arrival, len(r.arrivals))
-	copy(out, r.arrivals)
+	out := make([]Arrival, r.n)
+	for i := range out {
+		a := &r.chunks[i/recChunk][i%recChunk]
+		out[i] = Arrival{ID: a.id, Model: a.model, AtMs: a.atMs, DeadlineMs: a.deadlineMs}
+	}
+	// Each cancel goes to the arrival its ID named when it came: the latest
+	// recorded before it.
+	latest := make(map[int]int)
+	next := 0
+	for _, c := range r.cancels {
+		for ; next < c.seen; next++ {
+			latest[out[next].ID] = next
+		}
+		if i, ok := latest[c.id]; ok {
+			out[i].CancelAtMs = c.atMs
+		}
+	}
 	r.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].AtMs != out[j].AtMs {
