@@ -376,7 +376,7 @@ func traceRun(w io.Writer, o *options) error {
 	if o.timeseries != "" {
 		devices := 1
 		for _, e := range tr.Events() {
-			devices = max(devices, e.Device+1)
+			devices = max(devices, int(e.Device)+1)
 		}
 		snap := obs.TimeSeriesFromRun(run.Records, tr.Events(), o.alpha, o.window, devices)
 		err := writeFile(o.timeseries, func(f io.Writer) error {

@@ -40,6 +40,7 @@ import (
 	"split/internal/fleet"
 	"split/internal/gpusim"
 	"split/internal/model"
+	"split/internal/modelid"
 	"split/internal/place"
 	"split/internal/sched"
 	"split/internal/trace"
@@ -175,6 +176,8 @@ type Arrival struct {
 	// Idle reports that the lane's anchor slot is free, so the driver
 	// should Grant the lane now.
 	Idle bool
+	// model is the job's model ID, which the arrival's events carry.
+	model modelid.ID
 	// placer names the placement policy on engines with more than one lane,
 	// where an arrival narrates its Place event; the zero Word on a single
 	// lane.
@@ -387,6 +390,9 @@ type Engine struct {
 	wholes []float64
 	// arrival is the front door's decision, rewritten by every Arrive.
 	arrival Arrival
+	// models resolves each job's model name to the ID its events carry,
+	// once per model.
+	models modelid.Memo
 }
 
 // Slab chunks double from slabMin to slabMax requests: a run of a few
@@ -473,11 +479,36 @@ func (e *Engine) wholePlan(extMs float64) []float64 {
 	return []float64{extMs}
 }
 
+// The widest engine and the longest plan a trace event can describe:
+// trace.Event carries its device and block as int16 and its partition
+// slot as int8. New refuses a wider fleet, and the drivers refuse a longer
+// plan where it enters their catalog (CheckPlan).
+const (
+	MaxDevices    = math.MaxInt16
+	MaxPartitions = math.MaxInt8
+	MaxBlocks     = math.MaxInt16
+)
+
+// CheckPlan refuses a plan of more than MaxBlocks blocks for the named
+// model.
+func CheckPlan(name string, blocks int) error {
+	if blocks > MaxBlocks {
+		return fmt.Errorf("engine: %s plan has %d blocks, more than %d", name, blocks, MaxBlocks)
+	}
+	return nil
+}
+
 // New validates k and builds an idle engine. Errors come back exactly as
 // place and fleet phrase them; drivers add their own prefix.
 func New(k Knobs) (*Engine, error) {
 	if math.IsNaN(k.Alpha) || math.IsInf(k.Alpha, 0) {
 		return nil, fmt.Errorf("engine: Alpha must be finite, got %g", k.Alpha)
+	}
+	if k.Devices > MaxDevices || k.Fleet.Max > MaxDevices {
+		return nil, fmt.Errorf("engine: a fleet of %d devices is more than %d", max(k.Devices, k.Fleet.Max), MaxDevices)
+	}
+	if k.Partitions > MaxPartitions {
+		return nil, fmt.Errorf("engine: %d partitions per device is more than %d", k.Partitions, MaxPartitions)
 	}
 	scaler, err := fleet.NewAutoscaler(k.Fleet)
 	if err != nil {
@@ -645,7 +676,8 @@ func (e *Engine) Stats(now float64) Stats {
 //lint:hotpath the front door runs once per request, in the simulator's event loop and under the server mutex
 func (e *Engine) Arrive(now float64, job *Job) *Arrival {
 	out := &e.arrival
-	*out = Arrival{}
+	//lint:ignore hotalloc a model's name is interned once, at its first arrival
+	*out = Arrival{model: e.models.ID(job.Model)}
 	if e.admit != nil {
 		if ok, detail := e.admit.Admit(now, job.ExtMs, e.k.Alpha, e.admitView()); !ok {
 			// Rejected at the door: never enqueued, never started.
@@ -685,7 +717,7 @@ func (e *Engine) Arrive(now float64, job *Job) *Arrival {
 		blocks = e.wholePlan(job.ExtMs)
 	}
 	r := e.newRequest()
-	r.Init(job.ID, job.Model, job.Class, now, job.ExtMs, blocks)
+	r.Init(job.ID, job.Model, out.model, job.Class, now, job.ExtMs, blocks)
 	r.Device = dev
 	r.Partition = ln.part
 	if job.DeadlineMs > 0 {
@@ -768,6 +800,11 @@ func (e *Engine) Grant(idx int, now float64) *Grant {
 	n := len(batch)
 	id := 0
 	if n > 1 {
+		// Batch ids ride trace events as int32: wrap to 1, never to 0,
+		// which means unbatched.
+		if e.batchSeq == math.MaxInt32 {
+			e.batchSeq = 0
+		}
 		e.batchSeq++
 		id = e.batchSeq
 	}

@@ -465,10 +465,55 @@ func TestNewRejectsBadKnobs(t *testing.T) {
 		"unknown admission mode":         {Admission: fleet.AdmissionConfig{Mode: "nope"}},
 		"Alpha must be finite, got NaN":  {Alpha: math.NaN()},
 		"Alpha must be finite, got +Inf": {Alpha: math.Inf(1)},
+		// Trace events carry devices and blocks as int16 and partition
+		// slots as int8: nothing past them may wrap silently.
+		"a fleet of 32768 devices is more than 32767": {Devices: MaxDevices + 1},
+		"a fleet of 40000 devices is more than 32767": {Devices: 2, Fleet: fleet.AutoscaleConfig{Min: 1, Max: 40000}},
+		"128 partitions per device is more than 127":  {Partitions: MaxPartitions + 1},
 	} {
 		if _, err := New(k); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("New(%+v): error %v, want one mentioning %q", k, err, want)
 		}
+	}
+	if err := CheckPlan("deep", MaxBlocks+1); err == nil || !strings.Contains(err.Error(), "deep plan has 32768 blocks, more than 32767") {
+		t.Errorf("CheckPlan of %d blocks: %v", MaxBlocks+1, err)
+	}
+	if err := CheckPlan("deep", MaxBlocks); err != nil {
+		t.Errorf("CheckPlan of %d blocks: %v", MaxBlocks, err)
+	}
+}
+
+// TestBatchIDWraps: batch ids ride trace events as int32, so the counter
+// wraps from math.MaxInt32 to 1 — never to 0, which means unbatched, and
+// never to a negative id.
+func TestBatchIDWraps(t *testing.T) {
+	e := mustNew(t, Knobs{Alpha: 4, BatchMax: 4})
+	e.batchSeq = math.MaxInt32 - 1
+	arrive(e, 0, job(0, "huge"))
+	for i := 1; i <= 3; i++ {
+		e.Arrive(float64(i), job(i, "short"))
+	}
+	now := 96.0
+	var got []int
+	for round := 0; round < 2; round++ {
+		e.Settle(0, now, "")
+		g := e.Grant(0, now)
+		if !g.OK || len(g.Batch) != 3 {
+			t.Fatalf("round %d: grant %v, want a batch of three", round, ids(g.Batch))
+		}
+		got = append(got, g.BatchID)
+		for _, ev := range AppendGrant(nil, now, g) {
+			if int(ev.Batch) != g.BatchID {
+				t.Errorf("round %d: %s event carries batch %d, grant %d", round, ev.Kind, ev.Batch, g.BatchID)
+			}
+		}
+		for i := 4; i <= 6; i++ {
+			e.Arrive(now+float64(i), job(10*round+i, "short"))
+		}
+		now += g.HoldMs
+	}
+	if want := []int{math.MaxInt32, 1}; !slices.Equal(got, want) {
+		t.Errorf("batch ids %v, want %v", got, want)
 	}
 }
 

@@ -28,15 +28,15 @@ func word(s string) float64 { return float64(trace.WordOf(s)) }
 // placer saw.
 func AppendArrival(evs []trace.Event, now float64, job *Job, a *Arrival) []trace.Event {
 	if a.Rejected {
-		evs = append(evs, trace.Event{AtMs: now, Kind: trace.Drop, ReqID: job.ID, Model: job.Model,
+		evs = append(evs, trace.Event{AtMs: now, Kind: trace.Drop, ReqID: job.ID, Model: a.model,
 			Note: trace.NoteAdmission, Args: [4]float64{word(a.Detail)}})
 	}
 	switch sc := a.Scale; sc.Dir {
 	case fleet.ScaleOut:
-		evs = append(evs, trace.Event{AtMs: now, Kind: trace.ScaleOut, ReqID: -1, Device: sc.Device,
+		evs = append(evs, trace.Event{AtMs: now, Kind: trace.ScaleOut, ReqID: -1, Device: int16(sc.Device),
 			Note: trace.NoteScaleOut, Args: [4]float64{float64(sc.Active), float64(sc.Depth)}})
 	case fleet.ScaleIn:
-		evs = append(evs, trace.Event{AtMs: now, Kind: trace.ScaleIn, ReqID: -1, Device: sc.Device,
+		evs = append(evs, trace.Event{AtMs: now, Kind: trace.ScaleIn, ReqID: -1, Device: int16(sc.Device),
 			Note: trace.NoteScaleIn, Args: [4]float64{float64(sc.Active), float64(sc.Depth)}})
 	}
 	if a.Rejected {
@@ -44,12 +44,12 @@ func AppendArrival(evs []trace.Event, now float64, job *Job, a *Arrival) []trace
 	}
 	r := a.Req
 	if a.placer != 0 {
-		evs = append(evs, trace.Event{AtMs: now, Kind: trace.Place, ReqID: r.ID, Model: r.Model,
-			Device: r.Device, Part: int32(r.Partition),
+		evs = append(evs, trace.Event{AtMs: now, Kind: trace.Place, ReqID: r.ID, Model: r.ModelID,
+			Device: int16(r.Device), Part: int8(r.Partition),
 			Note: trace.NotePlaced, Args: [4]float64{float64(a.placer), float64(a.QueueLen)}})
 	}
-	return append(evs, trace.Event{AtMs: now, Kind: trace.Arrive, ReqID: r.ID, Model: r.Model,
-		Device: r.Device, Part: int32(r.Partition), Note: trace.NoteQueued,
+	return append(evs, trace.Event{AtMs: now, Kind: trace.Arrive, ReqID: r.ID, Model: r.ModelID,
+		Device: int16(r.Device), Part: int8(r.Partition), Note: trace.NoteQueued,
 		Args: [4]float64{float64(a.Pos), float64(len(r.BlockTimes)), float64(a.Scanned), float64(a.QueueLen)}})
 }
 
@@ -63,8 +63,8 @@ func AppendCancel(evs []trace.Event, now float64, c Cancellation, why string) []
 		return evs
 	}
 	r := c.Req
-	e := trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: r.ID, Model: r.Model,
-		Block: r.Next, Device: r.Device, Part: int32(r.Partition),
+	e := trace.Event{AtMs: now, Kind: trace.Cancel, ReqID: r.ID, Model: r.ModelID,
+		Block: int16(r.Next), Device: int16(r.Device), Part: int8(r.Partition),
 		Note: trace.NoteWord, Args: [4]float64{word(c.State.String())}}
 	if why != "" {
 		e.Note, e.Args[1] = trace.NoteCancelWhy, word(why)
@@ -80,8 +80,8 @@ func AppendCancel(evs []trace.Event, now float64, c Cancellation, why string) []
 // narrators call it for every shed the engine decides; a driver calls it
 // directly only for the backlog it sheds at shutdown.
 func AppendShed(evs []trace.Event, now float64, r *sched.Request, reason string) []trace.Event {
-	return append(evs, trace.Event{AtMs: now, Kind: trace.Shed, ReqID: r.ID, Model: r.Model,
-		Block: r.Next, Device: r.Device, Note: trace.NoteWord, Args: [4]float64{word(reason)}})
+	return append(evs, trace.Event{AtMs: now, Kind: trace.Shed, ReqID: r.ID, Model: r.ModelID,
+		Block: int16(r.Next), Device: int16(r.Device), Note: trace.NoteWord, Args: [4]float64{word(reason)}})
 }
 
 // AppendGrant narrates a grant: the deadline sheds of the boundary sweep,
@@ -103,8 +103,8 @@ func AppendGrant(evs []trace.Event, now float64, g *Grant) []trace.Event {
 		note, args = trace.NoteDurFrac, [4]float64{g.RunMs, g.Frac}
 	}
 	for _, m := range g.Batch {
-		evs = append(evs, trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID, Model: m.Model,
-			Block: g.Block, Device: m.Device, Part: int32(m.Partition), Batch: g.BatchID,
+		evs = append(evs, trace.Event{AtMs: now, Kind: trace.StartBlock, ReqID: m.ID, Model: m.ModelID,
+			Block: int16(g.Block), Device: int16(m.Device), Part: int8(m.Partition), Batch: int32(g.BatchID),
 			Note: note, Args: args})
 	}
 	return appendSpike(evs, now, g, g.Spike, g.Attempt)
@@ -124,21 +124,21 @@ func AppendSettle(evs []trace.Event, now float64, g *Grant, st *Settlement) []tr
 		evs = appendFault(evs, now, g, trace.NoteTerminal, float64(st.Attempt+1), 0)
 	}
 	for _, m := range g.Batch {
-		evs = append(evs, trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID, Model: m.Model,
-			Block: g.Block, Device: m.Device, Part: int32(m.Partition), Batch: g.BatchID})
+		evs = append(evs, trace.Event{AtMs: now, Kind: trace.EndBlock, ReqID: m.ID, Model: m.ModelID,
+			Block: int16(g.Block), Device: int16(m.Device), Part: int8(m.Partition), Batch: int32(g.BatchID)})
 	}
 	for _, f := range st.Fates {
 		r := f.Req
 		switch f.Kind {
 		case Served:
-			evs = append(evs, trace.Event{AtMs: now, Kind: trace.Complete, ReqID: r.ID, Model: r.Model,
-				Block: g.Block, Device: r.Device, Note: trace.NoteRR, Args: [4]float64{r.ResponseRatio()}})
+			evs = append(evs, trace.Event{AtMs: now, Kind: trace.Complete, ReqID: r.ID, Model: r.ModelID,
+				Block: int16(g.Block), Device: int16(r.Device), Note: trace.NoteRR, Args: [4]float64{r.ResponseRatio()}})
 		case Shed:
 			evs = AppendShed(evs, now, r, f.Reason)
 		case Requeued:
 			if f.Pos > 0 {
-				evs = append(evs, trace.Event{AtMs: now, Kind: trace.Preempt, ReqID: r.ID, Model: r.Model,
-					Block: r.Next, Device: r.Device, Note: trace.NoteRequeued, Args: [4]float64{float64(f.Pos)}})
+				evs = append(evs, trace.Event{AtMs: now, Kind: trace.Preempt, ReqID: r.ID, Model: r.ModelID,
+					Block: int16(r.Next), Device: int16(r.Device), Note: trace.NoteRequeued, Args: [4]float64{float64(f.Pos)}})
 			}
 		}
 	}
@@ -149,8 +149,8 @@ func AppendSettle(evs []trace.Event, now float64, g *Grant, st *Settlement) []tr
 // leader.
 func appendFault(evs []trace.Event, now float64, g *Grant, note trace.Note, a0, a1 float64) []trace.Event {
 	lead := g.Batch[0]
-	return append(evs, trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.Model,
-		Block: g.Block, Device: lead.Device, Note: note, Args: [4]float64{a0, a1}})
+	return append(evs, trace.Event{AtMs: now, Kind: trace.Fault, ReqID: lead.ID, Model: lead.ModelID,
+		Block: int16(g.Block), Device: int16(lead.Device), Note: note, Args: [4]float64{a0, a1}})
 }
 
 // appendSpike narrates an attempt's latency spike, if it drew one.

@@ -66,7 +66,7 @@ func lines(evs []trace.Event) []string {
 	for i, e := range evs {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%g %s #%d", e.AtMs, e.Kind, e.ReqID)
-		if e.Model != "" {
+		if e.Model != 0 {
 			fmt.Fprintf(&b, " %s", e.Model)
 		}
 		fmt.Fprintf(&b, " blk=%d", e.Block)

@@ -137,7 +137,7 @@ func (d *Digest) Events(events []trace.Event) {
 		d.F64(e.AtMs)
 		d.Str(e.Kind.String())
 		d.U64(uint64(int64(e.ReqID)))
-		d.Str(e.Model)
+		d.Str(e.Model.String())
 		d.U64(uint64(e.Block))
 		d.U64(uint64(e.Device))
 		d.U64(uint64(e.Batch))

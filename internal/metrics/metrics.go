@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"split/internal/model"
 	"split/internal/policy"
@@ -42,18 +41,6 @@ func ViolationRate(recs []policy.Record, alpha float64) float64 {
 	return float64(violated) / float64(len(recs))
 }
 
-// Served filters to the records that completed normally; latency-derived
-// metrics are only meaningful over these.
-func Served(recs []policy.Record) []policy.Record {
-	out := make([]policy.Record, 0, len(recs))
-	for i := range recs {
-		if recs[i].Served() {
-			out = append(out, recs[i])
-		}
-	}
-	return out
-}
-
 // Admitted filters out records rejected at the front door by admission
 // control. QoS rates are computed over admitted records — a rejection is
 // the gate doing its job, not a violation the fleet inflicted on an
@@ -66,21 +53,6 @@ func Admitted(recs []policy.Record) []policy.Record {
 		}
 	}
 	return out
-}
-
-// DropRate returns the fraction of records that were shed rather than
-// served.
-func DropRate(recs []policy.Record) float64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	shed := 0
-	for i := range recs {
-		if !recs[i].Served() {
-			shed++
-		}
-	}
-	return float64(shed) / float64(len(recs))
 }
 
 // ViolationCurve evaluates ViolationRate at every α, producing one Figure 6
@@ -134,60 +106,45 @@ func ResponseRatios(recs []policy.Record) []float64 {
 // records: add sums e2e and counts, settle fixes the mean, deviate sums the
 // squared deviations from it. Each sum runs in record order, so stdDev is
 // bit-identical to stats.StdDev over the group's e2e slice.
-type jitterGroup struct {
-	class         model.RequestClass
+type jitterGroup[K comparable] struct {
+	key           K
 	n             int
 	sum, mean, sq float64
 }
 
-func (g *jitterGroup) add(e2e float64) { g.n++; g.sum += e2e }
+func (g *jitterGroup[K]) add(e2e float64) { g.n++; g.sum += e2e }
 
 // settle's mean is NaN for an empty group, which deviate never sees.
-func (g *jitterGroup) settle() { g.mean = g.sum / float64(g.n) }
+func (g *jitterGroup[K]) settle() { g.mean = g.sum / float64(g.n) }
 
-func (g *jitterGroup) deviate(e2e float64) { d := e2e - g.mean; g.sq += d * d }
+func (g *jitterGroup[K]) deviate(e2e float64) { d := e2e - g.mean; g.sq += d * d }
 
-func (g *jitterGroup) stdDev() float64 {
+func (g *jitterGroup[K]) stdDev() float64 {
 	if g.n == 0 {
 		return 0
 	}
 	return math.Sqrt(g.sq / float64(g.n))
 }
 
-// JitterByModel returns the Figure 7 metric: the standard deviation of
-// end-to-end execution time for each model's served requests.
-func JitterByModel(recs []policy.Record) map[string]float64 {
-	by := make(map[string][]float64)
-	for i := range recs {
-		if r := &recs[i]; r.Served() {
-			by[r.Model] = append(by[r.Model], r.E2EMs())
-		}
-	}
-	out := make(map[string]float64)
-	for name, xs := range by {
-		out[name] = stats.StdDev(xs)
-	}
-	return out
-}
-
-// JitterByClass aggregates jitter across all served short and long requests.
-// There are a handful of classes, so it keeps their accumulators in a slice
-// searched linearly, on the stack.
-func JitterByClass(recs []policy.Record) map[model.RequestClass]float64 {
-	var buf [2]jitterGroup
-	groups := buf[:0]
-	find := func(c model.RequestClass) *jitterGroup {
+// jitterBy is the jitter of the served records grouped by key, folded in
+// two walks. A run has a handful of groups, so they live in groups — the
+// caller's empty stack buffer, spilled to the heap only past its capacity —
+// searched linearly: comparing a few keys is cheaper than hashing one. A
+// key with no served record is absent, and the only allocation is the
+// result.
+func jitterBy[K comparable](recs []policy.Record, groups []jitterGroup[K], key func(*policy.Record) K) map[K]float64 {
+	find := func(k K) *jitterGroup[K] {
 		for i := range groups {
-			if groups[i].class == c {
+			if groups[i].key == k {
 				return &groups[i]
 			}
 		}
-		groups = append(groups, jitterGroup{class: c})
+		groups = append(groups, jitterGroup[K]{key: k})
 		return &groups[len(groups)-1]
 	}
 	for i := range recs {
 		if r := &recs[i]; r.Served() {
-			find(r.Class).add(r.E2EMs())
+			find(key(r)).add(r.E2EMs())
 		}
 	}
 	for i := range groups {
@@ -195,14 +152,27 @@ func JitterByClass(recs []policy.Record) map[model.RequestClass]float64 {
 	}
 	for i := range recs {
 		if r := &recs[i]; r.Served() {
-			find(r.Class).deviate(r.E2EMs())
+			find(key(r)).deviate(r.E2EMs())
 		}
 	}
-	out := make(map[model.RequestClass]float64, len(groups))
+	out := make(map[K]float64, len(groups))
 	for i := range groups {
-		out[groups[i].class] = groups[i].stdDev()
+		out[groups[i].key] = groups[i].stdDev()
 	}
 	return out
+}
+
+// JitterByModel returns the Figure 7 metric: the standard deviation of
+// end-to-end execution time for each model's served requests.
+func JitterByModel(recs []policy.Record) map[string]float64 {
+	var buf [8]jitterGroup[string]
+	return jitterBy(recs, buf[:0], func(r *policy.Record) string { return r.Model })
+}
+
+// JitterByClass aggregates jitter across all served short and long requests.
+func JitterByClass(recs []policy.Record) map[model.RequestClass]float64 {
+	var buf [2]jitterGroup[model.RequestClass]
+	return jitterBy(recs, buf[:0], func(r *policy.Record) model.RequestClass { return r.Class })
 }
 
 // MeanResponseRatio returns the average RR over served requests.
@@ -225,24 +195,6 @@ func MeanWait(recs []policy.Record) float64 {
 		return 0
 	}
 	return s / float64(n)
-}
-
-// ByClass partitions records into short and long requests.
-func ByClass(recs []policy.Record) map[model.RequestClass][]policy.Record {
-	out := make(map[model.RequestClass][]policy.Record)
-	for i := range recs {
-		out[recs[i].Class] = append(out[recs[i].Class], recs[i])
-	}
-	return out
-}
-
-// ByModel partitions records by model name.
-func ByModel(recs []policy.Record) map[string][]policy.Record {
-	out := make(map[string][]policy.Record)
-	for i := range recs {
-		out[recs[i].Model] = append(out[recs[i].Model], recs[i])
-	}
-	return out
 }
 
 // Summary is a compact per-run QoS digest used by the experiment harness.
@@ -270,7 +222,7 @@ type Summary struct {
 // order, so each field is bit-identical to its definition.
 func Summarize(system string, recs []policy.Record) Summary {
 	served := 0
-	var short, long jitterGroup
+	var short, long jitterGroup[model.RequestClass]
 	for i := range recs {
 		if r := &recs[i]; r.Served() {
 			served++
@@ -333,25 +285,13 @@ func (s Summary) String() string {
 		s.ViolationAt4*100, s.ViolationAt8*100, s.JitterShortMs, s.JitterLongMs, s.TotalPreemption)
 }
 
-// BacklogSeries reconstructs the queue backlog over time from completed
-// records: at each sample instant, the number of requests that have arrived
-// but not completed. Sampling runs from t=0 to the last completion in steps
-// of stepMs. A growing series is the §5.1 footnote's "requests in the
-// growing queue" regime.
-func BacklogSeries(recs []policy.Record, stepMs float64) []int {
-	var end float64
-	for i := range recs {
-		if recs[i].DoneMs > end {
-			end = recs[i].DoneMs
-		}
-	}
-	return BacklogSeriesUntil(recs, stepMs, end+stepMs)
-}
-
-// BacklogSeriesUntil is BacklogSeries sampled only up to horizonMs. Use the
-// last *arrival* time as the horizon to measure queue growth while load is
-// applied — a finite trace always drains eventually, so sampling past the
-// arrivals hides instability.
+// BacklogSeriesUntil reconstructs the queue backlog over time from
+// completed records: at each sample instant from t=0 to horizonMs in steps
+// of stepMs, the number of requests that have arrived but not completed. A
+// growing series is the §5.1 footnote's "requests in the growing queue"
+// regime. Use the last *arrival* time as the horizon to measure queue
+// growth while load is applied — a finite trace always drains eventually,
+// so sampling past the arrivals hides instability.
 func BacklogSeriesUntil(recs []policy.Record, stepMs, horizonMs float64) []int {
 	if len(recs) == 0 || stepMs <= 0 || horizonMs <= 0 {
 		return nil
@@ -399,18 +339,4 @@ func BacklogTrend(series []int) float64 {
 		return 0
 	}
 	return (n*sxy - sx*sy) / denom
-}
-
-// ModelNames returns the sorted model names present in recs.
-func ModelNames(recs []policy.Record) []string {
-	set := map[string]bool{}
-	for i := range recs {
-		set[recs[i].Model] = true
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -118,18 +118,6 @@ func TestMeanWaitAndRR(t *testing.T) {
 	}
 }
 
-func TestByClassAndByModel(t *testing.T) {
-	recs := sample()
-	bc := ByClass(recs)
-	if len(bc[model.Short]) != 3 || len(bc[model.Long]) != 2 {
-		t.Errorf("by class sizes wrong")
-	}
-	bm := ByModel(recs)
-	if len(bm["yolo"]) != 3 || len(bm["vgg"]) != 2 {
-		t.Errorf("by model sizes wrong")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize("TEST", sample())
 	if s.System != "TEST" || s.Requests != 5 {
@@ -192,7 +180,13 @@ func TestSummarizeMatchesDefinitions(t *testing.T) {
 		recs []policy.Record
 	}{{"mixed", mixed}, {"all shed", shed}, {"empty", nil}} {
 		recs := c.recs
-		served, rrs, jc := Served(recs), ResponseRatios(recs), JitterByClass(recs)
+		var served []policy.Record
+		for _, r := range recs {
+			if r.Served() {
+				served = append(served, r)
+			}
+		}
+		rrs, jc := ResponseRatios(recs), JitterByClass(recs)
 		want := Summary{
 			System:        "S",
 			Requests:      len(recs),
@@ -221,11 +215,6 @@ func TestSummarizeMatchesDefinitions(t *testing.T) {
 		}
 		if got := MeanWait(recs); got != want.MeanWaitMs {
 			t.Errorf("%s: MeanWait %v, want %v", c.name, got, want.MeanWaitMs)
-		}
-		if len(recs) > 0 {
-			if got, want := DropRate(recs), float64(want.Dropped)/float64(len(recs)); got != want {
-				t.Errorf("%s: DropRate %v, want %v", c.name, got, want)
-			}
 		}
 		// Jitter is stats.StdDev over each group's served e2e, in record order.
 		byModel, byClass := map[string][]float64{}, map[model.RequestClass][]float64{}
@@ -273,20 +262,14 @@ func TestSummarizeMatchesDefinitions(t *testing.T) {
 	}
 }
 
-func TestModelNames(t *testing.T) {
-	names := ModelNames(sample())
-	if len(names) != 2 || names[0] != "vgg" || names[1] != "yolo" {
-		t.Errorf("names = %v", names)
-	}
-}
-
 func TestBacklogSeries(t *testing.T) {
 	recs := []policy.Record{
 		rec(0, "a", model.Short, 0, 25, 10),
 		rec(1, "a", model.Short, 5, 35, 10),
 		rec(2, "a", model.Short, 30, 45, 10),
 	}
-	s := BacklogSeries(recs, 10)
+	// Sampled to one step past the last completion.
+	s := BacklogSeriesUntil(recs, 10, 55)
 	// t=0: req0 arrived (req1 at 5 also inside first bucket) → 2 by bucket 0.
 	if len(s) < 5 {
 		t.Fatalf("series too short: %v", s)
@@ -308,10 +291,10 @@ func TestBacklogSeries(t *testing.T) {
 	if u[len(u)-1] == 0 {
 		t.Errorf("horizon-limited series drained: %v", u)
 	}
-	if BacklogSeries(nil, 10) != nil {
+	if BacklogSeriesUntil(nil, 10, 55) != nil {
 		t.Error("empty records produced a series")
 	}
-	if BacklogSeries(recs, 0) != nil {
+	if BacklogSeriesUntil(recs, 0, 55) != nil {
 		t.Error("zero step produced a series")
 	}
 }
@@ -327,5 +310,78 @@ func TestBacklogTrend(t *testing.T) {
 	}
 	if got := BacklogTrend([]int{1}); got != 0 {
 		t.Errorf("degenerate trend = %v", got)
+	}
+}
+
+// jitterByModelSlices is JitterByModel's definition: each model's served
+// e2e grouped into a slice in record order, then stats.StdDev of each. The
+// fold must agree with it bit for bit.
+func jitterByModelSlices(recs []policy.Record) map[string]float64 {
+	by := make(map[string][]float64)
+	for i := range recs {
+		if r := &recs[i]; r.Served() {
+			by[r.Model] = append(by[r.Model], r.E2EMs())
+		}
+	}
+	out := make(map[string]float64)
+	for name, xs := range by {
+		out[name] = stats.StdDev(xs)
+	}
+	return out
+}
+
+// jitterModelNames outnumber JitterByModel's stack buffer.
+var jitterModelNames = []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8", "m9", "m10", "m11"}
+
+// jitterRecords builds records three bytes each: the model, whether and
+// why it was shed, and the e2e, whose sums round in float64 so that a sum
+// taken in another order shows in the last bit.
+func jitterRecords(data []byte) []policy.Record {
+	reasons := []string{policy.OutcomeDeadline, policy.OutcomeCanceled, policy.OutcomeAdmission, policy.OutcomeDeviceFault}
+	recs := make([]policy.Record, 0, len(data)/3)
+	for i := 0; i+2 < len(data); i += 3 {
+		arrive := 0.7 * float64(i)
+		r := policy.Record{ID: i / 3, Model: jitterModelNames[int(data[i])%len(jitterModelNames)],
+			ArriveMs: arrive, DoneMs: arrive + 10.3 + 1.37*float64(data[i+2]), ExtMs: 10.3}
+		if data[i+1]%3 == 0 {
+			r.Outcome = reasons[int(data[i+1]/3)%len(reasons)]
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// FuzzJitterByModel holds the fold to its definition: the same models,
+// every value bit-identical. The seeds cover a model whose every request
+// was shed, more models than the stack holds, one request per model, sheds
+// between served requests, and a mean that rounds (dividing its sum and
+// multiplying by the reciprocal disagree in the last bit).
+func FuzzJitterByModel(f *testing.F) {
+	f.Add([]byte{0, 1, 124, 0, 1, 206, 0, 1, 212, 0, 1, 88, 0, 1, 187})
+	f.Add([]byte{0, 1, 10, 0, 2, 20, 1, 0, 30, 0, 1, 40})
+	f.Add([]byte{0, 1, 5, 1, 1, 6, 2, 1, 7, 3, 1, 8, 4, 1, 9, 5, 1, 10, 6, 1, 11, 7, 1, 12, 8, 1, 13, 9, 1, 14, 10, 1, 15, 11, 1, 16, 0, 2, 99, 11, 2, 98})
+	f.Add([]byte{0, 1, 10, 1, 1, 20, 2, 1, 30})
+	f.Add([]byte{0, 1, 10, 0, 0, 200, 0, 3, 17, 0, 1, 255, 0, 6, 3, 0, 2, 77})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs := jitterRecords(data)
+		got, want := JitterByModel(recs), jitterByModelSlices(recs)
+		if len(got) != len(want) {
+			t.Fatalf("%d models, want %d: %v vs %v", len(got), len(want), got, want)
+		}
+		for m, w := range want {
+			if g, ok := got[m]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("model %s: %v (present %v), want %v", m, g, ok, w)
+			}
+		}
+	})
+}
+
+// TestJitterByModelAllocs: the groups live on the stack, so the result map
+// is all JitterByModel allocates.
+func TestJitterByModelAllocs(t *testing.T) {
+	recs := exactRecords()
+	if allocs := testing.AllocsPerRun(100, func() { JitterByModel(recs) }); allocs > 2 {
+		t.Errorf("JitterByModel allocates %.0f times per call, want <= 2", allocs)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"strconv"
 
+	"split/internal/modelid"
 	"split/internal/trace"
 )
 
@@ -120,9 +121,12 @@ func filterEvents(events []trace.Event, r *http.Request) []trace.Event {
 	q := r.URL.Query()
 	model, kind := q.Get("model"), q.Get("kind")
 	if model != "" || kind != "" {
+		// The query resolves once, and without interning: a name the
+		// process never saw matches no event.
+		id, known := modelid.Lookup(model)
 		kept := events[:0:0]
 		for _, e := range events {
-			if model != "" && e.Model != model {
+			if model != "" && (!known || e.Model != id) {
 				continue
 			}
 			if kind != "" && e.Kind.String() != kind {

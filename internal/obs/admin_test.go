@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"split/internal/modelid"
 	"split/internal/trace"
 )
 
@@ -28,7 +29,7 @@ func TestAdminEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("split_requests_total", "req", "model", "vgg19").Add(2)
 	ring := trace.NewRing(16)
-	ring.Emit(trace.Event{AtMs: 1, Kind: trace.Arrive, ReqID: 0, Model: "vgg19"})
+	ring.Emit(trace.Event{AtMs: 1, Kind: trace.Arrive, ReqID: 0, Model: modelid.Intern("vgg19")})
 
 	mux := AdminConfig{Registry: reg, Ring: ring,
 		Queuez: func() any { return map[string]int{"depth": 3} },
@@ -103,14 +104,14 @@ func TestAdminNilProviders(t *testing.T) {
 func ringWithRun() *trace.Ring {
 	ring := trace.NewRing(64)
 	for _, e := range []trace.Event{
-		{AtMs: 0, Kind: trace.Arrive, ReqID: 0, Model: "vgg19"},
-		{AtMs: 1, Kind: trace.StartBlock, ReqID: 0, Model: "vgg19", Device: 0},
-		{AtMs: 2, Kind: trace.Arrive, ReqID: 1, Model: "yolov2"},
-		{AtMs: 5, Kind: trace.EndBlock, ReqID: 0, Model: "vgg19", Device: 0},
-		{AtMs: 5, Kind: trace.Complete, ReqID: 0, Model: "vgg19"},
-		{AtMs: 5, Kind: trace.StartBlock, ReqID: 1, Model: "yolov2", Device: 0},
-		{AtMs: 9, Kind: trace.EndBlock, ReqID: 1, Model: "yolov2", Device: 0},
-		{AtMs: 9, Kind: trace.Complete, ReqID: 1, Model: "yolov2"},
+		{AtMs: 0, Kind: trace.Arrive, ReqID: 0, Model: modelid.Intern("vgg19")},
+		{AtMs: 1, Kind: trace.StartBlock, ReqID: 0, Model: modelid.Intern("vgg19"), Device: 0},
+		{AtMs: 2, Kind: trace.Arrive, ReqID: 1, Model: modelid.Intern("yolov2")},
+		{AtMs: 5, Kind: trace.EndBlock, ReqID: 0, Model: modelid.Intern("vgg19"), Device: 0},
+		{AtMs: 5, Kind: trace.Complete, ReqID: 0, Model: modelid.Intern("vgg19")},
+		{AtMs: 5, Kind: trace.StartBlock, ReqID: 1, Model: modelid.Intern("yolov2"), Device: 0},
+		{AtMs: 9, Kind: trace.EndBlock, ReqID: 1, Model: modelid.Intern("yolov2"), Device: 0},
+		{AtMs: 9, Kind: trace.Complete, ReqID: 1, Model: modelid.Intern("yolov2")},
 	} {
 		ring.Emit(e)
 	}

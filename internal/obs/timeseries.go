@@ -405,22 +405,23 @@ func TimeSeriesFromRun(recs []policy.Record, events []trace.Event, alpha, window
 		attachedFrom := map[int]float64{}
 		touched := map[int]bool{}
 		for _, e := range events {
+			dev := int(e.Device)
 			switch e.Kind {
 			case trace.ScaleOut:
-				touched[e.Device] = true
-				attachedFrom[e.Device] = e.AtMs
+				touched[dev] = true
+				attachedFrom[dev] = e.AtMs
 			case trace.ScaleIn:
-				start, wasOpen := attachedFrom[e.Device]
+				start, wasOpen := attachedFrom[dev]
 				if !wasOpen {
-					if touched[e.Device] {
+					if touched[dev] {
 						break // duplicate scale-in; no open span to close
 					}
 					// First sight is a scale-in: attached since time 0.
 					start = 0
 				}
-				touched[e.Device] = true
-				ts.ObserveActive(e.Device, start, e.AtMs)
-				delete(attachedFrom, e.Device)
+				touched[dev] = true
+				ts.ObserveActive(dev, start, e.AtMs)
+				delete(attachedFrom, dev)
 			}
 		}
 		for d, start := range attachedFrom {

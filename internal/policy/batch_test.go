@@ -96,7 +96,7 @@ func TestBatchingCoalescesBurst(t *testing.T) {
 	// Batched grants appear as groups of block events sharing a batch id,
 	// with matched starts and ends, one block index, and 2..BatchMax members.
 	type group struct{ starts, ends, members int }
-	groups := map[int]*group{}
+	groups := map[int32]*group{}
 	for _, e := range tr.Events() {
 		if e.Batch == 0 {
 			continue

@@ -99,7 +99,7 @@ func TestFleetRoundRobinCycles(t *testing.T) {
 	for _, e := range tr.Events() {
 		if e.Kind == trace.Place {
 			places++
-			if e.Device != e.ReqID%3 {
+			if int(e.Device) != e.ReqID%3 {
 				t.Fatalf("place event for req %d on device %d", e.ReqID, e.Device)
 			}
 		}

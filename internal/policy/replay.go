@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 
+	"split/internal/engine"
 	"split/internal/gpusim"
 	"split/internal/workload"
 )
@@ -40,6 +41,8 @@ type cancelAt struct {
 // names a handful of models a million times, and comparing a few names is
 // cheaper than hashing one. Past memoSize distinct models it falls through
 // to the catalog, so a trace over a huge catalog pays the map, not the scan.
+// A model whose plan is longer than the engine runs panics on resolution,
+// like any other trace a generator should not produce.
 type modelMemo struct {
 	catalog Catalog
 	n       int
@@ -57,6 +60,11 @@ func (m *modelMemo) lookup(name string) *ModelInfo {
 		}
 	}
 	info := m.catalog[name]
+	if info != nil && info.Plan != nil {
+		if err := engine.CheckPlan(name, len(info.Plan.BlockTimesMs)); err != nil {
+			panic(fmt.Sprintf("policy: %v", err))
+		}
+	}
 	if info != nil && m.n < memoSize {
 		m.names[m.n], m.infos[m.n] = name, info
 		m.n++

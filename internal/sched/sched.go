@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"split/internal/model"
+	"split/internal/modelid"
 )
 
 // Request is one in-flight inference request. Times are in milliseconds on
@@ -54,6 +55,9 @@ type Request struct {
 	// must not grant it another block. The serving path sets it for client
 	// cancellations and connection losses; the queue itself never does.
 	Canceled bool
+	// ModelID is Model's number in the process-wide name table, what the
+	// request's trace events carry. It sits in Canceled's padding.
+	ModelID modelid.ID
 	// Device is the fleet device the placement layer assigned the request
 	// to. The queue itself never reads it — each device has its own queue —
 	// but grants and cancellation paths route by it. 0 on a
@@ -70,18 +74,20 @@ type Request struct {
 	Tag int
 }
 
-// NewRequest builds a request with sentinel times set.
+// NewRequest builds a request with sentinel times set, interning the
+// model's name.
 func NewRequest(id int, modelName string, class model.RequestClass, arriveMs, extMs float64, blocks []float64) *Request {
 	r := new(Request)
-	r.Init(id, modelName, class, arriveMs, extMs, blocks)
+	r.Init(id, modelName, modelid.Intern(modelName), class, arriveMs, extMs, blocks)
 	return r
 }
 
 // Init makes r a fresh request with sentinel times set, overwriting every
-// field, for a caller that owns the storage (the engine's request slab). It
-// writes field by field, so no Request-sized temporary is built and copied.
-func (r *Request) Init(id int, modelName string, class model.RequestClass, arriveMs, extMs float64, blocks []float64) {
-	r.ID, r.Model, r.Class = id, modelName, class
+// field, for a caller that owns the storage (the engine's request slab) and
+// has resolved the model's ID once per model. It writes field by field, so
+// no Request-sized temporary is built and copied.
+func (r *Request) Init(id int, modelName string, modelID modelid.ID, class model.RequestClass, arriveMs, extMs float64, blocks []float64) {
+	r.ID, r.Model, r.ModelID, r.Class = id, modelName, modelID, class
 	r.ArriveMs, r.ExtMs, r.BlockTimes = arriveMs, extMs, blocks
 	r.Next, r.StartMs, r.DoneMs, r.Preemptions = 0, -1, -1, 0
 	r.DeadlineMs, r.Canceled = 0, false

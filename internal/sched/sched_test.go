@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"split/internal/model"
+	"split/internal/modelid"
 )
 
 func newReq(id int, modelName string, arrive, ext float64, blocks ...float64) *Request {
@@ -52,6 +53,8 @@ func TestInitOverwritesEveryField(t *testing.T) {
 		switch f.Kind() {
 		case reflect.Int:
 			f.SetInt(7)
+		case reflect.Uint32:
+			f.SetUint(7)
 		case reflect.Float64:
 			f.SetFloat(7.5)
 		case reflect.String:
@@ -65,8 +68,8 @@ func TestInitOverwritesEveryField(t *testing.T) {
 		}
 	}
 	blocks := []float64{2, 3}
-	r.Init(4, "m", model.Long, 1, 5, blocks)
-	want := Request{ID: 4, Model: "m", Class: model.Long, ArriveMs: 1, ExtMs: 5, BlockTimes: blocks, StartMs: -1, DoneMs: -1}
+	r.Init(4, "m", modelid.Intern("m"), model.Long, 1, 5, blocks)
+	want := Request{ID: 4, Model: "m", ModelID: modelid.Intern("m"), Class: model.Long, ArriveMs: 1, ExtMs: 5, BlockTimes: blocks, StartMs: -1, DoneMs: -1}
 	if !reflect.DeepEqual(r, want) {
 		t.Errorf("Init left %+v, want %+v", r, want)
 	}

@@ -18,8 +18,8 @@ import (
 // same extraction reads simulator tracers and serving-path rings alike;
 // TestSimServeBatchingParity pins its batches with it.
 func batchSizes(events []trace.Event) []int {
-	var order []int
-	counts := map[int]int{}
+	var order []int32
+	counts := map[int32]int{}
 	for _, e := range events {
 		if e.Kind != trace.StartBlock || e.Batch == 0 {
 			continue

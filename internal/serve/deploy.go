@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"split/internal/engine"
 	"split/internal/ga"
 	"split/internal/model"
 	"split/internal/onnxlite"
@@ -50,6 +51,9 @@ func (s *Server) deploy(args *DeployArgs) (DeployReply, error) {
 	class := model.RequestClass(args.Class)
 	if class != model.Short && class != model.Long {
 		return DeployReply{}, fmt.Errorf("serve: deploy %s with unknown class %q", args.Name, args.Class)
+	}
+	if err := engine.CheckPlan(args.Name, len(args.BlockTimesMs)); err != nil {
+		return DeployReply{}, fmt.Errorf("serve: deploy: %w", err)
 	}
 	for _, b := range args.BlockTimesMs {
 		if b <= 0 {
@@ -162,6 +166,9 @@ func (s *Server) deployGraph(args *DeployGraphArgs) (DeployGraphReply, error) {
 		Name:  g.Name,
 		Class: g.Class,
 		ExtMs: g.TotalTimeMs(),
+	}
+	if err := engine.CheckPlan(g.Name, args.Blocks); err != nil {
+		return DeployGraphReply{}, fmt.Errorf("serve: deploy graph: %w", err)
 	}
 	if args.Blocks > 1 {
 		prof := profiler.New(g, model.DefaultCostModel())

@@ -72,7 +72,7 @@ func TestDeployReplaceModel(t *testing.T) {
 }
 
 func TestDeployValidation(t *testing.T) {
-	_, c := startServer(t)
+	srv, c := startServer(t)
 	bads := []DeployArgs{
 		{Name: "", Class: "Short", ExtMs: 1},
 		{Name: "x", Class: "Medium", ExtMs: 1},
@@ -83,6 +83,16 @@ func TestDeployValidation(t *testing.T) {
 		if _, err := c.Deploy(args); err == nil {
 			t.Errorf("bad deploy %d accepted", i)
 		}
+	}
+	// A trace event carries its block as an int16, so a longer plan is
+	// refused before it can wrap. (Deployed in process: the plan is larger
+	// than a frame.)
+	deep := make([]float64, engine.MaxBlocks+1)
+	for i := range deep {
+		deep[i] = 1
+	}
+	if _, err := srv.deploy(&DeployArgs{Name: "deep", Class: "Short", ExtMs: 1, BlockTimesMs: deep}); err == nil {
+		t.Errorf("a plan of %d blocks was deployed", len(deep))
 	}
 }
 

@@ -147,7 +147,7 @@ func eventDigest(events []trace.Event) uint64 {
 type pin struct {
 	outcome string
 	device  int
-	part    int32
+	part    int8
 	blocks  int
 }
 

@@ -63,7 +63,7 @@ func TestServePartitionConcurrency(t *testing.T) {
 			t.Errorf("req %d served on partition %d", i, out.req.Partition)
 		}
 	}
-	parts := map[int32]bool{}
+	parts := map[int8]bool{}
 	for _, e := range ring.Snapshot() {
 		if e.Kind == trace.StartBlock {
 			parts[e.Part] = true

@@ -37,6 +37,7 @@ import (
 	"split/internal/engine"
 	"split/internal/fleet"
 	"split/internal/model"
+	"split/internal/modelid"
 	"split/internal/obs"
 	"split/internal/place"
 	"split/internal/policy"
@@ -276,6 +277,13 @@ func NewServer(cfg Config) (*Server, error) { return newServer(cfg, new(wallCloc
 func newServer(cfg Config, clk clock) (*Server, error) {
 	if len(cfg.Catalog) == 0 {
 		return nil, errors.New("serve: empty catalog")
+	}
+	for name, info := range cfg.Catalog {
+		if info.Plan != nil {
+			if err := engine.CheckPlan(name, len(info.Plan.BlockTimesMs)); err != nil {
+				return nil, fmt.Errorf("serve: %w", err)
+			}
+		}
 	}
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 4
@@ -546,12 +554,16 @@ func (s *Server) deliver(o *outbound) {
 }
 
 // drop counts and traces one pre-enqueue rejection. Caller holds s.mu.
+// The Drop names its model only if the process has seen the name: a
+// client's unknown model is looked up, never interned, so no client can
+// grow the process-wide name table.
 func (s *Server) drop(nowMs float64, modelName, reason string) {
 	s.dropped++
 	if s.met != nil {
 		s.met.dropCounter(reason).Inc()
 	}
-	s.emit(trace.Event{AtMs: nowMs, Kind: trace.Drop, ReqID: -1, Model: modelName,
+	model, _ := modelid.Lookup(modelName)
+	s.emit(trace.Event{AtMs: nowMs, Kind: trace.Drop, ReqID: -1, Model: model,
 		Note: trace.NoteWord, Args: [4]float64{float64(trace.WordOf(reason))}})
 }
 

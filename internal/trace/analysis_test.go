@@ -3,6 +3,8 @@ package trace
 import (
 	"math"
 	"testing"
+
+	"split/internal/modelid"
 )
 
 func sampleTrace() *Tracer {
@@ -86,13 +88,13 @@ func TestAnalyze(t *testing.T) {
 func TestAnalyzeCountsBatchOnce(t *testing.T) {
 	tr := New()
 	for id := 1; id <= 3; id++ {
-		tr.Record(Event{AtMs: 0, Kind: StartBlock, ReqID: id, Model: "m", Device: 1, Batch: 7})
+		tr.Record(Event{AtMs: 0, Kind: StartBlock, ReqID: id, Model: modelid.Intern("m"), Device: 1, Batch: 7})
 	}
 	for id := 1; id <= 3; id++ {
-		tr.Record(Event{AtMs: 10, Kind: EndBlock, ReqID: id, Model: "m", Device: 1, Batch: 7})
+		tr.Record(Event{AtMs: 10, Kind: EndBlock, ReqID: id, Model: modelid.Intern("m"), Device: 1, Batch: 7})
 	}
-	tr.Record(Event{AtMs: 10, Kind: StartBlock, ReqID: 4, Model: "m", Device: 1})
-	tr.Record(Event{AtMs: 15, Kind: EndBlock, ReqID: 4, Model: "m", Device: 1})
+	tr.Record(Event{AtMs: 10, Kind: StartBlock, ReqID: 4, Model: modelid.Intern("m"), Device: 1})
+	tr.Record(Event{AtMs: 15, Kind: EndBlock, ReqID: 4, Model: modelid.Intern("m"), Device: 1})
 	a := tr.Analyze()
 	if a.BusyMs != 15 || a.PerDeviceBusyMs[1] != 15 || a.PerModelBusyMs["m"] != 15 {
 		t.Errorf("busy %v, device 1 %v, model m %v; want 15 each", a.BusyMs, a.PerDeviceBusyMs[1], a.PerModelBusyMs["m"])

@@ -30,10 +30,10 @@ func (e *Event) appendJSON(b []byte) ([]byte, error) {
 	b = append(b, `,"req":`...)
 	b = strconv.AppendInt(b, int64(e.ReqID), 10)
 	b = append(b, `,"model":`...)
-	b = jsonenc.AppendString(b, e.Model)
-	b = appendJSONInt(b, `,"block":`, e.Block)
-	b = appendJSONInt(b, `,"device":`, e.Device)
-	b = appendJSONInt(b, `,"batch":`, e.Batch)
+	b = jsonenc.AppendString(b, e.Model.String())
+	b = appendJSONInt(b, `,"block":`, int(e.Block))
+	b = appendJSONInt(b, `,"device":`, int(e.Device))
+	b = appendJSONInt(b, `,"batch":`, int(e.Batch))
 	b = appendJSONInt(b, `,"part":`, int(e.Part))
 	b = appendJSONDetail(b, e.Note, &e.Args)
 	return append(b, '}'), nil
@@ -47,7 +47,7 @@ func (e *Event) appendCSV(b []byte) []byte {
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(e.ReqID), 10)
 	b = append(b, ',')
-	b = append(b, e.Model...)
+	b = append(b, e.Model.String()...)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(e.Block), 10)
 	b = append(b, ',')

@@ -3,6 +3,8 @@ package trace
 import (
 	"math"
 	"testing"
+
+	"split/internal/modelid"
 )
 
 // FuzzSpanBuilder drives the span builder with arbitrary *valid* event
@@ -21,7 +23,7 @@ func FuzzSpanBuilder(f *testing.F) {
 			ops = ops[:256]
 		}
 		devices := 1 + int(devRaw)%3
-		models := []string{"yolov2", "vgg19", "gpt2"}
+		models := []modelid.ID{modelid.Intern("yolov2"), modelid.Intern("vgg19"), modelid.Intern("gpt2")}
 
 		type req struct {
 			blocks  int // total plan length
@@ -74,7 +76,7 @@ func FuzzSpanBuilder(f *testing.F) {
 				r.granted = dev
 				open[dev] = id
 				events = append(events, Event{AtMs: now, Kind: StartBlock, ReqID: id,
-					Model: models[id%len(models)], Block: r.next, Device: dev})
+					Model: models[id%len(models)], Block: int16(r.next), Device: int16(dev)})
 			case 2: // release at the boundary
 				dev := int(op/4) % devices
 				id := open[dev]
@@ -86,25 +88,25 @@ func FuzzSpanBuilder(f *testing.F) {
 				execMs[id] += now - start
 				grants[id]++
 				events = append(events, Event{AtMs: now, Kind: EndBlock, ReqID: id,
-					Model: models[id%len(models)], Block: r.next, Device: dev})
+					Model: models[id%len(models)], Block: int16(r.next), Device: int16(dev)})
 				open[dev] = -1
 				r.granted = -1
 				r.next++
 				if r.next >= r.blocks {
 					r.done = true
 					events = append(events, Event{AtMs: now, Kind: Complete, ReqID: id,
-						Model: models[id%len(models)], Block: r.next - 1})
+						Model: models[id%len(models)], Block: int16(r.next - 1)})
 				} else if i%2 == 0 {
 					preempt[id]++
 					events = append(events, Event{AtMs: now, Kind: Preempt, ReqID: id,
-						Model: models[id%len(models)], Block: r.next})
+						Model: models[id%len(models)], Block: int16(r.next)})
 				}
 			case 3: // shed a waiting request
 				for id, r := range reqs {
 					if !r.done && r.granted == -1 {
 						r.done = true
 						events = append(events, Event{AtMs: now, Kind: Shed, ReqID: id,
-							Model: models[id%len(models)], Block: r.next, Note: NoteWord, Args: [4]float64{float64(WordOf(ReasonDeadline))}})
+							Model: models[id%len(models)], Block: int16(r.next), Note: NoteWord, Args: [4]float64{float64(WordOf(ReasonDeadline))}})
 						break
 					}
 				}

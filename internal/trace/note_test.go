@@ -5,19 +5,39 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
+
+	"split/internal/modelid"
 )
 
-// TestEventSize pins the event's footprint: a traced run holds every one of
-// its events, so a wider event is a larger run.
-func TestEventSize(t *testing.T) {
-	if size := unsafe.Sizeof(Event{}); size > 96 {
-		t.Errorf("trace.Event is %d bytes, want <= 96", size)
+// TestEventIsCompact pins the event's footprint and shape: a traced run
+// holds every one of its events, so a wider event is a larger run, and an
+// event with a pointer in it makes the collector scan every array of them.
+func TestEventIsCompact(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 64 {
+		t.Errorf("trace.Event is %d bytes, want 64", size)
 	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	walk("Event", reflect.TypeOf(Event{}))
 }
 
 // typedArgs converts a note's Args to the Go values its format's verbs
@@ -153,8 +173,8 @@ func encoderSamples() []Event {
 	for i, at := range times {
 		for j, m := range models {
 			n := Note((i + j) % int(numNotes))
-			out = append(out, Event{AtMs: at, Kind: EventKind(j % (len(kindNames) + 1)), ReqID: i - 1, Model: m,
-				Block: j % 3, Device: i % 2, Batch: (i + j) % 4, Part: int32(j % 2), Note: n,
+			out = append(out, Event{AtMs: at, Kind: EventKind(j % (len(kindNames) + 1)), ReqID: i - 1, Model: modelid.Intern(m),
+				Block: int16(j % 3), Device: int16(i % 2), Batch: int32((i + j) % 4), Part: int8(j % 2), Note: n,
 				Args: [4]float64{float64(j % len(words)), 2.25, 3, 1000}})
 		}
 	}
@@ -169,8 +189,8 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 	var wantJSONL, wantCSV bytes.Buffer
 	wantCSV.WriteString("at_ms,kind,req,model,block,device,detail\n")
 	for _, e := range encoderSamples() {
-		legacy := legacyEvent{AtMs: e.AtMs, Kind: e.Kind.String(), ReqID: e.ReqID, Model: e.Model,
-			Block: e.Block, Device: e.Device, Batch: e.Batch, Part: int(e.Part), Detail: e.Detail()}
+		legacy := legacyEvent{AtMs: e.AtMs, Kind: e.Kind.String(), ReqID: e.ReqID, Model: e.Model.String(),
+			Block: int(e.Block), Device: int(e.Device), Batch: int(e.Batch), Part: int(e.Part), Detail: e.Detail()}
 		want, err := json.Marshal(legacy)
 		if err != nil {
 			t.Fatal(err)
@@ -184,10 +204,10 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		}
 		json.NewEncoder(&wantJSONL).Encode(legacy)
 		fmt.Fprintf(&wantCSV, "%.4f,%s,%d,%s,%d,%d,%q\n",
-			e.AtMs, e.Kind, e.ReqID, e.Model, e.Block, e.Device, e.Detail())
+			e.AtMs, e.Kind, e.ReqID, e.Model.String(), e.Block, e.Device, e.Detail())
 		tr.Record(e)
 
-		iv := Interval{Phase: PhaseExec, Block: e.Block, Device: e.Device - 1, Part: int(e.Part), Batch: e.Batch,
+		iv := Interval{Phase: PhaseExec, Block: int(e.Block), Device: int(e.Device) - 1, Part: int(e.Part), Batch: int(e.Batch),
 			StartMs: e.AtMs, EndMs: e.AtMs * 2, Note: e.Note, Args: e.Args}
 		want, _ = json.Marshal(legacyInterval{Phase: iv.Phase, Block: iv.Block, Device: iv.Device, Part: iv.Part,
 			Batch: iv.Batch, StartMs: iv.StartMs, EndMs: iv.EndMs, Detail: iv.Detail()})

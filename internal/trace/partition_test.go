@@ -5,24 +5,26 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"split/internal/modelid"
 )
 
 // partitionStream is two requests executing concurrently on distinct
 // partitions of device 0, plus one on device 1 without partitions.
 func partitionStream() []Event {
 	return []Event{
-		{AtMs: 0, Kind: Arrive, ReqID: 1, Model: "a"},
-		{AtMs: 0, Kind: Arrive, ReqID: 2, Model: "b"},
-		{AtMs: 0, Kind: Arrive, ReqID: 3, Model: "c"},
-		{AtMs: 1, Kind: StartBlock, ReqID: 1, Model: "a", Block: 0, Device: 0, Part: 0},
-		{AtMs: 2, Kind: StartBlock, ReqID: 2, Model: "b", Block: 0, Device: 0, Part: 1},
-		{AtMs: 3, Kind: StartBlock, ReqID: 3, Model: "c", Block: 0, Device: 1},
-		{AtMs: 10, Kind: EndBlock, ReqID: 1, Model: "a", Block: 0, Device: 0, Part: 0},
-		{AtMs: 12, Kind: EndBlock, ReqID: 2, Model: "b", Block: 0, Device: 0, Part: 1},
-		{AtMs: 13, Kind: EndBlock, ReqID: 3, Model: "c", Block: 0, Device: 1},
-		{AtMs: 10, Kind: Complete, ReqID: 1, Model: "a"},
-		{AtMs: 12, Kind: Complete, ReqID: 2, Model: "b"},
-		{AtMs: 13, Kind: Complete, ReqID: 3, Model: "c"},
+		{AtMs: 0, Kind: Arrive, ReqID: 1, Model: modelid.Intern("a")},
+		{AtMs: 0, Kind: Arrive, ReqID: 2, Model: modelid.Intern("b")},
+		{AtMs: 0, Kind: Arrive, ReqID: 3, Model: modelid.Intern("c")},
+		{AtMs: 1, Kind: StartBlock, ReqID: 1, Model: modelid.Intern("a"), Block: 0, Device: 0, Part: 0},
+		{AtMs: 2, Kind: StartBlock, ReqID: 2, Model: modelid.Intern("b"), Block: 0, Device: 0, Part: 1},
+		{AtMs: 3, Kind: StartBlock, ReqID: 3, Model: modelid.Intern("c"), Block: 0, Device: 1},
+		{AtMs: 10, Kind: EndBlock, ReqID: 1, Model: modelid.Intern("a"), Block: 0, Device: 0, Part: 0},
+		{AtMs: 12, Kind: EndBlock, ReqID: 2, Model: modelid.Intern("b"), Block: 0, Device: 0, Part: 1},
+		{AtMs: 13, Kind: EndBlock, ReqID: 3, Model: modelid.Intern("c"), Block: 0, Device: 1},
+		{AtMs: 10, Kind: Complete, ReqID: 1, Model: modelid.Intern("a")},
+		{AtMs: 12, Kind: Complete, ReqID: 2, Model: modelid.Intern("b")},
+		{AtMs: 13, Kind: Complete, ReqID: 3, Model: modelid.Intern("c")},
 	}
 }
 
@@ -52,12 +54,12 @@ func TestSpanPartitionOverlapLegal(t *testing.T) {
 // overlapping is still the invariant violation it always was.
 func TestSpanSamePartitionOverlapReported(t *testing.T) {
 	events := []Event{
-		{AtMs: 0, Kind: Arrive, ReqID: 1, Model: "a"},
-		{AtMs: 0, Kind: Arrive, ReqID: 2, Model: "b"},
-		{AtMs: 1, Kind: StartBlock, ReqID: 1, Model: "a", Device: 0, Part: 1},
-		{AtMs: 2, Kind: StartBlock, ReqID: 2, Model: "b", Device: 0, Part: 1},
-		{AtMs: 10, Kind: EndBlock, ReqID: 1, Model: "a", Device: 0, Part: 1},
-		{AtMs: 12, Kind: EndBlock, ReqID: 2, Model: "b", Device: 0, Part: 1},
+		{AtMs: 0, Kind: Arrive, ReqID: 1, Model: modelid.Intern("a")},
+		{AtMs: 0, Kind: Arrive, ReqID: 2, Model: modelid.Intern("b")},
+		{AtMs: 1, Kind: StartBlock, ReqID: 1, Model: modelid.Intern("a"), Device: 0, Part: 1},
+		{AtMs: 2, Kind: StartBlock, ReqID: 2, Model: modelid.Intern("b"), Device: 0, Part: 1},
+		{AtMs: 10, Kind: EndBlock, ReqID: 1, Model: modelid.Intern("a"), Device: 0, Part: 1},
+		{AtMs: 12, Kind: EndBlock, ReqID: 2, Model: modelid.Intern("b"), Device: 0, Part: 1},
 	}
 	tree := BuildSpans(events)
 	if len(tree.Problems) != 1 {

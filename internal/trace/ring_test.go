@@ -1,9 +1,14 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"split/internal/modelid"
 )
 
 func TestRingWrapsAndKeepsNewest(t *testing.T) {
@@ -53,8 +58,8 @@ func TestNilRingIsNoOp(t *testing.T) {
 
 func TestRingWriteJSONL(t *testing.T) {
 	r := NewRing(4)
-	r.Emit(Event{AtMs: 1, Kind: Arrive, ReqID: 0, Model: "vgg19"})
-	r.Emit(Event{AtMs: 2, Kind: Complete, ReqID: 0, Model: "vgg19"})
+	r.Emit(Event{AtMs: 1, Kind: Arrive, ReqID: 0, Model: modelid.Intern("vgg19")})
+	r.Emit(Event{AtMs: 2, Kind: Complete, ReqID: 0, Model: modelid.Intern("vgg19")})
 	var b strings.Builder
 	if err := r.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
@@ -108,7 +113,7 @@ func TestRingConcurrentEmitAndDump(t *testing.T) {
 			for i := 0; i < perEmit; i++ {
 				// ReqID encodes (emitter, seq) so dumpers can check
 				// per-emitter ordering inside any snapshot.
-				r.Emit(Event{Kind: StartBlock, ReqID: g*perEmit + i, Model: "m"})
+				r.Emit(Event{Kind: StartBlock, ReqID: g*perEmit + i, Model: modelid.Intern("m")})
 			}
 		}(g)
 	}
@@ -163,6 +168,77 @@ func TestRingConcurrentEmitAndDump(t *testing.T) {
 	}
 	if r.Len() != capacity {
 		t.Fatalf("len = %d, want full ring %d", r.Len(), capacity)
+	}
+}
+
+// TestModelTableConcurrent: emitters intern model names no one has seen
+// while dumpers render ring snapshots to JSON lines, so a name is added to
+// the table while other goroutines read it. Every rendered line must name
+// the model its emitter interned for that request. Run under -race, this
+// is the table's lock-free read contract.
+func TestModelTableConcurrent(t *testing.T) {
+	const (
+		emitters = 4
+		perEmit  = 300
+		names    = 40
+	)
+	name := func(req int) string {
+		return fmt.Sprintf("concurrent-%d-%d", req/perEmit, req%names)
+	}
+	r := NewRing(128)
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perEmit; i++ {
+				req := g*perEmit + i
+				r.Emit(Event{Kind: Arrive, ReqID: req, Model: modelid.Intern(name(req))})
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	var dumpers sync.WaitGroup
+	for d := 0; d < 2; d++ {
+		dumpers.Add(1)
+		go func() {
+			defer dumpers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var b bytes.Buffer
+				if err := r.WriteJSONL(&b); err != nil {
+					t.Errorf("WriteJSONL: %v", err)
+					return
+				}
+				dec := json.NewDecoder(&b)
+				for dec.More() {
+					var line struct {
+						Req   int    `json:"req"`
+						Model string `json:"model"`
+					}
+					if err := dec.Decode(&line); err != nil {
+						t.Errorf("decode: %v", err)
+						return
+					}
+					if want := name(line.Req); line.Model != want {
+						t.Errorf("req %d rendered model %q, want %q", line.Req, line.Model, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	dumpers.Wait()
+	for req := 0; req < emitters*perEmit; req++ {
+		if id, ok := modelid.Lookup(name(req)); !ok || id.String() != name(req) {
+			t.Fatalf("%s: id %d (known %v) renders %q", name(req), id, ok, id)
+		}
 	}
 }
 

@@ -178,8 +178,8 @@ type laneKey struct {
 // execInterval is the exec interval of the grant opened by start and
 // released at endMs.
 func execInterval(start *Event, endMs float64) Interval {
-	return Interval{Phase: PhaseExec, Block: start.Block, Device: start.Device, Part: int(start.Part),
-		Batch: start.Batch, StartMs: start.AtMs, EndMs: endMs, Note: start.Note, Args: start.Args}
+	return Interval{Phase: PhaseExec, Block: int(start.Block), Device: int(start.Device), Part: int(start.Part),
+		Batch: int(start.Batch), StartMs: start.AtMs, EndMs: endMs, Note: start.Note, Args: start.Args}
 }
 
 // Build folds events into a SpanTree. The stream does not need to be
@@ -204,7 +204,7 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 		case Arrive:
 			arrivals++
 		case StartBlock:
-			starts[laneKey{e.Device, int(e.Part)}]++
+			starts[laneKey{int(e.Device), int(e.Part)}]++
 		}
 	}
 	t.Requests = make([]RequestSpan, 0, arrivals)
@@ -219,7 +219,7 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 		if !ok {
 			k = len(t.Requests)
 			index[e.ReqID] = k
-			t.Requests = append(t.Requests, RequestSpan{ReqID: e.ReqID, Model: e.Model, Outcome: "open",
+			t.Requests = append(t.Requests, RequestSpan{ReqID: e.ReqID, Model: e.Model.String(), Outcome: "open",
 				ArriveMs: e.AtMs, DoneMs: e.AtMs,
 				// Place legally precedes Arrive: the engine routes a request
 				// before Algorithm 1 inserts it. Any other first sight is
@@ -230,8 +230,8 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 			states = append(states, spanState{open: -1})
 		}
 		sp := &t.Requests[k]
-		if sp.Model == "" && e.Model != "" {
-			sp.Model = e.Model
+		if sp.Model == "" && e.Model != 0 {
+			sp.Model = e.Model.String()
 		}
 		return sp, &states[k]
 	}
@@ -299,35 +299,36 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 				sp.Intervals = append(sp.Intervals, Interval{Phase: phase, Block: -1, Device: -1,
 					StartMs: gapStart, EndMs: start.AtMs})
 			}
-			sp.Intervals = append(sp.Intervals, execInterval(start, e.AtMs))
-			lane := laneKey{start.Device, int(start.Part)}
-			holds[lane] = append(holds[lane], deviceHold{start.AtMs, e.AtMs, e.ReqID, start.Batch})
+			iv := execInterval(start, e.AtMs)
+			sp.Intervals = append(sp.Intervals, iv)
+			lane := laneKey{iv.Device, iv.Part}
+			holds[lane] = append(holds[lane], deviceHold{iv.StartMs, iv.EndMs, e.ReqID, iv.Batch})
 			sp.Blocks++
-			if len(sp.Devices) == 0 || sp.Devices[len(sp.Devices)-1] != start.Device {
+			if len(sp.Devices) == 0 || sp.Devices[len(sp.Devices)-1] != iv.Device {
 				if st.executed {
 					sp.DeviceHops++
 				}
 				known := false
 				for _, d := range sp.Devices {
-					if d == start.Device {
+					if d == iv.Device {
 						known = true
 						break
 					}
 				}
 				if !known {
-					sp.Devices = append(sp.Devices, start.Device)
+					sp.Devices = append(sp.Devices, iv.Device)
 				}
 			}
-			if start.Batch != 0 {
+			if iv.Batch != 0 {
 				known := false
 				for _, bid := range sp.Batches {
-					if bid == start.Batch {
+					if bid == iv.Batch {
 						known = true
 						break
 					}
 				}
 				if !known {
-					sp.Batches = append(sp.Batches, start.Batch)
+					sp.Batches = append(sp.Batches, iv.Batch)
 				}
 			}
 			st.lastEnd = e.AtMs

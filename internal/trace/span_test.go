@@ -3,11 +3,13 @@ package trace
 import (
 	"math"
 	"testing"
+
+	"split/internal/modelid"
 )
 
 // ev is shorthand for building event streams in tests.
 func ev(at float64, kind EventKind, req int, model string, block int) Event {
-	return Event{AtMs: at, Kind: kind, ReqID: req, Model: model, Block: block}
+	return Event{AtMs: at, Kind: kind, ReqID: req, Model: modelid.Intern(model), Block: int16(block)}
 }
 
 // TestSpanBuilderDecomposition folds a hand-built two-request preemption
@@ -67,7 +69,7 @@ func TestSpanBuilderDecomposition(t *testing.T) {
 func TestSpanBuilderQueuedShed(t *testing.T) {
 	events := []Event{
 		ev(0, Arrive, 7, "m", 0),
-		{AtMs: 30, Kind: Shed, ReqID: 7, Model: "m", Note: NoteWord, Args: [4]float64{float64(WordOf(ReasonDeadline))}},
+		{AtMs: 30, Kind: Shed, ReqID: 7, Model: modelid.Intern("m"), Note: NoteWord, Args: [4]float64{float64(WordOf(ReasonDeadline))}},
 	}
 	tree := BuildSpans(events)
 	sp := tree.Span(7)
@@ -105,10 +107,10 @@ func TestSpanBuilderBatchSharesGrant(t *testing.T) {
 	events := []Event{
 		ev(0, Arrive, 0, "m", 0),
 		ev(1, Arrive, 1, "m", 0),
-		{AtMs: 2, Kind: StartBlock, ReqID: 0, Model: "m", Block: 0, Batch: 9},
-		{AtMs: 2, Kind: StartBlock, ReqID: 1, Model: "m", Block: 0, Batch: 9},
-		{AtMs: 8, Kind: EndBlock, ReqID: 0, Model: "m", Block: 0, Batch: 9},
-		{AtMs: 8, Kind: EndBlock, ReqID: 1, Model: "m", Block: 0, Batch: 9},
+		{AtMs: 2, Kind: StartBlock, ReqID: 0, Model: modelid.Intern("m"), Block: 0, Batch: 9},
+		{AtMs: 2, Kind: StartBlock, ReqID: 1, Model: modelid.Intern("m"), Block: 0, Batch: 9},
+		{AtMs: 8, Kind: EndBlock, ReqID: 0, Model: modelid.Intern("m"), Block: 0, Batch: 9},
+		{AtMs: 8, Kind: EndBlock, ReqID: 1, Model: modelid.Intern("m"), Block: 0, Batch: 9},
 		ev(8, Complete, 0, "m", 0),
 		ev(8, Complete, 1, "m", 0),
 	}
@@ -206,10 +208,10 @@ func TestSpanBuilderMaxRequests(t *testing.T) {
 func TestSpanBuilderDeviceHops(t *testing.T) {
 	events := []Event{
 		ev(0, Arrive, 0, "m", 0),
-		{AtMs: 0, Kind: StartBlock, ReqID: 0, Model: "m", Block: 0, Device: 0},
-		{AtMs: 5, Kind: EndBlock, ReqID: 0, Model: "m", Block: 0, Device: 0},
-		{AtMs: 7, Kind: StartBlock, ReqID: 0, Model: "m", Block: 1, Device: 2},
-		{AtMs: 12, Kind: EndBlock, ReqID: 0, Model: "m", Block: 1, Device: 2},
+		{AtMs: 0, Kind: StartBlock, ReqID: 0, Model: modelid.Intern("m"), Block: 0, Device: 0},
+		{AtMs: 5, Kind: EndBlock, ReqID: 0, Model: modelid.Intern("m"), Block: 0, Device: 0},
+		{AtMs: 7, Kind: StartBlock, ReqID: 0, Model: modelid.Intern("m"), Block: 1, Device: 2},
+		{AtMs: 12, Kind: EndBlock, ReqID: 0, Model: modelid.Intern("m"), Block: 1, Device: 2},
 		ev(12, Complete, 0, "m", 1),
 	}
 	tree := BuildSpans(events)

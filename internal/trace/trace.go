@@ -15,6 +15,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"split/internal/modelid"
 )
 
 // EventKind labels a trace event. Its String is the name every export
@@ -88,31 +90,38 @@ func (k EventKind) String() string {
 	return "EventKind(" + strconv.Itoa(int(k)) + ")"
 }
 
-// Event is one timeline entry. Part is narrower than the other placement
-// fields so that the whole event fits in 96 bytes.
+// Event is one timeline entry: 64 bytes with no pointer in it, so the
+// collector never scans an array of events and a flattened trace is two
+// thirds the size a string-carrying event made it. The model is an ID into
+// the process-wide name table (modelid), and the placement fields are as
+// narrow as the engine's bounds allow (engine.MaxDevices, MaxPartitions,
+// MaxBlocks; batch ids wrap before 2³¹).
 type Event struct {
 	AtMs  float64
 	ReqID int
-	Model string
-	Block int
-	// Device is the fleet device the event happened on; 0 (and omitted
-	// from JSON) on single-device deployments.
-	Device int
+	// Args are the arguments of the sentence Note names, in the order the
+	// sentence names them (note.go).
+	Args [4]float64
 	// Batch groups the StartBlock/EndBlock events of one batched device
 	// grant: every member of a micro-batch carries the same non-zero id.
 	// 0 (and omitted from JSON) means an unbatched scalar grant, so traces
 	// from runs without batching are byte-identical to before.
-	Batch int
+	Batch int32
+	// Model is the event's model; the zero ID (the empty name) on
+	// control-plane events.
+	Model modelid.ID
+	Block int16
+	// Device is the fleet device the event happened on; 0 (and omitted
+	// from JSON) on single-device deployments.
+	Device int16
 	// Part is the device partition slot the event happened on when the
 	// fleet runs spatial sharing; 0 (and omitted from JSON) on
 	// unpartitioned deployments, so temporal-only traces are byte-identical
 	// to before.
-	Part int32
+	Part int8
 	Kind EventKind
-	// Note names the sentence Detail renders and Args are its arguments,
-	// in the order the sentence names them (note.go).
+	// Note names the sentence Detail renders.
 	Note Note
-	Args [4]float64
 }
 
 // Detail renders the event's note: the sentence the exports print in
@@ -168,6 +177,8 @@ type Tracer struct {
 	flat   []Event
 	chunks [][]Event
 	n      int
+	// models resolves Note's model names.
+	models modelid.Memo
 }
 
 // Emit implements Sink by recording the event. No-op on a nil receiver.
@@ -201,7 +212,7 @@ func (t *Tracer) Note(atMs float64, kind EventKind, reqID int, model string, not
 	if t == nil {
 		return
 	}
-	e := Event{AtMs: atMs, Kind: kind, ReqID: reqID, Model: model, Note: note}
+	e := Event{AtMs: atMs, Kind: kind, ReqID: reqID, Model: t.models.ID(model), Note: note}
 	copy(e.Args[:], args)
 	t.Record(e)
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"split/internal/modelid"
 )
 
 func TestNilTracerIsSafe(t *testing.T) {
@@ -22,7 +24,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 func TestRecordAndEvents(t *testing.T) {
 	tr := New()
-	tr.Record(Event{AtMs: 1, Kind: Arrive, ReqID: 7, Model: "vgg"})
+	tr.Record(Event{AtMs: 1, Kind: Arrive, ReqID: 7, Model: modelid.Intern("vgg")})
 	tr.Note(2, StartBlock, 7, "vgg", NoteDur, 5)
 	if tr.Len() != 2 {
 		t.Fatalf("len = %d", tr.Len())
@@ -36,7 +38,7 @@ func TestRecordAndEvents(t *testing.T) {
 func TestWriteCSV(t *testing.T) {
 	tr := New()
 	tr.Note(1.5, Arrive, 1, "yolo", NotePos, 0)
-	tr.Record(Event{AtMs: 2.5, Kind: Complete, ReqID: 1, Model: "yolo", Block: 2, Note: NoteRR, Args: [4]float64{1}})
+	tr.Record(Event{AtMs: 2.5, Kind: Complete, ReqID: 1, Model: modelid.Intern("yolo"), Block: 2, Note: NoteRR, Args: [4]float64{1}})
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -163,7 +165,7 @@ func TestTracerChunks(t *testing.T) {
 		batch[i] = Event{AtMs: float64(i), Kind: Arrive, ReqID: i, Note: NoteQueued, Args: [4]float64{float64(i)}}
 	}
 	for i := 0; i < chunkLen+3; i++ {
-		record(Event{AtMs: float64(i), Kind: Complete, ReqID: i, Model: "m", Note: NoteRR, Args: [4]float64{1.5}})
+		record(Event{AtMs: float64(i), Kind: Complete, ReqID: i, Model: modelid.Intern("m"), Note: NoteRR, Args: [4]float64{1.5}})
 	}
 	record(batch...)
 	check := func(stage string) {

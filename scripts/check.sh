@@ -29,6 +29,9 @@ go test -race -count=3 -cpu 1,4 -run 'RunAllScenarios|RunConcurrently|Each|Multi
 # client's reader completes calls that Close may be failing. Stop and Drain
 # shed a backlog from a goroutine of their own while holds still settle.
 go test -race -count=3 -cpu 1,4 -run 'ManyConcurrentRequestsAllComplete|FleetCancelRoutesAcrossDevices|ServePartitionConcurrency|ServeBatchingCoalesces|ServeElasticConcurrentScaleDown|IdleArrivalStartsAtArrival|StartRunsNoGoroutinePerLane|ScrapeWhileServing|WallTimerContract|ShutdownReleasesTimer|ClientLifecycle|ConnectionFIFO|NoGoroutinePerCall|EveryFateReleasesItsRequest' ./internal/serve
+# The model-name table is interned by writers while /tracez readers render
+# names from it without a lock.
+go test -race -count=3 -cpu 1,4 -run 'ModelTableConcurrent' ./internal/trace
 # Off Linux every hold takes the runtime timer: keep that path compiling,
 # tests included.
 GOOS=darwin GOARCH=arm64 go vet ./internal/serve ./cmd/splitd
