@@ -523,7 +523,7 @@ func BenchmarkTracedFeatures(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := trace.New()
 		sys.RunWithStats(arrivals, dep.Catalog, tr)
-		if tree := trace.BuildSpans(tr.Events()); len(tree.Problems) > 0 {
+		if tree := (trace.SpanBuilder{}).BuildTracer(tr); len(tree.Problems) > 0 {
 			b.Fatalf("span fold problem: %s", tree.Problems[0])
 		}
 		events += tr.Len()

@@ -342,7 +342,7 @@ func traceRun(w io.Writer, o *options) error {
 			run.System, o.sc.Name, o.sc.MeanIntervalMs, o.sc.Load, run.Summary.Requests)
 	}
 	fmt.Fprintln(w, run.Summary)
-	tree := trace.BuildSpans(tr.Events())
+	tree := trace.SpanBuilder{}.BuildTracer(tr)
 	fmt.Fprint(w, tree.Analyze())
 	if o.gantt != "" {
 		fmt.Fprintf(w, "\nGantt [%.0f, %.0f] ms (models: %v):\n", o.lo, o.hi, zoo.BenchmarkModels)

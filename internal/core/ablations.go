@@ -116,7 +116,7 @@ func measure(w Workload, arm Arm) Row {
 	if s, ok := arm.System.(*policy.Split); ok {
 		devices = max(s.Devices, 1)
 	}
-	tree := trace.BuildSpans(tr.Events())
+	tree := trace.SpanBuilder{}.BuildTracer(tr)
 	if an := tree.Analyze(); an.HorizonMs > 0 {
 		util := make([]float64, devices)
 		for i := range util {
@@ -125,7 +125,7 @@ func measure(w Workload, arm Arm) Row {
 		}
 		row.UtilMin, row.UtilMax = slices.Min(util), slices.Max(util)
 	}
-	grants := map[int]int{} // batch id → requests in it
+	grants := map[int32]int{} // batch id → requests in it
 	for _, sp := range tree.Requests {
 		for _, iv := range sp.Intervals {
 			if iv.Phase == trace.PhaseExec && iv.Batch != 0 {

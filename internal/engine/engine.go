@@ -713,7 +713,7 @@ func (e *Engine) Arrive(now float64, job *Job) *Arrival {
 	blocks := job.Plan
 	// The §3.3 same-type run the arrival would join includes the request
 	// occupying the placed lane, not just its queued neighbors.
-	if len(blocks) == 0 || len(blocks) > 1 && !e.k.Elastic.ShouldSplitWith(ln.queue, job.Model, ln.inflight) {
+	if len(blocks) == 0 || len(blocks) > 1 && !e.k.Elastic.ShouldSplitWith(ln.queue, out.model, ln.inflight) {
 		blocks = e.wholePlan(job.ExtMs)
 	}
 	r := e.newRequest()

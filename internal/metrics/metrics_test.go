@@ -154,7 +154,7 @@ func exactRecords() []policy.Record {
 			class, ext = model.Long, 67.3
 		}
 		arrive := 1.3 * float64(i)
-		r := policy.Record{ID: i, Model: string(class), Class: class, ArriveMs: arrive, StartMs: arrive + 0.1,
+		r := policy.Record{ID: i, Model: class.String(), Class: class, ArriveMs: arrive, StartMs: arrive + 0.1,
 			DoneMs: arrive + ext*(1+0.37*float64(i%11)+0.013*float64(i)), ExtMs: ext, Preemptions: i % 4}
 		if i%7 == 5 {
 			r.Outcome = reasons[(i/7)%len(reasons)]

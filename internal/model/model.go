@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Kind classifies an operator. The set covers the CNN and Transformer
@@ -63,14 +64,56 @@ const (
 )
 
 // RequestClass tells whether a model serves short or long requests in the
-// paper's workload taxonomy (Table 1).
-type RequestClass string
+// paper's workload taxonomy (Table 1). It is one byte, so the outcome record
+// every request leaves carries it in padding; its text form is the class's
+// name, so JSON and the exports spell it as words.
+type RequestClass uint8
 
-// Request classes from Table 1.
+// Request classes from Table 1. The zero value is an unclassified model,
+// spelled "".
 const (
-	Short RequestClass = "Short"
-	Long  RequestClass = "Long"
+	Short RequestClass = iota + 1
+	Long
 )
+
+var classNames = [...]string{0: "", Short: "Short", Long: "Long"}
+
+// String returns "Short", "Long", or "" for the zero class.
+func (c RequestClass) String() string {
+	if int(c) < len(classNames) {
+		return classNames[c]
+	}
+	return "RequestClass(" + strconv.Itoa(int(c)) + ")"
+}
+
+// ParseClass is the class a name spells: "Short", "Long", or "" for an
+// unclassified model. Any other name is an error.
+func ParseClass(s string) (RequestClass, error) {
+	for c, name := range classNames {
+		if s == name {
+			return RequestClass(c), nil
+		}
+	}
+	return 0, fmt.Errorf("model: unknown request class %q", s)
+}
+
+// MarshalText spells the class as String does.
+func (c RequestClass) MarshalText() ([]byte, error) {
+	if int(c) >= len(classNames) {
+		return nil, fmt.Errorf("model: invalid request class %d", uint8(c))
+	}
+	return []byte(classNames[c]), nil
+}
+
+// UnmarshalText reads what MarshalText writes.
+func (c *RequestClass) UnmarshalText(text []byte) error {
+	v, err := ParseClass(string(text))
+	if err != nil {
+		return err
+	}
+	*c = v
+	return nil
+}
 
 // Op is a single operator with its cost profile.
 type Op struct {

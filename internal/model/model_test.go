@@ -1,11 +1,60 @@
 package model
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// TestRequestClassText: a class spells its Table 1 name in text and JSON
+// and reads back from it; the zero class is the empty name, and no other
+// name or value passes.
+func TestRequestClassText(t *testing.T) {
+	for c, name := range map[RequestClass]string{0: "", Short: "Short", Long: "Long"} {
+		if c.String() != name {
+			t.Errorf("RequestClass(%d).String() = %q, want %q", uint8(c), c.String(), name)
+		}
+		if got, err := ParseClass(name); err != nil || got != c {
+			t.Errorf("ParseClass(%q) = %d, %v, want %d", name, uint8(got), err, uint8(c))
+		}
+		text, err := c.MarshalText()
+		if err != nil || string(text) != name {
+			t.Errorf("RequestClass(%d).MarshalText() = %q, %v", uint8(c), text, err)
+		}
+		var back RequestClass
+		if err := back.UnmarshalText(text); err != nil || back != c {
+			t.Errorf("UnmarshalText(%q) = %d, %v, want %d", text, uint8(back), err, uint8(c))
+		}
+		type doc struct {
+			C RequestClass `json:"class"`
+		}
+		js, err := json.Marshal(doc{c})
+		if want := `{"class":"` + name + `"}`; err != nil || string(js) != want {
+			t.Errorf("json.Marshal = %s, %v, want %s", js, err, want)
+		}
+		var d doc
+		if err := json.Unmarshal(js, &d); err != nil || d.C != c {
+			t.Errorf("json.Unmarshal(%s) = %d, %v", js, uint8(d.C), err)
+		}
+	}
+	for _, bad := range []string{"Medium", "short", "LONG", " Short"} {
+		if _, err := ParseClass(bad); err == nil {
+			t.Errorf("ParseClass(%q) accepted", bad)
+		}
+		var c RequestClass
+		if err := c.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", bad)
+		}
+	}
+	if _, err := RequestClass(3).MarshalText(); err == nil {
+		t.Error("MarshalText of RequestClass(3) succeeded")
+	}
+	if got := RequestClass(3).String(); got != "RequestClass(3)" {
+		t.Errorf("RequestClass(3).String() = %q", got)
+	}
+}
 
 // testGraph builds a deterministic graph with n ops whose times and volumes
 // decay along the graph, like a CNN.

@@ -451,7 +451,7 @@ func TimeSeriesFromRun(recs []policy.Record, events []trace.Event, alpha, window
 	for _, sp := range tree.Requests {
 		for _, iv := range sp.Intervals {
 			if iv.Phase == trace.PhaseExec {
-				ts.ObserveBusyFrac(iv.Device, iv.StartMs, iv.EndMs, iv.Occupancy(counted))
+				ts.ObserveBusyFrac(int(iv.Device), iv.StartMs, iv.EndMs, iv.Occupancy(counted))
 			}
 		}
 	}

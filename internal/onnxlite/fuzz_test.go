@@ -18,6 +18,8 @@ func FuzzDecodeGraph(f *testing.F) {
 	}
 	f.Add(buf.String())
 	f.Add(`{"version":1,"name":"x","class":"Short","ops":[{"name":"a","kind":"Conv","time_ms":1}]}`)
+	f.Add(`{"version":1,"name":"x","class":"Medium","ops":[{"name":"a","kind":"Conv","time_ms":1}]}`)
+	f.Add(`{"version":1,"name":"x","ops":[{"name":"a","kind":"Conv","time_ms":1}]}`)
 	f.Add(`{"version":1,"name":"x","ops":[]}`)
 	f.Add(`{"version":1,"name":"x","ops":[{"name":"a","kind":"Conv","time_ms":-1}]}`)
 	f.Add(`{"version":1,"name":"x","ops":[{"name":"a","kind":"Conv","time_ms":1}],"edges":[[5,9]]}`)
@@ -30,6 +32,9 @@ func FuzzDecodeGraph(f *testing.F) {
 		}
 		if vErr := g.Validate(); vErr != nil {
 			t.Fatalf("decoder accepted an invalid graph: %v", vErr)
+		}
+		if _, cErr := g.Class.MarshalText(); cErr != nil {
+			t.Fatalf("decoder accepted a graph of no known class: %v", cErr)
 		}
 	})
 }

@@ -48,7 +48,7 @@ func EncodeGraph(w io.Writer, g *model.Graph) error {
 		Version: FormatVersion,
 		Name:    g.Name,
 		Domain:  g.Domain,
-		Class:   string(g.Class),
+		Class:   g.Class.String(),
 		Ops:     make([]opRec, len(g.Ops)),
 	}
 	for i, op := range g.Ops {
@@ -77,10 +77,14 @@ func DecodeGraph(r io.Reader) (*model.Graph, error) {
 	if f.Version != FormatVersion {
 		return nil, fmt.Errorf("onnxlite: unsupported graph format version %d", f.Version)
 	}
+	class, err := model.ParseClass(f.Class)
+	if err != nil {
+		return nil, fmt.Errorf("onnxlite: decode graph %s: %w", f.Name, err)
+	}
 	g := &model.Graph{
 		Name:   f.Name,
 		Domain: f.Domain,
-		Class:  model.RequestClass(f.Class),
+		Class:  class,
 		Ops:    make([]model.Op, len(f.Ops)),
 	}
 	for i, op := range f.Ops {

@@ -45,11 +45,24 @@ func TestEncodeGraphRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestDecodeGraphClass: a graph file's class decodes to its class, and a
+// graph that names none decodes unclassified.
+func TestDecodeGraphClass(t *testing.T) {
+	for class, want := range map[string]model.RequestClass{`"class":"Short",`: model.Short, `"class":"Long",`: model.Long, ``: 0} {
+		g, err := DecodeGraph(strings.NewReader(`{"version":1,"name":"x",` + class + `"ops":[{"name":"a","kind":"Conv","time_ms":1}]}`))
+		if err != nil || g.Class != want {
+			t.Errorf("class %q decoded to %v, %v; want %v", class, g, err, want)
+		}
+	}
+}
+
 func TestDecodeGraphErrors(t *testing.T) {
 	cases := []string{
 		"not json",
 		`{"version": 99, "name": "x", "ops": [{"name":"a","kind":"Conv","time_ms":1}]}`,
 		`{"version": 1, "name": "x", "ops": []}`, // invalid: no ops
+		`{"version": 1, "name": "x", "class": "Medium", "ops": [{"name":"a","kind":"Conv","time_ms":1}]}`,
+		`{"version": 1, "name": "x", "class": "short", "ops": [{"name":"a","kind":"Conv","time_ms":1}]}`,
 	}
 	for i, s := range cases {
 		if _, err := DecodeGraph(strings.NewReader(s)); err == nil {

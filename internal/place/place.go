@@ -137,10 +137,10 @@ type leastLoaded struct{}
 func (p *leastLoaded) Name() string { return LeastLoaded }
 
 func (p *leastLoaded) Place(_ Request, fleet []Load) int {
-	best := 0
-	for i, l := range fleet[1:] {
-		if l.ExpectedMs() < fleet[best].ExpectedMs() {
-			best = i + 1
+	best, bestMs := 0, fleet[0].ExpectedMs()
+	for i := 1; i < len(fleet); i++ {
+		if ms := fleet[i].ExpectedMs(); ms < bestMs {
+			best, bestMs = i, ms
 		}
 	}
 	return best

@@ -88,7 +88,7 @@ func TestFleetRoundRobinCycles(t *testing.T) {
 	s := &Split{Knobs: engine.Knobs{Alpha: 4, Elastic: sched.DefaultElastic(), Devices: 3, Placement: place.RoundRobin}}
 	recs := s.Run(arrivals, catalog, tr)
 	for _, r := range recs {
-		if r.Device != r.ID%3 {
+		if int(r.Device) != r.ID%3 {
 			t.Fatalf("round-robin placed req %d on device %d, want %d", r.ID, r.Device, r.ID%3)
 		}
 		if !r.Served() {
@@ -159,13 +159,13 @@ func assertFleetInvariants(t *testing.T, label string, arrivals []workload.Arriv
 	owner := map[int]int{}
 	outcomes := map[string]int{}
 	for _, r := range recs {
-		if r.Device < 0 || r.Device >= devices {
+		if r.Device < 0 || int(r.Device) >= devices {
 			t.Fatalf("%s: req %d on device %d of %d", label, r.ID, r.Device, devices)
 		}
 		if _, dup := owner[r.ID]; dup {
 			t.Fatalf("%s: req %d recorded twice", label, r.ID)
 		}
-		owner[r.ID] = r.Device
+		owner[r.ID] = int(r.Device)
 		switch r.Outcome {
 		case OutcomeServed, OutcomeDeadline, OutcomeCanceled, OutcomeDeviceFault:
 			outcomes[r.Outcome]++
@@ -187,7 +187,7 @@ func assertFleetInvariants(t *testing.T, label string, arrivals []workload.Arriv
 		lastEnd[i] = -1
 	}
 	for _, sp := range execIntervals(tr) {
-		if want, ok := owner[sp.ReqID]; ok && sp.Device != want {
+		if want, ok := owner[sp.ReqID]; ok && int(sp.Device) != want {
 			t.Fatalf("%s: req %d ran a block on device %d but was recorded on %d", label, sp.ReqID, sp.Device, want)
 		}
 		if sp.StartMs < lastEnd[sp.Device]-1e-9 {

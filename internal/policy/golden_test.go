@@ -25,7 +25,7 @@ func goldenDigest(recs []Record, events []trace.Event) uint64 {
 	for _, r := range recs {
 		d.U64(uint64(r.ID))
 		d.Str(r.Model)
-		d.Str(string(r.Class))
+		d.Str(r.Class.String())
 		d.F64(r.ArriveMs)
 		d.F64(r.StartMs)
 		d.F64(r.DoneMs)

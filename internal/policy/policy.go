@@ -113,25 +113,28 @@ const (
 	OutcomeDeviceFault = trace.ReasonDeviceFault
 )
 
-// Record is the per-request outcome every system reports.
+// Record is the per-request outcome every system reports: 88 bytes, laid
+// out widest first so the narrow fields share one word. Model and Outcome
+// are the only fields holding pointers.
 type Record struct {
-	ID          int
-	Model       string
-	Class       model.RequestClass
+	ID    int
+	Model string
+	// Outcome is OutcomeServed for completed requests, else the shed
+	// reason. For shed records DoneMs is the shed time, so E2E-derived
+	// metrics are only meaningful when Served() is true.
+	Outcome     string
 	ArriveMs    float64
 	StartMs     float64
 	DoneMs      float64
 	ExtMs       float64
 	Preemptions int
+	// Device is the fleet device the request was placed on; 0 on the
+	// single-device systems. The engine refuses fleets wider than an int16
+	// (engine.MaxDevices).
+	Device int16
+	Class  model.RequestClass
 	// Split reports whether the request executed under a multi-block plan.
 	Split bool
-	// Outcome is OutcomeServed for completed requests, else the shed
-	// reason. For shed records DoneMs is the shed time, so E2E-derived
-	// metrics are only meaningful when Served() is true.
-	Outcome string
-	// Device is the fleet device the request was placed on; 0 on the
-	// single-device systems.
-	Device int
 }
 
 // RecordOf is the outcome record of a scheduler request that left the
@@ -148,10 +151,10 @@ func (rec *Record) fill(r *sched.Request, doneMs float64, outcome string) {
 	rec.ID, rec.Model, rec.Class = r.ID, r.Model, r.Class
 	rec.ArriveMs, rec.StartMs, rec.DoneMs, rec.ExtMs = r.ArriveMs, r.StartMs, doneMs, r.ExtMs
 	rec.Preemptions, rec.Split = r.Preemptions, len(r.BlockTimes) > 1
-	rec.Outcome, rec.Device = outcome, r.Device
+	rec.Outcome, rec.Device = outcome, int16(r.Device)
 }
 
-// The predicates take a pointer: a Record is 112 bytes, and the metrics walk
+// The predicates take a pointer: a Record is 88 bytes, and the metrics walk
 // hundreds of thousands of them per figure.
 
 // Served reports whether the request completed normally.

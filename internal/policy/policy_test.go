@@ -2,8 +2,10 @@ package policy
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"split/internal/model"
 	"split/internal/trace"
@@ -494,5 +496,34 @@ func TestAlgorithm1AverageScanIsShort(t *testing.T) {
 	}
 	if meanScan > 4 {
 		t.Errorf("mean scan %.2f comparisons per insertion — expected a small constant", meanScan)
+	}
+}
+
+// TestRecordIsCompact pins the record's footprint and shape: a run holds
+// one record per arrival, so a wider record is a larger run, and only the
+// two strings may hold pointers for the collector to follow.
+func TestRecordIsCompact(t *testing.T) {
+	if size := unsafe.Sizeof(Record{}); size != 88 {
+		t.Errorf("policy.Record is %d bytes, want 88", size)
+	}
+	var pointers []string
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			pointers = append(pointers, path+" "+typ.Kind().String())
+		}
+	}
+	walk("Record", reflect.TypeOf(Record{}))
+	if want := []string{"Record.Model string", "Record.Outcome string"}; !reflect.DeepEqual(pointers, want) {
+		t.Errorf("fields that may hold pointers: %v, want %v", pointers, want)
 	}
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"split/internal/engine"
@@ -78,5 +79,23 @@ func TestConcurrentSystemsOverlapIsReported(t *testing.T) {
 	tree := trace.BuildSpans(tr.Events())
 	if len(tree.Problems) == 0 {
 		t.Error("RT-A concurrent streams folded with no overlap problems")
+	}
+}
+
+// TestBuildTracerMatchesBuildSpans: folding a tracer in place gives the
+// tree folding its flattened events gives, on a traced all-features run
+// whose stream spans many tracer chunks.
+func TestBuildTracerMatchesBuildSpans(t *testing.T) {
+	tr := trace.New()
+	allFeatures().Run(goldenArrivals(t), goldenCatalog(), tr)
+	if tr.Len() <= 2*4096 {
+		t.Fatalf("%d events fill fewer than three tracer chunks", tr.Len())
+	}
+	got := trace.SpanBuilder{}.BuildTracer(tr)
+	if want := trace.BuildSpans(tr.Events()); !reflect.DeepEqual(got, want) {
+		t.Fatal("BuildTracer's tree differs from BuildSpans(tr.Events())")
+	}
+	if len(got.Problems) > 0 {
+		t.Errorf("span problems: %v", got.Problems[:min(5, len(got.Problems))])
 	}
 }

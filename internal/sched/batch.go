@@ -41,7 +41,7 @@ func (p BatchPlanner) Enabled() bool { return p.Max > 1 }
 //     the boundary sweep is about to shed, so batching cannot resurrect
 //     dead work or burn device time on it.
 func joinable(head, next *Request, nowMs float64) bool {
-	return next.Model == head.Model &&
+	return next.ModelID == head.ModelID &&
 		next.Next == head.Next &&
 		len(next.BlockTimes) == len(head.BlockTimes) &&
 		!next.Canceled &&
@@ -76,7 +76,7 @@ func (p BatchPlanner) FormInto(dst []*Request, q *Queue, head *Request, nowMs fl
 		// healthy work into its grant.
 		return batch
 	}
-	if q.SameTypeCount(head.Model) == 0 {
+	if q.SameTypeCount(head.ModelID) == 0 {
 		return batch // no same-type run at the front (§3.3 signal)
 	}
 	for len(batch) < p.Max && q.Len() > 0 && joinable(head, q.At(0), nowMs) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"split/internal/model"
+	"split/internal/modelid"
 )
 
 // mkReq builds a queued-style request with n equal blocks.
@@ -120,7 +121,7 @@ func TestElasticInflightBoundary(t *testing.T) {
 	inflight := mkReq(0, "m", 0, 2, 10)
 
 	// 2 queued + 1 in flight = run of 3 = limit: suppress.
-	if e.ShouldSplitWith(q, "m", inflight) {
+	if e.ShouldSplitWith(q, modelid.Intern("m"), inflight) {
 		t.Error("run of SameTypeLimit (with in-flight head) not suppressed")
 	}
 	// The queue-only view sees 2 < 3: this is the off-by-one the fix
@@ -129,18 +130,18 @@ func TestElasticInflightBoundary(t *testing.T) {
 		t.Error("queue-only view should not suppress at 2 of 3")
 	}
 	// A different-model in-flight request is not part of the run.
-	if !e.ShouldSplitWith(q, "m", mkReq(9, "other", 0, 2, 10)) {
+	if !e.ShouldSplitWith(q, modelid.Intern("m"), mkReq(9, "other", 0, 2, 10)) {
 		t.Error("different-model in-flight request counted into the run")
 	}
 	// One under the limit stays unsuppressed even with the in-flight count.
 	q2 := NewQueue(4)
 	q2.PushBack(mkReq(1, "m", 1, 2, 10))
-	if !e.ShouldSplitWith(q2, "m", inflight) {
+	if !e.ShouldSplitWith(q2, modelid.Intern("m"), inflight) {
 		t.Error("run of SameTypeLimit-1 suppressed")
 	}
 	// An idle device (nil in-flight) degrades to the queue-only count:
 	// 2 queued < 3, so splitting stays on.
-	if !e.ShouldSplitWith(q, "m", nil) {
+	if !e.ShouldSplitWith(q, modelid.Intern("m"), nil) {
 		t.Error("nil in-flight should match the queue-only ShouldSplit decision")
 	}
 }
@@ -151,11 +152,11 @@ func TestElasticInflightHighLoadUnchanged(t *testing.T) {
 	e := Elastic{Enabled: true, HighLoadQueueLen: 2}
 	q := NewQueue(4)
 	q.PushBack(mkReq(1, "a", 1, 2, 10))
-	if !e.ShouldSplitWith(q, "b", mkReq(0, "c", 0, 2, 10)) {
+	if !e.ShouldSplitWith(q, modelid.Intern("b"), mkReq(0, "c", 0, 2, 10)) {
 		t.Error("in-flight request counted into the high-load queue length")
 	}
 	q.PushBack(mkReq(2, "b", 2, 2, 10))
-	if e.ShouldSplitWith(q, "b", nil) {
+	if e.ShouldSplitWith(q, modelid.Intern("b"), nil) {
 		t.Error("high-load trigger lost")
 	}
 }

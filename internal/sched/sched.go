@@ -22,8 +22,17 @@ type Request struct {
 	// Model is the task type; requests with equal Model are "from the same
 	// task" for the FIFO rule.
 	Model string
+	// ModelID is Model's number in the process-wide name table, what the
+	// request's trace events carry and what the FIFO rule, the same-type
+	// count and batch joining compare. ModelID, Class and Canceled share
+	// one word just before ArriveMs, which the FIFO checks read with it.
+	ModelID modelid.ID
 	// Class is the short/long taxonomy from Table 1.
 	Class model.RequestClass
+	// Canceled marks the request cancel-at-next-boundary: the scheduler
+	// must not grant it another block. The serving path sets it for client
+	// cancellations and connection losses; the queue itself never does.
+	Canceled bool
 	// ArriveMs is the arrival (enqueue) time.
 	ArriveMs float64
 	// ExtMs is t_ext: the isolated, unsplit execution time that the request's
@@ -51,13 +60,6 @@ type Request struct {
 	// EdgeServing-style extension of the α·t_ext target). <= 0 (the
 	// default) means no deadline.
 	DeadlineMs float64
-	// Canceled marks the request cancel-at-next-boundary: the scheduler
-	// must not grant it another block. The serving path sets it for client
-	// cancellations and connection losses; the queue itself never does.
-	Canceled bool
-	// ModelID is Model's number in the process-wide name table, what the
-	// request's trace events carry. It sits in Canceled's padding.
-	ModelID modelid.ID
 	// Device is the fleet device the placement layer assigned the request
 	// to. The queue itself never reads it — each device has its own queue —
 	// but grants and cancellation paths route by it. 0 on a
@@ -307,11 +309,11 @@ func (q *Queue) PushBack(r *Request) {
 	q.push(r)
 }
 
-// SameTypeCount returns how many waiting requests share the model name.
-func (q *Queue) SameTypeCount(modelName string) int {
+// SameTypeCount returns how many waiting requests are of model id.
+func (q *Queue) SameTypeCount(id modelid.ID) int {
 	n := 0
 	for _, r := range q.reqs {
-		if r.Model == modelName {
+		if r.ModelID == id {
 			n++
 		}
 	}
@@ -367,7 +369,7 @@ func (q *Queue) InsertGreedy(nowMs float64, r *Request) int {
 	pos := q.fifoCeiling(r)
 	for pos > 0 {
 		ahead := q.reqs[pos-1]
-		if ahead.Model == r.Model {
+		if ahead.ModelID == r.ModelID {
 			if ahead.ArriveMs <= r.ArriveMs {
 				break // FIFO among same-task requests
 			}
@@ -397,7 +399,7 @@ func (q *Queue) InsertGreedy(nowMs float64, r *Request) int {
 // arrival that FIFO would forbid passing.
 func (q *Queue) fifoCeiling(r *Request) int {
 	for i, ahead := range q.reqs {
-		if ahead.Model == r.Model && ahead.ArriveMs > r.ArriveMs {
+		if ahead.ModelID == r.ModelID && ahead.ArriveMs > r.ArriveMs {
 			return i
 		}
 	}
@@ -447,12 +449,19 @@ func DefaultElastic() Elastic {
 	return Elastic{Enabled: true, HighLoadQueueLen: 10, SameTypeLimit: 3}
 }
 
-// ShouldSplit decides whether an arriving request of the given model should
+// ShouldSplit decides whether an arriving request of the named model should
 // use its split plan, based on the waiting queue alone. Callers that know
-// which request currently occupies the device should call ShouldSplitWith
-// instead, which counts it into the same-type run.
+// which request currently occupies the device, or hold the model's ID,
+// should call ShouldSplitWith instead, which counts the in-flight request
+// into the same-type run.
 func (e Elastic) ShouldSplit(q *Queue, modelName string) bool {
-	return e.ShouldSplitWith(q, modelName, nil)
+	id, ok := modelid.Lookup(modelName)
+	if !ok {
+		// No queued request carries a name no one interned, so only the
+		// density trigger can suppress the split.
+		return !e.Enabled || e.HighLoadQueueLen <= 0 || q.Len() < e.HighLoadQueueLen
+	}
+	return e.ShouldSplitWith(q, id, nil)
 }
 
 // ShouldSplitWith is ShouldSplit with the device's in-flight request made
@@ -470,7 +479,7 @@ func (e Elastic) ShouldSplit(q *Queue, modelName string) bool {
 // The high-load trigger deliberately stays queue-only: it measures request
 // density — how many are waiting — not the run structure, and widening it
 // would change the §3.3 threshold semantics the tests pin.
-func (e Elastic) ShouldSplitWith(q *Queue, modelName string, inflight *Request) bool {
+func (e Elastic) ShouldSplitWith(q *Queue, id modelid.ID, inflight *Request) bool {
 	if !e.Enabled {
 		return true
 	}
@@ -478,8 +487,8 @@ func (e Elastic) ShouldSplitWith(q *Queue, modelName string, inflight *Request) 
 		return false
 	}
 	if e.SameTypeLimit > 0 {
-		run := q.SameTypeCount(modelName)
-		if inflight != nil && inflight.Model == modelName {
+		run := q.SameTypeCount(id)
+		if inflight != nil && inflight.ModelID == id {
 			run++
 		}
 		if run >= e.SameTypeLimit {

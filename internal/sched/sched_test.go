@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"split/internal/model"
 	"split/internal/modelid"
@@ -43,6 +44,14 @@ func TestRequestHelpers(t *testing.T) {
 	}
 }
 
+// TestRequestSize pins the request's footprint: the engine keeps one per
+// request in flight, and Class, ModelID and Canceled share one word.
+func TestRequestSize(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size != 136 {
+		t.Errorf("sched.Request is %d bytes, want 136", size)
+	}
+}
+
 // TestInitOverwritesEveryField: a recycled request carries none of its past,
 // including any field added after Init was written.
 func TestInitOverwritesEveryField(t *testing.T) {
@@ -53,7 +62,7 @@ func TestInitOverwritesEveryField(t *testing.T) {
 		switch f.Kind() {
 		case reflect.Int:
 			f.SetInt(7)
-		case reflect.Uint32:
+		case reflect.Uint8, reflect.Uint32:
 			f.SetUint(7)
 		case reflect.Float64:
 			f.SetFloat(7.5)
@@ -121,7 +130,7 @@ func TestQueueBasicOps(t *testing.T) {
 	if got := q.TotalRemainingMs(); got != 30 {
 		t.Errorf("total remaining = %v", got)
 	}
-	if q.SameTypeCount("a") != 1 || q.SameTypeCount("c") != 0 {
+	if q.SameTypeCount(modelid.Intern("a")) != 1 || q.SameTypeCount(modelid.Intern("c")) != 0 {
 		t.Error("same type count wrong")
 	}
 	if q.PopFront() != a || q.PopFront() != b || q.PopFront() != nil {
@@ -317,6 +326,29 @@ func TestElasticHighLoadTrigger(t *testing.T) {
 	}
 	if e.ShouldSplit(q, "x") {
 		t.Error("high load should disable splitting")
+	}
+}
+
+// TestElasticUnknownModel: a name no request carries is never in a
+// same-type run, but the density trigger still holds for it.
+func TestElasticUnknownModel(t *testing.T) {
+	const name = "elastic-never-interned"
+	if _, ok := modelid.Lookup(name); ok {
+		t.Fatalf("%s is interned", name)
+	}
+	e := Elastic{Enabled: true, HighLoadQueueLen: 3, SameTypeLimit: 1}
+	q := NewQueue(4)
+	q.PushBack(newReq(1, "y", 0, 10))
+	if !e.ShouldSplit(q, name) {
+		t.Error("an unknown model below the density trigger should split")
+	}
+	q.PushBack(newReq(2, "y", 0, 10))
+	q.PushBack(newReq(3, "y", 0, 10))
+	if e.ShouldSplit(q, name) {
+		t.Error("high load should disable splitting for an unknown model too")
+	}
+	if _, ok := modelid.Lookup(name); ok {
+		t.Error("ShouldSplit interned the name it was asked about")
 	}
 }
 

@@ -48,8 +48,8 @@ func (s *Server) deploy(args *DeployArgs) (DeployReply, error) {
 	if args.ExtMs <= 0 {
 		return DeployReply{}, fmt.Errorf("serve: deploy %s with non-positive ExtMs %v", args.Name, args.ExtMs)
 	}
-	class := model.RequestClass(args.Class)
-	if class != model.Short && class != model.Long {
+	class, err := model.ParseClass(args.Class)
+	if err != nil || class == 0 {
 		return DeployReply{}, fmt.Errorf("serve: deploy %s with unknown class %q", args.Name, args.Class)
 	}
 	if err := engine.CheckPlan(args.Name, len(args.BlockTimesMs)); err != nil {
@@ -125,7 +125,7 @@ func (s *Server) listModels(*empty) (ListModelsReply, error) {
 	for name, info := range s.cfg.Catalog {
 		reply.Models = append(reply.Models, ModelDesc{
 			Name:   name,
-			Class:  string(info.Class),
+			Class:  info.Class.String(),
 			ExtMs:  info.ExtMs,
 			Blocks: len(s.cfg.Catalog.BlocksFor(name)),
 		})

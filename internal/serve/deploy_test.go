@@ -76,6 +76,8 @@ func TestDeployValidation(t *testing.T) {
 	bads := []DeployArgs{
 		{Name: "", Class: "Short", ExtMs: 1},
 		{Name: "x", Class: "Medium", ExtMs: 1},
+		{Name: "x", Class: "", ExtMs: 1},
+		{Name: "x", Class: "short", ExtMs: 1},
 		{Name: "x", Class: "Short", ExtMs: 0},
 		{Name: "x", Class: "Short", ExtMs: 1, BlockTimesMs: []float64{1, -2}},
 	}

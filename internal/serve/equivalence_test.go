@@ -155,7 +155,7 @@ type pin struct {
 func pinsOf(recs []policy.Record, events []trace.Event) []pin {
 	pins := make([]pin, len(recs))
 	for i, r := range recs {
-		pins[i] = pin{outcome: r.Outcome, device: r.Device}
+		pins[i] = pin{outcome: r.Outcome, device: int(r.Device)}
 	}
 	for _, e := range events {
 		switch e.Kind {

@@ -34,7 +34,7 @@ type Analysis struct {
 // Analyze is shorthand for the occupancy analysis of the trace's span
 // tree.
 func (t *Tracer) Analyze() Analysis {
-	return BuildSpans(t.Events()).Analyze()
+	return SpanBuilder{}.BuildTracer(t).Analyze()
 }
 
 // Analyze computes the device occupancy of the tree's exec intervals, each
@@ -69,7 +69,7 @@ func (t *SpanTree) Analyze() Analysis {
 			busy := h.iv.DurationMs() * occ
 			a.BusyMs += busy
 			a.PerModelBusyMs[h.model] += busy
-			a.PerDeviceBusyMs[h.iv.Device] += busy
+			a.PerDeviceBusyMs[int(h.iv.Device)] += busy
 		}
 	}
 	if a.HorizonMs > 0 {

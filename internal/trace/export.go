@@ -71,13 +71,13 @@ func (iv Interval) MarshalJSON() ([]byte, error) {
 		return nil, err
 	}
 	b := append([]byte(nil), `{"phase":`...)
-	b = jsonenc.AppendString(b, iv.Phase)
+	b = jsonenc.AppendString(b, iv.Phase.String())
 	b = append(b, `,"block":`...)
 	b = strconv.AppendInt(b, int64(iv.Block), 10)
 	b = append(b, `,"device":`...)
 	b = strconv.AppendInt(b, int64(iv.Device), 10)
-	b = appendJSONInt(b, `,"part":`, iv.Part)
-	b = appendJSONInt(b, `,"batch":`, iv.Batch)
+	b = appendJSONInt(b, `,"part":`, int(iv.Part))
+	b = appendJSONInt(b, `,"batch":`, int(iv.Batch))
 	b = append(b, `,"start_ms":`...)
 	b = jsonenc.AppendFloat(b, iv.StartMs)
 	b = append(b, `,"end_ms":`...)

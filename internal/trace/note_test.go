@@ -22,22 +22,76 @@ func TestEventIsCompact(t *testing.T) {
 	if size := unsafe.Sizeof(Event{}); size != 64 {
 		t.Errorf("trace.Event is %d bytes, want 64", size)
 	}
-	var walk func(path string, typ reflect.Type)
-	walk = func(path string, typ reflect.Type) {
-		switch typ.Kind() {
-		case reflect.Struct:
-			for i := 0; i < typ.NumField(); i++ {
-				f := typ.Field(i)
-				walk(path+"."+f.Name, f.Type)
-			}
-		case reflect.Array:
-			walk(path+"[]", typ.Elem())
-		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
-			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
-			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+	checkPointerFree(t, "Event", reflect.TypeOf(Event{}))
+}
+
+// TestIntervalIsCompact: a span tree holds several intervals per request,
+// so they get the event's treatment — 64 bytes, no pointer.
+func TestIntervalIsCompact(t *testing.T) {
+	if size := unsafe.Sizeof(Interval{}); size != 64 {
+		t.Errorf("trace.Interval is %d bytes, want 64", size)
+	}
+	checkPointerFree(t, "Interval", reflect.TypeOf(Interval{}))
+}
+
+// checkPointerFree fails for every field of typ, at any depth, whose kind
+// holds a pointer.
+func checkPointerFree(t *testing.T, path string, typ reflect.Type) {
+	t.Helper()
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			checkPointerFree(t, path+"."+f.Name, f.Type)
+		}
+	case reflect.Array:
+		checkPointerFree(t, path+"[]", typ.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+	}
+}
+
+// TestPhaseText: a phase spells its name in text and JSON and reads back
+// from it; the zero phase is the empty name, and no other name or value
+// passes.
+func TestPhaseText(t *testing.T) {
+	for p, name := range map[Phase]string{0: "", PhaseWait: "wait", PhaseExec: "exec", PhasePreempted: "preempted"} {
+		if p.String() != name {
+			t.Errorf("Phase(%d).String() = %q, want %q", uint8(p), p.String(), name)
+		}
+		text, err := p.MarshalText()
+		if err != nil || string(text) != name {
+			t.Errorf("Phase(%d).MarshalText() = %q, %v", uint8(p), text, err)
+		}
+		var back Phase
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Errorf("UnmarshalText(%q) = %d, %v, want %d", text, uint8(back), err, uint8(p))
+		}
+		type doc struct {
+			P Phase `json:"p"`
+		}
+		js, err := json.Marshal(doc{p})
+		if want := `{"p":"` + name + `"}`; err != nil || string(js) != want {
+			t.Errorf("json.Marshal = %s, %v, want %s", js, err, want)
+		}
+		var d doc
+		if err := json.Unmarshal(js, &d); err != nil || d.P != p {
+			t.Errorf("json.Unmarshal(%s) = %d, %v", js, uint8(d.P), err)
 		}
 	}
-	walk("Event", reflect.TypeOf(Event{}))
+	var p Phase
+	for _, bad := range []string{"Exec", "running", " wait"} {
+		if err := p.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", bad)
+		}
+	}
+	if _, err := Phase(4).MarshalText(); err == nil {
+		t.Error("MarshalText of Phase(4) succeeded")
+	}
+	if got := Phase(4).String(); got != "Phase(4)" {
+		t.Errorf("Phase(4).String() = %q", got)
+	}
 }
 
 // typedArgs converts a note's Args to the Go values its format's verbs
@@ -207,10 +261,10 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 			e.AtMs, e.Kind, e.ReqID, e.Model.String(), e.Block, e.Device, e.Detail())
 		tr.Record(e)
 
-		iv := Interval{Phase: PhaseExec, Block: int(e.Block), Device: int(e.Device) - 1, Part: int(e.Part), Batch: int(e.Batch),
+		iv := Interval{Phase: PhaseExec, Block: e.Block, Device: e.Device - 1, Part: e.Part, Batch: e.Batch,
 			StartMs: e.AtMs, EndMs: e.AtMs * 2, Note: e.Note, Args: e.Args}
-		want, _ = json.Marshal(legacyInterval{Phase: iv.Phase, Block: iv.Block, Device: iv.Device, Part: iv.Part,
-			Batch: iv.Batch, StartMs: iv.StartMs, EndMs: iv.EndMs, Detail: iv.Detail()})
+		want, _ = json.Marshal(legacyInterval{Phase: iv.Phase.String(), Block: int(iv.Block), Device: int(iv.Device), Part: int(iv.Part),
+			Batch: int(iv.Batch), StartMs: iv.StartMs, EndMs: iv.EndMs, Detail: iv.Detail()})
 		if got, _ := json.Marshal(iv); !bytes.Equal(got, want) {
 			t.Errorf("interval JSON:\n got %s\nwant %s", got, want)
 		}

@@ -82,28 +82,29 @@ func (t *SpanTree) WritePerfetto(w io.Writer) error {
 		for _, iv := range sp.Intervals {
 			switch iv.Phase {
 			case PhaseExec:
-				devSeen[iv.Device] = true
-				args := map[string]any{"req": sp.ReqID, "model": sp.Model, "block": iv.Block}
+				dev, part := int(iv.Device), int(iv.Part)
+				devSeen[dev] = true
+				args := map[string]any{"req": sp.ReqID, "model": sp.Model, "block": int(iv.Block)}
 				if iv.Batch != 0 {
-					args["batch"] = iv.Batch
+					args["batch"] = int(iv.Batch)
 				}
 				if d := iv.Detail(); d != "" {
 					args["detail"] = d
 				}
 				tid := sp.ReqID
 				if partitioned {
-					tid = iv.Part
-					args["part"] = iv.Part
-					laneSeen[laneKey{iv.Device, iv.Part}] = true
+					tid = part
+					args["part"] = part
+					laneSeen[laneKey{dev, part}] = true
 				}
 				add(perfettoEvent{
 					Name: fmt.Sprintf("%s/b%d", sp.Model, iv.Block), Cat: "exec", Phase: "X",
 					TsUs: iv.StartMs * usPerMs, DurUs: iv.DurationMs() * usPerMs,
-					PID: iv.Device, TID: tid, Args: args,
+					PID: dev, TID: tid, Args: args,
 				})
 			default: // wait, preempted
 				add(perfettoEvent{
-					Name: iv.Phase, Cat: "queue", Phase: "X",
+					Name: iv.Phase.String(), Cat: "queue", Phase: "X",
 					TsUs: iv.StartMs * usPerMs, DurUs: iv.DurationMs() * usPerMs,
 					PID: queuePID, TID: sp.ReqID,
 					Args: map[string]any{"model": sp.Model},

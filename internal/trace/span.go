@@ -2,38 +2,77 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
+
+// Phase names what a request was doing during one Interval. It is one
+// byte in memory and its name in text, so the exports and /spanz spell it
+// as a word.
+type Phase uint8
 
 // Interval phases inside a request span. Exec intervals come from
 // StartBlock/EndBlock pairs; Wait covers time between arrival and the first
 // grant; Preempted covers gaps between grants where the request had started
-// but did not hold the device.
+// but did not hold the device. The zero Phase names none of them.
 const (
-	PhaseWait      = "wait"
-	PhaseExec      = "exec"
-	PhasePreempted = "preempted"
+	PhaseWait Phase = iota + 1
+	PhaseExec
+	PhasePreempted
 )
 
-// Interval is one contiguous phase of a request's lifetime.
+var phaseNames = [...]string{PhaseWait: "wait", PhaseExec: "exec", PhasePreempted: "preempted"}
+
+// String returns the phase's name: "wait", "exec", "preempted", or "" for
+// the zero phase.
+func (p Phase) String() string {
+	if int(p) < len(phaseNames) {
+		return phaseNames[p]
+	}
+	return "Phase(" + strconv.Itoa(int(p)) + ")"
+}
+
+// MarshalText spells the phase as String does.
+func (p Phase) MarshalText() ([]byte, error) {
+	if int(p) >= len(phaseNames) {
+		return nil, fmt.Errorf("trace: invalid phase %d", uint8(p))
+	}
+	return []byte(phaseNames[p]), nil
+}
+
+// UnmarshalText reads what MarshalText writes.
+func (p *Phase) UnmarshalText(text []byte) error {
+	for i, name := range phaseNames {
+		if string(text) == name {
+			*p = Phase(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("trace: unknown phase %q", text)
+}
+
+// Interval is one contiguous phase of a request's lifetime: 64 bytes with
+// no pointer, its placement fields as narrow as Event's.
 type Interval struct {
-	Phase string `json:"phase"`
-	// Block is the block index for exec intervals, -1 otherwise.
-	Block int `json:"block"`
-	// Device is the fleet device (exec intervals; -1 for wait/preempted,
-	// which happen in the queue, not on a device).
-	Device int `json:"device"`
-	// Part is the device partition slot for exec intervals on spatially
-	// shared fleets; 0 otherwise.
-	Part    int     `json:"part,omitempty"`
-	Batch   int     `json:"batch,omitempty"`
 	StartMs float64 `json:"start_ms"`
 	EndMs   float64 `json:"end_ms"`
-	// Note and Args are the source StartBlock's note (exec intervals only),
-	// rendered by Detail and exported as "detail".
-	Note Note       `json:"-"`
-	Args [4]float64 `json:"-"`
+	// Args are the arguments of the source StartBlock's Note (exec
+	// intervals only), rendered by Detail and exported as "detail".
+	Args  [4]float64 `json:"-"`
+	Batch int32      `json:"batch,omitempty"`
+	// Block is the block index for exec intervals, -1 otherwise.
+	Block int16 `json:"block"`
+	// Device is the fleet device (exec intervals; -1 for wait/preempted,
+	// which happen in the queue, not on a device).
+	Device int16 `json:"device"`
+	// Part is the device partition slot for exec intervals on spatially
+	// shared fleets; 0 otherwise.
+	Part  int8  `json:"part,omitempty"`
+	Phase Phase `json:"phase"`
+	// Note is the source StartBlock's note.
+	Note Note `json:"-"`
 }
 
 // DurationMs is the interval length.
@@ -50,10 +89,10 @@ func (iv Interval) Detail() string { return iv.Note.render(&iv.Args) }
 // member count, not its fraction, so it counts whole.
 func (iv Interval) Occupancy(counted map[int]bool) float64 {
 	if iv.Batch != 0 {
-		if counted[iv.Batch] {
+		if counted[int(iv.Batch)] {
 			return 0
 		}
-		counted[iv.Batch] = true
+		counted[int(iv.Batch)] = true
 	}
 	if iv.Note == NoteDurFrac {
 		return iv.Args[1]
@@ -178,8 +217,8 @@ type laneKey struct {
 // execInterval is the exec interval of the grant opened by start and
 // released at endMs.
 func execInterval(start *Event, endMs float64) Interval {
-	return Interval{Phase: PhaseExec, Block: int(start.Block), Device: int(start.Device), Part: int(start.Part),
-		Batch: int(start.Batch), StartMs: start.AtMs, EndMs: endMs, Note: start.Note, Args: start.Args}
+	return Interval{Phase: PhaseExec, Block: start.Block, Device: start.Device, Part: start.Part,
+		Batch: start.Batch, StartMs: start.AtMs, EndMs: endMs, Note: start.Note, Args: start.Args}
 }
 
 // Build folds events into a SpanTree. The stream does not need to be
@@ -187,11 +226,32 @@ func execInterval(start *Event, endMs float64) Interval {
 // but each request's own events must be in causal order — violations are
 // reported in Problems, not silently absorbed.
 func (b SpanBuilder) Build(events []Event) *SpanTree {
+	return b.build(stream{head: events})
+}
+
+// BuildTracer is Build over everything t recorded, read where the tracer
+// holds it: the fold walks the tracer's chunks in place, so it never pays
+// for the one flat copy Events makes. Nil-safe.
+func (b SpanBuilder) BuildTracer(t *Tracer) *SpanTree {
+	return b.build(t.stream())
+}
+
+// spanFold is one Build in progress.
+type spanFold struct {
+	s      *stream
+	t      *SpanTree
+	states []spanState
+	index  map[int]int // request id -> position in first-sight order
+	holds  map[laneKey][]deviceHold
+}
+
+func (b SpanBuilder) build(s stream) *SpanTree {
 	t := &SpanTree{}
-	if len(events) == 0 {
+	e0 := s.first()
+	if e0 == nil {
 		return t
 	}
-	t.FirstMs, t.LastMs = events[0].AtMs, events[0].AtMs
+	t.FirstMs, t.LastMs = e0.AtMs, e0.AtMs
 
 	// Size the output before folding. Every request of a complete stream
 	// has one Arrive, so the spans are allocated once at their final
@@ -199,193 +259,202 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 	// holds at most one grant per StartBlock on it.
 	arrivals := 0
 	starts := map[laneKey]int{}
-	for i := range events {
-		switch e := &events[i]; e.Kind {
+	s.walk(func(_ int, e *Event) error {
+		switch e.Kind {
 		case Arrive:
 			arrivals++
 		case StartBlock:
 			starts[laneKey{int(e.Device), int(e.Part)}]++
 		}
-	}
+		return nil
+	})
 	t.Requests = make([]RequestSpan, 0, arrivals)
-	states := make([]spanState, 0, arrivals)
-	index := make(map[int]int, arrivals) // request id -> position in first-sight order
-	holds := make(map[laneKey][]deviceHold, len(starts))
+	f := &spanFold{s: &s, t: t, states: make([]spanState, 0, arrivals),
+		index: make(map[int]int, arrivals), holds: make(map[laneKey][]deviceHold, len(starts))}
 	for l, n := range starts {
-		holds[l] = make([]deviceHold, 0, n)
+		f.holds[l] = make([]deviceHold, 0, n)
 	}
-	get := func(e *Event) (*RequestSpan, *spanState) {
-		k, ok := index[e.ReqID]
-		if !ok {
-			k = len(t.Requests)
-			index[e.ReqID] = k
-			t.Requests = append(t.Requests, RequestSpan{ReqID: e.ReqID, Model: e.Model.String(), Outcome: "open",
-				ArriveMs: e.AtMs, DoneMs: e.AtMs,
-				// Place legally precedes Arrive: the engine routes a request
-				// before Algorithm 1 inserts it. Any other first sight is
-				// mid-flight: the Arrive event was truncated out of the stream
-				// (ring wrap). The span is still useful, but lifetime
-				// invariants cannot be checked.
-				Truncated: e.Kind != Arrive && e.Kind != Place})
-			states = append(states, spanState{open: -1})
-		}
-		sp := &t.Requests[k]
-		if sp.Model == "" && e.Model != 0 {
-			sp.Model = e.Model.String()
-		}
-		return sp, &states[k]
-	}
-	problemf := func(format string, args ...any) {
-		t.Problems = append(t.Problems, fmt.Sprintf(format, args...))
-	}
+	s.walk(func(i int, e *Event) error {
+		f.event(i, e)
+		return nil
+	})
+	f.finish()
 
-	for i := range events {
-		e := &events[i]
-		if e.AtMs < t.FirstMs {
-			t.FirstMs = e.AtMs
+	// The spans are in arrival order. Keep the MaxRequests most recently
+	// arrived, if asked, and put them in request order — which a stream
+	// whose ids grow with arrival already is.
+	switch {
+	case len(t.Requests) == 0:
+		t.Requests = nil
+	case b.MaxRequests > 0 && len(t.Requests) > b.MaxRequests:
+		t.Requests = t.Requests[len(t.Requests)-b.MaxRequests:]
+	}
+	byID := func(i, j int) bool { return t.Requests[i].ReqID < t.Requests[j].ReqID }
+	if !sort.SliceIsSorted(t.Requests, byID) {
+		sort.Slice(t.Requests, byID)
+	}
+	f.checkLanes()
+	return t
+}
+
+func (f *spanFold) problemf(format string, args ...any) {
+	f.t.Problems = append(f.t.Problems, fmt.Sprintf(format, args...))
+}
+
+// get returns e's request span and fold state, opening them on first sight.
+func (f *spanFold) get(e *Event) (*RequestSpan, *spanState) {
+	t := f.t
+	k, ok := f.index[e.ReqID]
+	if !ok {
+		k = len(t.Requests)
+		f.index[e.ReqID] = k
+		t.Requests = append(t.Requests, RequestSpan{ReqID: e.ReqID, Model: e.Model.String(), Outcome: "open",
+			ArriveMs: e.AtMs, DoneMs: e.AtMs,
+			// Place legally precedes Arrive: the engine routes a request
+			// before Algorithm 1 inserts it. Any other first sight is
+			// mid-flight: the Arrive event was truncated out of the stream
+			// (ring wrap). The span is still useful, but lifetime
+			// invariants cannot be checked.
+			Truncated: e.Kind != Arrive && e.Kind != Place})
+		f.states = append(f.states, spanState{open: -1})
+	}
+	sp := &t.Requests[k]
+	if sp.Model == "" && e.Model != 0 {
+		sp.Model = e.Model.String()
+	}
+	return sp, &f.states[k]
+}
+
+// event folds the event at stream index i.
+func (f *spanFold) event(i int, e *Event) {
+	t := f.t
+	if e.AtMs < t.FirstMs {
+		t.FirstMs = e.AtMs
+	}
+	if e.AtMs > t.LastMs {
+		t.LastMs = e.AtMs
+	}
+	// Run-level events carry ReqID -1 (drain markers, elastic
+	// transitions) or describe pre-enqueue rejections; neither opens a
+	// request span.
+	if e.ReqID < 0 || e.Kind == Drop || e.Kind == ElasticOn || e.Kind == ElasticOff ||
+		e.Kind == DrainStart || e.Kind == DrainEnd {
+		return
+	}
+	sp, st := f.get(e)
+	switch e.Kind {
+	case Arrive:
+		if st.arrived {
+			f.problemf("req %d: duplicate arrive at %.3f", e.ReqID, e.AtMs)
 		}
-		if e.AtMs > t.LastMs {
-			t.LastMs = e.AtMs
-		}
-		// Run-level events carry ReqID -1 (drain markers, elastic
-		// transitions) or describe pre-enqueue rejections; neither opens a
-		// request span.
-		if e.ReqID < 0 || e.Kind == Drop || e.Kind == ElasticOn || e.Kind == ElasticOff ||
-			e.Kind == DrainStart || e.Kind == DrainEnd {
-			continue
-		}
-		sp, st := get(e)
-		switch e.Kind {
-		case Arrive:
-			if st.arrived {
-				problemf("req %d: duplicate arrive at %.3f", e.ReqID, e.AtMs)
-			}
-			st.arrived = true
-			sp.ArriveMs = e.AtMs
-			if !st.seen {
-				sp.DoneMs = e.AtMs
-			}
-		case StartBlock:
-			if st.open >= 0 {
-				problemf("req %d: start_block %d at %.3f with block %d still open",
-					e.ReqID, e.Block, e.AtMs, events[st.open].Block)
-				// Close the dangling grant zero-length so folding continues.
-				st.open = -1
-			}
-			if sp.Decided() {
-				problemf("req %d: start_block %d at %.3f after settle (%s)",
-					e.ReqID, e.Block, e.AtMs, sp.Outcome)
-			}
-			st.open = i
-		case EndBlock:
-			if st.open < 0 {
-				problemf("req %d: end_block %d at %.3f without start_block",
-					e.ReqID, e.Block, e.AtMs)
-				break
-			}
-			start := &events[st.open]
-			if e.AtMs < start.AtMs {
-				problemf("req %d: end_block %d at %.3f before its start %.3f",
-					e.ReqID, e.Block, e.AtMs, start.AtMs)
-			}
-			// Close the wait/preempted gap that preceded this grant.
-			gapStart := sp.ArriveMs
-			phase := PhaseWait
-			if st.executed {
-				gapStart = st.lastEnd
-				phase = PhasePreempted
-			}
-			if start.AtMs > gapStart {
-				sp.Intervals = append(sp.Intervals, Interval{Phase: phase, Block: -1, Device: -1,
-					StartMs: gapStart, EndMs: start.AtMs})
-			}
-			iv := execInterval(start, e.AtMs)
-			sp.Intervals = append(sp.Intervals, iv)
-			lane := laneKey{iv.Device, iv.Part}
-			holds[lane] = append(holds[lane], deviceHold{iv.StartMs, iv.EndMs, e.ReqID, iv.Batch})
-			sp.Blocks++
-			if len(sp.Devices) == 0 || sp.Devices[len(sp.Devices)-1] != iv.Device {
-				if st.executed {
-					sp.DeviceHops++
-				}
-				known := false
-				for _, d := range sp.Devices {
-					if d == iv.Device {
-						known = true
-						break
-					}
-				}
-				if !known {
-					sp.Devices = append(sp.Devices, iv.Device)
-				}
-			}
-			if iv.Batch != 0 {
-				known := false
-				for _, bid := range sp.Batches {
-					if bid == iv.Batch {
-						known = true
-						break
-					}
-				}
-				if !known {
-					sp.Batches = append(sp.Batches, iv.Batch)
-				}
-			}
-			st.lastEnd = e.AtMs
-			st.executed = true
-			st.open = -1
-		case Preempt:
-			sp.Preemptions++
-		case Complete, Shed:
-			if sp.Decided() {
-				problemf("req %d: %s at %.3f after settle (%s)", e.ReqID, e.Kind, e.AtMs, sp.Outcome)
-				break
-			}
-			if st.open >= 0 {
-				problemf("req %d: %s at %.3f with block %d still holding the device",
-					e.ReqID, e.Kind, e.AtMs, events[st.open].Block)
-			}
-			if st.executed && e.AtMs < st.lastEnd {
-				problemf("req %d: settle at %.3f before last grant released at %.3f",
-					e.ReqID, e.AtMs, st.lastEnd)
-			}
+		st.arrived = true
+		sp.ArriveMs = e.AtMs
+		if !st.seen {
 			sp.DoneMs = e.AtMs
-			if e.Kind == Complete {
-				sp.Outcome = SpanOutcomeServed
-			} else {
-				sp.Outcome = e.Detail()
-				if sp.Outcome == "" {
-					sp.Outcome = "shed"
-				}
-			}
-			// A settle later than the last grant release (always the case
-			// for queued sheds, never for boundary completions) leaves a
-			// trailing non-exec gap; close it so the decomposition covers
-			// the whole lifetime.
-			gapStart := sp.ArriveMs
-			phase := PhaseWait
-			if st.executed {
-				gapStart = st.lastEnd
-				phase = PhasePreempted
-			}
-			if e.AtMs > gapStart {
-				sp.Intervals = append(sp.Intervals, Interval{Phase: phase, Block: -1, Device: -1,
-					StartMs: gapStart, EndMs: e.AtMs})
-			}
-		case Cancel, Fault, Place:
-			// Annotations on the request's lifetime; they shift no phase
-			// boundaries. (Cancellation takes effect at the settle event.)
 		}
-		st.seen = true
+	case StartBlock:
+		if st.open >= 0 {
+			f.problemf("req %d: start_block %d at %.3f with block %d still open",
+				e.ReqID, e.Block, e.AtMs, f.s.at(st.open).Block)
+			// Close the dangling grant zero-length so folding continues.
+			st.open = -1
+		}
+		if sp.Decided() {
+			f.problemf("req %d: start_block %d at %.3f after settle (%s)",
+				e.ReqID, e.Block, e.AtMs, sp.Outcome)
+		}
+		st.open = i
+	case EndBlock:
+		if st.open < 0 {
+			f.problemf("req %d: end_block %d at %.3f without start_block",
+				e.ReqID, e.Block, e.AtMs)
+			break
+		}
+		start := f.s.at(st.open)
+		if e.AtMs < start.AtMs {
+			f.problemf("req %d: end_block %d at %.3f before its start %.3f",
+				e.ReqID, e.Block, e.AtMs, start.AtMs)
+		}
+		// Close the wait/preempted gap that preceded this grant.
+		f.gap(sp, st, start.AtMs)
+		iv := execInterval(start, e.AtMs)
+		sp.Intervals = append(sp.Intervals, iv)
+		dev, batch := int(iv.Device), int(iv.Batch)
+		lane := laneKey{dev, int(iv.Part)}
+		f.holds[lane] = append(f.holds[lane], deviceHold{iv.StartMs, iv.EndMs, e.ReqID, batch})
+		sp.Blocks++
+		if len(sp.Devices) == 0 || sp.Devices[len(sp.Devices)-1] != dev {
+			if st.executed {
+				sp.DeviceHops++
+			}
+			if !slices.Contains(sp.Devices, dev) {
+				sp.Devices = append(sp.Devices, dev)
+			}
+		}
+		if batch != 0 && !slices.Contains(sp.Batches, batch) {
+			sp.Batches = append(sp.Batches, batch)
+		}
+		st.lastEnd = e.AtMs
+		st.executed = true
+		st.open = -1
+	case Preempt:
+		sp.Preemptions++
+	case Complete, Shed:
+		if sp.Decided() {
+			f.problemf("req %d: %s at %.3f after settle (%s)", e.ReqID, e.Kind, e.AtMs, sp.Outcome)
+			break
+		}
+		if st.open >= 0 {
+			f.problemf("req %d: %s at %.3f with block %d still holding the device",
+				e.ReqID, e.Kind, e.AtMs, f.s.at(st.open).Block)
+		}
+		if st.executed && e.AtMs < st.lastEnd {
+			f.problemf("req %d: settle at %.3f before last grant released at %.3f",
+				e.ReqID, e.AtMs, st.lastEnd)
+		}
+		sp.DoneMs = e.AtMs
+		if e.Kind == Complete {
+			sp.Outcome = SpanOutcomeServed
+		} else {
+			sp.Outcome = e.Detail()
+			if sp.Outcome == "" {
+				sp.Outcome = "shed"
+			}
+		}
+		// A settle later than the last grant release (always the case
+		// for queued sheds, never for boundary completions) leaves a
+		// trailing non-exec gap; close it so the decomposition covers
+		// the whole lifetime.
+		f.gap(sp, st, e.AtMs)
+	case Cancel, Fault, Place:
+		// Annotations on the request's lifetime; they shift no phase
+		// boundaries. (Cancellation takes effect at the settle event.)
 	}
+	st.seen = true
+}
 
-	// Sum the decomposition and flag never-closed grants.
+// gap closes the non-exec interval that ends at endMs: a wait since arrival
+// before the first grant, a preempted gap since the last release after it.
+func (f *spanFold) gap(sp *RequestSpan, st *spanState, endMs float64) {
+	gapStart, phase := sp.ArriveMs, PhaseWait
+	if st.executed {
+		gapStart, phase = st.lastEnd, PhasePreempted
+	}
+	if endMs > gapStart {
+		sp.Intervals = append(sp.Intervals, Interval{Phase: phase, Block: -1, Device: -1,
+			StartMs: gapStart, EndMs: endMs})
+	}
+}
+
+// finish sums each span's decomposition and closes never-closed grants.
+func (f *spanFold) finish() {
+	t := f.t
 	for k := range t.Requests {
-		sp, st := &t.Requests[k], &states[k]
+		sp, st := &t.Requests[k], &f.states[k]
 		if st.open >= 0 && sp.Outcome == "open" {
 			// In-flight at stream end: legal for live snapshots; represent
 			// the open grant as an exec interval up to the stream horizon.
-			sp.Intervals = append(sp.Intervals, execInterval(&events[st.open], t.LastMs))
+			sp.Intervals = append(sp.Intervals, execInterval(f.s.at(st.open), t.LastMs))
 			sp.Blocks++
 			sp.DoneMs = t.LastMs
 		}
@@ -403,27 +472,16 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 			}
 		}
 	}
+}
 
-	// The spans are in arrival order. Keep the MaxRequests most recently
-	// arrived, if asked, and put them in request order — which a stream
-	// whose ids grow with arrival already is.
-	switch {
-	case len(t.Requests) == 0:
-		t.Requests = nil
-	case b.MaxRequests > 0 && len(t.Requests) > b.MaxRequests:
-		t.Requests = t.Requests[len(t.Requests)-b.MaxRequests:]
-	}
-	byID := func(i, j int) bool { return t.Requests[i].ReqID < t.Requests[j].ReqID }
-	if !sort.SliceIsSorted(t.Requests, byID) {
-		sort.Slice(t.Requests, byID)
-	}
-
-	// Per-lane overlap check: two closed grants on one (device, partition)
-	// lane may not overlap unless they belong to the same micro-batch.
-	// Grants on distinct partitions of one device are concurrent by design.
+// checkLanes is the per-lane overlap check: two closed grants on one
+// (device, partition) lane may not overlap unless they belong to the same
+// micro-batch. Grants on distinct partitions of one device are concurrent
+// by design.
+func (f *spanFold) checkLanes() {
 	const eps = 1e-9
-	lanes := make([]laneKey, 0, len(holds))
-	for l := range holds {
+	lanes := make([]laneKey, 0, len(f.holds))
+	for l := range f.holds {
 		lanes = append(lanes, l)
 	}
 	sort.Slice(lanes, func(i, j int) bool {
@@ -433,7 +491,7 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 		return lanes[i].part < lanes[j].part
 	})
 	for _, l := range lanes {
-		hs := holds[l]
+		hs := f.holds[l]
 		sort.Slice(hs, func(i, j int) bool {
 			if hs[i].startMs != hs[j].startMs {
 				return hs[i].startMs < hs[j].startMs
@@ -447,12 +505,11 @@ func (b SpanBuilder) Build(events []Event) *SpanTree {
 		for i := 1; i < len(hs); i++ {
 			prev, cur := hs[i-1], hs[i]
 			if cur.startMs < prev.endMs-eps && !(cur.batch != 0 && cur.batch == prev.batch) {
-				problemf("%s: grants overlap: req %d [%.3f, %.3f] and req %d [%.3f, %.3f]",
+				f.problemf("%s: grants overlap: req %d [%.3f, %.3f] and req %d [%.3f, %.3f]",
 					lane, prev.req, prev.startMs, prev.endMs, cur.req, cur.startMs, cur.endMs)
 			}
 		}
 	}
-	return t
 }
 
 // BuildSpans is shorthand for the zero-configured SpanBuilder.

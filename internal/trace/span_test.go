@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"split/internal/modelid"
@@ -241,5 +242,65 @@ func TestSpanTreeSummaryBytes(t *testing.T) {
 	}
 	if got := (&SpanTree{}).Summary(); got != "" {
 		t.Errorf("empty tree rendered %q", got)
+	}
+}
+
+// TestBuildTracerAcrossChunks: the in-place fold pairs grants whose
+// StartBlock and EndBlock sit in different tracer chunks — across a chunk
+// boundary, across the flattened history and the chunks recorded after
+// it, and an open grant left in a chunk at the stream's end — and builds
+// the tree BuildSpans builds from the flattened events, without
+// flattening the tracer itself.
+func TestBuildTracerAcrossChunks(t *testing.T) {
+	tr := New()
+	fill := func(atMs float64, upTo int) {
+		for tr.Len() < upTo {
+			tr.Record(Event{AtMs: atMs, Kind: ElasticOn, ReqID: -1})
+		}
+	}
+	tr.Record(ev(0, Arrive, 0, "m", 0))
+	fill(0, chunkLen-1)
+	tr.Record(ev(1, StartBlock, 0, "m", 0)) // the first chunk's last event
+	tr.Record(ev(2, EndBlock, 0, "m", 0), ev(2, Complete, 0, "m", 0))
+	tr.Record(ev(3, Arrive, 1, "m", 0), ev(3, StartBlock, 1, "m", 0))
+	head := len(tr.Events()) // the history is now one flat slice
+	tr.Record(ev(4, EndBlock, 1, "m", 0), ev(4, Complete, 1, "m", 0))
+	tr.Record(ev(5, Arrive, 2, "m", 0))
+	fill(5, head+chunkLen-1)
+	tr.Record(ev(6, StartBlock, 2, "m", 0)) // the last event of the first chunk after the history
+	tr.Record(ev(7, EndBlock, 2, "m", 0), ev(7, Complete, 2, "m", 0))
+	tr.Record(ev(8, Arrive, 3, "m", 0), ev(8, StartBlock, 3, "m", 0))
+	fill(9, head+2*chunkLen+10)
+
+	got := SpanBuilder{}.BuildTracer(tr)
+	if len(tr.chunks) != 3 {
+		t.Fatalf("BuildTracer left %d chunks after the history, want 3", len(tr.chunks))
+	}
+	if want := BuildSpans(tr.Events()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("BuildTracer built\n%+v\nBuildSpans built\n%+v", got, want)
+	}
+	if len(got.Problems) > 0 {
+		t.Fatalf("problems: %v", got.Problems)
+	}
+	for id, want := range [][2]float64{{1, 2}, {3, 4}, {6, 7}, {8, 9}} {
+		sp := got.Span(id)
+		if sp == nil || sp.Blocks != 1 {
+			t.Fatalf("req %d: span %+v, want one block", id, sp)
+		}
+		var exec []Interval
+		for _, iv := range sp.Intervals {
+			if iv.Phase == PhaseExec {
+				exec = append(exec, iv)
+			}
+		}
+		if len(exec) != 1 || exec[0].StartMs != want[0] || exec[0].EndMs != want[1] {
+			t.Errorf("req %d: exec intervals %+v, want [%v, %v]", id, exec, want[0], want[1])
+		}
+	}
+	if sp := got.Span(3); sp.Outcome != "open" {
+		t.Errorf("req 3 outcome %q, want open", sp.Outcome)
+	}
+	if tree := (SpanBuilder{}).BuildTracer(nil); len(tree.Requests) != 0 {
+		t.Errorf("nil tracer folded to %d spans", len(tree.Requests))
 	}
 }

@@ -170,7 +170,8 @@ const chunkLen = 4096
 //
 // Events are stored in fixed-size chunks: recording fills the current chunk
 // and starts a new one when it is full, so a long run never copies its
-// history. Events flattens the chunks once, on demand.
+// history. Events flattens the chunks once, on demand; the writers and
+// SpanBuilder.BuildTracer read them in place.
 type Tracer struct {
 	// flat holds the history Events last flattened; chunks hold what was
 	// recorded after it, each of capacity chunkLen.
@@ -235,23 +236,59 @@ func (t *Tracer) Events() []Event {
 	return t.flat
 }
 
-// walk calls fn on every recorded event in order without flattening the
-// chunks, stopping at the first error. Nil-safe.
-func (t *Tracer) walk(fn func(e *Event) error) error {
+// stream is a recorded event stream where it is held: a head of any
+// length, then chunks that each hold chunkLen events but the last — a
+// tracer's flattened history and the chunks recorded after it, or one
+// plain slice. A stream index therefore maps to its event in O(1).
+type stream struct {
+	head   []Event
+	chunks [][]Event
+}
+
+// stream returns what t recorded, in place. Nil-safe.
+func (t *Tracer) stream() stream {
 	if t == nil {
-		return nil
+		return stream{}
 	}
-	for i := range t.flat {
-		if err := fn(&t.flat[i]); err != nil {
+	return stream{head: t.flat, chunks: t.chunks}
+}
+
+// at returns the event at stream index i.
+func (s *stream) at(i int) *Event {
+	if i < len(s.head) {
+		return &s.head[i]
+	}
+	i -= len(s.head)
+	return &s.chunks[i/chunkLen][i%chunkLen]
+}
+
+// first returns the stream's first event, or nil when it is empty.
+func (s *stream) first() *Event {
+	switch {
+	case len(s.head) > 0:
+		return &s.head[0]
+	case len(s.chunks) > 0:
+		return &s.chunks[0][0]
+	}
+	return nil
+}
+
+// walk calls fn on every event in order with its stream index, stopping at
+// the first error.
+func (s *stream) walk(fn func(i int, e *Event) error) error {
+	for i := range s.head {
+		if err := fn(i, &s.head[i]); err != nil {
 			return err
 		}
 	}
-	for _, c := range t.chunks {
-		for i := range c {
-			if err := fn(&c[i]); err != nil {
+	base := len(s.head)
+	for _, c := range s.chunks {
+		for j := range c {
+			if err := fn(base+j, &c[j]); err != nil {
 				return err
 			}
 		}
+		base += len(c)
 	}
 	return nil
 }
@@ -268,7 +305,8 @@ func (t *Tracer) Len() int {
 func (t *Tracer) WriteCSV(w io.Writer) error {
 	lw := lineWriter{w: w}
 	lw.buf = append(lw.buf, "at_ms,kind,req,model,block,device,detail\n"...)
-	if err := t.walk(func(e *Event) error {
+	s := t.stream()
+	if err := s.walk(func(_ int, e *Event) error {
 		lw.buf = e.appendCSV(lw.buf)
 		return lw.endLine()
 	}); err != nil {
@@ -280,7 +318,8 @@ func (t *Tracer) WriteCSV(w io.Writer) error {
 // WriteJSONL emits the trace as JSON lines.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	lw := lineWriter{w: w}
-	if err := t.walk(lw.event); err != nil {
+	s := t.stream()
+	if err := s.walk(func(_ int, e *Event) error { return lw.event(e) }); err != nil {
 		return err
 	}
 	return lw.flush()
@@ -302,7 +341,7 @@ func (t *Tracer) Gantt(startMs, endMs, cellMs float64) string {
 		sp    *RequestSpan
 		first float64 // start of the first exec interval
 	}
-	tree := BuildSpans(t.Events())
+	tree := SpanBuilder{}.BuildTracer(t)
 	var rows []row
 	for i := range tree.Requests {
 		sp := &tree.Requests[i]
