@@ -128,13 +128,13 @@ func run(args []string, out io.Writer, ready, adminReady chan<- string, stop <-c
 		plansDir   = fs.String("plans", "", "load plans from this directory (default: run the GA)")
 		alpha      = fs.Float64("alpha", 4, "latency target multiplier α")
 		timescale  = fs.Float64("timescale", 1.0, "wall-clock ms per simulated ms (e.g. 0.1 = 10x faster)")
-		noElastic  = fs.Bool("no-elastic", false, "disable elastic splitting")
+		noElastic  = fs.Bool("no-elastic", false, "disable elastic splitting: zero both §3.3 thresholds, so split plans are always used")
 		ringCap    = fs.Int("trace-ring", 4096, "flight-recorder capacity in events (with -admin)")
 		qosWindow  = fs.Int("qos-window", 0, "rolling QoS window in completions (0 = default)")
 		devices    = fs.Int("devices", 1, "fleet size: queues and hold timers, one per device")
 		placement  = fs.String("placement", "", "fleet placement policy: round-robin|least-loaded|affinity (default round-robin)")
 		batchMax   = fs.Int("batch-max", 1, "coalesce up to this many same-model requests into one batched block execution (1 = off)")
-		partitions = fs.Int("partitions", 1, "spatial sharing: concurrent partition lanes per device (1 = temporal only)")
+		partitions = fs.Int("partitions", 1, "spatial sharing: concurrent partition lanes per device (1 = the paper's temporal sharing, one slot per device)")
 		partBeta   = fs.Float64("partition-beta", 0, "fractional-width efficiency exponent eff(f)=f^beta (0 = default)")
 		partWidth  = fs.String("partition-width", "", "partition hold-width policy: fixed|adaptive (default adaptive)")
 		record     = fs.String("record", "", "record admitted arrivals and write them as a workload trace to this path on shutdown")
@@ -230,7 +230,7 @@ func run(args []string, out io.Writer, ready, adminReady chan<- string, stop <-c
 
 	elastic := sched.DefaultElastic()
 	if *noElastic {
-		elastic.Enabled = false
+		elastic = sched.Elastic{}
 	}
 	cfg := serve.Config{
 		Knobs: engine.Knobs{

@@ -374,11 +374,12 @@ func traceRun(w io.Writer, o *options) error {
 		fmt.Fprintf(w, "wrote %d spans to %s (chrome://tracing)\n", len(tree.Requests), o.perfetto)
 	}
 	if o.timeseries != "" {
+		events := tr.Events()
 		devices := 1
-		for _, e := range tr.Events() {
+		for _, e := range events {
 			devices = max(devices, int(e.Device)+1)
 		}
-		snap := obs.TimeSeriesFromRun(run.Records, tr.Events(), o.alpha, o.window, devices)
+		snap := obs.TimeSeriesFromRun(run.Records, events, tree, o.alpha, o.window, devices)
 		err := writeFile(o.timeseries, func(f io.Writer) error {
 			enc := json.NewEncoder(f)
 			enc.SetIndent("", "  ")

@@ -17,6 +17,7 @@ import (
 	"split/internal/place"
 	"split/internal/policy"
 	"split/internal/profiler"
+	"split/internal/sched"
 	"split/internal/stats"
 	"split/internal/trace"
 	"split/internal/workload"
@@ -391,7 +392,7 @@ func ElasticAblation(d *Deployment, seed int64) *Ablation {
 		ws[i].Arrivals = arrivals
 	}
 	static := policy.NewSplit()
-	static.Elastic.Enabled = false
+	static.Elastic = sched.Elastic{}
 	return &Ablation{
 		Labels:    []Column{{"scenario", -12}, {"elastic", -8}},
 		Metrics:   []string{"meanRR", "viol@4", "wait(ms)"},

@@ -92,21 +92,23 @@ type Knobs struct {
 	// default — grants batches of one and reproduces prior records and
 	// traces bit-for-bit.
 	BatchMax int
-	// Partitions enables spatial sharing when > 1: every device is split
-	// into that many concurrent partition slots (gpusim
-	// ConfigurePartitions), each with its own scheduling lane — queue,
-	// elastic state, hold — fed by lane-level placement. <= 1 — the
-	// default — keeps the temporal-only path and reproduces prior records
-	// and traces bit-for-bit.
+	// Partitions is the number of concurrent slots every device is split
+	// into (gpusim ConfigurePartitions), each with its own scheduling lane
+	// — queue, elastic state, hold — fed by lane-level placement. <= 1 —
+	// the default — is the paper's temporal sharing: one slot per device,
+	// so every hold takes the whole device at fraction 1.
 	Partitions int
 	// PartitionCost prices fractional-width block execution; the zero value
-	// means gpusim.DefaultPartitionCost(). Ignored unless Partitions > 1.
+	// means gpusim.DefaultPartitionCost(). Every cost model prices a
+	// whole-device hold at its serial time, so it changes nothing unless
+	// Partitions > 1.
 	PartitionCost gpusim.PartitionCost
 	// PartitionWidth names the hold-width policy under spatial sharing:
 	// place.WidthFixed ("fixed", every hold takes one slot) or
 	// place.WidthAdaptive ("adaptive", holds take the contiguous free span
 	// at their anchor — full device width when idle). Empty selects
-	// place.DefaultWidth. Ignored unless Partitions > 1.
+	// place.DefaultWidth. A device of one slot has no width to choose, so
+	// it is ignored unless Partitions > 1.
 	PartitionWidth string
 	// Fleet configures the elastic autoscaler: when enabled (Max > 0) the
 	// engine holds Fleet.Max devices of which [Min, Max] are active, scaled
@@ -351,7 +353,9 @@ type Engine struct {
 	// placedBy is the placer's name on engines with more than one lane, where
 	// arrivals narrate a Place event; the zero Word on a single lane. Built
 	// once: a Spatial placer composes its name.
-	placedBy  trace.Word
+	placedBy trace.Word
+	// spatial is the placer on engines of more than one slot per device,
+	// nil otherwise; Placement reads its inner policy's name.
 	spatial   *place.Spatial
 	planner   sched.BatchPlanner
 	batchCost gpusim.BatchCost
@@ -696,14 +700,7 @@ func (e *Engine) Arrive(now float64, job *Job) *Arrival {
 		}
 	}
 	preq := place.Request{ID: job.ID, Model: job.Model, ExtMs: job.ExtMs, PlannedMs: planned}
-	var dev, idx int
-	if e.spatial != nil {
-		dec := e.spatial.Decide(preq, view)
-		dev, idx = dec.Device, place.LaneOf(dec.Device, dec.Partition, e.parts)
-	} else {
-		dev = e.placer.Place(preq, view)
-		idx = dev
-	}
+	idx := e.placer.Place(preq, view)
 	if idx < 0 || idx >= len(view) {
 		// Placers are built by name inside New, never injected: a lane
 		// outside the view is a bug in this module, not an input.
@@ -718,7 +715,7 @@ func (e *Engine) Arrive(now float64, job *Job) *Arrival {
 	}
 	r := e.newRequest()
 	r.Init(job.ID, job.Model, out.model, job.Class, now, job.ExtMs, blocks)
-	r.Device = dev
+	r.Device = ln.dev.ID
 	r.Partition = ln.part
 	if job.DeadlineMs > 0 {
 		r.DeadlineMs = now + job.DeadlineMs
@@ -811,15 +808,10 @@ func (e *Engine) Grant(idx int, now float64) *Grant {
 	block := lead.Next
 	base := lead.BlockTimes[block]
 	// A batch of one costs the block's own time bit-for-bit, and so does a
-	// full-width hold: both cost models are the identity at 1.
-	run := e.batchCost.BlockMs(base, n)
-	frac := 1.0
-	if e.parts > 1 {
-		frac = ln.dev.AcquirePartition(now, ln.part, ln.want)
-		run = e.partCost.BlockMs(run, frac)
-	} else {
-		ln.dev.Acquire(now)
-	}
+	// full-width hold (every hold on a device of one slot): both cost
+	// models are the identity at 1.
+	frac := ln.dev.AcquirePartition(now, ln.part, ln.want)
+	run := e.partCost.BlockMs(e.batchCost.BlockMs(base, n), frac)
 	for _, m := range batch {
 		if m.StartMs < 0 {
 			m.StartMs = now
@@ -892,11 +884,7 @@ func (e *Engine) Settle(idx int, now float64, stop string) *Settlement {
 			return st
 		}
 	}
-	if e.parts > 1 {
-		ln.dev.ReleasePartition(now, ln.part)
-	} else {
-		ln.dev.Release(now)
-	}
+	ln.dev.ReleasePartition(now, ln.part)
 	ln.inflight = nil
 	fates := ln.fates[:0]
 	for _, m := range g.Batch {
@@ -905,16 +893,13 @@ func (e *Engine) Settle(idx int, now float64, stop string) *Settlement {
 	}
 	ln.fates = fates
 	// A wide adaptive hold can span sibling anchors, so its release is
-	// their wake-up signal.
+	// their wake-up signal. A device of one slot has no siblings.
 	wake := e.wake[:0]
-	if e.parts > 1 {
-		base := ln.dev.ID * e.parts
-		for i := base; i < base+e.parts; i++ {
-			sib := &e.lanes[i]
-			if i != idx && sib.inflight == nil && sib.queue.Len() > 0 && !sib.dev.PartitionBusy(sib.part) {
-				//lint:ignore hotalloc bounded by Partitions: the wake buffer is sized once in New
-				wake = append(wake, i)
-			}
+	for i := ln.dev.ID * e.parts; i < (ln.dev.ID+1)*e.parts; i++ {
+		sib := &e.lanes[i]
+		if i != idx && sib.inflight == nil && sib.queue.Len() > 0 && !sib.dev.PartitionBusy(sib.part) {
+			//lint:ignore hotalloc bounded by Partitions: the wake buffer is sized once in New
+			wake = append(wake, i)
 		}
 	}
 	st.Retry, st.Attempt, st.HoldMs, st.Spike = false, g.Attempt, 0, 0

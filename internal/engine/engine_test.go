@@ -96,7 +96,7 @@ func TestArriveReportsAlgorithm1(t *testing.T) {
 // includes the request holding the lane, so SameTypeLimit=2 suppresses the
 // second queued long, not the third.
 func TestElasticCountsInflight(t *testing.T) {
-	e := mustNew(t, Knobs{Alpha: 4, Elastic: sched.Elastic{Enabled: true, SameTypeLimit: 2}})
+	e := mustNew(t, Knobs{Alpha: 4, Elastic: sched.Elastic{SameTypeLimit: 2}})
 	arrive(e, 0, job(0, "long")) // in flight
 	b := *e.Arrive(1, job(1, "long"))
 	c := *e.Arrive(2, job(2, "long"))
@@ -605,5 +605,25 @@ func TestDecisionsInPlaceLeakNoState(t *testing.T) {
 	}
 	if got[3].dev != 1 || got[3].part != 1 {
 		t.Errorf("round-robin placed the fourth arrival on device %d partition %d, want 1 and 1", got[3].dev, got[3].part)
+	}
+}
+
+// TestNewAllocs pins what building an engine costs the heap: a device of
+// one slot keeps its ledger inline, and a partitioned one takes one slice
+// for all its slots. The paper's evaluation grid builds hundreds of
+// engines per pass, so a stray allocation here shows per request.
+func TestNewAllocs(t *testing.T) {
+	for _, c := range []struct {
+		k   Knobs
+		max float64
+	}{
+		{Knobs{Alpha: 4}, 10},
+		{Knobs{Alpha: 4, Devices: 4}, 16},
+		{Knobs{Alpha: 4, Devices: 2, Partitions: 2}, 18},
+	} {
+		got := testing.AllocsPerRun(50, func() { mustNew(t, c.k) })
+		if got > c.max {
+			t.Errorf("New with %d devices of %d slots: %v allocations, want at most %v", c.k.Devices, c.k.Partitions, got, c.max)
+		}
 	}
 }

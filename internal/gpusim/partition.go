@@ -1,15 +1,17 @@
 package gpusim
 
-// This file models spatial GPU sharing: a device split into M equal
-// partition slots that execute concurrently, the ParvaGPU-style resource
-// partitioning SPLIT itself never uses (it time-slices one sequential
-// accelerator). A hold anchored at partition p may span a contiguous run of
-// free slots starting at p, so a width-adaptive policy can take the whole
-// device when it is idle and shrink to one slot under contention; the span
-// rule is also what makes fraction conservation (Σ fractions <= 1 per
-// device at all times) hold by construction. Busy-ms accounting pro-rates
-// each hold by its occupied fraction, so a device running two half-width
-// blocks for 10 ms reports 10 busy-ms, not 20.
+// This file holds the device's slot ledger and models spatial GPU sharing:
+// a device split into M equal partition slots that execute concurrently,
+// the ParvaGPU-style resource partitioning SPLIT itself never uses. SPLIT
+// time-slices one sequential accelerator, which is the ledger at M = 1:
+// every hold is the whole device, at fraction 1. A hold anchored at slot p
+// may span a contiguous run of free slots starting at p, so a
+// width-adaptive policy can take the whole device when it is idle and
+// shrink to one slot under contention; the span rule is also what makes
+// fraction conservation (Σ fractions <= 1 per device at all times) hold by
+// construction. Busy-ms accounting pro-rates each hold by its occupied
+// fraction, so a device running two half-width blocks for 10 ms reports 10
+// busy-ms, not 20.
 
 import (
 	"fmt"
@@ -89,66 +91,66 @@ func (c PartitionCost) Speedup(m int) float64 {
 	return float64(m) * c.Efficiency(1/float64(m))
 }
 
+// slot is one partition slot of a Device's ledger. A hold is anchored at
+// its lowest slot and records its span width and start there; the slots
+// it spans past the anchor keep width 0. Spans are contiguous and
+// disjoint, so the only hold that can cover slot p is the nearest anchor
+// at or below p.
+type slot struct {
+	sinceMs float64
+	width   int
+}
+
+// ledger returns the device's slots: the configured ones, or the inline
+// one of an unpartitioned device.
+func (d *Device) ledger() []slot {
+	if d.slots != nil {
+		return d.slots
+	}
+	return d.one[:]
+}
+
+// covered reports whether slot p of ledger s lies in an active hold's span.
+func covered(s []slot, p int) bool {
+	for a := p; a >= 0; a-- {
+		if k := s[a].width; k > 0 {
+			return a+k > p
+		}
+	}
+	return false
+}
+
 // ConfigurePartitions splits the device into m equal partition slots that
-// may execute concurrently. It must be called before any hold; m <= 1 is a
-// no-op that keeps the serial Acquire/Release path untouched. Partition
-// holds use AcquirePartition/ReleasePartition; the serial methods keep
-// working and mean "the whole device" (they panic if any partition hold is
-// active, and vice versa).
+// may execute concurrently; m <= 1 makes it one slot again. It must be
+// called while the device is idle. Acquire/Release hold the whole device
+// at any slot count.
 func (d *Device) ConfigurePartitions(m int) {
-	if d.busy || d.heldParts > 0 {
+	if d.held > 0 {
 		panic(fmt.Sprintf("gpusim: device %d repartitioned while busy", d.ID))
 	}
-	if m <= 1 {
-		d.parts = 0
-		d.slotOwner = nil
-		d.holdSince = nil
-		d.holdSlots = nil
-		return
+	d.slots = nil
+	if m > 1 {
+		d.slots = make([]slot, m)
 	}
-	d.parts = m
-	d.slotOwner = make([]int, m)
-	for i := range d.slotOwner {
-		d.slotOwner[i] = -1
-	}
-	d.holdSince = make([]float64, m)
-	d.holdSlots = make([]int, m)
 }
 
 // Partitions returns the configured slot count, 1 for an unpartitioned
 // device.
-func (d *Device) Partitions() int {
-	if d.parts <= 1 {
-		return 1
-	}
-	return d.parts
-}
+func (d *Device) Partitions() int { return len(d.ledger()) }
 
 // PartitionBusy reports whether slot p is covered by an active hold (its
 // own, or a wider hold anchored at a lower slot).
-func (d *Device) PartitionBusy(p int) bool {
-	if d.parts <= 1 {
-		return d.busy
-	}
-	return d.slotOwner[p] >= 0
-}
+func (d *Device) PartitionBusy(p int) bool { return covered(d.ledger(), p) }
 
 // HeldFraction returns the summed fraction of the device occupied by
-// active holds, in [0, 1]. An unpartitioned device reports 1 while busy.
+// active holds, in [0, 1]: 1 for an unpartitioned device while busy.
 func (d *Device) HeldFraction() float64 {
-	if d.parts <= 1 {
-		if d.busy {
-			return 1
-		}
-		return 0
-	}
+	s := d.ledger()
 	held := 0
-	for _, o := range d.slotOwner {
-		if o >= 0 {
-			held++
-		}
+	for p := range s {
+		held += s[p].width
 	}
-	return float64(held) / float64(d.parts)
+	return float64(held) / float64(len(s))
 }
 
 // AcquirePartition starts a hold anchored at slot p, wanting up to `want`
@@ -156,57 +158,43 @@ func (d *Device) HeldFraction() float64 {
 // to want, and returns the granted fraction. The anchor slot must be free
 // (the caller's lane gates on PartitionBusy), so the grant is always >= 1
 // slot — which is exactly what makes Σ granted fractions <= 1 at all
-// times: slots are never shared and never granted twice.
+// times: slots are never shared and never granted twice. On a device of
+// one slot every grant is the whole device, fraction 1.
 //
-//lint:hotpath partition occupancy flips once per granted block on spatial fleets
+//lint:hotpath slot occupancy flips once per granted block
 func (d *Device) AcquirePartition(nowMs float64, p, want int) float64 {
-	if d.parts <= 1 {
-		panic(fmt.Sprintf("gpusim: partition acquire on unpartitioned device %d", d.ID))
+	s := d.ledger()
+	if p < 0 || p >= len(s) {
+		panic(fmt.Sprintf("gpusim: device %d partition %d outside [0,%d)", d.ID, p, len(s)))
 	}
-	if p < 0 || p >= d.parts {
-		panic(fmt.Sprintf("gpusim: device %d partition %d outside [0,%d)", d.ID, p, d.parts))
-	}
-	if d.slotOwner[p] >= 0 {
+	if covered(s, p) {
 		panic(fmt.Sprintf("gpusim: device %d partition %d acquired while busy", d.ID, p))
 	}
-	if d.busy {
-		panic(fmt.Sprintf("gpusim: device %d partition %d acquired under a whole-device hold", d.ID, p))
-	}
-	if want < 1 {
-		want = 1
-	}
+	// Past a free anchor, the first covered slot is another hold's anchor.
 	k := 1
-	for k < want && p+k < d.parts && d.slotOwner[p+k] < 0 {
+	for k < want && p+k < len(s) && s[p+k].width == 0 {
 		k++
 	}
-	for i := p; i < p+k; i++ {
-		d.slotOwner[i] = p
-	}
-	d.holdSince[p] = nowMs
-	d.holdSlots[p] = k
-	d.heldParts++
-	return float64(k) / float64(d.parts)
+	s[p] = slot{sinceMs: nowMs, width: k}
+	d.held++
+	return float64(k) / float64(len(s))
 }
 
 // ReleasePartition ends the hold anchored at slot p at nowMs, freeing its
 // span and accounting the occupancy pro-rated by the held fraction: a hold
 // of k of M slots for t ms adds (k/M)·t busy-ms, so concurrent partition
-// holds can never push a device's utilization past 1.
+// holds can never push a device's utilization past 1. At k = M the factor
+// is exactly 1.
 //
-//lint:hotpath partition occupancy flips once per completed block on spatial fleets
+//lint:hotpath slot occupancy flips once per completed block
 func (d *Device) ReleasePartition(nowMs float64, p int) {
-	if d.parts <= 1 {
-		panic(fmt.Sprintf("gpusim: partition release on unpartitioned device %d", d.ID))
-	}
-	if p < 0 || p >= d.parts || d.holdSlots[p] == 0 {
+	s := d.ledger()
+	if p < 0 || p >= len(s) || s[p].width == 0 {
 		panic(fmt.Sprintf("gpusim: device %d partition %d released while idle", d.ID, p))
 	}
-	k := d.holdSlots[p]
-	for i := p; i < p+k; i++ {
-		d.slotOwner[i] = -1
-	}
-	d.holdSlots[p] = 0
-	d.heldParts--
-	d.busyMs += float64(k) / float64(d.parts) * (nowMs - d.holdSince[p])
+	k := s[p].width
+	s[p].width = 0
+	d.held--
+	d.busyMs += float64(k) / float64(len(s)) * (nowMs - s[p].sinceMs)
 	d.blocks++
 }

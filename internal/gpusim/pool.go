@@ -2,18 +2,22 @@ package gpusim
 
 // This file generalizes the simulator from one shared device to a fleet:
 // a DevicePool is N independent device timelines advancing under ONE
-// virtual clock. Each Device serializes its own blocks (the paper's
-// single-GPU execution model, replicated), carries its own fault
-// schedule, and accounts its own occupancy so fleet experiments can
-// report per-device utilization. The pool itself owns no scheduling —
-// which queue a request joins is the placement layer's decision
-// (internal/place); the pool only guards and measures the timelines.
+// virtual clock. Each Device keeps one slot ledger (partition.go): the
+// paper's single sequential GPU is a device of one slot, so a hold on it
+// occupies the whole device, and a spatially shared device has M slots.
+// Each device carries its own fault schedule and accounts its own
+// occupancy so fleet experiments can report per-device utilization. The
+// pool itself owns no scheduling — which queue a request joins is the
+// placement layer's decision (internal/place); the pool only guards and
+// measures the timelines.
 
 import "fmt"
 
-// Device is one execution timeline of a DevicePool. Exactly one block may
-// occupy it at a time; Acquire/Release bracket each block and accumulate
-// occupancy.
+// Device is one execution timeline of a DevicePool: M >= 1 equal slots,
+// each covered by at most one hold at a time. Acquire/Release bracket a
+// hold of the whole device; AcquirePartition/ReleasePartition a hold of
+// some of its slots. The zero value is an idle, detached device of one
+// slot.
 type Device struct {
 	// ID is the device index in the pool, 0-based.
 	ID int
@@ -22,10 +26,8 @@ type Device struct {
 	// exact schedule so single-device runs stay bit-identical.
 	Faults *FaultInjector
 
-	busy        bool
-	busySinceMs float64
-	busyMs      float64
-	blocks      int
+	busyMs float64
+	blocks int
 	// Membership accounting for elastic fleets. attached mirrors whether
 	// the device is currently part of the active set; attachedAtMs stamps
 	// the current attach, and activeMs accumulates completed attach spans.
@@ -35,47 +37,35 @@ type Device struct {
 	attachedAtMs float64
 	activeMs     float64
 	attaches     int
-	// Spatial-sharing state (see partition.go). parts is the configured
-	// slot count (0 or 1 = unpartitioned, the serial path above untouched);
-	// slotOwner maps each slot to the anchor partition of the hold covering
-	// it (-1 free); holdSince/holdSlots record each anchored hold's start
-	// and span width; heldParts counts active holds.
-	parts     int
-	slotOwner []int
-	holdSince []float64
-	holdSlots []int
-	heldParts int
+	// The slot ledger (see partition.go). slots is the ledger of a device
+	// configured into M > 1 slots, nil otherwise; one is the ledger of an
+	// unpartitioned device, held inline so it costs no allocation. held
+	// counts active holds.
+	one   [1]slot
+	slots []slot
+	held  int
 }
 
-// Busy reports whether any hold currently occupies the device: the serial
-// whole-device hold, or — on a partitioned device — at least one partition
-// hold. Per-slot occupancy is PartitionBusy.
-func (d *Device) Busy() bool { return d.busy || d.heldParts > 0 }
+// Busy reports whether any hold currently occupies the device. Per-slot
+// occupancy is PartitionBusy.
+func (d *Device) Busy() bool { return d.held > 0 }
 
-// Acquire marks the device occupied from nowMs. Acquiring a busy device
-// panics: two blocks on one timeline is always a scheduler bug.
+// Acquire starts a hold of the whole device at nowMs. Acquiring a busy
+// device panics: two blocks on one timeline is always a scheduler bug.
 //
 //lint:hotpath device occupancy flips once per granted block
 func (d *Device) Acquire(nowMs float64) {
-	if d.busy || d.heldParts > 0 {
+	if d.held > 0 {
 		panic(fmt.Sprintf("gpusim: device %d acquired while busy", d.ID))
 	}
-	d.busy = true
-	d.busySinceMs = nowMs
+	d.AcquirePartition(nowMs, 0, d.Partitions())
 }
 
-// Release marks the device idle at nowMs and accounts the occupancy.
+// Release ends the hold Acquire started and accounts the occupancy.
 // Releasing an idle device panics.
 //
 //lint:hotpath device occupancy flips once per completed block
-func (d *Device) Release(nowMs float64) {
-	if !d.busy {
-		panic(fmt.Sprintf("gpusim: device %d released while idle", d.ID))
-	}
-	d.busy = false
-	d.busyMs += nowMs - d.busySinceMs
-	d.blocks++
-}
+func (d *Device) Release(nowMs float64) { d.ReleasePartition(nowMs, 0) }
 
 // BusyMs returns the accumulated occupancy in virtual milliseconds
 // (completed holds only; an in-progress hold is not counted until
@@ -83,21 +73,16 @@ func (d *Device) Release(nowMs float64) {
 // holds — use BusyMsAt.
 func (d *Device) BusyMs() float64 { return d.busyMs }
 
-// BusyMsAt returns the occupancy accumulated up to nowMs, counting the
-// in-progress hold (or, on a partitioned device, every active partition
-// hold pro-rated by its fraction). This is the numerator utilization
-// measurements must use: a device halfway through one long block is 100%
-// utilized, not 0%.
+// BusyMsAt returns the occupancy accumulated up to nowMs, counting every
+// in-progress hold pro-rated by its fraction. This is the numerator
+// utilization measurements must use: a device halfway through one long
+// block is 100% utilized, not 0%.
 func (d *Device) BusyMsAt(nowMs float64) float64 {
 	total := d.busyMs
-	if d.busy && nowMs > d.busySinceMs {
-		total += nowMs - d.busySinceMs
-	}
-	if d.parts > 1 {
-		for p, k := range d.holdSlots {
-			if k > 0 && nowMs > d.holdSince[p] {
-				total += float64(k) / float64(d.parts) * (nowMs - d.holdSince[p])
-			}
+	s := d.ledger()
+	for p := range s {
+		if k := s[p].width; k > 0 && nowMs > s[p].sinceMs {
+			total += float64(k) / float64(len(s)) * (nowMs - s[p].sinceMs)
 		}
 	}
 	return total
@@ -110,20 +95,16 @@ func (d *Device) Blocks() int { return d.blocks }
 // an attached device panics, as does attaching a busy one: membership
 // flips must alternate, and a device that left the fleet cannot have kept
 // a hold (Detach refuses while busy), so a busy re-attach means a hold was
-// started across the detached gap and its busy-since stamp is stale.
+// started across the detached gap and its start stamp is stale.
 func (d *Device) Attach(nowMs float64) {
 	if d.attached {
 		panic(fmt.Sprintf("gpusim: device %d attached while attached", d.ID))
 	}
-	if d.busy || d.heldParts > 0 {
+	if d.held > 0 {
 		panic(fmt.Sprintf("gpusim: device %d attached while busy; holds cannot span a detached gap", d.ID))
 	}
 	d.attached = true
 	d.attachedAtMs = nowMs
-	// A re-attached device must not carry the previous attach span's hold
-	// stamp: the device is idle here, so the stamp is dead state, and
-	// clearing it pins the seam (a later Acquire always restamps).
-	d.busySinceMs = 0
 	d.attaches++
 }
 
@@ -135,7 +116,7 @@ func (d *Device) Detach(nowMs float64) {
 	if !d.attached {
 		panic(fmt.Sprintf("gpusim: device %d detached while detached", d.ID))
 	}
-	if d.busy || d.heldParts > 0 {
+	if d.held > 0 {
 		panic(fmt.Sprintf("gpusim: device %d detached while busy; drain before release", d.ID))
 	}
 	d.attached = false
@@ -218,8 +199,8 @@ func NewElasticPool(sim *Sim, max, active int, faults *FaultInjector) *DevicePoo
 }
 
 // ConfigurePartitions splits every device in the pool into m concurrent
-// partition slots (see Device.ConfigurePartitions); m <= 1 keeps the
-// serial whole-device timelines untouched.
+// partition slots (see Device.ConfigurePartitions); m <= 1 leaves each
+// device one slot.
 func (p *DevicePool) ConfigurePartitions(m int) {
 	for _, d := range p.devices {
 		d.ConfigurePartitions(m)

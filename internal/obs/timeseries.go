@@ -357,13 +357,13 @@ func emptyWindow(w WindowStat) bool {
 	return true
 }
 
-// TimeSeriesFromRun folds an offline run — the per-request records plus
-// the event trace — into the same windowed series the live server
-// produces, so `policy.Split` runs are inspectable with the exact
-// /timeseriesz semantics. Busy time comes from the exec intervals of the
-// run's span tree, each at its Interval.Occupancy; depth is sampled at
+// TimeSeriesFromRun folds an offline run — the per-request records, the
+// event trace and the span tree built from it — into the same windowed
+// series the live server produces, so `policy.Split` runs are inspectable
+// with the exact /timeseriesz semantics. Busy time comes from the tree's
+// exec intervals, each at its Interval.Occupancy; depth is sampled at
 // every arrival from the arrive/settle balance.
-func TimeSeriesFromRun(recs []policy.Record, events []trace.Event, alpha, windowMs float64, devices int) TimeSeriesSnapshot {
+func TimeSeriesFromRun(recs []policy.Record, events []trace.Event, tree *trace.SpanTree, alpha, windowMs float64, devices int) TimeSeriesSnapshot {
 	if devices < 1 {
 		devices = 1
 	}
@@ -446,7 +446,6 @@ func TimeSeriesFromRun(recs []policy.Record, events []trace.Event, alpha, window
 			}
 		}
 	}
-	tree := trace.BuildSpans(events)
 	counted := map[int]bool{}
 	for _, sp := range tree.Requests {
 		for _, iv := range sp.Intervals {

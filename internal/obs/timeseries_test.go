@@ -172,7 +172,7 @@ func TestTimeSeriesFromRun(t *testing.T) {
 		{AtMs: 180, Kind: trace.Complete, ReqID: 1},
 		{AtMs: 190, Kind: trace.Shed, ReqID: 2},
 	}
-	snap := TimeSeriesFromRun(recs, events, 4, 100, 2)
+	snap := TimeSeriesFromRun(recs, events, trace.BuildSpans(events), 4, 100, 2)
 	if len(snap.Windows) != 2 {
 		t.Fatalf("got %d windows, want 2", len(snap.Windows))
 	}
@@ -219,7 +219,8 @@ func TestOfflineOccupancyProRated(t *testing.T) {
 		t.Errorf("horizon %.2f ms, busy %.2f ms, utilization %.3f; want 339.41, 339.41, 1.000",
 			a.HorizonMs, a.BusyMs, a.Utilization)
 	}
-	snap := TimeSeriesFromRun(recs, tr.Events(), 4, 1000, 1)
+	events := tr.Events()
+	snap := TimeSeriesFromRun(recs, events, trace.BuildSpans(events), 4, 1000, 1)
 	if got := snap.Windows[0].DeviceBusyFrac[0]; math.Abs(got-a.HorizonMs/1000) > 1e-9 {
 		t.Errorf("device 0 busy fraction %.4f, want %.4f", got, a.HorizonMs/1000)
 	}
@@ -284,7 +285,7 @@ func TestTimeSeriesFromRunInfersMembership(t *testing.T) {
 		{AtMs: 200, Kind: trace.Complete, ReqID: 7},
 	}
 	recs := []policy.Record{served(7, 140, 200, 50)}
-	snap := TimeSeriesFromRun(recs, events, 4, 100, 2)
+	snap := TimeSeriesFromRun(recs, events, trace.BuildSpans(events), 4, 100, 2)
 	if len(snap.Windows) != 2 {
 		t.Fatalf("got %d windows, want 2", len(snap.Windows))
 	}
@@ -306,7 +307,7 @@ func TestTimeSeriesFromRunInfersMembership(t *testing.T) {
 		{AtMs: 60, Kind: trace.Complete, ReqID: 1},
 		{AtMs: 80, Kind: trace.ScaleIn, ReqID: -1, Device: 0},
 	}
-	snap = TimeSeriesFromRun([]policy.Record{served(1, 0, 60, 30)}, events, 4, 100, 1)
+	snap = TimeSeriesFromRun([]policy.Record{served(1, 0, 60, 30)}, events, trace.BuildSpans(events), 4, 100, 1)
 	// Attached 0..80, busy 20..60 → 0.5.
 	if got := snap.Windows[0].DeviceBusyFrac[0]; math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("scaled-in device busy frac = %v, want 40/80", got)

@@ -196,7 +196,7 @@ func TestBatchingCancelMidBatch(t *testing.T) {
 // where each device's run is counted independently.
 func TestElasticInflightSimBoundary(t *testing.T) {
 	catalog := synthCatalog()
-	elastic := sched.Elastic{Enabled: true, SameTypeLimit: 3}
+	elastic := sched.Elastic{SameTypeLimit: 3}
 	// "long" has a 3-block split plan; block counts are the Arrive event's
 	// second argument, so the trace tells us which arrivals were suppressed.
 	arriveBlocks := func(devices int, n int) map[int]int {

@@ -6,6 +6,7 @@ import (
 
 	"split/internal/metrics"
 	"split/internal/policy"
+	"split/internal/sched"
 	"split/internal/workload"
 	"split/internal/zoo"
 )
@@ -149,7 +150,7 @@ func TestSRPTApproxPredictsSplitScheduling(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		arrivals := workload.MustGenerate(workload.ForScenario(sc, zoo.BenchmarkModels, seed))
 		sys := policy.NewSplit()
-		sys.Elastic.Enabled = false
+		sys.Elastic = sched.Elastic{}
 		recs := sys.Run(arrivals, catalog, nil)
 		got += metrics.MeanWait(recs)
 	}

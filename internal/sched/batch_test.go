@@ -113,7 +113,7 @@ func TestBatchPlannerNeverSpansDoomedOrCanceled(t *testing.T) {
 // device, so suppression starts when queued + in-flight same-type requests
 // reach SameTypeLimit — exactly at the limit, not one past it.
 func TestElasticInflightBoundary(t *testing.T) {
-	e := Elastic{Enabled: true, SameTypeLimit: 3}
+	e := Elastic{SameTypeLimit: 3}
 
 	q := NewQueue(4)
 	q.PushBack(mkReq(1, "m", 1, 2, 10))
@@ -149,7 +149,7 @@ func TestElasticInflightBoundary(t *testing.T) {
 func TestElasticInflightHighLoadUnchanged(t *testing.T) {
 	// The high-load trigger measures queue density only: an in-flight
 	// request must not tip it.
-	e := Elastic{Enabled: true, HighLoadQueueLen: 2}
+	e := Elastic{HighLoadQueueLen: 2}
 	q := NewQueue(4)
 	q.PushBack(mkReq(1, "a", 1, 2, 10))
 	if !e.ShouldSplitWith(q, modelid.Intern("b"), mkReq(0, "c", 0, 2, 10)) {

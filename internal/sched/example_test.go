@@ -40,7 +40,7 @@ func ExampleRequest_PredictedRR() {
 // ExampleElastic_ShouldSplit shows the §3.3 elastic mechanism suspending
 // splitting during a same-type burst.
 func ExampleElastic_ShouldSplit() {
-	e := sched.Elastic{Enabled: true, SameTypeLimit: 2, HighLoadQueueLen: 10}
+	e := sched.Elastic{SameTypeLimit: 2, HighLoadQueueLen: 10}
 	q := sched.NewQueue(4)
 	fmt.Println("empty queue:", e.ShouldSplit(q, "vgg19"))
 	for i := 0; i < 2; i++ {

@@ -430,11 +430,10 @@ func (q *Queue) insertAt(pos int, r *Request) {
 
 // Elastic implements §3.3's elastic model splitting: under particularly
 // high request density, or when many requests of the same type are queued,
-// splitting is temporarily disabled to avoid the splitting overhead.
+// splitting is temporarily disabled to avoid the splitting overhead. The
+// zero value turns the mechanism off: with both triggers disabled, a split
+// plan is always used.
 type Elastic struct {
-	// Enabled turns the mechanism on. When false, ShouldSplit always
-	// returns true.
-	Enabled bool
 	// HighLoadQueueLen disables splitting when at least this many requests
 	// are waiting (request density too high). <=0 disables this trigger.
 	HighLoadQueueLen int
@@ -446,7 +445,7 @@ type Elastic struct {
 
 // DefaultElastic returns the thresholds used in the evaluation harness.
 func DefaultElastic() Elastic {
-	return Elastic{Enabled: true, HighLoadQueueLen: 10, SameTypeLimit: 3}
+	return Elastic{HighLoadQueueLen: 10, SameTypeLimit: 3}
 }
 
 // ShouldSplit decides whether an arriving request of the named model should
@@ -459,7 +458,7 @@ func (e Elastic) ShouldSplit(q *Queue, modelName string) bool {
 	if !ok {
 		// No queued request carries a name no one interned, so only the
 		// density trigger can suppress the split.
-		return !e.Enabled || e.HighLoadQueueLen <= 0 || q.Len() < e.HighLoadQueueLen
+		return e.HighLoadQueueLen <= 0 || q.Len() < e.HighLoadQueueLen
 	}
 	return e.ShouldSplitWith(q, id, nil)
 }
@@ -480,9 +479,6 @@ func (e Elastic) ShouldSplit(q *Queue, modelName string) bool {
 // density — how many are waiting — not the run structure, and widening it
 // would change the §3.3 threshold semantics the tests pin.
 func (e Elastic) ShouldSplitWith(q *Queue, id modelid.ID, inflight *Request) bool {
-	if !e.Enabled {
-		return true
-	}
 	if e.HighLoadQueueLen > 0 && q.Len() >= e.HighLoadQueueLen {
 		return false
 	}

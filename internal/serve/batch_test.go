@@ -138,7 +138,7 @@ func TestServeBatchingDisabledKeepsSurface(t *testing.T) {
 // waiting request and — before the fix — kept splitting it.
 func TestElasticInflightServeBoundary(t *testing.T) {
 	srv, _, ring := startLifecycle(t, func(c *Config) {
-		c.Elastic = sched.Elastic{Enabled: true, SameTypeLimit: 2}
+		c.Elastic = sched.Elastic{SameTypeLimit: 2}
 	})
 	id0, ch0, err := srv.enqueue("work", 0)
 	if err != nil {

@@ -525,7 +525,7 @@ func TestElasticSuppressionObserved(t *testing.T) {
 	srv := blockedServer(t, func(c *Config) {
 		c.Obs = reg
 		c.Sink = ring
-		c.Elastic = sched.Elastic{Enabled: true, HighLoadQueueLen: 2}
+		c.Elastic = sched.Elastic{HighLoadQueueLen: 2}
 	})
 	srv.enqueue("long", 0)
 	srv.enqueue("long", 0)
