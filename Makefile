@@ -29,8 +29,9 @@ bench:
 # arrival trace generated before the timer, so the profile holds what
 # splitperf's sim_cohort_1m times and nothing else; any other, such as
 # ServeRPC (the saturated serving rung), ScenarioAllSystems (one seed of the
-# paper's evaluation grid) or TracedFeatures (sim_features' traced run and
-# span fold), for five seconds. Leaves cpu.out, mem.out and
+# paper's evaluation grid), TracedFeatures (sim_features' traced run and
+# span fold) or Deploy (the offline half: zoo, profiler, GA, catalog, what
+# sim_paper_grid's setup_s times), for five seconds. Leaves cpu.out, mem.out and
 # split.test (git-ignored) for `go tool pprof -peek`, `-list` and `-diff_base`
 # against another commit's.
 PROFILE ?= MillionRequestSweep

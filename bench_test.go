@@ -112,6 +112,17 @@ func deployOnce(b *testing.B) *core.Deployment {
 	return dep
 }
 
+// BenchmarkDeploy times the offline half end to end: the five benchmark
+// graphs built from scratch, a profiler and a GA run per split model, and
+// the catalog, what sim_paper_grid's setup_s times. It is `make profile
+// PROFILE=Deploy`'s target.
+func BenchmarkDeploy(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		deployOnce(b)
+	}
+}
+
 // BenchmarkFig6ViolationRate regenerates Figure 6: all six scenarios
 // through the four systems, reporting SPLIT's and RT-A's mean violation
 // rate at α=4 (the paper's headline comparison).

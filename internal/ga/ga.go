@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"split/internal/analytic"
@@ -117,13 +118,48 @@ type Result struct {
 	Converged bool
 }
 
+// individual is one member of a population: its cuts, a window on the
+// generation's shared cut storage, and their Eq. 2 score.
 type individual struct {
-	cuts    []int
-	cand    profiler.Candidate
-	fitness float64
+	cuts     []int
+	stdDevMs float64
+	overhead float64
+	fitness  float64
 }
 
-// Run executes the genetic algorithm on p's graph.
+// set makes ind a copy of from, its cuts copied into ind's own storage.
+func (ind *individual) set(from *individual) {
+	copy(ind.cuts, from.cuts)
+	ind.stdDevMs, ind.overhead, ind.fitness = from.stdDevMs, from.overhead, from.fitness
+}
+
+// population is one generation, its individuals' cuts windows on one slice
+// of k ints each. Run keeps two and breeds each generation into the other,
+// so a generation allocates nothing.
+type population []individual
+
+func newPopulation(size, k int) population {
+	p, cuts := make(population, size), make([]int, size*k)
+	for i := range p {
+		p[i].cuts = cuts[i*k : (i+1)*k : (i+1)*k]
+	}
+	return p
+}
+
+// Len, Less and Swap sort a population by descending fitness. The sort is
+// sort.Sort, whose pdqsort makes the same comparisons and swaps as
+// sort.Slice's: elites and unmutated clones tie on fitness all the time,
+// and tournaments index the sorted population, so a different algorithm
+// would change the plans. The pointer receiver keeps sort.Sort's interface
+// from allocating a copy of the slice header per sort.
+func (p *population) Len() int           { return len(*p) }
+func (p *population) Less(i, j int) bool { return (*p)[i].fitness > (*p)[j].fitness }
+func (p *population) Swap(i, j int)      { (*p)[i], (*p)[j] = (*p)[j], (*p)[i] }
+
+// Run executes the genetic algorithm on p's graph. It scores candidates into
+// one reused block-time buffer and breeds each generation into storage the
+// run allocated up front; only the best individual becomes a
+// profiler.Candidate.
 func Run(p *profiler.Profiler, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -135,44 +171,34 @@ func Run(p *profiler.Profiler, cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	total := p.TotalTimeMs()
-
-	evaluate := func(cuts []int) individual {
-		c := p.Evaluate(cuts)
-		return individual{
-			cuts:    cuts,
-			cand:    c,
-			fitness: analytic.Fitness(c.StdDevMs, total, c.Overhead, cfg.NumBlocks),
-		}
-	}
-	// evaluateAll scores a batch of cut vectors. A single evaluation is
-	// O(m) over precomputed prefix sums — sub-microsecond — so fanning a
-	// generation across goroutines measured no speed-up and is not done.
-	evaluateAll := func(cutSets [][]int) []individual {
-		out := make([]individual, len(cutSets))
-		for i, cuts := range cutSets {
-			out[i] = evaluate(cuts)
-		}
-		return out
+	times := make([]float64, cfg.NumBlocks)
+	score := func(ind *individual) {
+		ind.stdDevMs, ind.overhead = p.Score(ind.cuts, times)
+		ind.fitness = analytic.Fitness(ind.stdDevMs, total, ind.overhead, cfg.NumBlocks)
 	}
 
-	res := &Result{}
-	initial := make([][]int, cfg.PopulationSize)
-	for i := range initial {
+	res := &Result{PerGeneration: make([]GenerationStats, 0, cfg.Generations)}
+	pop, next := newPopulation(cfg.PopulationSize, k), newPopulation(cfg.PopulationSize, k)
+	for i := range pop {
+		ind := &pop[i]
 		if cfg.GuidedInit {
-			initial[i] = guidedCuts(p, k, cfg.FrontGuardFrac, rng)
+			guidedCuts(ind.cuts, p, cfg.FrontGuardFrac, rng)
 		} else {
-			initial[i] = profiler.RandomCuts(n, k, rng)
+			copy(ind.cuts, profiler.RandomCuts(n, k, rng))
 		}
+		score(ind)
 	}
-	pop := evaluateAll(initial)
 	res.Evaluations += len(pop)
 
-	best := bestOf(pop)
+	// best keeps cuts of its own: the population's storage is overwritten
+	// by the next generation's breeding.
+	best := individual{cuts: make([]int, k)}
+	best.set(bestOf(pop))
 	stall := 0
 	for gen := 0; gen < cfg.Generations; gen++ {
-		sortByFitness(pop)
+		sort.Sort(&pop)
 		if pop[0].fitness > best.fitness {
-			best = pop[0]
+			best.set(&pop[0])
 			stall = 0
 		} else {
 			stall++
@@ -180,8 +206,8 @@ func Run(p *profiler.Profiler, cfg Config) (*Result, error) {
 		res.PerGeneration = append(res.PerGeneration, GenerationStats{
 			Gen:          gen,
 			BestFitness:  best.fitness,
-			BestStdDevMs: best.cand.StdDevMs,
-			BestOverhead: best.cand.Overhead,
+			BestStdDevMs: best.stdDevMs,
+			BestOverhead: best.overhead,
 			MeanFitness:  meanFitness(pop),
 		})
 		if stall >= cfg.StallLimit {
@@ -189,34 +215,33 @@ func Run(p *profiler.Profiler, cfg Config) (*Result, error) {
 			break
 		}
 
-		elites := int(cfg.ElitePct * float64(cfg.PopulationSize))
-		if elites > len(pop) {
-			elites = len(pop)
+		elites := min(int(cfg.ElitePct*float64(cfg.PopulationSize)), len(pop))
+		for i := 0; i < elites; i++ {
+			next[i].set(&pop[i])
 		}
-		next := make([]individual, 0, cfg.PopulationSize)
-		next = append(next, pop[:elites]...)
-		// Breed all children first (sequential RNG), then score the batch.
-		children := make([][]int, 0, cfg.PopulationSize-elites)
-		for len(children) < cfg.PopulationSize-elites {
+		// A score is O(m) over prefix sums, so a generation is scored as it
+		// is bred, on one goroutine: fanning it out measured no speed-up.
+		children := next[elites:]
+		for i := range children {
 			a := tournament(pop, cfg.TournamentK, rng)
 			b := tournament(pop, cfg.TournamentK, rng)
-			var child []int
+			child := &children[i]
 			if rng.Float64() < cfg.CrossoverProb {
-				child = crossover(a.cuts, b.cuts, n, rng)
+				crossover(child.cuts, a.cuts, b.cuts, n, rng)
 			} else {
-				child = append([]int(nil), a.cuts...)
+				copy(child.cuts, a.cuts)
 			}
-			children = append(children, mutate(child, n, cfg, rng))
+			mutate(child.cuts, n, cfg, rng)
+			score(child)
 		}
-		next = append(next, evaluateAll(children)...)
 		res.Evaluations += len(children)
-		pop = next
+		pop, next = next, pop
 	}
-	sortByFitness(pop)
+	sort.Sort(&pop)
 	if pop[0].fitness > best.fitness {
-		best = pop[0]
+		best.set(&pop[0])
 	}
-	res.Best = best.cand
+	res.Best = p.Evaluate(best.cuts)
 	res.Fitness = best.fitness
 	return res, nil
 }
@@ -224,99 +249,94 @@ func Run(p *profiler.Profiler, cfg Config) (*Result, error) {
 // guidedCuts implements the §3.2 observation-guided initialization: target
 // cut j near the time quantile j/m — "closer to the middle but slightly
 // towards the beginning" — jittered, and clamped out of the expensive front
-// region.
-func guidedCuts(p *profiler.Profiler, k int, frontGuard float64, rng *rand.Rand) []int {
-	g := p.Graph
-	n := g.NumOps()
-	prefix := g.PrefixTimes()
+// region. It fills cuts, len(cuts) = m-1 of them, in increasing order.
+func guidedCuts(cuts []int, p *profiler.Profiler, frontGuard float64, rng *rand.Rand) {
+	n := p.Graph.NumOps()
+	prefix := p.PrefixTimes()
 	total := p.TotalTimeMs()
 	minPos := int(frontGuard * float64(n))
 	if minPos < 1 {
 		minPos = 1
 	}
+	k := len(cuts)
 	m := k + 1
-	cuts := make([]int, 0, k)
-	used := make(map[int]bool, k)
 	for j := 1; j <= k; j++ {
+		used := cuts[:j-1]
 		targetT := float64(j) / float64(m) * total
 		// Find the first op whose cumulative time reaches the quantile.
 		pos := sort.SearchFloat64s(prefix, targetT) + 1
 		// Jitter: gaussian with width ~n/12, biased 0 mean.
 		pos += int(rng.NormFloat64() * float64(n) / 12)
 		pos = clamp(pos, minPos, n-1)
-		for used[pos] {
+		for slices.Contains(used, pos) {
 			pos = clamp(pos+1, minPos, n-1)
-			if pos == n-1 && used[pos] {
+			if pos == n-1 && slices.Contains(used, pos) {
 				pos = minPos + rng.Intn(n-1-minPos+1)
 			}
 		}
-		used[pos] = true
-		cuts = append(cuts, pos)
+		cuts[j-1] = pos
 	}
 	sort.Ints(cuts)
-	return cuts
 }
 
-// crossover is a one-point crossover over the sorted cut vectors with
-// duplicate repair. With a single cut point it averages the parents.
-func crossover(a, b []int, n int, rng *rand.Rand) []int {
+// crossover is a one-point crossover over the sorted parent cut vectors into
+// child, with duplicate repair. With a single cut point it averages the
+// parents.
+func crossover(child, a, b []int, n int, rng *rand.Rand) {
 	k := len(a)
 	if k == 1 {
-		return []int{clamp((a[0]+b[0])/2, 1, n-1)}
+		child[0] = clamp((a[0]+b[0])/2, 1, n-1)
+		return
 	}
 	x := 1 + rng.Intn(k-1)
-	child := make([]int, 0, k)
-	child = append(child, a[:x]...)
-	child = append(child, b[x:]...)
-	return repair(child, n, rng)
+	copy(child, a[:x])
+	copy(child[x:], b[x:])
+	repair(child, n, rng)
 }
 
 // mutate shifts each cut with probability cfg.MutationProb by a gaussian
-// step of width n/15, then repairs duplicates.
-func mutate(cuts []int, n int, cfg Config, rng *rand.Rand) []int {
-	out := append([]int(nil), cuts...)
+// step of width n/15, in place, then repairs duplicates.
+func mutate(cuts []int, n int, cfg Config, rng *rand.Rand) {
 	changed := false
-	for i := range out {
+	for i := range cuts {
 		if rng.Float64() < cfg.MutationProb {
 			step := int(rng.NormFloat64() * float64(n) / 15)
 			if step == 0 {
 				step = 1 - 2*rng.Intn(2) // ±1
 			}
-			out[i] = clamp(out[i]+step, 1, n-1)
+			cuts[i] = clamp(cuts[i]+step, 1, n-1)
 			changed = true
 		}
 	}
 	if changed {
-		return repair(out, n, rng)
+		repair(cuts, n, rng)
 	}
-	return out
 }
 
 // repair sorts cuts and resolves duplicates/overflows by nudging to free
-// positions, keeping the vector a valid strictly increasing cut set.
-func repair(cuts []int, n int, rng *rand.Rand) []int {
+// positions, in place, keeping the vector a valid strictly increasing cut
+// set. The positions already settled are cuts[:i], so a short scan of them
+// is the set of used positions.
+func repair(cuts []int, n int, rng *rand.Rand) {
 	sort.Ints(cuts)
-	used := make(map[int]bool, len(cuts))
 	for i, c := range cuts {
 		c = clamp(c, 1, n-1)
-		for used[c] {
+		for slices.Contains(cuts[:i], c) {
 			c++
 			if c > n-1 {
 				// Wrap to a random free slot.
 				c = 1 + rng.Intn(n-1)
 			}
 		}
-		used[c] = true
 		cuts[i] = c
 	}
 	sort.Ints(cuts)
-	return cuts
 }
 
-func tournament(pop []individual, k int, rng *rand.Rand) individual {
-	best := pop[rng.Intn(len(pop))]
+func tournament(pop []individual, k int, rng *rand.Rand) *individual {
+	best := &pop[rng.Intn(len(pop))]
 	for i := 1; i < k; i++ {
-		c := pop[rng.Intn(len(pop))]
+		c := &pop[rng.Intn(len(pop))]
 		if c.fitness > best.fitness {
 			best = c
 		}
@@ -324,18 +344,14 @@ func tournament(pop []individual, k int, rng *rand.Rand) individual {
 	return best
 }
 
-func bestOf(pop []individual) individual {
-	best := pop[0]
-	for _, ind := range pop[1:] {
-		if ind.fitness > best.fitness {
-			best = ind
+func bestOf(pop []individual) *individual {
+	best := &pop[0]
+	for i := range pop[1:] {
+		if pop[i+1].fitness > best.fitness {
+			best = &pop[i+1]
 		}
 	}
 	return best
-}
-
-func sortByFitness(pop []individual) {
-	sort.Slice(pop, func(i, j int) bool { return pop[i].fitness > pop[j].fitness })
 }
 
 func meanFitness(pop []individual) float64 {

@@ -190,10 +190,8 @@ func TestGuidedInitAvoidsFront(t *testing.T) {
 	n := p.Graph.NumOps()
 	guard := int(0.05 * float64(n))
 	for trial := 0; trial < 200; trial++ {
-		cuts := guidedCuts(p, 3, 0.05, rng)
-		if len(cuts) != 3 {
-			t.Fatalf("got %d cuts", len(cuts))
-		}
+		cuts := make([]int, 3)
+		guidedCuts(cuts, p, 0.05, rng)
 		for i, c := range cuts {
 			if c < guard || c > n-1 {
 				t.Fatalf("guided cut %d out of range: %d", i, c)
@@ -214,7 +212,8 @@ func TestGuidedBeatsUniformOnAverageInitialFitness(t *testing.T) {
 	var guided, uniform float64
 	const trials = 300
 	for i := 0; i < trials; i++ {
-		gc := guidedCuts(p, 2, 0.05, rng)
+		gc := make([]int, 2)
+		guidedCuts(gc, p, 0.05, rng)
 		c := p.Evaluate(gc)
 		guided += analytic.Fitness(c.StdDevMs, total, c.Overhead, 3)
 		uc := profiler.RandomCuts(p.Graph.NumOps(), 2, rng)
@@ -239,10 +238,8 @@ func TestRepairProducesValidCuts(t *testing.T) {
 			}
 			cuts[i] = v
 		}
-		out := repair(cuts, n, rng)
-		if len(out) != k {
-			return false
-		}
+		repair(cuts, n, rng)
+		out := cuts
 		for i, c := range out {
 			if c < 1 || c > n-1 {
 				return false
@@ -260,8 +257,9 @@ func TestRepairProducesValidCuts(t *testing.T) {
 
 func TestCrossoverSingleCutAverages(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	child := crossover([]int{10}, []int{20}, 44, rng)
-	if len(child) != 1 || child[0] != 15 {
+	child := make([]int, 1)
+	crossover(child, []int{10}, []int{20}, 44, rng)
+	if child[0] != 15 {
 		t.Errorf("single-cut crossover = %v, want [15]", child)
 	}
 }
@@ -271,9 +269,12 @@ func TestCrossoverPreservesLength(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a := profiler.RandomCuts(44, 3, rng)
 		b := profiler.RandomCuts(44, 3, rng)
-		child := crossover(a, b, 44, rng)
-		if len(child) != 3 {
-			t.Fatalf("child has %d cuts", len(child))
+		child := make([]int, 3)
+		crossover(child, a, b, 44, rng)
+		for i := 1; i < len(child); i++ {
+			if child[i] <= child[i-1] {
+				t.Fatalf("child cuts not increasing: %v", child)
+			}
 		}
 	}
 }
@@ -283,7 +284,8 @@ func TestMutateRespectsProbabilityZero(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.MutationProb = 0
 	cuts := []int{5, 10, 15}
-	out := mutate(cuts, 44, cfg, rng)
+	out := append([]int(nil), cuts...)
+	mutate(out, 44, cfg, rng)
 	for i := range cuts {
 		if out[i] != cuts[i] {
 			t.Errorf("mutation with p=0 changed cuts: %v", out)
@@ -297,7 +299,8 @@ func TestMutateAlwaysValid(t *testing.T) {
 	cfg.MutationProb = 1
 	for trial := 0; trial < 200; trial++ {
 		cuts := profiler.RandomCuts(44, 3, rng)
-		out := mutate(cuts, 44, cfg, rng)
+		out := cuts
+		mutate(out, 44, cfg, rng)
 		for i, c := range out {
 			if c < 1 || c > 43 {
 				t.Fatalf("mutated cut out of range: %v", out)

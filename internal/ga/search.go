@@ -39,7 +39,8 @@ func HillClimb(p *profiler.Profiler, numBlocks, maxEvals int, seed int64) Search
 		return c, analytic.Fitness(c.StdDevMs, total, c.Overhead, numBlocks)
 	}
 
-	cur := guidedCuts(p, k, 0.05, rng)
+	cur := make([]int, k)
+	guidedCuts(cur, p, 0.05, rng)
 	curCand, curFit := fitness(cur)
 	res := SearchResult{Best: curCand, Fitness: curFit, Evaluations: 1,
 		Trajectory: []float64{curFit}}
@@ -57,7 +58,7 @@ func HillClimb(p *profiler.Profiler, numBlocks, maxEvals int, seed int64) Search
 				}
 				next := append([]int(nil), cur...)
 				next[i] = clamp(next[i]+s, 1, n-1)
-				next = repair(next, n, rng)
+				repair(next, n, rng)
 				cand, fit := fitness(next)
 				res.Evaluations++
 				if fit > bestFit {
@@ -69,7 +70,7 @@ func HillClimb(p *profiler.Profiler, numBlocks, maxEvals int, seed int64) Search
 			break // local optimum
 		}
 		cur[bestMove] = clamp(cur[bestMove]+bestStep, 1, n-1)
-		cur = repair(cur, n, rng)
+		repair(cur, n, rng)
 		curFit = bestFit
 		res.Best, res.Fitness = bestCand, bestFit
 		res.Trajectory = append(res.Trajectory, bestFit)
@@ -107,7 +108,8 @@ func Anneal(p *profiler.Profiler, numBlocks int, cfg AnnealConfig) SearchResult 
 		return c, analytic.Fitness(c.StdDevMs, total, c.Overhead, numBlocks)
 	}
 
-	cur := guidedCuts(p, k, 0.05, rng)
+	cur := make([]int, k)
+	guidedCuts(cur, p, 0.05, rng)
 	curCand, curFit := fitness(cur)
 	res := SearchResult{Best: curCand, Fitness: curFit, Evaluations: 1,
 		Trajectory: []float64{curFit}}
@@ -121,7 +123,7 @@ func Anneal(p *profiler.Profiler, numBlocks int, cfg AnnealConfig) SearchResult 
 			step = 1 - 2*rng.Intn(2)
 		}
 		next[i] = clamp(next[i]+step, 1, n-1)
-		next = repair(next, n, rng)
+		repair(next, n, rng)
 		cand, fit := fitness(next)
 		res.Evaluations++
 		if fit > curFit || rng.Float64() < math.Exp((fit-curFit)/math.Max(temp, 1e-12)) {

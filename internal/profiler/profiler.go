@@ -9,6 +9,7 @@ package profiler
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"split/internal/model"
@@ -39,15 +40,18 @@ func New(g *model.Graph, cm model.CostModel) *Profiler {
 			boundary[c] = cm.BoundaryMs(g.Ops[c-1].OutBytes)
 		}
 	} else {
-		// Source u's tensor crosses every cut c in (u, maxTo(u)].
-		maxTo := make(map[int]int)
+		// Source u's tensor crosses every cut c in (u, maxTo[u]]; maxTo[u]
+		// is 0 when u feeds nothing. The volumes are whole numbers far
+		// below 2⁵³, so the sums are exact in any order.
+		maxTo := make([]int, n)
 		for _, e := range g.Edges {
-			if t, ok := maxTo[e.From]; !ok || e.To > t {
-				maxTo[e.From] = e.To
-			}
+			maxTo[e.From] = max(maxTo[e.From], e.To)
 		}
 		diff := make([]float64, n+1)
 		for u, t := range maxTo {
+			if t == 0 {
+				continue
+			}
 			diff[u+1] += float64(g.Ops[u].OutBytes)
 			if t+1 <= n {
 				diff[t+1] -= float64(g.Ops[u].OutBytes)
@@ -67,6 +71,11 @@ func New(g *model.Graph, cm model.CostModel) *Profiler {
 		total:      g.TotalTimeMs(),
 	}
 }
+
+// PrefixTimes returns the cumulative op times the profiler keeps:
+// PrefixTimes()[i] is the summed time of Ops[0..i], as Graph.PrefixTimes
+// computes it. The slice is the profiler's own; callers must not modify it.
+func (p *Profiler) PrefixTimes() []float64 { return p.prefix }
 
 // BoundaryMsAt returns the precomputed boundary cost of a cut at position c.
 func (p *Profiler) BoundaryMsAt(c int) float64 { return p.boundaryMs[c] }
@@ -110,18 +119,33 @@ func (c Candidate) RangePct(totalMs float64) float64 {
 // positions in [1, M-1]; Evaluate panics otherwise (callers generate cuts
 // programmatically, so a bad cut is a bug).
 func (p *Profiler) Evaluate(cuts []int) Candidate {
+	times := make([]float64, len(cuts)+1)
+	sd, overhead := p.Score(cuts, times)
+	return Candidate{
+		Cuts:         append([]int(nil), cuts...),
+		BlockTimesMs: times,
+		StdDevMs:     sd,
+		Overhead:     overhead,
+	}
+}
+
+// Score is Evaluate without the Candidate: it writes the block times of
+// cuts into times, which must hold len(cuts)+1 values, and returns their σ
+// and the overhead ratio, the same bits Evaluate reports. It allocates
+// nothing, so a search can score every candidate into one buffer.
+func (p *Profiler) Score(cuts []int, times []float64) (stdDevMs, overhead float64) {
 	if err := p.Graph.ValidateCuts(cuts); err != nil {
 		panic(err)
 	}
-	times := make([]float64, 0, len(cuts)+1)
+	times = times[:len(cuts)+1]
 	start := 0
 	var extra float64
-	for _, c := range cuts {
+	for i, c := range cuts {
 		t := p.rangeTime(start, c)
 		if start > 0 {
 			t += p.boundaryMs[start]
 		}
-		times = append(times, t)
+		times[i] = t
 		extra += p.boundaryMs[c]
 		start = c
 	}
@@ -129,13 +153,8 @@ func (p *Profiler) Evaluate(cuts []int) Candidate {
 	if start > 0 {
 		t += p.boundaryMs[start]
 	}
-	times = append(times, t)
-	return Candidate{
-		Cuts:         append([]int(nil), cuts...),
-		BlockTimesMs: times,
-		StdDevMs:     stats.StdDev(times),
-		Overhead:     extra / p.total,
-	}
+	times[len(cuts)] = t
+	return stats.StdDev(times), extra / p.total
 }
 
 // Plan converts a candidate into a deployable SplitPlan.
@@ -170,6 +189,7 @@ func (p *Profiler) CutGrid(stride int) *Grid2D {
 	}
 	n := p.Graph.NumOps()
 	g := &Grid2D{Model: p.Graph.Name, N: n}
+	var times [3]float64
 	for i := 1; i <= n-1; i += stride {
 		rowO := make([]float64, 0, (n-1)/stride+1)
 		rowS := make([]float64, 0, (n-1)/stride+1)
@@ -181,9 +201,9 @@ func (p *Profiler) CutGrid(stride int) *Grid2D {
 				rowV = append(rowV, false)
 				continue
 			}
-			c := p.Evaluate([]int{i, j})
-			rowO = append(rowO, c.Overhead)
-			rowS = append(rowS, c.StdDevMs)
+			sd, overhead := p.Score([]int{i, j}, times[:])
+			rowO = append(rowO, overhead)
+			rowS = append(rowS, sd)
 			rowV = append(rowV, true)
 		}
 		g.Overhead = append(g.Overhead, rowO)
@@ -200,10 +220,11 @@ func (p *Profiler) SingleCutProfile() (overhead, stddev []float64) {
 	n := p.Graph.NumOps()
 	overhead = make([]float64, 0, n-1)
 	stddev = make([]float64, 0, n-1)
+	var times [2]float64
 	for c := 1; c <= n-1; c++ {
-		cand := p.Evaluate([]int{c})
-		overhead = append(overhead, cand.Overhead)
-		stddev = append(stddev, cand.StdDevMs)
+		sd, o := p.Score([]int{c}, times[:])
+		overhead = append(overhead, o)
+		stddev = append(stddev, sd)
 	}
 	return overhead, stddev
 }
@@ -212,21 +233,27 @@ func (p *Profiler) SingleCutProfile() (overhead, stddev []float64) {
 // returns the one minimizing the objective. It is exponential in numBlocks
 // and intended for validation on small models or numBlocks == 2..3.
 // The objective receives each candidate and returns a score to minimize.
+// The candidate's Cuts and BlockTimesMs are buffers the enumeration reuses
+// for the next candidate, so the objective must not keep them; the
+// returned best is a Candidate of its own.
 func (p *Profiler) Exhaustive(numBlocks int, objective func(Candidate) float64) (best Candidate, evaluated int) {
+	if numBlocks == 1 {
+		return p.Evaluate(nil), 1
+	}
 	n := p.Graph.NumOps()
 	cuts := make([]int, numBlocks-1)
+	bestCuts := make([]int, numBlocks-1)
+	times := make([]float64, numBlocks)
 	bestScore := 0.0
-	first := true
 	var rec func(idx, start int)
 	rec = func(idx, start int) {
 		if idx == len(cuts) {
-			c := p.Evaluate(cuts)
+			sd, overhead := p.Score(cuts, times)
 			evaluated++
-			s := objective(c)
-			if first || s < bestScore {
-				first = false
+			s := objective(Candidate{Cuts: cuts, BlockTimesMs: times, StdDevMs: sd, Overhead: overhead})
+			if evaluated == 1 || s < bestScore {
 				bestScore = s
-				best = c
+				copy(bestCuts, cuts)
 			}
 			return
 		}
@@ -236,11 +263,11 @@ func (p *Profiler) Exhaustive(numBlocks int, objective func(Candidate) float64) 
 			rec(idx+1, pos+1)
 		}
 	}
-	if numBlocks == 1 {
-		return p.Evaluate(nil), 1
-	}
 	rec(0, 1)
-	return best, evaluated
+	if evaluated == 0 {
+		return Candidate{}, 0
+	}
+	return p.Evaluate(bestCuts), evaluated
 }
 
 // RandomSample profiles `count` uniformly random candidates with numBlocks
@@ -265,12 +292,10 @@ func RandomCuts(numOps, k int, rng *rand.Rand) []int {
 	if k > numOps-1 {
 		panic(fmt.Sprintf("profiler: cannot choose %d cuts from %d positions", k, numOps-1))
 	}
-	seen := make(map[int]bool, k)
 	cuts := make([]int, 0, k)
 	for len(cuts) < k {
 		c := 1 + rng.Intn(numOps-1)
-		if !seen[c] {
-			seen[c] = true
+		if !slices.Contains(cuts, c) {
 			cuts = append(cuts, c)
 		}
 	}

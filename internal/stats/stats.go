@@ -113,11 +113,12 @@ func Range(xs []float64) float64 {
 // ranks it needs in a copy instead of sorting it, in the order sort.Float64s
 // uses (NaN first), so it returns exactly what sorting would.
 func Percentile(xs []float64, p float64) float64 {
-	return percentileInPlace(append([]float64(nil), xs...), p)
+	return PercentileInPlace(append([]float64(nil), xs...), p)
 }
 
-// percentileInPlace is Percentile on xs itself, which it reorders.
-func percentileInPlace(xs []float64, p float64) float64 {
+// PercentileInPlace is Percentile on xs itself, which it reorders: a
+// caller done with the order of its own slice saves Percentile's copy.
+func PercentileInPlace(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: Percentile of empty slice")
 	}
@@ -237,9 +238,9 @@ func Summarize(xs []float64) Summary {
 		Mean:   Mean(xs),
 		StdDev: StdDev(xs),
 		Min:    Min(xs),
-		P50:    percentileInPlace(scratch, 50),
-		P95:    percentileInPlace(scratch, 95),
-		P99:    percentileInPlace(scratch, 99),
+		P50:    PercentileInPlace(scratch, 50),
+		P95:    PercentileInPlace(scratch, 95),
+		P99:    PercentileInPlace(scratch, 99),
 		Max:    Max(xs),
 	}
 }

@@ -189,7 +189,7 @@ func fuzzFloats(raw []byte) []float64 {
 // FuzzPercentile: selection returns exactly what sorting would — the same
 // value under ==, NaN where sorting gives NaN — for any sample and any p in
 // range, and panics on a p out of range. Percentile leaves its input as it
-// was; percentileInPlace leaves a permutation of it. Summarize's
+// was; PercentileInPlace leaves a permutation of it. Summarize's
 // percentiles are Percentile's.
 func FuzzPercentile(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 3, 5, 5, 5, 1, 2, 7, 11}, 95.0)
@@ -219,12 +219,12 @@ func FuzzPercentile(f *testing.F) {
 				t.Fatalf("Percentile(%v, %v) = %v, sorting gives %v", xs, p, got, want)
 			}
 			scratch := append([]float64(nil), xs...)
-			percentileInPlace(scratch, p)
+			PercentileInPlace(scratch, p)
 			sort.Float64s(before)
 			sort.Float64s(scratch)
 			for i := range scratch {
 				if !same(scratch[i], before[i]) {
-					t.Fatalf("percentileInPlace(%v, %v) left %v, not a permutation", xs, p, scratch)
+					t.Fatalf("PercentileInPlace(%v, %v) left %v, not a permutation", xs, p, scratch)
 				}
 			}
 		}

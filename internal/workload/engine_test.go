@@ -390,16 +390,17 @@ func TestCohortWeightedMix(t *testing.T) {
 
 // Equal next-arrival times must merge in stream-index order — the stable
 // tiebreak that makes IDs deterministic regardless of sort internals.
-func TestStreamHeapTiebreak(t *testing.T) {
-	var h streamHeap
-	for _, idx := range []int{3, 1, 4, 0, 2} {
-		h.push(5.0, idx)
+func TestEarliestStreamTiebreak(t *testing.T) {
+	streams := make([]*stream, 6)
+	for i, at := range []float64{5, 5, 5, 5, 5, 1} {
+		streams[i] = &stream{nextAtMs: at}
 	}
-	h.push(1.0, 9)
-	for i, want := range []int{9, 0, 1, 2, 3, 4} {
-		if got := h.pop(); got != want {
-			t.Fatalf("pop %d = stream %d, want %d", i, got, want)
+	for i, want := range []int{5, 0, 1, 2, 3, 4} {
+		s := earliest(streams)
+		if s != streams[want] {
+			t.Fatalf("merge %d took the wrong stream, want stream %d", i, want)
 		}
+		s.nextAtMs = math.Inf(1)
 	}
 }
 

@@ -30,7 +30,10 @@ package zoo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"split/internal/model"
 )
@@ -137,34 +140,49 @@ func LoadBenchmarkSet() map[string]*model.Graph {
 }
 
 // ---------------------------------------------------------------------------
-// builder: incremental graph construction with shape and dependency tracking
+// graph, builder, tbuilder: incremental graph construction
 // ---------------------------------------------------------------------------
 
-// builder constructs a CNN graph while tracking the current feature map
-// shape (channels, height, width) and the index of the operator whose output
-// is the current cursor tensor. Every method appends exactly the ops it
-// names, computing FLOPs, output volume and raw time from the shape, and
-// records data-dependency edges.
-type builder struct {
-	g       *model.Graph
-	c, h, w int // current feature map shape
-	last    int // index of the op producing the cursor tensor; -1 = model input
-	counts  map[model.Kind]int
+// graphSize is each model's op and edge count, so a build sizes Ops and
+// Edges once (TestGraphsSizedOnce keeps it exact).
+var graphSize = map[string]struct{ ops, edges int }{
+	"alexnet": {22, 21}, "densenet": {306, 363}, "efficientnet": {127, 151}, "googlenet": {142, 168},
+	"gpt2": {2534, 3051}, "resnet50": {122, 137}, "shufflenet": {135, 150}, "squeezenet": {65, 72},
+	"vgg19": {44, 43}, "yolov2": {84, 86},
 }
 
-func newBuilder(name, domain string, class model.RequestClass, c, h, w int) *builder {
-	return &builder{
-		g:      &model.Graph{Name: name, Domain: domain, Class: class},
-		c:      c,
-		h:      h,
-		w:      w,
-		last:   -1,
-		counts: make(map[model.Kind]int),
+// graph is the core both builders share: it appends ops and their
+// dependency edges and names op i "<kind>_<n>", the n-th op of its kind, in
+// one string per graph at finish. A builder tracks its own tensor shape and
+// reports the cursor's output volume through out.
+type graph struct {
+	g     *model.Graph
+	last  int // index of the op producing the cursor tensor; -1 = model input
+	out   func() int64
+	kinds []kindCount // ops of each kind so far, in first-use order
+	ords  []int32     // ords[i] is op i's n
+	names int         // bytes of all op names
+	num   [10]byte    // decimal scratch
+}
+
+type kindCount struct {
+	kind model.Kind
+	n    int32
+}
+
+func newGraph(name, domain string, class model.RequestClass, out func() int64) graph {
+	size := graphSize[name]
+	return graph{
+		g: &model.Graph{
+			Name: name, Domain: domain, Class: class,
+			Ops:   make([]model.Op, 0, size.ops),
+			Edges: make([]model.Edge, 0, size.edges),
+		},
+		last:  -1,
+		out:   out,
+		kinds: make([]kindCount, 0, 16),
+		ords:  make([]int32, 0, size.ops),
 	}
-}
-
-func (b *builder) outBytes() int64 {
-	return int64(b.c*b.h*b.w) * bytesPerElem
 }
 
 // rawTime derives the pre-calibration execution time of an op from its
@@ -176,30 +194,77 @@ func rawTime(flops, bytes int64) float64 {
 // addFrom appends an op consuming the outputs of the given ops (deduped;
 // -1 inputs, i.e. the model input, are skipped) and moves the cursor to it.
 // It returns the new op's index.
-func (b *builder) addFrom(inputs []int, kind model.Kind, flops, moveBytes int64) int {
-	b.counts[kind]++
-	idx := len(b.g.Ops)
-	b.g.Ops = append(b.g.Ops, model.Op{
-		Name:     fmt.Sprintf("%s_%d", kind, b.counts[kind]),
+func (c *graph) addFrom(inputs []int, kind model.Kind, flops, moveBytes int64) int {
+	idx := len(c.g.Ops)
+	k := slices.IndexFunc(c.kinds, func(kc kindCount) bool { return kc.kind == kind })
+	if k < 0 {
+		k, c.kinds = len(c.kinds), append(c.kinds, kindCount{kind: kind})
+	}
+	c.kinds[k].n++
+	n := c.kinds[k].n
+	c.ords = append(c.ords, n)
+	c.names += len(kind) + 1 + len(strconv.AppendInt(c.num[:0], int64(n), 10))
+	c.g.Ops = append(c.g.Ops, model.Op{
 		Kind:     kind,
 		TimeMs:   rawTime(flops, moveBytes),
-		OutBytes: b.outBytes(),
+		OutBytes: c.out(),
 		FLOPs:    flops,
 	})
-	seen := map[int]bool{}
+	first := len(c.g.Edges)
 	for _, in := range inputs {
-		if in >= 0 && !seen[in] {
-			seen[in] = true
-			b.g.Edges = append(b.g.Edges, model.Edge{From: in, To: idx})
+		if in >= 0 && !slices.ContainsFunc(c.g.Edges[first:], func(e model.Edge) bool { return e.From == in }) {
+			c.g.Edges = append(c.g.Edges, model.Edge{From: in, To: idx})
 		}
 	}
-	b.last = idx
+	c.last = idx
 	return idx
 }
 
 // add appends a chain op consuming the cursor tensor.
-func (b *builder) add(kind model.Kind, flops, moveBytes int64) int {
-	return b.addFrom([]int{b.last}, kind, flops, moveBytes)
+func (c *graph) add(kind model.Kind, flops, moveBytes int64) int {
+	return c.addFrom([]int{c.last}, kind, flops, moveBytes)
+}
+
+// finish names the ops, calibrates the graph to its Table 1 latency and
+// returns it. A build has no input, so TestAllModelsValidate runs
+// Graph.Validate (and its name map) once per model, not every Load.
+func (c *graph) finish() *model.Graph {
+	target, ok := Table1Latency[c.g.Name]
+	if !ok {
+		panic(fmt.Sprintf("zoo: no calibration latency for %s", c.g.Name))
+	}
+	var names strings.Builder
+	names.Grow(c.names)
+	for i := range c.g.Ops {
+		op := &c.g.Ops[i]
+		from := names.Len()
+		names.WriteString(string(op.Kind))
+		names.WriteByte('_')
+		names.Write(strconv.AppendInt(c.num[:0], int64(c.ords[i]), 10))
+		// Grown once, the builder never moves what it wrote: the name is a
+		// window on the one string all the names share.
+		op.Name = names.String()[from:]
+	}
+	c.g.ScaleTo(target)
+	return c.g
+}
+
+// builder constructs a CNN graph while tracking the current feature map
+// shape (channels, height, width). Every method appends exactly the ops it
+// names, computing FLOPs, output volume and raw time from the shape.
+type builder struct {
+	graph
+	c, h, w int // current feature map shape
+}
+
+func newBuilder(name, domain string, class model.RequestClass, c, h, w int) *builder {
+	b := &builder{c: c, h: h, w: w}
+	b.graph = newGraph(name, domain, class, b.outBytes)
+	return b
+}
+
+func (b *builder) outBytes() int64 {
+	return int64(b.c*b.h*b.w) * bytesPerElem
 }
 
 func convOut(in, k, stride, pad int) int {
@@ -322,19 +387,6 @@ func (b *builder) shuffle() int {
 	return b.add(model.Shuffle, 0, 2*n*bytesPerElem)
 }
 
-// finish validates, calibrates to the Table 1 latency and returns the graph.
-func (b *builder) finish() *model.Graph {
-	target, ok := Table1Latency[b.g.Name]
-	if !ok {
-		panic(fmt.Sprintf("zoo: no calibration latency for %s", b.g.Name))
-	}
-	b.g.ScaleTo(target)
-	if err := b.g.Validate(); err != nil {
-		panic(err)
-	}
-	return b.g
-}
-
 // ---------------------------------------------------------------------------
 // VGG19 — 44 ops, 67.5 ms, Long (pure chain)
 // ---------------------------------------------------------------------------
@@ -393,10 +445,8 @@ func ResNet50() *model.Graph {
 			// Projection shortcut: a 1x1 conv on the block input running as
 			// a parallel branch from entry.
 			b.last = entry
-			entryC := b.c
 			b.c = out // projection emits the block's output shape
 			skip = b.conv(out, 1, 1, 0)
-			_ = entryC
 			b.last = mainOut
 		}
 		b.residual(skip)
@@ -447,7 +497,7 @@ func GoogLeNet() *model.Graph {
 	inception := func(c1, r3, c3, r5, c5, cp int) {
 		entry := b.last
 		inC, h, w := b.c, b.h, b.w
-		var outs []int
+		outs := make([]int, 0, 4)
 		branch := func(f func() int) {
 			b.last = entry
 			b.c, b.h, b.w = inC, h, w
@@ -574,53 +624,21 @@ type gptDims struct {
 // single short text-generation forward pass.
 var gpt2Dims = gptDims{seq: 64, hidden: 768, heads: 12, ffn: 3072}
 
-// tbuilder builds transformer graphs where tensors are (seq × features),
-// tracking dependencies the same way builder does.
+// tbuilder builds transformer graphs where tensors are (seq × features).
 type tbuilder struct {
-	g      *model.Graph
-	seq    int
-	feat   int // current feature width
-	last   int
-	counts map[model.Kind]int
+	graph
+	seq  int
+	feat int // current feature width
 }
 
 func newTBuilder(name, domain string, class model.RequestClass, seq, feat int) *tbuilder {
-	return &tbuilder{
-		g:      &model.Graph{Name: name, Domain: domain, Class: class},
-		seq:    seq,
-		feat:   feat,
-		last:   -1,
-		counts: make(map[model.Kind]int),
-	}
+	t := &tbuilder{seq: seq, feat: feat}
+	t.graph = newGraph(name, domain, class, t.outBytes)
+	return t
 }
 
 func (t *tbuilder) outBytes() int64 {
 	return int64(t.seq*t.feat) * bytesPerElem
-}
-
-func (t *tbuilder) addFrom(inputs []int, kind model.Kind, flops, moveBytes int64) int {
-	t.counts[kind]++
-	idx := len(t.g.Ops)
-	t.g.Ops = append(t.g.Ops, model.Op{
-		Name:     fmt.Sprintf("%s_%d", kind, t.counts[kind]),
-		Kind:     kind,
-		TimeMs:   rawTime(flops, moveBytes),
-		OutBytes: t.outBytes(),
-		FLOPs:    flops,
-	})
-	seen := map[int]bool{}
-	for _, in := range inputs {
-		if in >= 0 && !seen[in] {
-			seen[in] = true
-			t.g.Edges = append(t.g.Edges, model.Edge{From: in, To: idx})
-		}
-	}
-	t.last = idx
-	return idx
-}
-
-func (t *tbuilder) add(kind model.Kind, flops, moveBytes int64) int {
-	return t.addFrom([]int{t.last}, kind, flops, moveBytes)
 }
 
 // matmul appends a (seq×feat)·(feat×out) matrix multiply.
@@ -728,7 +746,8 @@ func (t *tbuilder) transformerLayer(d gptDims) {
 	v := t.ewFrom([]int{qkv}, model.Slice)
 	kc := t.ewFrom([]int{k}, model.Concat) // kv-cache concat k
 	vc := t.ewFrom([]int{v}, model.Concat) // kv-cache concat v
-	heads := make([]int, 0, d.heads)
+	// A constant capacity keeps GPT-2-small's 12 head outputs on the stack.
+	heads := make([]int, 0, 16)
 	for h := 0; h < d.heads; h++ {
 		heads = append(heads, t.attentionHead(q, kc, vc, headDim))
 	}
@@ -765,12 +784,7 @@ func GPT2() *model.Graph {
 	t.matmul(50257)
 	t.feat = d.hidden // restore nominal width for OutBytes of the final reshape
 	t.ew(model.Reshape)
-
-	t.g.ScaleTo(Table1Latency["gpt2"])
-	if err := t.g.Validate(); err != nil {
-		panic(err)
-	}
-	return t.g
+	return t.finish()
 }
 
 // ---------------------------------------------------------------------------

@@ -267,3 +267,34 @@ func TestOpTimesReasonablySpread(t *testing.T) {
 		}
 	}
 }
+
+// TestGraphsSizedOnce checks graphSize against every build: Ops and Edges
+// come out exactly full, so a build sized them once and never grew them.
+func TestGraphsSizedOnce(t *testing.T) {
+	for _, name := range Names() {
+		g := MustLoad(name)
+		if cap(g.Ops) != len(g.Ops) || cap(g.Edges) != len(g.Edges) {
+			t.Errorf("%s: %d ops in cap %d, %d edges in cap %d; graphSize says %+v",
+				name, len(g.Ops), cap(g.Ops), len(g.Edges), cap(g.Edges), graphSize[name])
+		}
+	}
+}
+
+// TestAddFromDedupesInputs feeds an op the same input twice, and the model
+// input as well: it gets one edge. No zoo model lists an input twice, so
+// the graph digests cannot see the dedupe.
+func TestAddFromDedupesInputs(t *testing.T) {
+	b := newBuilder("t", "t", model.Short, 1, 1, 1)
+	x := b.relu()
+	y := b.relu()
+	z := b.addFrom([]int{x, -1, y, x, y}, model.Add, 1, 1)
+	want := []model.Edge{{From: 0, To: 1}, {From: x, To: z}, {From: y, To: z}}
+	if len(b.g.Edges) != len(want) {
+		t.Fatalf("edges %v, want %v", b.g.Edges, want)
+	}
+	for i := range want {
+		if b.g.Edges[i] != want[i] {
+			t.Fatalf("edges %v, want %v", b.g.Edges, want)
+		}
+	}
+}
